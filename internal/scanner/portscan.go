@@ -39,9 +39,10 @@ const ctxCheckInterval = 1024
 //
 // The permuted index space [0, N) is statically sharded into one
 // contiguous range per worker: a probe is a pure function call chain
-// (Permutation.At, Universe.AddrAt, View.OpenPort) with no channel
-// traffic and no heap allocations, and each shard batches its
-// responsive addresses locally. Shards are concatenated in worker
+// (Permutation.At, Universe.Locate, View.OpenPortAt — a handful of table
+// lookups on a snapshot) with no channel traffic and no heap
+// allocations; only a responsive address becomes a netip.Addr, and each
+// shard batches those locally. Shards are concatenated in worker
 // order, so the result order is deterministic for a given
 // (universe, seed, workers) triple — though callers must not rely on
 // it beyond set equality, which is what the grab stage's deterministic
@@ -138,12 +139,9 @@ func PortScanRange(ctx context.Context, nw simnet.View, cfg PortScanConfig, lo, 
 					probed = 0
 				}
 				probed++
-				addr, err := u.AddrAt(perm.At(i))
-				if err != nil {
-					continue
-				}
-				if nw.OpenPort(addr, cfg.Port) {
-					open = append(open, addr)
+				prefix, off := u.Locate(perm.At(i))
+				if nw.OpenPortAt(prefix, off, cfg.Port) {
+					open = append(open, u.Prefix(prefix).AddrAt(off))
 				}
 			}
 		}(w, wlo, whi)

@@ -21,6 +21,7 @@ import (
 	"repro/internal/uamsg"
 	"repro/internal/uapolicy"
 	"repro/internal/uaserver"
+	"repro/internal/worldview"
 )
 
 func TestPermutationIsBijective(t *testing.T) {
@@ -76,19 +77,113 @@ func TestPermutationRoundMatchesFNV(t *testing.T) {
 		return h.Sum64() & p.halfMask
 	}
 	rng := mrand.New(mrand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
+	// Eight permutations, 25 samples each: every construction of up to
+	// 2^32 entries builds its round tables (~4 ms), and the pin is on
+	// round, not on the constructor.
+	for k := 0; k < 8; k++ {
 		p := NewPermutation(rng.Uint64()%(1<<32)+1, rng.Uint64())
-		half := rng.Uint64()
-		round := uint(rng.Intn(4))
-		if got, want := p.round(half, round), ref(p, half, round); got != want {
-			t.Fatalf("round(%#x, %d) = %#x, want %#x", half, round, got, want)
+		for trial := 0; trial < 25; trial++ {
+			half := rng.Uint64()
+			round := uint(rng.Intn(4))
+			if got, want := p.round(half, round), ref(p, half, round); got != want {
+				t.Fatalf("round(%#x, %d) = %#x, want %#x", half, round, got, want)
+			}
 		}
 	}
 }
 
+// TestPermutationTablesMatchRound fails if the tabulated Feistel pass
+// drifts from the round function it was generated from: every table
+// entry at several widths, and At (cycle-walking included) against a
+// pass computed from round alone.
+func TestPermutationTablesMatchRound(t *testing.T) {
+	refAt := func(p *Permutation, x uint64) uint64 {
+		for {
+			l, r := x>>p.halfBits, x&p.halfMask
+			for round := uint(0); round < 4; round++ {
+				l, r = r, l^p.round(r, round)
+			}
+			if x = l<<p.halfBits | r; x < p.n {
+				return x
+			}
+		}
+	}
+	// 5 and 300 round an odd bit-width up; 2621440 is the study universe
+	// (62.5 % of its covering domain, so ~0.6 cycle-walks per index);
+	// 1<<40 is too wide to tabulate and must take the round path.
+	for _, n := range []uint64{1, 2, 3, 5, 300, 2621440, 1 << 32, 1 << 40} {
+		p := NewPermutation(n, 2020)
+		if wide := p.halfBits > maxTableHalfBits; wide != (p.tab[0] == nil) {
+			t.Fatalf("n=%d: halfBits %d, tables present = %v", n, p.halfBits, p.tab[0] != nil)
+		}
+		for round, tab := range p.tab {
+			if tab != nil && uint64(len(tab)) != p.halfMask+1 {
+				t.Fatalf("n=%d: round %d table has %d entries, want %d", n, round, len(tab), p.halfMask+1)
+			}
+			for half, got := range tab {
+				if want := p.round(uint64(half), uint(round)); uint64(got) != want {
+					t.Fatalf("n=%d: tab[%d][%#x] = %#x, round says %#x", n, round, half, got, want)
+				}
+			}
+		}
+		step := n/5000 + 1
+		for i := uint64(0); i < n; i += step {
+			if got, want := p.At(i), refAt(p, i); got != want {
+				t.Fatalf("n=%d: At(%d) = %d, round-only pass says %d", n, i, got, want)
+			}
+		}
+		if got, want := p.At(n-1), refAt(p, n-1); got != want {
+			t.Fatalf("n=%d: At(%d) = %d, round-only pass says %d", n, n-1, got, want)
+		}
+	}
+}
+
+// TestPermutationGolden pins the scan order of the study universe
+// (40 x /16 = 2,621,440 addresses, campaign seed 2020) to the values the
+// pre-table implementation produced, so rate-limited probe schedules are
+// unchanged.
+func TestPermutationGolden(t *testing.T) {
+	want := []uint64{
+		710424, 1696437, 357270, 2552834, 2042425, 2517868, 1612158, 2220683,
+		1601004, 1529527, 2481496, 1378312, 34227, 1175250, 1196373, 528575,
+		2411137, 520715, 1812179, 365686, 1562636, 1154354, 860369, 1748042,
+		1687465, 2052365, 1522400, 86693, 1455455, 2294214, 856314, 624507,
+	}
+	p := NewPermutation(2621440, 2020)
+	for i, w := range want {
+		if got := p.At(uint64(i)); got != w {
+			t.Errorf("At(%d) = %d, want %d", i, got, w)
+		}
+	}
+}
+
+// benchSnapshot is what a campaign sweeps: an immutable snapshot of one
+// /16 with noise and one registered host per 1,024 addresses (the study
+// world has 1,921 in 2.6 M), alternating between the scan port and a
+// port only references reach, so the occupancy bitset, the host map and
+// the fall-through to noise are all on the swept path.
+func benchSnapshot(tb testing.TB) *worldview.Snapshot {
+	tb.Helper()
+	prefix, err := simnet.NewPrefix("10.0.0.0", 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := worldview.NewBuilder(worldview.Config{
+		Universe: simnet.NewUniverse(prefix),
+		Noise:    simnet.Noise{Prob: 0.001, Seed: 0x9E3779B97F4A7C15},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for off := uint32(7); off < prefix.Size; off += 1024 {
+		b.AddHost(prefix.AddrAt(off), 4840+int(off>>10&1), 64512, nil)
+	}
+	return b.Build()
+}
+
 // TestPermutationAtAllocFree gates the zero-allocation probe path: one
-// probe costs a Permutation.At call plus map lookups, none of which may
-// touch the heap.
+// probe is Permutation.At, Universe.Locate and the snapshot's
+// OpenPortAt, none of which may touch the heap.
 func TestPermutationAtAllocFree(t *testing.T) {
 	p := NewPermutation(1<<24, 7)
 	i := uint64(0)
@@ -97,6 +192,22 @@ func TestPermutationAtAllocFree(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("Permutation.At allocates %.1f objects per call, want 0", allocs)
+	}
+	snap := benchSnapshot(t)
+	u := snap.Universe()
+	sweep := NewPermutation(u.Size(), 7)
+	next, open := uint64(0), 0
+	if allocs := testing.AllocsPerRun(5000, func() {
+		prefix, off := u.Locate(sweep.At(next % u.Size()))
+		if snap.OpenPortAt(prefix, off, 4840) {
+			open++
+		}
+		next++
+	}); allocs != 0 {
+		t.Errorf("one probe allocates %.1f objects, want 0", allocs)
+	}
+	if open == 0 {
+		t.Errorf("%d of 5000 probes answered: the host path was not exercised", open)
 	}
 }
 
@@ -572,9 +683,8 @@ func TestResultHelpers(t *testing.T) {
 }
 
 func BenchmarkPortScan64K(b *testing.B) {
-	prefix, _ := simnet.NewPrefix("10.0.0.0", 16)
-	nw := simnet.New(simnet.NewUniverse(prefix))
-	nw.SetNoise(0.001)
+	nw := benchSnapshot(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := PortScan(context.Background(), nw, PortScanConfig{Workers: 32}); err != nil {
 			b.Fatal(err)
@@ -587,9 +697,7 @@ func BenchmarkPortScan64K(b *testing.B) {
 // between the two, and the BENCH budget pins the disabled path so the
 // nil-registry fast path can never start allocating.
 func BenchmarkPortScanTelemetry(b *testing.B) {
-	prefix, _ := simnet.NewPrefix("10.0.0.0", 16)
-	nw := simnet.New(simnet.NewUniverse(prefix))
-	nw.SetNoise(0.001)
+	nw := benchSnapshot(b)
 	run := func(b *testing.B, reg *telemetry.Registry) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"net"
 	"net/netip"
 	"slices"
@@ -57,38 +58,47 @@ func NewPrefix(base string, bits int) (Prefix, error) {
 	return Prefix{Base: addr, Size: 1 << (32 - bits)}, nil
 }
 
-func addrToU32(a netip.Addr) uint32 {
+// AddrToU32 returns an IPv4 address as its 32-bit big-endian value, the
+// key form of the per-probe paths (no netip hashing or comparison).
+func AddrToU32(a netip.Addr) uint32 {
 	b := a.As4()
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-func u32ToAddr(v uint32) netip.Addr {
+// U32ToAddr is the inverse of AddrToU32.
+func U32ToAddr(v uint32) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
 // Contains reports whether the prefix contains the address.
 func (p Prefix) Contains(a netip.Addr) bool {
-	v, base := addrToU32(a), addrToU32(p.Base)
+	v, base := AddrToU32(a), AddrToU32(p.Base)
 	return v >= base && v-base < p.Size
 }
 
 // AddrAt returns the i-th address of the prefix.
 func (p Prefix) AddrAt(i uint32) netip.Addr {
-	return u32ToAddr(addrToU32(p.Base) + i)
+	return U32ToAddr(AddrToU32(p.Base) + i)
 }
 
 // Universe is the scannable address space: an ordered set of prefixes.
 type Universe struct {
 	prefixes []Prefix
 	// cum[i] is the linear index of prefixes[i]'s first address;
-	// cum[len(prefixes)] == total. AddrAt binary-searches it instead of
-	// walking the prefix list per probe.
+	// cum[len(prefixes)] == total.
 	cum   []uint64
 	total uint64
+	// slot[i>>shift] is the prefix holding linear index i. Every prefix
+	// size, hence every cum entry, is a multiple of 1<<shift, so no slot
+	// straddles a prefix boundary. nil when the table would exceed
+	// maxLocateSlots (prefix sizes sharing no large power-of-two factor
+	// over a big universe); Locate then binary-searches cum.
+	slot  []int32
+	shift uint
 	// byBase orders prefix indexes by base address when the prefixes
 	// are pairwise disjoint, enabling a binary-search PrefixIndex (the
-	// port-scan and dial hot path); nil when prefixes overlap, which
-	// falls back to the first-match linear walk.
+	// by-address and dial path); nil when prefixes overlap, which falls
+	// back to the first-match linear walk.
 	byBase []int
 }
 
@@ -104,17 +114,31 @@ func NewUniverse(prefixes ...Prefix) *Universe {
 	}
 	u.cum[len(prefixes)] = u.total
 
+	var sizes uint64
+	for _, p := range prefixes {
+		sizes |= uint64(p.Size)
+	}
+	u.shift = uint(bits.TrailingZeros64(sizes))
+	if slots := u.total >> u.shift; slots <= maxLocateSlots {
+		u.slot = make([]int32, slots)
+		for i := range prefixes {
+			for k := u.cum[i] >> u.shift; k < u.cum[i+1]>>u.shift; k++ {
+				u.slot[k] = int32(i)
+			}
+		}
+	}
+
 	byBase := make([]int, len(prefixes))
 	for i := range byBase {
 		byBase[i] = i
 	}
 	slices.SortFunc(byBase, func(a, b int) int {
-		return cmp.Compare(addrToU32(prefixes[a].Base), addrToU32(prefixes[b].Base))
+		return cmp.Compare(AddrToU32(prefixes[a].Base), AddrToU32(prefixes[b].Base))
 	})
 	disjoint := true
 	for k := 1; k < len(byBase); k++ {
 		prev, cur := prefixes[byBase[k-1]], prefixes[byBase[k]]
-		if uint64(addrToU32(prev.Base))+uint64(prev.Size) > uint64(addrToU32(cur.Base)) {
+		if uint64(AddrToU32(prev.Base))+uint64(prev.Size) > uint64(AddrToU32(cur.Base)) {
 			disjoint = false
 			break
 		}
@@ -128,10 +152,29 @@ func NewUniverse(prefixes ...Prefix) *Universe {
 // Size returns the number of scannable addresses.
 func (u *Universe) Size() uint64 { return u.total }
 
+// maxLocateSlots caps the direct Locate table (256 KiB of int32). The
+// study universe of 40 x /16 needs 40 slots; any NewPrefix-built
+// universe needs total / smallest-prefix-size.
+const maxLocateSlots = 1 << 16
+
 // AddrAt maps a linear index to an address.
 func (u *Universe) AddrAt(i uint64) (netip.Addr, error) {
 	if i >= u.total {
 		return netip.Addr{}, fmt.Errorf("simnet: index %d outside universe", i)
+	}
+	prefix, off := u.Locate(i)
+	return u.prefixes[prefix].AddrAt(off), nil
+}
+
+// Locate maps a linear index to its position: the prefix holding it and
+// the offset inside that prefix. i must be < Size(). It performs no heap
+// allocations.
+//
+//studyvet:hotpath — called once per probed address
+func (u *Universe) Locate(i uint64) (prefix int, off uint32) {
+	if u.slot != nil {
+		prefix = int(u.slot[i>>u.shift])
+		return prefix, uint32(i - u.cum[prefix])
 	}
 	// Find the prefix whose range contains i: the last k with cum[k] <= i.
 	lo, hi := 0, len(u.prefixes)-1
@@ -143,7 +186,7 @@ func (u *Universe) AddrAt(i uint64) (netip.Addr, error) {
 			hi = mid - 1
 		}
 	}
-	return u.prefixes[lo].AddrAt(uint32(i - u.cum[lo])), nil
+	return lo, uint32(i - u.cum[lo])
 }
 
 // Contains reports whether the universe contains the address.
@@ -161,11 +204,11 @@ func (u *Universe) PrefixIndex(a netip.Addr) int {
 		// the first match equals the only match and a binary search on
 		// the base-ordered view is exact. Find the last prefix with
 		// Base <= a and check containment.
-		v := addrToU32(a)
+		v := AddrToU32(a)
 		lo, hi := 0, len(u.byBase)-1
 		for lo < hi {
 			mid := (lo + hi + 1) / 2
-			if addrToU32(u.prefixes[u.byBase[mid]].Base) <= v {
+			if AddrToU32(u.prefixes[u.byBase[mid]].Base) <= v {
 				lo = mid
 			} else {
 				hi = mid - 1
@@ -187,6 +230,15 @@ func (u *Universe) PrefixIndex(a netip.Addr) int {
 // NumPrefixes returns the number of prefixes in the universe.
 func (u *Universe) NumPrefixes() int { return len(u.prefixes) }
 
+// Prefix returns the i-th prefix, in the order Locate numbers them.
+func (u *Universe) Prefix(i int) Prefix { return u.prefixes[i] }
+
+// Disjoint reports whether no two prefixes share an address. Only then
+// does a Locate position name the same prefix PrefixIndex resolves the
+// address to; views that shard state by PrefixIndex resolve positions of
+// an overlapping universe by address instead.
+func (u *Universe) Disjoint() bool { return u.byBase != nil }
+
 // View is the read-only interface over the simulated Internet that the
 // scanner consumes: address-space enumeration, SYN-probe checks, AS
 // attribution and connection establishment. Both the legacy mutable
@@ -197,8 +249,12 @@ type View interface {
 	// Universe returns the scannable address space.
 	Universe() *Universe
 	// OpenPort reports whether a TCP connect would succeed, without
-	// spawning handlers (the port-scan fast path).
+	// spawning handlers.
 	OpenPort(ip netip.Addr, port int) bool
+	// OpenPortAt is OpenPort for the address at a Universe.Locate
+	// position; the sweep probes by position so that a netip.Addr exists
+	// only for responsive addresses.
+	OpenPortAt(prefix int, off uint32, port int) bool
 	// ASOf returns the autonomous system of an address.
 	ASOf(ip netip.Addr) int
 	// DialContext connects to "ip:port" like net.Dialer.
@@ -334,7 +390,7 @@ func (n *Network) ASOf(ip netip.Addr) int {
 // without a registered host: a private-use ASN derived from the /16.
 // Snapshots use the same formula so every View agrees on AS mapping.
 func DefaultASN(ip netip.Addr) int {
-	return 64512 + int(addrToU32(ip)>>16)%1024
+	return 64512 + int(AddrToU32(ip)>>16)%1024
 }
 
 // Noise is the deterministic open-port-but-not-OPC-UA model: Prob of
@@ -370,18 +426,26 @@ const (
 )
 
 // HitInUniverse is Hit for an address the caller already resolved to a
-// universe prefix; it skips the containment walk (the port-scan hot
-// path calls this once per address). It performs no heap allocations.
+// universe prefix; it skips the containment walk.
 func (z Noise) HitInUniverse(ip netip.Addr, port int) bool {
+	return z.HitU32(AddrToU32(ip), port)
+}
+
+// HitU32 is HitInUniverse on the AddrToU32 form of the address (the
+// port-scan hot path calls this once per address). It performs no heap
+// allocations.
+//
+//studyvet:hotpath — called once per probed address
+func (z Noise) HitU32(addr uint32, port int) bool {
 	if port != 4840 || z.Prob <= 0 {
 		return false
 	}
-	b := ip.As4()
+	// FNV-1a over the address's four bytes in network order.
 	h := uint64(FNVOffset64)
-	h = (h ^ uint64(b[0])) * FNVPrime64
-	h = (h ^ uint64(b[1])) * FNVPrime64
-	h = (h ^ uint64(b[2])) * FNVPrime64
-	h = (h ^ uint64(b[3])) * FNVPrime64
+	h = (h ^ uint64(addr>>24)) * FNVPrime64
+	h = (h ^ uint64(addr>>16&0xff)) * FNVPrime64
+	h = (h ^ uint64(addr>>8&0xff)) * FNVPrime64
+	h = (h ^ uint64(addr&0xff)) * FNVPrime64
 	v := h ^ z.Seed
 	// Map the hash to [0,1) and compare.
 	return float64(v%1000000)/1000000.0 < z.Prob
@@ -507,4 +571,10 @@ func (n *Network) OpenPort(ip netip.Addr, port int) bool {
 		return true
 	}
 	return n.isNoise(ip, port)
+}
+
+// OpenPortAt resolves the position to its address and asks OpenPort: the
+// mutable network keys everything by address, and no campaign sweeps it.
+func (n *Network) OpenPortAt(prefix int, off uint32, port int) bool {
+	return n.OpenPort(n.universe.prefixes[prefix].AddrAt(off), port)
 }

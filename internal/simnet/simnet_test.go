@@ -249,8 +249,8 @@ func TestNoiseMatchesFNVReference(t *testing.T) {
 	}
 }
 
-// TestNoiseHitAllocFree gates the per-probe noise decision at zero heap
-// allocations (it runs once per scanned address).
+// TestNoiseHitAllocFree gates the per-probe noise decision and position
+// lookup at zero heap allocations (both run once per scanned address).
 func TestNoiseHitAllocFree(t *testing.T) {
 	z := Noise{Prob: 0.5, Seed: 1}
 	ip := netip.AddrFrom4([4]byte{100, 64, 3, 9})
@@ -258,6 +258,83 @@ func TestNoiseHitAllocFree(t *testing.T) {
 		_ = z.HitInUniverse(ip, 4840)
 	}); allocs != 0 {
 		t.Errorf("HitInUniverse allocates %.1f objects per call, want 0", allocs)
+	}
+	for _, u := range []*Universe{
+		NewUniverse(mustPrefix(t, "100.64.0.0", 16), mustPrefix(t, "100.65.0.0", 16)), // slot table
+		NewUniverse(mustPrefix(t, "100.64.0.0", 12), Prefix{Base: ip, Size: 1}),       // binary search
+	} {
+		i := uint64(0)
+		if allocs := testing.AllocsPerRun(1000, func() {
+			_, _ = u.Locate(i % u.Size())
+			i += 4099
+		}); allocs != 0 {
+			t.Errorf("Locate allocates %.1f objects per call (slot table: %v), want 0", allocs, u.slot != nil)
+		}
+	}
+}
+
+// TestUniverseLocate cross-checks Locate (and AddrAt, which is expressed
+// through it) against a linear prefix walk at every prefix boundary, for
+// both of its paths.
+func TestUniverseLocate(t *testing.T) {
+	hundred := Prefix{Base: netip.MustParseAddr("10.1.0.0"), Size: 100}
+	cases := []struct {
+		name     string
+		u        *Universe
+		shift    uint
+		useTable bool
+	}{
+		{"uniform", NewUniverse(mustPrefix(t, "100.64.0.0", 16), mustPrefix(t, "100.65.0.0", 16),
+			mustPrefix(t, "100.70.0.0", 16)), 16, true},
+		{"mixed /16 + /24", NewUniverse(mustPrefix(t, "10.0.0.0", 24), mustPrefix(t, "100.64.0.0", 16),
+			mustPrefix(t, "10.0.9.0", 24)), 8, true},
+		{"non-power-of-two", NewUniverse(hundred, mustPrefix(t, "10.2.0.0", 28), hundred), 2, true},
+		{"overlapping", NewUniverse(mustPrefix(t, "100.64.0.0", 16), mustPrefix(t, "100.64.128.0", 24)), 8, true},
+		{"empty prefix", NewUniverse(mustPrefix(t, "10.0.0.0", 24), Prefix{Base: hundred.Base},
+			mustPrefix(t, "10.0.1.0", 24)), 8, true},
+		// 2^20 + 1 addresses with no common factor: 2^20 + 1 slots is
+		// past maxLocateSlots, so Locate binary-searches.
+		{"no common factor", NewUniverse(mustPrefix(t, "100.64.0.0", 12), Prefix{Base: hundred.Base, Size: 1},
+			mustPrefix(t, "10.0.0.0", 24)), 0, false},
+	}
+	for _, c := range cases {
+		u := c.u
+		if u.shift != c.shift || (u.slot != nil) != c.useTable {
+			t.Errorf("%s: shift %d, slot table %v; want %d, %v", c.name, u.shift, u.slot != nil, c.shift, c.useTable)
+		}
+		linear := func(i uint64) (int, uint32) {
+			for k, p := range u.prefixes {
+				if i < uint64(p.Size) {
+					return k, uint32(i)
+				}
+				i -= uint64(p.Size)
+			}
+			t.Fatalf("%s: index %d outside universe", c.name, i)
+			return 0, 0
+		}
+		check := func(i uint64) {
+			wantP, wantOff := linear(i)
+			if gotP, gotOff := u.Locate(i); gotP != wantP || gotOff != wantOff {
+				t.Fatalf("%s: Locate(%d) = (%d, %d), want (%d, %d)", c.name, i, gotP, gotOff, wantP, wantOff)
+			}
+			if got, err := u.AddrAt(i); err != nil || got != u.prefixes[wantP].AddrAt(wantOff) {
+				t.Fatalf("%s: AddrAt(%d) = %v, %v; want %s", c.name, i, got, err, u.prefixes[wantP].AddrAt(wantOff))
+			}
+		}
+		for k := range u.prefixes {
+			// The first and last index of every prefix and their neighbours.
+			for _, i := range []uint64{u.cum[k] - 1, u.cum[k], u.cum[k] + 1, u.cum[k+1] - 2, u.cum[k+1] - 1} {
+				if i < u.total {
+					check(i)
+				}
+			}
+		}
+		for i := uint64(0); i < u.total; i += 997 {
+			check(i)
+		}
+		if _, err := u.AddrAt(u.total); err == nil {
+			t.Errorf("%s: AddrAt past the universe should error", c.name)
+		}
 	}
 }
 

@@ -69,12 +69,33 @@ type host struct {
 	handler simnet.ConnHandler
 }
 
-// shard is one prefix's slice of the host table. Immutable after
-// Build; maps are safe for unlimited concurrent readers.
+// hostKey packs an endpoint into a map key: the simnet.AddrToU32 address
+// above the 16-bit port.
+func hostKey(addr uint32, port int) uint64 { return uint64(addr)<<16 | uint64(uint16(port)) }
+
+// shard is one prefix's slice of the host table, keyed by
+// simnet.AddrToU32 addresses. Immutable after Build; maps and the
+// bitset are safe for unlimited concurrent readers.
 type shard struct {
-	hosts    map[netip.AddrPort]host
-	asOfIP   map[netip.Addr]int
-	excluded map[netip.Addr]bool
+	// base and size are the prefix's first address and address count
+	// (both 0 for the catch-all shard).
+	base, size uint32
+	hosts      map[uint64]host
+	asOfIP     map[uint32]int
+	excluded   map[uint32]bool
+	// occupied has one bit per address of the prefix, set where any port
+	// has a host, so a sweep consults hosts only where one can exist
+	// (1,921 of 2.6 M addresses in the study world). Allocated by the
+	// first AddHost into the shard; nil on host-free prefixes and on the
+	// catch-all shard, whose addresses have no offset.
+	occupied []uint64
+}
+
+// occupiedAt reports whether any port of the prefix's off-th address
+// has a host.
+func (sh *shard) occupiedAt(off uint32) bool {
+	w := int(off >> 6)
+	return w < len(sh.occupied) && sh.occupied[w]&(1<<(off&63)) != 0
 }
 
 // Builder accumulates one wave's population and seals it into a
@@ -96,40 +117,54 @@ func NewBuilder(cfg Config) (*Builder, error) {
 	shards := make([]shard, cfg.Universe.NumPrefixes()+1)
 	for i := range shards {
 		shards[i] = shard{
-			hosts:    make(map[netip.AddrPort]host),
-			asOfIP:   make(map[netip.Addr]int),
-			excluded: make(map[netip.Addr]bool),
+			hosts:    make(map[uint64]host),
+			asOfIP:   make(map[uint32]int),
+			excluded: make(map[uint32]bool),
+		}
+		if i < cfg.Universe.NumPrefixes() {
+			p := cfg.Universe.Prefix(i)
+			shards[i].base, shards[i].size = simnet.AddrToU32(p.Base), p.Size
 		}
 	}
 	return &Builder{cfg: cfg, shards: shards}, nil
 }
 
-// shardFor maps an address to its prefix's shard; out-of-universe
-// addresses land in the final catch-all shard.
-func (b *Builder) shardFor(ip netip.Addr) *shard {
-	i := b.cfg.Universe.PrefixIndex(ip)
+// resolve maps an address to its shard and AddrToU32 form: the shard of
+// the first universe prefix containing it (inUniverse true), else the
+// final catch-all shard.
+func resolve(u *simnet.Universe, shards []shard, ip netip.Addr) (sh *shard, inUniverse bool, addr uint32) {
+	addr = simnet.AddrToU32(ip)
+	i := u.PrefixIndex(ip)
 	if i < 0 {
-		i = len(b.shards) - 1
+		return &shards[len(shards)-1], false, addr
 	}
-	return &b.shards[i]
+	return &shards[i], true, addr
 }
 
 // AddHost registers one endpoint. Adding the same ip:port twice
 // replaces the previous handler, mirroring Network.Register.
 func (b *Builder) AddHost(ip netip.Addr, port, asn int, h simnet.ConnHandler) {
-	s := b.shardFor(ip)
-	key := netip.AddrPortFrom(ip, uint16(port))
+	s, inUniverse, addr := resolve(b.cfg.Universe, b.shards, ip)
+	key := hostKey(addr, port)
 	if _, ok := s.hosts[key]; !ok {
 		b.hosts++
 	}
 	s.hosts[key] = host{asn: asn, handler: h}
-	s.asOfIP[ip] = asn
+	s.asOfIP[addr] = asn
+	if inUniverse {
+		if s.occupied == nil {
+			s.occupied = make([]uint64, (uint64(s.size)+63)/64)
+		}
+		off := addr - s.base
+		s.occupied[off>>6] |= 1 << (off & 63)
+	}
 }
 
 // Exclude marks an IP as opted out (Appendix A.2): connects are
 // refused even if a host is registered there.
 func (b *Builder) Exclude(ip netip.Addr) {
-	b.shardFor(ip).excluded[ip] = true
+	s, _, addr := resolve(b.cfg.Universe, b.shards, ip)
+	s.excluded[addr] = true
 }
 
 // Build seals the population into an immutable Snapshot. The builder
@@ -165,38 +200,72 @@ func (s *Snapshot) NumHosts() int { return s.hosts }
 // NumShards returns the shard count (universe prefixes + 1).
 func (s *Snapshot) NumShards() int { return len(s.shards) }
 
-// shardFor resolves an address's shard with a single prefix walk; the
-// second result reports whether the address is inside the universe
-// (needed by the noise model, which only applies there).
-func (s *Snapshot) shardFor(ip netip.Addr) (*shard, bool) {
-	i := s.cfg.Universe.PrefixIndex(ip)
-	if i < 0 {
-		return &s.shards[len(s.shards)-1], false
+// outcome is what a connect to one endpoint meets.
+type outcome int
+
+const (
+	refused outcome = iota // closed port or opted-out address
+	served                 // a registered host answers
+	noise                  // some non-OPC-UA service answers
+)
+
+// lookup decides a connect to (addr, port), an address of shard sh, for
+// the probe and dial paths alike: exclusions first, then the registered
+// host, then noise (which only universe addresses have). It performs no
+// heap allocations.
+//
+//studyvet:hotpath — called once per probed address
+func (s *Snapshot) lookup(sh *shard, inUniverse bool, addr uint32, port int) (host, outcome) {
+	// Exclusion lists are tiny (usually empty); skip the map hash on
+	// the per-probe path when the shard has none.
+	if len(sh.excluded) > 0 && sh.excluded[addr] {
+		return host{}, refused
 	}
-	return &s.shards[i], true
+	if !inUniverse || sh.occupiedAt(addr-sh.base) {
+		if h, ok := sh.hosts[hostKey(addr, port)]; ok {
+			return h, served
+		}
+	}
+	if inUniverse && s.cfg.Noise.HitU32(addr, port) {
+		return host{}, noise
+	}
+	return host{}, refused
+}
+
+// lookupAddr is lookup by address.
+func (s *Snapshot) lookupAddr(ip netip.Addr, port int) (host, outcome) {
+	sh, inUniverse, addr := resolve(s.cfg.Universe, s.shards, ip)
+	return s.lookup(sh, inUniverse, addr, port)
 }
 
 // OpenPort reports whether a TCP connect to the address would succeed,
 // without spawning handlers; the result matches DialContext exactly.
 func (s *Snapshot) OpenPort(ip netip.Addr, port int) bool {
-	sh, inUniverse := s.shardFor(ip)
-	// Exclusion lists are tiny (usually empty); skip the map hash on
-	// the per-probe path when the shard has none.
-	if len(sh.excluded) > 0 && sh.excluded[ip] {
-		return false
+	_, o := s.lookupAddr(ip, port)
+	return o != refused
+}
+
+// OpenPortAt is OpenPort for the address at a Universe.Locate position.
+// In a disjoint universe the position's prefix is the address's shard;
+// where prefixes overlap an earlier prefix may own the address, so the
+// position resolves by address.
+//
+//studyvet:hotpath — called once per probed address
+func (s *Snapshot) OpenPortAt(prefix int, off uint32, port int) bool {
+	if !s.cfg.Universe.Disjoint() {
+		return s.OpenPort(s.cfg.Universe.Prefix(prefix).AddrAt(off), port)
 	}
-	if _, ok := sh.hosts[netip.AddrPortFrom(ip, uint16(port))]; ok {
-		return true
-	}
-	return inUniverse && s.cfg.Noise.HitInUniverse(ip, port)
+	sh := &s.shards[prefix]
+	_, o := s.lookup(sh, true, sh.base+off, port)
+	return o != refused
 }
 
 // ASOf returns the autonomous system of an address; addresses without
 // a registered host get the same deterministic fallback as the
 // mutable Network.
 func (s *Snapshot) ASOf(ip netip.Addr) int {
-	sh, _ := s.shardFor(ip)
-	if asn, ok := sh.asOfIP[ip]; ok {
+	sh, _, addr := resolve(s.cfg.Universe, s.shards, ip)
+	if asn, ok := sh.asOfIP[addr]; ok {
 		return asn
 	}
 	return simnet.DefaultASN(ip)
@@ -222,18 +291,14 @@ func (s *Snapshot) DialContext(ctx context.Context, network, address string) (ne
 		case <-time.After(s.cfg.Latency):
 		}
 	}
-	sh, inUniverse := s.shardFor(ip)
-	if len(sh.excluded) > 0 && sh.excluded[ip] {
+	h, o := s.lookupAddr(ip, port)
+	switch o {
+	case refused:
 		return nil, simnet.ErrRefused{Addr: address}
-	}
-	h, ok := sh.hosts[netip.AddrPortFrom(ip, uint16(port))]
-	if !ok {
-		if inUniverse && s.cfg.Noise.HitInUniverse(ip, port) {
-			client, server := net.Pipe()
-			go simnet.ServeNoise(server)
-			return client, nil
-		}
-		return nil, simnet.ErrRefused{Addr: address}
+	case noise:
+		client, server := net.Pipe()
+		go simnet.ServeNoise(server)
+		return client, nil
 	}
 	// Adversarial behavior applies to registered hosts only, decided
 	// purely from (seed, wave, ip, port) plus the dial's context-borne

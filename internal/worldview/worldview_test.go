@@ -11,7 +11,7 @@ import (
 	"repro/internal/simnet"
 )
 
-func testUniverse(t *testing.T) *simnet.Universe {
+func testPrefixes(t *testing.T) []simnet.Prefix {
 	t.Helper()
 	var prefixes []simnet.Prefix
 	for _, base := range []string{"192.0.2.0", "198.51.100.0", "203.0.113.0"} {
@@ -21,7 +21,25 @@ func testUniverse(t *testing.T) *simnet.Universe {
 		}
 		prefixes = append(prefixes, p)
 	}
-	return simnet.NewUniverse(prefixes...)
+	return prefixes
+}
+
+func testUniverse(t *testing.T) *simnet.Universe {
+	t.Helper()
+	return simnet.NewUniverse(testPrefixes(t)...)
+}
+
+// overlappingUniverse appends a /28 lying inside the first /24 (and
+// holding the host at 192.0.2.10): those sixteen addresses are swept
+// twice, and at their second position the Locate prefix (3) is not the
+// shard PrefixIndex files them under (0).
+func overlappingUniverse(t *testing.T) *simnet.Universe {
+	t.Helper()
+	inner, err := simnet.NewPrefix("192.0.2.0", 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return simnet.NewUniverse(append(testPrefixes(t), inner)...)
 }
 
 // echoHandler answers one byte so dials are observable.
@@ -37,7 +55,11 @@ var echoHandler = simnet.HandlerFunc(func(conn net.Conn) {
 // Snapshot so tests can require identical behaviour.
 func buildPair(t *testing.T) (*simnet.Network, *Snapshot) {
 	t.Helper()
-	u := testUniverse(t)
+	return buildPairOn(t, testUniverse(t))
+}
+
+func buildPairOn(t *testing.T, u *simnet.Universe) (*simnet.Network, *Snapshot) {
+	t.Helper()
 	nw := simnet.New(u)
 	nw.SetNoise(0.25)
 
@@ -64,35 +86,54 @@ func buildPair(t *testing.T) (*simnet.Network, *Snapshot) {
 
 // TestSnapshotMatchesNetworkOpenPort sweeps the full universe plus the
 // out-of-universe host and requires OpenPort parity with the mutable
-// network, including the deterministic noise model.
+// network, including the deterministic noise model — and, on both views,
+// parity of the sweep's by-position OpenPortAt with the by-address
+// OpenPort at every position. The population covers what the indexed
+// form could get wrong: an excluded IP with a host, a host on a non-scan
+// port (occupied address, no host on 4840, noise may still answer), an
+// out-of-universe host, and a universe whose prefixes overlap.
 func TestSnapshotMatchesNetworkOpenPort(t *testing.T) {
-	nw, snap := buildPair(t)
-	u := nw.Universe()
-	noise := 0
-	for i := uint64(0); i < u.Size(); i++ {
-		addr, err := u.AddrAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, port := range []int{4840, 4841} {
-			got, want := snap.OpenPort(addr, port), nw.OpenPort(addr, port)
-			if got != want {
-				t.Fatalf("OpenPort(%s, %d) = %v, network says %v", addr, port, got, want)
+	for name, u := range map[string]*simnet.Universe{
+		"disjoint":    testUniverse(t),
+		"overlapping": overlappingUniverse(t),
+	} {
+		nw, snap := buildPairOn(t, u)
+		noise := 0
+		for i := uint64(0); i < u.Size(); i++ {
+			addr, err := u.AddrAt(i)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got && port == 4840 {
-				noise++
+			prefix, off := u.Locate(i)
+			for _, port := range []int{4840, 4841} {
+				got, want := snap.OpenPort(addr, port), nw.OpenPort(addr, port)
+				if got != want {
+					t.Fatalf("%s: OpenPort(%s, %d) = %v, network says %v", name, addr, port, got, want)
+				}
+				if at := snap.OpenPortAt(prefix, off, port); at != want {
+					t.Fatalf("%s: snapshot OpenPortAt(%d, %d, %d) = %v, OpenPort(%s) says %v", name, prefix, off, port, at, addr, want)
+				}
+				if at := nw.OpenPortAt(prefix, off, port); at != want {
+					t.Fatalf("%s: network OpenPortAt(%d, %d, %d) = %v, OpenPort(%s) says %v", name, prefix, off, port, at, addr, want)
+				}
+				if got && port == 4840 {
+					noise++
+				}
 			}
 		}
-	}
-	if noise < 30 {
-		t.Errorf("open 4840 ports = %d, noise model not applied", noise)
-	}
-	out := netip.MustParseAddr("10.9.9.9")
-	if !snap.OpenPort(out, 4840) || snap.OpenPort(out, 4841) {
-		t.Error("out-of-universe host mishandled")
-	}
-	if snap.OpenPort(netip.MustParseAddr("192.0.2.66"), 4840) {
-		t.Error("excluded IP reported open")
+		if noise < 30 {
+			t.Errorf("%s: open 4840 ports = %d, noise model not applied", name, noise)
+		}
+		out := netip.MustParseAddr("10.9.9.9")
+		if !snap.OpenPort(out, 4840) || snap.OpenPort(out, 4841) {
+			t.Errorf("%s: out-of-universe host mishandled", name)
+		}
+		if snap.OpenPort(netip.MustParseAddr("192.0.2.66"), 4840) {
+			t.Errorf("%s: excluded IP reported open", name)
+		}
+		if !snap.OpenPort(netip.MustParseAddr("192.0.2.10"), 4840) || !snap.OpenPort(netip.MustParseAddr("198.51.100.20"), 4841) {
+			t.Errorf("%s: registered host reported closed", name)
+		}
 	}
 }
 
