@@ -12,6 +12,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/scanner"
 	"repro/internal/telemetry"
+	"repro/internal/uaclient"
 )
 
 // metricsOptions carries the observability flags through the run modes.
@@ -253,6 +254,18 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 		Header: []string{"metric", "value"},
 	}
 	add := func(metric, value string) { t.Rows = append(t.Rows, []string{metric, value}) }
+	// labeled sums the counters of one base name that carry label=value,
+	// across every other scope (wave, shard).
+	labeled := func(name, label, value string) uint64 {
+		needle := label + `="` + value + `"`
+		var total uint64
+		for k, v := range s.Counters {
+			if strings.HasPrefix(k, name+"{") && strings.Contains(k, needle) {
+				total += v
+			}
+		}
+		return total
+	}
 
 	add("hosts probed", count("scan_probes"))
 	add("open ports", count("scan_open_ports"))
@@ -276,14 +289,7 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 	if s.CounterTotal("grab_failures") > 0 || s.CounterTotal("grab_retries") > 0 {
 		add("grab retries", count("grab_retries"))
 		for _, class := range scanner.FailureClasses() {
-			needle := `class="` + class + `"`
-			var total uint64
-			for k, v := range s.Counters {
-				if strings.HasPrefix(k, "grab_failures{") && strings.Contains(k, needle) {
-					total += v
-				}
-			}
-			add("grab failures: "+class, strconv.FormatUint(total, 10))
+			add("grab failures: "+class, strconv.FormatUint(labeled("grab_failures", "class", class), 10))
 		}
 	}
 
@@ -293,6 +299,15 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 	add("certificates rejected", count("handshake_cert_rejected"))
 	if h := s.HistogramTotal("handshake_ns"); h != nil && h.Count > 0 {
 		add("handshake latency (mean)", dur(uint64(h.MeanNs())))
+	}
+
+	// Service requests sent, per service: the exact message count behind
+	// the grab stage (a walked host costs a handful of browse requests,
+	// not one per node).
+	for _, service := range uaclient.ServiceNames() {
+		if total := labeled("ua_requests", "service", service); total > 0 {
+			add("requests: "+service, strconv.FormatUint(total, 10))
+		}
 	}
 
 	hits := s.CounterTotal("crypto_sign_hits") + s.CounterTotal("crypto_verify_hits") +

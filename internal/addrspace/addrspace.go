@@ -239,17 +239,21 @@ func (s *Space) Browse(id uatypes.NodeID, dir uamsg.BrowseDirection, classMask u
 	if !ok {
 		return nil, false
 	}
-	var out []uamsg.ReferenceDescription
+	// Size the result once: a ReferenceDescription is over 300 bytes, so
+	// growing by doubling copied every listing about twice over.
+	want := 0
+	for i := range n.refs {
+		if n.refs[i].matches(dir) {
+			want++
+		}
+	}
+	if want == 0 {
+		return nil, true
+	}
+	out := make([]uamsg.ReferenceDescription, 0, want)
 	for _, ref := range n.refs {
-		switch dir {
-		case uamsg.BrowseDirectionForward:
-			if !ref.IsForward {
-				continue
-			}
-		case uamsg.BrowseDirectionInverse:
-			if ref.IsForward {
-				continue
-			}
+		if !ref.matches(dir) {
+			continue
 		}
 		target, ok := s.nodes[string(ref.Target.AppendKey(buf[:0]))]
 		if !ok {
@@ -267,7 +271,22 @@ func (s *Space) Browse(id uatypes.NodeID, dir uamsg.BrowseDirection, classMask u
 			NodeClass:       target.Class,
 		})
 	}
+	if len(out) == 0 {
+		return nil, true // as before sizing: no listing encodes as a null array
+	}
 	return out, true
+}
+
+// matches reports whether the reference is followed when browsing in
+// direction dir (anything but forward or inverse means both).
+func (r *Reference) matches(dir uamsg.BrowseDirection) bool {
+	switch dir {
+	case uamsg.BrowseDirectionForward:
+		return r.IsForward
+	case uamsg.BrowseDirectionInverse:
+		return !r.IsForward
+	}
+	return true
 }
 
 // Stats summarizes anonymous exposure of the space, mirroring what the

@@ -146,8 +146,9 @@ type Scanner struct {
 	// no memoization — the legacy behavior).
 	Crypto *uarsa.Suite
 	// Metrics receives handshake outcome/latency instruments scoped by
-	// (policy, mode); nil disables them at zero cost. The campaign
-	// runtime installs a per-wave scope.
+	// (policy, mode) and the per-service ua_requests counters; nil
+	// disables them at zero cost. The campaign runtime installs a
+	// per-wave scope.
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, records one span-style exchange per grab
 	// (open→handshake→session→close) under the deterministic ID derived
@@ -217,6 +218,7 @@ func (s *Scanner) opts() uaclient.Options {
 		HelloTimeout:    s.Resilience.HelloTimeout,
 		OpenTimeout:     s.Resilience.OpenTimeout,
 		RequestTimeout:  s.Resilience.RequestTimeout,
+		Metrics:         s.Metrics,
 	}
 }
 

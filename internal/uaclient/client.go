@@ -51,6 +51,12 @@ type Options struct {
 	// extension — not even the walk's — ever arms past it, so a tarpit
 	// host cannot wedge a grab-pool worker beyond this instant.
 	HardDeadline time.Time
+
+	// Metrics, when non-nil, counts every service request the client
+	// sends as ua_requests{service=<name>} in the given scope (the
+	// scanner passes its per-wave scope). Nil costs one pointer check
+	// per request.
+	Metrics *telemetry.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -118,6 +124,9 @@ type Client struct {
 
 	sessionToken uatypes.NodeID
 	activated    bool
+	// broken is set when a request fails below the service layer: the
+	// channel is then unusable, and Walk stops instead of retrying.
+	broken bool
 
 	// deadlineAt is the I/O deadline last armed on the connection;
 	// ExtendDeadline re-arms only when a meaningful share of the budget
@@ -125,6 +134,53 @@ type Client struct {
 	// net.Pipe and kernel sockets, and the walk issues thousands of
 	// requests per connection).
 	deadlineAt time.Time
+
+	// requests caches the ua_requests counters this connection has
+	// used, by index into services (resolving one takes the registry
+	// lock; a connection uses two or three of them).
+	requests [len(services)]*telemetry.Counter
+}
+
+// services names the request types for the ua_requests{service=...}
+// counters.
+var services = [...]struct {
+	id   uint32
+	name string
+}{
+	{uamsg.IDGetEndpointsRequest, "get_endpoints"},
+	{uamsg.IDFindServersRequest, "find_servers"},
+	{uamsg.IDCreateSessionRequest, "create_session"},
+	{uamsg.IDActivateSessionRequest, "activate_session"},
+	{uamsg.IDCloseSessionRequest, "close_session"},
+	{uamsg.IDBrowseRequest, "browse"},
+	{uamsg.IDBrowseNextRequest, "browse_next"},
+	{uamsg.IDReadRequest, "read"},
+	{uamsg.IDCallRequest, "call"},
+}
+
+// ServiceNames lists the service label values of the ua_requests
+// counters, in a fixed order (for summary tables).
+func ServiceNames() []string {
+	out := make([]string, len(services))
+	for i, s := range services {
+		out[i] = s.name
+	}
+	return out
+}
+
+// countRequest bumps the ua_requests counter of req's service.
+func (c *Client) countRequest(req uamsg.Request) {
+	id := req.TypeID()
+	for i := range services {
+		if services[i].id != id {
+			continue
+		}
+		if c.requests[i] == nil {
+			c.requests[i] = c.opts.Metrics.Scope("service", services[i].name).Counter("ua_requests")
+		}
+		c.requests[i].Inc()
+		return
+	}
 }
 
 // Dial connects and completes the UACP handshake. No secure channel is
@@ -283,8 +339,12 @@ func (c *Client) request(req uamsg.Request) (uamsg.Message, error) {
 		return nil, errors.New("uaclient: no open channel")
 	}
 	c.ExtendDeadline()
+	if c.opts.Metrics != nil {
+		c.countRequest(req)
+	}
 	msg, err := c.ch.Request(req)
 	if err != nil {
+		c.broken = true
 		return nil, err
 	}
 	if f, ok := msg.(*uamsg.ServiceFault); ok {
@@ -417,16 +477,38 @@ func (c *Client) CloseSession() error {
 
 // Browse returns the forward hierarchical references of one node.
 func (c *Client) Browse(id uatypes.NodeID) ([]uamsg.ReferenceDescription, error) {
-	msg, err := c.request(&uamsg.BrowseRequest{
-		Header: c.header(),
-		NodesToBrowse: []uamsg.BrowseDescription{{
+	results, err := c.browse([]uatypes.NodeID{id}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if results[0].Status.IsBad() {
+		return nil, ServiceError{Code: results[0].Status}
+	}
+	return results[0].References, nil
+}
+
+// browse asks for the forward hierarchical references of ids in one
+// BrowseRequest and follows every result's continuation points, so
+// result i holds node i's complete listing, or the bad status that
+// makes the caller skip that node alone. An error means no result is
+// usable: a ServiceError is the server refusing the request as a
+// whole, anything else the connection failing. paced, when non-nil,
+// runs after each answered request (the walk's politeness delay).
+func (c *Client) browse(ids []uatypes.NodeID, paced func()) ([]uamsg.BrowseResult, error) {
+	if paced == nil {
+		paced = func() {}
+	}
+	nodes := make([]uamsg.BrowseDescription, len(ids))
+	for i, id := range ids {
+		nodes[i] = uamsg.BrowseDescription{
 			NodeID:          id,
 			Direction:       uamsg.BrowseDirectionForward,
 			ReferenceTypeID: uatypes.NewNumericNodeID(0, uamsg.IDHierarchicalRefType),
 			IncludeSubtypes: true,
 			ResultMask:      63,
-		}},
-	})
+		}
+	}
+	msg, err := c.request(&uamsg.BrowseRequest{Header: c.header(), NodesToBrowse: nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -434,30 +516,35 @@ func (c *Client) Browse(id uatypes.NodeID) ([]uamsg.ReferenceDescription, error)
 	if !ok {
 		return nil, fmt.Errorf("uaclient: unexpected %T", msg)
 	}
-	if len(resp.Results) != 1 {
-		return nil, errors.New("uaclient: browse returned no results")
+	if len(resp.Results) != len(ids) {
+		return nil, fmt.Errorf("uaclient: browse of %d nodes returned %d results", len(ids), len(resp.Results))
 	}
-	result := resp.Results[0]
-	if result.Status.IsBad() {
-		return nil, ServiceError{Code: result.Status}
-	}
-	refs := result.References
-	for len(result.ContinuationPoint) > 0 {
-		msg, err := c.request(&uamsg.BrowseNextRequest{
-			Header:             c.header(),
-			ContinuationPoints: [][]byte{result.ContinuationPoint},
-		})
-		if err != nil {
-			return nil, err
+	paced()
+	for i := range resp.Results {
+		r := &resp.Results[i]
+		for len(r.ContinuationPoint) > 0 {
+			msg, err := c.request(&uamsg.BrowseNextRequest{
+				Header:             c.header(),
+				ContinuationPoints: [][]byte{r.ContinuationPoint},
+			})
+			var refused ServiceError
+			if errors.As(err, &refused) {
+				*r = uamsg.BrowseResult{Status: refused.Code}
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			next, ok := msg.(*uamsg.BrowseNextResponse)
+			if !ok || len(next.Results) != 1 {
+				return nil, errors.New("uaclient: malformed browse-next response")
+			}
+			paced()
+			r.References = append(r.References, next.Results[0].References...)
+			r.ContinuationPoint = next.Results[0].ContinuationPoint
 		}
-		next, ok := msg.(*uamsg.BrowseNextResponse)
-		if !ok || len(next.Results) != 1 {
-			return nil, errors.New("uaclient: malformed browse-next response")
-		}
-		result = next.Results[0]
-		refs = append(refs, result.References...)
 	}
-	return refs, nil
+	return resp.Results, nil
 }
 
 // Read reads one attribute of several nodes.

@@ -75,6 +75,15 @@ func FuzzDecodeMessage(f *testing.F) {
 	e.WriteRaw(Encode(&GetEndpointsRequest{})[4:])
 	f.Add(e.Bytes())
 	f.Add([]byte{0x01, 0x00, 0xac, 0x01}) // four-byte id 428, empty body
+	// The decoders that size a slice from the claimed length: a claim of
+	// exactly the elements the bytes can hold, one more, and the maximum.
+	for _, h := range hostileArrays() {
+		const total = 1 << 10
+		fits := (total - len(h.prefix) - 4) / h.elemWire
+		f.Add(h.message(fits, total))
+		f.Add(h.message(fits+1, total))
+		f.Add(h.message(uatypes.MaxArrayLength, total))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = Decode(data)
 	})

@@ -640,7 +640,10 @@ func decodeBrowseRequest(d *uatypes.Decoder) Message {
 		View:          decodeViewDescription(d),
 		MaxReferences: d.ReadUint32(),
 	}
-	n := d.ReadArrayLen()
+	n := d.ReadArrayLenOf(minBrowseDescriptionWire)
+	if n > 0 {
+		m.NodesToBrowse = make([]BrowseDescription, 0, n)
+	}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		m.NodesToBrowse = append(m.NodesToBrowse, decodeBrowseDescription(d))
 	}
@@ -762,7 +765,10 @@ func decodeReadRequest(d *uatypes.Decoder) Message {
 		MaxAge:     d.ReadFloat64(),
 		Timestamps: TimestampsToReturn(d.ReadUint32()),
 	}
-	n := d.ReadArrayLen()
+	n := d.ReadArrayLenOf(minReadValueIDWire)
+	if n > 0 {
+		m.NodesToRead = make([]ReadValueID, 0, n)
+	}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		m.NodesToRead = append(m.NodesToRead, decodeReadValueID(d))
 	}
@@ -796,7 +802,10 @@ func (m *ReadResponse) encodeBody(e *uatypes.Encoder) {
 
 func decodeReadResponse(d *uatypes.Decoder) Message {
 	m := &ReadResponse{Header: decodeResponseHeader(d)}
-	n := d.ReadArrayLen()
+	n := d.ReadArrayLenOf(minDataValueWire)
+	if n > 0 {
+		m.Results = make([]uatypes.DataValue, 0, n)
+	}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		m.Results = append(m.Results, uatypes.DecodeDataValue(d))
 	}

@@ -366,6 +366,18 @@ func (b BrowseDescription) encode(e *uatypes.Encoder) {
 	e.WriteUint32(b.ResultMask)
 }
 
+// Minimum wire sizes of the array elements on the browse/read path: what
+// uatypes.Decoder.ReadArrayLenOf divides the remaining bytes by before a
+// decoder sizes its slice from a claimed length. Each is the encoding of
+// the all-null value (two-byte node ids, null strings, empty masks).
+const (
+	minBrowseDescriptionWire    = 2 + 4 + 2 + 1 + 4 + 4     // node id, direction, reference type, subtypes, two masks
+	minReferenceDescriptionWire = 2 + 1 + 2 + 6 + 1 + 4 + 2 // type, forward, target, browse name, display name, class, type definition
+	minBrowseResultWire         = 4 + 4 + 4                 // status, continuation point, reference count
+	minReadValueIDWire          = 2 + 4 + 4 + 6             // node id, attribute, index range, data encoding
+	minDataValueWire            = 1                         // encoding mask alone
+)
+
 func decodeBrowseDescription(d *uatypes.Decoder) BrowseDescription {
 	var b BrowseDescription
 	b.NodeID = uatypes.DecodeNodeID(d)
@@ -434,7 +446,10 @@ func decodeBrowseResult(d *uatypes.Decoder) BrowseResult {
 	var b BrowseResult
 	b.Status = d.ReadStatus()
 	b.ContinuationPoint = d.ReadByteString()
-	n := d.ReadArrayLen()
+	n := d.ReadArrayLenOf(minReferenceDescriptionWire)
+	if n > 0 {
+		b.References = make([]ReferenceDescription, 0, n)
+	}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		b.References = append(b.References, decodeReferenceDescription(d))
 	}
@@ -453,7 +468,7 @@ func writeBrowseResults(e *uatypes.Encoder, rs []BrowseResult) {
 }
 
 func readBrowseResults(d *uatypes.Decoder) []BrowseResult {
-	n := d.ReadArrayLen()
+	n := d.ReadArrayLenOf(minBrowseResultWire)
 	if n <= 0 {
 		return nil
 	}

@@ -28,6 +28,16 @@ func FuzzReadRaw(f *testing.F) {
 	f.Add([]byte("OPNF\x04\x00\x00\x00"), uint32(64)) // size below header length
 	f.Add([]byte{}, uint32(0))
 
+	// A message chunk whose body claims a maximal array in a few bytes:
+	// the shape the service decoders behind this reader must refuse.
+	claim := uamsg.Encode(&uamsg.BrowseRequest{})
+	binary.LittleEndian.PutUint32(claim[len(claim)-4:], 1<<20)
+	framed := &bytes.Buffer{}
+	if err := writeRaw(framed, "MSG", uamsg.ChunkFinal, claim); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(framed.Bytes(), uint32(0))
+
 	f.Fuzz(func(t *testing.T, data []byte, maxSize uint32) {
 		c, err := readRaw(bytes.NewReader(data), maxSize)
 		if err != nil {

@@ -76,6 +76,14 @@ type Config struct {
 	// MaxRefsPerBrowse bounds references per Browse result before
 	// continuation points are used.
 	MaxRefsPerBrowse int
+	// MaxNodesPerBrowse bounds the operations of one Browse request the
+	// way real servers' OperationLimits do: a longer NodesToBrowse is
+	// answered with a BadTooManyOperations fault. 0 means unlimited.
+	MaxNodesPerBrowse int
+	// MaxContinuationPoints bounds the continuation points one session
+	// may hold undrained; a Browse result that would need one more gets
+	// BadNoContinuationPoints and no references. 0 means unlimited.
+	MaxContinuationPoints int
 
 	// Logf, if set, receives debug output.
 	Logf func(format string, args ...any)
@@ -579,7 +587,13 @@ func (s *Server) activateSession(ch *uasc.Channel, sessions map[string]*session,
 }
 
 func (s *Server) browse(sess *session, req *uamsg.BrowseRequest) uamsg.Message {
+	if s.cfg.MaxNodesPerBrowse > 0 && len(req.NodesToBrowse) > s.cfg.MaxNodesPerBrowse {
+		return fault(req.Header.RequestHandle, uastatus.BadTooManyOperations)
+	}
 	resp := &uamsg.BrowseResponse{Header: okHeader(req.Header.RequestHandle)}
+	if len(req.NodesToBrowse) > 0 {
+		resp.Results = make([]uamsg.BrowseResult, 0, len(req.NodesToBrowse))
+	}
 	max := int(req.MaxReferences)
 	if max <= 0 || max > s.cfg.MaxRefsPerBrowse {
 		max = s.cfg.MaxRefsPerBrowse
@@ -590,24 +604,28 @@ func (s *Server) browse(sess *session, req *uamsg.BrowseRequest) uamsg.Message {
 			resp.Results = append(resp.Results, uamsg.BrowseResult{Status: uastatus.BadNodeIdUnknown})
 			continue
 		}
-		result := uamsg.BrowseResult{Status: uastatus.Good}
-		if len(refs) > max {
-			result.References = refs[:max]
-			sess.contSeq++
-			cp := fmt.Sprintf("cp-%d", sess.contSeq)
-			sess.contPts[cp] = refs[max:]
-			result.ContinuationPoint = []byte(cp)
-		} else {
-			result.References = refs
-		}
-		resp.Results = append(resp.Results, result)
+		resp.Results = append(resp.Results, s.page(sess, refs, max))
 	}
 	return resp
 }
 
+// page returns the first max references as one Browse result and parks
+// the rest under a fresh continuation point of the session.
+func (s *Server) page(sess *session, refs []uamsg.ReferenceDescription, max int) uamsg.BrowseResult {
+	if len(refs) <= max {
+		return uamsg.BrowseResult{Status: uastatus.Good, References: refs}
+	}
+	if s.cfg.MaxContinuationPoints > 0 && len(sess.contPts) >= s.cfg.MaxContinuationPoints {
+		return uamsg.BrowseResult{Status: uastatus.BadNoContinuationPoints}
+	}
+	sess.contSeq++
+	cp := fmt.Sprintf("cp-%d", sess.contSeq)
+	sess.contPts[cp] = refs[max:]
+	return uamsg.BrowseResult{Status: uastatus.Good, References: refs[:max], ContinuationPoint: []byte(cp)}
+}
+
 func (s *Server) browseNext(sess *session, req *uamsg.BrowseNextRequest) uamsg.Message {
 	resp := &uamsg.BrowseNextResponse{Header: okHeader(req.Header.RequestHandle)}
-	max := s.cfg.MaxRefsPerBrowse
 	for _, cp := range req.ContinuationPoints {
 		refs, ok := sess.contPts[string(cp)]
 		if !ok {
@@ -619,23 +637,16 @@ func (s *Server) browseNext(sess *session, req *uamsg.BrowseNextRequest) uamsg.M
 			resp.Results = append(resp.Results, uamsg.BrowseResult{Status: uastatus.Good})
 			continue
 		}
-		result := uamsg.BrowseResult{Status: uastatus.Good}
-		if len(refs) > max {
-			result.References = refs[:max]
-			sess.contSeq++
-			next := fmt.Sprintf("cp-%d", sess.contSeq)
-			sess.contPts[next] = refs[max:]
-			result.ContinuationPoint = []byte(next)
-		} else {
-			result.References = refs
-		}
-		resp.Results = append(resp.Results, result)
+		resp.Results = append(resp.Results, s.page(sess, refs, s.cfg.MaxRefsPerBrowse))
 	}
 	return resp
 }
 
 func (s *Server) read(sess *session, req *uamsg.ReadRequest) uamsg.Message {
 	resp := &uamsg.ReadResponse{Header: okHeader(req.Header.RequestHandle)}
+	if len(req.NodesToRead) > 0 {
+		resp.Results = make([]uatypes.DataValue, 0, len(req.NodesToRead))
+	}
 	for _, rv := range req.NodesToRead {
 		resp.Results = append(resp.Results, s.readAttr(sess, rv))
 	}

@@ -73,6 +73,7 @@ const (
 	BadNotFound                  Code = 0x803E0000
 	BadNotImplemented            Code = 0x80400000
 	BadMonitoringModeInvalid     Code = 0x80410000
+	BadNoContinuationPoints      Code = 0x804B0000
 	BadMethodInvalid             Code = 0x80750000
 	BadArgumentsMissing          Code = 0x80760000
 	BadTooManySessions           Code = 0x80560000
@@ -151,6 +152,7 @@ var names = map[Code]string{
 	BadNotFound:                   "BadNotFound",
 	BadNotImplemented:             "BadNotImplemented",
 	BadMonitoringModeInvalid:      "BadMonitoringModeInvalid",
+	BadNoContinuationPoints:       "BadNoContinuationPoints",
 	BadMethodInvalid:              "BadMethodInvalid",
 	BadArgumentsMissing:           "BadArgumentsMissing",
 	BadTooManySessions:            "BadTooManySessions",

@@ -326,6 +326,27 @@ func (d *Decoder) ReadArrayLen() int {
 	return int(n)
 }
 
+// ReadArrayLenOf decodes the length prefix of an array whose elements
+// each occupy at least elemWire bytes on the wire, so that decoders can
+// size the slice once (make([]T, 0, n)) instead of growing it by
+// doubling. ReadArrayLen's one-byte-per-element bound lets a claim buy
+// sizeof(T) bytes per input byte; here a claim the remaining bytes
+// cannot back fails with ErrShortBuffer before anything is allocated,
+// which caps the preallocation at Remaining()/elemWire elements —
+// sizeof(T)/elemWire bytes per input byte. elemWire must be a true
+// lower bound (≥ 1): the decode of a rejected claim could only have
+// run out of buffer later.
+//
+//studyvet:hotpath — once per array on the browse/read decode path; TestArrayPreallocNotAmplified pins the bound
+func (d *Decoder) ReadArrayLenOf(elemWire int) int {
+	n := d.ReadArrayLen()
+	if n > 0 && n > d.Remaining()/elemWire {
+		d.fail(ErrShortBuffer)
+		return -1
+	}
+	return n
+}
+
 // dateTimeEpochDelta is the number of 100ns ticks between the OPC UA
 // epoch (1601-01-01) and the Unix epoch (1970-01-01).
 const dateTimeEpochDelta = 116444736000000000

@@ -51,6 +51,20 @@ func fuzzSeedCorpus() [][]byte {
 	return seeds
 }
 
+// arrayClaimSeeds are array length prefixes followed by 68 zero bytes —
+// room for four 17-byte elements: a claim of exactly four, of five, and
+// of the maximum array length, the shapes ReadArrayLenOf tells apart.
+func arrayClaimSeeds() [][]byte {
+	var seeds [][]byte
+	for _, claim := range []int32{4, 5, MaxArrayLength} {
+		e := NewEncoder(72)
+		e.WriteInt32(claim)
+		e.WriteRaw(make([]byte, 4*17))
+		seeds = append(seeds, e.Bytes())
+	}
+	return seeds
+}
+
 // FuzzDecoderGauntlet drives every composite decoder over the same
 // fuzz input with an independent Decoder each, checking the armor
 // invariants: no panic, sticky errors stay sticky, and decoded
@@ -66,6 +80,9 @@ func FuzzDecoderGauntlet(f *testing.F) {
 	f.Add([]byte{0xfe, 0xff, 0xff, 0xff})       // length -2
 	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 0x41}) // 1MiB claim, 1 byte of data
 	f.Add([]byte{0x03})                         // NodeID type byte, no body
+	for _, s := range arrayClaimSeeds() {
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runs := []func(d *Decoder){
@@ -93,6 +110,12 @@ func FuzzDecoderGauntlet(f *testing.F) {
 					t.Errorf("ReadArrayLen accepted claim %d from a %d-byte input", n, len(data))
 				}
 			},
+			func(d *Decoder) {
+				const elemWire = 17
+				if n := d.ReadArrayLenOf(elemWire); n*elemWire > len(data) {
+					t.Errorf("ReadArrayLenOf(%d) accepted claim %d from a %d-byte input", elemWire, n, len(data))
+				}
+			},
 			func(d *Decoder) { d.ReadTime() },
 		}
 		for _, run := range runs {
@@ -117,7 +140,7 @@ func FuzzDecoderGauntlet(f *testing.F) {
 // decoder — the way real message decoders consume a body — verifying
 // the cursor never escapes the buffer whatever the interleaving.
 func FuzzDecoderSequence(f *testing.F) {
-	for _, s := range fuzzSeedCorpus() {
+	for _, s := range append(fuzzSeedCorpus(), arrayClaimSeeds()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

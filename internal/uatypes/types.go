@@ -290,22 +290,17 @@ type ExpandedNodeID struct {
 
 // Encode writes the ExpandedNodeID to e.
 func (x ExpandedNodeID) Encode(e *Encoder) {
-	sub := NewEncoder(16)
-	x.NodeID.Encode(sub)
-	b := sub.Bytes()
-	flags := byte(0)
+	// The flags share the node id's encoding byte: encode in place and
+	// set them there (two per reference description on the browse path,
+	// so no scratch encoder).
+	at := len(e.buf)
+	x.NodeID.Encode(e)
 	if x.NamespaceURI != "" {
-		flags |= expandedFlagNamespaceURI
-	}
-	if x.ServerIndex != 0 {
-		flags |= expandedFlagServerIndex
-	}
-	e.WriteUint8(b[0] | flags)
-	e.WriteRaw(b[1:])
-	if x.NamespaceURI != "" {
+		e.buf[at] |= expandedFlagNamespaceURI
 		e.WriteString(x.NamespaceURI)
 	}
 	if x.ServerIndex != 0 {
+		e.buf[at] |= expandedFlagServerIndex
 		e.WriteUint32(x.ServerIndex)
 	}
 }
@@ -350,7 +345,7 @@ func (q QualifiedName) String() string {
 	if q.NamespaceIndex == 0 {
 		return q.Name
 	}
-	return fmt.Sprintf("%d:%s", q.NamespaceIndex, q.Name)
+	return strconv.Itoa(int(q.NamespaceIndex)) + ":" + q.Name
 }
 
 // LocalizedText is a human-readable string with optional locale.

@@ -1080,7 +1080,8 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 		"-seed", "2020", "-waves", "6,7", "-testkeys",
 		"-max-hosts", "60", "-noise", "1e-5", "-grab-workers", "8",
 		"-dataset", merged, "-metrics", metrics)
-	if out, err := cmd.CombinedOutput(); err != nil {
+	out, err := cmd.CombinedOutput()
+	if err != nil {
 		t.Fatalf("coordinator: %v\n%s", err, out)
 	}
 
@@ -1153,6 +1154,21 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 	wantTotal := byShard["0"].CounterTotal("scan_probes") + byShard["1"].CounterTotal("scan_probes")
 	if got := byShard["total"].CounterTotal("scan_probes"); got != wantTotal {
 		t.Errorf("total scan_probes = %d, want %d (sum of shards)", got, wantTotal)
+	}
+
+	// The per-service request counters live in the per-wave scope, sum
+	// across the shard snapshots key by key, and reach the summary table.
+	for _, service := range []string{"get_endpoints", "find_servers", "create_session", "browse", "read"} {
+		for w := range perWave {
+			key := `ua_requests{wave="` + strconv.Itoa(w) + `",service="` + service + `"}`
+			want := byShard["0"].Counters[key] + byShard["1"].Counters[key]
+			if got := byShard["total"].Counters[key]; got == 0 || got != want {
+				t.Errorf("total %s = %d, want %d (sum of shards, nonzero)", key, got, want)
+			}
+		}
+		if !bytes.Contains(out, []byte("requests: "+service)) {
+			t.Errorf("summary table has no %q row", "requests: "+service)
+		}
 	}
 }
 
