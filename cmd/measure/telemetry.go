@@ -301,6 +301,15 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 		add("handshake latency (mean)", dur(uint64(h.MeanNs())))
 	}
 
+	// Connections attempted, by outcome: what the grab stage costs the
+	// scanned hosts before any request (a host is dialed once or twice;
+	// hello_failed is port noise and adversarial hosts).
+	for _, result := range uaclient.DialResults() {
+		if total := labeled("ua_dials", "result", result); total > 0 {
+			add("dials: "+result, strconv.FormatUint(total, 10))
+		}
+	}
+
 	// Service requests sent, per service: the exact message count behind
 	// the grab stage (a walked host costs a handful of browse requests,
 	// not one per node).

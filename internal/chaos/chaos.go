@@ -12,7 +12,7 @@
 // across processes, exactly like the polite universe it perturbs
 // (DESIGN.md §9). The package deliberately does not import simnet:
 // simnet and worldview consult a WaveModel at dial time and hand the
-// server end of the pipe to Serve, keeping the dependency one-way.
+// server end of the connection to Serve, keeping the dependency one-way.
 package chaos
 
 import (
@@ -22,6 +22,8 @@ import (
 	"net"
 	"sort"
 	"strings"
+
+	"repro/internal/memconn"
 )
 
 // Kind identifies one adversarial behavior.
@@ -280,6 +282,14 @@ func AttemptFromContext(ctx context.Context) int {
 // terminates once the peer closes its end, so a goroutine running
 // Serve is bounded by the client's deadline — chaos hosts can stall a
 // probe, never leak its serving goroutine.
+//
+// No simulated server closes before it has consumed the client's hello.
+// The connection is buffered (internal/memconn): a server that closed
+// first would race the client's hello write, which fails with
+// io.ErrClosedPipe if the close wins and succeeds if it loses, and the
+// record's error string and failure class would follow the scheduler.
+// Reading the hello first orders every close after that write, so each
+// kind yields one outcome (TestChaosOutcomeIndependentOfScheduling).
 func Serve(b Behavior, conn net.Conn, handle func(net.Conn)) {
 	switch b.Kind {
 	case KindTarpit:
@@ -355,23 +365,17 @@ func serveOversize(conn net.Conn) {
 }
 
 // serveGarbage writes a well-framed chunk of an unknown message type
-// before reading any banner. A concurrent drain keeps the peer's hello
-// write from wedging against our write on the synchronous pipe.
+// before reading any banner, absorbs the hello, then closes (the rule in
+// Serve's comment). The connection buffers, so the unsolicited write
+// cannot wedge against the peer's hello.
 func serveGarbage(conn net.Conn) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 256)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
+	defer func() { _ = conn.Close() }()
 	hdr := []byte{'G', 'G', 'G', 'F', 8, 0, 0, 0} // valid frame, empty body
-	_, _ = conn.Write(hdr)
-	_ = conn.Close()
-	<-done
+	if _, err := conn.Write(hdr); err != nil {
+		return
+	}
+	buf := make([]byte, 256)
+	_, _ = conn.Read(buf)
 }
 
 // serveFiltered runs the real handler behind an inner pipe and relays
@@ -379,7 +383,7 @@ func serveGarbage(conn net.Conn) {
 // returns when it is done damaging the stream; serveFiltered then tears
 // both connections down.
 func serveFiltered(conn net.Conn, handle func(net.Conn), filter func(io.Writer, io.Reader)) {
-	inner, outer := net.Pipe()
+	inner, outer := memconn.Pipe()
 	go handle(inner)
 	go func() {
 		// client→server passthrough; unblocks when either side closes.

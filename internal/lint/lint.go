@@ -132,6 +132,11 @@ func DefaultConfig() *Config {
 			// skip/clone decisions of sharded delta workers and break the
 			// delta byte-identity gate.
 			"repro/internal/wavediff",
+			// Every record is read off a simulated connection. Its two
+			// clock reads compare an I/O deadline with the wall clock and
+			// carry entropy-exempt directives; anything else would be
+			// entropy under the whole dataset.
+			"repro/internal/memconn",
 		},
 		EpochVars: []string{"repro/internal/uarsa.Epoch"},
 		SinkPkg:   "repro/internal/pipeline",

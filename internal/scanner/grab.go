@@ -250,23 +250,25 @@ func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 	// Step 1: endpoint discovery over an insecure channel. The retry
 	// budget (when armed) wraps the whole exchange: a reset or refused
 	// dial is retried with an incremented context attempt number, which
-	// is how the stateless connect-refuse flap sees persistence.
+	// is how the stateless connect-refuse flap sees persistence. The
+	// connection stays open: steps 2 and 4 send on it what needs no
+	// channel of its own.
 	openStart := ex.Start()
+	var disc *uaclient.Client
 	var eps []uamsg.EndpointDescription
 	err, exhausted := s.runExchange(ctx, rt, func(dctx context.Context) error {
 		c, err := uaclient.Dial(dctx, url, opts)
 		if err != nil {
 			return err
 		}
-		defer c.Close()
-		if err := c.OpenInsecureChannel(); err != nil {
-			return &discoveryError{err}
+		if err = c.OpenInsecureChannel(); err == nil {
+			eps, err = c.GetEndpoints()
 		}
-		e, err := c.GetEndpoints()
 		if err != nil {
+			release(res, c)
 			return &discoveryError{err}
 		}
-		eps = e
+		disc = c
 		return nil
 	})
 	if err != nil {
@@ -279,11 +281,12 @@ func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 	s.recordEndpoints(res, target.Address, eps)
 
 	// Step 2: discovery references (FindServers) for follow-ups.
-	s.followDiscovery(ctx, rt, url, opts, res)
+	followDiscovery(disc, url, res)
 	ex.EndSpan("open", openStart, "")
 
 	// Step 3: secure-channel attempt with our self-signed certificate
-	// whenever Sign or SignAndEncrypt is offered. The channel is kept
+	// whenever Sign or SignAndEncrypt is offered, on a connection of its
+	// own (a connection carries one secure channel). The channel is kept
 	// open in case step 4 can ride on it.
 	policy, mode := strongestSecure(res.Endpoints)
 	var secure *uaclient.Client
@@ -293,30 +296,45 @@ func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 		ex.EndSpan("handshake", hsStart, res.SecureChannel.Error)
 	}
 
-	// Step 4: anonymous session and address-space traversal. When the
-	// session would use exactly the (policy, mode) the secure-channel
-	// probe just established, reuse that open channel instead of dialing
-	// again — one RSA handshake instead of two against servers that
-	// enforce a single secure configuration.
+	// Step 4: anonymous session and address-space traversal, on a channel
+	// the grab already has whenever one fits: the probe's when the session
+	// would use exactly its (policy, mode) — one RSA handshake instead of
+	// two against servers that enforce a single secure configuration —
+	// and the discovery connection's for None/None, unless that
+	// connection failed below the service layer. Only a session that
+	// needs a third configuration dials.
 	res.Session.Offered = anonymousOffered(res.Endpoints)
 	if res.Session.Offered {
 		sessStart := ex.Start()
 		sessPolicy, sessMode := channelForSession(res.Endpoints)
-		if secure != nil && sessPolicy == policy && sessMode == mode {
+		switch {
+		case secure != nil && sessPolicy == policy && sessMode == mode:
 			s.runAnonymousSession(ctx, secure, res)
-		} else {
+		case sessPolicy == uapolicy.None && sessMode == uamsg.SecurityModeNone && !disc.Broken():
+			s.runAnonymousSession(ctx, disc, res)
+		default:
 			s.attemptAnonymous(ctx, rt, url, opts, res, sessPolicy, sessMode)
 		}
 		ex.EndSpan("session", sessStart, res.Session.Error)
 	}
 	closeStart := ex.Start()
 	if secure != nil {
-		r, w := secure.BytesTransferred()
-		res.BytesTransferred += r + w
-		_ = secure.Close()
+		release(res, secure)
 	}
+	release(res, disc)
 	ex.EndSpan("close", closeStart, "")
 	return res
+}
+
+// release closes a connection of the grab and adds its traffic to the
+// result. Every connection the grab dials ends here, so each is counted
+// exactly once, whether the probe on it succeeded or not. Result.Bytes
+// feeds no analysis — the equivalence gates normalize it — so only
+// consistency matters.
+func release(res *Result, c *uaclient.Client) {
+	r, w := c.BytesTransferred()
+	res.BytesTransferred += r + w
+	_ = c.Close()
 }
 
 func (s *Scanner) recordEndpoints(res *Result, scanned string, eps []uamsg.EndpointDescription) {
@@ -347,15 +365,11 @@ func (s *Scanner) recordEndpoints(res *Result, scanned string, eps []uamsg.Endpo
 	}
 }
 
-func (s *Scanner) followDiscovery(ctx context.Context, rt *retrier, url string, opts uaclient.Options, res *Result) {
-	c, err := s.dialRetry(ctx, rt, url, opts)
-	if err != nil {
-		return
-	}
-	defer c.Close()
-	if err := c.OpenInsecureChannel(); err != nil {
-		return
-	}
+// followDiscovery asks FindServers on the discovery connection and adds
+// the advertised discovery URLs to the follow-ups. A failure leaves the
+// follow-ups as they are; one below the service layer also marks c
+// broken, which keeps the session probe off it.
+func followDiscovery(c *uaclient.Client, url string, res *Result) {
 	servers, err := c.FindServers()
 	if err != nil {
 		return
@@ -374,8 +388,6 @@ func (s *Scanner) followDiscovery(ctx context.Context, rt *retrier, url string, 
 			}
 		}
 	}
-	r, w := c.BytesTransferred()
-	res.BytesTransferred += r + w
 }
 
 // strongestSecure picks the highest-ranked secure (policy, mode) pair.
@@ -413,8 +425,8 @@ func anonymousOffered(eps []EndpointInfo) bool {
 
 // attemptSecureChannel probes the strongest advertised secure (policy,
 // mode). On success it returns the still-open client so the caller can
-// reuse the channel for the session probe; the caller owns closing it
-// and accounting its bytes.
+// reuse the channel for the session probe; the caller then owns
+// releasing it.
 func (s *Scanner) attemptSecureChannel(ctx context.Context, rt *retrier, url string, opts uaclient.Options,
 	res *Result, policy *uapolicy.Policy, mode uamsg.MessageSecurityMode) *uaclient.Client {
 	res.SecureChannel = SecureChannelResult{
@@ -437,9 +449,7 @@ func (s *Scanner) attemptSecureChannel(ctx context.Context, rt *retrier, url str
 				cm.CertRejected.Inc()
 			}
 		}
-		r, w := c.BytesTransferred()
-		res.BytesTransferred += r + w
-		_ = c.Close()
+		release(res, c)
 		return nil
 	}
 	res.SecureChannel.OK = true
@@ -471,13 +481,7 @@ func channelForSession(eps []EndpointInfo) (*uapolicy.Policy, uamsg.MessageSecur
 }
 
 // attemptAnonymous dials a fresh connection for the session probe (used
-// when the secure-channel probe's channel parameters don't match).
-//
-// Byte accounting is uniform since PR 4: every dialed connection's
-// traffic is counted whether the probe on it succeeded or not (the old
-// code dropped failed-probe traffic on some paths but not others).
-// Result.Bytes feeds no analysis — the equivalence gates normalize it —
-// so only consistency matters.
+// when the session needs a channel the grab does not have open).
 func (s *Scanner) attemptAnonymous(ctx context.Context, rt *retrier, url string, opts uaclient.Options,
 	res *Result, policy *uapolicy.Policy, mode uamsg.MessageSecurityMode) {
 	res.Session.Attempted = true
@@ -486,11 +490,7 @@ func (s *Scanner) attemptAnonymous(ctx context.Context, rt *retrier, url string,
 		res.Session.Error = err.Error()
 		return
 	}
-	defer func() {
-		r, w := c.BytesTransferred()
-		res.BytesTransferred += r + w
-		_ = c.Close()
-	}()
+	defer release(res, c)
 	if err := c.OpenChannel(s.channelSecurity("session-probe", policy, mode, res.ServerCertDER)); err != nil {
 		res.Session.Error = err.Error()
 		return
@@ -499,9 +499,9 @@ func (s *Scanner) attemptAnonymous(ctx context.Context, rt *retrier, url string,
 }
 
 // runAnonymousSession performs the anonymous session and traversal on
-// an already-open channel. It does not close the client or account its
-// bytes — the caller owns the connection (it may be the reused
-// secure-channel probe connection).
+// an already-open channel. It does not release the client — the caller
+// owns the connection (it may be the discovery connection or the
+// secure-channel probe's).
 func (s *Scanner) runAnonymousSession(ctx context.Context, c *uaclient.Client, res *Result) {
 	res.Session.Attempted = true
 	if err := c.CreateSession(uaclient.AnonymousIdentity()); err != nil {

@@ -7,7 +7,8 @@
 //
 // Real Internet-wide scanning is gated (ethically and technically), so
 // the campaign runs against this network instead; every host is a real
-// OPC UA server speaking the full binary protocol over net.Pipe.
+// OPC UA server speaking the full binary protocol over an in-process
+// connection (internal/memconn).
 package simnet
 
 import (
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/memconn"
 )
 
 // ConnHandler serves one accepted connection. *uaserver.Server satisfies
@@ -487,7 +489,8 @@ func (e ErrRefused) Error() string { return "simnet: connection refused: " + e.A
 func (e ErrRefused) Timeout() bool { return false }
 
 // DialContext implements the Dialer interface used by uaclient and the
-// scanner. It spawns the host's handler on the server end of a pipe.
+// scanner. It spawns the host's handler on the server end of an
+// in-process connection.
 func (n *Network) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
 	if network != "tcp" && network != "tcp4" {
 		return nil, fmt.Errorf("simnet: unsupported network %q", network)
@@ -521,7 +524,7 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 	}
 	if !ok {
 		if n.isNoise(ip, port) {
-			client, server := net.Pipe()
+			client, server := memconn.Pipe()
 			go ServeNoise(server)
 			return client, nil
 		}
@@ -535,11 +538,11 @@ func (n *Network) DialContext(ctx context.Context, network, address string) (net
 		if b.Refuses(chaos.AttemptFromContext(ctx)) {
 			return nil, ErrRefused{Addr: address}
 		}
-		client, server := net.Pipe()
+		client, server := memconn.Pipe()
 		go chaos.Serve(b, server, h.Handler.HandleConn)
 		return client, nil
 	}
-	client, server := net.Pipe()
+	client, server := memconn.Pipe()
 	go h.Handler.HandleConn(server)
 	return client, nil
 }

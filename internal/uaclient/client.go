@@ -52,10 +52,11 @@ type Options struct {
 	// host cannot wedge a grab-pool worker beyond this instant.
 	HardDeadline time.Time
 
-	// Metrics, when non-nil, counts every service request the client
-	// sends as ua_requests{service=<name>} in the given scope (the
-	// scanner passes its per-wave scope). Nil costs one pointer check
-	// per request.
+	// Metrics, when non-nil, counts in the given scope (the scanner
+	// passes its per-wave scope) every connection attempt as
+	// ua_dials{result=ok|refused|hello_failed} and every service request
+	// the client sends as ua_requests{service=<name>}. Nil costs one
+	// pointer check per dial and per request.
 	Metrics *telemetry.Registry
 }
 
@@ -130,9 +131,10 @@ type Client struct {
 
 	// deadlineAt is the I/O deadline last armed on the connection;
 	// ExtendDeadline re-arms only when a meaningful share of the budget
-	// has elapsed (deadline timers are a per-call allocation on both
-	// net.Pipe and kernel sockets, and the walk issues thousands of
-	// requests per connection).
+	// has elapsed: on a kernel socket every SetDeadline modifies a
+	// runtime timer, and the walk issues thousands of requests per
+	// connection. (The simulated connection only stores the time, but a
+	// blocked read re-arms its timer once per new deadline.)
 	deadlineAt time.Time
 
 	// requests caches the ua_requests counters this connection has
@@ -199,6 +201,7 @@ func Dial(ctx context.Context, endpointURL string, opts Options) (*Client, error
 	}
 	conn, err := opts.Dialer.DialContext(dctx, "tcp", addr)
 	if err != nil {
+		countDial(opts.Metrics, "refused")
 		return nil, err
 	}
 	c := &Client{opts: opts, endpointURL: endpointURL}
@@ -207,17 +210,37 @@ func Dial(ctx context.Context, endpointURL string, opts Options) (*Client, error
 	_ = conn.SetDeadline(c.deadlineAt)
 	tr, err := uasc.ClientHello(cc, endpointURL, opts.Limits)
 	if err != nil {
+		countDial(opts.Metrics, "hello_failed")
 		conn.Close()
 		return nil, err
 	}
+	countDial(opts.Metrics, "ok")
 	c.tr = tr
 	return c, nil
+}
+
+// DialResults lists the result label values of the ua_dials counters, in
+// a fixed order (for summary tables): the UACP handshake completed, the
+// connect failed, or the peer accepted and the hello exchange failed.
+func DialResults() []string { return []string{"ok", "refused", "hello_failed"} }
+
+// countDial bumps ua_dials{result=...} in m's scope; a nil m costs the
+// one check.
+func countDial(m *telemetry.Registry, result string) {
+	if m != nil {
+		m.Scope("result", result).Counter("ua_dials").Inc()
+	}
 }
 
 // BytesTransferred returns total bytes read and written.
 func (c *Client) BytesTransferred() (read, written int64) {
 	return c.bytesRead.Load(), c.bytesWritten.Load()
 }
+
+// Broken reports whether a request on this connection failed below the
+// service layer (closed connection, deadline, malformed frame). The
+// channel is then unusable: nothing further should be sent on it.
+func (c *Client) Broken() bool { return c.broken }
 
 // budget resolves a stage deadline, falling back to the connection
 // timeout when the stage has no override.

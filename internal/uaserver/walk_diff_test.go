@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/addrspace"
+	"repro/internal/memconn"
 	"repro/internal/telemetry"
 	"repro/internal/uaclient"
 	"repro/internal/uamsg"
@@ -542,22 +543,22 @@ func TestWalkStopsOnTransportFailure(t *testing.T) {
 	}
 }
 
-// pipeDialer connects to srv over an in-memory net.Pipe, the transport
-// of the simulated Internet.
+// pipeDialer connects to srv over the simulated Internet's in-process
+// connection.
 type pipeDialer struct{ srv *Server }
 
 func (d pipeDialer) DialContext(context.Context, string, string) (net.Conn, error) {
-	client, server := net.Pipe()
+	client, server := memconn.Pipe()
 	go d.srv.HandleConn(server)
 	return client, nil
 }
 
 // BenchmarkWalk is one anonymous walk of a production-profile address
 // space of the campaign's average size (80 variables, 10 methods, 99
-// nodes below Objects) over net.Pipe: client and server side of every
-// request, which is what a grab pays for the traversal. requests/op is
-// the ua_requests count of the walk; allocs/op is budgeted in
-// BENCH_13.json.
+// nodes below Objects) over the simulated connection: client and server
+// side of every request, which is what a grab pays for the traversal.
+// requests/op is the ua_requests count of the walk; allocs/op is
+// budgeted in BENCH_14.json.
 func BenchmarkWalk(b *testing.B) {
 	ids(b)
 	space := addrspace.New("urn:test:server", "2.1.0")

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/memconn"
 	"repro/internal/simnet"
 )
 
@@ -296,7 +297,7 @@ func (s *Snapshot) DialContext(ctx context.Context, network, address string) (ne
 	case refused:
 		return nil, simnet.ErrRefused{Addr: address}
 	case noise:
-		client, server := net.Pipe()
+		client, server := memconn.Pipe()
 		go simnet.ServeNoise(server)
 		return client, nil
 	}
@@ -307,11 +308,11 @@ func (s *Snapshot) DialContext(ctx context.Context, network, address string) (ne
 		if b.Refuses(chaos.AttemptFromContext(ctx)) {
 			return nil, simnet.ErrRefused{Addr: address}
 		}
-		client, server := net.Pipe()
+		client, server := memconn.Pipe()
 		go chaos.Serve(b, server, h.handler.HandleConn)
 		return client, nil
 	}
-	client, server := net.Pipe()
+	client, server := memconn.Pipe()
 	go h.handler.HandleConn(server)
 	return client, nil
 }

@@ -1170,6 +1170,18 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 			t.Errorf("summary table has no %q row", "requests: "+service)
 		}
 	}
+	// So do the connection counters. Every grab of this campaign reaches
+	// an OPC UA server, so ok is the one result that must be there.
+	for w := range perWave {
+		key := `ua_dials{wave="` + strconv.Itoa(w) + `",result="ok"}`
+		want := byShard["0"].Counters[key] + byShard["1"].Counters[key]
+		if got := byShard["total"].Counters[key]; got == 0 || got != want {
+			t.Errorf("total %s = %d, want %d (sum of shards, nonzero)", key, got, want)
+		}
+	}
+	if !bytes.Contains(out, []byte("dials: ok")) {
+		t.Errorf("summary table has no %q row", "dials: ok")
+	}
 }
 
 func decodeDataset(t *testing.T, raw []byte) []*dataset.HostRecord {
