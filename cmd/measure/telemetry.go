@@ -319,10 +319,11 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 		}
 	}
 
-	hits := s.CounterTotal("crypto_sign_hits") + s.CounterTotal("crypto_verify_hits") +
-		s.CounterTotal("crypto_decrypt_hits")
-	misses := s.CounterTotal("crypto_sign_misses") + s.CounterTotal("crypto_verify_misses") +
-		s.CounterTotal("crypto_decrypt_misses")
+	var hits, misses uint64
+	for _, op := range []string{"sign", "verify", "decrypt", "encrypt"} {
+		hits += s.CounterTotal("crypto_" + op + "_hits")
+		misses += s.CounterTotal("crypto_" + op + "_misses")
+	}
 	if hits+misses > 0 {
 		add("RSA cache hit rate", fmt.Sprintf("%.1f%% (%d/%d)", 100*float64(hits)/float64(hits+misses), hits, hits+misses))
 	} else {

@@ -403,6 +403,38 @@ func DefaultASN(ip netip.Addr) int {
 type Noise struct {
 	Prob float64
 	Seed uint64
+
+	// limit is noiseLimit(Prob), resolved once by Network.NoiseModel so
+	// the per-probe decision is an integer compare. A Noise literal
+	// leaves it zero — no positive Prob has a zero limit — and HitU32
+	// then resolves it per call.
+	limit uint32
+}
+
+// noiseResidues is the modulus that maps a noise hash onto [0,1).
+const noiseResidues = 1000000
+
+// noiseLimit returns the number of residues r in [0, noiseResidues)
+// with float64(r)/noiseResidues < p. The quotient never decreases as r
+// grows, so those residues are exactly 0..limit-1 and r < noiseLimit(p)
+// is the same predicate without the division.
+func noiseLimit(p float64) uint32 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return noiseResidues
+	}
+	// The product lands next to the limit; the predicate itself settles
+	// which side of it.
+	t := uint32(p * noiseResidues)
+	for t > 0 && !(float64(t-1)/noiseResidues < p) {
+		t--
+	}
+	for t < noiseResidues && float64(t)/noiseResidues < p {
+		t++
+	}
+	return t
 }
 
 // Hit reports whether the address answers with a non-OPC-UA service.
@@ -449,19 +481,26 @@ func (z Noise) HitU32(addr uint32, port int) bool {
 	h = (h ^ uint64(addr>>8&0xff)) * FNVPrime64
 	h = (h ^ uint64(addr&0xff)) * FNVPrime64
 	v := h ^ z.Seed
-	// Map the hash to [0,1) and compare.
-	return float64(v%1000000)/1000000.0 < z.Prob
+	// Map the hash to [0,1) and compare: r/noiseResidues < Prob, as
+	// r < limit.
+	limit := z.limit
+	if limit == 0 {
+		limit = noiseLimit(z.Prob)
+	}
+	return uint32(v%noiseResidues) < limit
 }
 
 // isNoise deterministically decides whether an unregistered address
 // answers on port 4840 with a non-OPC-UA service.
 func (n *Network) isNoise(ip netip.Addr, port int) bool {
-	return Noise{Prob: n.noiseProb, Seed: n.noiseSeed}.Hit(n.universe, ip, port)
+	return n.NoiseModel().Hit(n.universe, ip, port)
 }
 
 // NoiseModel returns the network's noise configuration, for snapshot
-// construction.
-func (n *Network) NoiseModel() Noise { return Noise{Prob: n.noiseProb, Seed: n.noiseSeed} }
+// construction, with the per-probe threshold resolved.
+func (n *Network) NoiseModel() Noise {
+	return Noise{Prob: n.noiseProb, Seed: n.noiseSeed, limit: noiseLimit(n.noiseProb)}
+}
 
 // Latency returns the artificial dial latency.
 func (n *Network) Latency() time.Duration { return n.latency }

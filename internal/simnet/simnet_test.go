@@ -3,6 +3,8 @@ package simnet
 import (
 	"context"
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"net"
 	"net/netip"
 	"testing"
@@ -245,6 +247,62 @@ func TestNoiseMatchesFNVReference(t *testing.T) {
 		ip := netip.AddrFrom4([4]byte{byte(i >> 8), byte(i), byte(i * 7), byte(i * 13)})
 		if got, want := z.HitInUniverse(ip, 4840), ref(ip); got != want {
 			t.Fatalf("HitInUniverse(%s) = %v, want %v", ip, got, want)
+		}
+	}
+}
+
+// TestNoiseLimitMatchesFloatPredicate pins the integer noise threshold
+// against the float predicate it replaced, on every residue: for each
+// probability the repository uses (and a seeded sample of others,
+// including values on and next to a residue boundary) r < noiseLimit(p)
+// must equal float64(r)/1e6 < p, or a wave's open-port set would change.
+func TestNoiseLimitMatchesFloatPredicate(t *testing.T) {
+	probs := []float64{0, 1e-5, 0.001, 0.002, 0.01, 0.37, 0.5, 1, 1.5, -1, math.NaN(),
+		math.SmallestNonzeroFloat64, math.Nextafter(1, 0), math.Nextafter(1, 2)}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 24; i++ {
+		p := rng.Float64()
+		if i%3 == 0 {
+			p *= 0.01 // the range noise probabilities live in
+		}
+		k := float64(rng.Intn(noiseResidues)) / noiseResidues
+		probs = append(probs, p, k, math.Nextafter(k, 0), math.Nextafter(k, 1))
+	}
+	for _, p := range probs {
+		limit := noiseLimit(p)
+		for r := uint32(0); r < noiseResidues; r++ {
+			if got, want := r < limit, float64(r)/1000000.0 < p; got != want {
+				t.Fatalf("p=%v: residue %d: r < %d is %v, float predicate %v", p, r, limit, got, want)
+			}
+		}
+	}
+}
+
+// TestNoiseModelResolvedMatchesLiteral checks that the threshold
+// NoiseModel resolves once and the one a Noise literal resolves per call
+// decide every address alike.
+func TestNoiseModelResolvedMatchesLiteral(t *testing.T) {
+	for _, p := range []float64{0, 1e-5, 0.002, 0.37, 1} {
+		nw := New(NewUniverse(mustPrefix(t, "100.64.0.0", 16)))
+		nw.SetNoise(p)
+		resolved := nw.NoiseModel()
+		literal := Noise{Prob: resolved.Prob, Seed: resolved.Seed}
+		if p > 0 && resolved.limit == 0 {
+			t.Fatalf("p=%v: NoiseModel left the threshold unresolved", p)
+		}
+		hits := 0
+		for i := uint32(0); i < 200000; i++ {
+			addr := i * 2654435761
+			got, want := resolved.HitU32(addr, 4840), literal.HitU32(addr, 4840)
+			if got != want {
+				t.Fatalf("p=%v addr=%#x: resolved %v, literal %v", p, addr, got, want)
+			}
+			if got {
+				hits++
+			}
+		}
+		if (p == 0 && hits != 0) || (p == 1 && hits != 200000) {
+			t.Errorf("p=%v: %d of 200000 addresses hit", p, hits)
 		}
 	}
 }

@@ -223,8 +223,9 @@ func (p *Policy) NonceFrom(r io.Reader) []byte {
 // operations. The zero value computes directly with crypto/rand — the
 // legacy behavior. When Engine is set, AsymSign/AsymVerify/AsymDecrypt
 // results are memoized by (operation, scheme, key fingerprint, input
-// digest); see package uarsa for why that is semantically transparent
-// and why encryption instead needs the deterministic Rand stream.
+// digest), and AsymEncrypt results too when Rand is an unconsumed
+// uarsa.Stream (its seed joins the key); see package uarsa for why that
+// is semantically transparent.
 type CryptoContext struct {
 	Engine *uarsa.Engine
 	Rand   io.Reader
@@ -392,10 +393,21 @@ func (p *Policy) AsymEncrypt(key *rsa.PublicKey, data []byte) ([]byte, error) {
 }
 
 // AsymEncryptCtx encrypts data, drawing padding from the context's Rand.
-// Encryption is never memoized — fresh padding is what makes RSA
-// encryption non-deterministic — but with a deterministic Rand stream
-// the ciphertext for equal inputs is bit-identical, which is what lets
-// the peer's memoized decrypt hit its cache.
+// Fresh padding is what makes RSA encryption non-deterministic, so the
+// result is memoized only when the padding is not fresh: when the
+// context carries an engine and Rand is an unconsumed *uarsa.Stream, the
+// ciphertext is a pure function of (scheme, key, stream seed, plaintext)
+// and is keyed by exactly that — a hit returns the bytes a
+// recomputation would produce and leaves the stream untouched (a
+// context's stream serves one operation). Any other Rand computes.
+//
+// On a miss the engine also receives the decrypt entry for the new
+// ciphertext, (key, Digest(ciphertext)) → a private copy of data. That
+// is the statement Dec(Enc(P)) = P, stored by the one side that knows it
+// without a private-key operation; a peer whose private key matches key
+// and who receives these exact bytes finds it in AsymDecryptCtx, and any
+// other peer or any altered ciphertext misses and really decrypts.
+// Cached ciphertexts are shared: callers must not modify them.
 func (p *Policy) AsymEncryptCtx(cc CryptoContext, key *rsa.PublicKey, data []byte) ([]byte, error) {
 	plainBlock, err := p.AsymPlainBlockSize(key)
 	if err != nil {
@@ -404,6 +416,20 @@ func (p *Policy) AsymEncryptCtx(cc CryptoContext, key *rsa.PublicKey, data []byt
 	if len(data)%plainBlock != 0 {
 		return nil, fmt.Errorf("uapolicy: plaintext length %d not a multiple of block size %d",
 			len(data), plainBlock)
+	}
+	var fp uarsa.Fingerprint
+	var dg [32]byte
+	memo := false
+	if stream, ok := cc.Rand.(*uarsa.Stream); ok && cc.Engine != nil {
+		var seed [32]byte
+		seed, memo = stream.Seed()
+		if memo {
+			fp = cc.Engine.Fingerprint(key)
+			dg = uarsa.Digest(seed[:], data)
+			if ct, ok := cc.Engine.Get(uarsa.OpEncrypt, uint8(p.asymEnc), fp, dg); ok {
+				return ct, nil
+			}
+		}
 	}
 	r := cc.rand()
 	out := make([]byte, 0, (len(data)/plainBlock)*key.Size())
@@ -435,6 +461,11 @@ func (p *Policy) AsymEncryptCtx(cc CryptoContext, key *rsa.PublicKey, data []byt
 			return nil, fmt.Errorf("uapolicy: asymmetric encrypt: %w", err)
 		}
 		out = append(out, ct...)
+	}
+	if memo {
+		cc.Engine.Put(uarsa.OpEncrypt, uint8(p.asymEnc), fp, dg, out)
+		// data is the caller's (pooled) buffer; the engine owns what it stores.
+		cc.Engine.Put(uarsa.OpDecrypt, uint8(p.asymEnc), fp, uarsa.Digest(out), append([]byte(nil), data...))
 	}
 	return out, nil
 }

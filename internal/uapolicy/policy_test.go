@@ -170,7 +170,8 @@ func TestAsymEncryptDecryptAllPolicies(t *testing.T) {
 // argument: with an engine in the context, every memoized operation
 // returns results a direct computation accepts, cache hits reproduce
 // the first computation bit-for-bit, and a deterministic Rand stream
-// makes encryption (never memoized) reproduce bit-identically too.
+// makes encryption reproduce bit-identically too (seeding and the
+// encrypt memo have their own gate, TestEncryptSeedsDecrypt).
 func TestAsymCtxMemoizationTransparent(t *testing.T) {
 	data := []byte("open secure channel payload")
 	for _, p := range secured() {
@@ -220,13 +221,19 @@ func TestAsymCtxMemoizationTransparent(t *testing.T) {
 		if err != nil || !bytes.Equal(ct1, ct2) {
 			t.Errorf("%s: deterministic encryption not reproducible (%v)", p.Name, err)
 		}
-		pt1, err := p.AsymDecryptCtx(cc, key, ct1) // miss
+		pt1, err := p.AsymDecryptCtx(cc, key, ct1) // the entry the encrypt seeded
 		if err != nil || !bytes.Equal(pt1, plain) {
-			t.Errorf("%s: decrypt miss round trip failed (%v)", p.Name, err)
+			t.Errorf("%s: seeded decrypt round trip failed (%v)", p.Name, err)
 		}
-		pt2, err := p.AsymDecryptCtx(cc, key, ct1) // hit
-		if err != nil || !bytes.Equal(pt2, plain) {
-			t.Errorf("%s: decrypt hit round trip failed (%v)", p.Name, err)
+		ctFresh, err := p.AsymEncrypt(&key.PublicKey, plain) // crypto/rand padding: unknown to the engine
+		if err != nil {
+			t.Fatalf("%s: encrypt: %v", p.Name, err)
+		}
+		for _, step := range []string{"miss", "hit"} {
+			pt, err := p.AsymDecryptCtx(cc, key, ctFresh)
+			if err != nil || !bytes.Equal(pt, plain) {
+				t.Errorf("%s: decrypt %s round trip failed (%v)", p.Name, step, err)
+			}
 		}
 		st := engine.Stats()
 		if st.Sign.Hits == 0 || st.Verify.Hits == 0 || st.Decrypt.Hits == 0 {

@@ -18,13 +18,20 @@
 //   - verification: a pure predicate of (key, data, signature). Only
 //     successes are cached.
 //   - decryption: a pure function of (key, ciphertext).
+//   - encryption: not a function of (key, plaintext) — its padding comes
+//     from a random source — but the handshake path draws padding (and
+//     nonces, and PSS salts) from deterministic labeled streams
+//     (Derivation/Stream) seeded per exchange, and with such a stream
+//     the ciphertext is a pure function of (key, stream seed,
+//     plaintext). Encryption is memoized under exactly that key, and
+//     only when the padding source is an unconsumed Stream.
 //
-// Encryption is deliberately NOT memoized: its padding must come from a
-// random source, so instead the handshake path draws padding (and
-// nonces, and PSS salts) from deterministic labeled streams
-// (Derivation/Stream) seeded per exchange. An unchanged host therefore
-// replays a bit-identical OPN exchange in every wave, and the whole
-// exchange — both sides' signs and decrypts — resolves from the cache.
+// An unchanged host therefore replays a bit-identical OPN exchange in
+// every wave, and the whole exchange — both sides' signs, encrypts and
+// decrypts — resolves from the cache. The side that computes a
+// ciphertext also stores the decrypt entry for it (Dec_sk(Enc_pk(P)) =
+// P), so in a process that simulates both peers even the first
+// occurrence of an exchange costs no private-key decryption.
 // DESIGN.md §4 records the ownership and determinism rules.
 //
 // The engine is sharded and bounded: entries live in per-shard
@@ -51,6 +58,7 @@ const (
 	OpSign Op = iota
 	OpVerify
 	OpDecrypt
+	OpEncrypt
 	numOps
 )
 
@@ -63,15 +71,18 @@ func (o Op) String() string {
 		return "verify"
 	case OpDecrypt:
 		return "decrypt"
+	case OpEncrypt:
+		return "encrypt"
 	default:
 		return "unknown"
 	}
 }
 
 // DefaultMaxEntries bounds an engine built with NewEngine(0). A
-// full-fidelity eight-wave campaign needs roughly 6 entries per distinct
-// (certificate, policy, mode) exchange — a few thousand total — so the
-// default leaves an order of magnitude of headroom.
+// full-fidelity eight-wave campaign needs roughly 8 entries per distinct
+// (certificate, policy, mode) exchange (two signatures, two
+// verifications, two ciphertexts, two plaintexts) — several thousand
+// total — so the default leaves an order of magnitude of headroom.
 const DefaultMaxEntries = 1 << 16
 
 // numShards spreads lock contention; must be a power of two.
@@ -283,15 +294,16 @@ type Stats struct {
 	Sign    OpStats
 	Verify  OpStats
 	Decrypt OpStats
+	Encrypt OpStats
 	Entries int
 }
 
 // Total sums the per-op counters.
 func (s Stats) Total() OpStats {
 	return OpStats{
-		Hits:      s.Sign.Hits + s.Verify.Hits + s.Decrypt.Hits,
-		Misses:    s.Sign.Misses + s.Verify.Misses + s.Decrypt.Misses,
-		Evictions: s.Sign.Evictions + s.Verify.Evictions + s.Decrypt.Evictions,
+		Hits:      s.Sign.Hits + s.Verify.Hits + s.Decrypt.Hits + s.Encrypt.Hits,
+		Misses:    s.Sign.Misses + s.Verify.Misses + s.Decrypt.Misses + s.Encrypt.Misses,
+		Evictions: s.Sign.Evictions + s.Verify.Evictions + s.Decrypt.Evictions + s.Encrypt.Evictions,
 	}
 }
 
@@ -301,7 +313,7 @@ func (e *Engine) Stats() Stats {
 	if e == nil {
 		return st
 	}
-	ops := [numOps]*OpStats{&st.Sign, &st.Verify, &st.Decrypt}
+	ops := [numOps]*OpStats{&st.Sign, &st.Verify, &st.Decrypt, &st.Encrypt}
 	for op := Op(0); op < numOps; op++ {
 		ops[op].Hits = e.counters[op].hits.Load()
 		ops[op].Misses = e.counters[op].misses.Load()

@@ -234,6 +234,35 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestStreamSeed pins what a memo key may rely on: equal seeds mean
+// equal streams, and "unconsumed" ends with the first byte read (also a
+// zero-length Read leaves it, a zero Stream never has it).
+func TestStreamSeed(t *testing.T) {
+	d := NewDerivation([]byte("seed"))
+	s := d.Stream("label")
+	seed, unconsumed := s.Seed()
+	if again, _ := d.Stream("label").Seed(); !unconsumed || seed != again {
+		t.Error("a fresh stream is not unconsumed, or equal labels differ in seed")
+	}
+	if other, _ := d.Stream("other").Seed(); other == seed {
+		t.Error("two labels share a seed")
+	}
+	if other, _ := NewDerivation([]byte("seed2")).Stream("label").Seed(); other == seed {
+		t.Error("two derivations share a seed")
+	}
+	_, _ = s.Read(nil)
+	if _, unconsumed := s.Seed(); !unconsumed {
+		t.Error("an empty read consumed the stream")
+	}
+	_, _ = s.Read(make([]byte, 1))
+	if after, unconsumed := s.Seed(); unconsumed || after != seed {
+		t.Error("a read stream still reports unconsumed, or its seed moved")
+	}
+	if _, unconsumed := new(Stream).Seed(); unconsumed {
+		t.Error("a zero Stream reports unconsumed")
+	}
+}
+
 func TestSuiteExchange(t *testing.T) {
 	s := &Suite{Engine: NewEngine(0), Seed: 2020, Deterministic: true}
 	d1 := s.Exchange([]byte("purpose"), []byte("cert"))

@@ -33,11 +33,11 @@ func TestOpStatsHitRateEdges(t *testing.T) {
 }
 
 // TestEngineStatsRaceUnderTraffic hammers Stats() — and the telemetry
-// snapshot source layered on it — while writers drive sign, verify and
-// decrypt traffic. Run under -race in CI. Beyond data-race freedom it
-// pins two invariants every intermediate snapshot must satisfy:
-// per-op totals only grow, and no counter ever runs backwards between
-// consecutive reads.
+// snapshot source layered on it — while writers drive sign, verify,
+// decrypt and encrypt traffic. Run under -race in CI. Beyond data-race
+// freedom it pins two invariants every intermediate snapshot must
+// satisfy: per-op totals only grow, and no counter ever runs backwards
+// between consecutive reads.
 func TestEngineStatsRaceUnderTraffic(t *testing.T) {
 	e := NewEngine(256)
 	reg := telemetry.New()
@@ -45,13 +45,13 @@ func TestEngineStatsRaceUnderTraffic(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			op := []Op{OpSign, OpVerify, OpDecrypt}[g%3]
+			op := Op(g % int(numOps))
 			var fp Fingerprint
-			fp[0] = byte(g % 3)
+			fp[0] = byte(op)
 			// A floor of two digest cycles guarantees mixed hits and
 			// misses even if the reader finishes before this goroutine is
 			// first scheduled; past the floor, run until the reader stops.
@@ -76,6 +76,7 @@ func TestEngineStatsRaceUnderTraffic(t *testing.T) {
 		monotonic("sign", prev.Sign, cur.Sign)
 		monotonic("verify", prev.Verify, cur.Verify)
 		monotonic("decrypt", prev.Decrypt, cur.Decrypt)
+		monotonic("encrypt", prev.Encrypt, cur.Encrypt)
 		prev = cur
 		// Every other read goes through the registry snapshot path, so
 		// the "uarsa" source races against the same traffic.
@@ -100,8 +101,13 @@ func TestEngineStatsRaceUnderTraffic(t *testing.T) {
 	st := e.Stats()
 	if s.Counters["crypto_sign_hits"] != st.Sign.Hits ||
 		s.Counters["crypto_verify_misses"] != st.Verify.Misses ||
-		s.Counters["crypto_decrypt_hits"] != st.Decrypt.Hits {
+		s.Counters["crypto_decrypt_hits"] != st.Decrypt.Hits ||
+		s.Counters["crypto_encrypt_hits"] != st.Encrypt.Hits ||
+		s.Counters["crypto_encrypt_misses"] != st.Encrypt.Misses {
 		t.Errorf("quiesced snapshot disagrees with Stats(): %v vs %+v", s.Counters, st)
+	}
+	if sum := st.Sign.Hits + st.Verify.Hits + st.Decrypt.Hits + st.Encrypt.Hits; st.Total().Hits != sum || st.Encrypt.Hits == 0 {
+		t.Errorf("Total().Hits = %d, per-op sum %d (encrypt %d)", st.Total().Hits, sum, st.Encrypt.Hits)
 	}
 	if s.Gauges["crypto_entries"] != int64(st.Entries) {
 		t.Errorf("crypto_entries = %d, want %d", s.Gauges["crypto_entries"], st.Entries)

@@ -37,6 +37,14 @@ func (s *Stream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// Seed returns the stream's seed and whether the stream is still
+// unconsumed. Everything an unconsumed stream will ever yield is a
+// function of its seed, which is what lets a memo key stand in for the
+// random draws of one operation (uapolicy.AsymEncryptCtx).
+func (s *Stream) Seed() (seed [32]byte, unconsumed bool) {
+	return s.seed, s.ctr == 0 && s.off == len(s.buf)
+}
+
 // Derivation is a seed from which independent labeled Streams are
 // derived. Independence per label matters: a cache hit skips the random
 // draws the computation would have made, so every draw site uses its

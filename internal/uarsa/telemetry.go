@@ -21,6 +21,7 @@ func (e *Engine) PublishTo(reg *telemetry.Registry) {
 			OpStats
 		}{
 			{"sign", st.Sign}, {"verify", st.Verify}, {"decrypt", st.Decrypt},
+			{"encrypt", st.Encrypt},
 		} {
 			s.SetCounter("crypto_"+op.name+"_hits", op.Hits)
 			s.SetCounter("crypto_"+op.name+"_misses", op.Misses)

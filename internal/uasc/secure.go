@@ -464,9 +464,10 @@ func (ch *Channel) sendOPN(reqID uint32, body []byte) error {
 		sum := sha1.Sum(ch.sec.RemoteCertDER)
 		thumb = sum[:]
 	}
-	prefix := make([]byte, 4, 4+64)
+	hdr := encodeAsymHeader(ch.sec.Policy.URI, senderCert, thumb)
+	prefix := make([]byte, 4, 4+len(hdr))
 	binary.LittleEndian.PutUint32(prefix, ch.ChannelID)
-	prefix = append(prefix, encodeAsymHeader(ch.sec.Policy.URI, senderCert, thumb)...)
+	prefix = append(prefix, hdr...)
 
 	var seqHdr [sequenceHeaderSize]byte
 	binary.LittleEndian.PutUint32(seqHdr[:4], ch.nextSeq())
