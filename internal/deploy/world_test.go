@@ -3,6 +3,8 @@ package deploy
 import (
 	"context"
 	"crypto/rsa"
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"sync"
 	"testing"
@@ -492,6 +494,43 @@ func TestMaterializeDeterministicAcrossProcesses(t *testing.T) {
 		if a.hosts[i].prior != nil &&
 			a.hosts[i].prior.ThumbprintHex() != b.hosts[i].prior.ThumbprintHex() {
 			t.Errorf("host %d prior certificate differs between materializations", i)
+		}
+	}
+}
+
+// TestMaterializeCertGolden pins every certificate of the whole test-key
+// world: SHA-256 over HostCert(i, 0).Raw‖HostCert(i, 7).Raw for all 1,114
+// hosts in order, then each discovery certificate. That covers what
+// TestDatasetGolden (400 hosts, waves 6–7) never sees — the key taken by
+// every host (takeKey order), every serial, and every pre-renewal
+// certificate — so a reordered key work-list, a reserve key dropped from
+// the middle of a size, or a different accepted prime fails here.
+func TestMaterializeCertGolden(t *testing.T) {
+	for seed, want := range map[int64]string{
+		2020: "57d344f0926ca3a49b09fbe205b7b8520904c95f831c52d6fb7dd239b059287d",
+		7:    "b504ee5e892dfafee409247237f93850293d5ccc517396e084c64ade2088705c",
+	} {
+		spec, err := BuildSpec(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Materialize(spec, Options{TestKeySizes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w.hosts) != NumServers {
+			t.Fatalf("seed %d: %d hosts, want %d", seed, len(w.hosts), NumServers)
+		}
+		h := sha256.New()
+		for i := range w.hosts {
+			h.Write(w.HostCert(i, 0).Raw)
+			h.Write(w.HostCert(i, len(WaveDates)-1).Raw)
+		}
+		for _, wd := range w.discovery {
+			h.Write(wd.cert.Raw)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("seed %d: certificate digest %s, want %s", seed, got, want)
 		}
 	}
 }
