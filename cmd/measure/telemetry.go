@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -317,6 +318,20 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 		if total := labeled("ua_requests", "service", service); total > 0 {
 			add("requests: "+service, strconv.FormatUint(total, 10))
 		}
+	}
+
+	// World build by stage: what this process (merged: every worker) paid
+	// before the first probe. Busy is summed over a stage's parallel jobs.
+	var stages []string
+	for k := range s.Counters {
+		if stage, ok := strings.CutPrefix(k, `world_build_count{stage="`); ok {
+			stages = append(stages, strings.TrimSuffix(stage, `"}`))
+		}
+	}
+	sort.Strings(stages)
+	for _, stage := range stages {
+		add("world build: "+stage, fmt.Sprintf("%d in %s (busy %s)", labeled("world_build_count", "stage", stage),
+			dur(labeled("world_build_wall_ns", "stage", stage)), dur(labeled("world_build_busy_ns", "stage", stage))))
 	}
 
 	var hits, misses uint64

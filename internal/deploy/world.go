@@ -1,19 +1,23 @@
 package deploy
 
 import (
+	"cmp"
 	"crypto/rsa"
 	"encoding/binary"
 	"fmt"
-	"math/big"
 	mrand "math/rand"
 	"net/netip"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/addrspace"
 	"repro/internal/chaos"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 	"repro/internal/uacert"
 	"repro/internal/uamsg"
 	"repro/internal/uapolicy"
@@ -56,6 +60,10 @@ type World struct {
 	discovery []*worldDiscovery
 	wave      int
 
+	// Build is the stage split of the Materialize call that built this
+	// world, in the order the stages were started. Read-only.
+	Build []BuildStage
+
 	// cryptoEngine/cryptoDet are the campaign-installed crypto-reuse
 	// settings, applied to every server built so far and to servers
 	// built lazily afterwards (see SetCrypto).
@@ -64,6 +72,16 @@ type World struct {
 	// chaos is the campaign-installed adversarial-host model; wave
 	// binding happens in SnapshotWave/ApplyWave. Zero value: polite.
 	chaos chaos.Model
+}
+
+// BuildStage is one row of World.Build: "keys_<bits>" per key size,
+// "certificates", "address_spaces", and "total" for the whole call (one
+// job). Stages overlap, so their Wall times do not add up to the total's.
+type BuildStage struct {
+	Stage string
+	Count int           // keys, certificates, address spaces; hosts for "total"
+	Wall  time.Duration // first job's start to last job's end
+	Busy  time.Duration // summed over the jobs: CPU seconds while cores are free
 }
 
 type worldHost struct {
@@ -104,6 +122,7 @@ func BuildUniverse() (*simnet.Universe, error) {
 // — a cluster certificate observed by two workers must carry one
 // thumbprint, or the merged reuse analysis falls apart (DESIGN.md §5).
 func Materialize(spec *Spec, opts Options) (*World, error) {
+	buildStart := telemetry.NowNs()
 	if opts.NoiseProb == 0 {
 		opts.NoiseProb = 0.01
 	}
@@ -118,10 +137,6 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	w := &World{Spec: spec, Net: nw, Keys: uacert.NewDeterministicKeyPool(spec.Seed), wave: -1}
 	var seedB [8]byte
 	binary.LittleEndian.PutUint64(seedB[:], uint64(spec.Seed))
-	serialFor := func(role string, idx int) *big.Int {
-		return uacert.DeterministicSerial([]byte("deploy-serial"), seedB[:],
-			[]byte(role), []byte(strconv.Itoa(idx)))
-	}
 
 	hostSpecs := spec.Hosts
 	if opts.MaxHosts > 0 && opts.MaxHosts < len(hostSpecs) {
@@ -135,7 +150,25 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 		return class.Bits
 	}
 
-	// Count and prewarm keys: one per reuse cluster, one per single.
+	// Address spaces need no key — one rng, host order — so they are
+	// built on their own goroutine while the workers below search primes.
+	spaces := make([]*addrspace.Space, len(hostSpecs))
+	var spaceErr error
+	var spaceTime time.Duration
+	spacesDone := make(chan struct{})
+	go func() {
+		defer close(spacesDone)
+		start := telemetry.NowNs()
+		rng := mrand.New(mrand.NewSource(spec.Seed ^ 0x5EED))
+		for i := range hostSpecs {
+			if spaces[i], spaceErr = buildSpace(&hostSpecs[i], hostSpecs[i].SoftwareVersion, rng); spaceErr != nil {
+				return
+			}
+		}
+		spaceTime = time.Duration(telemetry.NowNs() - start)
+	}()
+
+	// Count keys: one per reuse cluster, per single, and for discovery.
 	need := map[int]int{}
 	for i := range hostSpecs {
 		h := &hostSpecs[i]
@@ -143,29 +176,50 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 			need[bits(h.Cert.Class)]++
 		}
 	}
-	clusterBits := map[int]int{}
-	for ci, c := range reuseClusters {
-		clusterBits[ci] = bits(c.class)
+	for _, c := range reuseClusters {
 		need[bits(c.class)]++
 	}
-	need[bits(CertClass{Bits: 2048})] += 2 // discovery + scanner reserve
+	need[bits(CertClass{Bits: 2048})]++
+	// One work-list across all sizes, largest first: the few big keys are
+	// the first jobs taken, not a tail behind which the other cores idle.
+	var keyJobs [][2]int // (bits, idx)
 	for b, n := range need {
-		w.Keys.Prewarm(b, n)
+		for i := 0; i < n; i++ {
+			keyJobs = append(keyJobs, [2]int{b, i})
+		}
+	}
+	slices.SortFunc(keyJobs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(b[0], a[0]), cmp.Compare(a[1], b[1])) })
+	keyStart, keyEnd := runJobs(len(keyJobs), func(i int) { w.Keys.Key(keyJobs[i][0], keyJobs[i][1]) })
+	for lo := 0; lo < len(keyJobs); {
+		hi := lo + need[keyJobs[lo][0]]
+		w.Build = append(w.Build, timeStage("keys_"+strconv.Itoa(keyJobs[lo][0]), keyStart[lo:hi], keyEnd[lo:hi]))
+		lo = hi
 	}
 
-	// Cluster keys and certificates (shared; the cert subject names the
-	// manufacturer, §5.3).
+	// Certificates are listed in the order their keys have always been
+	// taken (clusters, hosts, discovery) and signed on the same workers:
+	// uacert.Generate is a pure function of key and options.
+	type certJob struct {
+		role string // names the serial and, in an error, the certificate
+		idx  int
+		key  *rsa.PrivateKey
+		opts uacert.Options
+		dst  **uacert.Certificate
+		err  error
+	}
+	var certJobs []certJob
 	next := map[int]int{}
 	takeKey := func(b int) *rsa.PrivateKey {
 		k := w.Keys.Key(b, next[b])
 		next[b]++
 		return k
 	}
-	clusterKey := map[int]*rsa.PrivateKey{}
-	clusterCert := map[int]*uacert.Certificate{}
+	// Cluster keys and certificates (shared; the cert subject names the
+	// manufacturer, §5.3).
+	clusterKey := make([]*rsa.PrivateKey, len(reuseClusters))
+	clusterCert := make([]*uacert.Certificate, len(reuseClusters))
 	for ci, c := range reuseClusters {
-		key := takeKey(clusterBits[ci])
-		clusterKey[ci] = key
+		clusterKey[ci] = takeKey(bits(c.class))
 		// Find a member for naming and NotBefore.
 		var member *HostSpec
 		for i := range hostSpecs {
@@ -177,80 +231,72 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 		if member == nil {
 			continue // truncated world
 		}
-		cert, err := uacert.Generate(key, uacert.Options{
+		certJobs = append(certJobs, certJob{role: "cluster", idx: ci, key: clusterKey[ci], dst: &clusterCert[ci], opts: uacert.Options{
 			CommonName:     member.Manufacturer + " factory image",
 			Organization:   member.Manufacturer,
 			ApplicationURI: member.AppURI,
 			SignatureHash:  c.class.Hash,
 			NotBefore:      member.Cert.NotBefore,
-			NotAfter:       member.Cert.NotBefore.AddDate(20, 0, 0),
-			SerialNumber:   serialFor("cluster", ci),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("deploy: cluster %d cert: %w", ci, err)
-		}
-		clusterCert[ci] = cert
+		}})
 	}
-
-	rng := mrand.New(mrand.NewSource(spec.Seed ^ 0x5EED))
 	for i := range hostSpecs {
 		hs := &hostSpecs[i]
 		wh := &worldHost{spec: hs, server: make(map[string]*uaserver.Server)}
+		w.hosts = append(w.hosts, wh)
 		if ci := hs.Cert.ReuseCluster; ci >= 0 {
 			wh.key = clusterKey[ci]
-			wh.cert = clusterCert[ci]
-		} else {
-			wh.key = takeKey(bits(hs.Cert.Class))
-			cert, err := uacert.Generate(wh.key, uacert.Options{
-				CommonName:     fmt.Sprintf("%s device %04x", hs.Manufacturer, hs.Index),
-				Organization:   hs.Manufacturer,
-				ApplicationURI: hs.AppURI,
-				SignatureHash:  hs.Cert.Class.Hash,
-				NotBefore:      hs.Cert.NotBefore,
-				NotAfter:       hs.Cert.NotBefore.AddDate(20, 0, 0),
-				SerialNumber:   serialFor("host", hs.Index),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("deploy: host %d cert: %w", hs.Index, err)
-			}
-			wh.cert = cert
-			if hs.Cert.RenewalWave > 0 {
-				prior, err := uacert.Generate(wh.key, uacert.Options{
-					CommonName:     fmt.Sprintf("%s device %04x", hs.Manufacturer, hs.Index),
-					Organization:   hs.Manufacturer,
-					ApplicationURI: hs.AppURI,
-					SignatureHash:  hs.Cert.PriorClass.Hash,
-					NotBefore:      hs.Cert.PriorNotBefore,
-					NotAfter:       hs.Cert.PriorNotBefore.AddDate(20, 0, 0),
-					SerialNumber:   serialFor("prior", hs.Index),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("deploy: host %d prior cert: %w", hs.Index, err)
-				}
-				wh.prior = prior
-			}
+			continue
 		}
-		wh.space, err = buildSpace(hs, rng)
-		if err != nil {
-			return nil, err
+		wh.key = takeKey(bits(hs.Cert.Class))
+		o := uacert.Options{
+			CommonName:     fmt.Sprintf("%s device %04x", hs.Manufacturer, hs.Index),
+			Organization:   hs.Manufacturer,
+			ApplicationURI: hs.AppURI,
+			SignatureHash:  hs.Cert.Class.Hash,
+			NotBefore:      hs.Cert.NotBefore,
 		}
-		w.hosts = append(w.hosts, wh)
+		certJobs = append(certJobs, certJob{role: "host", idx: hs.Index, key: wh.key, dst: &wh.cert, opts: o})
+		if hs.Cert.RenewalWave > 0 {
+			o.SignatureHash, o.NotBefore = hs.Cert.PriorClass.Hash, hs.Cert.PriorNotBefore
+			certJobs = append(certJobs, certJob{role: "prior", idx: hs.Index, key: wh.key, dst: &wh.prior, opts: o})
+		}
 	}
-
 	// Discovery servers share a handful of reference-implementation
 	// identities; they are excluded from the security analysis.
 	discoKey := takeKey(bits(CertClass{Bits: 2048}))
-	discoCert, err := uacert.Generate(discoKey, uacert.Options{
+	var discoCert *uacert.Certificate
+	certJobs = append(certJobs, certJob{role: "discovery", key: discoKey, dst: &discoCert, opts: uacert.Options{
 		CommonName:     "UA Local Discovery Server",
 		Organization:   "OPC Foundation",
 		ApplicationURI: "urn:opcfoundation.org:UA:LDS",
 		SignatureHash:  uacert.HashSHA256,
 		NotBefore:      time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC),
-		SerialNumber:   serialFor("discovery", 0),
+	}})
+	certStart, certEnd := runJobs(len(certJobs), func(i int) {
+		j := &certJobs[i] // NotAfter is left to Generate's default: NotBefore + 20 years
+		j.opts.SerialNumber = uacert.DeterministicSerial([]byte("deploy-serial"), seedB[:],
+			[]byte(j.role), []byte(strconv.Itoa(j.idx)))
+		*j.dst, j.err = uacert.Generate(j.key, j.opts)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("deploy: discovery cert: %w", err)
+	w.Build = append(w.Build, timeStage("certificates", certStart, certEnd))
+
+	<-spacesDone // nothing above returns early: every goroutine has finished
+	for i := range certJobs {
+		if j := &certJobs[i]; j.err != nil {
+			return nil, fmt.Errorf("deploy: %s %d cert: %w", j.role, j.idx, j.err)
+		}
 	}
+	if spaceErr != nil {
+		return nil, spaceErr
+	}
+	for i, wh := range w.hosts {
+		wh.space = spaces[i]
+		if ci := wh.spec.Cert.ReuseCluster; ci >= 0 {
+			wh.cert = clusterCert[ci]
+		}
+	}
+	w.Build = append(w.Build, BuildStage{"address_spaces", len(spaces), spaceTime, spaceTime})
+
 	for i := range spec.Discovery {
 		ds := &spec.Discovery[i]
 		var known []uamsg.ApplicationDescription
@@ -287,12 +333,46 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 		}
 		w.discovery = append(w.discovery, &worldDiscovery{spec: ds, cert: discoCert, server: srv})
 	}
+	total := time.Duration(telemetry.NowNs() - buildStart)
+	w.Build = append(w.Build, BuildStage{"total", len(w.hosts), total, total})
 	return w, nil
 }
 
-// buildSpace creates a host's address space from its spec.
-func buildSpace(hs *HostSpec, rng *mrand.Rand) (*addrspace.Space, error) {
-	space := addrspace.New(hs.AppURI, hs.SoftwareVersion)
+// runJobs runs job(0) … job(n-1) on up to GOMAXPROCS goroutines, each taking
+// the lowest index left, and returns every job's start and end (telemetry clock).
+func runJobs(n int, job func(i int)) (start, end []int64) {
+	start, end = make([]int64, n), make([]int64, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := min(n, runtime.GOMAXPROCS(0)); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				start[i] = telemetry.NowNs()
+				job(i)
+				end[i] = telemetry.NowNs()
+			}
+		}()
+	}
+	wg.Wait()
+	return start, end
+}
+
+// timeStage folds the job times of one stage (at least one job) into its
+// World.Build row.
+func timeStage(name string, start, end []int64) BuildStage {
+	st := BuildStage{name, len(start), time.Duration(slices.Max(end) - slices.Min(start)), 0}
+	for i := range start {
+		st.Busy += time.Duration(end[i] - start[i])
+	}
+	return st
+}
+
+// buildSpace creates a host's address space from its spec, reporting the
+// given software version.
+func buildSpace(hs *HostSpec, version string, rng *mrand.Rand) (*addrspace.Space, error) {
+	space := addrspace.New(hs.AppURI, version)
 	_, err := addrspace.Populate(space, addrspace.BuildOptions{
 		Profile:            hs.Profile,
 		Variables:          hs.Exposure.Variables,
@@ -360,7 +440,7 @@ func (wh *worldHost) serverAt(wave int, engine *uarsa.Engine, deterministic bool
 	if wh.spec.Cert.SoftwareUpdate {
 		// Rebuild so the SoftwareVersion node reflects the update.
 		var err error
-		space, err = buildSpaceWithVersion(hs, wh.softwareVersionAt(wave))
+		space, err = buildSpace(hs, wh.softwareVersionAt(wave), mrand.New(mrand.NewSource(int64(hs.Index))))
 		if err != nil {
 			return nil, err
 		}
@@ -388,24 +468,6 @@ func (wh *worldHost) serverAt(wave int, engine *uarsa.Engine, deterministic bool
 	srv.SetCrypto(engine, deterministic)
 	wh.server[cacheKey] = srv
 	return srv, nil
-}
-
-func buildSpaceWithVersion(hs *HostSpec, version string) (*addrspace.Space, error) {
-	rng := mrand.New(mrand.NewSource(int64(hs.Index)))
-	space := addrspace.New(hs.AppURI, version)
-	_, err := addrspace.Populate(space, addrspace.BuildOptions{
-		Profile:            hs.Profile,
-		Variables:          hs.Exposure.Variables,
-		Methods:            hs.Exposure.Methods,
-		AnonReadableFrac:   hs.Exposure.ReadFrac,
-		AnonWritableFrac:   hs.Exposure.WriteFrac,
-		AnonExecutableFrac: hs.Exposure.ExecFrac,
-		Rand:               rng,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return space, nil
 }
 
 // ApplyWave registers the hosts present at the wave and removes the

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -485,6 +486,11 @@ func TestMaterializeDeterministicAcrossProcesses(t *testing.T) {
 		t.Fatalf("host counts differ: %d vs %d", len(a.hosts), len(b.hosts))
 	}
 	for i := range a.hosts {
+		// Equal by value, yet each build searched for its own: nothing
+		// is memoized across Materialize calls of one process.
+		if a.hosts[i].key == b.hosts[i].key || !a.hosts[i].key.Equal(b.hosts[i].key) {
+			t.Errorf("host %d: keys of two materializations must be equal but separately generated", i)
+		}
 		if a.hosts[i].cert.ThumbprintHex() != b.hosts[i].cert.ThumbprintHex() {
 			t.Errorf("host %d certificate differs between materializations", i)
 		}
@@ -531,6 +537,74 @@ func TestMaterializeCertGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want {
 			t.Errorf("seed %d: certificate digest %s, want %s", seed, got, want)
+		}
+		// The pool holds exactly the keys the world hands out: every key
+		// searched for is served by a host or the discovery servers.
+		served := map[*rsa.PrivateKey]bool{}
+		for _, wh := range w.hosts {
+			served[wh.key] = true
+		}
+		for _, wd := range w.discovery {
+			served[wd.server.Config().Key] = true
+		}
+		if w.Keys.Size(512) != len(served) {
+			t.Errorf("seed %d: pool holds %d keys, the world serves %d", seed, w.Keys.Size(512), len(served))
+		}
+	}
+}
+
+// BenchmarkMaterialize is one cold build of the whole test-key world:
+// every key, certificate and address space, nothing carried over from the
+// previous iteration.
+func BenchmarkMaterialize(b *testing.B) {
+	spec, err := BuildSpec(2020)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("testkeys", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Materialize(spec, Options{TestKeySizes: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestWorldBuildStages: Materialize leaves the stage split of its own run
+// in World.Build — one row per key size, certificates, address spaces,
+// total — with counts that match what the world holds.
+func TestWorldBuildStages(t *testing.T) {
+	w := materializeSmall(t, 60)
+	var names []string
+	byName := map[string]BuildStage{}
+	for _, st := range w.Build {
+		names = append(names, st.Stage)
+		byName[st.Stage] = st
+		if st.Wall <= 0 || st.Busy <= 0 {
+			t.Errorf("stage %s: wall %v, busy %v; want both positive", st.Stage, st.Wall, st.Busy)
+		}
+		if st.Wall > w.Build[len(w.Build)-1].Wall {
+			t.Errorf("stage %s took %v, longer than the whole build", st.Stage, st.Wall)
+		}
+	}
+	if got, want := strings.Join(names, " "), "keys_512 certificates address_spaces total"; got != want {
+		t.Fatalf("stages %q, want %q", got, want)
+	}
+	certs := 1 // discovery
+	seen := map[*uacert.Certificate]bool{}
+	for _, wh := range w.hosts {
+		for _, c := range []*uacert.Certificate{wh.cert, wh.prior} {
+			if c != nil && !seen[c] {
+				seen[c] = true
+				certs++
+			}
+		}
+	}
+	for stage, want := range map[string]int{
+		"keys_512": w.Keys.Size(512), "certificates": certs, "address_spaces": 60, "total": 60,
+	} {
+		if got := byName[stage].Count; got != want {
+			t.Errorf("stage %s counts %d, want %d", stage, got, want)
 		}
 	}
 }

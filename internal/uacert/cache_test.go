@@ -100,7 +100,7 @@ func TestParseCacheBounded(t *testing.T) {
 // shard workers depend on: the same label parts always derive the same
 // key, different parts derive different keys, and two deterministic
 // pools built from one seed agree at every index (including through a
-// parallel Prewarm).
+// concurrent fill).
 func TestDeterministicKeyReproducible(t *testing.T) {
 	a, err := DeterministicKey(512, []byte("test"), []byte("x"))
 	if err != nil {
@@ -128,7 +128,7 @@ func TestDeterministicKeyReproducible(t *testing.T) {
 	}
 
 	p1, p2 := NewDeterministicKeyPool(2020), NewDeterministicKeyPool(2020)
-	p1.Prewarm(512, 4)
+	fillPool(p1, 512, 4)
 	for i := 0; i < 4; i++ {
 		if p1.Key(512, i).N.Cmp(p2.Key(512, i).N) != 0 {
 			t.Errorf("pool key (512, %d) differs between processes", i)

@@ -21,7 +21,7 @@ func testKey(t testing.TB, idx int) *rsa.PrivateKey {
 	t.Helper()
 	testPoolOnce.Do(func() {
 		testPool = NewKeyPool()
-		testPool.Prewarm(512, 2)
+		fillPool(testPool, 512, 2)
 	})
 	return testPool.Key(512, idx)
 }
@@ -229,14 +229,19 @@ func TestKeyPoolDeterministicIndexing(t *testing.T) {
 	if pool.Size(512) != 2 {
 		t.Errorf("pool size = %d", pool.Size(512))
 	}
-	pool.Prewarm(512, 4)
+	// A concurrent fill keeps the keys the pool already holds and adds
+	// exactly the missing slots.
+	fillPool(pool, 512, 4)
 	if pool.Size(512) != 4 {
-		t.Errorf("after prewarm size = %d", pool.Size(512))
+		t.Errorf("after concurrent fill size = %d", pool.Size(512))
 	}
-	// Prewarm to a smaller count is a no-op.
-	pool.Prewarm(512, 2)
-	if pool.Size(512) != 4 {
-		t.Errorf("prewarm shrank pool to %d", pool.Size(512))
+	if pool.Key(512, 0) != k1 || pool.Key(512, 1) != k3 {
+		t.Error("concurrent fill replaced a key the pool already held")
+	}
+	// Slots are independent: a high index generates that key alone.
+	k9 := pool.Key(512, 9)
+	if pool.Size(512) != 5 || pool.Key(512, 9) != k9 {
+		t.Errorf("after Key(512, 9) size = %d", pool.Size(512))
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"runtime"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -21,7 +21,7 @@ import (
 // every key still has unique, independently generated primes.
 type KeyPool struct {
 	mu   sync.Mutex
-	keys map[int][]*rsa.PrivateKey
+	keys map[int]map[int]*rsa.PrivateKey // by bits, then idx
 	// gen produces the (bits, idx) key. The default draws crypto/rand;
 	// deterministic pools derive the key from a seed instead, so that
 	// separate processes materializing the same world agree on every
@@ -31,7 +31,7 @@ type KeyPool struct {
 
 // NewKeyPool returns an empty pool drawing keys from crypto/rand.
 func NewKeyPool() *KeyPool {
-	return &KeyPool{keys: make(map[int][]*rsa.PrivateKey)}
+	return &KeyPool{keys: make(map[int]map[int]*rsa.PrivateKey)}
 }
 
 // NewDeterministicKeyPool returns a pool whose (bits, idx) key is a pure
@@ -44,17 +44,16 @@ func NewKeyPool() *KeyPool {
 func NewDeterministicKeyPool(seed int64) *KeyPool {
 	var sb [8]byte
 	binary.LittleEndian.PutUint64(sb[:], uint64(seed))
-	return &KeyPool{
-		keys: make(map[int][]*rsa.PrivateKey),
-		gen: func(bits, idx int) *rsa.PrivateKey {
-			key, err := DeterministicKey(bits, []byte("uacert-keypool"), sb[:],
-				[]byte(strconv.Itoa(bits)+"/"+strconv.Itoa(idx)))
-			if err != nil {
-				panic(fmt.Sprintf("uacert: deterministic %d-bit key %d: %v", bits, idx, err))
-			}
-			return key
-		},
+	p := NewKeyPool()
+	p.gen = func(bits, idx int) *rsa.PrivateKey {
+		key, err := DeterministicKey(bits, []byte("uacert-keypool"), sb[:],
+			[]byte(strconv.Itoa(bits)+"/"+strconv.Itoa(idx)))
+		if err != nil {
+			panic(fmt.Sprintf("uacert: deterministic %d-bit key %d: %v", bits, idx, err))
+		}
+		return key
 	}
+	return p
 }
 
 // generate produces one key at the absolute index.
@@ -75,15 +74,29 @@ func (p *KeyPool) generate(bits, idx int) *rsa.PrivateKey {
 	return key
 }
 
-// Key returns the idx-th key of the given bit size, generating keys as
-// needed. Two calls with the same (bits, idx) return the same key.
+// Key returns the idx-th key of the given bit size, generating it if the
+// pool does not hold it yet. Two calls with the same (bits, idx) return
+// the same key. Generation runs outside the lock: goroutines asking for
+// different slots fill the pool in parallel (deploy.Materialize does), and
+// of two racing for one slot the first to store wins.
 func (p *KeyPool) Key(bits, idx int) *rsa.PrivateKey {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.keys[bits]) <= idx {
-		p.keys[bits] = append(p.keys[bits], p.generate(bits, len(p.keys[bits])))
+	key := p.keys[bits][idx]
+	p.mu.Unlock()
+	if key != nil {
+		return key
 	}
-	return p.keys[bits][idx]
+	key = p.generate(bits, idx)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if first := p.keys[bits][idx]; first != nil {
+		return first
+	}
+	if p.keys[bits] == nil {
+		p.keys[bits] = make(map[int]*rsa.PrivateKey)
+	}
+	p.keys[bits][idx] = key
+	return key
 }
 
 // Size returns how many keys of the given bit size the pool holds.
@@ -91,42 +104,6 @@ func (p *KeyPool) Size(bits int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.keys[bits])
-}
-
-// Prewarm generates keys in parallel so that Key(bits, i) for i < n is a
-// cache hit. It blocks until all keys exist.
-func (p *KeyPool) Prewarm(bits, n int) {
-	p.mu.Lock()
-	have := len(p.keys[bits])
-	p.mu.Unlock()
-	if have >= n {
-		return
-	}
-	need := n - have
-	keys := make([]*rsa.PrivateKey, need)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range keys {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Generation is keyed by the absolute pool index, so the
-			// parallel fill assigns the same key to the same slot a
-			// serial Key() loop would.
-			keys[i] = p.generate(bits, have+i)
-		}(i)
-	}
-	wg.Wait()
-	p.mu.Lock()
-	// Key() calls racing the fill may have grown the slice; only append
-	// the indexes still missing (in deterministic mode the overlapping
-	// keys are identical anyway).
-	if cur := len(p.keys[bits]); cur < n {
-		p.keys[bits] = append(p.keys[bits], keys[cur-have:]...)
-	}
-	p.mu.Unlock()
 }
 
 // DeterministicKey derives an RSA key of the given (even) bit size as a
@@ -154,40 +131,120 @@ func DeterministicKey(bits int, parts ...[]byte) (*rsa.PrivateKey, error) {
 	}
 }
 
-// deterministicPrime is crypto/rand.Prime's candidate search without
-// its randutil.MaybeReadByte call — that call consumes 0 or 1 stream
-// bytes at the runtime's whim, deliberately defeating the reproducible
-// derivation this package needs. Candidates draw from r with the top
-// two bits set (so a product of two halves never comes up a bit short)
-// and the low bit set; ProbablyPrime(20) is a deterministic predicate
-// of the candidate. r never fails (it is a uarsa.Stream).
+// deterministicPrime returns the first prime of r's candidate stream. It
+// is crypto/rand.Prime's search without its randutil.MaybeReadByte call —
+// that call consumes 0 or 1 stream bytes at the runtime's whim,
+// deliberately defeating the reproducible derivation this package needs.
+// r never fails (it is a uarsa.Stream).
 //
 //studyvet:entropy-exempt — the prime search draws only from the labeled uarsa stream passed in; there is no ambient entropy here
 func deterministicPrime(r io.Reader, bits int) *big.Int {
-	bytes := make([]byte, (bits+7)/8)
+	buf := make([]byte, (bits+7)/8)
+	p, t := new(big.Int), new(big.Int)
+	for {
+		drawCandidate(r, buf, bits)
+		if acceptsCandidate(buf, p, t) {
+			return p
+		}
+	}
+}
+
+var bigOne, bigTwo = big.NewInt(1), big.NewInt(2)
+
+// acceptsCandidate sets p to the odd candidate in buf and reports whether
+// the search takes it. The predicate is ProbablyPrime(0) (Baillie–PSW),
+// run only on what two cheaper filters cannot reject: trial division by
+// the odd primes below sieveLimit, then base-2 Fermat. Both reject
+// composites only (a prime has no smaller prime factor, and 2^(p-1) ≡ 1
+// mod p), so the accepted set is the bare predicate's, whatever the
+// filters skip (DESIGN.md §5). t is scratch.
+func acceptsCandidate(buf []byte, p, t *big.Int) bool {
+	return !hasSmallFactor(buf) &&
+		t.Exp(bigTwo, t.Sub(p.SetBytes(buf), bigOne), p).Cmp(bigOne) == 0 && p.ProbablyPrime(0)
+}
+
+// drawCandidate fills buf with the stream's next candidate of the given
+// bit length: the top two bits set (so a product of two halves never
+// comes up a bit short) and the low bit set.
+func drawCandidate(r io.Reader, buf []byte, bits int) {
 	b := uint(bits % 8)
 	if b == 0 {
 		b = 8
 	}
-	p := new(big.Int)
-	for {
-		_, _ = io.ReadFull(r, bytes)
-		bytes[0] &= uint8(int(1<<b) - 1)
-		if b >= 2 {
-			bytes[0] |= 3 << (b - 2)
-		} else {
-			// b == 1: the second-highest bit lives in the next byte.
-			bytes[0] |= 1
-			if len(bytes) > 1 {
-				bytes[1] |= 0x80
-			}
-		}
-		bytes[len(bytes)-1] |= 1
-		p.SetBytes(bytes)
-		if p.ProbablyPrime(20) {
-			return p
+	_, _ = io.ReadFull(r, buf)
+	buf[0] &= uint8(int(1<<b) - 1)
+	if b >= 2 {
+		buf[0] |= 3 << (b - 2)
+	} else {
+		// b == 1: the second-highest bit lives in the next byte.
+		buf[0] |= 1
+		if len(buf) > 1 {
+			buf[1] |= 0x80
 		}
 	}
+	buf[len(buf)-1] |= 1
+}
+
+// sieveLimit bounds the trial-division filter: a higher limit spares a few
+// more modexps and costs every survivor more divisions. 2^13 is within 4 %
+// of the fastest limit at 512, 1024 and 2048 bits (EXPERIMENTS.md "Spending
+// the ledger on cold start"); any value in (3, 2^16] yields the same primes.
+const sieveLimit = 1 << 13
+
+// sieveChunk is a run of consecutive odd primes whose product fits a
+// uint64: one multi-word remainder serves the whole run.
+type sieveChunk struct {
+	product uint64
+	primes  []uint16
+}
+
+// sieveChunks holds every odd prime below sieveLimit, in order.
+var sieveChunks = func() (chunks []sieveChunk) {
+	cur := sieveChunk{product: 1}
+	composite := make([]bool, sieveLimit)
+	for p := 3; p < sieveLimit; p += 2 {
+		if composite[p] {
+			continue
+		}
+		for m := p * p; m < sieveLimit; m += 2 * p {
+			composite[m] = true
+		}
+		if hi, _ := bits.Mul64(cur.product, uint64(p)); hi != 0 {
+			chunks = append(chunks, cur)
+			cur = sieveChunk{product: 1}
+		}
+		cur.product *= uint64(p)
+		cur.primes = append(cur.primes, uint16(p))
+	}
+	return append(chunks, cur)
+}()
+
+// hasSmallFactor reports whether the big-endian magnitude c (no leading
+// zero bytes) has an odd prime factor below sieveLimit. It reads bytes, not
+// big.Words, so the answer does not depend on the platform's word size.
+// Values below 2^16 are never reported: a prime could be its own factor.
+func hasSmallFactor(c []byte) bool {
+	if len(c) <= 2 {
+		return false
+	}
+	var head uint64
+	n := len(c) % 8
+	for _, b := range c[:n] {
+		head = head<<8 | uint64(b)
+	}
+	for i := range sieveChunks {
+		ch := &sieveChunks[i]
+		_, r := bits.Div64(0, head, ch.product)
+		for j := n; j < len(c); j += 8 {
+			_, r = bits.Div64(r, binary.BigEndian.Uint64(c[j:]), ch.product)
+		}
+		for _, p := range ch.primes {
+			if r%uint64(p) == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // DeterministicSerial derives a positive 64-bit certificate serial as a

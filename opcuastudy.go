@@ -383,11 +383,25 @@ func BuildWorld(cfg CampaignConfig) (*deploy.World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return deploy.Materialize(spec, deploy.Options{
+	world, err := deploy.Materialize(spec, deploy.Options{
 		TestKeySizes: cfg.TestKeySizes,
 		NoiseProb:    cfg.NoiseProb,
 		MaxHosts:     cfg.MaxHosts,
 	})
+	if err != nil {
+		return nil, err
+	}
+	// The stage split: one progress line, and world_build_*{stage} counters.
+	line := ""
+	for _, st := range world.Build {
+		line += fmt.Sprintf(", %s %d in %.2fs", st.Stage, st.Count, st.Wall.Seconds())
+		reg := cfg.Telemetry.Scope("stage", st.Stage)
+		reg.Counter("world_build_count").Add(uint64(st.Count))
+		reg.Counter("world_build_wall_ns").Add(uint64(st.Wall))
+		reg.Counter("world_build_busy_ns").Add(uint64(st.Busy))
+	}
+	cfg.progressf("world built: %s", line[2:])
+	return world, nil
 }
 
 // RunCampaign builds the world and executes the selected waves.
