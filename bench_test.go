@@ -239,84 +239,30 @@ func BenchmarkSection55Longitudinal(b *testing.B) {
 }
 
 // BenchmarkCampaignWave measures one complete measurement wave (port
-// scan, grabs, follow-ups) against the materialized world, comparing
-// the streaming work-queue scheduler against the legacy depth-barrier
-// design at equal GrabWorkers (see EXPERIMENTS.md).
+// scan, grabs, follow-ups) against the materialized world. The
+// sub-benchmark keeps the name BENCH_3/BENCH_4 recorded it under.
 func BenchmarkCampaignWave(b *testing.B) {
 	c := benchCampaign(b)
-	for _, mode := range []struct {
-		name    string
-		barrier bool
-	}{
-		{"streaming", false},
-		{"barrier", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := c.Config
-			cfg.Waves = []int{7}
-			cfg.Barrier = mode.barrier
-			for i := 0; i < b.N; i++ {
-				if _, err := RunCampaignOnWorld(context.Background(), cfg, c.World); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("streaming", func(b *testing.B) {
+		cfg := c.Config
+		cfg.Waves = []int{7}
+		for i := 0; i < b.N; i++ {
+			if _, err := RunCampaignOnWorld(context.Background(), cfg, c.World); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-}
-
-// BenchmarkCampaignPipeline measures a three-wave campaign end to end.
-// "overlapped" is the full streaming pipeline: streaming grab queue,
-// parallel per-host assessment, and wave w-1's analysis running while
-// wave w scans. "sequential-barrier" is the legacy design: depth
-// barriers, serial assessment, analysis blocking the next scan.
-//
-// Dials get a small artificial RTT (both variants, equally): the
-// zero-latency simulation is purely CPU-bound, where overlapping two
-// CPU-bound stages cannot win wall clock — the real zmap/zgrab2-style
-// pipeline the paper runs is network-bound, which is what the overlap
-// (and the absence of depth barriers) exploits.
-func BenchmarkCampaignPipeline(b *testing.B) {
-	c := benchCampaign(b)
-	c.World.Net.SetLatency(25 * time.Millisecond)
-	defer c.World.Net.SetLatency(0)
-	for _, mode := range []struct {
-		name string
-		tune func(*CampaignConfig)
-	}{
-		{"overlapped", func(cfg *CampaignConfig) {}},
-		{"sequential-barrier", func(cfg *CampaignConfig) {
-			cfg.Barrier = true
-			cfg.Sequential = true
-			cfg.AnalyzeWorkers = 1
-		}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := c.Config
-			cfg.Waves = []int{5, 6, 7}
-			mode.tune(&cfg)
-			for i := 0; i < b.N; i++ {
-				run, err := RunCampaignOnWorld(context.Background(), cfg, c.World)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last := run.LastWave()
-				if len(last.Servers) != 1114 {
-					b.Fatalf("servers = %d, want 1114", len(last.Servers))
-				}
-				b.ReportMetric(float64(len(last.Servers)), "servers")
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkCampaignConcurrentWaves quantifies the worldview speedup:
 // the same three-wave campaign with one wave at a time (WaveWorkers=1,
 // still overlapping analysis with the next scan) versus all three
 // waves scanning concurrently against their own immutable snapshots
-// (WaveWorkers=3). The same artificial RTT as BenchmarkCampaignPipeline
-// is injected into both variants: wave scans are network-shaped in the
-// real study, and that idle dial time is exactly what concurrent waves
-// reclaim. Both variants must reproduce the paper's 1114 servers.
+// (WaveWorkers=3). A small artificial RTT is injected into both
+// variants: the zero-latency simulation is purely CPU-bound, while wave
+// scans are network-shaped in the real study, and that idle dial time is
+// exactly what concurrent waves reclaim. Both variants must reproduce
+// the paper's 1114 servers.
 func BenchmarkCampaignConcurrentWaves(b *testing.B) {
 	c := benchCampaign(b)
 	c.World.Net.SetLatency(25 * time.Millisecond)

@@ -13,10 +13,12 @@ import (
 	"time"
 
 	opcuastudy "repro"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/deploy"
 	"repro/internal/fabric"
 	"repro/internal/pipeline"
+	"repro/internal/report"
 	"repro/internal/telemetry"
 )
 
@@ -63,8 +65,7 @@ func parseFaultSpec(spec string) (fabric.FaultInjector, error) {
 
 // runFabricCoordinator serves the networked shard fabric: it leases
 // the campaign's shards to dialing workers, survives worker loss by
-// re-queueing uncommitted shards, and merges the committed streams
-// through exactly the decoder/merge path the file-based modes use.
+// re-queueing uncommitted shards, and merges the committed streams.
 func runFabricCoordinator(cfg opcuastudy.CampaignConfig, addr string, shards int, deadAfter, heartbeat time.Duration, faultSpec, datasetPath string, csv bool, mopts metricsOptions) error {
 	if shards < 1 {
 		return fmt.Errorf("-listen requires -shards of at least 1, got %d", shards)
@@ -109,14 +110,75 @@ func runFabricCoordinator(cfg opcuastudy.CampaignConfig, addr string, shards int
 		return err
 	}
 
+	fsnap := reg.Snapshot()
+	fsnap.Shard = "fabric"
+	fsnap.Final = true
+	return mergeStreams(cfg, streams, datasetPath, csv, mopts, fsnap)
+}
+
+// mergeStreams merges the committed wave-ordered shard streams
+// deterministically, feeds the incremental analyzer (and optionally the
+// final dataset encoder), and prints the report of the merged campaign.
+// The merge stage owns its own registry: its campaign_records counters
+// tally the records that survive cross-shard dedup, so they equal the
+// merged dataset's record count exactly (workers count the records
+// they emitted, which can overlap on follow-up references). The
+// coordinator's lease/retry snapshot rides along into the -metrics
+// output and the summary.
+func mergeStreams(cfg opcuastudy.CampaignConfig, streams [][]byte, datasetPath string, csv bool, mopts metricsOptions, fabricSnap *telemetry.Snapshot) error {
 	decoders := make([]*dataset.Decoder, len(streams))
 	for i, s := range streams {
 		decoders[i] = dataset.NewDecoder(bytes.NewReader(s))
 	}
-	fsnap := reg.Snapshot()
-	fsnap.Shard = "fabric"
-	fsnap.Final = true
-	return mergeStreams(cfg, decoders, datasetPath, csv, mopts, nil, fsnap)
+	reg := telemetry.New()
+	analyzer := pipeline.NewAnalyzer(pipeline.AnalyzerConfig{
+		Workers: cfg.AnalyzeWorkers,
+		Retain:  true,
+		Metrics: reg,
+		OnWave: func(w *core.WaveAnalysis) {
+			reg.Scope("wave", strconv.Itoa(w.Wave)).Counter("campaign_records").Add(uint64(len(w.Records)))
+			fmt.Fprintf(os.Stderr, "merged wave %d: %d OPC UA hosts (%d servers, %d discovery), %.0f%% deficient\n",
+				w.Wave, len(w.Records), len(w.Servers), w.Discovery, 100*w.DeficientFrac)
+		},
+	})
+	sinks := []pipeline.RecordSink{analyzer}
+	var out *os.File
+	if datasetPath != "" {
+		var err error
+		if out, err = os.Create(datasetPath); err != nil {
+			return err
+		}
+		defer out.Close()
+		sinks = append(sinks, pipeline.NewEncoderSink(out, cfg.Anonymize))
+	}
+	sink := pipeline.Tee(sinks...)
+	if err := pipeline.MergeShardStreams(sink, decoders...); err != nil {
+		return err
+	}
+	if err := sink.Close(); err != nil {
+		return err
+	}
+	if out != nil {
+		if err := out.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "merged dataset written to %s\n", datasetPath)
+	}
+
+	analyses, long := analyzer.Results()
+	if len(analyses) == 0 {
+		return fmt.Errorf("merged streams contain no analyzable waves")
+	}
+
+	mergeSnap := reg.Snapshot()
+	mergeSnap.Shard = "merge"
+	mergeSnap.Final = true
+	summary, err := writeSnapshots(mopts.Path, mergeSnap, fabricSnap)
+	if err != nil {
+		return err
+	}
+	printTables(append(report.All(analyses, long), summaryTable(summary)), csv)
+	return nil
 }
 
 // runFabricWorker dials a fabric coordinator and executes leased

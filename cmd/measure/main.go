@@ -8,34 +8,35 @@
 //	measure [-seed 2020] [-waves 0-7] [-dataset out.jsonl] [-anonymize]
 //	        [-testkeys] [-noise 0.002] [-csv] [-max-hosts 0]
 //	        [-grab-workers 32] [-wave-workers 1] [-analyze-workers 0]
-//	        [-sequential] [-crypto-cache 0] [-chaos mixed,seed=7] [-delta]
+//	        [-crypto-cache 0] [-chaos mixed,seed=7] [-delta] [-shards 4]
 //
 // -delta runs a delta-wave campaign (DESIGN.md §10): every wave after
 // the first fingerprints each host's spec state and skips the grab of
 // provably unchanged hosts, cloning their prior records instead. The
 // dataset stays byte-identical to the full scan; needs at least two
-// selected waves. Composes with -chaos (chaos decisions are part of
-// the fingerprint) and -shards (the flag travels in the campaign spec,
-// so every worker plans the same skips).
+// selected waves and one wave in flight (-wave-workers 0 or 1).
+// Composes with -chaos (chaos decisions are part of the fingerprint)
+// and -shards (in a fabric the flag travels in the campaign spec, so
+// every worker plans the same skips).
 //
-// Sharded multi-process campaigns (DESIGN.md §5):
+// -shards N splits every wave's permuted probe space into N shards that
+// scan concurrently in this process, each with its own grab pool, and
+// merge into the record-for-record unsharded wave (DESIGN.md §2, §5).
 //
-//	# Coordinator: spawn 4 worker subprocesses of this binary, one per
-//	# shard of every wave's permuted probe space, merge their streams
-//	# deterministically, analyze and report the merged campaign:
-//	measure -shards 4 [-dataset out.jsonl] [other flags]
+// Across processes and machines the same plan runs on the shard fabric:
 //
-//	# Worker: scan shard 1 of 4 and stream raw records as wave-ordered
-//	# NDJSON to the -dataset path ("-" or empty = stdout). Run by the
-//	# coordinator, or by hand on separate machines:
-//	measure -shards 4 -shard 1 -dataset shard-1.jsonl
+//	# Coordinator: lease 4 shards to whichever workers dial in, survive
+//	# their loss, merge the committed streams deterministically, analyze
+//	# and report the merged campaign:
+//	measure -listen :4841 -shards 4 [-dataset out.jsonl] [other flags]
 //
-//	# Merge pre-produced worker outputs without rescanning:
-//	measure -merge shard-0.jsonl,shard-1.jsonl,... [-dataset out.jsonl]
+//	# Worker (any number, anywhere): the campaign configuration comes
+//	# from the coordinator, never from this process's flags:
+//	measure -connect coordinator:4841 [-name w1]
 //
 // Workers always emit raw records (anonymization would desynchronize
-// the shards' sequence numbers); the coordinator/merge step applies
-// -anonymize to the merged stream.
+// the shards' sequence numbers); the coordinator applies -anonymize to
+// the merged stream.
 package main
 
 import (
@@ -44,43 +45,44 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
-	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	opcuastudy "repro"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/pipeline"
-	"repro/internal/report"
+	"repro/internal/deploy"
 	"repro/internal/telemetry"
 )
 
+// parseWaves parses the -waves value and rejects at flag time, before
+// any world is built, what the campaign would reject after it: waves
+// outside the study's schedule and waves selected more than once.
 func parseWaves(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err1 := strconv.Atoi(lo)
-			b, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || a > b {
-				return nil, fmt.Errorf("invalid wave range %q", part)
-			}
-			for w := a; w <= b; w++ {
-				out = append(out, w)
-			}
-			continue
+		lo, hi, isRange := strings.Cut(part, "-")
+		if !isRange {
+			hi = lo
 		}
-		w, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("invalid wave %q", part)
+		a, err1 := strconv.Atoi(lo)
+		b, err2 := strconv.Atoi(hi)
+		if err1 != nil || err2 != nil || a > b {
+			return nil, fmt.Errorf("-waves %q: invalid wave or range %q", s, part)
 		}
-		out = append(out, w)
+		for w := a; w <= b; w++ {
+			if w < 0 || w >= len(deploy.WaveDates) {
+				return nil, fmt.Errorf("-waves %q: wave %d out of range 0-%d", s, w, len(deploy.WaveDates)-1)
+			}
+			if slices.Contains(out, w) {
+				return nil, fmt.Errorf("-waves %q selects wave %d more than once", s, w)
+			}
+			out = append(out, w)
+		}
 	}
 	return out, nil
 }
@@ -116,8 +118,8 @@ func main() {
 	log.SetFlags(0)
 	seed := flag.Int64("seed", 2020, "world generation seed")
 	waves := flag.String("waves", "", "waves to run, e.g. \"7\" or \"0-7\" (default all)")
-	datasetPath := flag.String("dataset", "", "write the dataset as JSONL to this file (worker mode: the shard stream; \"-\" = stdout)")
-	anonymize := flag.Bool("anonymize", false, "apply release anonymization to the dataset (ignored in worker mode)")
+	datasetPath := flag.String("dataset", "", "write the dataset as JSONL to this file")
+	anonymize := flag.Bool("anonymize", false, "apply release anonymization to the dataset")
 	testKeys := flag.Bool("testkeys", false, "use 512-bit keys (fast, breaks key-length analysis)")
 	noise := flag.Float64("noise", 0.002, "open-port noise probability")
 	csv := flag.Bool("csv", false, "print tables as CSV instead of text")
@@ -125,24 +127,20 @@ func main() {
 	grabWorkers := flag.Int("grab-workers", 0, "scanner worker pool size (0 = default 32; per shard when sharded)")
 	waveWorkers := flag.Int("wave-workers", 0, "waves scanned concurrently, each against its own immutable world view (0/1 = one at a time)")
 	analyzeWorkers := flag.Int("analyze-workers", 0, "assessment worker pool size (0 = GOMAXPROCS)")
-	sequential := flag.Bool("sequential", false, "disable the cross-wave scan/analysis overlap")
 	cryptoCache := flag.Int("crypto-cache", 0,
 		"RSA memoization engine entry budget (0 = default; negative disables memoized, deterministic handshakes)")
 	chaosSpec := flag.String("chaos", "",
 		"adversarial host model, <profile>[,seed=N] (profiles: "+strings.Join(chaos.Profiles(), ", ")+"; seed defaults to -seed)")
 	delta := flag.Bool("delta", false,
 		"delta-wave campaign: fingerprint host state per wave and clone unchanged hosts' prior records instead of re-grabbing (needs at least 2 selected waves)")
-	shards := flag.Int("shards", 0, "shard every wave's probe space N ways across worker subprocesses (coordinator mode unless -shard is set)")
-	shard := flag.Int("shard", -1, "worker mode: scan only this shard (0-based; requires -shards)")
-	merge := flag.String("merge", "", "merge pre-produced worker shard streams (comma-separated JSONL files) instead of scanning")
-	workerTimeout := flag.Duration("worker-timeout", 30*time.Minute, "coordinator mode: kill shard workers still running after this long (0 = wait forever)")
+	shards := flag.Int("shards", 0, "shard every wave's probe space N ways: concurrently in this process, or with -listen leased to networked workers")
 	listenAddr := flag.String("listen", "", "fabric coordinator mode: lease shards to networked workers on this address (with -shards)")
 	connectAddr := flag.String("connect", "", "fabric worker mode: dial this coordinator and execute leased shards")
 	workerName := flag.String("name", "", "fabric worker name (default worker-<pid>)")
 	faultSpec := flag.String("fault", "", "fabric fault injection for tests: worker kill=N | stall=N | drop=N, coordinator dupgrant")
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "fabric worker heartbeat cadence (coordinator: advertised in the campaign spec)")
 	deadAfter := flag.Duration("dead-after", 10*time.Second, "fabric coordinator: declare a worker dead after this heartbeat gap and re-queue its shards")
-	metricsPath := flag.String("metrics", "", "stream telemetry snapshots as NDJSON to this file (\"-\" = stdout); sharded runs emit per-shard and merged snapshots")
+	metricsPath := flag.String("metrics", "", "stream telemetry snapshots as NDJSON to this file (\"-\" = stdout); a fabric coordinator writes the merge stage's and its own closing snapshots")
 	metricsInterval := flag.Duration("metrics-interval", 0, "periodic snapshot cadence (0 = closing snapshot only)")
 	tracePath := flag.String("trace", "", "dump the span-style exchange trace as NDJSON to this file (single-process mode)")
 	debugAddr := flag.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address for live campaigns")
@@ -159,11 +157,11 @@ func main() {
 	if *delta {
 		// Fail the composition errors at flag time with the actual
 		// values, before any world is built.
-		if *merge != "" {
-			log.Fatalf("-delta plans skips between consecutively scanned waves and cannot compose with -merge %q, which re-merges already-scanned streams", *merge)
-		}
 		if waveList != nil && len(waveList) < 2 {
 			log.Fatalf("-delta diffs consecutive waves and needs at least 2 selected, got -waves %q selecting %d wave(s)", *waves, len(waveList))
+		}
+		if *waveWorkers > 1 {
+			log.Fatalf("-delta plans each wave from what the previous one observed and scans one wave at a time, got -wave-workers %d (use 0 or 1; -shards parallelizes a delta wave)", *waveWorkers)
 		}
 	}
 	cfg := opcuastudy.CampaignConfig{
@@ -176,7 +174,6 @@ func main() {
 		GrabWorkers:    *grabWorkers,
 		WaveWorkers:    *waveWorkers,
 		AnalyzeWorkers: *analyzeWorkers,
-		Sequential:     *sequential,
 		CryptoCache:    *cryptoCache,
 		ChaosProfile:   chaosProfile,
 		ChaosSeed:      chaosSeed,
@@ -193,17 +190,12 @@ func main() {
 		DebugAddr: *debugAddr,
 	}
 	switch {
-	case *merge != "":
-		err = mergeShards(cfg, strings.Split(*merge, ","), *datasetPath, *csv, mopts, nil)
 	case *connectAddr != "":
 		err = runFabricWorker(cfg, *connectAddr, *workerName, *faultSpec, *heartbeat, mopts)
 	case *listenAddr != "":
 		err = runFabricCoordinator(cfg, *listenAddr, *shards, *deadAfter, *heartbeat, *faultSpec, *datasetPath, *csv, mopts)
-	case *shard >= 0:
-		err = runWorker(cfg, *shards, *shard, *datasetPath, mopts)
-	case *shards > 1:
-		err = coordinate(cfg, *shards, *datasetPath, *csv, mopts, *workerTimeout)
 	default:
+		cfg.Shards = *shards
 		err = runSingle(cfg, *datasetPath, *csv, mopts)
 	}
 	if err != nil {
@@ -211,9 +203,9 @@ func main() {
 	}
 }
 
-// runSingle is the classic single-process campaign. The telemetry
-// registry is always live — the closing summary table reads it — and
-// -metrics additionally streams its snapshots as NDJSON.
+// runSingle is the single-process campaign. The telemetry registry is
+// always live — the closing summary table reads it — and -metrics
+// additionally streams its snapshots as NDJSON.
 func runSingle(cfg opcuastudy.CampaignConfig, datasetPath string, csv bool, mopts metricsOptions) error {
 	cfg.Telemetry = telemetry.New()
 	if mopts.TracePath != "" {
@@ -256,271 +248,6 @@ func runSingle(cfg opcuastudy.CampaignConfig, datasetPath string, csv bool, mopt
 		}
 		fmt.Fprintf(os.Stderr, "dataset written to %s\n", datasetPath)
 	}
-	return nil
-}
-
-// runWorker scans one shard of every selected wave and streams raw
-// records as wave-ordered NDJSON. Each worker owns a process-scoped
-// telemetry registry; its -metrics stream carries the shard identity so
-// the coordinator can merge the final snapshots.
-func runWorker(cfg opcuastudy.CampaignConfig, shards, shard int, datasetPath string, mopts metricsOptions) error {
-	if shards < 1 || shard >= shards {
-		return fmt.Errorf("-shard %d requires -shards of at least %d, got -shards %d (valid -shard values are 0..shards-1)",
-			shard, shard+1, shards)
-	}
-	if cfg.Anonymize {
-		fmt.Fprintln(os.Stderr, "worker mode emits raw records; -anonymize applies at merge time")
-		cfg.Anonymize = false
-	}
-	out := os.Stdout
-	if datasetPath != "" && datasetPath != "-" {
-		f, err := os.Create(datasetPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-
-	cfg.Telemetry = telemetry.New()
-	if err := serveDebug(mopts.DebugAddr, cfg.Telemetry); err != nil {
-		return err
-	}
-	streamer, err := newMetricsStreamer(mopts.Path, mopts.Interval, cfg.Telemetry, strconv.Itoa(shard))
-	if err != nil {
-		return err
-	}
-	cfg.Progressf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "[shard %d/%d] "+format+"\n",
-			append([]any{shard, shards}, args...)...)
-	}
-	world, err := opcuastudy.BuildWorld(cfg)
-	if err != nil {
-		streamer.Stop()
-		return err
-	}
-	// The fan-in stage lets NDJSON encoding drain while the next wave
-	// scans; it owns (and closes) the encoder sink.
-	sink := pipeline.NewChanSinkObserved(pipeline.NewEncoderSink(out, false), 256,
-		pipeline.NewChanMetrics(cfg.Telemetry))
-	err = opcuastudy.RunCampaignShard(context.Background(), cfg, world, shards, shard, sink)
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	if serr := streamer.Stop(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		return err
-	}
-	if out != os.Stdout {
-		return out.Close()
-	}
-	return nil
-}
-
-// coordinate spawns one worker subprocess per shard, waits (bounded by
-// workerTimeout), and merges their streams into the analyzed campaign.
-// With -metrics, each worker streams its own shard-tagged snapshots
-// into a scratch file and the coordinator folds the final ones into
-// the merged metrics output.
-func coordinate(cfg opcuastudy.CampaignConfig, shards int, datasetPath string, csv bool, mopts metricsOptions, workerTimeout time.Duration) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	tmp, err := os.MkdirTemp("", "measure-shards-")
-	if err != nil {
-		return err
-	}
-	// Returning (never exiting) from every path below keeps this
-	// cleanup live: a failed run must not strand the workers' shard
-	// files in /tmp.
-	defer os.RemoveAll(tmp)
-
-	var paths, workerMetrics []string
-	var cmds []*exec.Cmd
-	for i := 0; i < shards; i++ {
-		out := filepath.Join(tmp, fmt.Sprintf("shard-%d.jsonl", i))
-		paths = append(paths, out)
-		args := []string{
-			"-shards", strconv.Itoa(shards),
-			"-shard", strconv.Itoa(i),
-			"-dataset", out,
-			"-seed", strconv.FormatInt(cfg.Seed, 10),
-			"-noise", strconv.FormatFloat(cfg.NoiseProb, 'g', -1, 64),
-			"-max-hosts", strconv.Itoa(cfg.MaxHosts),
-			"-grab-workers", strconv.Itoa(cfg.GrabWorkers),
-			"-crypto-cache", strconv.Itoa(cfg.CryptoCache),
-		}
-		if cfg.ChaosProfile != "" {
-			spec := cfg.ChaosProfile
-			if cfg.ChaosSeed != 0 {
-				spec += ",seed=" + strconv.FormatInt(cfg.ChaosSeed, 10)
-			}
-			args = append(args, "-chaos", spec)
-		}
-		if m := mopts.forWorker(tmp, i); m != "" {
-			workerMetrics = append(workerMetrics, m)
-			args = append(args, "-metrics", m)
-			if mopts.Interval > 0 {
-				args = append(args, "-metrics-interval", mopts.Interval.String())
-			}
-		}
-		if len(cfg.Waves) > 0 {
-			var parts []string
-			for _, w := range cfg.Waves {
-				parts = append(parts, strconv.Itoa(w))
-			}
-			args = append(args, "-waves", strings.Join(parts, ","))
-		}
-		if cfg.TestKeySizes {
-			args = append(args, "-testkeys")
-		}
-		if cfg.Delta {
-			args = append(args, "-delta")
-		}
-		cmd := exec.Command(exe, args...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			for _, c := range cmds {
-				c.Process.Kill()
-				c.Wait()
-			}
-			return fmt.Errorf("spawning shard %d: %w", i, err)
-		}
-		cmds = append(cmds, cmd)
-	}
-	// Reap with a bound: a wedged worker (deadlocked, stuck on I/O)
-	// must not hang the coordinator forever. On timeout the stragglers
-	// are killed, still reaped (no zombies), and named in the campaign
-	// error.
-	type reaped struct {
-		shard int
-		err   error
-	}
-	waits := make(chan reaped, len(cmds))
-	for i, cmd := range cmds {
-		go func(i int, cmd *exec.Cmd) {
-			waits <- reaped{i, cmd.Wait()}
-		}(i, cmd)
-	}
-	var deadline <-chan time.Time
-	if workerTimeout > 0 {
-		t := time.NewTimer(workerTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	failed := false
-	exited := make([]bool, len(cmds))
-	for n := 0; n < len(cmds); n++ {
-		select {
-		case r := <-waits:
-			exited[r.shard] = true
-			if r.err != nil {
-				log.Printf("shard %d worker failed: %v", r.shard, r.err)
-				failed = true
-			}
-		case <-deadline:
-			var wedged []int
-			for i, done := range exited {
-				if !done {
-					wedged = append(wedged, i)
-					cmds[i].Process.Kill()
-				}
-			}
-			for ; n < len(cmds); n++ {
-				<-waits
-			}
-			return fmt.Errorf("shard workers %v still running after -worker-timeout %s; killed, not merging partial streams",
-				wedged, workerTimeout)
-		}
-	}
-	if failed {
-		return fmt.Errorf("one or more shard workers failed; not merging partial streams")
-	}
-	return mergeShards(cfg, paths, datasetPath, csv, mopts, workerMetrics)
-}
-
-// mergeShards merges wave-ordered worker streams deterministically,
-// feeds the incremental analyzer (and optionally the final dataset
-// encoder), and prints the report of the merged campaign. The merge
-// stage owns its own registry: its campaign_records counters tally the
-// records that survive cross-shard dedup, so they equal the merged
-// dataset's record count exactly (workers count the records they
-// emitted, which can overlap on follow-up references). workerMetrics,
-// when non-empty, lists the workers' metrics streams; their final
-// snapshots are replayed into the -metrics output alongside the merged
-// total.
-func mergeShards(cfg opcuastudy.CampaignConfig, paths []string, datasetPath string, csv bool, mopts metricsOptions, workerMetrics []string) error {
-	var decoders []*dataset.Decoder
-	for _, p := range paths {
-		f, err := os.Open(strings.TrimSpace(p))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		decoders = append(decoders, dataset.NewDecoder(f))
-	}
-	return mergeStreams(cfg, decoders, datasetPath, csv, mopts, workerMetrics)
-}
-
-// mergeStreams is the transport-independent merge stage shared by the
-// file-based coordinator/merge modes and the network fabric: the
-// decoders may read shard files or committed in-memory fabric streams.
-// Extra snapshots (the fabric coordinator's lease/retry counters) ride
-// along into the metrics output and the summary.
-func mergeStreams(cfg opcuastudy.CampaignConfig, decoders []*dataset.Decoder, datasetPath string, csv bool, mopts metricsOptions, workerMetrics []string, extra ...*telemetry.Snapshot) error {
-	reg := telemetry.New()
-	analyzer := pipeline.NewAnalyzer(pipeline.AnalyzerConfig{
-		Workers: cfg.AnalyzeWorkers,
-		Retain:  true,
-		Metrics: reg,
-		OnWave: func(w *core.WaveAnalysis) {
-			reg.Scope("wave", strconv.Itoa(w.Wave)).Counter("campaign_records").Add(uint64(len(w.Records)))
-			fmt.Fprintf(os.Stderr, "merged wave %d: %d OPC UA hosts (%d servers, %d discovery), %.0f%% deficient\n",
-				w.Wave, len(w.Records), len(w.Servers), w.Discovery, 100*w.DeficientFrac)
-		},
-	})
-	sinks := []pipeline.RecordSink{analyzer}
-	var out *os.File
-	if datasetPath != "" {
-		var err error
-		if out, err = os.Create(datasetPath); err != nil {
-			return err
-		}
-		defer out.Close()
-		sinks = append(sinks, pipeline.NewEncoderSink(out, cfg.Anonymize))
-	}
-	sink := pipeline.Tee(sinks...)
-	if err := pipeline.MergeShardStreams(sink, decoders...); err != nil {
-		return err
-	}
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	if out != nil {
-		if err := out.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "merged dataset written to %s\n", datasetPath)
-	}
-
-	analyses, long := analyzer.Results()
-	if len(analyses) == 0 {
-		return fmt.Errorf("merged streams contain no analyzable waves")
-	}
-
-	mergeSnap := reg.Snapshot()
-	mergeSnap.Shard = "merge"
-	mergeSnap.Final = true
-	summary, err := writeMergedMetrics(mopts.Path, workerMetrics,
-		append([]*telemetry.Snapshot{mergeSnap}, extra...)...)
-	if err != nil {
-		return err
-	}
-
-	printTables(append(report.All(analyses, long), summaryTable(summary)), csv)
 	return nil
 }
 

@@ -24,16 +24,6 @@ type metricsOptions struct {
 	DebugAddr string        // expvar/pprof listener ("" = off)
 }
 
-// forWorker derives the worker subprocess's metrics flags: each worker
-// streams into its own file under dir, and the coordinator merges the
-// final snapshots afterwards.
-func (m metricsOptions) forWorker(dir string, shard int) string {
-	if m.Path == "" {
-		return ""
-	}
-	return fmt.Sprintf("%s/shard-%d.metrics.ndjson", dir, shard)
-}
-
 // metricsStreamer periodically snapshots a registry as NDJSON and
 // writes the closing Final snapshot on Stop. Safe with a nil writer
 // (all methods no-op).
@@ -114,47 +104,11 @@ func (s *metricsStreamer) Stop() error {
 	return nil
 }
 
-// readFinalSnapshot returns the closing snapshot of a worker's metrics
-// stream (the last Final one, falling back to the last line).
-func readFinalSnapshot(path string) (*telemetry.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	snaps, err := telemetry.ReadSnapshots(f)
-	if err != nil {
-		return nil, err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		if snaps[i].Final {
-			return snaps[i], nil
-		}
-	}
-	if len(snaps) > 0 {
-		return snaps[len(snaps)-1], nil
-	}
-	return nil, fmt.Errorf("no snapshots in %s", path)
-}
-
-// writeMergedMetrics emits the sharded campaign's closing metrics: each
-// worker's final shard-tagged snapshot, their merged "total", and the
-// trailing snapshots — the merge stage's own (whose campaign_records
-// counters are the authoritative post-dedup record counts), plus, for
-// fabric runs, the coordinator's lease/retry snapshot. It returns the
-// combined snapshot used for the summary table: worker totals with
-// their campaign_records replaced by the merge stage's exact counts,
-// so "dataset records" always equals the merged dataset.
-func writeMergedMetrics(path string, workerMetrics []string, trailing ...*telemetry.Snapshot) (*telemetry.Snapshot, error) {
-	var finals []*telemetry.Snapshot
-	for _, p := range workerMetrics {
-		s, err := readFinalSnapshot(p)
-		if err != nil {
-			return nil, err
-		}
-		finals = append(finals, s)
-	}
-
+// writeSnapshots emits a fabric campaign's closing snapshots to the
+// -metrics path ("" = nowhere, "-" = stdout) and returns their union
+// for the summary table. Workers stream their own registries
+// (measure -connect -metrics).
+func writeSnapshots(path string, snaps ...*telemetry.Snapshot) (*telemetry.Snapshot, error) {
 	if path != "" {
 		w := io.Writer(os.Stdout)
 		var c io.Closer
@@ -165,16 +119,7 @@ func writeMergedMetrics(path string, workerMetrics []string, trailing ...*teleme
 			}
 			w, c = f, f
 		}
-		out := finals
-		if len(finals) > 0 {
-			total, err := telemetry.MergeSnapshots("total", finals...)
-			if err != nil {
-				return nil, err
-			}
-			out = append(append([]*telemetry.Snapshot{}, finals...), total)
-		}
-		out = append(out, trailing...)
-		for _, s := range out {
+		for _, s := range snaps {
 			if err := telemetry.WriteSnapshot(w, s); err != nil {
 				if c != nil {
 					c.Close()
@@ -186,24 +131,10 @@ func writeMergedMetrics(path string, workerMetrics []string, trailing ...*teleme
 			if err := c.Close(); err != nil {
 				return nil, err
 			}
-		}
-		if path != "-" {
-			fmt.Fprintf(os.Stderr, "telemetry snapshots written to %s (%d per-shard + total + merge)\n",
-				path, len(finals))
+			fmt.Fprintf(os.Stderr, "telemetry snapshots written to %s\n", path)
 		}
 	}
-
-	// Workers tally the records they emitted, which overlap when a
-	// follow-up reference crosses shards; drop their counts so the
-	// summary's accounting comes solely from the merge stage.
-	for _, s := range finals {
-		for k := range s.Counters {
-			if strings.HasPrefix(k, "campaign_records") {
-				delete(s.Counters, k)
-			}
-		}
-	}
-	return telemetry.MergeSnapshots("", append(finals, trailing...)...)
+	return telemetry.MergeSnapshots("", snaps...)
 }
 
 // dumpTrace writes the tracer's retained exchanges as NDJSON.
@@ -242,7 +173,7 @@ func serveDebug(addr string, reg *telemetry.Registry) error {
 
 // summaryTable condenses the closing snapshot into the one-screen
 // campaign summary: discovery volume, grab outcomes, handshake
-// outcomes, crypto-cache efficiency, and pipeline backpressure.
+// outcomes, crypto-cache efficiency, and grab-queue depth.
 func summaryTable(s *telemetry.Snapshot) *report.Table {
 	count := func(name string) string {
 		return strconv.FormatUint(s.CounterTotal(name), 10)
@@ -345,9 +276,6 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 		add("RSA cache hit rate", "n/a (cache disabled or idle)")
 	}
 
-	add("sink records", count("sink_records"))
-	add("sink blocked (cumulative)", dur(s.CounterTotal("sink_blocked_ns")))
-	add("sink buffer high-water", strconv.FormatInt(s.MaxTotal("sink_buffer_highwater"), 10))
 	add("grab queue high-water", strconv.FormatInt(s.MaxTotal("grab_queue_depth"), 10))
 
 	// Fabric rows appear only for networked campaigns (the counters

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/deploy"
 	"repro/internal/scanner"
-	"repro/internal/simnet"
 	"repro/internal/wavediff"
 )
 
@@ -18,12 +17,20 @@ import (
 // wave index and date) and which must fall back to a real grab.
 //
 // Concurrency: the tracker is single-owner. Delta campaigns serialize
-// waves (RunCampaignOnWorld forces one wave in flight; RunCampaignShard
-// is a serial wave loop), and planWave/observeWave run on that one
-// goroutine in wave order. During a scan the installed Skip closure is
-// called from shard goroutines concurrently, but only ever reads the
-// tracker's maps — the next mutation (observeWave) starts after every
-// shard has joined.
+// waves (campaignRun.waveWorkers is 1; RunCampaignShard is a serial
+// wave loop), and scanWave calls planWave/observeWave in wave order.
+// During a scan the installed Skip closure is called from shard
+// goroutines concurrently, but only ever reads the tracker's maps — the
+// next mutation (observeWave) starts after every shard has joined.
+//
+// Records are read-only: recordFor holds the very *HostRecord the
+// campaign emitted for the address (scanWave converts each grab once),
+// and a clone is a shallow copy that aliases its source's inner slices
+// (endpoints, namespaces, certificate). That is sound because nothing
+// downstream of scanWave writes to a record while the campaign runs —
+// the analysis folds read, EncoderSink anonymizes a copy — and a
+// RecordSink that did would change the clones of every later wave; the
+// delta byte-identity gates are what check it.
 type deltaTracker struct {
 	plans []*wavediff.Plan
 
@@ -34,8 +41,8 @@ type deltaTracker struct {
 	// fingerprint moved past it.
 	//
 	// recordFor maps an address to the dataset record its last real
-	// grab produced (clones re-stamp it; its content is pinned by the
-	// fingerprint). noRecord marks addresses whose last real grab
+	// grab produced (clones re-stamp a copy; its content is pinned by
+	// the fingerprint). noRecord marks addresses whose last real grab
 	// produced no dataset record — port-4840 noise, and unclassified
 	// failures — so "skip and emit nothing" is distinguishable from
 	// "never consulted, must grab". follow maps a referrer to the
@@ -52,8 +59,8 @@ type followObs struct {
 	list  []string
 }
 
-// deltaWave is one wave's frozen delta decision set, handed from the
-// scan side to the analysis side (which only reads it).
+// deltaWave is one wave's frozen delta decision set: planWave makes it,
+// the scan reads it, observeWave fills in the clones.
 type deltaWave struct {
 	wave int
 	// diff is nil for a fallback wave (the first selected wave scans in
@@ -63,8 +70,8 @@ type deltaWave struct {
 	sd *scanner.WaveDelta
 	// clones are the skipped addresses' re-stamped records, filled by
 	// observeWave once the wave's real grabs are known (surfacing of
-	// reference-only hosts depends on them). The analysis side merges
-	// them with the grabbed records in standard deterministic order.
+	// reference-only hosts depends on them). mergeDeltaRecords folds
+	// them into the grabbed records in standard deterministic order.
 	clones []*dataset.HostRecord
 }
 
@@ -89,8 +96,8 @@ func (cfg CampaignConfig) deltaContext() wavediff.Context {
 // state, no dialing — and validates the selection. Waves may be in any
 // order and any distance apart: the diff compares absolute state, not
 // wave arithmetic. Requires the chaos model to be installed on the
-// world already (newScannerBase), so the fingerprints fold the same
-// (wave, host) chaos decisions the dial path will consult.
+// world already (newCampaignRun orders it), so the fingerprints fold the
+// same (wave, host) chaos decisions the dial path will consult.
 func newDeltaTracker(cfg CampaignConfig, world *deploy.World, waves []int) (*deltaTracker, error) {
 	if len(waves) < 2 {
 		return nil, fmt.Errorf(
@@ -182,19 +189,22 @@ func (t *deltaTracker) planWave(i int) *deltaWave {
 
 // observeWave folds a completed wave back into the tracker — the
 // grabbed results' fresh observations plus the skipped addresses'
-// carried knowledge — and computes the wave's clones. Never called for
-// a cancelled or errored wave: a partial wave must not masquerade as
-// the campaign's memory.
-func (t *deltaTracker) observeWave(i int, dw *deltaWave, wave *scanner.Wave, view simnet.View) {
+// carried knowledge — and computes the wave's clones. recs are the
+// wave's grabbed records (wave.DatasetResults converted, one per
+// address); the tracker keeps them, see the read-only contract above.
+// Never called for a cancelled or errored wave: a partial wave must not
+// masquerade as the campaign's memory.
+func (t *deltaTracker) observeWave(i int, dw *deltaWave, wave *scanner.Wave, recs []*dataset.HostRecord) {
 	w := dw.wave
 	date := deploy.WaveDates[w]
 	newRecord := make(map[string]*dataset.HostRecord, len(t.recordFor))
 	newNo := make(map[string]bool, len(t.noRecord))
 	newFollow := make(map[string]followObs, len(t.follow))
+	for _, rec := range recs {
+		newRecord[rec.Address] = rec
+	}
 	for _, res := range wave.Results {
-		if res.ReachedOPCUA || res.FailureClass != "" {
-			newRecord[res.Address] = dataset.FromResult(res, w, date, asnOf(view, res.Address))
-		} else {
+		if newRecord[res.Address] == nil {
 			newNo[res.Address] = true
 		}
 		if len(res.FollowUp) > 0 {

@@ -3,16 +3,12 @@ package opcuastudy
 import (
 	"bytes"
 	"context"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/telemetry"
 )
 
@@ -169,115 +165,6 @@ func reconcileDeltaCounters(t *testing.T, run *Campaign, reg *telemetry.Registry
 	if fallbacks != 1 {
 		t.Errorf("shards=%d: wave_delta_fallbacks total %d, want exactly 1 (first wave)",
 			shards, fallbacks)
-	}
-}
-
-// TestMeasureDeltaCoordinator runs the subprocess coordinator with and
-// without -delta and pins the worker-mode delta path (RunCampaignShard):
-// the merged delta dataset must be byte-identical to the full-scan
-// coordinator's, -delta must travel to the workers, and the merged
-// metrics must carry the per-shard delta counters — every worker falls
-// back exactly once (its first wave), the "total" snapshot sums the
-// shards, and the cloned-record hits stay within the dataset's record
-// count.
-func TestMeasureDeltaCoordinator(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess campaign skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "measure")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/measure").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/measure: %v\n%s", err, out)
-	}
-	const shards = 2
-	dir := t.TempDir()
-	run := func(name string, extra ...string) string {
-		t.Helper()
-		out := filepath.Join(dir, name+".jsonl")
-		args := append([]string{
-			"-shards", strconv.Itoa(shards),
-			"-seed", "2020", "-waves", "4-7", "-testkeys",
-			"-max-hosts", "60", "-noise", "1e-5", "-grab-workers", "8",
-			"-dataset", out,
-		}, extra...)
-		if o, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("coordinator %s: %v\n%s", name, err, o)
-		}
-		return out
-	}
-	normalized := func(path string) []byte {
-		t.Helper()
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		recs, err := dataset.Read(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			r.Duration, r.Bytes = 0, 0
-		}
-		var buf bytes.Buffer
-		if err := dataset.Write(&buf, recs); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	full := run("full")
-	metrics := filepath.Join(dir, "delta.metrics.ndjson")
-	delta := run("delta", "-delta", "-metrics", metrics)
-	want, got := normalized(full), normalized(delta)
-	if !bytes.Equal(got, want) {
-		t.Errorf("delta coordinator dataset differs from full scan (%d vs %d bytes)",
-			len(got), len(want))
-	}
-
-	mf, err := os.Open(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := telemetry.ReadSnapshots(mf)
-	mf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byShard := map[string]*telemetry.Snapshot{}
-	for _, s := range snaps {
-		byShard[s.Shard] = s
-	}
-	var hitSum, fallbackSum uint64
-	for i := 0; i < shards; i++ {
-		s := byShard[strconv.Itoa(i)]
-		if s == nil {
-			t.Fatalf("metrics output missing shard %d snapshot", i)
-		}
-		if got := s.CounterTotal("wave_delta_fallbacks"); got != 1 {
-			t.Errorf("shard %d: wave_delta_fallbacks = %d, want 1 (first wave only)", i, got)
-		}
-		if s.CounterTotal("wave_delta_hits") == 0 {
-			t.Errorf("shard %d: no delta hits — fingerprints never matched", i)
-		}
-		hitSum += s.CounterTotal("wave_delta_hits")
-		fallbackSum += s.CounterTotal("wave_delta_fallbacks")
-	}
-	total := byShard["total"]
-	if total == nil {
-		t.Fatal("metrics output missing the merged total snapshot")
-	}
-	if got := total.CounterTotal("wave_delta_hits"); got != hitSum {
-		t.Errorf("total wave_delta_hits = %d, want %d (sum of shards)", got, hitSum)
-	}
-	if got := total.CounterTotal("wave_delta_fallbacks"); got != fallbackSum {
-		t.Errorf("total wave_delta_fallbacks = %d, want %d (sum of shards)", got, fallbackSum)
-	}
-	merged := byShard["merge"]
-	if merged == nil {
-		t.Fatal("metrics output missing the merge snapshot")
-	}
-	if recs := merged.CounterTotal("campaign_records"); hitSum == 0 || hitSum >= recs {
-		t.Errorf("delta hits %d out of range (0, %d records)", hitSum, recs)
 	}
 }
 

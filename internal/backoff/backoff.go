@@ -1,9 +1,8 @@
 // Package backoff is the repository's one deterministic retry
-// schedule: exponential growth with seeded jitter. It started life
-// inside the shard fabric (PR 8); the scanner's probe-retry budget
-// (PR 9) needs the identical envelope but sits below fabric in the
-// import graph (fabric → dataset → scanner), so the implementation
-// lives here and fabric re-exports it unchanged.
+// schedule: exponential growth with seeded jitter. The shard fabric's
+// dial/reconnect loop and the scanner's probe-retry budget share the
+// one envelope; the scanner sits below fabric in the import graph
+// (fabric → dataset → scanner), so the implementation lives here.
 package backoff
 
 import (

@@ -117,9 +117,9 @@ func BuildUniverse() (*simnet.Universe, error) {
 // Materialization is a pure function of the spec: keys come from a
 // deterministic pool seeded by spec.Seed and certificate serials are
 // derived from the same seed, so any number of processes materializing
-// the same spec hold byte-identical certificates. Sharded campaign
-// workers (scanner.RunWaveShard via cmd/measure -shard) depend on this
-// — a cluster certificate observed by two workers must carry one
+// the same spec hold byte-identical certificates. Fabric workers
+// (opcuastudy.RunCampaignShard behind cmd/measure -connect) depend on
+// this — a cluster certificate observed by two workers must carry one
 // thumbprint, or the merged reuse analysis falls apart (DESIGN.md §5).
 func Materialize(spec *Spec, opts Options) (*World, error) {
 	buildStart := telemetry.NowNs()

@@ -170,11 +170,24 @@ func counter(reg *telemetry.Registry, name string) uint64 {
 }
 
 func TestFabricCommitsAllShards(t *testing.T) {
-	const shards, recs = 8, 5
+	const shards, recs, workers = 8, 5, 3
+	// Eight five-record shards take one worker a millisecond: hold every
+	// shard until the whole fleet has joined, or a worker that dials in
+	// after the last commit finds the listener closed and fails the
+	// no-worker-errored assertion below with its dial budget spent.
+	reg := telemetry.New()
+	emit := testRunner(recs, 0)
 	fl := runFleet(t,
-		CoordinatorConfig{Shards: shards, DeadAfter: 2 * time.Second},
-		[]FaultInjector{nil, nil, nil},
-		testRunner(recs, 0))
+		CoordinatorConfig{Shards: shards, DeadAfter: 2 * time.Second, Metrics: reg},
+		make([]FaultInjector, workers),
+		func(ctx context.Context, hello []byte, shard int, sink pipeline.RecordSink) error {
+			for counter(reg, "fabric_workers_joined") < workers {
+				if err := sleepCtx(ctx, time.Millisecond); err != nil {
+					return err
+				}
+			}
+			return emit(ctx, hello, shard, sink)
+		})
 	fl.checkStreams(t, shards, recs)
 	if got := counter(fl.coordReg, "fabric_shards_committed"); got != shards {
 		t.Errorf("fabric_shards_committed = %d, want %d", got, shards)
@@ -197,8 +210,8 @@ func TestFabricCommitsAllShards(t *testing.T) {
 }
 
 // TestFabricMergeFromNetworkStreams replays committed network streams
-// through the exact decoder/merge machinery the file-based exchange
-// uses, proving the transport swap is invisible to the pipeline.
+// through dataset.Decoder and pipeline.MergeShardStreams, proving the
+// transport is invisible to the pipeline.
 func TestFabricMergeFromNetworkStreams(t *testing.T) {
 	const shards, recs = 4, 6
 	fl := runFleet(t,

@@ -27,6 +27,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // FrameType tags one length-prefixed protocol frame.
@@ -120,6 +122,10 @@ var (
 // and tests may inject a fake. Clock readings drive transport deadlines
 // and heartbeat-gap decisions only; they never reach record bytes.
 type Clock func() int64
+
+// defaultClock is the production time source: telemetry.NowNs, the
+// repository's one sanctioned wall-clock read.
+func defaultClock() int64 { return telemetry.NowNs() }
 
 // framer serializes frame writes on one connection: one mutex, a write
 // deadline per frame (bounded writes — a stalled peer cannot wedge the

@@ -13,8 +13,8 @@ import (
 // index and writes it under the framer's bounded write deadline. The
 // coordinator buffers the lines verbatim per (worker, shard) and — only
 // after the shard's Done frame — replays them through dataset.Decoder
-// into pipeline.MergeShardStreams, so the network path feeds exactly
-// the decoder/merge machinery the file-based exchange used.
+// into pipeline.MergeShardStreams: what reaches the merge is the byte
+// stream RunCampaignShard would have written to any other EncoderSink.
 //
 // A NetSink does not own the connection (the worker session does);
 // Close is a no-op kept for the RecordSink contract. Put is

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
@@ -48,7 +49,7 @@ type WorkerConfig struct {
 	// retry schedules are reproducible yet mutually de-synchronized.
 	RetrySeed int64
 	// RetryBase/RetryCap shape the backoff (defaults
-	// DefaultBackoffBase/DefaultBackoffCap).
+	// backoff.DefaultBase/backoff.DefaultCap).
 	RetryBase, RetryCap time.Duration
 	// MaxDials bounds consecutive failed dial attempts before the
 	// worker gives up (default 8).
@@ -115,7 +116,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, run ShardRunner) error {
 		cfg.Faults = NopFaults{}
 	}
 	m := newWorkerMetrics(cfg.Metrics)
-	bo := NewBackoff(cfg.RetrySeed, cfg.RetryBase, cfg.RetryCap)
+	bo := backoff.New(cfg.RetrySeed, cfg.RetryBase, cfg.RetryCap)
 
 	dialer := net.Dialer{Timeout: cfg.DialTimeout}
 	dialFails := 0
@@ -190,7 +191,7 @@ func (s *session) kick() {
 
 // runSession drives one connection lifetime. done=true means the
 // coordinator sent Shutdown and the worker should exit cleanly.
-func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run ShardRunner, m workerMetrics, bo *Backoff) (done bool, err error) {
+func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run ShardRunner, m workerMetrics, bo *backoff.Backoff) (done bool, err error) {
 	defer conn.Close()
 	fr := newFramer(conn, cfg.WriteTimeout, cfg.Clock, cfg.Faults)
 	if err := fr.send(FrameJoin, []byte(cfg.Name)); err != nil {

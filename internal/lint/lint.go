@@ -90,7 +90,7 @@ type Config struct {
 	// deterministic path's only clock (e.g. "repro/internal/uarsa.Epoch").
 	EpochVars []string
 	// SinkPkg is the import path of the record-pipeline package defining
-	// RecordSink and ChanSink (sinkctx's subject).
+	// RecordSink (sinkctx's subject).
 	SinkPkg string
 	// Pools lists acquire/release pairs checked for balance.
 	Pools []PoolPair

@@ -3,47 +3,33 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// SinkCtxAnalyzer enforces the record pipeline's cancellation and
-// drain-ownership contract (DESIGN.md §5):
-//
-//   - every RecordSink producer — a function outside the pipeline
-//     package that calls Put on a sink — must take a context.Context
-//     and be cancellation-aware: check ctx.Err()/ctx.Done() or
-//     propagate ctx into a callee before producing. A producer that
-//     cannot be cancelled wedges the campaign's shutdown path behind a
-//     full ChanSink buffer. //studyvet:sink-exempt sanctions
-//     deliberate synchronous replay (e.g. WriteDataset's in-memory
-//     re-encode).
-//   - ChanSink must be constructed with NewChanSink: a composite
-//     literal skips starting the single drain goroutine that owns the
-//     downstream, so Put blocks forever and Close deadlocks.
+// SinkCtxAnalyzer enforces the record pipeline's cancellation contract
+// (DESIGN.md §5): every RecordSink producer — a function outside the
+// pipeline package that calls Put on a sink — must take a
+// context.Context and be cancellation-aware: check ctx.Err()/ctx.Done()
+// or propagate ctx into a callee before producing. A Put may block (the
+// fabric's NetSink writes to TCP), so a producer that cannot be
+// cancelled wedges the campaign's shutdown path behind a stalled peer.
+// //studyvet:sink-exempt sanctions deliberate synchronous replay (e.g.
+// WriteDataset's in-memory re-encode).
 func SinkCtxAnalyzer(cfg *Config) *Analyzer {
 	a := &Analyzer{
 		Name: "sinkctx",
-		Doc:  "RecordSink producers propagate context and check cancellation; ChanSink drains are single-goroutine",
+		Doc:  "RecordSink producers propagate context and check cancellation",
 	}
 	a.Run = func(pass *Pass) error {
-		if cfg.SinkPkg == "" {
-			return nil
+		if cfg.SinkPkg == "" || pass.Pkg.Path() == cfg.SinkPkg {
+			return nil // sinks forwarding to sinks are the pipeline, not producers
 		}
-		sinkIface, chanSink := lookupSinkTypes(pass, cfg.SinkPkg)
-		if sinkIface == nil && chanSink == nil {
-			return nil // package neither is nor imports the pipeline
+		sinkIface := lookupSinkIface(pass, cfg.SinkPkg)
+		if sinkIface == nil {
+			return nil // package does not import the pipeline
 		}
-		inSinkPkg := pass.Pkg.Path() == cfg.SinkPkg
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if chanSink != nil {
-					checkChanSinkLiterals(pass, fd, chanSink, inSinkPkg)
-				}
-				if sinkIface != nil && !inSinkPkg {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 					checkProducer(pass, fd, sinkIface)
 				}
 			}
@@ -53,53 +39,19 @@ func SinkCtxAnalyzer(cfg *Config) *Analyzer {
 	return a
 }
 
-// lookupSinkTypes resolves pipeline.RecordSink and pipeline.ChanSink
-// from the analyzed package or its imports.
-func lookupSinkTypes(pass *Pass, sinkPkg string) (*types.Interface, *types.Named) {
-	var scope *types.Scope
-	if pass.Pkg.Path() == sinkPkg {
-		scope = pass.Pkg.Scope()
-	} else {
-		for _, imp := range pass.Pkg.Imports() {
-			if imp.Path() == sinkPkg {
-				scope = imp.Scope()
-				break
-			}
+// lookupSinkIface resolves pipeline.RecordSink from the analyzed
+// package's imports.
+func lookupSinkIface(pass *Pass, sinkPkg string) *types.Interface {
+	for _, imp := range pass.Pkg.Imports() {
+		if imp.Path() != sinkPkg {
+			continue
+		}
+		if obj := imp.Scope().Lookup("RecordSink"); obj != nil {
+			iface, _ := obj.Type().Underlying().(*types.Interface)
+			return iface
 		}
 	}
-	if scope == nil {
-		return nil, nil
-	}
-	var iface *types.Interface
-	var chanSink *types.Named
-	if obj := scope.Lookup("RecordSink"); obj != nil {
-		iface, _ = obj.Type().Underlying().(*types.Interface)
-	}
-	if obj := scope.Lookup("ChanSink"); obj != nil {
-		chanSink, _ = obj.Type().(*types.Named)
-	}
-	return iface, chanSink
-}
-
-func checkChanSinkLiterals(pass *Pass, fd *ast.FuncDecl, chanSink *types.Named, inSinkPkg bool) {
-	if inSinkPkg && strings.HasPrefix(fd.Name.Name, "NewChanSink") {
-		return // the sanctioned construction sites (NewChanSink and its Observed variant)
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		t := pass.TypesInfo.TypeOf(lit)
-		if t == nil {
-			return true
-		}
-		if named, ok := t.(*types.Named); ok && named.Obj() == chanSink.Obj() {
-			pass.Reportf(lit.Pos(),
-				"construct ChanSink with NewChanSink: a composite literal never starts the single drain goroutine that owns the downstream")
-		}
-		return true
-	})
+	return nil
 }
 
 // checkProducer flags Put calls on RecordSink-typed values from
@@ -136,7 +88,7 @@ func checkProducer(pass *Pass, fd *ast.FuncDecl, sinkIface *types.Interface) {
 	ctxVar := contextParam(pass, fd)
 	if ctxVar == nil {
 		pass.Reportf(puts[0].Pos(),
-			"%s produces into a RecordSink but takes no context.Context: producers must be cancellable or a full ChanSink buffer wedges shutdown (//studyvet:sink-exempt to sanction)",
+			"%s produces into a RecordSink but takes no context.Context: producers must be cancellable or a blocked Put wedges shutdown (//studyvet:sink-exempt to sanction)",
 			fd.Name.Name)
 		return
 	}

@@ -11,35 +11,35 @@ type RecordSink interface {
 	Close() error
 }
 
-// ChanSink fans concurrent producers into one drain goroutine.
-type ChanSink struct {
-	downstream RecordSink
-	ch         chan *Record
-	done       chan struct{}
-}
+// Tee fans one stream out to several sinks.
+type Tee []RecordSink
 
-// NewChanSink starts the single drain goroutine.
-func NewChanSink(downstream RecordSink, buffer int) *ChanSink {
-	s := &ChanSink{downstream: downstream, ch: make(chan *Record, buffer), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		for r := range s.ch {
-			_ = s.downstream.Put(r)
+// Put forwards to every sink: a sink feeding sinks is the pipeline
+// itself, not a producer — no diagnostic expected inside the sink
+// package, context or not.
+func (t Tee) Put(r *Record) error {
+	for _, s := range t {
+		if err := s.Put(r); err != nil {
+			return err
 		}
-	}()
-	return s
+	}
+	return nil
 }
 
-// Put enqueues one record.
-func (s *ChanSink) Put(r *Record) error { s.ch <- r; return nil }
-
-// Close drains and closes the downstream.
-func (s *ChanSink) Close() error {
-	close(s.ch)
-	<-s.done
-	return s.downstream.Close()
+// Close closes every sink.
+func (t Tee) Close() error {
+	for _, s := range t {
+		_ = s.Close()
+	}
+	return nil
 }
 
-func badLocalConstruction() *ChanSink {
-	return &ChanSink{} // want "construct ChanSink with NewChanSink"
+// Drain replays records into a sink from inside the sink package.
+func Drain(s RecordSink, recs []*Record) error {
+	for _, r := range recs {
+		if err := s.Put(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -51,14 +51,6 @@ func replay(s pipeline.RecordSink, recs []*pipeline.Record) error {
 	return nil
 }
 
-func construct() *pipeline.ChanSink {
-	return &pipeline.ChanSink{} // want "construct ChanSink with NewChanSink"
-}
-
-func constructOK(down pipeline.RecordSink) *pipeline.ChanSink {
-	return pipeline.NewChanSink(down, 8)
-}
-
 // netSink mirrors the fabric's network sink: a RecordSink adapter
 // whose Put forwards records onto a transport. Sink methods ARE the
 // sink contract, not producers — no diagnostic expected.

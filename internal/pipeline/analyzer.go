@@ -35,8 +35,7 @@ type AnalyzerConfig struct {
 // accumulated incrementally, the wave finalizes when the first record
 // of wave w+1 arrives (or at Close), and the finalized analysis is
 // immediately folded into the longitudinal accumulator. It implements
-// RecordSink, so it can terminate any pipeline — including behind a
-// ChanSink when producers are concurrent.
+// RecordSink, so it can terminate any pipeline.
 //
 // The input must be wave-ordered (every campaign path is: waves are
 // merged in wave order, shard streams are wave-ordered per worker and

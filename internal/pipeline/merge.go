@@ -8,8 +8,8 @@ import (
 	"repro/internal/scanner"
 )
 
-// MergeShardStreams merges N wave-ordered shard record streams (the
-// NDJSON outputs of `measure -shard i`, decoded) into the deterministic
+// MergeShardStreams merges N wave-ordered shard record streams (what
+// RunCampaignShard emits per shard, decoded) into the deterministic
 // record order of an unsharded run and forwards every surviving record
 // to sink. It is the record-level twin of scanner.MergeWaveShards, for
 // coordinators that only have the workers' serialized outputs:

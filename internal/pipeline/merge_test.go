@@ -97,7 +97,7 @@ func TestMergeShardStreamsSingle(t *testing.T) {
 }
 
 // TestMergeShardStreamsSurfacesTruncation pins the error chain the
-// fabric coordinator and the file-merge path rely on: a shard stream
+// fabric coordinator relies on: a shard stream
 // torn mid-record fails the merge with dataset.ErrTruncatedStream
 // still detectable through the shard-index wrapping.
 func TestMergeShardStreamsSurfacesTruncation(t *testing.T) {

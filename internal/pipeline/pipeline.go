@@ -1,29 +1,26 @@
 // Package pipeline is the campaign's streaming record plumbing: sinks
-// that consume measurement records one at a time, a bounded-channel
-// fan-in stage that decouples producers from slow consumers, an
-// incremental analyzer that folds a wave-ordered record stream into the
-// paper's per-wave and longitudinal analyses, and the deterministic
-// merge of sharded worker streams.
+// that consume measurement records one at a time, an incremental
+// analyzer that folds a wave-ordered record stream into the paper's
+// per-wave and longitudinal analyses, and the deterministic merge of
+// sharded worker streams.
 //
 // Ownership rules (DESIGN.md §5): whoever constructs a sink closes it,
-// exactly once, after the last Put. Wrapping sinks (ChanSink, Tee) own
-// their downstreams — closing the wrapper closes what it wraps. The
+// exactly once, after the last Put. A wrapping sink (Tee) owns its
+// downstreams — closing the wrapper closes what it wraps. The
 // campaign never closes a sink the caller passed in
 // (opcuastudy.CampaignConfig.RecordSink), because the caller may have
 // more streams to feed it.
 package pipeline
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/dataset"
-	"repro/internal/telemetry"
 )
 
 // RecordSink consumes a stream of host records. Put and Close must not
 // be called after Close; unless an implementation says otherwise, Put
-// is single-goroutine (ChanSink is the explicitly concurrent-safe one).
+// is single-goroutine.
 type RecordSink interface {
 	Put(rec *dataset.HostRecord) error
 	Close() error
@@ -99,119 +96,4 @@ func (t teeSink) Close() error {
 		}
 	}
 	return first
-}
-
-// ChanSink is the bounded-channel fan-in stage: any number of producer
-// goroutines may call Put concurrently, and a single drain goroutine
-// applies the records to the downstream sink in arrival order — so a
-// sink that is not concurrency-safe (an EncoderSink on a file, the
-// Analyzer) can absorb a concurrent stage's output, and a slow consumer
-// (disk, the assessment) backpressures producers only once the buffer
-// fills instead of serializing every Put.
-//
-// The ChanSink owns the downstream: Close waits for the drain to finish
-// and then closes it. A downstream Put error closes the intake — later
-// Puts return the error, buffered records are dropped — and the error
-// is also returned from Close.
-type ChanSink struct {
-	downstream RecordSink
-	ch         chan *dataset.HostRecord
-	failed     chan struct{}
-	done       chan struct{}
-	err        error
-	m          ChanMetrics
-}
-
-// ChanMetrics observes a ChanSink's backpressure: records accepted,
-// cumulative nanoseconds producers spent blocked on a full buffer, and
-// the buffer-occupancy high-water mark. The zero value (nil instruments,
-// the product of a nil registry) disables observation at one pointer
-// check per field.
-type ChanMetrics struct {
-	Records   *telemetry.Counter
-	BlockedNs *telemetry.Counter
-	HighWater *telemetry.MaxGauge
-}
-
-// NewChanMetrics resolves the standard sink instruments (sink_records,
-// sink_blocked_ns, sink_buffer_highwater) from reg; a nil registry
-// yields the disabled zero value.
-func NewChanMetrics(reg *telemetry.Registry) ChanMetrics {
-	return ChanMetrics{
-		Records:   reg.Counter("sink_records"),
-		BlockedNs: reg.Counter("sink_blocked_ns"),
-		HighWater: reg.MaxGauge("sink_buffer_highwater"),
-	}
-}
-
-// NewChanSink starts the drain goroutine with the given buffer size
-// (minimum 1). Close must be called exactly once, after every producer
-// is finished.
-func NewChanSink(downstream RecordSink, buffer int) *ChanSink {
-	return NewChanSinkObserved(downstream, buffer, ChanMetrics{})
-}
-
-// NewChanSinkObserved is NewChanSink with backpressure telemetry.
-func NewChanSinkObserved(downstream RecordSink, buffer int, m ChanMetrics) *ChanSink {
-	if buffer < 1 {
-		buffer = 1
-	}
-	s := &ChanSink{
-		downstream: downstream,
-		ch:         make(chan *dataset.HostRecord, buffer),
-		failed:     make(chan struct{}),
-		done:       make(chan struct{}),
-		m:          m,
-	}
-	go func() {
-		defer close(s.done)
-		for rec := range s.ch {
-			if s.err != nil {
-				continue // drain so producers never block forever
-			}
-			if err := s.downstream.Put(rec); err != nil {
-				s.err = fmt.Errorf("pipeline: fan-in downstream: %w", err)
-				close(s.failed)
-			}
-		}
-	}()
-	return s
-}
-
-// Put enqueues one record; safe for concurrent use.
-func (s *ChanSink) Put(rec *dataset.HostRecord) error {
-	// Fast path: buffer has room, no blocking to measure.
-	select {
-	case s.ch <- rec:
-		s.m.Records.Inc()
-		s.m.HighWater.Record(int64(len(s.ch)))
-		return nil
-	case <-s.failed:
-		return s.err
-	default:
-	}
-	// Buffer full: the send below blocks, and that wait is the
-	// backpressure signal sink_blocked_ns accumulates.
-	start := s.m.BlockedNs.StartNs()
-	select {
-	case s.ch <- rec:
-		s.m.BlockedNs.AddSince(start)
-		s.m.Records.Inc()
-		s.m.HighWater.Record(int64(len(s.ch)))
-		return nil
-	case <-s.failed:
-		return s.err
-	}
-}
-
-// Close drains the buffer, closes the downstream, and returns the first
-// error of either.
-func (s *ChanSink) Close() error {
-	close(s.ch)
-	<-s.done
-	cerr := s.downstream.Close()
-	if s.err != nil {
-		return s.err
-	}
-	return cerr
 }

@@ -2,14 +2,10 @@ package pipeline
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,144 +139,6 @@ func TestAnalyzerFlatMemory(t *testing.T) {
 	if grown > base+waveBytes {
 		t.Errorf("retained heap grew %d bytes over 6 waves (base %d); streaming analysis is not flat",
 			grown-base, base)
-	}
-}
-
-// TestChanSinkConcurrentProducers exercises the bounded-channel fan-in:
-// many producers Put concurrently, the downstream (not concurrency-
-// safe) sees every record exactly once, and Close drains the buffer.
-func TestChanSinkConcurrentProducers(t *testing.T) {
-	slice := &SliceSink{}
-	sink := NewChanSink(slice, 4)
-	const producers, each = 8, 50
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if err := sink.Put(synthRecord(0, p*each+i, "portscan", 0)); err != nil {
-					t.Errorf("producer %d: %v", p, err)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(slice.Records) != producers*each {
-		t.Fatalf("downstream saw %d records, want %d", len(slice.Records), producers*each)
-	}
-	seen := map[string]bool{}
-	for _, r := range slice.Records {
-		if seen[r.Address] {
-			t.Fatalf("record %s delivered twice", r.Address)
-		}
-		seen[r.Address] = true
-	}
-}
-
-// failSink fails every Put after the first n.
-type failSink struct {
-	ok     int
-	puts   int
-	closed bool
-}
-
-func (f *failSink) Put(*dataset.HostRecord) error {
-	f.puts++
-	if f.puts > f.ok {
-		return errors.New("sink full")
-	}
-	return nil
-}
-
-func (f *failSink) Close() error {
-	f.closed = true
-	return nil
-}
-
-// TestChanSinkDownstreamError pins the failure contract: a downstream
-// error surfaces (at Put once the intake closes, always at Close),
-// producers never block forever, and the downstream still gets closed.
-func TestChanSinkDownstreamError(t *testing.T) {
-	fs := &failSink{ok: 1}
-	sink := NewChanSink(fs, 1)
-	var lastErr error
-	for i := 0; i < 100; i++ {
-		if err := sink.Put(synthRecord(0, i, "portscan", 0)); err != nil {
-			lastErr = err
-			break
-		}
-	}
-	err := sink.Close()
-	if err == nil && lastErr == nil {
-		t.Error("downstream error never surfaced")
-	}
-	if !fs.closed {
-		t.Error("downstream not closed")
-	}
-}
-
-// TestChanSinkFanInErrorAndCancel drives the full DESIGN.md §5 fan-in
-// contract under the race detector: cancellation-aware concurrent
-// producers, a downstream that starts failing mid-stream, and a caller
-// cancelling the context while producers are in flight. Every producer
-// must exit promptly (via ctx or a Put error — never wedged on a full
-// buffer), Close must surface the downstream error, and the ChanSink
-// must still close its downstream.
-func TestChanSinkFanInErrorAndCancel(t *testing.T) {
-	fs := &failSink{ok: 25}
-	sink := NewChanSink(fs, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	const producers, each = 8, 200
-	var delivered atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				if err := sink.Put(synthRecord(0, p*each+i, "portscan", 0)); err != nil {
-					return
-				}
-				delivered.Add(1)
-			}
-		}(p)
-	}
-
-	// Wait until the downstream failure has definitely triggered (it
-	// fails on put 26, so at least 25 successful enqueues precede it),
-	// then cancel the remaining producers mid-flight.
-	deadline := time.Now().Add(10 * time.Second)
-	for delivered.Load() < 20 {
-		if time.Now().After(deadline) {
-			t.Fatal("producers never reached the downstream failure point")
-		}
-		runtime.Gosched()
-	}
-	cancel()
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("producers wedged: neither cancellation nor the failed intake unblocked Put")
-	}
-
-	if err := sink.Close(); err == nil {
-		t.Error("downstream failure not surfaced at Close")
-	}
-	if !fs.closed {
-		t.Error("downstream not closed after fan-in failure")
 	}
 }
 

@@ -32,12 +32,7 @@ type WaveConfig struct {
 	// unbounded (the dispatcher holds overflow), so workers never block
 	// when they discover follow-up references.
 	QueueSize int
-	// Barrier selects the legacy depth-synchronized scheduling: every
-	// target of follow-up depth d completes before any target of depth
-	// d+1 starts. It exists as the baseline for BenchmarkCampaignWave;
-	// the streaming scheduler is strictly faster.
-	Barrier  bool
-	PortScan PortScanConfig
+	PortScan  PortScanConfig
 	// Metrics receives the grab-stage instruments (grab_targets,
 	// grab_done, grab_opcua, grab_noise, grab_followups,
 	// grab_queue_depth high-water, grab_queue_wait_ns histogram); nil
@@ -124,7 +119,7 @@ type grabJob struct {
 }
 
 // grabMetrics bundles the grab-stage instruments, resolved once per
-// wave so the schedulers never touch the registry mid-flight. The zero
+// wave so the scheduler never touches the registry mid-flight. The zero
 // value (all-nil instruments, the product of a nil registry) is the
 // disabled state: every observation is one pointer check.
 type grabMetrics struct {
@@ -279,99 +274,6 @@ func runStreaming(ctx context.Context, sc *Scanner, initial []Target, cfg WaveCo
 		}
 	}
 	close(queue)
-	wg.Wait()
-	return results
-}
-
-// runBarrier is the legacy per-depth scheduler kept as a benchmark
-// baseline: all targets of one follow-up depth complete before the next
-// depth starts. Unlike the original seed implementation it still uses a
-// fixed worker pool rather than one goroutine per target.
-func runBarrier(ctx context.Context, sc *Scanner, targets []Target, cfg WaveConfig) []*Result {
-	gm := newGrabMetrics(cfg.Metrics)
-	gm.targets.Add(uint64(len(targets)))
-	seen := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		seen[t.Address] = true
-	}
-	// Delta injection under the barrier discipline: carried-over
-	// references wait for their recorded depth's batch, exactly where
-	// the full scan would have grabbed them.
-	inject := map[int][]Target{}
-	if cfg.Delta != nil {
-		for _, in := range cfg.Delta.Inject {
-			if seen[in.Addr] {
-				continue
-			}
-			seen[in.Addr] = true
-			inject[in.Depth] = append(inject[in.Depth], Target{Address: in.Addr, Via: ViaReference})
-			gm.targets.Inc()
-			gm.followups.Inc()
-		}
-	}
-	var all []*Result
-	for depth := 0; (len(targets) > 0 || len(inject) > 0) && depth <= cfg.MaxFollowDepth; depth++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if extra := inject[depth]; len(extra) > 0 {
-			targets = append(targets, extra...)
-			delete(inject, depth)
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		results := grabBatch(ctx, sc, targets, cfg.GrabWorkers)
-		for _, res := range results {
-			res.FollowDepth = depth
-		}
-		all = append(all, results...)
-		for _, res := range results {
-			gm.observe(res)
-		}
-		targets = nil
-		if !cfg.FollowReferences {
-			break
-		}
-		for _, res := range results {
-			for _, addr := range res.FollowUp {
-				if seen[addr] {
-					continue
-				}
-				if cfg.Delta != nil && cfg.Delta.Skip(addr) {
-					continue
-				}
-				seen[addr] = true
-				targets = append(targets, Target{Address: addr, Via: ViaReference})
-				gm.targets.Inc()
-				gm.followups.Inc()
-			}
-		}
-	}
-	return all
-}
-
-// grabBatch grabs one batch of targets on a fixed pool of workers.
-func grabBatch(ctx context.Context, sc *Scanner, targets []Target, workers int) []*Result {
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	results := make([]*Result, len(targets))
-	indexes := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indexes {
-				results[i] = sc.Grab(ctx, targets[i])
-			}
-		}()
-	}
-	for i := range targets {
-		indexes <- i
-	}
-	close(indexes)
 	wg.Wait()
 	return results
 }

@@ -32,10 +32,10 @@ func resultSet(t *testing.T, w *Wave) map[resultKey]bool {
 }
 
 // TestRunWaveSchedulersAgree runs the streaming pipeline at several
-// worker counts plus the legacy barrier scheduler and requires the
-// exact same result set (addresses, discovery channel, OPC UA flag)
-// and, thanks to the deterministic sort, the same result order. Run
-// under -race this also exercises the dispatcher/worker interplay.
+// worker counts and requires the exact same result set (addresses,
+// discovery channel, OPC UA flag) and, thanks to the deterministic
+// sort, the same result order. Run under -race this also exercises the
+// dispatcher/worker interplay.
 func TestRunWaveSchedulersAgree(t *testing.T) {
 	nw, _ := buildWorld(t)
 	sc := newScanner(t, nw)
@@ -44,11 +44,10 @@ func TestRunWaveSchedulersAgree(t *testing.T) {
 		FollowReferences: true,
 	}
 
-	run := func(workers int, barrier bool) *Wave {
+	run := func(workers int) *Wave {
 		t.Helper()
 		c := cfg
 		c.GrabWorkers = workers
-		c.Barrier = barrier
 		w, err := RunWave(context.Background(), nw, sc, c)
 		if err != nil {
 			t.Fatal(err)
@@ -59,19 +58,17 @@ func TestRunWaveSchedulersAgree(t *testing.T) {
 		return w
 	}
 
-	ref := run(1, false)
+	ref := run(1)
 	want := resultSet(t, ref)
 	for _, tc := range []struct {
 		name    string
 		workers int
-		barrier bool
 	}{
-		{"streaming-2", 2, false},
-		{"streaming-8", 8, false},
-		{"streaming-64", 64, false},
-		{"barrier-8", 8, true},
+		{"streaming-2", 2},
+		{"streaming-8", 8},
+		{"streaming-64", 64},
 	} {
-		w := run(tc.workers, tc.barrier)
+		w := run(tc.workers)
 		got := resultSet(t, w)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d results, want %d", tc.name, len(got), len(want))
@@ -153,32 +150,6 @@ func TestRunWaveCancellationReturnsPartialWave(t *testing.T) {
 				t.Errorf("partial wave grabbed unknown target %s (%s)", r.Address, r.Via)
 			}
 		}
-	}
-}
-
-// TestRunWaveBarrierCancellation covers the legacy scheduler's share of
-// the same contract: it stops at the next depth boundary.
-func TestRunWaveBarrierCancellation(t *testing.T) {
-	nw, _ := buildWorld(t)
-	sc := newScanner(t, nw)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	wrapped := &cancelAfterDials{inner: nw, cancel: cancel}
-	wrapped.left.Store(3)
-	cancelled := *sc
-	cancelled.Dialer = wrapped
-
-	wave, err := RunWave(ctx, nw, &cancelled, WaveConfig{
-		Date:             time.Date(2020, 5, 4, 0, 0, 0, 0, time.UTC),
-		FollowReferences: true,
-		GrabWorkers:      1,
-		Barrier:          true,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if wave == nil || !wave.Partial {
-		t.Fatalf("barrier cancellation: wave = %+v", wave)
 	}
 }
 

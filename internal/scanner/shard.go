@@ -106,11 +106,7 @@ func runWaveRange(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConf
 		targets = append(targets, t)
 	}
 
-	if cfg.Barrier {
-		wave.Results = runBarrier(ctx, sc, targets, cfg)
-	} else {
-		wave.Results = runStreaming(ctx, sc, targets, cfg)
-	}
+	wave.Results = runStreaming(ctx, sc, targets, cfg)
 	sortResults(wave.Results)
 	err = ctx.Err()
 	wave.Partial = err != nil

@@ -41,7 +41,6 @@ import (
 	"repro/internal/uacert"
 	"repro/internal/uaclient"
 	"repro/internal/uarsa"
-	"repro/internal/worldview"
 )
 
 // Re-exported types for the public API.
@@ -62,7 +61,9 @@ type (
 type CampaignConfig struct {
 	// Seed drives the deterministic world generation.
 	Seed int64
-	// Waves selects wave indexes (0..7); nil runs all eight.
+	// Waves selects wave indexes (0..7); nil runs all eight. The
+	// selection runs in ascending wave order however it is arranged; an
+	// out-of-range or repeated index is an error.
 	Waves []int
 	// TestKeySizes shrinks all RSA keys to 512 bits. World construction
 	// becomes fast, but certificate key-length analysis (Figure 4) is
@@ -78,8 +79,10 @@ type CampaignConfig struct {
 	// WaveWorkers bounds how many waves scan concurrently (0 or 1 =
 	// one wave at a time). Each wave scans its own immutable worldview
 	// snapshot, so any value is safe; the output is identical to the
-	// sequential run regardless (records and analyses are merged in
-	// wave order). Ignored when Sequential is set.
+	// one-wave-at-a-time run regardless (records and analyses are folded
+	// in wave order). Ignored under Delta, which needs wave i's
+	// observations to plan wave i+1 (cmd/measure rejects the
+	// combination at flag time).
 	WaveWorkers int
 	// AnalyzeWorkers parallelizes per-host assessment inside
 	// core.AnalyzeWave (0 = GOMAXPROCS, 1 = serial).
@@ -109,21 +112,15 @@ type CampaignConfig struct {
 	// WaveWorkers is ignored. Telemetry: wave_delta_hits /
 	// wave_delta_misses / wave_delta_fallbacks per wave scope.
 	Delta bool
-	// Barrier selects the legacy depth-synchronized grab scheduling
-	// instead of the streaming work queue (benchmark baseline).
-	Barrier bool
-	// Sequential disables the cross-wave overlap: record conversion and
-	// analysis run inline after each wave instead of concurrently with
-	// the next wave's scan (benchmark baseline).
-	Sequential bool
 	// Shards splits every wave's permuted probe space into this many
 	// deterministic shards executed concurrently in-process (0 or 1 =
 	// unsharded). Each shard runs its own port-scan slice and grab pool
 	// of GrabWorkers workers — the single-process model of one worker
 	// machine per shard — and the merged wave is record-for-record
-	// identical to the unsharded run (scanner.MergeWaveShards). For the
-	// multi-process version of the same plan, see RunCampaignShard and
-	// cmd/measure's -shards/-shard/-merge flags.
+	// identical to the unsharded run (scanner.MergeWaveShards);
+	// cmd/measure -shards N sets it. For the same plan across processes
+	// and machines, see RunCampaignShard and the fabric (cmd/measure
+	// -listen/-connect).
 	Shards int
 	// RecordSink, if set, receives every record of the campaign in
 	// deterministic dataset order (wave by wave, as each wave is
@@ -159,9 +156,8 @@ type CampaignConfig struct {
 	// one without (gated under -race by the equivalence tests). Nil
 	// disables every instrument at the cost of one pointer check.
 	// Lifecycle: the registry is caller-owned and campaign-scoped — one
-	// registry per RunCampaignOnWorld call; multi-process shard workers
-	// each own a process-scoped registry whose final snapshot the
-	// coordinator merges (cmd/measure -shards -metrics).
+	// registry per RunCampaignOnWorld call; fabric workers each own a
+	// process-scoped registry (cmd/measure -connect -metrics).
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, records one span-style exchange per grab
 	// (open→handshake→session→close) under deterministic IDs derived
@@ -236,9 +232,28 @@ func (cfg CampaignConfig) selectedWaves() []int {
 	return waves
 }
 
+// resolveWaves validates the wave selection and returns it ascending.
+// A repeated wave would scan twice, fold into the longitudinal analysis
+// twice and reach the record sink twice; a descending one would fold the
+// longitudinal analysis backwards (and break the wave-ordered streams
+// MergeShardStreams requires) — so the order given never matters.
+func (cfg CampaignConfig) resolveWaves() ([]int, error) {
+	waves := slices.Clone(cfg.selectedWaves())
+	slices.Sort(waves)
+	for i, w := range waves {
+		if w < 0 || w >= len(deploy.WaveDates) {
+			return nil, fmt.Errorf("opcuastudy: wave %d out of range [0, %d) (waves %v)",
+				w, len(deploy.WaveDates), cfg.Waves)
+		}
+		if i > 0 && w == waves[i-1] {
+			return nil, fmt.Errorf("opcuastudy: wave %d selected more than once (waves %v)", w, cfg.Waves)
+		}
+	}
+	return waves, nil
+}
+
 // newScannerBase builds the campaign's scanner template and installs
-// the campaign-scoped crypto suite on the world — the setup shared by
-// the single-process campaign and the multi-process shard workers.
+// the campaign-scoped crypto suite and chaos model on the world.
 //
 // Campaign-scoped crypto reuse: one memoization engine for every wave
 // and every worker, installed on both sides of the simulated wire (the
@@ -414,27 +429,30 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaign, error) {
 	return RunCampaignOnWorld(ctx, cfg, world)
 }
 
-// RunCampaignOnWorld executes waves against an existing world, allowing
-// reuse of the expensive materialization.
-//
-// Execution model: the campaign never mutates the shared network.
-// Instead it materializes an immutable worldview snapshot per selected
-// wave up front and scans the snapshots on a pool of
-// cfg.WaveWorkers goroutines — waves pull their own frozen view of the
-// Internet rather than serializing on one mutable world, so any number
-// of waves can be in flight at once. Record conversion and analysis
-// run on the caller's goroutine in wave order as scans complete, which
-// keeps the dataset and every analysis byte-identical to a sequential
-// run (and, with WaveWorkers=1, preserves the scan/analysis overlap of
-// the streaming pipeline).
-//
-// Cancellation contract: if ctx is cancelled mid-campaign, the partial
-// Campaign is returned together with the first wave's error. Waves
-// finished before cancellation are fully analyzed; waves in flight
-// appear in Campaign.Scans with Wave.Partial set; waves never started
-// are absent from Scans. Campaign.Long is only computed on full
-// success.
-func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.World) (*Campaign, error) {
+// campaignRun is one campaign's resolved execution state — what
+// RunCampaignOnWorld and RunCampaignShard share. Its scanWave method is
+// the one place that knows how a wave runs; the two entry points differ
+// only in what they do with the records it returns.
+type campaignRun struct {
+	cfg   CampaignConfig // Progressf serialized
+	world *deploy.World
+	base  scanner.Scanner // template; each wave scans with its own copy
+	suite *uarsa.Suite    // nil when CryptoCache < 0
+	// waves is the validated selection: ascending, no repeats.
+	waves []int
+	// tracker is non-nil under cfg.Delta. It is single-owner: delta
+	// campaigns run one wave at a time (waveWorkers), so scanWave's
+	// plan → scan → observe sequence is serial across waves.
+	tracker *deltaTracker
+}
+
+// newCampaignRun validates the configuration and installs the
+// campaign's crypto suite and chaos model on the world.
+func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, error) {
+	waves, err := cfg.resolveWaves()
+	if err != nil {
+		return nil, err
+	}
 	// Serialize the progress callback once, before any fan-out: waves,
 	// shards, and workers then share one mutex-guarded writer and status
 	// lines never interleave mid-line.
@@ -443,7 +461,152 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 	if err != nil {
 		return nil, err
 	}
-	waves := cfg.selectedWaves()
+	r := &campaignRun{cfg: cfg, world: world, base: base, suite: suite, waves: waves}
+	if cfg.Delta {
+		// After newScannerBase: the fingerprints fold the chaos decisions
+		// of the model it just installed.
+		if r.tracker, err = newDeltaTracker(cfg, world, waves); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// waveWorkers is how many waves scan at once: cfg.WaveWorkers clamped
+// to [1, len(waves)] — and 1 under Delta, where wave i+1's plan reads
+// the state wave i's scan observed.
+func (r *campaignRun) waveWorkers() int {
+	if r.tracker != nil {
+		return 1
+	}
+	return max(1, min(r.cfg.WaveWorkers, len(r.waves)))
+}
+
+// allShards as scanWave's shard argument scans every shard of the plan.
+const allShards = -1
+
+// scanWave runs wave position i — one shard of its plan, or with
+// allShards every shard concurrently, merged into the wave an unsharded
+// scan produces — and returns the scanned wave with its records in
+// dataset order. The wave scans its own immutable snapshot of the world,
+// so scanWave calls for different positions may run concurrently (not
+// under Delta, see waveWorkers).
+//
+// Error contract: scanner.RunWave's. A cancelled wave comes back Partial
+// together with ctx's error and without records; it is never observed
+// by the delta tracker — a partial wave must not become the campaign's
+// memory.
+func (r *campaignRun) scanWave(ctx context.Context, i, shards, shard int) (*scanner.Wave, []*dataset.HostRecord, error) {
+	cfg := r.cfg
+	w, date := r.waves[i], deploy.WaveDates[r.waves[i]]
+	view, err := r.world.SnapshotWave(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan := scanner.PlanWaveShards(view, shards)
+	lo, hi := shard, shard+1 // the shards this call scans
+	if shard == allShards {
+		lo, hi = 0, plan.Shards
+		cfg.progressf("wave %d (%s): scanning...", w, date.Format("2006-01-02"))
+	} else {
+		cfg.progressf("wave %d (%s): scanning shard %d/%d...",
+			w, date.Format("2006-01-02"), shard, plan.Shards)
+	}
+	// Wave labels are the same in every process of a sharded campaign
+	// (the shard identity rides on Snapshot.Shard), so per-worker
+	// snapshots merge key-aligned.
+	waveScope := cfg.Telemetry.Scope("wave", strconv.Itoa(w))
+	sc := r.base
+	sc.Dialer = view
+	sc.Metrics = waveScope
+	sc.Trace = cfg.Trace
+	sc.TraceSeed = cfg.Seed
+	sc.TraceWave = w
+	wcfg := scanner.WaveConfig{
+		Date:             date,
+		FollowReferences: w >= deploy.FollowReferencesFromWave,
+		GrabWorkers:      cfg.GrabWorkers,
+		QueueSize:        cfg.QueueSize,
+		Metrics:          waveScope,
+	}
+	var dw *deltaWave
+	if r.tracker != nil {
+		// The Skip closure is read concurrently by the shard goroutines
+		// below, but only ever reads.
+		dw = r.tracker.planWave(i)
+		wcfg.Delta = dw.sd
+	}
+
+	// Each shard runs its own port-scan slice and grab pool against the
+	// shared view. A cancelled shard yields a partial wave that merges
+	// cleanly; the first shard error is the wave's error.
+	shardWaves := make([]*scanner.Wave, hi-lo)
+	shardErrs := make([]error, hi-lo)
+	var wg sync.WaitGroup
+	for s := lo; s < hi; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shardWaves[s-lo], shardErrs[s-lo] = scanner.RunWaveShard(ctx, view, &sc, wcfg, plan, s)
+		}()
+	}
+	wg.Wait()
+	wave := shardWaves[0]
+	if hi-lo > 1 {
+		wave = scanner.MergeWaveShards(shardWaves...)
+	}
+	for _, serr := range shardErrs {
+		if serr != nil {
+			return wave, nil, serr
+		}
+	}
+
+	results := wave.DatasetResults()
+	recs := make([]*dataset.HostRecord, len(results))
+	for k, res := range results {
+		recs[k] = dataset.FromResult(res, w, date, asnOf(view, res.Address))
+	}
+	if dw != nil {
+		// Skipped hosts' re-stamped clones fold in and the combined set
+		// takes the standard deterministic order — exactly where a full
+		// scan's grabs would have streamed them.
+		r.tracker.observeWave(i, dw, wave, recs)
+		recs = mergeDeltaRecords(recs, dw)
+		if dw.delta() {
+			waveScope.Counter("wave_delta_misses").Add(uint64(len(wave.Results)))
+			waveScope.Counter("wave_delta_hits").Add(uint64(len(dw.clones)))
+		} else {
+			waveScope.Counter("wave_delta_fallbacks").Inc()
+		}
+	}
+	return wave, recs, nil
+}
+
+// RunCampaignOnWorld executes waves against an existing world, allowing
+// reuse of the expensive materialization.
+//
+// Execution model: the campaign never mutates the shared network. Every
+// wave scans its own immutable worldview snapshot (scanWave) on a pool
+// of cfg.WaveWorkers goroutines — waves pull their own frozen view of
+// the Internet rather than serializing on one mutable world, so any
+// number of waves can be in flight at once. The analysis fold runs on
+// the caller's goroutine in wave order as scans complete, which keeps
+// the dataset and every analysis byte-identical whatever the worker
+// count (and, with WaveWorkers=1, still overlaps wave w's analysis with
+// wave w+1's scan).
+//
+// Cancellation contract: if ctx is cancelled mid-campaign, the partial
+// Campaign is returned together with the first wave's error. Waves
+// finished before cancellation are fully analyzed; waves in flight
+// appear in Campaign.Scans with Wave.Partial set; waves never started
+// are absent from Scans. Campaign.Long is only computed on full
+// success.
+func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.World) (*Campaign, error) {
+	run, err := newCampaignRun(cfg, world)
+	if err != nil {
+		return nil, err
+	}
+	cfg = run.cfg
 	// abort lets a record-sink failure cancel the rest of the campaign
 	// without waiting for every remaining wave to scan into a void.
 	ctx, abort := context.WithCancel(ctx)
@@ -459,233 +622,32 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 	// exit path; consumers (cmd/measure, the benchmarks) surface them —
 	// no progress line here, so callers don't get the summary twice.
 	defer func() {
-		if suite == nil {
+		if run.suite == nil {
 			return
 		}
-		st := suite.Engine.Stats()
+		st := run.suite.Engine.Stats()
 		c.CryptoStats = &st
 	}()
-	workers := cfg.GrabWorkers
-	if workers <= 0 {
-		workers = 32
-	}
 
-	// Materialize the immutable per-wave views up front. Server
-	// construction is cached on the world, so this is cheap after the
-	// first wave touching each host state.
-	views := make([]*worldview.Snapshot, len(waves))
-	for i, w := range waves {
-		if views[i], err = world.SnapshotWave(w); err != nil {
-			return nil, err
-		}
-	}
-	cfg.progressf("materialized %d immutable wave views", len(views))
-
-	// Delta mode: fingerprint every selected wave up front (spec state
-	// only, no dialing) and thread one deltaWave per position from the
-	// scan side to the analysis side. dws[i] is written by the single
-	// scan worker before close(done[i]) and read by the merge loop
-	// after it, so the hand-off is ordered without a lock.
-	var tracker *deltaTracker
-	var dws []*deltaWave
-	if cfg.Delta {
-		if tracker, err = newDeltaTracker(cfg, world, waves); err != nil {
-			return nil, err
-		}
-		dws = make([]*deltaWave, len(waves))
-	}
-
-	// The analysis side is a streaming fold: each wave's records stream
-	// through a WaveAccumulator (and into cfg.RecordSink, in dataset
-	// order) as they are converted, and every finalized WaveAnalysis is
-	// folded into the longitudinal accumulator immediately — the
-	// campaign never needs more than the in-flight waves in memory
-	// (with DiscardRecords, not even the past waves' records).
-	longAcc := core.NewLongitudinalAccumulator(false)
-	var sinkErr error
-	analyze := func(i int, wave *scanner.Wave) {
-		w, date := waves[i], deploy.WaveDates[waves[i]]
-		acc := core.NewWaveAccumulator(w, date)
-		// campaign_records{wave=w} is the accounting counter: its total
-		// across waves must equal the dataset's record count exactly —
-		// the invariant the metrics-accounting tests pin.
-		recordsC := cfg.Telemetry.Scope("wave", strconv.Itoa(w)).Counter("campaign_records")
-		results := wave.DatasetResults()
-		all := make([]*dataset.HostRecord, 0, len(results))
-		for _, res := range results {
-			all = append(all, dataset.FromResult(res, w, date, asnOf(views[i], res.Address)))
-		}
-		if cfg.Delta {
-			// Skipped hosts' re-stamped clones fold in and the combined
-			// set takes the standard deterministic order — exactly
-			// where a full scan's grabs would have streamed them.
-			dw := dws[i]
-			all = mergeDeltaRecords(all, dw)
-			if dw.delta() {
-				cfg.Telemetry.Scope("wave", strconv.Itoa(w)).
-					Counter("wave_delta_hits").Add(uint64(len(dw.clones)))
-			}
-		}
-		var recs []*dataset.HostRecord
-		for _, rec := range all {
-			acc.Add(rec)
-			recordsC.Inc()
-			if !cfg.DiscardRecords {
-				recs = append(recs, rec)
-			}
-			if cfg.RecordSink != nil && sinkErr == nil {
-				if sinkErr = cfg.RecordSink.Put(rec); sinkErr != nil {
-					abort()
-				}
-			}
-		}
-		if !cfg.DiscardRecords {
-			c.RecordsByWave[w] = recs
-		}
-		analysis := acc.Finalize(cfg.AnalyzeWorkers)
-		c.Analyses = append(c.Analyses, analysis)
-		longAcc.AddWave(analysis)
-		cfg.progressf("wave %d: %d open ports, %d OPC UA hosts (%d servers, %d discovery), %.0f%% deficient",
-			w, wave.OpenPorts, acc.Len(), len(analysis.Servers), analysis.Discovery,
-			100*analysis.DeficientFrac)
-	}
-	finish := func() (*Campaign, error) {
-		if sinkErr != nil {
-			return c, fmt.Errorf("opcuastudy: record sink: %w", sinkErr)
-		}
-		long := longAcc.Finalize()
-		long.Waves = c.Analyses
-		c.Long = long
-		return c, nil
-	}
-	scanOne := func(i int) (*scanner.Wave, error) {
-		w, date := waves[i], deploy.WaveDates[waves[i]]
-		cfg.progressf("wave %d (%s): scanning...", w, date.Format("2006-01-02"))
-		waveScope := cfg.Telemetry.Scope("wave", strconv.Itoa(w))
-		sc := base
-		sc.Dialer = views[i]
-		sc.Metrics = waveScope
-		sc.Trace = cfg.Trace
-		sc.TraceSeed = cfg.Seed
-		sc.TraceWave = w
-		wcfg := scanner.WaveConfig{
-			Date:             date,
-			FollowReferences: w >= deploy.FollowReferencesFromWave,
-			GrabWorkers:      workers,
-			QueueSize:        cfg.QueueSize,
-			Barrier:          cfg.Barrier,
-			Metrics:          waveScope,
-		}
-		var dw *deltaWave
-		if cfg.Delta {
-			// Waves run one at a time in delta mode, so the tracker's
-			// plan→scan→observe sequence is serial across waves; the
-			// Skip closure is read concurrently by shard goroutines but
-			// only ever reads.
-			dw = tracker.planWave(i)
-			dws[i] = dw
-			wcfg.Delta = dw.sd
-		}
-		// finishScan folds a successfully scanned wave back into the
-		// delta tracker and counts the wave's delta outcome. Errored or
-		// cancelled waves are never observed — a partial wave must not
-		// become the campaign's memory.
-		finishScan := func(wave *scanner.Wave, err error) (*scanner.Wave, error) {
-			if err != nil || wave == nil || !cfg.Delta {
-				return wave, err
-			}
-			tracker.observeWave(i, dw, wave, views[i])
-			if dw.delta() {
-				waveScope.Counter("wave_delta_misses").Add(uint64(len(wave.Results)))
-			} else {
-				waveScope.Counter("wave_delta_fallbacks").Inc()
-			}
-			return wave, nil
-		}
-		if cfg.Shards <= 1 {
-			return finishScan(scanner.RunWave(ctx, views[i], &sc, wcfg))
-		}
-		// In-process sharding: every shard of the wave's plan runs
-		// concurrently against the shared immutable view, then the
-		// deterministic merge reassembles the unsharded wave. A
-		// cancelled shard yields a partial wave that merges cleanly;
-		// the first shard error is the wave's error.
-		plan := scanner.PlanWaveShards(views[i], cfg.Shards)
-		shardWaves := make([]*scanner.Wave, plan.Shards)
-		shardErrs := make([]error, plan.Shards)
-		var swg sync.WaitGroup
-		for s := 0; s < plan.Shards; s++ {
-			swg.Add(1)
-			go func(s int) {
-				defer swg.Done()
-				shardWaves[s], shardErrs[s] = scanner.RunWaveShard(ctx, views[i], &sc, wcfg, plan, s)
-			}(s)
-		}
-		swg.Wait()
-		merged := scanner.MergeWaveShards(shardWaves...)
-		for _, serr := range shardErrs {
-			if serr != nil {
-				return merged, serr
-			}
-		}
-		return finishScan(merged, nil)
-	}
-
-	if cfg.Sequential {
-		// Benchmark baseline: scan and analyze strictly in turn on one
-		// goroutine, no overlap of any kind.
-		for i, w := range waves {
-			wave, err := scanOne(i)
-			if wave != nil {
-				c.Scans[w] = wave
-			}
-			if err != nil {
-				if sinkErr != nil {
-					break // the cancellation was the sink abort
-				}
-				return c, fmt.Errorf("opcuastudy: wave %d: %w", w, err)
-			}
-			analyze(i, wave)
-			if sinkErr != nil {
-				break
-			}
-		}
-		return finish()
-	}
-
-	waveWorkers := cfg.WaveWorkers
-	if waveWorkers < 1 {
-		waveWorkers = 1
-	}
-	if cfg.Delta {
-		// The fingerprint diff (and the carried record/reference
-		// knowledge behind it) is a wave-to-wave serial dependency:
-		// wave i+1's plan reads the state wave i's scan observed. One
-		// wave in flight at a time; the scan/analysis overlap remains.
-		waveWorkers = 1
-	}
-	if waveWorkers > len(waves) {
-		waveWorkers = len(waves)
-	}
-
-	// Scan workers pull wave indexes in order; the caller's goroutine
-	// merges outcomes in that same order, analyzing each completed wave
-	// while later waves are still scanning. After cancellation the
-	// remaining RunWave calls observe the dead context inside their
-	// port scan and return immediately with no wave, so the merge loop
-	// always terminates.
+	// Scan workers pull wave positions in order; each wave's outcome
+	// waits in its own one-slot channel, so a worker never blocks on the
+	// fold. After cancellation the remaining scanWave calls observe the
+	// dead context inside their port scan and return immediately, so the
+	// fold below always terminates.
 	type outcome struct {
 		wave *scanner.Wave
+		recs []*dataset.HostRecord
 		err  error
 	}
-	outcomes := make([]outcome, len(waves))
-	done := make([]chan struct{}, len(waves))
-	for i := range done {
-		done[i] = make(chan struct{})
+	outcomes := make([]chan outcome, len(run.waves))
+	jobs := make(chan int, len(run.waves))
+	for i := range run.waves {
+		outcomes[i] = make(chan outcome, 1)
+		jobs <- i
 	}
-	jobs := make(chan int)
+	close(jobs)
 	var wg sync.WaitGroup
-	for k := 0; k < waveWorkers; k++ {
+	for k := 0; k < run.waveWorkers(); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -693,27 +655,26 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 				// A wave whose turn comes after cancellation never
 				// starts; it must not surface as a partial scan.
 				if err := ctx.Err(); err != nil {
-					outcomes[i] = outcome{err: err}
-					close(done[i])
+					outcomes[i] <- outcome{err: err}
 					continue
 				}
-				wave, err := scanOne(i)
-				outcomes[i] = outcome{wave: wave, err: err}
-				close(done[i])
+				wave, recs, err := run.scanWave(ctx, i, cfg.Shards, allShards)
+				outcomes[i] <- outcome{wave, recs, err}
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for i := range waves {
-			jobs <- i
-		}
-	}()
 
-	var firstErr error
-	for i, w := range waves {
-		<-done[i]
-		out := outcomes[i]
+	// The analysis side is a streaming fold in wave order: each wave's
+	// records stream through a WaveAccumulator (and into cfg.RecordSink,
+	// in dataset order), and every finalized WaveAnalysis is folded into
+	// the longitudinal accumulator immediately, while later waves are
+	// still scanning — the campaign never needs more than the in-flight
+	// waves in memory (with DiscardRecords, not even the past waves'
+	// records).
+	longAcc := core.NewLongitudinalAccumulator(false)
+	var sinkErr, firstErr error
+	for i, w := range run.waves {
+		out := <-outcomes[i]
 		if out.wave != nil {
 			c.Scans[w] = out.wave
 		}
@@ -724,20 +685,45 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 			continue
 		}
 		// Waves that completed before the cancellation landed are fully
-		// analyzed even when an earlier wave in the merge order errored;
+		// analyzed even when an earlier wave in the fold order errored;
 		// only Campaign.Long requires the whole campaign.
-		analyze(i, out.wave)
+		acc := core.NewWaveAccumulator(w, deploy.WaveDates[w])
+		// campaign_records{wave=w} is the accounting counter: its total
+		// across waves must equal the dataset's record count exactly —
+		// the invariant the metrics-accounting tests pin.
+		recordsC := cfg.Telemetry.Scope("wave", strconv.Itoa(w)).Counter("campaign_records")
+		for _, rec := range out.recs {
+			acc.Add(rec)
+			recordsC.Inc()
+			if cfg.RecordSink != nil && sinkErr == nil {
+				if sinkErr = cfg.RecordSink.Put(rec); sinkErr != nil {
+					abort()
+				}
+			}
+		}
+		if !cfg.DiscardRecords {
+			c.RecordsByWave[w] = out.recs
+		}
+		analysis := acc.Finalize(cfg.AnalyzeWorkers)
+		c.Analyses = append(c.Analyses, analysis)
+		longAcc.AddWave(analysis)
+		cfg.progressf("wave %d: %d open ports, %d OPC UA hosts (%d servers, %d discovery), %.0f%% deficient",
+			w, out.wave.OpenPorts, acc.Len(), len(analysis.Servers), analysis.Discovery,
+			100*analysis.DeficientFrac)
 	}
 	wg.Wait()
 	if sinkErr != nil {
 		// The sink failure is the root cause; later waves' cancellation
 		// errors are its consequence.
-		return finish()
+		return c, fmt.Errorf("opcuastudy: record sink: %w", sinkErr)
 	}
 	if firstErr != nil {
 		return c, firstErr
 	}
-	return finish()
+	long := longAcc.Finalize()
+	long.Waves = c.Analyses
+	c.Long = long
+	return c, nil
 }
 
 // RunCampaignShard is the worker half of a multi-process campaign: it
@@ -751,97 +737,39 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 // workers in separate processes observe the identical Internet and the
 // merged campaign is record-for-record the unsharded one.
 //
+// Under cfg.Delta the tracker runs over this worker's own shard stream.
+// By induction over waves, a worker's delta stream is record-for-record
+// its full-scan shard stream (its observations cover exactly the
+// referrers and records it would re-grab), so the merge yields the
+// identical dataset at any shard count.
+//
 // The sink stays open — the caller owns and closes it. On context
 // cancellation the in-flight wave's records are not emitted (a partial
 // wave must not masquerade as a complete shard stream); the error is
 // returned after whole waves already streamed.
 //
-// Two semantics differ from the single-process Campaign by design:
-// waves always stream in ascending wave order regardless of how
-// cfg.Waves is arranged (the merge requires wave-ordered streams, and
-// a longitudinal fold is only meaningful ascending), and a scanned
-// wave that yields zero OPC UA records is simply absent from the
-// stream — the merged analysis then skips it, exactly like
+// One semantic differs from the single-process Campaign: a scanned wave
+// that yields zero OPC UA records is simply absent from the stream —
+// the merged analysis then skips it, exactly like
 // AnalyzeRecords/AnalyzeDataset skip empty waves when reproducing
 // figures from a released dataset.
 func RunCampaignShard(ctx context.Context, cfg CampaignConfig, world *deploy.World, shards, shard int, sink pipeline.RecordSink) error {
-	cfg.Progressf = telemetry.SerializedProgressf(cfg.Progressf)
-	base, _, err := cfg.newScannerBase(world)
+	if shard < 0 {
+		// The lease's shard index arrives from the network; a negative
+		// one must not read as allShards.
+		return fmt.Errorf("opcuastudy: shard %d out of range [0, %d)", shard, shards)
+	}
+	run, err := newCampaignRun(cfg, world)
 	if err != nil {
 		return err
 	}
-	workers := cfg.GrabWorkers
-	if workers <= 0 {
-		workers = 32
-	}
-	waves := slices.Clone(cfg.selectedWaves())
-	slices.Sort(waves)
-	// Delta mode per worker: the tracker runs over this worker's own
-	// shard stream. By induction over waves, a worker's delta stream is
-	// record-for-record its full-scan shard stream (its observations
-	// cover exactly the referrers and records it would re-grab), so the
-	// coordinator's MergeShardStreams yields the identical merged
-	// dataset at any shard count.
-	var tracker *deltaTracker
-	if cfg.Delta {
-		var terr error
-		if tracker, terr = newDeltaTracker(cfg, world, waves); terr != nil {
-			return terr
-		}
-	}
-	for wi, w := range waves {
-		date := deploy.WaveDates[w]
-		view, err := world.SnapshotWave(w)
-		if err != nil {
-			return err
-		}
-		plan := scanner.PlanWaveShards(view, shards)
-		cfg.progressf("wave %d (%s): scanning shard %d/%d...",
-			w, date.Format("2006-01-02"), shard, plan.Shards)
-		// The worker's registry is process-scoped: wave labels here match
-		// the coordinator's, the shard identity rides on Snapshot.Shard,
-		// so per-shard finals merge key-aligned into the campaign total.
-		waveScope := cfg.Telemetry.Scope("wave", strconv.Itoa(w))
-		recordsC := waveScope.Counter("campaign_records")
-		sc := base
-		sc.Dialer = view
-		sc.Metrics = waveScope
-		sc.Trace = cfg.Trace
-		sc.TraceSeed = cfg.Seed
-		sc.TraceWave = w
-		wcfg := scanner.WaveConfig{
-			Date:             date,
-			FollowReferences: w >= deploy.FollowReferencesFromWave,
-			GrabWorkers:      workers,
-			QueueSize:        cfg.QueueSize,
-			Barrier:          cfg.Barrier,
-			Metrics:          waveScope,
-		}
-		var dw *deltaWave
-		if cfg.Delta {
-			dw = tracker.planWave(wi)
-			wcfg.Delta = dw.sd
-		}
-		wave, err := scanner.RunWaveShard(ctx, view, &sc, wcfg, plan, shard)
+	for i, w := range run.waves {
+		_, recs, err := run.scanWave(ctx, i, shards, shard)
 		if err != nil {
 			return fmt.Errorf("opcuastudy: wave %d shard %d: %w", w, shard, err)
 		}
-		results := wave.DatasetResults()
-		all := make([]*dataset.HostRecord, 0, len(results))
-		for _, res := range results {
-			all = append(all, dataset.FromResult(res, w, date, asnOf(view, res.Address)))
-		}
-		if cfg.Delta {
-			tracker.observeWave(wi, dw, wave, view)
-			all = mergeDeltaRecords(all, dw)
-			if dw.delta() {
-				waveScope.Counter("wave_delta_misses").Add(uint64(len(wave.Results)))
-				waveScope.Counter("wave_delta_hits").Add(uint64(len(dw.clones)))
-			} else {
-				waveScope.Counter("wave_delta_fallbacks").Inc()
-			}
-		}
-		for _, rec := range all {
+		recordsC := run.cfg.Telemetry.Scope("wave", strconv.Itoa(w)).Counter("campaign_records")
+		for _, rec := range recs {
 			if err := sink.Put(rec); err != nil {
 				return fmt.Errorf("opcuastudy: wave %d shard %d: sink: %w", w, shard, err)
 			}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -53,83 +52,6 @@ func lastWaveCampaign(t *testing.T) *Campaign {
 	return e2eCamp
 }
 
-// TestCampaignPipelineMatchesSequential runs the same two waves on one
-// small world through the overlapped streaming pipeline and through the
-// legacy configuration (barrier grabs, serial analysis, no overlap) and
-// requires identical datasets and analyses. The world is shared, so
-// even certificate thumbprints must agree.
-func TestCampaignPipelineMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence skipped in -short mode")
-	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{6, 7},
-		TestKeySizes: true,
-		MaxHosts:     60,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streaming, err := RunCampaignOnWorld(context.Background(), cfg, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := cfg
-	legacy.Barrier = true
-	legacy.Sequential = true
-	legacy.AnalyzeWorkers = 1
-	legacy.GrabWorkers = 1
-	sequential, err := RunCampaignOnWorld(context.Background(), legacy, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, w := range cfg.Waves {
-		a, b := streaming.RecordsByWave[w], sequential.RecordsByWave[w]
-		if len(a) != len(b) {
-			t.Fatalf("wave %d: %d records vs %d", w, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Address != b[i].Address || a[i].Via != b[i].Via ||
-				(a[i].Cert == nil) != (b[i].Cert == nil) {
-				t.Fatalf("wave %d record %d: %s/%s vs %s/%s",
-					w, i, a[i].Address, a[i].Via, b[i].Address, b[i].Via)
-			}
-			if a[i].Cert != nil && a[i].Cert.Thumbprint != b[i].Cert.Thumbprint {
-				t.Errorf("wave %d record %d: thumbprint mismatch", w, i)
-			}
-		}
-	}
-	if len(streaming.Analyses) != len(sequential.Analyses) {
-		t.Fatalf("analyses = %d vs %d", len(streaming.Analyses), len(sequential.Analyses))
-	}
-	for i, sa := range streaming.Analyses {
-		qa := sequential.Analyses[i]
-		if sa.Wave != qa.Wave || len(sa.Servers) != len(qa.Servers) ||
-			sa.Discovery != qa.Discovery || sa.Accessible != qa.Accessible ||
-			sa.Anonymous != qa.Anonymous || sa.Deficient != qa.Deficient {
-			t.Errorf("wave %d analysis differs: %d/%d/%d/%d/%d vs %d/%d/%d/%d/%d",
-				sa.Wave, len(sa.Servers), sa.Discovery, sa.Accessible, sa.Anonymous, sa.Deficient,
-				len(qa.Servers), qa.Discovery, qa.Accessible, qa.Anonymous, qa.Deficient)
-		}
-		if !reflect.DeepEqual(sa.ModeSupport, qa.ModeSupport) ||
-			!reflect.DeepEqual(sa.PolicySupport, qa.PolicySupport) ||
-			!reflect.DeepEqual(sa.DeficitTotals, qa.DeficitTotals) {
-			t.Errorf("wave %d aggregates differ", sa.Wave)
-		}
-	}
-	if streaming.Long.TotalCerts != sequential.Long.TotalCerts ||
-		len(streaming.Long.Renewals) != len(sequential.Long.Renewals) {
-		t.Errorf("longitudinal differs: %d/%d certs, %d/%d renewals",
-			streaming.Long.TotalCerts, sequential.Long.TotalCerts,
-			len(streaming.Long.Renewals), len(sequential.Long.Renewals))
-	}
-}
-
 // normalizeWallClock zeroes the per-record fields that may legitimately
 // differ between otherwise identical campaign runs: Duration is wall
 // clock, and Bytes depends on the scanner certificate (seeded and
@@ -159,8 +81,9 @@ func datasetBytes(t *testing.T, c *Campaign) []byte {
 // acceptance gate: scanning all waves concurrently (each against its
 // own immutable snapshot) must produce a byte-identical dataset and
 // identical WaveAnalysis/Longitudinal output to the one-wave-at-a-time
-// run. The world is shared, so even certificate thumbprints must
-// agree. Run under -race this also exercises the wave worker pool.
+// run (WaveWorkers 1). The world is shared, so even certificate
+// thumbprints must agree. Run under -race this also exercises the wave
+// worker pool.
 func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence skipped in -short mode")
@@ -183,9 +106,9 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential := cfg
-	sequential.Sequential = true
-	seq, err := RunCampaignOnWorld(context.Background(), sequential, world)
+	oneAtATime := cfg
+	oneAtATime.WaveWorkers = 1
+	seq, err := RunCampaignOnWorld(context.Background(), oneAtATime, world)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +119,10 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
 	}
 	if !reflect.DeepEqual(conc.Analyses, seq.Analyses) {
-		t.Error("wave analyses differ between concurrent and sequential runs")
+		t.Error("wave analyses differ between concurrent and one-at-a-time runs")
 	}
 	if !reflect.DeepEqual(conc.Long, seq.Long) {
-		t.Error("longitudinal analysis differs between concurrent and sequential runs")
+		t.Error("longitudinal analysis differs between concurrent and one-at-a-time runs")
 	}
 	for _, w := range cfg.Waves {
 		cs, ss := conc.Scans[w], seq.Scans[w]
@@ -830,14 +753,16 @@ func TestEndToEndReportRenders(t *testing.T) {
 
 // TestShardedCampaignByteIdentical is the PR 5 acceptance gate for the
 // sharded record pipeline: campaigns that shard every wave's permuted
-// probe space 1, 2 and 5 ways in-process — and 2 and 5 ways across
-// cmd/measure worker subprocesses merged by the coordinator — must
-// produce byte-identical datasets and identical WaveAnalysis/
-// Longitudinal output versus the unsharded single-process run. The
-// in-process variants share one world (thumbprints must agree by
-// construction); the subprocess variants rebuild the world per worker,
-// so they additionally prove the deterministic materialization. Run
-// under -race this also exercises the concurrent shard execution.
+// probe space 1, 2 and 5 ways in-process — and 5 ways across four
+// cmd/measure fabric worker subprocesses — must produce byte-identical
+// datasets and identical WaveAnalysis/Longitudinal output versus the
+// unsharded single-process run. The in-process variants share one
+// world (thumbprints must agree by construction); the subprocess
+// workers each rebuild the world, so they additionally prove the
+// deterministic materialization. Run under -race this also exercises
+// the concurrent shard execution. (The per-shard streams of
+// RunCampaignShard are pinned in-process by
+// TestShardedCampaignShardStreams.)
 func TestShardedCampaignByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded campaign equivalence skipped in -short mode")
@@ -891,59 +816,13 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Subprocess round trip: the coordinator spawns one measure worker
-	// per shard (each materializing its own world from the seed) and
-	// merges their NDJSON streams.
-	bin := filepath.Join(t.TempDir(), "measure")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/measure").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/measure: %v\n%s", err, out)
-	}
-	for _, shards := range []int{2, 5} {
-		merged := filepath.Join(t.TempDir(), "merged.jsonl")
-		cmd := exec.Command(bin,
-			"-shards", strconv.Itoa(shards),
-			"-seed", "2020", "-waves", "6,7", "-testkeys",
-			"-max-hosts", "60", "-noise", "1e-5", "-grab-workers", "8",
-			"-dataset", merged)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("coordinator (shards=%d): %v\n%s", shards, err, out)
-		}
-		f, err := os.Open(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := dataset.Read(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			r.Duration, r.Bytes = 0, 0
-		}
-		var buf bytes.Buffer
-		if err := dataset.Write(&buf, recs); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("shards=%d subprocess: merged dataset differs from unsharded (%d vs %d bytes)",
-				shards, buf.Len(), len(want))
-		}
-		analyses, long := AnalyzeRecords(recs)
-		wantAnalyses, wantLong := AnalyzeRecords(decodeDataset(t, want))
-		if !reflect.DeepEqual(analyses, wantAnalyses) {
-			t.Errorf("shards=%d subprocess: re-analyses differ", shards)
-		}
-		if !reflect.DeepEqual(long, wantLong) {
-			t.Errorf("shards=%d subprocess: longitudinal differs", shards)
-		}
-	}
-
 	// Network fabric round trip (PR 8): an in-process coordinator leases
 	// 5 shards over TCP to four measure subprocess workers. One worker is
 	// killed abruptly mid-shard (its partial stream must be discarded and
 	// the shard re-queued); another stalls mid-shard with the connection
 	// held open (only the heartbeat deadline can notice — the lease must
 	// expire). The merged campaign must stay byte-identical regardless.
+	bin := buildMeasure(t)
 	const netShards = 5
 	deadAfter := 1 * time.Second
 	spec := cfg.FabricSpec(netShards, 25*time.Millisecond)
@@ -988,17 +867,23 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 		cmds = append(cmds, cmd)
 	}
 	streams, err := coord.Run(ctx)
+	// The campaign is over. The stalled worker, declared dead, is now
+	// reconnecting to a closed listener and would spend its whole dial
+	// budget — 20 s of seeded backoff — before exiting; what this gate
+	// needs from it (the heartbeat gap, the re-queued lease) is asserted
+	// on the coordinator's counters below, so it is not waited for.
+	const stalled = 1
+	cmds[stalled].Process.Kill()
 	for i, cmd := range cmds {
 		werr := cmd.Wait()
-		// The killed worker must die (nonzero exit). Surviving workers
-		// exit cleanly at shutdown — except a worker caught between
-		// sessions when the campaign ends (the stalled one mid-reconnect)
-		// legitimately exhausts its dial budget against the closed
-		// listener.
+		// The killed worker must die (nonzero exit). The clean workers
+		// exit cleanly at shutdown — except one caught between sessions
+		// when the campaign ends, which legitimately exhausts its dial
+		// budget against the closed listener.
 		if i == 0 && werr == nil {
 			t.Errorf("fabric worker %d (-fault kill) exited cleanly", i)
 		}
-		if i != 0 && werr != nil &&
+		if i > stalled && werr != nil &&
 			!strings.Contains(stderrs[i].String(), "consecutive dial failures") {
 			t.Errorf("fabric worker %d exited: %v\n%s", i, werr, stderrs[i].Bytes())
 		}
@@ -1056,134 +941,6 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMeasureMetricsAccounting runs a sharded cmd/measure campaign with
-// -metrics and pins the snapshot-stream contract: the output carries
-// one final snapshot per shard, their merged "total", and the merge
-// stage's own snapshot whose campaign_records counters equal the merged
-// dataset's record count exactly — every record in the released dataset
-// is accounted for. Worker counts may exceed the merged count (shards
-// can grab the same follow-up reference; the merge dedups), so the
-// workers' sums bound the merge count from above.
-func TestMeasureMetricsAccounting(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess campaign skipped in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "measure")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/measure").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/measure: %v\n%s", err, out)
-	}
-	dir := t.TempDir()
-	merged := filepath.Join(dir, "merged.jsonl")
-	metrics := filepath.Join(dir, "metrics.ndjson")
-	cmd := exec.Command(bin,
-		"-shards", "2",
-		"-seed", "2020", "-waves", "6,7", "-testkeys",
-		"-max-hosts", "60", "-noise", "1e-5", "-grab-workers", "8",
-		"-dataset", merged, "-metrics", metrics)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("coordinator: %v\n%s", err, out)
-	}
-
-	f, err := os.Open(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := dataset.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	perWave := map[int]uint64{}
-	for _, r := range recs {
-		perWave[r.Wave]++
-	}
-
-	mf, err := os.Open(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := telemetry.ReadSnapshots(mf)
-	mf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byShard := map[string]*telemetry.Snapshot{}
-	for _, s := range snaps {
-		if !s.Final {
-			t.Errorf("non-final snapshot (shard %q) in the coordinator's merged output", s.Shard)
-		}
-		byShard[s.Shard] = s
-	}
-	for _, want := range []string{"0", "1", "total", "merge"} {
-		if byShard[want] == nil {
-			t.Fatalf("metrics output missing %q snapshot (have %d lines)", want, len(snaps))
-		}
-	}
-
-	mergeSnap := byShard["merge"]
-	if got := mergeSnap.CounterTotal("campaign_records"); got != uint64(len(recs)) {
-		t.Errorf("merge campaign_records = %d, want %d (merged dataset records)", got, len(recs))
-	}
-	for w, n := range perWave {
-		key := `campaign_records{wave="` + strconv.Itoa(w) + `"}`
-		if got := mergeSnap.Counters[key]; got != n {
-			t.Errorf("merge %s = %d, want %d", key, got, n)
-		}
-	}
-
-	var workerSum uint64
-	for _, shard := range []string{"0", "1"} {
-		s := byShard[shard]
-		n := s.CounterTotal("campaign_records")
-		if n == 0 {
-			t.Errorf("shard %s emitted no records", shard)
-		}
-		workerSum += n
-		if s.CounterTotal("scan_probes") == 0 {
-			t.Errorf("shard %s recorded no scan probes", shard)
-		}
-		if s.CounterTotal("sink_records") != n {
-			t.Errorf("shard %s: sink_records = %d, want %d (every emitted record through the sink)",
-				shard, s.CounterTotal("sink_records"), n)
-		}
-	}
-	if workerSum < uint64(len(recs)) {
-		t.Errorf("workers emitted %d records, fewer than the %d merged", workerSum, len(recs))
-	}
-	wantTotal := byShard["0"].CounterTotal("scan_probes") + byShard["1"].CounterTotal("scan_probes")
-	if got := byShard["total"].CounterTotal("scan_probes"); got != wantTotal {
-		t.Errorf("total scan_probes = %d, want %d (sum of shards)", got, wantTotal)
-	}
-
-	// The per-service request counters live in the per-wave scope, sum
-	// across the shard snapshots key by key, and reach the summary table.
-	for _, service := range []string{"get_endpoints", "find_servers", "create_session", "browse", "read"} {
-		for w := range perWave {
-			key := `ua_requests{wave="` + strconv.Itoa(w) + `",service="` + service + `"}`
-			want := byShard["0"].Counters[key] + byShard["1"].Counters[key]
-			if got := byShard["total"].Counters[key]; got == 0 || got != want {
-				t.Errorf("total %s = %d, want %d (sum of shards, nonzero)", key, got, want)
-			}
-		}
-		if !bytes.Contains(out, []byte("requests: "+service)) {
-			t.Errorf("summary table has no %q row", "requests: "+service)
-		}
-	}
-	// So do the connection counters. Every grab of this campaign reaches
-	// an OPC UA server, so ok is the one result that must be there.
-	for w := range perWave {
-		key := `ua_dials{wave="` + strconv.Itoa(w) + `",result="ok"}`
-		want := byShard["0"].Counters[key] + byShard["1"].Counters[key]
-		if got := byShard["total"].Counters[key]; got == 0 || got != want {
-			t.Errorf("total %s = %d, want %d (sum of shards, nonzero)", key, got, want)
-		}
-	}
-	if !bytes.Contains(out, []byte("dials: ok")) {
-		t.Errorf("summary table has no %q row", "dials: ok")
-	}
-}
-
 func decodeDataset(t *testing.T, raw []byte) []*dataset.HostRecord {
 	t.Helper()
 	recs, err := dataset.Read(bytes.NewReader(raw))
@@ -1191,6 +948,187 @@ func decodeDataset(t *testing.T, raw []byte) []*dataset.HostRecord {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// normalizedRecords zeroes the records' wall-clock fields, like
+// normalizeWallClock, and encodes them as a dataset.
+func normalizedRecords(t *testing.T, recs []*dataset.HostRecord) []byte {
+	t.Helper()
+	for _, r := range recs {
+		r.Duration, r.Bytes = 0, 0
+	}
+	var buf bytes.Buffer
+	if err := dataset.Write(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestShardedCampaignShardStreams is the executor differential: on one
+// world, RunCampaignShard for every shard of a 2- and a 5-shard plan,
+// each into its own in-memory NDJSON stream, merged by
+// pipeline.MergeShardStreams, must equal RunCampaignOnWorld's dataset
+// byte for byte — the polite full scan, the delta campaign, and a
+// chaos-mixed wave 7 on two shards. Both entry points run the same scanWave; this pins
+// that what they do with its records agrees. Under Delta every shard
+// owns a tracker over its own stream, and the per-shard registries must
+// reconcile: one fallback wave each, clones in every shard, and at
+// least as many records emitted as survive the merge's dedup.
+func TestShardedCampaignShardStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharded campaign equivalence skipped in -short mode")
+	}
+	full := CampaignConfig{
+		Seed:         2020,
+		Waves:        []int{4, 5, 6, 7},
+		TestKeySizes: true,
+		MaxHosts:     60,
+		NoiseProb:    1e-5,
+		GrabWorkers:  8,
+	}
+	world, err := BuildWorld(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := full
+	delta.Delta = true
+	for _, tc := range []struct {
+		name   string
+		cfg    CampaignConfig
+		shards []int
+	}{
+		{"full", full, []int{2, 5}},
+		{"delta", delta, []int{2, 5}},
+		// One row: chaos hosts cost wall-clock stage deadlines.
+		{"chaos_mixed", chaosTestConfig("mixed"), []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := tc.cfg
+			ref.Delta = false
+			baseline, err := RunCampaignOnWorld(context.Background(), ref, world)
+			if err != nil {
+				t.Fatal(err)
+			}
+			normalizeWallClock(baseline)
+			want := datasetBytes(t, baseline)
+
+			for _, shards := range tc.shards {
+				streams := make([]bytes.Buffer, shards)
+				regs := make([]*telemetry.Registry, shards)
+				errs := make([]error, shards)
+				var wg sync.WaitGroup
+				for s := range streams {
+					regs[s] = telemetry.New()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						cfg := tc.cfg
+						cfg.Telemetry = regs[s]
+						sink := pipeline.NewEncoderSink(&streams[s], false)
+						errs[s] = RunCampaignShard(context.Background(), cfg, world, shards, s, sink)
+						if errs[s] == nil {
+							errs[s] = sink.Close()
+						}
+					}()
+				}
+				wg.Wait()
+				decoders := make([]*dataset.Decoder, shards)
+				for s := range streams {
+					if errs[s] != nil {
+						t.Fatalf("shards=%d shard %d: %v", shards, s, errs[s])
+					}
+					decoders[s] = dataset.NewDecoder(&streams[s])
+				}
+				var merged pipeline.SliceSink
+				if err := pipeline.MergeShardStreams(&merged, decoders...); err != nil {
+					t.Fatalf("shards=%d: merging shard streams: %v", shards, err)
+				}
+				if got := normalizedRecords(t, merged.Records); !bytes.Equal(got, want) {
+					t.Errorf("shards=%d: merged shard streams differ from RunCampaignOnWorld (%d vs %d bytes)",
+						shards, len(got), len(want))
+				}
+
+				var emitted uint64
+				for s, reg := range regs {
+					snap := reg.Snapshot()
+					emitted += snap.CounterTotal("campaign_records")
+					if !tc.cfg.Delta {
+						continue
+					}
+					if got := snap.CounterTotal("wave_delta_fallbacks"); got != 1 {
+						t.Errorf("shards=%d shard %d: wave_delta_fallbacks = %d, want 1 (first wave only)", shards, s, got)
+					}
+					if snap.CounterTotal("wave_delta_hits") == 0 {
+						t.Errorf("shards=%d shard %d: no delta hits — fingerprints never matched", shards, s)
+					}
+				}
+				if emitted < uint64(len(merged.Records)) {
+					t.Errorf("shards=%d: shards emitted %d records, fewer than the %d merged",
+						shards, emitted, len(merged.Records))
+				}
+			}
+		})
+	}
+}
+
+// TestCampaignWaveSelection pins the one place the wave selection is
+// resolved (newCampaignRun), through both entry points: the selection
+// runs ascending however it is arranged, and an out-of-range or
+// repeated wave is an error before anything scans.
+func TestCampaignWaveSelection(t *testing.T) {
+	cfg := CampaignConfig{
+		Seed:         2020,
+		TestKeySizes: true,
+		MaxHosts:     20,
+		NoiseProb:    1e-5,
+		GrabWorkers:  8,
+	}
+	world, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		waves   []int
+		want    []int  // executed order
+		wantErr string // substring; empty = success
+	}{
+		{waves: []int{7, 5, 6}, want: []int{5, 6, 7}},
+		{waves: []int{9}, wantErr: "wave 9 out of range"},
+		{waves: []int{3, -1}, wantErr: "wave -1 out of range"},
+		{waves: []int{7, 7}, wantErr: "wave 7 selected more than once"},
+		{waves: []int{6, 7, 6}, wantErr: "wave 6 selected more than once"},
+	} {
+		cfg.Waves = tc.waves
+		c, err := RunCampaignOnWorld(context.Background(), cfg, world)
+		var sink pipeline.SliceSink
+		serr := RunCampaignShard(context.Background(), cfg, world, 1, 0, &sink)
+		if tc.wantErr != "" {
+			for _, e := range []error{err, serr} {
+				if e == nil || !strings.Contains(e.Error(), tc.wantErr) {
+					t.Errorf("waves %v: err = %v, want %q", tc.waves, e, tc.wantErr)
+				}
+			}
+			if len(sink.Records) != 0 {
+				t.Errorf("waves %v: %d records streamed despite the invalid selection", tc.waves, len(sink.Records))
+			}
+			continue
+		}
+		if err != nil || serr != nil {
+			t.Fatalf("waves %v: %v / %v", tc.waves, err, serr)
+		}
+		var folded, streamed []int
+		for _, a := range c.Long.Waves {
+			folded = append(folded, a.Wave)
+		}
+		for _, r := range sink.Records {
+			if len(streamed) == 0 || streamed[len(streamed)-1] != r.Wave {
+				streamed = append(streamed, r.Wave)
+			}
+		}
+		if !reflect.DeepEqual(folded, tc.want) || !reflect.DeepEqual(streamed, tc.want) {
+			t.Errorf("waves %v: folded %v, streamed %v, want %v", tc.waves, folded, streamed, tc.want)
+		}
+	}
 }
 
 // TestShardedCampaignCancellation extends the cancellation contract to
