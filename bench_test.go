@@ -86,7 +86,11 @@ func reanalyze(b *testing.B, c *Campaign) *core.WaveAnalysis {
 	var w *core.WaveAnalysis
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w = core.AnalyzeWave(7, c.Analyses[len(c.Analyses)-1].Date, recs)
+		acc := core.NewWaveAccumulator(7, c.Analyses[len(c.Analyses)-1].Date)
+		for _, r := range recs {
+			acc.Add(r)
+		}
+		w = acc.Finalize(0)
 	}
 	b.StopTimer()
 	return w
@@ -222,7 +226,11 @@ func BenchmarkSection55Longitudinal(b *testing.B) {
 	var l *core.Longitudinal
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l = core.AnalyzeLongitudinal(c.Analyses)
+		la := core.NewLongitudinalAccumulator(true)
+		for _, w := range c.Analyses {
+			la.AddWave(w)
+		}
+		l = la.Finalize()
 	}
 	b.StopTimer()
 	if len(l.Renewals) != 84 {
@@ -327,7 +335,7 @@ func BenchmarkCampaign8Waves(b *testing.B) {
 				}
 				assertPaperHeadlines(b, run)
 				if st := run.CryptoStats; st != nil {
-					tot := st.Total()
+					tot := cryptoTotal(st)
 					b.ReportMetric(float64(tot.Hits), "rsa_hits")
 					b.ReportMetric(float64(tot.Misses), "rsa_misses")
 					b.ReportMetric(100*tot.HitRate(), "rsa_hit_pct")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/scanner"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
 
@@ -208,7 +209,7 @@ func TestChaosCampaignTarpitCompletes(t *testing.T) {
 	// non-OPC-UA banners honestly classify as malformed); chaos-driven
 	// failures in a tarpit world are timeouts only — a tarpit must
 	// never surface as a reset or burn its retry budget.
-	noise := world.Net.NoiseModel()
+	noise := world.Net.Noise
 	for _, recs := range c.RecordsByWave {
 		for _, r := range recs {
 			if r.FailureClass == "" || r.FailureClass == scanner.FailTimeout {
@@ -218,7 +219,7 @@ func TestChaosCampaignTarpitCompletes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("record address %q: %v", r.Address, err)
 			}
-			if r.FailureClass != scanner.FailMalformed || !noise.HitInUniverse(ap.Addr(), int(ap.Port())) {
+			if r.FailureClass != scanner.FailMalformed || !noise.HitU32(simnet.AddrToU32(ap.Addr()), int(ap.Port())) {
 				t.Errorf("tarpit campaign produced %q record for non-noise host %s (err %q)",
 					r.FailureClass, r.Address, r.Error)
 			}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/scanner"
 	"repro/internal/telemetry"
 	"repro/internal/uaclient"
+	"repro/internal/uarsa"
 )
 
 // metricsOptions carries the observability flags through the run modes.
@@ -271,7 +272,8 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 		misses += s.CounterTotal("crypto_" + op + "_misses")
 	}
 	if hits+misses > 0 {
-		add("RSA cache hit rate", fmt.Sprintf("%.1f%% (%d/%d)", 100*float64(hits)/float64(hits+misses), hits, hits+misses))
+		rate := uarsa.OpStats{Hits: hits, Misses: misses}.HitRate()
+		add("RSA cache hit rate", fmt.Sprintf("%.1f%% (%d/%d)", 100*rate, hits, hits+misses))
 	} else {
 		add("RSA cache hit rate", "n/a (cache disabled or idle)")
 	}

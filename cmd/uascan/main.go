@@ -30,9 +30,10 @@ func main() {
 	log.SetFlags(0)
 	timeout := flag.Duration("timeout", 10*time.Second, "per-connection timeout")
 	walk := flag.Bool("walk", true, "traverse the address space when anonymous access works")
-	delay := flag.Duration("delay", 500*time.Millisecond, "inter-request delay during traversal (politeness)")
-	maxBytes := flag.Int64("maxbytes", 50<<20, "per-host traffic cap")
-	maxTime := flag.Duration("maxtime", 60*time.Minute, "per-host traversal time cap")
+	paper := uaclient.DefaultWalkOptions()
+	delay := flag.Duration("delay", paper.Delay, "inter-request delay during traversal (politeness)")
+	maxBytes := flag.Int64("maxbytes", paper.MaxBytes, "per-host traffic cap")
+	maxTime := flag.Duration("maxtime", paper.MaxDuration, "per-host traversal time cap")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: uascan [flags] host:port [host:port...]")
@@ -53,12 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	walkOpts := uaclient.WalkOptions{
-		Delay:       *delay,
-		MaxDuration: *maxTime,
-		MaxBytes:    *maxBytes,
-		MaxNodes:    100000,
-	}
+	walkOpts := paper
+	walkOpts.Delay, walkOpts.MaxDuration, walkOpts.MaxBytes = *delay, *maxTime, *maxBytes
 	if !*walk {
 		walkOpts.MaxNodes = 1
 	}

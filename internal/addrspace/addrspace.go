@@ -169,13 +169,6 @@ func (s *Space) AddNamespace(uri string) uint16 {
 	return uint16(len(s.namespaces) - 1)
 }
 
-// Namespaces returns a copy of the namespace array.
-func (s *Space) Namespaces() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.namespaces...)
-}
-
 // Add inserts a node. It returns an error if the id already exists.
 func (s *Space) Add(n *Node) error {
 	s.mu.Lock()
@@ -213,13 +206,6 @@ func (s *Space) Node(id uatypes.NodeID) (*Node, bool) {
 	defer s.mu.RUnlock()
 	n, ok := s.nodes[string(id.AppendKey(buf[:0]))]
 	return n, ok
-}
-
-// Len returns the number of nodes.
-func (s *Space) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.nodes)
 }
 
 // ObjectsFolder returns the node id of the Objects folder, the root of
@@ -287,39 +273,4 @@ func (r *Reference) matches(dir uamsg.BrowseDirection) bool {
 		return !r.IsForward
 	}
 	return true
-}
-
-// Stats summarizes anonymous exposure of the space, mirroring what the
-// scanner derives by traversal (Figure 7 ground truth).
-type Stats struct {
-	Variables      int
-	AnonReadable   int
-	AnonWritable   int
-	Methods        int
-	AnonExecutable int
-}
-
-// AnonymousStats computes exposure counts for the anonymous identity.
-func (s *Space) AnonymousStats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var st Stats
-	for _, n := range s.nodes {
-		switch n.Class {
-		case uamsg.NodeClassVariable:
-			st.Variables++
-			if n.AnonAccess.CanRead() {
-				st.AnonReadable++
-			}
-			if n.AnonAccess.CanWrite() {
-				st.AnonWritable++
-			}
-		case uamsg.NodeClassMethod:
-			st.Methods++
-			if n.Executable && n.AnonExecutable {
-				st.AnonExecutable++
-			}
-		}
-	}
-	return st
 }

@@ -22,12 +22,12 @@ func TestNewStandardSkeleton(t *testing.T) {
 	if ver.Value.Str != "3.2.1" {
 		t.Errorf("software version = %q", ver.Value.Str)
 	}
-	ns := s.Namespaces()
+	ns := s.namespaces
 	if len(ns) != 2 || ns[0] != "http://opcfoundation.org/UA/" || ns[1] != "urn:test:app" {
 		t.Errorf("namespaces = %v", ns)
 	}
-	if s.Len() < 10 {
-		t.Errorf("skeleton nodes = %d", s.Len())
+	if len(s.nodes) < 10 {
+		t.Errorf("skeleton nodes = %d", len(s.nodes))
 	}
 }
 
@@ -111,7 +111,7 @@ func TestPopulateExactCounts(t *testing.T) {
 	if ns < 2 {
 		t.Errorf("application namespace index = %d", ns)
 	}
-	st := s.AnonymousStats()
+	st := anonymousStats(s)
 	// Standard skeleton adds 7 readable variables.
 	if st.Variables != 47 {
 		t.Errorf("variables = %d", st.Variables)
@@ -144,12 +144,12 @@ func TestPopulateProfiles(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if got := Classify(s.Namespaces()); got != c.class {
-			t.Errorf("profile %v classified as %v (namespaces %v)", c.profile, got, s.Namespaces())
+		if got := Classify(s.namespaces); got != c.class {
+			t.Errorf("profile %v classified as %v (namespaces %v)", c.profile, got, s.namespaces)
 		}
 		// Bare profiles still expose application nodes (the study's
 		// unclassified hosts have content, just no vendor namespace).
-		if st := s.AnonymousStats(); st.Variables < 5+7 {
+		if st := anonymousStats(s); st.Variables < 5+7 {
 			t.Errorf("profile %v variables = %d", c.profile, st.Variables)
 		}
 	}
@@ -214,4 +214,28 @@ func TestClassifyPrecedence(t *testing.T) {
 		Unclassified.String() != "unclassified" {
 		t.Error("classification strings wrong")
 	}
+}
+
+// anonymousStats counts the space's variables and methods and what the
+// anonymous identity may read, write and execute: the ground truth the
+// scanner's traversal must recover (Figure 7).
+func anonymousStats(s *Space) (st struct{ Variables, AnonReadable, AnonWritable, Methods, AnonExecutable int }) {
+	for _, n := range s.nodes {
+		switch n.Class {
+		case uamsg.NodeClassVariable:
+			st.Variables++
+			if n.AnonAccess.CanRead() {
+				st.AnonReadable++
+			}
+			if n.AnonAccess.CanWrite() {
+				st.AnonWritable++
+			}
+		case uamsg.NodeClassMethod:
+			st.Methods++
+			if n.Executable && n.AnonExecutable {
+				st.AnonExecutable++
+			}
+		}
+	}
+	return st
 }

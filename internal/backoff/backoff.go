@@ -74,6 +74,3 @@ func (b *Backoff) Next() time.Duration {
 // Reset rewinds the exponent to Base after a successful attempt. The
 // jitter stream keeps advancing (see type doc).
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt reports how many delays were handed out since the last Reset.
-func (b *Backoff) Attempt() int { return b.attempt }

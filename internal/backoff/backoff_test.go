@@ -54,12 +54,12 @@ func TestResetRewindsExponentNotJitter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Next()
 	}
-	if b.Attempt() != 5 {
-		t.Fatalf("Attempt = %d, want 5", b.Attempt())
+	if b.attempt != 5 {
+		t.Fatalf("attempt = %d, want 5", b.attempt)
 	}
 	b.Reset()
-	if b.Attempt() != 0 {
-		t.Fatalf("Attempt after Reset = %d, want 0", b.Attempt())
+	if b.attempt != 0 {
+		t.Fatalf("attempt after Reset = %d, want 0", b.attempt)
 	}
 	first := b.Next()
 	if first < 50*time.Millisecond || first > 100*time.Millisecond {

@@ -121,9 +121,6 @@ type WaveModel struct {
 	wave  int
 }
 
-// Enabled reports whether this wave's model can produce a behavior.
-func (wm WaveModel) Enabled() bool { return wm.model.Enabled() }
-
 // FNV-1a 64-bit parameters, restated locally (simnet exports the same
 // constants, but chaos must not import simnet); pinned against
 // hash/fnv by TestFNVConstants.

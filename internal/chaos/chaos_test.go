@@ -106,7 +106,7 @@ func TestBehaviorDeterministicAndWaveBound(t *testing.T) {
 // behavior — polite worlds pay one branch.
 func TestZeroModelDisabled(t *testing.T) {
 	var wm WaveModel
-	if wm.Enabled() {
+	if wm.model.Enabled() {
 		t.Error("zero WaveModel reports Enabled")
 	}
 	if b := wm.Behavior([4]byte{1, 2, 3, 4}, 4840); b.Kind != KindNone {

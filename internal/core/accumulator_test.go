@@ -8,6 +8,16 @@ import (
 	"repro/internal/dataset"
 )
 
+// analyzeWave folds one wave's records as the record pipeline does,
+// finalizing on the given number of workers (0 = GOMAXPROCS).
+func analyzeWave(wave int, date time.Time, recs []*dataset.HostRecord, workers int) *WaveAnalysis {
+	acc := NewWaveAccumulator(wave, date)
+	for _, r := range recs {
+		acc.Add(r)
+	}
+	return acc.Finalize(workers)
+}
+
 // foldFixture builds a few waves of records exercising every fold path:
 // reuse clusters, renewals, discovery servers, weak-ish certs.
 func foldFixture() map[int][]*dataset.HostRecord {
@@ -41,11 +51,11 @@ func foldFixture() map[int][]*dataset.HostRecord {
 	return byWave
 }
 
-// TestWaveAccumulatorMatchesAnalyzeWave pins the incremental fold
-// against the slice-based entry point, field for field.
+// TestWaveAccumulatorMatchesAnalyzeWave pins the serial fold against
+// the one that finalizes on GOMAXPROCS workers, field for field.
 func TestWaveAccumulatorMatchesAnalyzeWave(t *testing.T) {
 	for w, recs := range foldFixture() {
-		direct := AnalyzeWave(w, recs[0].Date, recs)
+		direct := analyzeWave(w, recs[0].Date, recs, 0)
 		acc := NewWaveAccumulator(w, recs[0].Date)
 		for _, r := range recs {
 			acc.Add(r)
@@ -55,37 +65,25 @@ func TestWaveAccumulatorMatchesAnalyzeWave(t *testing.T) {
 		}
 		folded := acc.Finalize(1)
 		if !reflect.DeepEqual(direct, folded) {
-			t.Errorf("wave %d: incremental fold differs from AnalyzeWave:\n%+v\nvs\n%+v",
+			t.Errorf("wave %d: serial fold differs from the parallel one:\n%+v\nvs\n%+v",
 				w, folded, direct)
 		}
 	}
 }
 
-// TestLongitudinalAccumulatorMatchesAnalyze pins the wave-by-wave fold
-// against the slice-based entry point, and the non-retaining mode
-// (keepWaves=false) against it minus the Waves slice.
+// TestLongitudinalAccumulatorMatchesAnalyze pins the non-retaining fold
+// (keepWaves=false) against the retaining one minus the Waves slice.
 func TestLongitudinalAccumulatorMatchesAnalyze(t *testing.T) {
 	byWave := foldFixture()
-	var analyses []*WaveAnalysis
+	retained, flat := NewLongitudinalAccumulator(true), NewLongitudinalAccumulator(false)
 	for w := 0; w < len(byWave); w++ {
-		analyses = append(analyses, AnalyzeWave(w, byWave[w][0].Date, byWave[w]))
+		a := analyzeWave(w, byWave[w][0].Date, byWave[w], 0)
+		retained.AddWave(a)
+		flat.AddWave(a)
 	}
-	direct := AnalyzeLongitudinal(analyses)
+	direct := retained.Finalize()
 	if len(direct.Renewals) == 0 || direct.Downgraded == 0 {
 		t.Fatal("fixture produced no renewals; fold paths not exercised")
-	}
-
-	la := NewLongitudinalAccumulator(true)
-	for _, a := range analyses {
-		la.AddWave(a)
-	}
-	if folded := la.Finalize(); !reflect.DeepEqual(direct, folded) {
-		t.Errorf("longitudinal fold differs:\n%+v\nvs\n%+v", folded, direct)
-	}
-
-	flat := NewLongitudinalAccumulator(false)
-	for _, a := range analyses {
-		flat.AddWave(a)
 	}
 	got := flat.Finalize()
 	if got.Waves != nil {

@@ -208,24 +208,6 @@ func (c *AuthCell) Total() int {
 	return c.Production + c.Test + c.Unclassified + c.RejectedAuth + c.RejectedSC
 }
 
-// AnalyzeWave computes the full per-wave assessment. Per-host work runs
-// on GOMAXPROCS workers; see AnalyzeWaveWorkers for the contract.
-func AnalyzeWave(wave int, date time.Time, recs []*dataset.HostRecord) *WaveAnalysis {
-	return AnalyzeWaveWorkers(wave, date, recs, 0)
-}
-
-// AnalyzeWaveWorkers is AnalyzeWave with an explicit worker count for
-// the per-host assessment stage (0 = GOMAXPROCS). It is a thin wrapper
-// over the incremental WaveAccumulator, which streaming pipelines feed
-// record by record instead of materializing a slice first.
-func AnalyzeWaveWorkers(wave int, date time.Time, recs []*dataset.HostRecord, workers int) *WaveAnalysis {
-	acc := NewWaveAccumulator(wave, date)
-	for _, r := range recs {
-		acc.Add(r)
-	}
-	return acc.Finalize(workers)
-}
-
 // WaveAccumulator folds one wave's records as they arrive from the
 // record pipeline. Add maintains every cross-host index the assessment
 // needs (certificate-reuse clusters, the distinct-modulus set for
@@ -575,13 +557,6 @@ func accumulate(a *WaveAnalysis, h *HostAssessment) {
 	if h.Deficient {
 		a.Deficient++
 	}
-}
-
-// ReusedOnly reports hosts whose only deficit is certificate reuse;
-// §5.3 notes these barely move the headline number ("only 5 devices
-// otherwise configured securely").
-func ReusedOnly(h *HostAssessment) bool {
-	return len(h.Deficits) == 1 && h.Deficits[DeficitCertReuse]
 }
 
 func tokenCombo(r *dataset.HostRecord) string {

@@ -78,19 +78,15 @@ func parallelFixture() []*dataset.HostRecord {
 func TestAnalyzeWaveWorkersEquivalence(t *testing.T) {
 	recs := parallelFixture()
 	date := recs[0].Date
-	serial := AnalyzeWaveWorkers(0, date, recs, 1)
+	serial := analyzeWave(0, date, recs, 1)
 	if len(serial.Servers) == 0 || serial.Discovery == 0 || len(serial.ReuseClusters) == 0 {
 		t.Fatalf("fixture too thin: %d servers, %d discovery, %d clusters",
 			len(serial.Servers), serial.Discovery, len(serial.ReuseClusters))
 	}
 	for _, workers := range []int{0, 2, 4, 16} {
-		par := AnalyzeWaveWorkers(0, date, recs, workers)
+		par := analyzeWave(0, date, recs, workers)
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("workers=%d: analysis differs from serial run", workers)
 		}
-	}
-	// The default entry point must match too.
-	if !reflect.DeepEqual(serial, AnalyzeWave(0, date, recs)) {
-		t.Error("AnalyzeWave differs from 1-worker AnalyzeWaveWorkers")
 	}
 }

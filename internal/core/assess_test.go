@@ -75,7 +75,7 @@ func TestAnalyzeWaveModesAndPolicies(t *testing.T) {
 			r.AnonOffered = false
 		}),
 	}
-	w := AnalyzeWave(0, recs[0].Date, recs)
+	w := analyzeWave(0, recs[0].Date, recs, 0)
 	if len(w.Servers) != 3 {
 		t.Fatalf("servers = %d", len(w.Servers))
 	}
@@ -119,7 +119,7 @@ func TestAnalyzeWaveCertConformanceAndReuse(t *testing.T) {
 				Mode: "Sign", PolicyURI: uapolicy.URIBasic256Sha256})
 		}),
 	}
-	w := AnalyzeWave(0, nb, recs)
+	w := analyzeWave(0, nb, recs, 0)
 	// Host 1 announces S2 with a SHA-1 cert: too weak.
 	if w.Conformance["S2"][uapolicy.CertTooWeak] != 1 ||
 		w.Conformance["S2"][uapolicy.CertConformant] != 1 {
@@ -162,11 +162,11 @@ func TestAnalyzeWaveWeakKeys(t *testing.T) {
 			}
 		})
 	}
-	w := AnalyzeWave(0, nb, []*dataset.HostRecord{
+	w := analyzeWave(0, nb, []*dataset.HostRecord{
 		mk("1.1.1.1:4840", "t1", a),
 		mk("1.1.1.2:4840", "t2", b),
 		mk("1.1.1.3:4840", "t3", c),
-	})
+	}, 0)
 	if w.WeakKeyFindings != 2 {
 		t.Errorf("weak key findings = %d, want 2", w.WeakKeyFindings)
 	}
@@ -194,7 +194,7 @@ func TestAnalyzeWaveAuthMatrix(t *testing.T) {
 			r.AnonOffered = false
 		}),
 	}
-	w := AnalyzeWave(0, nb, recs)
+	w := analyzeWave(0, nb, recs, 0)
 	anon := w.AuthMatrix["Anonymous"]
 	if anon == nil || anon.Production != 1 || anon.Test != 1 || anon.RejectedSC != 1 {
 		t.Errorf("anon cell = %+v", anon)
@@ -224,7 +224,7 @@ func TestAnalyzeWaveSkipsDiscoveryAndNoise(t *testing.T) {
 		}),
 		{Address: "1.1.1.3:4840", ReachedOPCUA: false, Date: nb},
 	}
-	w := AnalyzeWave(0, nb, recs)
+	w := analyzeWave(0, nb, recs, 0)
 	if len(w.Servers) != 1 || w.Discovery != 1 || len(w.Records) != 2 {
 		t.Errorf("population = %d servers / %d discovery / %d records",
 			len(w.Servers), w.Discovery, len(w.Records))
@@ -239,14 +239,13 @@ func TestLongitudinalRenewalDetection(t *testing.T) {
 			r.Cert = cert(thumb, hash, 2048, "Org", nb)
 			r.SoftwareVersion = version
 		})
-		return AnalyzeWave(wave, nb, []*dataset.HostRecord{r})
+		return analyzeWave(wave, nb, []*dataset.HostRecord{r}, 0)
 	}
-	waves := []*WaveAnalysis{
-		mkWave(0, "t-old", "SHA-1", "1.0"),
-		mkWave(1, "t-old", "SHA-1", "1.0"),
-		mkWave(2, "t-new", "SHA-256", "1.1"), // renewal + upgrade + sw update
-	}
-	l := AnalyzeLongitudinal(waves)
+	la := NewLongitudinalAccumulator(true)
+	la.AddWave(mkWave(0, "t-old", "SHA-1", "1.0"))
+	la.AddWave(mkWave(1, "t-old", "SHA-1", "1.0"))
+	la.AddWave(mkWave(2, "t-new", "SHA-256", "1.1")) // renewal + upgrade + sw update
+	l := la.Finalize()
 	if len(l.Renewals) != 1 {
 		t.Fatalf("renewals = %d", len(l.Renewals))
 	}

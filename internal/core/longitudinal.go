@@ -40,17 +40,6 @@ type Longitudinal struct {
 	ReuseGrowth []int
 }
 
-// AnalyzeLongitudinal combines per-wave analyses. It is a thin wrapper
-// over the incremental LongitudinalAccumulator, which streaming
-// pipelines feed wave by wave as each WaveAnalysis finalizes.
-func AnalyzeLongitudinal(waves []*WaveAnalysis) *Longitudinal {
-	la := NewLongitudinalAccumulator(true)
-	for _, w := range waves {
-		la.AddWave(w)
-	}
-	return la.Finalize()
-}
-
 // certState is the longitudinal fold's per-address memory. It copies
 // the strings it needs out of the wave, so a non-retaining fold keeps
 // no reference to the wave's records.

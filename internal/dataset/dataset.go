@@ -384,6 +384,8 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 
 // Write streams records as JSON lines. It is a compatibility wrapper
 // over the record-at-a-time Encoder, which pipeline code uses directly.
+//
+//studyvet:api — the benchmark module's tests write datasets through it
 func Write(w io.Writer, recs []*HostRecord) error {
 	enc := NewEncoder(w)
 	for _, r := range recs {
@@ -396,6 +398,8 @@ func Write(w io.Writer, recs []*HostRecord) error {
 
 // Read loads JSONL records. It is a compatibility wrapper over the
 // streaming Decoder, which pipeline code uses directly.
+//
+//studyvet:api — the benchmark module's tests read datasets through it
 func Read(r io.Reader) ([]*HostRecord, error) {
 	var out []*HostRecord
 	dec := NewDecoder(r)

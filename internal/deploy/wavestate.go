@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"fmt"
-	"net/netip"
 
 	"repro/internal/wavediff"
 )
@@ -22,10 +21,10 @@ const scanPort = 4840
 // certificate and software version are the same wave-indexed values
 // serverAt keys its cache by, the chaos decision is the same
 // (seed, wave, ip, port) draw the worldview consults for registered
-// hosts, and PortScanned reflects the same universe membership and
-// exclusion set the port scan honors. A fingerprint over these fields
-// therefore covers every input that can shape the endpoint's record
-// bytes in the wave (DESIGN.md §10).
+// hosts, and PortScanned reflects the same universe membership the port
+// scan honors. A fingerprint over these fields therefore covers every
+// input that can shape the endpoint's record bytes in the wave
+// (DESIGN.md §10).
 func (w *World) WaveEndpointStates(wave int) ([]wavediff.EndpointState, error) {
 	if wave < 0 || wave >= len(WaveDates) {
 		return nil, fmt.Errorf("deploy: wave %d out of range", wave)
@@ -33,21 +32,16 @@ func (w *World) WaveEndpointStates(wave int) ([]wavediff.EndpointState, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 
-	universe := w.Net.Universe()
-	excluded := make(map[netip.Addr]bool)
-	for _, ip := range w.Net.ExcludedIPs() {
-		excluded[ip] = true
-	}
+	universe := w.Net.Universe
 	wm := w.chaos.ForWave(wave)
 
 	states := make([]wavediff.EndpointState, 0, len(w.hosts)+len(w.discovery))
 	for _, wh := range w.hosts {
 		hs := wh.spec
 		st := wavediff.EndpointState{
-			Address: fmt.Sprintf("%s:%d", hs.IP, hs.Port),
-			Present: hs.PresentAt(wave),
-			PortScanned: hs.Port == scanPort && universe.Contains(hs.IP) &&
-				!excluded[hs.IP],
+			Address:         fmt.Sprintf("%s:%d", hs.IP, hs.Port),
+			Present:         hs.PresentAt(wave),
+			PortScanned:     hs.Port == scanPort && universe.Contains(hs.IP),
 			CertThumbprint:  wh.certAt(wave).ThumbprintHex(),
 			SoftwareVersion: wh.softwareVersionAt(wave),
 		}
@@ -64,10 +58,9 @@ func (w *World) WaveEndpointStates(wave int) ([]wavediff.EndpointState, error) {
 	for _, wd := range w.discovery {
 		ds := wd.spec
 		st := wavediff.EndpointState{
-			Address: fmt.Sprintf("%s:%d", ds.IP, scanPort),
-			Present: wave < len(ds.Present) && ds.Present[wave],
-			PortScanned: universe.Contains(ds.IP) &&
-				!excluded[ds.IP],
+			Address:         fmt.Sprintf("%s:%d", ds.IP, scanPort),
+			Present:         wave < len(ds.Present) && ds.Present[wave],
+			PortScanned:     universe.Contains(ds.IP),
 			CertThumbprint:  wd.cert.ThumbprintHex(),
 			SoftwareVersion: "1.03",
 		}

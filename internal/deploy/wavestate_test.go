@@ -12,8 +12,8 @@ import (
 // TestWaveEndpointStatesFingerprints is the deploy-level sensitivity
 // gate: over a real materialized world, an endpoint's fingerprint must
 // flip between consecutive waves exactly when the spec schedules a
-// record-shaping change — a certificate renewal, an ApplyWave churn
-// event (presence change), the follow-references switch-on for hidden
+// record-shaping change — a certificate renewal, a churn event
+// (presence change), the follow-references switch-on for hidden
 // hosts, or a redrawn (wave, host) chaos decision — and must stay
 // bit-stable otherwise. The check is bidirectional over every endpoint
 // and every wave pair, so WaveEndpointStates can neither miss a change

@@ -34,8 +34,6 @@ type Options struct {
 	// the IPv4 space, so the default 0.01 preserves "almost all open
 	// ports are not OPC UA" at a tractable scale (see DESIGN.md).
 	NoiseProb float64
-	// Latency delays dials.
-	Latency time.Duration
 	// TestKeySizes replaces all RSA key sizes with 512 bits to make
 	// test-scale materialization fast. Certificate key-length analysis
 	// is then meaningless; only the pipeline plumbing is exercised.
@@ -48,17 +46,18 @@ type Options struct {
 // World is the materialized simulated Internet.
 type World struct {
 	Spec *Spec
-	Net  *simnet.Network
+	// Net is what every wave's snapshot shares: universe, noise model and
+	// dial latency. SnapshotWave copies it, so a change reaches the
+	// snapshots built afterwards.
+	Net  *worldview.Config
 	Keys *uacert.KeyPool
 
-	// mu serializes ApplyWave and SnapshotWave: both walk the per-host
-	// lazily-built server cache, and ApplyWave additionally mutates the
-	// shared Network. Snapshots themselves are immutable and need no
-	// lock once returned.
+	// mu serializes SnapshotWave and the campaign setters: snapshots walk
+	// the per-host lazily-built server cache. Snapshots themselves are
+	// immutable and need no lock once returned.
 	mu        sync.Mutex
 	hosts     []*worldHost
 	discovery []*worldDiscovery
-	wave      int
 
 	// Build is the stage split of the Materialize call that built this
 	// world, in the order the stages were started. Read-only.
@@ -70,7 +69,7 @@ type World struct {
 	cryptoEngine *uarsa.Engine
 	cryptoDet    bool
 	// chaos is the campaign-installed adversarial-host model; wave
-	// binding happens in SnapshotWave/ApplyWave. Zero value: polite.
+	// binding happens in SnapshotWave. Zero value: polite.
 	chaos chaos.Model
 }
 
@@ -112,7 +111,8 @@ func BuildUniverse() (*simnet.Universe, error) {
 	return simnet.NewUniverse(prefixes...), nil
 }
 
-// Materialize builds the network, keys, certificates and servers.
+// Materialize builds the network parameters, keys, certificates and
+// servers.
 //
 // Materialization is a pure function of the spec: keys come from a
 // deterministic pool seeded by spec.Seed and certificate serials are
@@ -130,11 +130,9 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw := simnet.New(u)
-	nw.SetNoise(opts.NoiseProb)
-	nw.SetLatency(opts.Latency)
-
-	w := &World{Spec: spec, Net: nw, Keys: uacert.NewDeterministicKeyPool(spec.Seed), wave: -1}
+	// Every noise address, hence every dataset, depends on this seed.
+	noise := simnet.NewNoise(opts.NoiseProb, 0x9E3779B97F4A7C15)
+	w := &World{Spec: spec, Net: &worldview.Config{Universe: u, Noise: noise}, Keys: uacert.NewDeterministicKeyPool(spec.Seed)}
 	var seedB [8]byte
 	binary.LittleEndian.PutUint64(seedB[:], uint64(spec.Seed))
 
@@ -470,75 +468,21 @@ func (wh *worldHost) serverAt(wave int, engine *uarsa.Engine, deterministic bool
 	return srv, nil
 }
 
-// ApplyWave registers the hosts present at the wave and removes the
-// rest, mutating the shared Network in place (the legacy execution
-// model; campaigns now scan immutable SnapshotWave views instead).
-//
-// Idempotency contract: ApplyWave fully re-registers the population
-// from the wave-indexed spec — it never reads the network's current
-// state — so waves may be applied in any order, re-applied, and
-// interleaved with SnapshotWave; the resulting network state depends
-// only on the last applied wave. Calls are serialized on the world's
-// mutex, so concurrent ApplyWave/SnapshotWave calls are safe (the
-// network then reflects whichever ApplyWave ran last).
-// TestApplyWaveIdempotent pins this contract.
-func (w *World) ApplyWave(wave int) error {
-	if wave < 0 || wave >= len(WaveDates) {
-		return fmt.Errorf("deploy: wave %d out of range", wave)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, wh := range w.hosts {
-		ip := netip.Addr(wh.spec.IP)
-		if wh.spec.PresentAt(wave) {
-			srv, err := wh.serverAt(wave, w.cryptoEngine, w.cryptoDet)
-			if err != nil {
-				return err
-			}
-			w.Net.Register(ip, wh.spec.Port, wh.spec.ASN, srv)
-		} else {
-			w.Net.Unregister(ip, wh.spec.Port)
-		}
-	}
-	for _, wd := range w.discovery {
-		if wave < len(wd.spec.Present) && wd.spec.Present[wave] {
-			w.Net.Register(wd.spec.IP, 4840, wd.spec.ASN, wd.server)
-		} else {
-			w.Net.Unregister(wd.spec.IP, 4840)
-		}
-	}
-	w.wave = wave
-	w.Net.SetChaos(w.chaos.ForWave(wave))
-	return nil
-}
-
-// CurrentWave returns the last applied wave index (-1 before the first).
-func (w *World) CurrentWave() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.wave
-}
-
-// SnapshotWave builds an immutable worldview of the wave's population
-// without touching the shared Network: hosts and discovery servers
-// present at the wave are registered into a fresh sharded snapshot
-// that satisfies simnet.View. Noise, latency and exclusions are copied
-// from the network so the snapshot observes the identical Internet.
-// Snapshots for different waves share the underlying (concurrency-
-// safe) server instances, so any number of them can be scanned at the
-// same time.
+// SnapshotWave builds an immutable worldview of the wave's population:
+// hosts and discovery servers present at the wave are registered into a
+// fresh sharded snapshot over World.Net, with the chaos model bound to
+// the wave. Snapshots for different waves share the underlying
+// (concurrency-safe) server instances, so any number of them can be
+// built and scanned at the same time.
 func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
 	if wave < 0 || wave >= len(WaveDates) {
 		return nil, fmt.Errorf("deploy: wave %d out of range", wave)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	b, err := worldview.NewBuilder(worldview.Config{
-		Universe: w.Net.Universe(),
-		Noise:    w.Net.NoiseModel(),
-		Latency:  w.Net.Latency(),
-		Chaos:    w.chaos.ForWave(wave),
-	})
+	cfg := *w.Net
+	cfg.Chaos = w.chaos.ForWave(wave)
+	b, err := worldview.NewBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -557,9 +501,6 @@ func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
 			b.AddHost(wd.spec.IP, 4840, wd.spec.ASN, wd.server)
 		}
 	}
-	for _, ip := range w.Net.ExcludedIPs() {
-		b.Exclude(ip)
-	}
 	return b.Build(), nil
 }
 
@@ -568,6 +509,8 @@ func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
 // afterwards start with the cache on, as always). It exists for the
 // cached-vs-uncached equivalence gate; production campaigns never turn
 // the caches off.
+//
+//studyvet:api — the reference switch the response-cache equivalence gate compares against
 func (w *World) SetResponseCaches(on bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -608,28 +551,21 @@ func (w *World) SetCrypto(engine *uarsa.Engine, deterministic bool) {
 // SetChaos installs the campaign's adversarial-host model. Ownership is
 // campaign-scoped like SetCrypto: opcuastudy installs it (or the zero
 // model, when chaos is off) before materializing wave views, so two
-// campaigns sharing a world never inherit each other's chaos. Wave
-// views built afterwards — snapshots via SnapshotWave, the mutable
-// network via ApplyWave — carry the model bound to their wave.
+// campaigns sharing a world never inherit each other's chaos. Snapshots
+// built afterwards carry the model bound to their wave.
 func (w *World) SetChaos(m chaos.Model) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.chaos = m
-	if w.wave >= 0 {
-		w.Net.SetChaos(m.ForWave(w.wave))
-	} else {
-		w.Net.SetChaos(chaos.WaveModel{})
-	}
 }
 
 // HostCert returns the certificate a host serves at the wave; nil if the
 // host index is out of the materialized range.
+//
+//studyvet:api — the certificate golden reads the world through it
 func (w *World) HostCert(index, wave int) *uacert.Certificate {
 	if index < 0 || index >= len(w.hosts) {
 		return nil
 	}
 	return w.hosts[index].certAt(wave)
 }
-
-// ASOf exposes the AS mapping for analysis.
-func (w *World) ASOf(ip netip.Addr) int { return w.Net.ASOf(ip) }

@@ -5,14 +5,19 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/hex"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/uacert"
 	"repro/internal/uaclient"
+	"repro/internal/uamsg"
+	"repro/internal/uarsa"
+	"repro/internal/worldview"
 )
 
 // materializeSmall builds a truncated test world with small keys.
@@ -60,86 +65,6 @@ func TestWorldKeysPrecomputed(t *testing.T) {
 				t.Errorf("pool key (%d bits, %d) lacks CRT precomputation", bits, i)
 			}
 		}
-	}
-}
-
-func TestMaterializeAndApplyWave(t *testing.T) {
-	w := materializeSmall(t, 60)
-	if err := w.ApplyWave(0); err != nil {
-		t.Fatal(err)
-	}
-	if w.CurrentWave() != 0 {
-		t.Errorf("wave = %d", w.CurrentWave())
-	}
-	// Hosts present at wave 0 must be dialable and speak OPC UA.
-	var spec *HostSpec
-	for i := range w.Spec.Hosts[:60] {
-		h := &w.Spec.Hosts[i]
-		if h.PresentAt(0) && !h.Hidden {
-			spec = h
-			break
-		}
-	}
-	if spec == nil {
-		t.Fatal("no present host in truncated world")
-	}
-	addr := spec.IP.String() + ":4840"
-	c, err := uaclient.Dial(context.Background(), "opc.tcp://"+addr, uaclient.Options{
-		Dialer:  w.Net,
-		Timeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.OpenInsecureChannel(); err != nil {
-		t.Fatal(err)
-	}
-	eps, err := c.GetEndpoints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eps) == 0 {
-		t.Error("no endpoints advertised")
-	}
-	if eps[0].Server.ApplicationURI != spec.AppURI {
-		t.Errorf("application URI = %q, want %q", eps[0].Server.ApplicationURI, spec.AppURI)
-	}
-	// Endpoint policies must match the spec's policy set size.
-	policySet := map[string]bool{}
-	for _, ep := range eps {
-		policySet[ep.SecurityPolicyURI] = true
-	}
-	if len(policySet) != len(spec.Policies) {
-		t.Errorf("advertised %d policies, spec has %d (%v)", len(policySet), len(spec.Policies), spec.Policies)
-	}
-}
-
-func TestApplyWavePresenceChanges(t *testing.T) {
-	w := materializeSmall(t, 120)
-	// Find a host that joins later (cluster members with PresentFrom>0).
-	var late *HostSpec
-	for i := range w.Spec.Hosts[:120] {
-		h := &w.Spec.Hosts[i]
-		if h.PresentFrom > 0 && h.PresentFrom < len(WaveDates) {
-			late = h
-			break
-		}
-	}
-	if late == nil {
-		t.Skip("no late joiner in truncated world")
-	}
-	if err := w.ApplyWave(0); err != nil {
-		t.Fatal(err)
-	}
-	if w.Net.OpenPort(late.IP, late.Port) {
-		t.Errorf("host %d present before PresentFrom %d", late.Index, late.PresentFrom)
-	}
-	if err := w.ApplyWave(late.PresentFrom); err != nil {
-		t.Fatal(err)
-	}
-	if !w.Net.OpenPort(late.IP, late.Port) {
-		t.Errorf("host %d absent at its PresentFrom wave", late.Index)
 	}
 }
 
@@ -241,14 +166,49 @@ func TestBuildUniverseCoversHostAddresses(t *testing.T) {
 	}
 }
 
+// The tests named after ApplyWave date from the mutable network a wave
+// was once applied to; a wave is now entered by taking its snapshot, and
+// each test pins the same contract on SnapshotWave.
+
+// TestMaterializeAndApplyWave: a host present at wave 0 is dialable
+// through that wave's snapshot and speaks OPC UA with its spec's
+// application URI and policy set.
+func TestMaterializeAndApplyWave(t *testing.T) {
+	w := materializeSmall(t, 60)
+	snap, err := w.SnapshotWave(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec *HostSpec
+	for i := range w.Spec.Hosts[:60] {
+		h := &w.Spec.Hosts[i]
+		if h.PresentAt(0) && !h.Hidden {
+			spec = h
+			break
+		}
+	}
+	if spec == nil {
+		t.Fatal("no present host in truncated world")
+	}
+	eps := endpointsVia(t, snap, spec)
+	if len(eps) == 0 {
+		t.Fatal("no endpoints advertised")
+	}
+	if eps[0].Server.ApplicationURI != spec.AppURI {
+		t.Errorf("application URI = %q, want %q", eps[0].Server.ApplicationURI, spec.AppURI)
+	}
+	policySet := map[string]bool{}
+	for _, ep := range eps {
+		policySet[ep.SecurityPolicyURI] = true
+	}
+	if len(policySet) != len(spec.Policies) {
+		t.Errorf("advertised %d policies, spec has %d (%v)", len(policySet), len(spec.Policies), spec.Policies)
+	}
+}
+
+// TestApplyWaveValidation: waves off the schedule are refused.
 func TestApplyWaveValidation(t *testing.T) {
 	w := materializeSmall(t, 10)
-	if err := w.ApplyWave(-1); err == nil {
-		t.Error("negative wave accepted")
-	}
-	if err := w.ApplyWave(len(WaveDates)); err == nil {
-		t.Error("out-of-range wave accepted")
-	}
 	if _, err := w.SnapshotWave(-1); err == nil {
 		t.Error("negative snapshot wave accepted")
 	}
@@ -257,133 +217,149 @@ func TestApplyWaveValidation(t *testing.T) {
 	}
 }
 
-// presence captures which spec endpoints answer on the network, the
-// observable output of ApplyWave.
-func presence(w *World, maxHosts int) map[string]bool {
+// presence captures which spec endpoints answer through a snapshot.
+func presence(w *World, snap *worldview.Snapshot, maxHosts int) map[string]bool {
 	out := map[string]bool{}
-	for i := range w.Spec.Hosts {
-		if i >= maxHosts {
-			break
-		}
+	for i := range w.Spec.Hosts[:maxHosts] {
 		h := &w.Spec.Hosts[i]
-		out[h.IP.String()+":"+strconv.Itoa(h.Port)] = w.Net.OpenPort(h.IP, h.Port)
+		out[h.IP.String()+":"+strconv.Itoa(h.Port)] = snap.OpenPort(h.IP, h.Port)
 	}
 	for i := range w.Spec.Discovery {
 		d := &w.Spec.Discovery[i]
-		out[d.IP.String()+":4840"] = w.Net.OpenPort(d.IP, 4840)
+		out[d.IP.String()+":4840"] = snap.OpenPort(d.IP, 4840)
 	}
 	return out
 }
 
-// TestApplyWaveIdempotent pins the documented contract: network state
-// depends only on the last applied wave, regardless of what was
-// applied before (out of order, repeated, or nothing at all).
+// TestApplyWaveIdempotent: a wave's population depends on the wave
+// alone, not on which snapshots were taken before (out of order,
+// repeated, or none), and a snapshot is not changed by later ones.
 func TestApplyWaveIdempotent(t *testing.T) {
 	const maxHosts = 80
 	fresh := materializeSmall(t, maxHosts)
-	if err := fresh.ApplyWave(3); err != nil {
+	snap, err := fresh.SnapshotWave(3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := presence(fresh, maxHosts)
+	want := presence(fresh, snap, maxHosts)
 
 	replayed := materializeSmall(t, maxHosts)
+	var first, last *worldview.Snapshot
 	for _, wave := range []int{3, 7, 0, 3, 3} {
-		if err := replayed.ApplyWave(wave); err != nil {
+		snap, err := replayed.SnapshotWave(wave)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if first == nil {
+			first = snap
+		}
+		last = snap
 	}
-	if replayed.CurrentWave() != 3 {
-		t.Errorf("current wave = %d, want 3", replayed.CurrentWave())
-	}
-	got := presence(replayed, maxHosts)
-	for addr, open := range want {
-		if got[addr] != open {
-			t.Errorf("endpoint %s: open = %v after replay, want %v", addr, got[addr], open)
+	for name, snap := range map[string]*worldview.Snapshot{"first": first, "last": last} {
+		got := presence(replayed, snap, maxHosts)
+		for addr, open := range want {
+			if got[addr] != open {
+				t.Errorf("%s wave-3 snapshot, endpoint %s: open = %v after replay, want %v", name, addr, got[addr], open)
+			}
 		}
 	}
 }
 
-// TestApplyWaveConcurrentWithSnapshot drives ApplyWave and
-// SnapshotWave from concurrent goroutines; under -race this pins the
-// world-mutex serialization of the shared server cache.
-func TestApplyWaveConcurrentWithSnapshot(t *testing.T) {
-	w := materializeSmall(t, 40)
-	var wg sync.WaitGroup
-	for wave := 0; wave < len(WaveDates); wave++ {
-		wg.Add(2)
-		go func(wave int) {
-			defer wg.Done()
-			if err := w.ApplyWave(wave); err != nil {
-				t.Errorf("apply wave %d: %v", wave, err)
-			}
-		}(wave)
-		go func(wave int) {
-			defer wg.Done()
-			if _, err := w.SnapshotWave(wave); err != nil {
-				t.Errorf("snapshot wave %d: %v", wave, err)
-			}
-		}(wave)
-	}
-	wg.Wait()
-	if cw := w.CurrentWave(); cw < 0 || cw >= len(WaveDates) {
-		t.Errorf("current wave = %d", cw)
-	}
-}
-
-// TestSnapshotWaveMatchesApplyWave requires a wave's snapshot to
-// expose the exact same population as the mutable network after
-// ApplyWave: same open endpoints, same AS attribution, and live
-// servers behind them.
+// TestSnapshotWaveMatchesApplyWave takes every wave's snapshot, out of
+// order, and requires each to expose exactly the spec's population at
+// that wave: a spec endpoint answers iff it is present (or, absent, its
+// address is a noise host), a present host carries its spec ASN, and the
+// first present visible host speaks OPC UA with its spec's application
+// URI.
 func TestSnapshotWaveMatchesApplyWave(t *testing.T) {
-	const maxHosts = 80
+	const maxHosts = 120
 	w := materializeSmall(t, maxHosts)
-	for _, wave := range []int{0, 4, 7} {
+	noise := func(ip netip.Addr, port int) bool {
+		return w.Net.Universe.Contains(ip) && w.Net.Noise.HitU32(simnet.AddrToU32(ip), port)
+	}
+	for _, wave := range []int{3, 7, 0, 1, 6, 2, 5, 4} {
 		snap, err := w.SnapshotWave(wave)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.ApplyWave(wave); err != nil {
-			t.Fatal(err)
-		}
+		var live *HostSpec
 		for i := range w.Spec.Hosts[:maxHosts] {
 			h := &w.Spec.Hosts[i]
-			net, view := w.Net.OpenPort(h.IP, h.Port), snap.OpenPort(h.IP, h.Port)
-			if net != view {
-				t.Errorf("wave %d host %d: network open=%v, snapshot open=%v", wave, h.Index, net, view)
+			present := h.PresentAt(wave)
+			if open := snap.OpenPort(h.IP, h.Port); open != (present || noise(h.IP, h.Port)) {
+				t.Errorf("wave %d host %d: open = %v, present = %v", wave, h.Index, open, present)
 			}
-			if view && snap.ASOf(h.IP) != h.ASN {
-				t.Errorf("wave %d host %d: snapshot ASN = %d, want %d", wave, h.Index, snap.ASOf(h.IP), h.ASN)
+			if present && snap.ASOf(h.IP) != h.ASN {
+				t.Errorf("wave %d host %d: ASN = %d, want %d", wave, h.Index, snap.ASOf(h.IP), h.ASN)
 			}
-		}
-		// A present host must speak OPC UA through the snapshot.
-		var probe *HostSpec
-		for i := range w.Spec.Hosts[:maxHosts] {
-			h := &w.Spec.Hosts[i]
-			if h.PresentAt(wave) && !h.Hidden {
-				probe = h
-				break
+			if live == nil && present && !h.Hidden {
+				live = h
 			}
 		}
-		if probe == nil {
-			continue
+		for _, d := range w.Spec.Discovery {
+			present := wave < len(d.Present) && d.Present[wave]
+			if open := snap.OpenPort(d.IP, 4840); open != (present || noise(d.IP, 4840)) {
+				t.Errorf("wave %d discovery %d: open = %v, present = %v", wave, d.Index, open, present)
+			}
 		}
-		c, err := uaclient.Dial(context.Background(),
-			"opc.tcp://"+probe.IP.String()+":"+strconv.Itoa(probe.Port),
-			uaclient.Options{Dialer: snap, Timeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
+		if live == nil {
+			t.Fatalf("wave %d: no present visible host in truncated world", wave)
 		}
-		if err := c.OpenInsecureChannel(); err != nil {
-			t.Fatal(err)
+		if eps := endpointsVia(t, snap, live); len(eps) == 0 || eps[0].Server.ApplicationURI != live.AppURI {
+			t.Errorf("wave %d host %d: %d endpoints, want application URI %q", wave, live.Index, len(eps), live.AppURI)
 		}
-		eps, err := c.GetEndpoints()
-		c.Close()
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestSnapshotWaveConcurrent takes all eight snapshots while the
+// campaign-side readers and setters of the shared server cache run; under
+// -race this pins the world-mutex serialization a wave pool relies on.
+func TestSnapshotWaveConcurrent(t *testing.T) {
+	w := materializeSmall(t, 40)
+	var wg sync.WaitGroup
+	run := func(what string, f func(wave int) error) {
+		for wave := range WaveDates {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := f(wave); err != nil {
+					t.Errorf("%s wave %d: %v", what, wave, err)
+				}
+			}()
 		}
-		if len(eps) == 0 || eps[0].Server.ApplicationURI != probe.AppURI {
-			t.Errorf("wave %d: snapshot endpoints = %d", wave, len(eps))
+	}
+	run("snapshot", func(wave int) error { _, err := w.SnapshotWave(wave); return err })
+	run("endpoint states", func(wave int) error { _, err := w.WaveEndpointStates(wave); return err })
+	run("crypto", func(wave int) error { w.SetCrypto(uarsa.NewEngine(0), wave%2 == 0); return nil })
+	run("response caches", func(wave int) error { w.SetResponseCaches(wave%2 == 0); return nil })
+	wg.Wait()
+}
+
+// TestSnapshotLatencyFromWorld: World.Net.SetLatency reaches the
+// snapshots built after the call, and only those.
+func TestSnapshotLatencyFromWorld(t *testing.T) {
+	w := materializeSmall(t, 10)
+	dial := func(snap simnet.View) time.Duration {
+		start := time.Now()
+		if _, err := snap.DialContext(context.Background(), "tcp", "100.64.0.1:1"); err == nil {
+			t.Fatal("closed port answered")
 		}
+		return time.Since(start)
+	}
+	before, err := w.SnapshotWave(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Net.SetLatency(30 * time.Millisecond)
+	after, err := w.SnapshotWave(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := dial(after); d < 30*time.Millisecond {
+		t.Errorf("dial after SetLatency took %v, want ≥ 30ms", d)
+	}
+	if d := dial(before); d >= 30*time.Millisecond {
+		t.Errorf("dial through the earlier snapshot took %v, want no latency", d)
 	}
 }
 
@@ -418,21 +394,7 @@ func TestSnapshotWaveCertRenewal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := uaclient.Dial(context.Background(),
-			"opc.tcp://"+renewal.IP.String()+":"+strconv.Itoa(renewal.Port),
-			uaclient.Options{Dialer: snap, Timeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.OpenInsecureChannel(); err != nil {
-			t.Fatal(err)
-		}
-		eps, err := c.GetEndpoints()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ep := range eps {
+		for _, ep := range endpointsVia(t, snap, renewal) {
 			if len(ep.ServerCertificate) > 0 {
 				return thumbprintHex(t, ep.ServerCertificate)
 			}
@@ -452,6 +414,25 @@ func TestSnapshotWaveCertRenewal(t *testing.T) {
 	if after != w.HostCert(renewal.Index, 7).ThumbprintHex() {
 		t.Error("post-renewal snapshot serves the wrong certificate")
 	}
+}
+
+// endpointsVia asks the host for its endpoints through the snapshot.
+func endpointsVia(t *testing.T, snap *worldview.Snapshot, h *HostSpec) []uamsg.EndpointDescription {
+	t.Helper()
+	c, err := uaclient.Dial(context.Background(), "opc.tcp://"+h.IP.String()+":"+strconv.Itoa(h.Port),
+		uaclient.Options{Dialer: snap, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.OpenInsecureChannel(); err != nil {
+		t.Fatal(err)
+	}
+	eps, err := c.GetEndpoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eps
 }
 
 func thumbprintHex(t *testing.T, der []byte) string {

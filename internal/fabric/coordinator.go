@@ -162,9 +162,6 @@ func NewCoordinator(ln net.Listener, cfg CoordinatorConfig) *Coordinator {
 	return c
 }
 
-// Addr is the listener's bound address (for workers to dial).
-func (c *Coordinator) Addr() net.Addr { return c.ln.Addr() }
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)

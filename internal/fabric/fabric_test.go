@@ -114,7 +114,7 @@ func runFleet(t *testing.T, ccfg CoordinatorConfig, workerFaults []FaultInjector
 		reg := telemetry.New()
 		fl.wRegs[i] = reg
 		cfg := WorkerConfig{
-			Addr:           coord.Addr().String(),
+			Addr:           ln.Addr().String(),
 			Name:           fmt.Sprintf("w%d", i),
 			HeartbeatEvery: 25 * time.Millisecond,
 			DialTimeout:    5 * time.Second,

@@ -36,9 +36,6 @@ func newNetSink(fr *framer, shard int, faults FaultInjector, records *telemetry.
 	return &NetSink{fr: fr, shard: shard, faults: faults, records: records}
 }
 
-// Shard reports which shard this sink streams.
-func (s *NetSink) Shard() int { return s.shard }
-
 // Put frames one record. After the frame is on the wire the fault
 // injector may sever the connection, wedge the session, or kill the
 // worker run (ErrWorkerKilled) — the failure points the test matrix

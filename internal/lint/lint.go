@@ -137,6 +137,10 @@ func DefaultConfig() *Config {
 			// carry entropy-exempt directives; anything else would be
 			// entropy under the whole dataset.
 			"repro/internal/memconn",
+			// The universe, noise and AS model every dataset depends on.
+			// Its one clock read, the noise hosts' I/O deadline, carries
+			// an entropy-exempt directive.
+			"repro/internal/simnet",
 		},
 		EpochVars: []string{"repro/internal/uarsa.Epoch"},
 		SinkPkg:   "repro/internal/pipeline",

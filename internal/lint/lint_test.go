@@ -173,7 +173,13 @@ func runGolden(t *testing.T, pkgPath string) {
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", pkgPath, err)
 	}
+	checkWants(t, lp, diags)
+}
 
+// checkWants diffs diagnostics against the package's `// want`
+// expectations.
+func checkWants(t *testing.T, lp *lint.LoadedPackage, diags []lint.Diagnostic) {
+	t.Helper()
 	wantsByFile := map[string]map[int][]*want{}
 	for _, f := range lp.Files {
 		name := lp.Fset.Position(f.Pos()).Filename
@@ -214,20 +220,14 @@ func TestGoldenSinkPkg(t *testing.T)          { runGolden(t, "pipeline") }
 func TestGoldenSinkProducer(t *testing.T)     { runGolden(t, "producer") }
 
 // TestRepositoryIsClean is the in-process version of the CI studyvet
-// gate: the four analyzers over every module package must report
-// nothing. It doubles as an integration test of the go list loader.
+// gate: the four analyzers over every package of the module and of the
+// benchmark module must report nothing. It doubles as an integration
+// test of the go list loader.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadPatterns(root, "./...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
+	pkgs := repoPackages(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages, expected the whole module", len(pkgs))
 	}

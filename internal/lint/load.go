@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // LoadedPackage is one parsed and type-checked package ready for
@@ -189,15 +188,4 @@ func LoadPatterns(dir string, patterns ...string) ([]*LoadedPackage, error) {
 		loaded = append(loaded, lp)
 	}
 	return loaded, nil
-}
-
-// ModulePath reports the enclosing module's path via `go list -m`.
-func ModulePath(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go list -m: %w", err)
-	}
-	return strings.TrimSpace(string(out)), nil
 }

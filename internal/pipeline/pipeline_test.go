@@ -53,16 +53,22 @@ func synthWave(wave, hosts, pad int) []*dataset.HostRecord {
 }
 
 // TestAnalyzerMatchesSliceAnalysis pins the streaming analyzer against
-// the slice-based core entry points on a three-wave stream.
+// the core accumulators fed wave slices directly, on a three-wave stream.
 func TestAnalyzerMatchesSliceAnalysis(t *testing.T) {
 	var all []*dataset.HostRecord
 	var want []*core.WaveAnalysis
+	la := core.NewLongitudinalAccumulator(true)
 	for w := 0; w < 3; w++ {
 		recs := synthWave(w, 40, 0)
 		all = append(all, recs...)
-		want = append(want, core.AnalyzeWaveWorkers(w, recs[0].Date, recs, 1))
+		acc := core.NewWaveAccumulator(w, recs[0].Date)
+		for _, r := range recs {
+			acc.Add(r)
+		}
+		want = append(want, acc.Finalize(1))
+		la.AddWave(want[w])
 	}
-	wantLong := core.AnalyzeLongitudinal(want)
+	wantLong := la.Finalize()
 
 	a := NewAnalyzer(AnalyzerConfig{Workers: 1, Retain: true})
 	for _, r := range all {

@@ -36,7 +36,11 @@ func sampleWave(t *testing.T) *core.WaveAnalysis {
 			}},
 		},
 	}
-	return core.AnalyzeWave(7, date, recs)
+	acc := core.NewWaveAccumulator(7, date)
+	for _, r := range recs {
+		acc.Add(r)
+	}
+	return acc.Finalize(0)
 }
 
 func TestTable1Shape(t *testing.T) {
@@ -54,7 +58,9 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFigureRenderersProduceContent(t *testing.T) {
 	w := sampleWave(t)
-	long := core.AnalyzeLongitudinal([]*core.WaveAnalysis{w})
+	la := core.NewLongitudinalAccumulator(true)
+	la.AddWave(w)
+	long := la.Finalize()
 	tables := All([]*core.WaveAnalysis{w}, long)
 	if len(tables) != 11 {
 		t.Fatalf("tables = %d", len(tables))

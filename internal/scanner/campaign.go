@@ -287,17 +287,6 @@ func sortResults(results []*Result) {
 		func(r *Result) bool { return r.Via == ViaPortScan })
 }
 
-// OPCUAResults filters a wave down to hosts that actually speak OPC UA.
-func (w *Wave) OPCUAResults() []*Result {
-	var out []*Result
-	for _, r := range w.Results {
-		if r.ReachedOPCUA {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // DatasetResults filters a wave down to the results that become dataset
 // records: hosts that speak OPC UA plus — under the failure taxonomy —
 // classified failures. Without Resilience.Classify no result carries a

@@ -168,7 +168,7 @@ func TestRunWaveQueueSmallerThanFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wave.OPCUAResults()) != 3 {
-		t.Errorf("OPC UA hosts = %d, want 3", len(wave.OPCUAResults()))
+	if n := len(opcuaResults(wave)); n != 3 {
+		t.Errorf("OPC UA hosts = %d, want 3", n)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"crypto/rsa"
 	"errors"
-	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/telemetry"
@@ -556,24 +554,3 @@ func sampleValue(v uatypes.Variant) string {
 	}
 	return s
 }
-
-// SupportsAnonymous reports whether the result advertises anonymous
-// authentication (Figure 6).
-func (r *Result) SupportsAnonymous() bool { return r.Session.Offered }
-
-// PolicySet returns the distinct advertised policy URIs, sorted.
-func (r *Result) PolicySet() []string {
-	set := map[string]bool{}
-	for _, ep := range r.Endpoints {
-		set[ep.SecurityPolicyURI] = true
-	}
-	out := make([]string, 0, len(set))
-	for uri := range set {
-		out = append(out, uri)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// HostKey normalizes the address for cross-wave identity ("ip:port").
-func (r *Result) HostKey() string { return strings.TrimSpace(r.Address) }

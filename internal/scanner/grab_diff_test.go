@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -349,17 +350,17 @@ func TestGrabMatchesFourDialGrab(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prefix, _ := simnet.NewPrefix("192.0.2.0", 28)
 			ap := netip.MustParseAddrPort(p.addr)
 			// One network per grab: a misbehaving host counts its
 			// connections.
 			grab := func(f func(*Scanner, context.Context, Target) *Result) (*Result, int64) {
-				nw := simnet.New(simnet.NewUniverse(prefix))
+				b := newWorld(t, 28, 0)
 				var h simnet.ConnHandler = srv
 				if p.fails > 0 {
 					h = &misbehaving{srv: srv, after: p.fails, garbage: p.garbage}
 				}
-				nw.Register(ap.Addr(), int(ap.Port()), 65000, h)
+				b.AddHost(ap.Addr(), int(ap.Port()), 65000, h)
+				nw := b.Build()
 				d := &countingDialer{d: nw}
 				sc := newScanner(t, nw)
 				sc.Dialer = d
@@ -382,8 +383,9 @@ func TestGrabMatchesFourDialGrab(t *testing.T) {
 // TestGrabMatchesFourDialGrabOnDeployWorld sweeps the study's world at
 // its last wave — every profile deploy builds, discovery servers and
 // referenced hosts included — politely, and a sample of it under each
-// chaos kind with the retry budget armed, and requires Grab ≡ the
-// four-dial grab host by host.
+// chaos kind with the retry budget armed (one snapshot per kind, taken
+// after the chaos model is installed), and requires Grab ≡ the four-dial
+// grab host by host.
 func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 	spec, err := deploy.BuildSpec(2020)
 	if err != nil {
@@ -393,16 +395,24 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := world.ApplyWave(7); err != nil {
+	states, err := world.WaveEndpointStates(7)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var present []netip.AddrPort
+	for _, st := range states {
+		if st.Present {
+			present = append(present, netip.MustParseAddrPort(st.Address))
+		}
+	}
+	slices.SortFunc(present, netip.AddrPort.Compare)
 	var all []Target
-	for _, h := range world.Net.Hosts() {
+	for _, ap := range present {
 		via := ViaPortScan
-		if h.Port != 4840 {
+		if ap.Port() != 4840 {
 			via = ViaReference
 		}
-		all = append(all, Target{Address: netip.AddrPortFrom(h.IP, uint16(h.Port)).String(), Via: via})
+		all = append(all, Target{Address: ap.String(), Via: via})
 	}
 
 	kinds := []chaos.Kind{chaos.KindNone, chaos.KindTarpit, chaos.KindReset, chaos.KindFlap,
@@ -412,7 +422,7 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			sc := newScanner(t, world.Net)
+			sc := newScanner(t, nil)
 			targets := all
 			if kind == chaos.KindNone {
 				world.SetChaos(chaos.Model{})
@@ -439,6 +449,11 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 				world.SetChaos(chaos.Model{Seed: 14, Prob: 0.35, Kinds: []chaos.Kind{kind}})
 			}
 			defer world.SetChaos(chaos.Model{})
+			view, err := world.SnapshotWave(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Dialer = view
 
 			type pair struct{ ref, got *Result }
 			pairs := make([]pair, len(targets))

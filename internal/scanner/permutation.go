@@ -130,6 +130,3 @@ func (p *Permutation) At(i uint64) uint64 {
 	}
 	return x
 }
-
-// Size returns N.
-func (p *Permutation) Size() uint64 { return p.n }

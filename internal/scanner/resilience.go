@@ -82,12 +82,6 @@ type Resilience struct {
 	GrabTimeout time.Duration
 }
 
-// Enabled reports whether any part of the armor is on.
-func (r Resilience) Enabled() bool {
-	return r.Classify || r.Retries > 0 || r.GrabTimeout > 0 ||
-		r.ConnectTimeout > 0 || r.HelloTimeout > 0 || r.OpenTimeout > 0 || r.RequestTimeout > 0
-}
-
 // ClassifyError maps an error chain to its taxonomy class. Returns ""
 // for nil errors and campaign cancellation (a cancelled grab is not a
 // host failure and must not become a dataset record — partial-wave
@@ -232,4 +226,8 @@ func (s *Scanner) recordFailure(res *Result, err error, exhausted bool) {
 type discoveryError struct{ err error }
 
 func (e *discoveryError) Error() string { return "get endpoints: " + e.err.Error() }
+
+// Unwrap exposes the cause to ClassifyError.
+//
+//studyvet:api — errors.Is and errors.As reach it through an anonymous interface
 func (e *discoveryError) Unwrap() error { return e.err }

@@ -227,7 +227,7 @@ func TestPermutationSpreadsProbes(t *testing.T) {
 	if ascending > 5 {
 		t.Errorf("%d consecutive outputs, permutation too sequential", ascending)
 	}
-	if NewPermutation(0, 1).At(0) != 0 || NewPermutation(0, 1).Size() != 0 {
+	if NewPermutation(0, 1).At(0) != 0 || NewPermutation(0, 1).n != 0 {
 		t.Error("empty permutation mishandled")
 	}
 }
@@ -255,16 +255,29 @@ func scannerIdentity(t testing.TB) (*rsa.PrivateKey, *uacert.Certificate) {
 	return scanKey, scanCert
 }
 
-// buildWorld assembles a miniature Internet: two OPC UA servers (one
-// with anonymous access, one discovery) plus noise.
-func buildWorld(t *testing.T) (*simnet.Network, map[string]string) {
+// newWorld starts a snapshot of 192.0.2.0/bits whose unregistered
+// addresses answer port 4840 with the given noise probability.
+func newWorld(t *testing.T, bits int, noise float64) *worldview.Builder {
 	t.Helper()
-	prefix, err := simnet.NewPrefix("192.0.2.0", 24)
+	prefix, err := simnet.NewPrefix("192.0.2.0", bits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := simnet.New(simnet.NewUniverse(prefix))
-	nw.SetNoise(0.05)
+	b, err := worldview.NewBuilder(worldview.Config{
+		Universe: simnet.NewUniverse(prefix),
+		Noise:    simnet.NewNoise(noise, 0x9E3779B97F4A7C15),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// buildWorld assembles a miniature Internet: two OPC UA servers (one
+// with anonymous access, one discovery) plus noise.
+func buildWorld(t *testing.T) (*worldview.Snapshot, map[string]string) {
+	t.Helper()
+	nw := newWorld(t, 24, 0.05)
 
 	key, err := rsa.GenerateKey(rand.Reader, 512)
 	if err != nil {
@@ -304,7 +317,7 @@ func buildWorld(t *testing.T) (*simnet.Network, map[string]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Register(plcIP, 4840, 65010, plc)
+	nw.AddHost(plcIP, 4840, 65010, plc)
 
 	// Hidden server on a non-default port, announced by the discovery
 	// server below (the paper's follow-reference targets).
@@ -319,7 +332,7 @@ func buildWorld(t *testing.T) (*simnet.Network, map[string]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Register(netip.MustParseAddr("192.0.2.20"), 4841, 65011, hidden)
+	nw.AddHost(netip.MustParseAddr("192.0.2.20"), 4841, 65011, hidden)
 
 	disco, err := uaserver.New(uaserver.Config{
 		ApplicationURI: "urn:opcfoundation:lds:42",
@@ -337,16 +350,16 @@ func buildWorld(t *testing.T) (*simnet.Network, map[string]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Register(netip.MustParseAddr("192.0.2.30"), 4840, 65012, disco)
+	nw.AddHost(netip.MustParseAddr("192.0.2.30"), 4840, 65012, disco)
 
-	return nw, map[string]string{
+	return nw.Build(), map[string]string{
 		"plc":    "192.0.2.10:4840",
 		"hidden": "192.0.2.20:4841",
 		"disco":  "192.0.2.30:4840",
 	}
 }
 
-func newScanner(t *testing.T, nw *simnet.Network) *Scanner {
+func newScanner(t *testing.T, nw simnet.View) *Scanner {
 	t.Helper()
 	key, cert := scannerIdentity(t)
 	return &Scanner{
@@ -384,8 +397,7 @@ func TestPortScanFindsServersAndNoise(t *testing.T) {
 }
 
 func TestPortScanRateLimit(t *testing.T) {
-	prefix, _ := simnet.NewPrefix("192.0.2.0", 28) // 16 addresses
-	nw := simnet.New(simnet.NewUniverse(prefix))
+	nw := newWorld(t, 28, 0).Build() // 16 addresses
 	start := time.Now()
 	if _, err := PortScan(context.Background(), nw, PortScanConfig{Rate: 200, Workers: 4}); err != nil {
 		t.Fatal(err)
@@ -399,8 +411,7 @@ func TestPortScanRateLimit(t *testing.T) {
 // limiter interval truncation: time.Second / Rate is zero for
 // Rate > 1e9 and time.NewTicker panics on non-positive intervals.
 func TestPortScanExtremeRateDoesNotPanic(t *testing.T) {
-	prefix, _ := simnet.NewPrefix("192.0.2.0", 28) // 16 addresses
-	nw := simnet.New(simnet.NewUniverse(prefix))
+	nw := newWorld(t, 28, 0).Build() // 16 addresses
 	if _, err := PortScan(context.Background(), nw, PortScanConfig{
 		Rate: 2_000_000_000, Workers: 4,
 	}); err != nil {
@@ -490,8 +501,7 @@ func TestGrabFullServer(t *testing.T) {
 }
 
 func TestGrabNoiseHostIsNotOPCUA(t *testing.T) {
-	nw, _ := buildWorld(t)
-	nw.SetNoise(1.0)
+	nw := newWorld(t, 24, 1).Build()
 	sc := newScanner(t, nw)
 	res := sc.Grab(context.Background(), Target{Address: "192.0.2.99:4840", Via: ViaPortScan})
 	if res.ReachedOPCUA {
@@ -522,7 +532,7 @@ func TestRunWaveWithFollowReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opcua := wave.OPCUAResults()
+	opcua := opcuaResults(wave)
 	byAddr := map[string]*Result{}
 	for _, r := range opcua {
 		byAddr[r.Address] = r
@@ -548,11 +558,22 @@ func TestRunWaveWithFollowReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range wave2.OPCUAResults() {
+	for _, r := range opcuaResults(wave2) {
 		if r.Address == addrs["hidden"] {
 			t.Error("hidden server found without follow-references")
 		}
 	}
+}
+
+// opcuaResults filters a wave down to hosts that actually speak OPC UA.
+func opcuaResults(w *Wave) []*Result {
+	var out []*Result
+	for _, r := range w.Results {
+		if r.ReachedOPCUA {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func keys(m map[string]*Result) []string {
@@ -597,8 +618,7 @@ func TestChannelForSessionPrefersNone(t *testing.T) {
 func TestGrabSecureOnlyAnonymousHost(t *testing.T) {
 	// The paper's 71 hosts that force security but allow anonymous
 	// access: the scanner must reach them through a secure channel.
-	prefix, _ := simnet.NewPrefix("192.0.2.0", 28)
-	nw := simnet.New(simnet.NewUniverse(prefix))
+	nw := newWorld(t, 28, 0)
 	key, _ := rsa.GenerateKey(rand.Reader, 512)
 	cert, _ := uacert.Generate(key, uacert.Options{CommonName: "sec"})
 	srv, err := uaserver.New(uaserver.Config{
@@ -614,9 +634,9 @@ func TestGrabSecureOnlyAnonymousHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Register(netip.MustParseAddr("192.0.2.1"), 4840, 65000, srv)
+	nw.AddHost(netip.MustParseAddr("192.0.2.1"), 4840, 65000, srv)
 
-	sc := newScanner(t, nw)
+	sc := newScanner(t, nw.Build())
 	res := sc.Grab(context.Background(), Target{Address: "192.0.2.1:4840", Via: ViaPortScan})
 	if !res.ReachedOPCUA {
 		t.Fatalf("grab failed: %s", res.Error)
@@ -627,8 +647,7 @@ func TestGrabSecureOnlyAnonymousHost(t *testing.T) {
 }
 
 func TestGrabCertRejectingHost(t *testing.T) {
-	prefix, _ := simnet.NewPrefix("192.0.2.0", 28)
-	nw := simnet.New(simnet.NewUniverse(prefix))
+	nw := newWorld(t, 28, 0)
 	key, _ := rsa.GenerateKey(rand.Reader, 512)
 	cert, _ := uacert.Generate(key, uacert.Options{CommonName: "strict"})
 	srv, err := uaserver.New(uaserver.Config{
@@ -644,9 +663,9 @@ func TestGrabCertRejectingHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Register(netip.MustParseAddr("192.0.2.1"), 4840, 65000, srv)
+	nw.AddHost(netip.MustParseAddr("192.0.2.1"), 4840, 65000, srv)
 
-	sc := newScanner(t, nw)
+	sc := newScanner(t, nw.Build())
 	res := sc.Grab(context.Background(), Target{Address: "192.0.2.1:4840", Via: ViaPortScan})
 	if !res.ReachedOPCUA {
 		t.Fatalf("grab failed: %s", res.Error)
@@ -656,29 +675,6 @@ func TestGrabCertRejectingHost(t *testing.T) {
 	}
 	if !res.SecureChannel.CertRejected {
 		t.Error("certificate rejection not detected")
-	}
-}
-
-func TestResultHelpers(t *testing.T) {
-	r := &Result{
-		Address: " 1.2.3.4:4840",
-		Endpoints: []EndpointInfo{
-			{SecurityPolicyURI: uapolicy.URINone,
-				TokenTypes: []uamsg.UserTokenType{uamsg.UserTokenAnonymous}},
-			{SecurityPolicyURI: uapolicy.URIBasic256Sha256},
-			{SecurityPolicyURI: uapolicy.URINone},
-		},
-		Session: SessionResult{Offered: true},
-	}
-	if !r.SupportsAnonymous() {
-		t.Error("anonymous not detected")
-	}
-	ps := r.PolicySet()
-	if len(ps) != 2 {
-		t.Errorf("policy set = %v", ps)
-	}
-	if r.HostKey() != "1.2.3.4:4840" {
-		t.Errorf("host key = %q", r.HostKey())
 	}
 }
 

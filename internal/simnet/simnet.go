@@ -1,14 +1,15 @@
-// Package simnet provides the in-memory IPv4 Internet the measurement
-// campaign scans: a universe of address prefixes, hosts registered at
-// IP:port with their autonomous system, connection-level noise hosts
-// (open TCP 4840 without OPC UA, as the paper observes for 99.95% of
-// open ports), latency injection and a Dialer compatible with the
-// client and scanner.
+// Package simnet holds the parameters of the in-memory IPv4 Internet
+// the measurement campaign scans: the universe of address prefixes, the
+// deterministic noise model (open TCP 4840 without OPC UA, as the paper
+// observes for 99.95% of open ports), the fallback AS attribution of
+// addresses without a host, the noise hosts' reply (ServeNoise), and
+// View, the read-only interface the scanner consumes.
 //
 // Real Internet-wide scanning is gated (ethically and technically), so
-// the campaign runs against this network instead; every host is a real
-// OPC UA server speaking the full binary protocol over an in-process
-// connection (internal/memconn).
+// the campaign runs against this network instead. The one dialable
+// Internet is internal/worldview's per-wave Snapshot: every host is a
+// real OPC UA server speaking the full binary protocol over an
+// in-process connection (internal/memconn).
 package simnet
 
 import (
@@ -19,12 +20,7 @@ import (
 	"net"
 	"net/netip"
 	"slices"
-	"strconv"
-	"sync"
 	"time"
-
-	"repro/internal/chaos"
-	"repro/internal/memconn"
 )
 
 // ConnHandler serves one accepted connection. *uaserver.Server satisfies
@@ -32,12 +28,6 @@ import (
 type ConnHandler interface {
 	HandleConn(conn net.Conn)
 }
-
-// HandlerFunc adapts a function to ConnHandler.
-type HandlerFunc func(conn net.Conn)
-
-// HandleConn implements ConnHandler.
-func (f HandlerFunc) HandleConn(conn net.Conn) { f(conn) }
 
 // Prefix is a contiguous IPv4 range [Base, Base+Size).
 type Prefix struct {
@@ -54,8 +44,13 @@ func NewPrefix(base string, bits int) (Prefix, error) {
 	if !addr.Is4() {
 		return Prefix{}, fmt.Errorf("simnet: %s is not IPv4", base)
 	}
-	if bits < 0 || bits > 32 {
+	// A /0 would need 1<<32 addresses, which a uint32 Size truncates to
+	// an empty prefix.
+	if bits < 1 || bits > 32 {
 		return Prefix{}, fmt.Errorf("simnet: invalid prefix length %d", bits)
+	}
+	if p := netip.PrefixFrom(addr, bits); p.Masked().Addr() != addr {
+		return Prefix{}, fmt.Errorf("simnet: %s is not the first address of its /%d", base, bits)
 	}
 	return Prefix{Base: addr, Size: 1 << (32 - bits)}, nil
 }
@@ -159,15 +154,6 @@ func (u *Universe) Size() uint64 { return u.total }
 // universe needs total / smallest-prefix-size.
 const maxLocateSlots = 1 << 16
 
-// AddrAt maps a linear index to an address.
-func (u *Universe) AddrAt(i uint64) (netip.Addr, error) {
-	if i >= u.total {
-		return netip.Addr{}, fmt.Errorf("simnet: index %d outside universe", i)
-	}
-	prefix, off := u.Locate(i)
-	return u.prefixes[prefix].AddrAt(off), nil
-}
-
 // Locate maps a linear index to its position: the prefix holding it and
 // the offset inside that prefix. i must be < Size(). It performs no heap
 // allocations.
@@ -243,10 +229,10 @@ func (u *Universe) Disjoint() bool { return u.byBase != nil }
 
 // View is the read-only interface over the simulated Internet that the
 // scanner consumes: address-space enumeration, SYN-probe checks, AS
-// attribution and connection establishment. Both the legacy mutable
-// *Network and the immutable per-wave snapshots built by
-// internal/worldview satisfy it; DialContext additionally makes every
-// View a uaclient.Dialer.
+// attribution and connection establishment; DialContext additionally
+// makes every View a uaclient.Dialer. Its one implementation is
+// internal/worldview's Snapshot; the interface stays because the
+// benchmark module declares its views through it.
 type View interface {
 	// Universe returns the scannable address space.
 	Universe() *Universe
@@ -263,134 +249,8 @@ type View interface {
 	DialContext(ctx context.Context, network, address string) (net.Conn, error)
 }
 
-// Network is the simulated Internet.
-type Network struct {
-	universe *Universe
-
-	mu      sync.RWMutex
-	hosts   map[netip.AddrPort]*Host
-	asOfIP  map[netip.Addr]int
-	latency time.Duration
-	// noiseProb is the probability that an unregistered universe address
-	// has TCP 4840 open but speaks something other than OPC UA.
-	noiseProb   float64
-	noiseSeed   uint64
-	dialCount   int64
-	excludedIPs map[netip.Addr]bool
-	// chaos is the wave-bound adversarial-host model (DESIGN.md §9);
-	// the zero value leaves every registered host polite.
-	chaos chaos.WaveModel
-}
-
-// New creates a network over the given universe.
-func New(u *Universe) *Network {
-	return &Network{
-		universe:    u,
-		hosts:       make(map[netip.AddrPort]*Host),
-		asOfIP:      make(map[netip.Addr]int),
-		excludedIPs: make(map[netip.Addr]bool),
-		noiseSeed:   0x9E3779B97F4A7C15,
-	}
-}
-
-// Host is one registered endpoint.
-type Host struct {
-	IP      netip.Addr
-	Port    int
-	ASN     int
-	Handler ConnHandler
-}
-
-// SetLatency sets the artificial dial latency.
-func (n *Network) SetLatency(d time.Duration) { n.latency = d }
-
-// SetNoise configures the open-port-but-not-OPC-UA probability for
-// unregistered universe addresses on port 4840.
-func (n *Network) SetNoise(prob float64) { n.noiseProb = prob }
-
-// SetChaos installs the wave-bound adversarial-host model consulted on
-// every dial to a registered host (deploy.World.ApplyWave rebinds it
-// each wave on this legacy mutable path; snapshot views carry their own
-// via worldview.Config.Chaos). A zero WaveModel disables chaos.
-func (n *Network) SetChaos(wm chaos.WaveModel) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.chaos = wm
-}
-
-// ChaosModel returns the currently bound wave chaos model.
-func (n *Network) ChaosModel() chaos.WaveModel {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.chaos
-}
-
-// Exclude removes an IP from the network (opt-out list, Appendix A.2).
-func (n *Network) Exclude(ip netip.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.excludedIPs[ip] = true
-}
-
-// Register adds a host. Registering the same ip:port twice replaces the
-// previous handler (hosts change across measurement waves).
-func (n *Network) Register(ip netip.Addr, port, asn int, h ConnHandler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.hosts[netip.AddrPortFrom(ip, uint16(port))] = &Host{IP: ip, Port: port, ASN: asn, Handler: h}
-	n.asOfIP[ip] = asn
-}
-
-// Unregister removes a host (churn between waves).
-func (n *Network) Unregister(ip netip.Addr, port int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.hosts, netip.AddrPortFrom(ip, uint16(port)))
-}
-
-// Hosts returns a snapshot of all registered hosts, sorted by IP then
-// port so snapshots are stable across runs.
-func (n *Network) Hosts() []*Host {
-	n.mu.RLock()
-	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
-	}
-	n.mu.RUnlock()
-	slices.SortFunc(out, func(a, b *Host) int {
-		if c := a.IP.Compare(b.IP); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Port, b.Port)
-	})
-	return out
-}
-
-// NumHosts returns the number of registered endpoints.
-func (n *Network) NumHosts() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.hosts)
-}
-
-// Universe returns the scannable address space.
-func (n *Network) Universe() *Universe { return n.universe }
-
-// ASOf returns the autonomous system of an address; unregistered
-// addresses get a deterministic ASN derived from their /16.
-func (n *Network) ASOf(ip netip.Addr) int {
-	n.mu.RLock()
-	if asn, ok := n.asOfIP[ip]; ok {
-		n.mu.RUnlock()
-		return asn
-	}
-	n.mu.RUnlock()
-	return DefaultASN(ip)
-}
-
 // DefaultASN is the deterministic fallback AS attribution for addresses
 // without a registered host: a private-use ASN derived from the /16.
-// Snapshots use the same formula so every View agrees on AS mapping.
 func DefaultASN(ip netip.Addr) int {
 	return 64512 + int(AddrToU32(ip)>>16)%1024
 }
@@ -398,17 +258,22 @@ func DefaultASN(ip netip.Addr) int {
 // Noise is the deterministic open-port-but-not-OPC-UA model: Prob of
 // the universe's unregistered addresses answer on TCP 4840 with some
 // other service (the paper observes 99.95% of open ports are not
-// OPC UA). The decision is a pure hash of the address, so the mutable
-// Network and every immutable snapshot sharing the same Noise agree.
+// OPC UA). The decision is a pure hash of the address, so every
+// snapshot sharing the same Noise agrees.
 type Noise struct {
 	Prob float64
 	Seed uint64
 
-	// limit is noiseLimit(Prob), resolved once by Network.NoiseModel so
-	// the per-probe decision is an integer compare. A Noise literal
-	// leaves it zero — no positive Prob has a zero limit — and HitU32
-	// then resolves it per call.
+	// limit is noiseLimit(Prob), resolved once by NewNoise so the
+	// per-probe decision is an integer compare. A Noise literal leaves it
+	// zero — no positive Prob has a zero limit — and HitU32 then resolves
+	// it per call.
 	limit uint32
+}
+
+// NewNoise returns the noise model with its per-probe threshold resolved.
+func NewNoise(prob float64, seed uint64) Noise {
+	return Noise{Prob: prob, Seed: seed, limit: noiseLimit(prob)}
 }
 
 // noiseResidues is the modulus that maps a noise hash onto [0,1).
@@ -437,16 +302,6 @@ func noiseLimit(p float64) uint32 {
 	return t
 }
 
-// Hit reports whether the address answers with a non-OPC-UA service.
-func (z Noise) Hit(u *Universe, ip netip.Addr, port int) bool {
-	// Cheap rejections first: the universe prefix walk only runs for
-	// dials that could plausibly be noise.
-	if port != 4840 || z.Prob <= 0 {
-		return false
-	}
-	return u.Contains(ip) && z.HitInUniverse(ip, port)
-}
-
 // FNV-1a parameters (matching hash/fnv's 64-bit variant). The noise
 // model below and the scanner's Feistel permutation both inline the
 // hash on their per-probe paths so probes allocate nothing; sharing the
@@ -459,15 +314,9 @@ const (
 	FNVPrime64  = 1099511628211
 )
 
-// HitInUniverse is Hit for an address the caller already resolved to a
-// universe prefix; it skips the containment walk.
-func (z Noise) HitInUniverse(ip netip.Addr, port int) bool {
-	return z.HitU32(AddrToU32(ip), port)
-}
-
-// HitU32 is HitInUniverse on the AddrToU32 form of the address (the
-// port-scan hot path calls this once per address). It performs no heap
-// allocations.
+// HitU32 reports whether the universe address, in its AddrToU32 form,
+// answers on the port with a non-OPC-UA service (the port-scan hot path
+// calls this once per address). It performs no heap allocations.
 //
 //studyvet:hotpath — called once per probed address
 func (z Noise) HitU32(addr uint32, port int) bool {
@@ -490,34 +339,6 @@ func (z Noise) HitU32(addr uint32, port int) bool {
 	return uint32(v%noiseResidues) < limit
 }
 
-// isNoise deterministically decides whether an unregistered address
-// answers on port 4840 with a non-OPC-UA service.
-func (n *Network) isNoise(ip netip.Addr, port int) bool {
-	return n.NoiseModel().Hit(n.universe, ip, port)
-}
-
-// NoiseModel returns the network's noise configuration, for snapshot
-// construction, with the per-probe threshold resolved.
-func (n *Network) NoiseModel() Noise {
-	return Noise{Prob: n.noiseProb, Seed: n.noiseSeed, limit: noiseLimit(n.noiseProb)}
-}
-
-// Latency returns the artificial dial latency.
-func (n *Network) Latency() time.Duration { return n.latency }
-
-// ExcludedIPs returns a copy of the opt-out list, sorted by address so
-// downstream blocklist construction is order-independent.
-func (n *Network) ExcludedIPs() []netip.Addr {
-	n.mu.RLock()
-	out := make([]netip.Addr, 0, len(n.excludedIPs))
-	for ip := range n.excludedIPs {
-		out = append(out, ip)
-	}
-	n.mu.RUnlock()
-	slices.SortFunc(out, netip.Addr.Compare)
-	return out
-}
-
 // ErrRefused mirrors a TCP RST from a closed port.
 type ErrRefused struct{ Addr string }
 
@@ -527,96 +348,14 @@ func (e ErrRefused) Error() string { return "simnet: connection refused: " + e.A
 // Timeout reports false; refusals are immediate.
 func (e ErrRefused) Timeout() bool { return false }
 
-// DialContext implements the Dialer interface used by uaclient and the
-// scanner. It spawns the host's handler on the server end of an
-// in-process connection.
-func (n *Network) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
-	if network != "tcp" && network != "tcp4" {
-		return nil, fmt.Errorf("simnet: unsupported network %q", network)
-	}
-	host, portStr, err := net.SplitHostPort(address)
-	if err != nil {
-		return nil, fmt.Errorf("simnet: %w", err)
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return nil, fmt.Errorf("simnet: invalid port %q", portStr)
-	}
-	ip, err := netip.ParseAddr(host)
-	if err != nil {
-		return nil, fmt.Errorf("simnet: %w", err)
-	}
-	if n.latency > 0 {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(n.latency):
-		}
-	}
-	n.mu.RLock()
-	excluded := n.excludedIPs[ip]
-	h, ok := n.hosts[netip.AddrPortFrom(ip, uint16(port))]
-	cm := n.chaos
-	n.mu.RUnlock()
-	if excluded {
-		return nil, ErrRefused{Addr: address}
-	}
-	if !ok {
-		if n.isNoise(ip, port) {
-			client, server := memconn.Pipe()
-			go ServeNoise(server)
-			return client, nil
-		}
-		return nil, ErrRefused{Addr: address}
-	}
-	// Adversarial behavior applies to registered hosts only: noise
-	// endpoints and closed ports stay polite. The decision is a pure
-	// function of (seed, wave, ip, port) plus the dial's context-borne
-	// attempt number, so it is identical across shards and processes.
-	if b := cm.Behavior(ip.As4(), port); b.Kind != chaos.KindNone {
-		if b.Refuses(chaos.AttemptFromContext(ctx)) {
-			return nil, ErrRefused{Addr: address}
-		}
-		client, server := memconn.Pipe()
-		go chaos.Serve(b, server, h.Handler.HandleConn)
-		return client, nil
-	}
-	client, server := memconn.Pipe()
-	go h.Handler.HandleConn(server)
-	return client, nil
-}
-
 // ServeNoise emulates a non-OPC-UA service on port 4840: it reads a
 // little and responds with an HTTP error, as embedded web servers do.
-// Exported so snapshot views serve the exact same noise behaviour.
+//
+//studyvet:entropy-exempt — an I/O deadline against the wall clock, never a record byte (ROADMAP "One clock")
 func ServeNoise(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
 	buf := make([]byte, 256)
 	_, _ = conn.Read(buf)
 	_, _ = conn.Write([]byte("HTTP/1.0 400 Bad Request\r\nConnection: close\r\n\r\n"))
-}
-
-// Compile-time check: the mutable network satisfies the read-only view.
-var _ View = (*Network)(nil)
-
-// OpenPort reports whether a TCP connect to the address would succeed,
-// without spawning handlers. The port-scan stage uses it as its fast
-// SYN-probe path; the result matches DialContext behaviour exactly.
-func (n *Network) OpenPort(ip netip.Addr, port int) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if len(n.excludedIPs) > 0 && n.excludedIPs[ip] {
-		return false
-	}
-	if _, ok := n.hosts[netip.AddrPortFrom(ip, uint16(port))]; ok {
-		return true
-	}
-	return n.isNoise(ip, port)
-}
-
-// OpenPortAt resolves the position to its address and asks OpenPort: the
-// mutable network keys everything by address, and no campaign sweeps it.
-func (n *Network) OpenPortAt(prefix int, off uint32, port int) bool {
-	return n.OpenPort(n.universe.prefixes[prefix].AddrAt(off), port)
 }

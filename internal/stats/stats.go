@@ -59,20 +59,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[lo]*(1-frac) + e.sorted[hi]*frac
 }
 
-// Points samples the survival function at n evenly spaced fractions,
-// producing the (x, 1-CDF) series plotted in Figure 7.
-func (e *ECDF) Points(n int) [][2]float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		x := float64(i) / float64(n-1)
-		out = append(out, [2]float64{x, e.Survival(x)})
-	}
-	return out
-}
-
 // Summary holds the usual summary statistics.
 type Summary struct {
 	N    int

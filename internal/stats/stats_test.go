@@ -79,25 +79,6 @@ func TestECDFMonotonicityProperty(t *testing.T) {
 	}
 }
 
-func TestPoints(t *testing.T) {
-	e := NewECDF([]float64{0.2, 0.8})
-	pts := e.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0][0] != 0 || pts[4][0] != 1 {
-		t.Errorf("x range = %v..%v", pts[0][0], pts[4][0])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] > pts[i-1][1] {
-			t.Error("survival function must be non-increasing")
-		}
-	}
-	if got := e.Points(1); len(got) != 2 {
-		t.Errorf("degenerate n handled: %d", len(got))
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 || s.Mean != 5 {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -175,27 +174,4 @@ func MergeSnapshots(shard string, snaps ...*Snapshot) (*Snapshot, error) {
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(s)
-}
-
-// ReadSnapshots parses an NDJSON snapshot stream (blank lines
-// ignored).
-func ReadSnapshots(r io.Reader) ([]*Snapshot, error) {
-	var out []*Snapshot
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		s := &Snapshot{}
-		if err := json.Unmarshal(line, s); err != nil {
-			return nil, fmt.Errorf("telemetry: parsing snapshot line %d: %w", len(out)+1, err)
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,9 +1,9 @@
 // Package telemetry is the campaign's observability substrate: a
 // stdlib-only, concurrency-safe metrics registry (atomic counters,
-// gauges, high-water gauges, fixed-bucket latency histograms, labeled
-// per-wave/per-shard scopes), point-in-time snapshots streamable as
-// NDJSON, a bounded span-style exchange tracer, and the serialized
-// progress writer.
+// high-water gauges, fixed-bucket latency histograms, labeled
+// per-wave/per-shard scopes; snapshot sources add gauges), point-in-time
+// snapshots streamable as NDJSON, a bounded span-style exchange tracer,
+// and the serialized progress writer.
 //
 // Zero-cost-when-disabled contract (DESIGN.md §7): a nil *Registry is
 // the disabled state, and every instrument it hands out is then nil
@@ -81,35 +81,6 @@ func (c *Counter) Load() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value (queue depth, buffer fill).
-// Gauges sum across shards when snapshots merge. A nil *Gauge is a
-// no-op.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the value by d (may be negative).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Load returns the current value (0 for nil).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // MaxGauge retains the maximum value ever recorded (high-water marks).
@@ -260,7 +231,6 @@ type Registry struct {
 type regCore struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	maxes    map[string]*MaxGauge
 	hists    map[string]*Histogram
 	sources  map[string]func(*Snapshot)
@@ -270,7 +240,6 @@ type regCore struct {
 func New() *Registry {
 	return &Registry{core: &regCore{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		maxes:    map[string]*MaxGauge{},
 		hists:    map[string]*Histogram{},
 		sources:  map[string]func(*Snapshot){},
@@ -314,24 +283,6 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	v := &Counter{}
 	c.counters[key] = v
-	return v
-}
-
-// Gauge returns (creating if needed) the named gauge in this scope, or
-// nil on a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	key := r.qualify(name)
-	c := r.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.gauges[key]; ok {
-		return v
-	}
-	v := &Gauge{}
-	c.gauges[key] = v
 	return v
 }
 
@@ -399,9 +350,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	c.mu.Lock()
 	for k, v := range c.counters {
 		s.Counters[k] = v.Load()
-	}
-	for k, v := range c.gauges {
-		s.Gauges[k] = v.Load()
 	}
 	for k, v := range c.maxes {
 		s.Max[k] = v.Load()

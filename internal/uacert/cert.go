@@ -11,11 +11,9 @@ package uacert
 
 import (
 	"crypto"
-	"crypto/md5"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha1"
-	"crypto/sha256"
 	"crypto/x509/pkix"
 	"encoding/asn1"
 	"errors"
@@ -395,31 +393,4 @@ func (c *Certificate) Thumbprint() []byte {
 // certificate reuse across hosts.
 func (c *Certificate) ThumbprintHex() string {
 	return fmt.Sprintf("%x", c.Thumbprint())
-}
-
-// VerifySignatureFrom checks the certificate signature against the given
-// public key (use c.PublicKey for self-signed certificates).
-func (c *Certificate) VerifySignatureFrom(pub *rsa.PublicKey) error {
-	ch := c.SignatureHash.CryptoHash()
-	if ch == 0 {
-		return errors.New("uacert: unknown signature algorithm")
-	}
-	var digest []byte
-	switch c.SignatureHash {
-	case HashMD5:
-		s := md5.Sum(c.rawTBS)
-		digest = s[:]
-	case HashSHA1:
-		s := sha1.Sum(c.rawTBS)
-		digest = s[:]
-	case HashSHA256:
-		s := sha256.Sum256(c.rawTBS)
-		digest = s[:]
-	}
-	return rsa.VerifyPKCS1v15(pub, ch, digest, c.signature)
-}
-
-// ValidAt reports whether t falls within the validity window.
-func (c *Certificate) ValidAt(t time.Time) bool {
-	return !t.Before(c.NotBefore) && !t.After(c.NotAfter)
 }

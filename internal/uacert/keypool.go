@@ -100,6 +100,8 @@ func (p *KeyPool) Key(bits, idx int) *rsa.PrivateKey {
 }
 
 // Size returns how many keys of the given bit size the pool holds.
+//
+//studyvet:api — the certificate golden checks the pool holds exactly the keys a world serves
 func (p *KeyPool) Size(bits int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -431,13 +431,6 @@ func AnonymousIdentity() Identity {
 	return Identity{Token: &uamsg.AnonymousIdentityToken{PolicyID: "0"}}
 }
 
-// UserNameIdentity authenticates with credentials.
-func UserNameIdentity(user, password string) Identity {
-	return Identity{Token: &uamsg.UserNameIdentityToken{
-		PolicyID: "0", UserName: user, Password: []byte(password),
-	}}
-}
-
 // CreateSession creates and activates a session with the identity.
 func (c *Client) CreateSession(identity Identity) error {
 	nonce := make([]byte, 32)
@@ -604,6 +597,8 @@ func (c *Client) ReadValue(id uatypes.NodeID) (uatypes.DataValue, error) {
 }
 
 // Call invokes one method.
+//
+//studyvet:api — the Go client of the Call service uaserver serves (cmd/uaserverd); the scanner never invokes methods
 func (c *Client) Call(objectID, methodID uatypes.NodeID, args []uatypes.Variant) (uamsg.CallMethodResult, error) {
 	msg, err := c.request(&uamsg.CallRequest{
 		Header: c.header(),

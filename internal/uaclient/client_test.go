@@ -21,11 +21,6 @@ func TestIdentityConstructors(t *testing.T) {
 	if !ok || tok.PolicyID != "0" {
 		t.Errorf("anonymous identity = %#v", anon.Token)
 	}
-	user := UserNameIdentity("op", "pw")
-	ut, ok := user.Token.(*uamsg.UserNameIdentityToken)
-	if !ok || ut.UserName != "op" || string(ut.Password) != "pw" {
-		t.Errorf("user identity = %#v", user.Token)
-	}
 }
 
 func TestOptionsDefaults(t *testing.T) {

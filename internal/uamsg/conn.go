@@ -8,6 +8,8 @@ import (
 )
 
 // UACP message type identifiers (first three header bytes).
+//
+//studyvet:api — an OPC UA wire enumeration, kept whole
 const (
 	MsgTypeHello        = "HEL"
 	MsgTypeAcknowledge  = "ACK"

@@ -11,6 +11,8 @@ import "fmt"
 type MessageSecurityMode uint32
 
 // Security modes. Invalid is never advertised.
+//
+//studyvet:api — an OPC UA wire enumeration, kept whole
 const (
 	SecurityModeInvalid        MessageSecurityMode = 0
 	SecurityModeNone           MessageSecurityMode = 1
@@ -65,6 +67,8 @@ func (t UserTokenType) String() string {
 type SecurityTokenRequestType uint32
 
 // Token request types.
+//
+//studyvet:api — an OPC UA wire enumeration, kept whole
 const (
 	SecurityTokenIssue SecurityTokenRequestType = 0
 	SecurityTokenRenew SecurityTokenRequestType = 1
@@ -85,6 +89,8 @@ const (
 type NodeClass uint32
 
 // Node classes.
+//
+//studyvet:api — an OPC UA wire enumeration, kept whole
 const (
 	NodeClassUnspecified   NodeClass = 0
 	NodeClassObject        NodeClass = 1
@@ -125,6 +131,8 @@ func (c NodeClass) String() string {
 type BrowseDirection uint32
 
 // Browse directions.
+//
+//studyvet:api — an OPC UA wire enumeration, kept whole
 const (
 	BrowseDirectionForward BrowseDirection = 0
 	BrowseDirectionInverse BrowseDirection = 1
@@ -135,6 +143,8 @@ const (
 type AttributeID uint32
 
 // Attribute ids (OPC 10000-4 §A.1).
+//
+//studyvet:api — an OPC UA wire enumeration, kept whole
 const (
 	AttrNodeID          AttributeID = 1
 	AttrNodeClass       AttributeID = 2
@@ -171,6 +181,8 @@ func (a AccessLevel) CanWrite() bool { return a&AccessLevelWrite != 0 }
 type TimestampsToReturn uint32
 
 // Timestamp selections.
+//
+//studyvet:api — an OPC UA wire enumeration, kept whole
 const (
 	TimestampsSource  TimestampsToReturn = 0
 	TimestampsServer  TimestampsToReturn = 1
@@ -189,17 +201,10 @@ const (
 	IDNamespaceArray      = 2255
 	IDServerStatus        = 2256
 	IDBuildInfo           = 2260
-	IDProductURI          = 2262
-	IDManufacturerName    = 2263
 	IDProductName         = 2261
 	IDSoftwareVersion     = 2264
-	IDBuildNumber         = 2265
-	IDBuildDate           = 2266
 	IDCurrentTime         = 2258
-	IDStartTime           = 2257
-	IDReferencesRefType   = 31
 	IDHierarchicalRefType = 33
-	IDHasChildRefType     = 34
 	IDOrganizesRefType    = 35
 	IDHasComponentRefType = 47
 	IDHasPropertyRefType  = 46

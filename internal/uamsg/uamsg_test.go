@@ -248,7 +248,7 @@ func TestBrowseReadCallRoundTrip(t *testing.T) {
 		t.Errorf("ReadRequest: got %+v", got)
 	}
 
-	val := uatypes.Uint32Variant(3)
+	val := uatypes.Variant{Type: uatypes.TypeUint32, Uint: 3}
 	rresp := &ReadResponse{
 		Results: []uatypes.DataValue{{Value: &val, HasStatus: true, Status: uastatus.Good}},
 	}

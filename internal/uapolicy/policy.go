@@ -194,9 +194,6 @@ func (p *Policy) String() string { return p.Name }
 // stronger. None is 0.
 func (p *Policy) SecurityLevel() byte { return byte(p.Rank) }
 
-// NonceLength returns the secure-channel nonce length in bytes.
-func (p *Policy) NonceLength() int { return p.nonceLength }
-
 // NewNonce returns a fresh random channel nonce.
 func (p *Policy) NewNonce() []byte { return p.NonceFrom(nil) }
 
@@ -284,11 +281,6 @@ func (p *Policy) AsymPlainBlockSize(key *rsa.PublicKey) (int, error) {
 // AsymCipherBlockSize returns the ciphertext block size (the key size).
 func (p *Policy) AsymCipherBlockSize(key *rsa.PublicKey) int { return key.Size() }
 
-// AsymSign signs data with the policy's asymmetric signature scheme.
-func (p *Policy) AsymSign(key *rsa.PrivateKey, data []byte) ([]byte, error) {
-	return p.AsymSignCtx(CryptoContext{}, key, data)
-}
-
 // AsymSignCtx signs data, memoizing by (key fingerprint, input digest)
 // when the context carries an engine. PKCS#1 v1.5 signatures are
 // deterministic, so the cached bytes equal a recomputation; PSS
@@ -330,11 +322,6 @@ func (p *Policy) asymSign(r io.Reader, key *rsa.PrivateKey, data []byte) ([]byte
 	default:
 		return nil, ErrNoCrypto
 	}
-}
-
-// AsymVerify verifies an asymmetric signature.
-func (p *Policy) AsymVerify(key *rsa.PublicKey, data, sig []byte) error {
-	return p.AsymVerifyCtx(CryptoContext{}, key, data, sig)
 }
 
 // AsymVerifyCtx verifies a signature; verification is a pure predicate
@@ -383,13 +370,6 @@ func (p *Policy) asymVerify(key *rsa.PublicKey, data, sig []byte) error {
 		return ErrNoCrypto
 	}
 	return nil
-}
-
-// AsymEncrypt encrypts data block-wise with the policy's key transport.
-// len(data) must be a multiple of AsymPlainBlockSize (the secure-channel
-// layer pads before encrypting).
-func (p *Policy) AsymEncrypt(key *rsa.PublicKey, data []byte) ([]byte, error) {
-	return p.AsymEncryptCtx(CryptoContext{}, key, data)
 }
 
 // AsymEncryptCtx encrypts data, drawing padding from the context's Rand.
@@ -500,11 +480,6 @@ func encryptPKCS1v15Det(r io.Reader, key *rsa.PublicKey, msg []byte) ([]byte, er
 	m.Exp(m, big.NewInt(int64(key.E)), key.N)
 	m.FillBytes(em)
 	return em, nil
-}
-
-// AsymDecrypt decrypts block-wise asymmetric ciphertext.
-func (p *Policy) AsymDecrypt(key *rsa.PrivateKey, data []byte) ([]byte, error) {
-	return p.AsymDecryptCtx(CryptoContext{}, key, data)
 }
 
 // AsymDecryptCtx decrypts ciphertext, memoizing the plaintext by

@@ -116,7 +116,7 @@ func TestAsymSignVerifyAllPolicies(t *testing.T) {
 	data := []byte("open secure channel payload")
 	for _, p := range secured() {
 		key := keyFor(t, p)
-		sig, err := p.AsymSign(key, data)
+		sig, err := p.AsymSignCtx(CryptoContext{}, key, data)
 		if err != nil {
 			t.Fatalf("%s: sign: %v", p.Name, err)
 		}
@@ -124,11 +124,11 @@ func TestAsymSignVerifyAllPolicies(t *testing.T) {
 			t.Errorf("%s: signature size %d, want %d", p.Name, len(sig),
 				p.AsymSignatureSize(&key.PublicKey))
 		}
-		if err := p.AsymVerify(&key.PublicKey, data, sig); err != nil {
+		if err := p.AsymVerifyCtx(CryptoContext{}, &key.PublicKey, data, sig); err != nil {
 			t.Errorf("%s: verify: %v", p.Name, err)
 		}
 		sig[0] ^= 0xFF
-		if err := p.AsymVerify(&key.PublicKey, data, sig); err == nil {
+		if err := p.AsymVerifyCtx(CryptoContext{}, &key.PublicKey, data, sig); err == nil {
 			t.Errorf("%s: corrupted signature verified", p.Name)
 		}
 	}
@@ -142,14 +142,14 @@ func TestAsymEncryptDecryptAllPolicies(t *testing.T) {
 			t.Fatalf("%s: block size: %v", p.Name, err)
 		}
 		plain := bytes.Repeat([]byte{0x5A}, blockSize*3)
-		ct, err := p.AsymEncrypt(&key.PublicKey, plain)
+		ct, err := p.AsymEncryptCtx(CryptoContext{}, &key.PublicKey, plain)
 		if err != nil {
 			t.Fatalf("%s: encrypt: %v", p.Name, err)
 		}
 		if len(ct) != 3*p.AsymCipherBlockSize(&key.PublicKey) {
 			t.Errorf("%s: ciphertext size %d", p.Name, len(ct))
 		}
-		pt, err := p.AsymDecrypt(key, ct)
+		pt, err := p.AsymDecryptCtx(CryptoContext{}, key, ct)
 		if err != nil {
 			t.Fatalf("%s: decrypt: %v", p.Name, err)
 		}
@@ -157,10 +157,10 @@ func TestAsymEncryptDecryptAllPolicies(t *testing.T) {
 			t.Errorf("%s: round trip mismatch", p.Name)
 		}
 		// Unaligned input is rejected.
-		if _, err := p.AsymEncrypt(&key.PublicKey, plain[:blockSize+1]); err == nil {
+		if _, err := p.AsymEncryptCtx(CryptoContext{}, &key.PublicKey, plain[:blockSize+1]); err == nil {
 			t.Errorf("%s: unaligned plaintext accepted", p.Name)
 		}
-		if _, err := p.AsymDecrypt(key, ct[:len(ct)-1]); err == nil {
+		if _, err := p.AsymDecryptCtx(CryptoContext{}, key, ct[:len(ct)-1]); err == nil {
 			t.Errorf("%s: unaligned ciphertext accepted", p.Name)
 		}
 	}
@@ -189,7 +189,7 @@ func TestAsymCtxMemoizationTransparent(t *testing.T) {
 		if err != nil || !bytes.Equal(sig1, sig2) {
 			t.Errorf("%s: cached signature differs (%v)", p.Name, err)
 		}
-		if err := p.AsymVerify(&key.PublicKey, data, sig1); err != nil {
+		if err := p.AsymVerifyCtx(CryptoContext{}, &key.PublicKey, data, sig1); err != nil {
 			t.Errorf("%s: cached signature does not verify: %v", p.Name, err)
 		}
 		cc := CryptoContext{Engine: engine}
@@ -225,7 +225,7 @@ func TestAsymCtxMemoizationTransparent(t *testing.T) {
 		if err != nil || !bytes.Equal(pt1, plain) {
 			t.Errorf("%s: seeded decrypt round trip failed (%v)", p.Name, err)
 		}
-		ctFresh, err := p.AsymEncrypt(&key.PublicKey, plain) // crypto/rand padding: unknown to the engine
+		ctFresh, err := p.AsymEncryptCtx(CryptoContext{}, &key.PublicKey, plain) // crypto/rand padding: unknown to the engine
 		if err != nil {
 			t.Fatalf("%s: encrypt: %v", p.Name, err)
 		}
@@ -244,13 +244,13 @@ func TestAsymCtxMemoizationTransparent(t *testing.T) {
 
 func TestNonePolicyRefusesCrypto(t *testing.T) {
 	k, _ := testKeys(t)
-	if _, err := None.AsymSign(k, []byte("x")); err == nil {
+	if _, err := None.AsymSignCtx(CryptoContext{}, k, []byte("x")); err == nil {
 		t.Error("None.AsymSign should fail")
 	}
-	if err := None.AsymVerify(&k.PublicKey, []byte("x"), nil); err == nil {
+	if err := None.AsymVerifyCtx(CryptoContext{}, &k.PublicKey, []byte("x"), nil); err == nil {
 		t.Error("None.AsymVerify should fail")
 	}
-	if _, err := None.AsymEncrypt(&k.PublicKey, nil); err == nil {
+	if _, err := None.AsymEncryptCtx(CryptoContext{}, &k.PublicKey, nil); err == nil {
 		t.Error("None.AsymEncrypt should fail")
 	}
 	if _, err := None.DeriveKeys([]byte("a"), []byte("b")); err == nil {
@@ -268,7 +268,7 @@ func TestDeriveKeysDeterministicAndDirectional(t *testing.T) {
 	for _, p := range secured() {
 		cn := p.NewNonce()
 		sn := p.NewNonce()
-		if len(cn) != p.NonceLength() {
+		if len(cn) != p.nonceLength {
 			t.Errorf("%s: nonce length %d", p.Name, len(cn))
 		}
 		client1, err := p.DeriveKeys(sn, cn)

@@ -107,7 +107,7 @@ func checkEncryptSeedsDecrypt(t *testing.T, p *Policy, key, stranger *rsa.Privat
 
 	// The seeded plaintext is what the private key really yields, and it
 	// is the engine's own copy, not the buffer overwritten above.
-	real, err := p.AsymDecrypt(key, ct)
+	real, err := p.AsymDecryptCtx(CryptoContext{}, key, ct)
 	if err != nil || !bytes.Equal(real, want) {
 		t.Fatalf("%s: engine-less decrypt: %v", p.Name, err)
 	}
@@ -133,7 +133,7 @@ func checkEncryptSeedsDecrypt(t *testing.T, p *Policy, key, stranger *rsa.Privat
 	} {
 		before := engine.Stats().Decrypt
 		got, gotErr := p.AsymDecryptCtx(CryptoContext{Engine: engine}, c.key, c.data)
-		ref, refErr := p.AsymDecrypt(c.key, c.data)
+		ref, refErr := p.AsymDecryptCtx(CryptoContext{}, c.key, c.data)
 		if !sameOutcome(got, gotErr, ref, refErr) {
 			t.Errorf("%s: %s: engine says (%x, %v), real decrypt (%x, %v)", p.Name, c.name, got, gotErr, ref, refErr)
 		}
@@ -154,7 +154,7 @@ func checkEncryptSeedsDecrypt(t *testing.T, p *Policy, key, stranger *rsa.Privat
 		"crypto/rand":     nil,
 	} {
 		fresh := mustEncrypt(CryptoContext{Engine: engine, Rand: r}, want)
-		if got, err := p.AsymDecrypt(key, fresh); err != nil || !bytes.Equal(got, want) {
+		if got, err := p.AsymDecryptCtx(CryptoContext{}, key, fresh); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s: %s: ciphertext does not decrypt (%v)", p.Name, name, err)
 		}
 		if st := engine.Stats(); encryptOps() != ops || st.Entries != entries {

@@ -298,15 +298,6 @@ type Stats struct {
 	Entries int
 }
 
-// Total sums the per-op counters.
-func (s Stats) Total() OpStats {
-	return OpStats{
-		Hits:      s.Sign.Hits + s.Verify.Hits + s.Decrypt.Hits + s.Encrypt.Hits,
-		Misses:    s.Sign.Misses + s.Verify.Misses + s.Decrypt.Misses + s.Encrypt.Misses,
-		Evictions: s.Sign.Evictions + s.Verify.Evictions + s.Decrypt.Evictions + s.Encrypt.Evictions,
-	}
-}
-
 // Stats snapshots the counters and the current entry count.
 func (e *Engine) Stats() Stats {
 	var st Stats

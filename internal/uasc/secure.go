@@ -90,13 +90,6 @@ type Channel struct {
 // Security returns the channel's security settings.
 func (ch *Channel) Security() ChannelSecurity { return ch.sec }
 
-// RemoteCertificate returns the peer's certificate DER (nil for policy
-// None).
-func (ch *Channel) RemoteCertificate() []byte { return ch.sec.RemoteCertDER }
-
-// Transport returns the underlying transport.
-func (ch *Channel) Transport() *Transport { return ch.t }
-
 // SessionNonce returns a fresh nonce for session-level challenges
 // (CreateSession/ActivateSession responses). Deterministic channels
 // derive it from the channel derivation — one labeled substream per

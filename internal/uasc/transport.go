@@ -75,12 +75,6 @@ type Transport struct {
 	readBuf []byte
 }
 
-// SendLimits returns the limits applied to outgoing chunks.
-func (t *Transport) SendLimits() Limits { return t.send }
-
-// RecvLimits returns the limits applied to incoming chunks.
-func (t *Transport) RecvLimits() Limits { return t.recv }
-
 // Close closes the underlying connection.
 func (t *Transport) Close() error { return t.Conn.Close() }
 

@@ -400,11 +400,11 @@ func TestHelloNegotiationRevisesLimits(t *testing.T) {
 	}
 	st := <-serverDone
 	// Client may send at most what the server can receive.
-	if tr.SendLimits().SendBufSize != 16384 {
-		t.Errorf("client send buf = %d", tr.SendLimits().SendBufSize)
+	if tr.send.SendBufSize != 16384 {
+		t.Errorf("client send buf = %d", tr.send.SendBufSize)
 	}
-	if tr.SendLimits().MaxChunkCount != 8 || tr.SendLimits().MaxMessageSize != 1<<16 {
-		t.Errorf("client limits = %+v", tr.SendLimits())
+	if tr.send.MaxChunkCount != 8 || tr.send.MaxMessageSize != 1<<16 {
+		t.Errorf("client limits = %+v", tr.send)
 	}
 	if st.EndpointURL != "opc.tcp://x" {
 		t.Errorf("server saw endpoint %q", st.EndpointURL)

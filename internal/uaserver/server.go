@@ -241,6 +241,8 @@ func (s *Server) buildEndpoints() []uamsg.EndpointDescription {
 func (s *Server) Endpoints() []uamsg.EndpointDescription { return s.endpoints }
 
 // Config returns the server configuration.
+//
+//studyvet:api — the certificate golden reads the discovery servers' keys through it
 func (s *Server) Config() Config { return s.cfg }
 
 func (s *Server) logf(format string, args ...any) {

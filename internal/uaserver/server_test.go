@@ -230,7 +230,7 @@ func TestAnonymousSessionBrowseReadCall(t *testing.T) {
 func TestUserNamePasswordAuthentication(t *testing.T) {
 	_, url := startTestServer(t, nil)
 	c := dialInsecure(t, url)
-	if err := c.CreateSession(uaclient.UserNameIdentity("operator", "wrong")); err == nil {
+	if err := c.CreateSession(userName("operator", "wrong")); err == nil {
 		t.Fatal("wrong password accepted")
 	} else {
 		var se uaclient.ServiceError
@@ -239,7 +239,7 @@ func TestUserNamePasswordAuthentication(t *testing.T) {
 		}
 	}
 	c2 := dialInsecure(t, url)
-	if err := c2.CreateSession(uaclient.UserNameIdentity("operator", "secret")); err != nil {
+	if err := c2.CreateSession(userName("operator", "secret")); err != nil {
 		t.Fatalf("valid credentials rejected: %v", err)
 	}
 }
@@ -460,4 +460,9 @@ func TestEndpointAddressParsing(t *testing.T) {
 			t.Errorf("EndpointAddress(%q) should fail", c.in)
 		}
 	}
+}
+
+// userName is the identity of a user with credentials.
+func userName(user, password string) uaclient.Identity {
+	return uaclient.Identity{Token: &uamsg.UserNameIdentityToken{PolicyID: "0", UserName: user, Password: []byte(password)}}
 }

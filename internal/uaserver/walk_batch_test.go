@@ -211,7 +211,7 @@ func TestCallUnknownAndRestrictedMethods(t *testing.T) {
 	}
 	// Authenticated users may execute.
 	c2 := dialInsecure(t, url)
-	if err := c2.CreateSession(uaclient.UserNameIdentity("operator", "secret")); err != nil {
+	if err := c2.CreateSession(userName("operator", "secret")); err != nil {
 		t.Fatal(err)
 	}
 	result, err = c2.Call(uatypes.NewStringNodeID(method.Namespace, "Application"), method, nil)

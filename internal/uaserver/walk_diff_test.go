@@ -321,7 +321,9 @@ func TestWalkMatchesSingleNodeWalker(t *testing.T) {
 		}},
 		mesh,
 	} {
-		n := f.space(t).Len() // an upper bound of the reachable nodes
+		// The reachable nodes: cut below, at and just past every count.
+		full := referenceWalk(context.Background(), sessionOn(t, func(cfg *Config) { cfg.Space = f.space(t) }, uaclient.Options{}), uaclient.WalkOptions{})
+		n := len(full.Nodes)
 		f.name += "/maxnodes"
 		f.opts = nil
 		for cut := 1; cut <= n+1; cut++ {

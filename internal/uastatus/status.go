@@ -177,12 +177,6 @@ var names = map[Code]string{
 	UncertainInitialValue:         "UncertainInitialValue",
 }
 
-// IsGood reports whether c has Good severity.
-func (c Code) IsGood() bool { return c&severityMask == severityGood }
-
-// IsUncertain reports whether c has Uncertain severity.
-func (c Code) IsUncertain() bool { return c&severityMask == severityUncertain }
-
 // IsBad reports whether c has Bad severity.
 func (c Code) IsBad() bool { return c&severityMask == severityBad }
 

@@ -6,15 +6,15 @@ import (
 )
 
 func TestSeverityClasses(t *testing.T) {
-	if !Good.IsGood() || Good.IsBad() || Good.IsUncertain() {
+	if Good&severityMask != severityGood || Good.IsBad() {
 		t.Error("Good severity wrong")
 	}
 	for _, c := range []Code{BadTimeout, BadSecurityChecksFailed, BadTcpMessageTooLarge} {
-		if !c.IsBad() || c.IsGood() {
+		if !c.IsBad() || c&severityMask != severityBad {
 			t.Errorf("%v severity wrong", c)
 		}
 	}
-	if !UncertainInitialValue.IsUncertain() {
+	if UncertainInitialValue&severityMask != severityUncertain || UncertainInitialValue.IsBad() {
 		t.Error("uncertain severity wrong")
 	}
 }
@@ -25,7 +25,7 @@ func TestSeverityPartitionProperty(t *testing.T) {
 	// the mask check (they are reserved, never both bad and uncertain).
 	f := func(v uint32) bool {
 		c := Code(v)
-		good, unc, bad := c.IsGood(), c.IsUncertain(), c.IsBad()
+		good, unc, bad := c&severityMask == severityGood, c&severityMask == severityUncertain, c.IsBad()
 		n := 0
 		for _, x := range []bool{good, unc, bad} {
 			if x {
@@ -61,7 +61,7 @@ func TestAllNamedCodesRoundTrip(t *testing.T) {
 		if code.Name() != name {
 			t.Errorf("code %v name %q != %q", uint32(code), code.Name(), name)
 		}
-		if code != Good && !code.IsBad() && !code.IsUncertain() {
+		if code != Good && !code.IsBad() && code&severityMask != severityUncertain {
 			t.Errorf("named code %s has no severity", name)
 		}
 	}

@@ -1,12 +1,9 @@
 package uatypes
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/uastatus"
 )
@@ -18,22 +15,6 @@ type Guid struct {
 	Data2 uint16
 	Data3 uint16
 	Data4 [8]byte
-}
-
-// NewGuid returns a random Guid.
-//
-//studyvet:entropy-exempt — random by contract; deterministic campaigns derive Guids from seeded streams, never this constructor
-func NewGuid() Guid {
-	var g Guid
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("uatypes: crypto/rand failed: " + err.Error())
-	}
-	g.Data1 = binary.LittleEndian.Uint32(b[0:4])
-	g.Data2 = binary.LittleEndian.Uint16(b[4:6])
-	g.Data3 = binary.LittleEndian.Uint16(b[6:8])
-	copy(g.Data4[:], b[8:16])
-	return g
 }
 
 // Encode writes the Guid to e.
@@ -162,49 +143,6 @@ func (n NodeID) String() string {
 		}
 	}
 	return n.Key()
-}
-
-// ParseNodeID parses the standard textual notation ("ns=2;s=Demo", "i=85").
-func ParseNodeID(s string) (NodeID, error) {
-	var n NodeID
-	rest := s
-	if strings.HasPrefix(rest, "ns=") {
-		i := strings.IndexByte(rest, ';')
-		if i < 0 {
-			return n, fmt.Errorf("uatypes: invalid node id %q", s)
-		}
-		ns, err := strconv.ParseUint(rest[3:i], 10, 16)
-		if err != nil {
-			return n, fmt.Errorf("uatypes: invalid namespace in %q: %v", s, err)
-		}
-		n.Namespace = uint16(ns)
-		rest = rest[i+1:]
-	}
-	if len(rest) < 2 || rest[1] != '=' {
-		return n, fmt.Errorf("uatypes: invalid node id %q", s)
-	}
-	switch rest[0] {
-	case 'i':
-		v, err := strconv.ParseUint(rest[2:], 10, 32)
-		if err != nil {
-			return n, fmt.Errorf("uatypes: invalid numeric id in %q: %v", s, err)
-		}
-		n.Type = NodeIDTypeNumeric
-		n.Numeric = uint32(v)
-	case 's':
-		n.Type = NodeIDTypeString
-		n.Text = rest[2:]
-	case 'b':
-		b, err := hex.DecodeString(rest[2:])
-		if err != nil {
-			return n, fmt.Errorf("uatypes: invalid bytestring id in %q: %v", s, err)
-		}
-		n.Type = NodeIDTypeByteString
-		n.Bytes = b
-	default:
-		return n, fmt.Errorf("uatypes: unsupported node id kind %q", rest[0])
-	}
-	return n, nil
 }
 
 // Encode writes the NodeID to e using the most compact encoding.
@@ -526,10 +464,6 @@ func DecodeDataValue(d *Decoder) DataValue {
 	}
 	return v
 }
-
-// DiagnosticInfo is decoded structurally but its contents are ignored by
-// the study; only the flag-directed skipping matters for wire compatibility.
-type DiagnosticInfo struct{}
 
 // EncodeNullDiagnosticInfo writes an empty DiagnosticInfo.
 func EncodeNullDiagnosticInfo(e *Encoder) { e.WriteUint8(0) }

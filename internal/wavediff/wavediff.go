@@ -55,12 +55,12 @@ type EndpointState struct {
 	// Address is the scan target ("ip:port"), the dataset's record key.
 	Address string
 	// Present reports whether the endpoint is deployed at the wave
-	// (HostSpec.PresentAt / DiscoverySpec.Present — the ApplyWave
-	// churn schedule).
+	// (HostSpec.PresentAt / DiscoverySpec.Present — the churn
+	// schedule).
 	Present bool
 	// PortScanned reports whether the wave's port scan can discover the
-	// endpoint: standard port, inside the universe, not excluded. False
-	// for hidden hosts, which are reachable only through references.
+	// endpoint: standard port, inside the universe. False for hidden
+	// hosts, which are reachable only through references.
 	PortScanned bool
 	// CertThumbprint identifies the certificate served at the wave
 	// (renewals flip it at RenewalWave).
@@ -193,11 +193,10 @@ func (p *Plan) Wave() int { return p.wave }
 // FollowReferences reports whether the planned wave follows references.
 func (p *Plan) FollowReferences() bool { return p.followRefs }
 
-// Len returns the number of distinct planned addresses.
-func (p *Plan) Len() int { return len(p.fps) }
-
 // Fingerprint returns an address's fingerprint and whether the address
 // is a planned endpoint at all.
+//
+//studyvet:api — the fingerprint sensitivity gates read plans through it
 func (p *Plan) Fingerprint(addr string) (uint64, bool) {
 	fp, ok := p.fps[addr]
 	return fp, ok

@@ -39,8 +39,8 @@ func fpOf(t *testing.T, ctx Context, followRefs bool, st EndpointState) uint64 {
 
 // TestFingerprintSensitivity pins the delta soundness contract field by
 // field: every input that can shape a host's record bytes in a wave —
-// a certificate renewal, a chaos redraw, a campaign seed change, an
-// ApplyWave churn event — must flip the fingerprint, while an
+// a certificate renewal, a chaos redraw, a campaign seed change, a
+// churn event — must flip the fingerprint, while an
 // unchanged host must keep it bit-stable across waves.
 func TestFingerprintSensitivity(t *testing.T) {
 	tests := []struct {
@@ -58,7 +58,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 			st: func(s *EndpointState) { s.ChaosKind = 3 }, flip: true},
 		{name: "chaos decision redrawn (param)",
 			st: func(s *EndpointState) { s.ChaosParam = 18 }, flip: true},
-		{name: "ApplyWave churn: host leaves",
+		{name: "churn: host leaves",
 			st: func(s *EndpointState) { s.Present = false }, flip: true},
 		{name: "port scan no longer reaches host",
 			st: func(s *EndpointState) { s.PortScanned = false }, flip: true},
@@ -158,8 +158,8 @@ func TestPlanDuplicateAddresses(t *testing.T) {
 	b := baseState()
 	b.CertThumbprint = "dd04"
 	dup := NewPlan(ctx, 1, true, []EndpointState{a, b})
-	if dup.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", dup.Len())
+	if len(dup.fps) != 1 {
+		t.Fatalf("%d planned addresses, want 1", len(dup.fps))
 	}
 	combined, _ := dup.Fingerprint(a.Address)
 	if combined == fpOf(t, ctx, true, a) || combined == fpOf(t, ctx, true, b) {

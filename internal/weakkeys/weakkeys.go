@@ -128,6 +128,8 @@ func batchSharedFactors(values []*big.Int) []*big.Int {
 // PairwiseGCD is the O(n²) reference implementation used to validate
 // BatchGCD in tests and to mirror the paper's description ("pairwise
 // checking the keys of all received certificates for shared primes").
+//
+//studyvet:api — the reference BatchGCD's tests compare against
 func PairwiseGCD(moduli []*big.Int) []Finding {
 	var findings []Finding
 	one := big.NewInt(1)

@@ -1,15 +1,9 @@
 // Package worldview provides immutable, shareable snapshots of the
-// simulated Internet at one measurement wave.
-//
-// The legacy execution model serializes every wave on the single
-// mutable simnet.Network: deploy.World.ApplyWave re-registers the
-// wave's population in place, so wave w+1 cannot scan until wave w is
-// done with the shared host table. A Snapshot inverts that ownership:
-// it is constructed once per wave from the world spec, never mutated
-// afterwards, and satisfies the same read-only simnet.View interface
-// the scanner consumes — so a campaign can materialize the views for
-// all N waves up front and run every wave's scan concurrently (see
-// DESIGN.md).
+// simulated Internet at one measurement wave: the one Internet a
+// campaign dials. A Snapshot is constructed once per wave from the world
+// spec and never mutated afterwards, so a campaign can materialize the
+// views for all N waves up front and run every wave's scan concurrently
+// (see DESIGN.md).
 //
 // Host lookup is sharded by universe address prefix: each /16 of the
 // scannable space owns an independent shard (plus one shard for hosts
@@ -46,14 +40,14 @@ import (
 	"repro/internal/simnet"
 )
 
-// Config fixes the snapshot's universe and dial behaviour. Noise and
-// latency are copied from the network the snapshot stands in for, so a
-// wave scanned through a snapshot observes the exact same Internet as
-// one scanned through the mutable Network.
+// Config fixes the snapshot's universe and dial behaviour. A world keeps
+// one Config (deploy.World.Net) and every wave's snapshot copies it, so
+// all waves observe the same Internet.
 type Config struct {
 	// Universe is the scannable address space (required).
 	Universe *simnet.Universe
-	// Noise is the deterministic open-port-but-not-OPC-UA model.
+	// Noise is the deterministic open-port-but-not-OPC-UA model, from
+	// simnet.NewNoise so its per-probe threshold is resolved once.
 	Noise simnet.Noise
 	// Latency delays every dial.
 	Latency time.Duration
@@ -63,6 +57,9 @@ type Config struct {
 	// state, so snapshots stay immutable and shard-equivalent.
 	Chaos chaos.WaveModel
 }
+
+// SetLatency sets the dial latency of the snapshots built from c afterwards.
+func (c *Config) SetLatency(d time.Duration) { c.Latency = d }
 
 // host is one registered endpoint of the snapshot.
 type host struct {
@@ -83,7 +80,6 @@ type shard struct {
 	base, size uint32
 	hosts      map[uint64]host
 	asOfIP     map[uint32]int
-	excluded   map[uint32]bool
 	// occupied has one bit per address of the prefix, set where any port
 	// has a host, so a sweep consults hosts only where one can exist
 	// (1,921 of 2.6 M addresses in the study world). Allocated by the
@@ -105,7 +101,6 @@ func (sh *shard) occupiedAt(off uint32) bool {
 type Builder struct {
 	cfg    Config
 	shards []shard
-	hosts  int
 	built  bool
 }
 
@@ -118,9 +113,8 @@ func NewBuilder(cfg Config) (*Builder, error) {
 	shards := make([]shard, cfg.Universe.NumPrefixes()+1)
 	for i := range shards {
 		shards[i] = shard{
-			hosts:    make(map[uint64]host),
-			asOfIP:   make(map[uint32]int),
-			excluded: make(map[uint32]bool),
+			hosts:  make(map[uint64]host),
+			asOfIP: make(map[uint32]int),
 		}
 		if i < cfg.Universe.NumPrefixes() {
 			p := cfg.Universe.Prefix(i)
@@ -143,14 +137,10 @@ func resolve(u *simnet.Universe, shards []shard, ip netip.Addr) (sh *shard, inUn
 }
 
 // AddHost registers one endpoint. Adding the same ip:port twice
-// replaces the previous handler, mirroring Network.Register.
+// replaces the previous handler.
 func (b *Builder) AddHost(ip netip.Addr, port, asn int, h simnet.ConnHandler) {
 	s, inUniverse, addr := resolve(b.cfg.Universe, b.shards, ip)
-	key := hostKey(addr, port)
-	if _, ok := s.hosts[key]; !ok {
-		b.hosts++
-	}
-	s.hosts[key] = host{asn: asn, handler: h}
+	s.hosts[hostKey(addr, port)] = host{asn: asn, handler: h}
 	s.asOfIP[addr] = asn
 	if inUniverse {
 		if s.occupied == nil {
@@ -161,13 +151,6 @@ func (b *Builder) AddHost(ip netip.Addr, port, asn int, h simnet.ConnHandler) {
 	}
 }
 
-// Exclude marks an IP as opted out (Appendix A.2): connects are
-// refused even if a host is registered there.
-func (b *Builder) Exclude(ip netip.Addr) {
-	s, _, addr := resolve(b.cfg.Universe, b.shards, ip)
-	s.excluded[addr] = true
-}
-
 // Build seals the population into an immutable Snapshot. The builder
 // must not be used afterwards.
 func (b *Builder) Build() *Snapshot {
@@ -175,18 +158,16 @@ func (b *Builder) Build() *Snapshot {
 		panic("worldview: Build called twice")
 	}
 	b.built = true
-	return &Snapshot{cfg: b.cfg, shards: b.shards, hosts: b.hosts}
+	return &Snapshot{cfg: b.cfg, shards: b.shards}
 }
 
 // Snapshot is the immutable world at one wave. It satisfies
-// simnet.View (and therefore uaclient.Dialer), so the scanner runs
-// against it exactly as it runs against the mutable Network — but any
-// number of snapshots can be scanned concurrently because nothing is
-// ever written after Build.
+// simnet.View (and therefore uaclient.Dialer); any number of snapshots
+// can be scanned concurrently because nothing is ever written after
+// Build.
 type Snapshot struct {
 	cfg    Config
 	shards []shard
-	hosts  int
 }
 
 // Compile-time check: snapshots satisfy the scanner's view interface.
@@ -195,33 +176,21 @@ var _ simnet.View = (*Snapshot)(nil)
 // Universe returns the scannable address space.
 func (s *Snapshot) Universe() *simnet.Universe { return s.cfg.Universe }
 
-// NumHosts returns the number of registered endpoints.
-func (s *Snapshot) NumHosts() int { return s.hosts }
-
-// NumShards returns the shard count (universe prefixes + 1).
-func (s *Snapshot) NumShards() int { return len(s.shards) }
-
 // outcome is what a connect to one endpoint meets.
 type outcome int
 
 const (
-	refused outcome = iota // closed port or opted-out address
+	refused outcome = iota // closed port
 	served                 // a registered host answers
 	noise                  // some non-OPC-UA service answers
 )
 
 // lookup decides a connect to (addr, port), an address of shard sh, for
-// the probe and dial paths alike: exclusions first, then the registered
-// host, then noise (which only universe addresses have). It performs no
-// heap allocations.
+// the probe and dial paths alike: the registered host first, then noise
+// (which only universe addresses have). It performs no heap allocations.
 //
 //studyvet:hotpath — called once per probed address
 func (s *Snapshot) lookup(sh *shard, inUniverse bool, addr uint32, port int) (host, outcome) {
-	// Exclusion lists are tiny (usually empty); skip the map hash on
-	// the per-probe path when the shard has none.
-	if len(sh.excluded) > 0 && sh.excluded[addr] {
-		return host{}, refused
-	}
 	if !inUniverse || sh.occupiedAt(addr-sh.base) {
 		if h, ok := sh.hosts[hostKey(addr, port)]; ok {
 			return h, served
@@ -262,8 +231,7 @@ func (s *Snapshot) OpenPortAt(prefix int, off uint32, port int) bool {
 }
 
 // ASOf returns the autonomous system of an address; addresses without
-// a registered host get the same deterministic fallback as the
-// mutable Network.
+// a registered host get simnet.DefaultASN.
 func (s *Snapshot) ASOf(ip netip.Addr) int {
 	sh, _, addr := resolve(s.cfg.Universe, s.shards, ip)
 	if asn, ok := sh.asOfIP[addr]; ok {
@@ -273,7 +241,8 @@ func (s *Snapshot) ASOf(ip netip.Addr) int {
 }
 
 // DialContext implements the Dialer interface used by uaclient and the
-// scanner, with the same semantics as Network.DialContext.
+// scanner: it spawns the host's handler on the server end of an
+// in-process connection.
 func (s *Snapshot) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
 	if network != "tcp" && network != "tcp4" {
 		return nil, fmt.Errorf("worldview: unsupported network %q", network)
@@ -301,9 +270,10 @@ func (s *Snapshot) DialContext(ctx context.Context, network, address string) (ne
 		go simnet.ServeNoise(server)
 		return client, nil
 	}
-	// Adversarial behavior applies to registered hosts only, decided
-	// purely from (seed, wave, ip, port) plus the dial's context-borne
-	// attempt number — identical to Network.DialContext's chaos path.
+	// Adversarial behavior applies to registered hosts only: noise
+	// endpoints and closed ports stay polite. The decision is a pure
+	// function of (seed, wave, ip, port) plus the dial's context-borne
+	// attempt number, so it is identical across shards and processes.
 	if b := s.cfg.Chaos.Behavior(ip.As4(), port); b.Kind != chaos.KindNone {
 		if b.Refuses(chaos.AttemptFromContext(ctx)) {
 			return nil, simnet.ErrRefused{Addr: address}

@@ -43,78 +43,74 @@ func overlappingUniverse(t *testing.T) *simnet.Universe {
 }
 
 // echoHandler answers one byte so dials are observable.
-var echoHandler = simnet.HandlerFunc(func(conn net.Conn) {
+type echoHandler struct{}
+
+func (echoHandler) HandleConn(conn net.Conn) {
 	defer conn.Close()
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		_, _ = conn.Write(buf)
 	}
-})
-
-// buildPair registers the same population on a mutable Network and a
-// Snapshot so tests can require identical behaviour.
-func buildPair(t *testing.T) (*simnet.Network, *Snapshot) {
-	t.Helper()
-	return buildPairOn(t, testUniverse(t))
 }
 
-func buildPairOn(t *testing.T, u *simnet.Universe) (*simnet.Network, *Snapshot) {
-	t.Helper()
-	nw := simnet.New(u)
-	nw.SetNoise(0.25)
+// population is what buildSnapshot registers: endpoint → ASN. The last
+// host lies outside the universe (a hidden host).
+var population = map[netip.AddrPort]int{
+	netip.MustParseAddrPort("192.0.2.10:4840"):    65010,
+	netip.MustParseAddrPort("198.51.100.20:4841"): 65020,
+	netip.MustParseAddrPort("203.0.113.30:4840"):  65030,
+	netip.MustParseAddrPort("10.9.9.9:4840"):      65099,
+}
 
-	b, err := NewBuilder(Config{Universe: u, Noise: nw.NoiseModel()})
+var testNoise = simnet.NewNoise(0.25, 0x9E3779B97F4A7C15)
+
+func buildSnapshot(t *testing.T, u *simnet.Universe) *Snapshot {
+	t.Helper()
+	b, err := NewBuilder(Config{Universe: u, Noise: testNoise})
 	if err != nil {
 		t.Fatal(err)
 	}
-	add := func(ip string, port, asn int) {
-		a := netip.MustParseAddr(ip)
-		nw.Register(a, port, asn, echoHandler)
-		b.AddHost(a, port, asn, echoHandler)
+	for ap, asn := range population {
+		b.AddHost(ap.Addr(), int(ap.Port()), asn, echoHandler{})
 	}
-	add("192.0.2.10", 4840, 65010)
-	add("198.51.100.20", 4841, 65020)
-	add("203.0.113.30", 4840, 65030)
-	add("10.9.9.9", 4840, 65099) // outside the universe (hidden host)
-	excl := netip.MustParseAddr("192.0.2.66")
-	nw.Register(excl, 4840, 65066, echoHandler)
-	b.AddHost(excl, 4840, 65066, echoHandler)
-	nw.Exclude(excl)
-	b.Exclude(excl)
-	return nw, b.Build()
+	return b.Build()
+}
+
+// openOracle is whether a connect to the endpoint succeeds, computed the
+// plain way: a registered endpoint answers, and otherwise a universe
+// address answers when the noise model says so.
+func openOracle(u *simnet.Universe, ip netip.Addr, port int) bool {
+	if _, ok := population[netip.AddrPortFrom(ip, uint16(port))]; ok {
+		return true
+	}
+	return u.Contains(ip) && testNoise.HitU32(simnet.AddrToU32(ip), port)
 }
 
 // TestSnapshotMatchesNetworkOpenPort sweeps the full universe plus the
-// out-of-universe host and requires OpenPort parity with the mutable
-// network, including the deterministic noise model — and, on both views,
-// parity of the sweep's by-position OpenPortAt with the by-address
-// OpenPort at every position. The population covers what the indexed
-// form could get wrong: an excluded IP with a host, a host on a non-scan
-// port (occupied address, no host on 4840, noise may still answer), an
-// out-of-universe host, and a universe whose prefixes overlap.
+// out-of-universe host and requires OpenPort to match openOracle,
+// including the deterministic noise model — and the sweep's by-position
+// OpenPortAt to match the by-address OpenPort at every position. The
+// population covers what the indexed form could get wrong: a host on a
+// non-scan port (occupied address, no host on 4840, noise may still
+// answer), an out-of-universe host, and a universe whose prefixes
+// overlap.
 func TestSnapshotMatchesNetworkOpenPort(t *testing.T) {
 	for name, u := range map[string]*simnet.Universe{
 		"disjoint":    testUniverse(t),
 		"overlapping": overlappingUniverse(t),
 	} {
-		nw, snap := buildPairOn(t, u)
+		snap := buildSnapshot(t, u)
 		noise := 0
 		for i := uint64(0); i < u.Size(); i++ {
-			addr, err := u.AddrAt(i)
-			if err != nil {
-				t.Fatal(err)
-			}
 			prefix, off := u.Locate(i)
+			addr := u.Prefix(prefix).AddrAt(off)
 			for _, port := range []int{4840, 4841} {
-				got, want := snap.OpenPort(addr, port), nw.OpenPort(addr, port)
+				got, want := snap.OpenPort(addr, port), openOracle(u, addr, port)
 				if got != want {
-					t.Fatalf("%s: OpenPort(%s, %d) = %v, network says %v", name, addr, port, got, want)
+					t.Fatalf("%s: OpenPort(%s, %d) = %v, oracle says %v", name, addr, port, got, want)
 				}
 				if at := snap.OpenPortAt(prefix, off, port); at != want {
-					t.Fatalf("%s: snapshot OpenPortAt(%d, %d, %d) = %v, OpenPort(%s) says %v", name, prefix, off, port, at, addr, want)
-				}
-				if at := nw.OpenPortAt(prefix, off, port); at != want {
-					t.Fatalf("%s: network OpenPortAt(%d, %d, %d) = %v, OpenPort(%s) says %v", name, prefix, off, port, at, addr, want)
+					t.Fatalf("%s: OpenPortAt(%d, %d, %d) = %v, OpenPort(%s) says %v", name, prefix, off, port, at, addr, want)
 				}
 				if got && port == 4840 {
 					noise++
@@ -128,9 +124,6 @@ func TestSnapshotMatchesNetworkOpenPort(t *testing.T) {
 		if !snap.OpenPort(out, 4840) || snap.OpenPort(out, 4841) {
 			t.Errorf("%s: out-of-universe host mishandled", name)
 		}
-		if snap.OpenPort(netip.MustParseAddr("192.0.2.66"), 4840) {
-			t.Errorf("%s: excluded IP reported open", name)
-		}
 		if !snap.OpenPort(netip.MustParseAddr("192.0.2.10"), 4840) || !snap.OpenPort(netip.MustParseAddr("198.51.100.20"), 4841) {
 			t.Errorf("%s: registered host reported closed", name)
 		}
@@ -138,17 +131,21 @@ func TestSnapshotMatchesNetworkOpenPort(t *testing.T) {
 }
 
 func TestSnapshotASOf(t *testing.T) {
-	nw, snap := buildPair(t)
-	for _, ip := range []string{"192.0.2.10", "198.51.100.20", "10.9.9.9", "192.0.2.200", "8.8.8.8"} {
-		a := netip.MustParseAddr(ip)
-		if got, want := snap.ASOf(a), nw.ASOf(a); got != want {
-			t.Errorf("ASOf(%s) = %d, network says %d", ip, got, want)
+	snap := buildSnapshot(t, testUniverse(t))
+	for ap, asn := range population {
+		if got := snap.ASOf(ap.Addr()); got != asn {
+			t.Errorf("ASOf(%s) = %d, want %d", ap.Addr(), got, asn)
+		}
+	}
+	for _, a := range []netip.Addr{netip.MustParseAddr("192.0.2.200"), netip.MustParseAddr("8.8.8.8")} {
+		if got := snap.ASOf(a); got != simnet.DefaultASN(a) {
+			t.Errorf("ASOf(%s) = %d, want the fallback %d", a, got, simnet.DefaultASN(a))
 		}
 	}
 }
 
 func TestSnapshotDialContext(t *testing.T) {
-	_, snap := buildPair(t)
+	snap := buildSnapshot(t, testUniverse(t))
 	ctx := context.Background()
 
 	dial := func(addr string) (net.Conn, error) {
@@ -175,13 +172,14 @@ func TestSnapshotDialContext(t *testing.T) {
 	} else if _, ok := err.(simnet.ErrRefused); !ok {
 		t.Errorf("closed port error = %T", err)
 	}
-	// Excluded IP refuses even though a host is registered.
-	if _, err := dial("192.0.2.66:4840"); err == nil {
-		t.Error("excluded IP did not refuse")
-	}
-	// Unsupported network.
+	// Unsupported network, malformed addresses.
 	if _, err := snap.DialContext(ctx, "udp", "192.0.2.10:4840"); err == nil {
 		t.Error("udp dial accepted")
+	}
+	for _, addr := range []string{"192.0.2.10", "192.0.2.10:foo", "nothost:4840"} {
+		if _, err := dial(addr); err == nil {
+			t.Errorf("dial %q accepted", addr)
+		}
 	}
 }
 
@@ -217,7 +215,7 @@ func TestSnapshotLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	ip := netip.MustParseAddr("192.0.2.10")
-	b.AddHost(ip, 4840, 65010, echoHandler)
+	b.AddHost(ip, 4840, 65010, echoHandler{})
 	snap := b.Build()
 
 	start := time.Now()
@@ -241,12 +239,9 @@ func TestSnapshotLatency(t *testing.T) {
 // prefix plus the catch-all, and hosts of different prefixes are
 // reachable (i.e. land in a shard at all).
 func TestSnapshotSharding(t *testing.T) {
-	_, snap := buildPair(t)
-	if snap.NumShards() != 4 {
-		t.Fatalf("shards = %d, want 3 prefixes + 1 catch-all", snap.NumShards())
-	}
-	if snap.NumHosts() != 5 {
-		t.Errorf("hosts = %d, want 5", snap.NumHosts())
+	snap := buildSnapshot(t, testUniverse(t))
+	if len(snap.shards) != 4 {
+		t.Fatalf("shards = %d, want 3 prefixes + 1 catch-all", len(snap.shards))
 	}
 	for _, addr := range []string{"192.0.2.10:4840", "198.51.100.20:4841", "203.0.113.30:4840", "10.9.9.9:4840"} {
 		conn, err := snap.DialContext(context.Background(), "tcp", addr)
@@ -261,7 +256,7 @@ func TestSnapshotSharding(t *testing.T) {
 // TestSnapshotConcurrentReaders hammers one snapshot from many
 // goroutines; under -race this proves reads are lock-free safe.
 func TestSnapshotConcurrentReaders(t *testing.T) {
-	_, snap := buildPair(t)
+	snap := buildSnapshot(t, testUniverse(t))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

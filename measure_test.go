@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"os/exec"
@@ -47,12 +48,12 @@ func finalSnapshots(t *testing.T, path string) map[string]*telemetry.Snapshot {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	snaps, err := telemetry.ReadSnapshots(f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	byShard := map[string]*telemetry.Snapshot{}
-	for _, s := range snaps {
+	for dec := json.NewDecoder(f); dec.More(); {
+		s := &telemetry.Snapshot{}
+		if err := dec.Decode(s); err != nil {
+			t.Fatal(err)
+		}
 		if s.Final {
 			byShard[s.Shard] = s
 		}

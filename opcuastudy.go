@@ -17,7 +17,6 @@ package opcuastudy
 
 import (
 	"context"
-	"crypto/rand"
 	"crypto/rsa"
 	"encoding/binary"
 	"fmt"
@@ -45,12 +44,6 @@ import (
 
 // Re-exported types for the public API.
 type (
-	// WaveAnalysis is one measurement's full assessment.
-	WaveAnalysis = core.WaveAnalysis
-	// Longitudinal aggregates across waves (§5.5).
-	Longitudinal = core.Longitudinal
-	// HostRecord is one scanned host in the dataset.
-	HostRecord = dataset.HostRecord
 	// Table is a renderable report table.
 	Table = report.Table
 	// World is the materialized simulated Internet.
@@ -85,7 +78,7 @@ type CampaignConfig struct {
 	// combination at flag time).
 	WaveWorkers int
 	// AnalyzeWorkers parallelizes per-host assessment inside
-	// core.AnalyzeWave (0 = GOMAXPROCS, 1 = serial).
+	// core.WaveAccumulator.Finalize (0 = GOMAXPROCS, 1 = serial).
 	AnalyzeWorkers int
 	// QueueSize caps the scanner's grab-queue channel buffer
 	// (0 = derived from GrabWorkers).
@@ -350,22 +343,11 @@ func defaultResilience(seed int64) scanner.Resilience {
 	}
 }
 
-// NewScannerIdentity generates the scanner's self-signed certificate,
-// with contact information in the subject as the paper recommends.
-func NewScannerIdentity(bits int) (*rsa.PrivateKey, *uacert.Certificate, error) {
-	key, err := rsa.GenerateKey(rand.Reader, bits)
-	if err != nil {
-		return nil, nil, fmt.Errorf("opcuastudy: scanner key: %w", err)
-	}
-	return scannerCert(key)
-}
-
 // NewScannerIdentitySeeded derives the scanner identity as a pure
 // function of (bits, seed): every rerun with one seed — and every
 // worker process of a sharded campaign — presents the identical
 // certificate, so grab transcripts and byte counts agree across
-// processes. Campaigns use this; NewScannerIdentity remains for callers
-// that want a fresh random identity.
+// processes.
 func NewScannerIdentitySeeded(bits int, seed int64) (*rsa.PrivateKey, *uacert.Certificate, error) {
 	var sb [8]byte
 	binary.LittleEndian.PutUint64(sb[:], uint64(seed))
@@ -861,20 +843,6 @@ func CampaignFromSpec(spec fabric.CampaignSpec) CampaignConfig {
 	}
 }
 
-// AnalyzeRecords rebuilds per-wave analyses from a loaded dataset
-// (cmd/reportgen's path: reproduce the figures from released data). It
-// folds each record into its wave's incremental accumulator — records
-// may arrive in any order — then finalizes the waves in order; for a
-// wave-ordered stream, pipeline.Analyzer does the same without holding
-// more than one wave.
-func AnalyzeRecords(recs []*dataset.HostRecord) ([]*core.WaveAnalysis, *core.Longitudinal) {
-	fold := newRecordFold()
-	for _, r := range recs {
-		fold.add(r)
-	}
-	return fold.finish()
-}
-
 // AnalyzeDataset streams a JSONL dataset through the incremental
 // accumulators record by record, never materializing the record slice.
 // Records may arrive in any order (released datasets are wave-ordered,
@@ -897,7 +865,7 @@ func AnalyzeDataset(r io.Reader) ([]*core.WaveAnalysis, *core.Longitudinal, erro
 }
 
 // recordFold is the order-tolerant accumulator map behind
-// AnalyzeRecords and AnalyzeDataset.
+// AnalyzeDataset.
 type recordFold struct {
 	accs    map[int]*core.WaveAccumulator
 	maxWave int

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
+	"repro/internal/uarsa"
 )
 
 // The end-to-end fixture runs the paper's final measurement (wave 7)
@@ -231,7 +232,7 @@ func TestCampaignConcurrentCryptoCacheMatchesUncached(t *testing.T) {
 	if cached.CryptoStats == nil {
 		t.Fatal("cached campaign reports no crypto stats")
 	}
-	if cached.CryptoStats.Total().Hits == 0 {
+	if cryptoTotal(cached.CryptoStats).Hits == 0 {
 		t.Error("crypto cache never hit across three waves of an unchanged world")
 	}
 	uncachedCfg := cfg
@@ -279,7 +280,7 @@ func TestFullFidelityPaperAssertions(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPaperHeadlines(t, c)
-	if c.CryptoStats == nil || c.CryptoStats.Total().HitRate() < 0.5 {
+	if c.CryptoStats == nil || cryptoTotal(c.CryptoStats).HitRate() < 0.5 {
 		t.Errorf("crypto cache underperformed: %+v", c.CryptoStats)
 	}
 	var total uint64
@@ -693,7 +694,7 @@ func TestEndToEndDatasetRoundTrip(t *testing.T) {
 		t.Fatalf("dataset round trip: %d records, want %d", len(recs), len(c.RecordsByWave[7]))
 	}
 	// The analysis from the serialized dataset must match the live one.
-	analyses, _ := AnalyzeRecords(recs)
+	analyses, _ := analyzeRecords(recs)
 	re := analyses[len(analyses)-1]
 	w := c.LastWave()
 	if re.Accessible != w.Accessible || re.NoneOnly != w.NoneOnly ||
@@ -727,7 +728,7 @@ func TestEndToEndAnonymizedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reuse clusters must survive anonymization (thumbprints stay).
-	analyses, _ := AnalyzeRecords(recs)
+	analyses, _ := analyzeRecords(recs)
 	clusters := analyses[len(analyses)-1].ReuseClustersAtLeast(3)
 	if len(clusters) != 9 || clusters[0].Hosts != 385 {
 		t.Errorf("anonymized reuse clusters = %v", clusters)
@@ -914,8 +915,8 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 		t.Errorf("fabric: merged dataset differs from unsharded (%d vs %d bytes)",
 			buf.Len(), len(want))
 	}
-	analyses, long := AnalyzeRecords(slice.Records)
-	wantAnalyses, wantLong := AnalyzeRecords(decodeDataset(t, want))
+	analyses, long := analyzeRecords(slice.Records)
+	wantAnalyses, wantLong := analyzeRecords(decodeDataset(t, want))
 	if !reflect.DeepEqual(analyses, wantAnalyses) {
 		t.Error("fabric: re-analyses differ")
 	}
@@ -1307,4 +1308,22 @@ func TestCampaignRecordSinkErrorAborts(t *testing.T) {
 	if len(c.Analyses) > 1 {
 		t.Errorf("%d waves analyzed after the sink failed", len(c.Analyses))
 	}
+}
+
+// cryptoTotal sums an engine snapshot's per-operation counters.
+func cryptoTotal(s *uarsa.Stats) uarsa.OpStats {
+	return uarsa.OpStats{
+		Hits:   s.Sign.Hits + s.Verify.Hits + s.Decrypt.Hits + s.Encrypt.Hits,
+		Misses: s.Sign.Misses + s.Verify.Misses + s.Decrypt.Misses + s.Encrypt.Misses,
+	}
+}
+
+// analyzeRecords rebuilds per-wave analyses from loaded records, in any
+// order, as AnalyzeDataset does from a stream.
+func analyzeRecords(recs []*dataset.HostRecord) ([]*core.WaveAnalysis, *core.Longitudinal) {
+	fold := newRecordFold()
+	for _, r := range recs {
+		fold.add(r)
+	}
+	return fold.finish()
 }
