@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/deploy"
 	"repro/internal/scanner"
+	"repro/internal/study"
 	"repro/internal/wavediff"
 )
 
@@ -78,33 +79,19 @@ type deltaWave struct {
 // delta reports whether the wave actually diffed (vs a full fallback).
 func (dw *deltaWave) delta() bool { return dw != nil && dw.diff != nil }
 
-// deltaContext projects the campaign configuration onto the fingerprint
-// context: exactly the record-shaping fields FabricSpec ships, so every
-// worker of a sharded campaign derives identical fingerprints.
-func (cfg CampaignConfig) deltaContext() wavediff.Context {
-	return wavediff.Context{
-		Seed:         cfg.Seed,
-		TestKeySizes: cfg.TestKeySizes,
-		NoiseProb:    cfg.NoiseProb,
-		MaxHosts:     cfg.MaxHosts,
-		ChaosProfile: cfg.ChaosProfile,
-		ChaosSeed:    cfg.chaosSeed(),
-	}
-}
-
 // newDeltaTracker fingerprints every selected wave up front — pure spec
-// state, no dialing — and validates the selection. Waves may be in any
-// order and any distance apart: the diff compares absolute state, not
-// wave arithmetic. Requires the chaos model to be installed on the
-// world already (newCampaignRun orders it), so the fingerprints fold the
-// same (wave, host) chaos decisions the dial path will consult.
-func newDeltaTracker(cfg CampaignConfig, world *deploy.World, waves []int) (*deltaTracker, error) {
+// state under the campaign's study, no dialing — and validates the
+// selection. Waves may be any distance apart: the diff compares absolute
+// state, not wave arithmetic. Requires the chaos model to be installed
+// on the world already (newCampaignRun orders it), so the fingerprints
+// fold the same (wave, host) chaos decisions the dial path will consult.
+func newDeltaTracker(st study.Study, world *deploy.World) (*deltaTracker, error) {
+	waves := st.Waves
 	if len(waves) < 2 {
 		return nil, fmt.Errorf(
 			"opcuastudy: delta mode diffs consecutive waves and needs at least 2 selected, got %d (waves %v)",
 			len(waves), waves)
 	}
-	ctx := cfg.deltaContext()
 	t := &deltaTracker{
 		plans:     make([]*wavediff.Plan, len(waves)),
 		recordFor: make(map[string]*dataset.HostRecord),
@@ -116,7 +103,7 @@ func newDeltaTracker(cfg CampaignConfig, world *deploy.World, waves []int) (*del
 		if err != nil {
 			return nil, err
 		}
-		t.plans[i] = wavediff.NewPlan(ctx, w, w >= deploy.FollowReferencesFromWave, states)
+		t.plans[i] = wavediff.NewPlan(st, w, w >= deploy.FollowReferencesFromWave, states)
 	}
 	return t, nil
 }

@@ -127,7 +127,7 @@ func reconcileDeltaCounters(t *testing.T, run *Campaign, reg *telemetry.Registry
 		}
 		return total
 	}
-	waves := run.Config.selectedWaves()
+	waves := run.Config.Study().Waves
 	fallbacks := 0
 	for pos, w := range waves {
 		fallbacks += counter("wave_delta_fallbacks", w)

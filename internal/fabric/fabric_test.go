@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
+	"repro/internal/study"
 	"repro/internal/telemetry"
 )
 
@@ -427,9 +429,9 @@ func TestFabricDialRetryBudget(t *testing.T) {
 // TestCampaignSpecRoundTrip pins the Hello payload codec.
 func TestCampaignSpecRoundTrip(t *testing.T) {
 	spec := &CampaignSpec{
-		Seed: 2020, Waves: []int{6, 7}, TestKeySizes: true,
-		NoiseProb: 1e-5, MaxHosts: 60, GrabWorkers: 8,
-		QueueSize: 32, CryptoCache: 128, ChaosProfile: "mixed", ChaosSeed: 7,
+		Study: study.Study{Seed: 2020, Waves: []int{6, 7}, TestKeySizes: true,
+			NoiseProb: 1e-5, MaxHosts: 60, ChaosProfile: "mixed", ChaosSeed: 7},
+		GrabWorkers: 8, QueueSize: 32, CryptoCache: 128,
 		Delta: true, Shards: 5, HeartbeatMs: 2000,
 	}
 	b, err := spec.Encode()
@@ -440,7 +442,7 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", spec) {
+	if !reflect.DeepEqual(got, spec) {
 		t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, spec)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/study"
 	"repro/internal/telemetry"
 )
 
@@ -260,29 +261,19 @@ func decodeShard(payload []byte) (int, []byte, error) {
 
 // CampaignSpec is the coordinator-authored description of a networked
 // campaign, delivered verbatim to every worker in the Hello frame —
-// the single source of truth a fleet configures itself from. It
-// carries exactly the CampaignConfig fields that shape record bytes
-// (plus the fleet's heartbeat cadence); observability and analysis
+// the single source of truth a fleet configures itself from. The
+// embedded Study is what the campaign measures: every field that can
+// shape a record byte, so every worker must agree on it. The rest is
+// how: GrabWorkers, QueueSize, CryptoCache and Delta let a worker
+// execute like its coordinator asked (none changes a byte), and Shards
+// and HeartbeatMs are the fleet's own. Sinks, telemetry and analysis
 // knobs stay per-process.
 type CampaignSpec struct {
-	Seed         int64   `json:"seed"`
-	Waves        []int   `json:"waves,omitempty"`
-	TestKeySizes bool    `json:"test_key_sizes,omitempty"`
-	NoiseProb    float64 `json:"noise_prob"`
-	MaxHosts     int     `json:"max_hosts"`
-	GrabWorkers  int     `json:"grab_workers"`
-	QueueSize    int     `json:"queue_size"`
-	CryptoCache  int     `json:"crypto_cache"`
-	// ChaosProfile/ChaosSeed select the adversarial host model; record
-	// bytes depend on them, so every worker must agree (empty = polite
-	// internet, seed 0 = derive from Seed).
-	ChaosProfile string `json:"chaos_profile,omitempty"`
-	ChaosSeed    int64  `json:"chaos_seed,omitempty"`
-	// Delta switches workers to delta-wave mode: unchanged hosts are
-	// fingerprint-skipped and their prior records cloned. All workers
-	// must agree — a delta worker's stream is only byte-identical to a
-	// full worker's when both plan the same skips.
-	Delta bool `json:"delta,omitempty"`
+	study.Study
+	GrabWorkers int  `json:"grab_workers"`
+	QueueSize   int  `json:"queue_size"`
+	CryptoCache int  `json:"crypto_cache"`
+	Delta       bool `json:"delta,omitempty"`
 	// Shards is the campaign's total shard count — every worker must
 	// slice the probe space the same N ways for the merge to be exact.
 	Shards int `json:"shards"`

@@ -9,9 +9,10 @@
 // deterministic handshakes and PR 5's pure-seeded materialization
 // removed every other input. A fingerprint therefore covers exactly
 //
-//   - the campaign context that shapes record bytes (seed, key sizes,
-//     noise probability, population truncation, chaos profile/seed) —
-//     the same fields fabric.CampaignSpec ships to workers;
+//   - the campaign's study (internal/study): every configuration field
+//     that can shape record bytes — seed, wave selection, key sizes,
+//     noise probability, population truncation, chaos profile/seed —
+//     the same value fabric.CampaignSpec embeds for its workers;
 //   - the endpoint's wave-varying deployment state: presence, served
 //     certificate (the renewal schedule), software version (renewal
 //     waves may carry a software update), and whether the wave's port
@@ -31,22 +32,15 @@ package wavediff
 import (
 	"encoding/binary"
 	"math"
+
+	"repro/internal/study"
 )
 
-// Context is the campaign-level fingerprint input: every configuration
-// field that shapes record bytes. It mirrors the record-shaping subset
-// of fabric.CampaignSpec, so sharded workers agreeing on a spec agree
-// on fingerprints too. Observability and scheduling knobs (telemetry,
-// worker counts, queue sizes) are deliberately absent — they never
-// change record content (the byte-identity gates pin that).
-type Context struct {
-	Seed         int64
-	TestKeySizes bool
-	NoiseProb    float64
-	MaxHosts     int
-	ChaosProfile string
-	ChaosSeed    int64
-}
+// Context is the study under the name the fingerprint used before it
+// was typed.
+//
+//studyvet:api — bench/replay.go builds this literal
+type Context = study.Study
 
 // EndpointState is one endpoint's wave-varying deployment state, the
 // per-host fingerprint input. deploy.World.WaveEndpointStates derives
@@ -79,8 +73,11 @@ type EndpointState struct {
 type Plan struct {
 	wave       int
 	followRefs bool
-	ctxSum     uint64
-	fps        map[string]uint64
+	// ctxSum is the same for every plan of one campaign, so no skip
+	// within a campaign depends on it; it separates plans of different
+	// studies once plans outlive a process.
+	ctxSum uint64
+	fps    map[string]uint64
 }
 
 // fnv64a parameters, restated locally like internal/chaos does: the
@@ -128,16 +125,20 @@ func (h *hasher) bit(v bool) {
 	}
 }
 
-// contextSum digests the campaign context once per plan.
-func contextSum(ctx Context) uint64 {
+// contextSum digests the study once per plan.
+func contextSum(s study.Study) uint64 {
 	h := hasher(fnvOffset)
-	h.str("wavediff-context-v1")
-	h.u64(uint64(ctx.Seed))
-	h.bit(ctx.TestKeySizes)
-	h.u64(math.Float64bits(ctx.NoiseProb))
-	h.u64(uint64(ctx.MaxHosts))
-	h.str(ctx.ChaosProfile)
-	h.u64(uint64(ctx.ChaosSeed))
+	h.str("wavediff-context-v2")
+	h.u64(uint64(s.Seed))
+	h.u64(uint64(len(s.Waves)))
+	for _, w := range s.Waves {
+		h.u64(uint64(w))
+	}
+	h.bit(s.TestKeySizes)
+	h.u64(math.Float64bits(s.NoiseProb))
+	h.u64(uint64(s.MaxHosts))
+	h.str(s.ChaosProfile)
+	h.u64(uint64(s.ChaosSeed))
 	return uint64(h)
 }
 
@@ -167,11 +168,11 @@ func fingerprint(ctxSum uint64, st EndpointState, followRefs bool) uint64 {
 // Duplicate addresses (two spec endpoints sharing one target) fold
 // into a single combined fingerprint, so a collision can only make the
 // diff more conservative, never less.
-func NewPlan(ctx Context, wave int, followRefs bool, states []EndpointState) *Plan {
+func NewPlan(s study.Study, wave int, followRefs bool, states []EndpointState) *Plan {
 	p := &Plan{
 		wave:       wave,
 		followRefs: followRefs,
-		ctxSum:     contextSum(ctx),
+		ctxSum:     contextSum(s),
 		fps:        make(map[string]uint64, len(states)),
 	}
 	for _, st := range states {

@@ -64,6 +64,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 			st: func(s *EndpointState) { s.PortScanned = false }, flip: true},
 		{name: "campaign seed change",
 			ctx: func(c *Context) { c.Seed = 2021 }, flip: true},
+		{name: "wave selection change",
+			ctx: func(c *Context) { c.Waves = []int{7} }, flip: true},
 		{name: "key-size probing toggled",
 			ctx: func(c *Context) { c.TestKeySizes = false }, flip: true},
 		{name: "noise probability change",

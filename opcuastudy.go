@@ -36,6 +36,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/scanner"
 	"repro/internal/simnet"
+	"repro/internal/study"
 	"repro/internal/telemetry"
 	"repro/internal/uacert"
 	"repro/internal/uaclient"
@@ -50,7 +51,8 @@ type (
 	World = deploy.World
 )
 
-// CampaignConfig tunes a measurement campaign.
+// CampaignConfig tunes a measurement campaign. The fields Study projects
+// decide what is measured; every other field only how it runs.
 type CampaignConfig struct {
 	// Seed drives the deterministic world generation.
 	Seed int64
@@ -175,14 +177,6 @@ type CampaignConfig struct {
 	resilienceOverride *scanner.Resilience
 }
 
-// chaosSeed resolves the effective chaos seed.
-func (cfg CampaignConfig) chaosSeed() int64 {
-	if cfg.ChaosSeed != 0 {
-		return cfg.ChaosSeed
-	}
-	return cfg.Seed
-}
-
 // Campaign is a completed (or running) measurement campaign.
 type Campaign struct {
 	Config CampaignConfig
@@ -213,39 +207,40 @@ func (cfg CampaignConfig) progressf(format string, args ...any) {
 	}
 }
 
-// selectedWaves expands the wave selection (nil = all eight).
-func (cfg CampaignConfig) selectedWaves() []int {
-	if len(cfg.Waves) > 0 {
-		return cfg.Waves
+// Study projects the configuration onto what it measures: the fields
+// that can change a record byte (internal/study). It is the one place
+// the two equal spellings resolve — nil Waves is all eight waves and any
+// selection comes back ascending (a descending one would fold the
+// longitudinal analysis backwards and break the wave-ordered streams
+// MergeShardStreams requires), and ChaosSeed 0 is Seed under a chaos
+// profile, while without one the chaos seed is unused and zeroed.
+func (cfg CampaignConfig) Study() study.Study {
+	waves := slices.Clone(cfg.Waves)
+	if len(waves) == 0 {
+		waves = make([]int, len(deploy.WaveDates))
+		for i := range waves {
+			waves[i] = i
+		}
 	}
-	waves := make([]int, len(deploy.WaveDates))
-	for i := range waves {
-		waves[i] = i
-	}
-	return waves
-}
-
-// resolveWaves validates the wave selection and returns it ascending.
-// A repeated wave would scan twice, fold into the longitudinal analysis
-// twice and reach the record sink twice; a descending one would fold the
-// longitudinal analysis backwards (and break the wave-ordered streams
-// MergeShardStreams requires) — so the order given never matters.
-func (cfg CampaignConfig) resolveWaves() ([]int, error) {
-	waves := slices.Clone(cfg.selectedWaves())
 	slices.Sort(waves)
-	for i, w := range waves {
-		if w < 0 || w >= len(deploy.WaveDates) {
-			return nil, fmt.Errorf("opcuastudy: wave %d out of range [0, %d) (waves %v)",
-				w, len(deploy.WaveDates), cfg.Waves)
-		}
-		if i > 0 && w == waves[i-1] {
-			return nil, fmt.Errorf("opcuastudy: wave %d selected more than once (waves %v)", w, cfg.Waves)
-		}
+	chaosSeed := cfg.ChaosSeed
+	if cfg.ChaosProfile == "" {
+		chaosSeed = 0
+	} else if chaosSeed == 0 {
+		chaosSeed = cfg.Seed
 	}
-	return waves, nil
+	return study.Study{Seed: cfg.Seed, Waves: waves, TestKeySizes: cfg.TestKeySizes, NoiseProb: cfg.NoiseProb,
+		MaxHosts: cfg.MaxHosts, ChaosProfile: cfg.ChaosProfile, ChaosSeed: chaosSeed}
 }
 
-// newScannerBase builds the campaign's scanner template and installs
+// studyConfig is Study's one inverse: the configuration that measures s
+// and sets nothing else.
+func studyConfig(s study.Study) CampaignConfig {
+	return CampaignConfig{Seed: s.Seed, Waves: s.Waves, TestKeySizes: s.TestKeySizes, NoiseProb: s.NoiseProb,
+		MaxHosts: s.MaxHosts, ChaosProfile: s.ChaosProfile, ChaosSeed: s.ChaosSeed}
+}
+
+// newScannerBase builds the scanner template of study st and installs
 // the campaign-scoped crypto suite and chaos model on the world.
 //
 // Campaign-scoped crypto reuse: one memoization engine for every wave
@@ -259,15 +254,15 @@ func (cfg CampaignConfig) resolveWaves() ([]int, error) {
 // reachable from the world's servers until the next campaign replaces
 // it — a few MB at most; callers who keep a world alive without
 // further campaigns can release it with SetCrypto(nil, false).
-func (cfg CampaignConfig) newScannerBase(world *deploy.World) (scanner.Scanner, *uarsa.Suite, error) {
+func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (scanner.Scanner, *uarsa.Suite, error) {
 	scanBits := 2048
-	if cfg.TestKeySizes {
+	if st.TestKeySizes {
 		scanBits = 512
 	}
 	// The identity is seeded: shard workers in other processes derive
 	// the same certificate, and reruns with one seed replay the same
 	// grab transcripts byte for byte.
-	key, cert, err := NewScannerIdentitySeeded(scanBits, cfg.Seed)
+	key, cert, err := NewScannerIdentitySeeded(scanBits, st.Seed)
 	if err != nil {
 		return scanner.Scanner{}, nil, err
 	}
@@ -276,7 +271,7 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World) (scanner.Scanner, 
 	if cfg.CryptoCache >= 0 {
 		suite = &uarsa.Suite{
 			Engine:        uarsa.NewEngine(cfg.CryptoCache),
-			Seed:          cfg.Seed,
+			Seed:          st.Seed,
 			Deterministic: true,
 		}
 	}
@@ -290,13 +285,13 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World) (scanner.Scanner, 
 	// sharing a world never inherit each other's adversarial layer.
 	var resilience scanner.Resilience
 	chaosModel := chaos.Model{}
-	if cfg.ChaosProfile != "" {
-		m, err := chaos.ModelForProfile(cfg.ChaosProfile, cfg.chaosSeed())
+	if st.ChaosProfile != "" {
+		m, err := chaos.ModelForProfile(st.ChaosProfile, st.ChaosSeed)
 		if err != nil {
 			return scanner.Scanner{}, nil, err
 		}
 		chaosModel = m
-		resilience = defaultResilience(cfg.chaosSeed())
+		resilience = defaultResilience(st.ChaosSeed)
 		if cfg.resilienceOverride != nil {
 			resilience = *cfg.resilienceOverride
 		}
@@ -420,8 +415,7 @@ type campaignRun struct {
 	world *deploy.World
 	base  scanner.Scanner // template; each wave scans with its own copy
 	suite *uarsa.Suite    // nil when CryptoCache < 0
-	// waves is the validated selection: ascending, no repeats.
-	waves []int
+	study study.Study     // what the campaign measures; Waves in range, no repeats
 	// tracker is non-nil under cfg.Delta. It is single-owner: delta
 	// campaigns run one wave at a time (waveWorkers), so scanWave's
 	// plan → scan → observe sequence is serial across waves.
@@ -431,23 +425,31 @@ type campaignRun struct {
 // newCampaignRun validates the configuration and installs the
 // campaign's crypto suite and chaos model on the world.
 func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, error) {
-	waves, err := cfg.resolveWaves()
-	if err != nil {
-		return nil, err
+	// A repeated wave would scan twice, fold into the longitudinal
+	// analysis twice and reach the record sink twice.
+	st := cfg.Study()
+	for i, w := range st.Waves {
+		if w < 0 || w >= len(deploy.WaveDates) {
+			return nil, fmt.Errorf("opcuastudy: wave %d out of range [0, %d) (waves %v)",
+				w, len(deploy.WaveDates), cfg.Waves)
+		}
+		if i > 0 && w == st.Waves[i-1] {
+			return nil, fmt.Errorf("opcuastudy: wave %d selected more than once (waves %v)", w, cfg.Waves)
+		}
 	}
 	// Serialize the progress callback once, before any fan-out: waves,
 	// shards, and workers then share one mutex-guarded writer and status
 	// lines never interleave mid-line.
 	cfg.Progressf = telemetry.SerializedProgressf(cfg.Progressf)
-	base, suite, err := cfg.newScannerBase(world)
+	base, suite, err := cfg.newScannerBase(world, st)
 	if err != nil {
 		return nil, err
 	}
-	r := &campaignRun{cfg: cfg, world: world, base: base, suite: suite, waves: waves}
+	r := &campaignRun{cfg: cfg, world: world, base: base, suite: suite, study: st}
 	if cfg.Delta {
 		// After newScannerBase: the fingerprints fold the chaos decisions
 		// of the model it just installed.
-		if r.tracker, err = newDeltaTracker(cfg, world, waves); err != nil {
+		if r.tracker, err = newDeltaTracker(st, world); err != nil {
 			return nil, err
 		}
 	}
@@ -461,7 +463,7 @@ func (r *campaignRun) waveWorkers() int {
 	if r.tracker != nil {
 		return 1
 	}
-	return max(1, min(r.cfg.WaveWorkers, len(r.waves)))
+	return max(1, min(r.cfg.WaveWorkers, len(r.study.Waves)))
 }
 
 // allShards as scanWave's shard argument scans every shard of the plan.
@@ -480,7 +482,7 @@ const allShards = -1
 // memory.
 func (r *campaignRun) scanWave(ctx context.Context, i, shards, shard int) (*scanner.Wave, []*dataset.HostRecord, error) {
 	cfg := r.cfg
-	w, date := r.waves[i], deploy.WaveDates[r.waves[i]]
+	w, date := r.study.Waves[i], deploy.WaveDates[r.study.Waves[i]]
 	view, err := r.world.SnapshotWave(w)
 	if err != nil {
 		return nil, nil, err
@@ -621,9 +623,9 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 		recs []*dataset.HostRecord
 		err  error
 	}
-	outcomes := make([]chan outcome, len(run.waves))
-	jobs := make(chan int, len(run.waves))
-	for i := range run.waves {
+	outcomes := make([]chan outcome, len(run.study.Waves))
+	jobs := make(chan int, len(run.study.Waves))
+	for i := range run.study.Waves {
 		outcomes[i] = make(chan outcome, 1)
 		jobs <- i
 	}
@@ -655,7 +657,7 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 	// records).
 	longAcc := core.NewLongitudinalAccumulator(false)
 	var sinkErr, firstErr error
-	for i, w := range run.waves {
+	for i, w := range run.study.Waves {
 		out := <-outcomes[i]
 		if out.wave != nil {
 			c.Scans[w] = out.wave
@@ -745,7 +747,7 @@ func RunCampaignShard(ctx context.Context, cfg CampaignConfig, world *deploy.Wor
 	if err != nil {
 		return err
 	}
-	for i, w := range run.waves {
+	for i, w := range run.study.Waves {
 		_, recs, err := run.scanWave(ctx, i, shards, shard)
 		if err != nil {
 			return fmt.Errorf("opcuastudy: wave %d shard %d: %w", w, shard, err)
@@ -802,25 +804,19 @@ func (c *Campaign) WriteDataset(w io.Writer) error {
 }
 
 // FabricSpec derives the networked campaign description a fabric
-// coordinator hands to every joining worker: exactly the CampaignConfig
-// fields that shape record bytes, plus the fleet's shard count and
+// coordinator hands to every joining worker: the study, the four
+// execution values a worker runs with, and the fleet's shard count and
 // heartbeat cadence. Workers reconstruct their configuration with
 // CampaignFromSpec, so a fleet cannot diverge on flags.
 func (cfg CampaignConfig) FabricSpec(shards int, heartbeat time.Duration) fabric.CampaignSpec {
 	return fabric.CampaignSpec{
-		Seed:         cfg.Seed,
-		Waves:        cfg.Waves,
-		TestKeySizes: cfg.TestKeySizes,
-		NoiseProb:    cfg.NoiseProb,
-		MaxHosts:     cfg.MaxHosts,
-		GrabWorkers:  cfg.GrabWorkers,
-		QueueSize:    cfg.QueueSize,
-		CryptoCache:  cfg.CryptoCache,
-		ChaosProfile: cfg.ChaosProfile,
-		ChaosSeed:    cfg.ChaosSeed,
-		Delta:        cfg.Delta,
-		Shards:       shards,
-		HeartbeatMs:  heartbeat.Milliseconds(),
+		Study:       cfg.Study(),
+		GrabWorkers: cfg.GrabWorkers,
+		QueueSize:   cfg.QueueSize,
+		CryptoCache: cfg.CryptoCache,
+		Delta:       cfg.Delta,
+		Shards:      shards,
+		HeartbeatMs: heartbeat.Milliseconds(),
 	}
 }
 
@@ -828,19 +824,9 @@ func (cfg CampaignConfig) FabricSpec(shards int, heartbeat time.Duration) fabric
 // local concerns (Telemetry, Progressf, sinks) stay zero for the
 // caller to fill in.
 func CampaignFromSpec(spec fabric.CampaignSpec) CampaignConfig {
-	return CampaignConfig{
-		Seed:         spec.Seed,
-		Waves:        spec.Waves,
-		TestKeySizes: spec.TestKeySizes,
-		NoiseProb:    spec.NoiseProb,
-		MaxHosts:     spec.MaxHosts,
-		GrabWorkers:  spec.GrabWorkers,
-		QueueSize:    spec.QueueSize,
-		CryptoCache:  spec.CryptoCache,
-		ChaosProfile: spec.ChaosProfile,
-		ChaosSeed:    spec.ChaosSeed,
-		Delta:        spec.Delta,
-	}
+	cfg := studyConfig(spec.Study)
+	cfg.GrabWorkers, cfg.QueueSize, cfg.CryptoCache, cfg.Delta = spec.GrabWorkers, spec.QueueSize, spec.CryptoCache, spec.Delta
+	return cfg
 }
 
 // AnalyzeDataset streams a JSONL dataset through the incremental
