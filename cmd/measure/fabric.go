@@ -263,9 +263,9 @@ func runFabricWorker(cfg opcuastudy.CampaignConfig, addr, name, faultSpec string
 }
 
 // fabricRetrySeed derives a worker's deterministic backoff seed from
-// the campaign seed and the worker identity: every run of one worker
-// replays the same retry schedule, while the fleet's schedules stay
-// mutually de-synchronized.
+// -seed's default (a worker takes no -seed) and the worker's name: every
+// run of one worker replays the same retry schedule, while the fleet's
+// schedules stay mutually de-synchronized.
 func fabricRetrySeed(seed int64, name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))

@@ -31,7 +31,7 @@
 //	measure -listen :4841 -shards 4 [-dataset out.jsonl] [other flags]
 //
 //	# Worker (any number, anywhere): the campaign configuration comes
-//	# from the coordinator, never from this process's flags:
+//	# from the coordinator; a campaign flag here is an error:
 //	measure -connect coordinator:4841 [-name w1]
 //
 // Workers always emit raw records (anonymization would desynchronize
@@ -114,6 +114,33 @@ func parseChaos(s string) (string, int64, error) {
 	return profile, seed, nil
 }
 
+// The campaign modes, chosen by -listen and -connect. flagModes maps
+// every flag that has no effect in some mode to the modes it has one in
+// (-metrics and -debug-addr apply in all); main rejects it in any other
+// mode before a world is built or a dial made, saying why (modeText).
+const (
+	single = 1 << iota
+	coordinator
+	worker
+)
+
+var flagModes = map[string]int{
+	"seed": single | coordinator, "waves": single | coordinator, "testkeys": single | coordinator,
+	"noise": single | coordinator, "max-hosts": single | coordinator, "chaos": single | coordinator,
+	"grab-workers": single | coordinator, "crypto-cache": single | coordinator, "delta": single | coordinator,
+	"shards": single | coordinator, "analyze-workers": single | coordinator, "dataset": single | coordinator,
+	"anonymize": single | coordinator, "csv": single | coordinator,
+	"wave-workers": single, "trace": single, "metrics-interval": single | worker,
+	"listen": coordinator, "dead-after": coordinator, "connect": worker, "name": worker,
+	"fault": coordinator | worker, "heartbeat": coordinator | worker,
+}
+
+var modeText = map[int]string{
+	single:      "without -listen or -connect: it configures the shard fabric",
+	coordinator: "with -listen: a fabric coordinator scans nothing itself and writes its metrics once, at the end",
+	worker:      "with -connect: a fabric worker takes its study from the coordinator and streams its records back",
+}
+
 func main() {
 	log.SetFlags(0)
 	seed := flag.Int64("seed", 2020, "world generation seed")
@@ -146,6 +173,17 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address for live campaigns")
 	flag.Parse()
 
+	mode := single
+	if *connectAddr != "" {
+		mode = worker
+	} else if *listenAddr != "" {
+		mode = coordinator
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if m, ok := flagModes[f.Name]; ok && m&mode == 0 {
+			log.Fatalf("-%s has no effect %s", f.Name, modeText[mode])
+		}
+	})
 	waveList, err := parseWaves(*waves)
 	if err != nil {
 		log.Fatal(err)
@@ -189,10 +227,10 @@ func main() {
 		TracePath: *tracePath,
 		DebugAddr: *debugAddr,
 	}
-	switch {
-	case *connectAddr != "":
+	switch mode {
+	case worker:
 		err = runFabricWorker(cfg, *connectAddr, *workerName, *faultSpec, *heartbeat, mopts)
-	case *listenAddr != "":
+	case coordinator:
 		err = runFabricCoordinator(cfg, *listenAddr, *shards, *deadAfter, *heartbeat, *faultSpec, *datasetPath, *csv, mopts)
 	default:
 		cfg.Shards = *shards

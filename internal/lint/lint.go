@@ -132,6 +132,8 @@ func DefaultConfig() *Config {
 			// skip/clone decisions of sharded delta workers and break the
 			// delta byte-identity gate.
 			"repro/internal/wavediff",
+			// The study every fingerprint, Hello and worker keys on.
+			"repro/internal/study",
 			// Every record is read off a simulated connection. Its two
 			// clock reads compare an I/O deadline with the wall clock and
 			// carry entropy-exempt directives; anything else would be

@@ -286,7 +286,8 @@ func TestMeasureDeltaCoordinator(t *testing.T) {
 
 // TestMeasureFlagValidation pins what cmd/measure rejects at flag time,
 // before any world is built: wave selections the campaign would refuse
-// after the build, and -delta with concurrent waves.
+// after the build, -delta with concurrent waves, and flags the chosen
+// mode would ignore.
 func TestMeasureFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
@@ -299,6 +300,12 @@ func TestMeasureFlagValidation(t *testing.T) {
 		{[]string{"-testkeys", "-waves", "9"}, "wave 9 out of range 0-7"},
 		{[]string{"-testkeys", "-waves", "5-7,6"}, "selects wave 6 more than once"},
 		{[]string{"-testkeys", "-waves", "4-7", "-delta", "-wave-workers", "2"}, "got -wave-workers 2"},
+		// A flag with no effect in the chosen mode, one row per mode.
+		{[]string{"-connect", "127.0.0.1:1", "-chaos", "mixed"},
+			"-chaos has no effect with -connect: a fabric worker takes its study from the coordinator"},
+		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-testkeys", "-trace", "t.ndjson"},
+			"-trace has no effect with -listen"},
+		{[]string{"-testkeys", "-waves", "7", "-heartbeat", "1s"}, "-heartbeat has no effect without -listen or -connect"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		if err == nil || !bytes.Contains(out, []byte(tc.want)) {
