@@ -132,7 +132,7 @@ func DefaultConfig() *Config {
 			// skip/clone decisions of sharded delta workers and break the
 			// delta byte-identity gate.
 			"repro/internal/wavediff",
-			// The study every fingerprint, Hello and worker keys on.
+			// Fingerprints and Hellos carry the study: nothing ambient may.
 			"repro/internal/study",
 			// Every record is read off a simulated connection. Its two
 			// clock reads compare an I/O deadline with the wall clock and
