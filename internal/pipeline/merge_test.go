@@ -3,6 +3,8 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,6 +95,167 @@ func TestMergeShardStreamsSingle(t *testing.T) {
 	}
 	if len(slice.Records) != 2 || slice.Records[0].Address != b.Address {
 		t.Errorf("single-stream merge order wrong: %+v", slice.Records)
+	}
+}
+
+// rawStream builds one shard's NDJSON stream from records and raw
+// strings, the latter standing in for corruption.
+func rawStream(t *testing.T, parts ...any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, p := range parts {
+		switch p := p.(type) {
+		case *dataset.HostRecord:
+			if err := dataset.Write(&buf, []*dataset.HostRecord{p}); err != nil {
+				t.Fatal(err)
+			}
+		case string:
+			buf.WriteString(p)
+		default:
+			t.Fatalf("rawStream: unsupported part %T", p)
+		}
+	}
+	return buf.Bytes()
+}
+
+// cappedSink accepts limit records, then fails every Put.
+type cappedSink struct {
+	SliceSink
+	limit int
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (s *cappedSink) Put(r *dataset.HostRecord) error {
+	if len(s.Records) >= s.limit {
+		return errSinkFull
+	}
+	return s.SliceSink.Put(r)
+}
+
+// TestMergeShardStreamsErrorGolden pins what a sink sees when a merge
+// fails: the exact record prefix that reached it and the exact error
+// text. The rows were recorded on the serial merge (one goroutine
+// decoding every stream in turn); any merge must reproduce them, so the
+// error of the lowest failing wave wins, within it the lowest shard
+// index, and nothing of the failing wave reaches the sink.
+func TestMergeShardStreamsErrorGolden(t *testing.T) {
+	r := func(wave, host int) *dataset.HostRecord { return synthRecord(wave, host, "portscan", 0) }
+	whole := rawStream(t, r(6, 4))
+	torn := string(whole[:len(whole)-10])
+	for _, tc := range []struct {
+		name    string
+		streams [][]byte
+		limit   int      // sink capacity; 0 = unlimited
+		want    []string // "w<wave> <address>" of every record the sink accepted
+		wantErr string
+	}{
+		{
+			name: "decode error mid-wave",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1), "garbage\n", r(6, 3)),
+				rawStream(t, r(5, 2), r(6, 2)),
+			},
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840"},
+			wantErr: "pipeline: shard 0: dataset: line 3: invalid character 'g' looking for beginning of value",
+		},
+		{
+			name: "decode error on the first record of the next wave",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1), "garbage\n"),
+				rawStream(t, r(5, 2), r(6, 2), r(7, 2)),
+			},
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840"},
+			wantErr: "pipeline: shard 0: dataset: line 3: invalid character 'g' looking for beginning of value",
+		},
+		{
+			name: "wave regression",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1), r(7, 1)),
+				rawStream(t, r(5, 2), r(6, 2), r(5, 4)),
+			},
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840"},
+			wantErr: "pipeline: shard 1 stream not wave-ordered (wave 5 after 6)",
+		},
+		{
+			name: "torn tail",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1)),
+				rawStream(t, r(5, 2), r(6, 2), torn),
+			},
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840"},
+			wantErr: "pipeline: shard 1: dataset: line 3: dataset: stream truncated mid-record (unexpected end of JSON input)",
+		},
+		{
+			name: "sink error mid-wave",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1), r(6, 3)),
+				rawStream(t, r(5, 2), r(6, 2)),
+			},
+			limit:   3,
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840", "w6 100.64.0.2:4840"},
+			wantErr: "sink full",
+		},
+		{
+			name: "bad first record of shard 2",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1)),
+				rawStream(t, r(5, 2)),
+				rawStream(t, "garbage\n", r(5, 3)),
+			},
+			want:    nil,
+			wantErr: "pipeline: shard 2: dataset: line 1: invalid character 'g' looking for beginning of value",
+		},
+		{
+			name: "two shards failing in one wave",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1)),
+				rawStream(t, r(5, 2), r(6, 2), r(6, 4), "bad\n"),
+				rawStream(t, r(5, 3), r(6, 3), "bad\n"),
+			},
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840", "w5 100.64.0.4:4840"},
+			wantErr: "pipeline: shard 1: dataset: line 4: invalid character 'b' looking for beginning of value",
+		},
+		{
+			name: "lower shard failing in a later wave",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1), r(7, 1), "bad\n"),
+				rawStream(t, r(5, 2), r(6, 2), "bad\n"),
+			},
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840"},
+			wantErr: "pipeline: shard 1: dataset: line 3: invalid character 'b' looking for beginning of value",
+		},
+		{
+			name: "shard without records in a wave failing after it",
+			streams: [][]byte{
+				rawStream(t, r(5, 1), r(6, 1), r(7, 1)),
+				rawStream(t, r(5, 2), r(7, 2), "bad\n"),
+			},
+			want:    []string{"w5 100.64.0.2:4840", "w5 100.64.0.3:4840", "w6 100.64.0.2:4840"},
+			wantErr: "pipeline: shard 1: dataset: line 3: invalid character 'b' looking for beginning of value",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			decoders := make([]*dataset.Decoder, len(tc.streams))
+			for i, s := range tc.streams {
+				decoders[i] = dataset.NewDecoder(bytes.NewReader(s))
+			}
+			sink := &cappedSink{limit: tc.limit}
+			if tc.limit == 0 {
+				sink.limit = 1 << 30
+			}
+			err := MergeShardStreams(sink, decoders...)
+			var got []string
+			for _, rec := range sink.Records {
+				got = append(got, fmt.Sprintf("w%d %s", rec.Wave, rec.Address))
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("sink saw %q, want %q", got, tc.want)
+			}
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("err = %v, want %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
