@@ -341,7 +341,9 @@ type Decoder struct {
 var ErrTruncatedStream = errors.New("dataset: stream truncated mid-record")
 
 // maxDecodeLine bounds one NDJSON line (matching the encoder side and
-// the fabric's frame bound) so a corrupt stream cannot balloon memory.
+// the fabric's frame bound) so a corrupt stream cannot balloon memory:
+// Decode fails as soon as a line outgrows it, having buffered at most
+// that much of it.
 const maxDecodeLine = 16 << 20
 
 // NewDecoder returns a Decoder reading NDJSON from r.
@@ -354,10 +356,9 @@ func NewDecoder(r io.Reader) *Decoder {
 // when it does not, the error wraps ErrTruncatedStream.
 func (d *Decoder) Decode() (*HostRecord, error) {
 	for {
-		raw, err := d.br.ReadBytes('\n')
-		terminated := err == nil
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("dataset: read: %w", err)
+		raw, terminated, err := d.readLine()
+		if err != nil {
+			return nil, err
 		}
 		line := bytes.TrimRight(raw, "\r\n")
 		if len(line) == 0 {
@@ -368,9 +369,6 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 			continue
 		}
 		d.line++
-		if len(line) > maxDecodeLine {
-			return nil, fmt.Errorf("dataset: line %d exceeds %d bytes", d.line, maxDecodeLine)
-		}
 		rec := new(HostRecord)
 		if uerr := json.Unmarshal(line, rec); uerr != nil {
 			if !terminated {
@@ -379,6 +377,37 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 			return nil, fmt.Errorf("dataset: line %d: %w", d.line, uerr)
 		}
 		return rec, nil
+	}
+}
+
+// readLine returns the next line with its terminator, and whether it has
+// one (only the stream's final line may lack it). A line that fits the
+// reader's buffer is returned in place, valid until the next read; a
+// longer one is gathered into its own buffer, at most maxDecodeLine plus
+// the terminator.
+func (d *Decoder) readLine() (raw []byte, terminated bool, err error) {
+	var long []byte
+	for {
+		frag, err := d.br.ReadSlice('\n')
+		full := err == bufio.ErrBufferFull
+		if err != nil && err != io.EOF && !full {
+			return nil, false, fmt.Errorf("dataset: read: %w", err)
+		}
+		if long == nil && !full {
+			return frag, err == nil, nil
+		}
+		if len(long)+len(bytes.TrimRight(frag, "\r\n")) > maxDecodeLine {
+			return nil, false, fmt.Errorf("dataset: line %d exceeds %d bytes", d.line+1, maxDecodeLine)
+		}
+		if n := len(long) + len(frag); n > cap(long) {
+			// Doubling, capped at the bound and a terminator: gathering a
+			// line allocates about twice its length at most.
+			long = append(make([]byte, 0, min(max(2*cap(long), n), maxDecodeLine+2)), long...)
+		}
+		long = append(long, frag...)
+		if !full {
+			return long, err == nil, nil
+		}
 	}
 }
 

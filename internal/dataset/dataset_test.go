@@ -3,7 +3,9 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -281,5 +283,60 @@ func TestDecoderTruncatedFinalLine(t *testing.T) {
 	dec = NewDecoder(strings.NewReader(""))
 	if _, derr := dec.Decode(); derr != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", derr)
+	}
+}
+
+// repeatReader yields n copies of one byte without allocating them.
+type repeatReader struct {
+	b byte
+	n int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), r.n)
+	for i := range p[:k] {
+		p[i] = r.b
+	}
+	r.n -= k
+	return k, nil
+}
+
+// TestDecoderLineBoundIsEnforcedEarly feeds a 64 MiB stream without a
+// newline: the decoder must fail on the line bound having buffered no
+// more than the bound, not after reading the whole line.
+func TestDecoderLineBoundIsEnforcedEarly(t *testing.T) {
+	dec := NewDecoder(&repeatReader{b: 'x', n: 64 << 20})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := dec.Decode()
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("dataset: line 1 exceeds %d bytes", maxDecodeLine); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 40<<20 {
+		t.Errorf("decoder allocated %d MiB before refusing the line, want < 40 MiB", alloc>>20)
+	}
+}
+
+// TestDecoderLongLine decodes a record whose line is several times the
+// reader's buffer, between two short ones.
+func TestDecoderLongLine(t *testing.T) {
+	long := FromResult(sampleResult(), 7, time.Date(2020, 8, 30, 0, 0, 0, 0, time.UTC), 64601)
+	long.Namespaces = []string{strings.Repeat("n", 3<<20)}
+	short := FromResult(sampleResult(), 7, time.Date(2020, 8, 30, 0, 0, 0, 0, time.UTC), 64602)
+	var buf bytes.Buffer
+	if err := Write(&buf, []*HostRecord{short, long, short}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0].ASN != 64602 || got[2].ASN != 64602 ||
+		len(got[1].Namespaces) != 1 || got[1].Namespaces[0] != long.Namespaces[0] {
+		t.Errorf("long line round trip lost records or content (%d records)", len(got))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	mrand "math/rand"
+	"net"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -52,8 +53,8 @@ type World struct {
 	Net  *worldview.Config
 	Keys *uacert.KeyPool
 
-	// mu serializes SnapshotWave and the campaign setters: snapshots walk
-	// the per-host lazily-built server cache. Snapshots themselves are
+	// mu serializes snapshots and the setters: snapshots walk the
+	// per-host lazily-built server cache. Snapshots themselves are
 	// immutable and need no lock once returned.
 	mu        sync.Mutex
 	hosts     []*worldHost
@@ -63,11 +64,8 @@ type World struct {
 	// world, in the order the stages were started. Read-only.
 	Build []BuildStage
 
-	// cryptoEngine/cryptoDet are the campaign-installed crypto-reuse
-	// settings, applied to every server built so far and to servers
-	// built lazily afterwards (see SetCrypto).
-	cryptoEngine *uarsa.Engine
-	cryptoDet    bool
+	// crypto is what SnapshotWave's servers compute through (SetCrypto).
+	crypto uaserver.Crypto
 	// chaos is the campaign-installed adversarial-host model; wave
 	// binding happens in SnapshotWave. Zero value: polite.
 	chaos chaos.Model
@@ -403,9 +401,8 @@ func (wh *worldHost) softwareVersionAt(wave int) string {
 	return v
 }
 
-// serverAt builds (or reuses) the server matching the host's wave
-// state, stamping new servers with the world's crypto-reuse settings.
-func (wh *worldHost) serverAt(wave int, engine *uarsa.Engine, deterministic bool) (*uaserver.Server, error) {
+// serverAt builds (or reuses) the server matching the host's wave state.
+func (wh *worldHost) serverAt(wave int) (*uaserver.Server, error) {
 	cert := wh.certAt(wave)
 	cacheKey := cert.ThumbprintHex() + wh.softwareVersionAt(wave)
 	if srv, ok := wh.server[cacheKey]; ok {
@@ -463,18 +460,29 @@ func (wh *worldHost) serverAt(wave int, engine *uarsa.Engine, deterministic bool
 	if err != nil {
 		return nil, fmt.Errorf("deploy: server for host %d: %w", hs.Index, err)
 	}
-	srv.SetCrypto(engine, deterministic)
 	wh.server[cacheKey] = srv
 	return srv, nil
 }
 
-// SnapshotWave builds an immutable worldview of the wave's population:
-// hosts and discovery servers present at the wave are registered into a
-// fresh sharded snapshot over World.Net, with the chaos model bound to
-// the wave. Snapshots for different waves share the underlying
-// (concurrency-safe) server instances, so any number of them can be
-// built and scanned at the same time.
+// SnapshotWave is SnapshotWaveCrypto with the world's default crypto,
+// the settings SetCrypto last installed.
 func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
+	w.mu.Lock()
+	c := w.crypto
+	w.mu.Unlock()
+	return w.SnapshotWaveCrypto(wave, c)
+}
+
+// SnapshotWaveCrypto builds an immutable worldview of the wave's
+// population: hosts and discovery servers present at the wave are
+// registered into a fresh sharded snapshot over World.Net, with the chaos
+// model bound to the wave, and every connection the snapshot serves
+// computes its handshake through c. Snapshots share the underlying
+// (concurrency-safe) server instances but not their crypto, so any
+// number of them — of one wave or many, for one campaign or several —
+// can be built and scanned at the same time, each campaign handshaking
+// through its own engine on both ends of the wire.
+func (w *World) SnapshotWaveCrypto(wave int, c uaserver.Crypto) (*worldview.Snapshot, error) {
 	if wave < 0 || wave >= len(WaveDates) {
 		return nil, fmt.Errorf("deploy: wave %d out of range", wave)
 	}
@@ -490,19 +498,28 @@ func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
 		if !wh.spec.PresentAt(wave) {
 			continue
 		}
-		srv, err := wh.serverAt(wave, w.cryptoEngine, w.cryptoDet)
+		srv, err := wh.serverAt(wave)
 		if err != nil {
 			return nil, err
 		}
-		b.AddHost(netip.Addr(wh.spec.IP), wh.spec.Port, wh.spec.ASN, srv)
+		b.AddHost(netip.Addr(wh.spec.IP), wh.spec.Port, wh.spec.ASN, &cryptoHandler{srv, c})
 	}
 	for _, wd := range w.discovery {
 		if wave < len(wd.spec.Present) && wd.spec.Present[wave] {
-			b.AddHost(wd.spec.IP, 4840, wd.spec.ASN, wd.server)
+			b.AddHost(wd.spec.IP, 4840, wd.spec.ASN, &cryptoHandler{wd.server, c})
 		}
 	}
 	return b.Build(), nil
 }
+
+// cryptoHandler is how a snapshot registers a world server: the
+// snapshot's crypto rides on the handler, never on the shared server.
+type cryptoHandler struct {
+	srv    *uaserver.Server
+	crypto uaserver.Crypto
+}
+
+func (h *cryptoHandler) HandleConn(conn net.Conn) { h.srv.HandleConnCrypto(conn, h.crypto) }
 
 // SetResponseCaches toggles the pre-encoded GetEndpoints/FindServers
 // response caches on every server materialized so far (servers built
@@ -524,35 +541,25 @@ func (w *World) SetResponseCaches(on bool) {
 	}
 }
 
-// SetCrypto installs the campaign's memoized asymmetric-crypto engine
-// and deterministic-handshake mode on every server materialized so far;
-// servers built lazily afterwards inherit the same settings. Ownership
-// is campaign-scoped (opcuastudy.RunCampaignOnWorld installs its engine
-// before materializing wave views): the engine memoizes by key
-// fingerprint and input digest, so entries are self-contained and a
-// later campaign swapping engines — or two campaigns sharing a world,
-// where the last installation wins — is always semantically safe (see
-// DESIGN.md §4).
+// SetCrypto sets the world's default crypto: the memoized
+// asymmetric-crypto engine and deterministic-handshake mode that
+// snapshots taken afterwards by SnapshotWave serve through. It reaches no
+// server and no snapshot already built. Campaigns do not use it — each
+// snapshots through its own engine with SnapshotWaveCrypto — so it only
+// matters to callers that drive SnapshotWave themselves.
 func (w *World) SetCrypto(engine *uarsa.Engine, deterministic bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.cryptoEngine = engine
-	w.cryptoDet = deterministic
-	for _, wh := range w.hosts {
-		for _, srv := range wh.server {
-			srv.SetCrypto(engine, deterministic)
-		}
-	}
-	for _, wd := range w.discovery {
-		wd.server.SetCrypto(engine, deterministic)
-	}
+	w.crypto = uaserver.Crypto{Engine: engine, Deterministic: deterministic}
 }
 
-// SetChaos installs the campaign's adversarial-host model. Ownership is
-// campaign-scoped like SetCrypto: opcuastudy installs it (or the zero
-// model, when chaos is off) before materializing wave views, so two
-// campaigns sharing a world never inherit each other's chaos. Snapshots
-// built afterwards carry the model bound to their wave.
+// SetChaos installs the campaign's adversarial-host model: opcuastudy
+// installs it (or the zero model, when chaos is off) before
+// materializing wave views, so a campaign never inherits an earlier
+// one's chaos. Snapshots built afterwards carry the model bound to their
+// wave. Unlike crypto it is world state, so of two campaigns racing on
+// one world the last install wins; the leases of one fabric campaign all
+// install the same model.
 func (w *World) SetChaos(m chaos.Model) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -256,6 +257,37 @@ func TestMergeShardStreamsErrorGolden(t *testing.T) {
 				t.Errorf("err = %v, want %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestMergeShardStreamsReturnsCleanly fails the sink's first Put while
+// four large streams are still decoding: the merge must return the sink
+// error with every decoder goroutine gone.
+func TestMergeShardStreamsReturnsCleanly(t *testing.T) {
+	streams := make([][]byte, 4)
+	for s := range streams {
+		var recs []*dataset.HostRecord
+		for wave := 0; wave < 8; wave++ {
+			for h := s; h < 1000; h += len(streams) {
+				recs = append(recs, synthRecord(wave, h, "portscan", 64))
+			}
+		}
+		var buf bytes.Buffer
+		if err := dataset.Write(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		streams[s] = buf.Bytes()
+	}
+	baseline := runtime.NumGoroutine()
+	decoders := make([]*dataset.Decoder, len(streams))
+	for i, s := range streams {
+		decoders[i] = dataset.NewDecoder(bytes.NewReader(s))
+	}
+	if err := MergeShardStreams(&cappedSink{}, decoders...); !errors.Is(err, errSinkFull) {
+		t.Fatalf("err = %v, want %v", err, errSinkFull)
+	}
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Errorf("%d goroutines after the merge returned, want the %d before it", n, baseline)
 	}
 }
 

@@ -41,12 +41,13 @@ func NewSnapshot() *Snapshot {
 	}
 }
 
-// SetCounter records a counter value in the snapshot (used by external
-// snapshot sources; overwrites any prior value for key).
-func (s *Snapshot) SetCounter(key string, v uint64) { s.Counters[key] = v }
+// AddCounter adds v to the snapshot's counter key. External snapshot
+// sources report through it, so several sources folding into one key
+// (one per published crypto engine) sum.
+func (s *Snapshot) AddCounter(key string, v uint64) { s.Counters[key] += v }
 
-// SetGauge records a gauge value in the snapshot.
-func (s *Snapshot) SetGauge(key string, v int64) { s.Gauges[key] = v }
+// AddGauge adds v to the snapshot's gauge key.
+func (s *Snapshot) AddGauge(key string, v int64) { s.Gauges[key] += v }
 
 // CounterTotal sums every counter whose base name (identity minus the
 // {labels} qualifier) equals name — the cross-label rollup used for

@@ -169,8 +169,8 @@ func TestMaxGaugeRaces(t *testing.T) {
 func TestSnapshotSourcesRunSorted(t *testing.T) {
 	r := New()
 	var order []string
-	r.SetSource("b", func(s *Snapshot) { order = append(order, "b"); s.SetCounter("src_b", 2) })
-	r.SetSource("a", func(s *Snapshot) { order = append(order, "a"); s.SetGauge("src_a", 1) })
+	r.SetSource("b", func(s *Snapshot) { order = append(order, "b"); s.AddCounter("src_b", 2) })
+	r.SetSource("a", func(s *Snapshot) { order = append(order, "a"); s.AddGauge("src_a", 1) })
 	s := r.Snapshot()
 	if !reflect.DeepEqual(order, []string{"a", "b"}) {
 		t.Fatalf("source order = %v", order)
@@ -189,8 +189,8 @@ func TestMergeSnapshots(t *testing.T) {
 	r1.Histogram("lat").ObserveNs(200e3)
 	r2.Histogram("lat").ObserveNs(2e6)
 	s1, s2 := r1.Snapshot(), r2.Snapshot()
-	s1.SetGauge("g", 10)
-	s2.SetGauge("g", 5)
+	s1.AddGauge("g", 10)
+	s2.AddGauge("g", 5)
 	s1.Shard = "0"
 	s2.Shard = "1"
 	total, err := MergeSnapshots("total", s1, s2, nil)

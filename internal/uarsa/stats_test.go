@@ -111,3 +111,34 @@ func TestEngineStatsRaceUnderTraffic(t *testing.T) {
 		t.Errorf("crypto_entries = %d, want %d", s.Gauges["crypto_entries"], st.Entries)
 	}
 }
+
+// TestPublishToSumsEngines publishes two engines to one registry, one of
+// them twice: the snapshot reports each counter and the entry gauge as
+// the sum over the two engines.
+func TestPublishToSumsEngines(t *testing.T) {
+	reg := telemetry.New()
+	engines := []*Engine{NewEngine(256), NewEngine(256)}
+	for n, e := range engines {
+		var fp Fingerprint
+		for i := 0; i <= n; i++ {
+			dg := testDigest(i)
+			if _, ok := e.Get(OpSign, 0, fp, dg); !ok {
+				e.Put(OpSign, 0, fp, dg, []byte("sig"))
+			}
+			e.Get(OpSign, 0, fp, dg)
+		}
+		e.PublishTo(reg)
+	}
+	engines[0].PublishTo(reg)
+	s := reg.Snapshot()
+	a, b := engines[0].Stats(), engines[1].Stats()
+	if got, want := s.Counters["crypto_sign_misses"], a.Sign.Misses+b.Sign.Misses; got != want || want != 3 {
+		t.Errorf("crypto_sign_misses = %d, want %d (3)", got, want)
+	}
+	if got, want := s.Counters["crypto_sign_hits"], a.Sign.Hits+b.Sign.Hits; got != want || want != 3 {
+		t.Errorf("crypto_sign_hits = %d, want %d (3)", got, want)
+	}
+	if got, want := s.Gauges["crypto_entries"], int64(a.Entries+b.Entries); got != want || want != 3 {
+		t.Errorf("crypto_entries = %d, want %d (3)", got, want)
+	}
+}

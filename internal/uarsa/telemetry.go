@@ -1,20 +1,28 @@
 package uarsa
 
-import "repro/internal/telemetry"
+import (
+	"fmt"
 
-// PublishTo registers the engine as the registry's "uarsa" snapshot
-// source: every telemetry.Snapshot re-exports the engine's own atomic
-// hit/miss/evict counters (crypto_<op>_<kind>) and the live cache entry
-// count (crypto_entries), so campaign observability is one surface and
+	"repro/internal/telemetry"
+)
+
+// PublishTo adds the engine to the registry's snapshot sources: every
+// telemetry.Snapshot adds the engine's own atomic hit/miss/evict
+// counters to crypto_<op>_<kind> and its live cache entry count to
+// crypto_entries, so campaign observability is one surface and
 // Campaign.CryptoStats becomes just another view of the same numbers.
-// The engine keeps sole ownership of its counters — the registry reads
-// them only at snapshot time, never on the Get/Put hot path. No-op when
-// either side is nil.
+// Engines fold additively: a registry shared by several campaigns — a
+// fabric's concurrent leases, a worker's successive ones — reports the
+// sum over their engines, and publishing one engine twice counts it
+// once. The engine keeps sole ownership of its counters — the registry
+// reads them only at snapshot time, never on the Get/Put hot path — and
+// the registry keeps a published engine reachable for as long as the
+// registry lives. No-op when either side is nil.
 func (e *Engine) PublishTo(reg *telemetry.Registry) {
 	if e == nil || reg == nil {
 		return
 	}
-	reg.SetSource("uarsa", func(s *telemetry.Snapshot) {
+	reg.SetSource(fmt.Sprintf("uarsa %p", e), func(s *telemetry.Snapshot) {
 		st := e.Stats()
 		for _, op := range []struct {
 			name string
@@ -23,10 +31,10 @@ func (e *Engine) PublishTo(reg *telemetry.Registry) {
 			{"sign", st.Sign}, {"verify", st.Verify}, {"decrypt", st.Decrypt},
 			{"encrypt", st.Encrypt},
 		} {
-			s.SetCounter("crypto_"+op.name+"_hits", op.Hits)
-			s.SetCounter("crypto_"+op.name+"_misses", op.Misses)
-			s.SetCounter("crypto_"+op.name+"_evictions", op.Evictions)
+			s.AddCounter("crypto_"+op.name+"_hits", op.Hits)
+			s.AddCounter("crypto_"+op.name+"_misses", op.Misses)
+			s.AddCounter("crypto_"+op.name+"_evictions", op.Evictions)
 		}
-		s.SetGauge("crypto_entries", int64(st.Entries))
+		s.AddGauge("crypto_entries", int64(st.Entries))
 	})
 }

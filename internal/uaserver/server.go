@@ -108,13 +108,6 @@ type Server struct {
 	fsSuffix  []byte // FindServersResponse body after the header
 	respCache atomic.Bool
 
-	// crypto holds the campaign-installed RSA memoization engine and the
-	// deterministic-handshake toggle. Servers are world-owned and shared
-	// across snapshots/campaigns, so the campaign installs its engine
-	// via SetCrypto (an atomic swap; entries are self-contained, so a
-	// later campaign replacing the engine is always safe).
-	crypto atomic.Pointer[cryptoState]
-
 	mu       sync.Mutex
 	closed   bool
 	listener net.Listener
@@ -181,17 +174,14 @@ func (s *Server) knownServers() []uamsg.ApplicationDescription {
 	return append(servers, s.cfg.KnownServers...)
 }
 
-type cryptoState struct {
-	engine        *uarsa.Engine
-	deterministic bool
-}
-
-// SetCrypto installs (or, with nil/false, removes) the memoized
-// asymmetric-crypto engine and the deterministic-handshake mode for all
-// future connections. Campaign-scoped: deploy.World.SetCrypto applies
-// it to every server the world has built.
-func (s *Server) SetCrypto(engine *uarsa.Engine, deterministic bool) {
-	s.crypto.Store(&cryptoState{engine: engine, deterministic: deterministic})
+// Crypto is how one connection's handshake computes: the memoized
+// asymmetric-crypto engine (nil computes every RSA operation) and the
+// deterministic-handshake mode. It belongs to the campaign that dialed
+// the connection, never to the server, which campaigns share
+// (DESIGN.md §4). The zero value is fresh randomness and no memo.
+type Crypto struct {
+	Engine        *uarsa.Engine
+	Deterministic bool
 }
 
 // EnableResponseCache toggles serving GetEndpoints/FindServers from the
@@ -279,6 +269,11 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
+// HandleConn serves one client connection synchronously with the zero
+// Crypto. Exposed so in-memory network simulations can drive connections
+// directly.
+func (s *Server) HandleConn(conn net.Conn) { s.HandleConnCrypto(conn, Crypto{}) }
+
 // Close stops the accept loop and waits for running connections.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -317,9 +312,9 @@ type session struct {
 	contSeq   int
 }
 
-// HandleConn serves one client connection synchronously. Exposed so
-// in-memory network simulations can drive connections directly.
-func (s *Server) HandleConn(conn net.Conn) {
+// HandleConnCrypto serves one client connection synchronously, its
+// secure channel computing through c.
+func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 	defer conn.Close()
 	tr, err := uasc.ServerHello(conn, uasc.DefaultLimits())
 	if err != nil {
@@ -327,14 +322,12 @@ func (s *Server) HandleConn(conn net.Conn) {
 		return
 	}
 	cfg := uasc.ServerConfig{
-		Key:          s.cfg.Key,
-		CertDER:      s.cfg.CertDER,
-		AllowedModes: s.allowedModes,
-		LifetimeMS:   3600000,
-	}
-	if cs := s.crypto.Load(); cs != nil {
-		cfg.Engine = cs.engine
-		cfg.Deterministic = cs.deterministic
+		Key:           s.cfg.Key,
+		CertDER:       s.cfg.CertDER,
+		AllowedModes:  s.allowedModes,
+		LifetimeMS:    3600000,
+		Engine:        c.Engine,
+		Deterministic: c.Deterministic,
 	}
 	if s.cfg.Quirks.RejectClientCert {
 		cfg.ValidateClientCert = func([]byte) uastatus.Code {

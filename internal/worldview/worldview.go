@@ -12,12 +12,13 @@
 // scanners read them without any locking and scanners working
 // disjoint prefixes touch disjoint memory.
 //
-// Snapshots for different waves share the world's underlying server
-// instances, which is what makes the campaign-scoped crypto-reuse layer
-// (PR 4) work across waves: deploy.World.SetCrypto installs the
-// memoized RSA engine on those shared servers once, and every snapshot
-// — past and future — serves handshakes through it. The snapshot
-// itself holds no crypto state (DESIGN.md §4).
+// Snapshots share the world's underlying server instances, but the
+// crypto a server handshakes with belongs to the snapshot: each
+// registered handler (deploy.World.SnapshotWaveCrypto) carries the
+// memoized RSA engine of the campaign that took the snapshot, the same
+// engine its scanner encrypts and signs through. So every wave of one
+// campaign serves through one engine, and campaigns scanning one world
+// at once never serve through each other's (DESIGN.md §4).
 //
 // Snapshots are also the unit the sharded campaign runtime (PR 5)
 // distributes over: scanner.RunWaveShard scans one slice of the

@@ -41,6 +41,7 @@ import (
 	"repro/internal/uacert"
 	"repro/internal/uaclient"
 	"repro/internal/uarsa"
+	"repro/internal/uaserver"
 )
 
 // Re-exported types for the public API.
@@ -240,20 +241,19 @@ func studyConfig(s study.Study) CampaignConfig {
 		MaxHosts: s.MaxHosts, ChaosProfile: s.ChaosProfile, ChaosSeed: s.ChaosSeed}
 }
 
-// newScannerBase builds the scanner template of study st and installs
-// the campaign-scoped crypto suite and chaos model on the world.
+// newScannerBase builds the scanner template of study st with its
+// campaign-scoped crypto suite, and installs the study's chaos model on
+// the world.
 //
 // Campaign-scoped crypto reuse: one memoization engine for every wave
-// and every worker, installed on both sides of the simulated wire (the
-// scanner's clients here, the world's servers below), with
-// deterministic handshakes so unchanged hosts replay bit-identical
-// exchanges across waves and the engine actually hits (DESIGN.md §4).
-// The install is deliberately not undone at campaign end: concurrent
-// campaigns may share a world (last install wins), and uninstalling
-// here would yank another run's engine mid-flight. The engine stays
-// reachable from the world's servers until the next campaign replaces
-// it — a few MB at most; callers who keep a world alive without
-// further campaigns can release it with SetCrypto(nil, false).
+// and every worker, on both sides of the simulated wire — the scanner's
+// clients here, the servers through the snapshots scanWave takes with
+// the same suite — with deterministic handshakes so unchanged hosts
+// replay bit-identical exchanges across waves and the engine actually
+// hits (DESIGN.md §4). Nothing is installed on the world's shared
+// servers, so campaigns sharing a world, such as a fabric's concurrent
+// leases, each keep their own engine, and the engine dies with the
+// campaign.
 func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (scanner.Scanner, *uarsa.Suite, error) {
 	scanBits := 2048
 	if st.TestKeySizes {
@@ -275,14 +275,13 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (s
 			Deterministic: true,
 		}
 	}
-	world.SetCrypto(suite.EngineOrNil(), suite != nil)
 	// Re-export the engine's counters through the campaign registry so
 	// telemetry snapshots carry crypto_* alongside everything else.
 	suite.EngineOrNil().PublishTo(cfg.Telemetry)
 
-	// Chaos ownership mirrors SetCrypto: every campaign installs its
-	// model — the zero model when chaos is off — so two campaigns
-	// sharing a world never inherit each other's adversarial layer.
+	// Every campaign installs its chaos model — the zero model when chaos
+	// is off — so a campaign never inherits an earlier one's adversarial
+	// layer.
 	var resilience scanner.Resilience
 	chaosModel := chaos.Model{}
 	if st.ChaosProfile != "" {
@@ -422,8 +421,8 @@ type campaignRun struct {
 	tracker *deltaTracker
 }
 
-// newCampaignRun validates the configuration and installs the
-// campaign's crypto suite and chaos model on the world.
+// newCampaignRun validates the configuration, builds the campaign's
+// crypto suite and installs its chaos model on the world.
 func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, error) {
 	// A repeated wave would scan twice, fold into the longitudinal
 	// analysis twice and reach the record sink twice.
@@ -483,7 +482,9 @@ const allShards = -1
 func (r *campaignRun) scanWave(ctx context.Context, i, shards, shard int) (*scanner.Wave, []*dataset.HostRecord, error) {
 	cfg := r.cfg
 	w, date := r.study.Waves[i], deploy.WaveDates[r.study.Waves[i]]
-	view, err := r.world.SnapshotWave(w)
+	// The snapshot's servers handshake through the engine this campaign's
+	// scanner uses, never another campaign's (DESIGN.md §4).
+	view, err := r.world.SnapshotWaveCrypto(w, uaserver.Crypto{Engine: r.suite.EngineOrNil(), Deterministic: r.suite != nil})
 	if err != nil {
 		return nil, nil, err
 	}

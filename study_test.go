@@ -1072,6 +1072,70 @@ func TestShardedCampaignShardStreams(t *testing.T) {
 	}
 }
 
+// TestCampaignConcurrentShardsOwnEngine runs two leases of one campaign
+// on one world at once, as a fabric's in-process workers do: shards 0
+// and 1 of 2, each with its own registry, released together by a
+// barrier. Each lease must handshake through its own engine on both ends
+// of the wire — the server answering a lease's client finds the decrypt
+// entry that client's encryption seeded, so neither registry reads a
+// decrypt miss — and each stream must equal the same shard run alone.
+func TestCampaignConcurrentShardsOwnEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("concurrent shard campaigns skipped in -short mode")
+	}
+	world := execWorld(t)
+	const shards = 2
+	run := func(shard int, reg *telemetry.Registry, start <-chan struct{}) ([]*dataset.HostRecord, error) {
+		cfg := execFixture()
+		cfg.Telemetry = reg
+		var stream pipeline.SliceSink
+		<-start
+		err := RunCampaignShard(context.Background(), cfg, world, shards, shard, &stream)
+		return stream.Records, err
+	}
+	open := make(chan struct{})
+	close(open)
+	alone := make([][]byte, shards)
+	for s := range alone {
+		recs, err := run(s, nil, open)
+		if err != nil {
+			t.Fatalf("shard %d alone: %v", s, err)
+		}
+		alone[s] = normalizedRecords(t, recs)
+	}
+
+	regs := make([]*telemetry.Registry, shards)
+	recs := make([][]*dataset.HostRecord, shards)
+	errs := make([]error, shards)
+	barrier := make(chan struct{})
+	var wg sync.WaitGroup
+	for s := range regs {
+		regs[s] = telemetry.New()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[s], errs[s] = run(s, regs[s], barrier)
+		}()
+	}
+	close(barrier)
+	wg.Wait()
+	for s, reg := range regs {
+		if errs[s] != nil {
+			t.Fatalf("shard %d: %v", s, errs[s])
+		}
+		snap := reg.Snapshot()
+		if got := snap.CounterTotal("crypto_encrypt_misses"); got == 0 {
+			t.Errorf("shard %d: no OPN ciphertext computed — the fixture does no RSA", s)
+		}
+		if got := snap.CounterTotal("crypto_decrypt_misses"); got != 0 {
+			t.Errorf("shard %d: crypto_decrypt_misses = %d, want 0 (a server decrypted through another lease's engine)", s, got)
+		}
+		if got := normalizedRecords(t, recs[s]); !bytes.Equal(got, alone[s]) {
+			t.Errorf("shard %d: stream differs from the shard run alone (%d vs %d bytes)", s, len(got), len(alone[s]))
+		}
+	}
+}
+
 // TestCampaignWaveSelection pins the one place the wave selection is
 // resolved (newCampaignRun), through both entry points: the selection
 // runs ascending however it is arranged, and an out-of-range or
