@@ -201,6 +201,38 @@ func TestEncoderDecoderStreaming(t *testing.T) {
 	}
 }
 
+// TestEncoderErrorWritesNothing pins the encoder's failure path: a
+// record whose date has no RFC 3339 rendering fails to encode, the
+// stream holds exactly the records before it, and the next record
+// still encodes.
+func TestEncoderErrorWritesNothing(t *testing.T) {
+	good := FromResult(sampleResult(), 7, time.Date(2020, 8, 30, 0, 0, 0, 0, time.UTC), 64601)
+	bad := FromResult(sampleResult(), 7, time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), 64601)
+
+	var want bytes.Buffer
+	if err := Write(&want, []*HostRecord{good, good}); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	enc := NewEncoder(&got)
+	if err := enc.Encode(good); err != nil {
+		t.Fatal(err)
+	}
+	err := enc.Encode(bad)
+	if err == nil || !strings.Contains(err.Error(), "year outside of range [0,9999]") {
+		t.Fatalf("year 10000: err = %v, want the year range error", err)
+	}
+	if err := enc.Encode(good); err != nil {
+		t.Fatalf("record after the failed one: %v", err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("stream after a failed Encode:\n%s\nwant the two good records only:\n%s", got.Bytes(), want.Bytes())
+	}
+}
+
 func TestDecoderRejectsGarbageLine(t *testing.T) {
 	dec := NewDecoder(strings.NewReader("{\"wave\":7}\nnot json\n"))
 	if _, err := dec.Decode(); err != nil {
