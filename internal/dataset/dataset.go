@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -297,19 +296,24 @@ func (a *Anonymizer) AnonymizedCopy(rec *HostRecord) *HostRecord {
 // pipeline works in. Callers must Flush (once, at the end) for the
 // buffered tail to reach the underlying writer.
 type Encoder struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	bw   *bufio.Writer
+	line []byte // the line being written, reused
 }
 
 // NewEncoder returns an Encoder writing NDJSON to w.
 func NewEncoder(w io.Writer) *Encoder {
-	bw := bufio.NewWriter(w)
-	return &Encoder{bw: bw, enc: json.NewEncoder(bw)}
+	return &Encoder{bw: bufio.NewWriter(w)}
 }
 
-// Encode appends one record line.
+// Encode appends one record line; a record that fails to encode writes
+// nothing.
 func (e *Encoder) Encode(r *HostRecord) error {
-	if err := e.enc.Encode(r); err != nil {
+	line, err := AppendRecord(e.line[:0], r)
+	if err == nil {
+		e.line = append(line, '\n')
+		_, err = e.bw.Write(e.line)
+	}
+	if err != nil {
 		return fmt.Errorf("dataset: encode: %w", err)
 	}
 	return nil
@@ -327,8 +331,9 @@ func (e *Encoder) Flush() error {
 // shard merge, the incremental analyzer) never need a whole dataset in
 // memory.
 type Decoder struct {
-	br   *bufio.Reader
-	line int
+	br    *bufio.Reader
+	line  int
+	words map[string]string // the codec's vocabulary, this decoder's own
 }
 
 // ErrTruncatedStream marks a stream whose final line ends mid-record:
@@ -348,7 +353,7 @@ const maxDecodeLine = 16 << 20
 
 // NewDecoder returns a Decoder reading NDJSON from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, 1<<20)}
+	return &Decoder{br: bufio.NewReaderSize(r, 1<<20), words: make(map[string]string)}
 }
 
 // Decode returns the next record, or io.EOF after the last one. A
@@ -369,8 +374,8 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 			continue
 		}
 		d.line++
-		rec := new(HostRecord)
-		if uerr := json.Unmarshal(line, rec); uerr != nil {
+		rec, uerr := decodeRecord(line, d.words)
+		if uerr != nil {
 			if !terminated {
 				return nil, fmt.Errorf("dataset: line %d: %w (%v)", d.line, ErrTruncatedStream, uerr)
 			}

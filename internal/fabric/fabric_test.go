@@ -446,3 +446,45 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 		t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, spec)
 	}
 }
+
+// discardConn is a net.Conn whose writes succeed and land in w.
+type discardConn struct {
+	net.Conn
+	w bytes.Buffer
+}
+
+func (c *discardConn) Write(p []byte) (int, error)      { return c.w.Write(p) }
+func (c *discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestNetSinkPut pins a record frame, shard tag then the line
+// json.Marshal writes, and checks that a steady-state Put allocates
+// nothing.
+func TestNetSinkPut(t *testing.T) {
+	rec := testRecords(3, 1)[0]
+	rec.Endpoints = []dataset.EndpointRecord{{URL: "opc.tcp://10.3.0.0:4840", Mode: "None", TokenTypes: []string{"Anonymous"}}}
+	rec.Cert = &dataset.CertRecord{Thumbprint: "ab12", SubjectOrg: "B&R", NotBefore: rec.Date, NotAfter: rec.Date.AddDate(10, 0, 0)}
+	conn := new(discardConn)
+	reg := telemetry.New()
+	sink := newNetSink(newFramer(conn, time.Second, nil, nil), 3, nil, reg.Counter("records"))
+	if err := sink.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(&conn.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, line, err := decodeShard(payload)
+	want, _ := json.Marshal(rec)
+	if err != nil || typ != FrameRecord || shard != 3 || string(line) != string(want)+"\n" {
+		t.Fatalf("frame %s shard %d line %q (%v), want record, 3, %q", typ, shard, line, err, want)
+	}
+	conn.w.Grow(1 << 20)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		conn.w.Reset()
+		if err := sink.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Put allocates %.1f times per record, want 0", allocs)
+	}
+}

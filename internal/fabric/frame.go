@@ -139,8 +139,9 @@ type framer struct {
 	faults       FaultInjector
 
 	mu     sync.Mutex
-	n      int  // frames written
-	wedged bool // fault-injected stall: no further writes
+	hdr    [frameHeaderLen]byte // the frame header being written
+	n      int                  // frames written
+	wedged bool                 // fault-injected stall: no further writes
 	dead   chan struct{}
 }
 
@@ -189,10 +190,9 @@ func (f *framer) send(typ FrameType, payload []byte) error {
 			return fmt.Errorf("fabric: write deadline: %w", err)
 		}
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = uint8(typ)
-	_, err := f.conn.Write(hdr[:])
+	binary.BigEndian.PutUint32(f.hdr[:4], uint32(len(payload)))
+	f.hdr[4] = uint8(typ)
+	_, err := f.conn.Write(f.hdr[:])
 	if err == nil && len(payload) > 0 {
 		_, err = f.conn.Write(payload)
 	}

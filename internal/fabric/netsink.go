@@ -1,7 +1,7 @@
 package fabric
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dataset"
@@ -9,12 +9,14 @@ import (
 )
 
 // NetSink is the dialer-side pipeline.RecordSink of one leased shard:
-// every Put frames the record as one NDJSON line tagged with the shard
-// index and writes it under the framer's bounded write deadline. The
-// coordinator buffers the lines verbatim per (worker, shard) and — only
-// after the shard's Done frame — replays them through dataset.Decoder
-// into pipeline.MergeShardStreams: what reaches the merge is the byte
-// stream RunCampaignShard would have written to any other EncoderSink.
+// every Put frames the record as one NDJSON line (dataset.AppendRecord,
+// the bytes dataset.Encoder writes) tagged with the shard index and
+// writes it under the framer's bounded write deadline. The coordinator
+// buffers the lines verbatim per (worker, shard) and, only after the
+// shard's Done frame, commits them; Coordinator.Run returns the
+// committed streams and its caller decodes them (dataset.Decoder, via
+// pipeline.MergeShardStreams): what reaches the merge is the byte stream
+// RunCampaignShard would have written to any other EncoderSink.
 //
 // A NetSink does not own the connection (the worker session does);
 // Close is a no-op kept for the RecordSink contract. Put is
@@ -27,6 +29,7 @@ type NetSink struct {
 	n       int // records streamed on this shard
 	faults  FaultInjector
 	records *telemetry.Counter
+	frame   []byte // the record frame's payload, reused
 }
 
 func newNetSink(fr *framer, shard int, faults FaultInjector, records *telemetry.Counter) *NetSink {
@@ -40,13 +43,15 @@ func newNetSink(fr *framer, shard int, faults FaultInjector, records *telemetry.
 // injector may sever the connection, wedge the session, or kill the
 // worker run (ErrWorkerKilled) — the failure points the test matrix
 // drives.
+//
+//studyvet:hotpath — once per record a worker streams; a steady-state Put allocates nothing
 func (s *NetSink) Put(rec *dataset.HostRecord) error {
-	line, err := json.Marshal(rec)
+	frame, err := dataset.AppendRecord(binary.BigEndian.AppendUint32(s.frame[:0], uint32(s.shard)), rec)
 	if err != nil {
-		return fmt.Errorf("fabric: encode record: %w", err)
+		return fmt.Errorf("fabric: encode record: %w", err) //studyvet:alloc-ok — failure path
 	}
-	line = append(line, '\n')
-	if err := s.fr.send(FrameRecord, shardPayload(s.shard, line)); err != nil {
+	s.frame = append(frame, '\n')
+	if err := s.fr.send(FrameRecord, s.frame); err != nil {
 		return err
 	}
 	s.n++
