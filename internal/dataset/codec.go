@@ -3,15 +3,11 @@ package dataset
 import (
 	"encoding/json"
 	"strconv"
+	"strings"
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
 )
-
-// The dataset format is encoding/json's rendering of the record structs:
-// one json.Marshal(*HostRecord) per line. AppendRecord writes those bytes
-// and the Decoder reads them without reflection; TestCodecMatchesJSON and
-// the FuzzAppendRecord/FuzzDecodeRecord targets hold both to encoding/json.
 
 // AppendRecord appends r's dataset line, without the newline, to dst:
 // exactly the bytes json.Marshal(r) returns. A record that cannot be
@@ -20,135 +16,317 @@ import (
 //
 //studyvet:hotpath — once per record in every dataset sink and fabric stream
 func AppendRecord(dst []byte, r *HostRecord) ([]byte, error) {
-	n := len(dst)
-	dst = appendInt(dst, `{"wave":`, int64(r.Wave))
-	dst = append(dst, `,"date":`...)
-	dst, err := appendTime(dst, r.Date)
+	line, err := hostCodec.append(dst, r)
 	if err != nil {
-		return dst[:n], err
+		return dst, err
 	}
-	dst = appendString(dst, `,"address":`, r.Address)
-	dst = appendInt(dst, `,"asn":`, int64(r.ASN))
-	dst = appendString(dst, `,"via":`, r.Via)
-	dst = appendBool(dst, `,"reached_opcua":`, r.ReachedOPCUA)
-	dst = appendNonEmpty(dst, `,"error":`, r.Error)
-	dst = appendNonEmpty(dst, `,"failure_class":`, r.FailureClass)
-	dst = appendNonEmpty(dst, `,"app_uri":`, r.AppURI)
-	dst = appendNonEmpty(dst, `,"product_uri":`, r.ProductURI)
-	dst = appendNonEmpty(dst, `,"application_type":`, r.ApplicationType)
-	dst = appendNonEmpty(dst, `,"software_version":`, r.SoftwareVersion)
-	for i := range r.Endpoints {
-		dst = appendElem(dst, `,"endpoints":[`, i)
-		e := &r.Endpoints[i]
-		dst = appendString(dst, `{"url":`, e.URL)
-		dst = appendString(dst, `,"mode":`, e.Mode)
-		dst = appendString(dst, `,"policy":`, e.PolicyURI)
-		dst = appendStrings(dst, `,"token_types":`, e.TokenTypes)
-		dst = append(dst, '}')
-	}
-	if len(r.Endpoints) > 0 {
-		dst = append(dst, ']')
-	}
-	if c := r.Cert; c != nil {
-		dst = appendString(dst, `,"cert":{"thumbprint":`, c.Thumbprint)
-		dst = appendString(dst, `,"hash":`, c.Hash)
-		dst = appendInt(dst, `,"bits":`, int64(c.Bits))
-		dst = append(dst, `,"not_before":`...)
-		if dst, err = appendTime(dst, c.NotBefore); err != nil {
-			return dst[:n], err
-		}
-		dst = append(dst, `,"not_after":`...)
-		if dst, err = appendTime(dst, c.NotAfter); err != nil {
-			return dst[:n], err
-		}
-		dst = appendString(dst, `,"subject_cn":`, c.SubjectCN)
-		dst = appendString(dst, `,"subject_org":`, c.SubjectOrg)
-		dst = appendString(dst, `,"app_uri":`, c.AppURI)
-		dst = appendBool(dst, `,"self_signed":`, c.SelfSigned)
-		dst = appendString(dst, `,"modulus":`, c.ModulusB64)
-		dst = append(dst, '}')
-	}
-	dst = appendBool(dst, `,"sc_attempted":`, r.SecureChannelAttempted)
-	dst = appendBool(dst, `,"sc_ok":`, r.SecureChannelOK)
-	dst = appendNonEmpty(dst, `,"sc_policy":`, r.SecureChannelPolicy)
-	dst = appendBool(dst, `,"cert_rejected":`, r.CertRejected)
-	dst = appendBool(dst, `,"anon_offered":`, r.AnonOffered)
-	dst = appendBool(dst, `,"anon_attempted":`, r.AnonAttempted)
-	dst = appendBool(dst, `,"anon_ok":`, r.AnonOK)
-	dst = appendNonEmpty(dst, `,"anon_error":`, r.AnonError)
-	if len(r.Namespaces) > 0 {
-		dst = appendStrings(dst, `,"namespaces":`, r.Namespaces)
-	}
-	for i := range r.Nodes {
-		dst = appendElem(dst, `,"nodes":[`, i)
-		nd := &r.Nodes[i]
-		dst = appendString(dst, `{"id":`, nd.ID)
-		dst = appendString(dst, `,"class":`, nd.Class)
-		dst = appendString(dst, `,"display_name":`, nd.DisplayName)
-		dst = appendBool(dst, `,"readable":`, nd.Readable)
-		dst = appendBool(dst, `,"writable":`, nd.Writable)
-		dst = appendBool(dst, `,"executable":`, nd.Executable)
-		dst = appendNonEmpty(dst, `,"value_sample":`, nd.ValueSample)
-		dst = append(dst, '}')
-	}
-	if len(r.Nodes) > 0 {
-		dst = append(dst, ']')
-	}
-	dst = appendInt(dst, `,"variables":`, int64(r.Variables))
-	dst = appendInt(dst, `,"readable":`, int64(r.Readable))
-	dst = appendInt(dst, `,"writable":`, int64(r.Writable))
-	dst = appendInt(dst, `,"methods":`, int64(r.Methods))
-	dst = appendInt(dst, `,"executable":`, int64(r.Executable))
-	dst = appendInt(dst, `,"bytes":`, r.Bytes)
-	dst = appendInt(dst, `,"duration":`, int64(r.Duration))
-	return append(dst, '}'), nil
+	return line, nil
 }
 
-// appendElem opens element i of an array: the key and bracket before
-// the first, a comma before the others.
-func appendElem(dst []byte, open string, i int) []byte {
-	if i == 0 {
-		return append(dst, open...)
+// decodeRecord parses one dataset line. The fast path reads what
+// AppendRecord writes; any other line — an unknown, case-variant or
+// duplicate key, a null where no list is, a surrogate escape, invalid
+// UTF-8, a number that is not an in-range integer, trailing bytes, a
+// syntax error — goes to json.Unmarshal, whose record and error then
+// stand. No string of the record aliases line.
+func decodeRecord(line []byte, words map[string]string) (*HostRecord, error) {
+	if r := new(HostRecord); parseRecord(line, r, words) {
+		return r, nil
 	}
-	return append(dst, ',')
+	r := new(HostRecord)
+	if err := json.Unmarshal(line, r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-func appendInt(dst []byte, key string, v int64) []byte {
-	return strconv.AppendInt(append(dst, key...), v, 10)
+// parseRecord is the decoder's fast path: it reports whether line is
+// one HostRecord object it reads exactly as json.Unmarshal would,
+// leaving r partly filled when it is not. words, when not nil, collects
+// the values of repeating fields for later lines to share.
+func parseRecord(line []byte, r *HostRecord, words map[string]string) bool {
+	p := &parser{b: line, words: words}
+	if !hostCodec.parse(p, r) {
+		return false
+	}
+	p.ws()
+	return p.i == len(p.b)
 }
 
-func appendBool(dst []byte, key string, v bool) []byte {
-	return strconv.AppendBool(append(dst, key...), v)
+// The schema: every key of the four record types in declaration order,
+// with the codec of its value. Encoder and decoder both read it.
+var (
+	hostCodec = objectOf(
+		fieldOf("wave", intCodec, func(r *HostRecord) *int { return &r.Wave }),
+		fieldOf("date", timeCodec, func(r *HostRecord) *time.Time { return &r.Date }),
+		fieldOf("address", stringCodec, func(r *HostRecord) *string { return &r.Address }),
+		fieldOf("asn", intCodec, func(r *HostRecord) *int { return &r.ASN }),
+		fieldOf("via", wordCodec, func(r *HostRecord) *string { return &r.Via }),
+		fieldOf("reached_opcua", boolCodec, func(r *HostRecord) *bool { return &r.ReachedOPCUA }),
+		omitEmpty("error", wordCodec, func(r *HostRecord) *string { return &r.Error }),
+		omitEmpty("failure_class", wordCodec, func(r *HostRecord) *string { return &r.FailureClass }),
+		omitEmpty("app_uri", stringCodec, func(r *HostRecord) *string { return &r.AppURI }),
+		omitEmpty("product_uri", stringCodec, func(r *HostRecord) *string { return &r.ProductURI }),
+		omitEmpty("application_type", wordCodec, func(r *HostRecord) *string { return &r.ApplicationType }),
+		omitEmpty("software_version", wordCodec, func(r *HostRecord) *string { return &r.SoftwareVersion }),
+		omitEmpty("endpoints", listOf(endpointCodec), func(r *HostRecord) *[]EndpointRecord { return &r.Endpoints }),
+		omitEmpty("cert", pointerTo(certCodec), func(r *HostRecord) **CertRecord { return &r.Cert }),
+		fieldOf("sc_attempted", boolCodec, func(r *HostRecord) *bool { return &r.SecureChannelAttempted }),
+		fieldOf("sc_ok", boolCodec, func(r *HostRecord) *bool { return &r.SecureChannelOK }),
+		omitEmpty("sc_policy", wordCodec, func(r *HostRecord) *string { return &r.SecureChannelPolicy }),
+		fieldOf("cert_rejected", boolCodec, func(r *HostRecord) *bool { return &r.CertRejected }),
+		fieldOf("anon_offered", boolCodec, func(r *HostRecord) *bool { return &r.AnonOffered }),
+		fieldOf("anon_attempted", boolCodec, func(r *HostRecord) *bool { return &r.AnonAttempted }),
+		fieldOf("anon_ok", boolCodec, func(r *HostRecord) *bool { return &r.AnonOK }),
+		omitEmpty("anon_error", wordCodec, func(r *HostRecord) *string { return &r.AnonError }),
+		omitEmpty("namespaces", listOf(wordCodec), func(r *HostRecord) *[]string { return &r.Namespaces }),
+		omitEmpty("nodes", listOf(nodeCodec), func(r *HostRecord) *[]NodeRecord { return &r.Nodes }),
+		fieldOf("variables", intCodec, func(r *HostRecord) *int { return &r.Variables }),
+		fieldOf("readable", intCodec, func(r *HostRecord) *int { return &r.Readable }),
+		fieldOf("writable", intCodec, func(r *HostRecord) *int { return &r.Writable }),
+		fieldOf("methods", intCodec, func(r *HostRecord) *int { return &r.Methods }),
+		fieldOf("executable", intCodec, func(r *HostRecord) *int { return &r.Executable }),
+		fieldOf("bytes", int64Codec, func(r *HostRecord) *int64 { return &r.Bytes }),
+		fieldOf("duration", int64Codec, func(r *HostRecord) *int64 { return (*int64)(&r.Duration) }),
+	)
+	endpointCodec = objectOf(
+		fieldOf("url", stringCodec, func(e *EndpointRecord) *string { return &e.URL }),
+		fieldOf("mode", wordCodec, func(e *EndpointRecord) *string { return &e.Mode }),
+		fieldOf("policy", wordCodec, func(e *EndpointRecord) *string { return &e.PolicyURI }),
+		fieldOf("token_types", listOf(wordCodec), func(e *EndpointRecord) *[]string { return &e.TokenTypes }),
+	)
+	certCodec = objectOf(
+		fieldOf("thumbprint", stringCodec, func(c *CertRecord) *string { return &c.Thumbprint }),
+		fieldOf("hash", wordCodec, func(c *CertRecord) *string { return &c.Hash }),
+		fieldOf("bits", intCodec, func(c *CertRecord) *int { return &c.Bits }),
+		fieldOf("not_before", timeCodec, func(c *CertRecord) *time.Time { return &c.NotBefore }),
+		fieldOf("not_after", timeCodec, func(c *CertRecord) *time.Time { return &c.NotAfter }),
+		fieldOf("subject_cn", stringCodec, func(c *CertRecord) *string { return &c.SubjectCN }),
+		fieldOf("subject_org", wordCodec, func(c *CertRecord) *string { return &c.SubjectOrg }),
+		fieldOf("app_uri", stringCodec, func(c *CertRecord) *string { return &c.AppURI }),
+		fieldOf("self_signed", boolCodec, func(c *CertRecord) *bool { return &c.SelfSigned }),
+		fieldOf("modulus", stringCodec, func(c *CertRecord) *string { return &c.ModulusB64 }),
+	)
+	nodeCodec = objectOf(
+		fieldOf("id", wordCodec, func(n *NodeRecord) *string { return &n.ID }),
+		fieldOf("class", wordCodec, func(n *NodeRecord) *string { return &n.Class }),
+		fieldOf("display_name", wordCodec, func(n *NodeRecord) *string { return &n.DisplayName }),
+		fieldOf("readable", boolCodec, func(n *NodeRecord) *bool { return &n.Readable }),
+		fieldOf("writable", boolCodec, func(n *NodeRecord) *bool { return &n.Writable }),
+		fieldOf("executable", boolCodec, func(n *NodeRecord) *bool { return &n.Executable }),
+		omitEmpty("value_sample", stringCodec, func(n *NodeRecord) *string { return &n.ValueSample }),
+	)
+)
+
+// A codec writes a value of type V as encoding/json does and reads it
+// back on the fast path, reporting false on anything else.
+type codec[V any] struct {
+	append func(dst []byte, v *V) ([]byte, error)
+	parse  func(p *parser, v *V) bool
+	empty  func(v *V) bool // omitempty's test; nil where no field omits
 }
 
-// appendNonEmpty is appendString under omitempty.
-func appendNonEmpty(dst []byte, key, s string) []byte {
-	if s == "" {
-		return dst
+var (
+	stringCodec = codec[string]{
+		append: func(dst []byte, s *string) ([]byte, error) { return appendString(dst, *s), nil },
+		parse:  func(p *parser, s *string) bool { return p.str(s, nil) },
+		empty:  func(s *string) bool { return *s == "" },
 	}
-	return appendString(dst, key, s)
+	// wordCodec is stringCodec for a field whose values repeat across
+	// records (node names and classes, endpoint modes and policies,
+	// messages): a decoder shares a value it read before instead of
+	// copying it again. Strings are immutable, so sharing is unseen.
+	wordCodec = codec[string]{
+		append: stringCodec.append,
+		parse:  func(p *parser, s *string) bool { return p.str(s, p.words) },
+		empty:  stringCodec.empty,
+	}
+	intCodec = codec[int]{
+		append: func(dst []byte, v *int) ([]byte, error) { return strconv.AppendInt(dst, int64(*v), 10), nil },
+		parse: func(p *parser, v *int) bool {
+			n, ok := p.number(strconv.IntSize)
+			*v = int(n)
+			return ok
+		},
+	}
+	int64Codec = codec[int64]{
+		append: func(dst []byte, v *int64) ([]byte, error) { return strconv.AppendInt(dst, *v, 10), nil },
+		parse: func(p *parser, v *int64) bool {
+			n, ok := p.number(64)
+			*v = n
+			return ok
+		},
+	}
+	boolCodec = codec[bool]{
+		append: func(dst []byte, v *bool) ([]byte, error) { return strconv.AppendBool(dst, *v), nil },
+		parse: func(p *parser, v *bool) bool {
+			*v = p.literal("true")
+			return *v || p.literal("false")
+		},
+	}
+	timeCodec = codec[time.Time]{append: appendTime, parse: (*parser).time}
+)
+
+// A field is one key of a record type T.
+type field[T any] struct {
+	key    string
+	omit   func(*T) bool // nil: always written
+	append func([]byte, *T) ([]byte, error)
+	parse  func(*parser, *T) bool
 }
 
-// appendStrings renders a []string as encoding/json does: null when nil.
-func appendStrings(dst []byte, key string, ss []string) []byte {
-	if ss == nil {
-		return append(append(dst, key...), "null"...)
+func fieldOf[T, V any](key string, c codec[V], get func(*T) *V) field[T] {
+	return field[T]{
+		key:    key,
+		append: func(dst []byte, t *T) ([]byte, error) { return c.append(dst, get(t)) },
+		parse:  func(p *parser, t *T) bool { return c.parse(p, get(t)) },
 	}
-	dst = append(append(dst, key...), '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendString(dst, "", s)
+}
+
+// omitEmpty is fieldOf for a key tagged omitempty.
+func omitEmpty[T, V any](key string, c codec[V], get func(*T) *V) field[T] {
+	f := fieldOf(key, c, get)
+	f.omit = func(t *T) bool { return c.empty(get(t)) }
+	return f
+}
+
+// objectOf is the codec of a struct with the given fields, in order. Its
+// parser takes the keys in any order, each at most once.
+func objectOf[T any](fields ...field[T]) codec[T] {
+	return codec[T]{
+		append: func(dst []byte, t *T) ([]byte, error) {
+			sep := byte('{')
+			for i := range fields {
+				f := &fields[i]
+				if f.omit != nil && f.omit(t) {
+					continue
+				}
+				dst = append(append(append(dst, sep, '"'), f.key...), '"', ':')
+				var err error
+				if dst, err = f.append(dst, t); err != nil {
+					return dst, err
+				}
+				sep = ','
+			}
+			if sep == '{' {
+				dst = append(dst, '{')
+			}
+			return append(dst, '}'), nil
+		},
+		parse: func(p *parser, t *T) bool {
+			if !p.eat('{') {
+				return false
+			}
+			if p.eat('}') {
+				return true
+			}
+			var seen uint64
+			for next := 0; ; {
+				p.ws()
+				key, ok := p.plain()
+				if !ok || !p.eat(':') {
+					return false
+				}
+				// Keys come in field order, omitted ones skipped: look
+				// from the field after the last one read.
+				i := 0
+				for i < len(fields) && fields[(next+i)%len(fields)].key != string(key) {
+					i++
+				}
+				i = (next + i) % len(fields)
+				if fields[i].key != string(key) || seen&(1<<i) != 0 {
+					return false
+				}
+				seen |= 1 << i
+				p.ws()
+				if !fields[i].parse(p, t) {
+					return false
+				}
+				if p.eat('}') {
+					return true
+				}
+				if !p.eat(',') {
+					return false
+				}
+				next = i + 1
+			}
+		},
 	}
-	return append(dst, ']')
+}
+
+// listOf is the codec of a slice: null when nil, as encoding/json writes
+// and reads it, and [] an empty, non-nil slice.
+func listOf[E any](elem codec[E]) codec[[]E] {
+	return codec[[]E]{
+		append: func(dst []byte, s *[]E) ([]byte, error) {
+			if *s == nil {
+				return append(dst, "null"...), nil
+			}
+			dst = append(dst, '[')
+			for i := range *s {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				var err error
+				if dst, err = elem.append(dst, &(*s)[i]); err != nil {
+					return dst, err
+				}
+			}
+			return append(dst, ']'), nil
+		},
+		parse: func(p *parser, s *[]E) bool {
+			if p.literal("null") {
+				return true
+			}
+			if !p.eat('[') {
+				return false
+			}
+			*s = []E{}
+			if p.eat(']') {
+				return true
+			}
+			for {
+				p.ws()
+				var zero E
+				*s = append(*s, zero)
+				if !elem.parse(p, &(*s)[len(*s)-1]) {
+					return false
+				}
+				if p.eat(']') {
+					return true
+				}
+				if !p.eat(',') {
+					return false
+				}
+			}
+		},
+		empty: func(s *[]E) bool { return len(*s) == 0 },
+	}
+}
+
+// pointerTo is the codec of a pointer to a struct; null, which only an
+// omitempty field could avoid writing, is left to encoding/json.
+func pointerTo[E any](elem codec[E]) codec[*E] {
+	return codec[*E]{
+		append: func(dst []byte, v **E) ([]byte, error) {
+			if *v == nil {
+				return append(dst, "null"...), nil
+			}
+			return elem.append(dst, *v)
+		},
+		parse: func(p *parser, v **E) bool {
+			*v = new(E)
+			return elem.parse(p, *v)
+		},
+		empty: func(v **E) bool { return *v == nil },
+	}
 }
 
 // appendTime appends t as time.Time.MarshalJSON does: RFC 3339 with
 // nanoseconds, quoted, from the formatter MarshalJSON itself calls. A
 // time MarshalJSON refuses (a year outside 0–9999, a zone offset of a
 // day or more) returns MarshalJSON's own error.
-func appendTime(dst []byte, t time.Time) ([]byte, error) {
+func appendTime(dst []byte, t *time.Time) ([]byte, error) {
 	if _, off := t.Zone(); t.Year() < 0 || t.Year() > 9999 || off <= -86400 || off >= 86400 {
 		if _, err := t.MarshalJSON(); err != nil {
 			return dst, err
@@ -164,17 +342,17 @@ const hexDigits = "0123456789abcdef"
 // does, writes the ASCII byte b as itself.
 var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
 	for b := ' '; b < utf8.RuneSelf; b++ {
-		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+		safe[b] = !strings.ContainsRune(`"\<>&`, b)
 	}
 	return safe
 }()
 
-// appendString appends key and s quoted as encoding/json quotes it:
-// short escapes for \b \f \n \r \t " and \, \u00XX for the other control
-// bytes and < > &, the escaped replacement character U+FFFD for each
-// invalid UTF-8 byte, and U+2028 and U+2029 escaped.
-func appendString(dst []byte, key, s string) []byte {
-	dst = append(append(dst, key...), '"')
+// appendString appends s quoted as encoding/json quotes it: short
+// escapes for \b \f \n \r \t " and \, \u00XX for the other control bytes
+// and < > &, the escaped replacement character U+FFFD for each invalid
+// UTF-8 byte, and U+2028 and U+2029 escaped.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		b := s[i]
@@ -184,20 +362,9 @@ func appendString(dst []byte, key, s string) []byte {
 				continue
 			}
 			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, `\b`...)
-			case '\f':
-				dst = append(dst, `\f`...)
-			case '\n':
-				dst = append(dst, `\n`...)
-			case '\r':
-				dst = append(dst, `\r`...)
-			case '\t':
-				dst = append(dst, `\t`...)
-			default:
+			if k := strings.IndexByte(shortEscaped, b); k >= 0 {
+				dst = append(dst, '\\', shortEscapes[k])
+			} else {
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
 			}
 			i++
@@ -220,185 +387,24 @@ func appendString(dst []byte, key, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// decodeRecord parses one dataset line. The fast path (parser) reads
-// what AppendRecord writes; any other line — an unknown, case-variant or
-// duplicate key, a null the encoder never writes, a surrogate escape,
-// invalid UTF-8, a number that is not an in-range integer, trailing
-// bytes, a syntax error — goes to json.Unmarshal, whose record and error
-// then stand. No string of the record aliases line.
-func decodeRecord(line []byte, words map[string]string) (*HostRecord, error) {
-	if r := new(HostRecord); parseRecord(line, r, words) {
-		return r, nil
-	}
-	r := new(HostRecord)
-	if err := json.Unmarshal(line, r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// parseRecord is the decoder's fast path: it reports whether line is
-// one HostRecord object it reads exactly as json.Unmarshal would,
-// leaving r partly filled when it is not. words, when not nil, collects
-// the vocabulary fields' values for later lines to share.
-func parseRecord(line []byte, r *HostRecord, words map[string]string) bool {
-	p := parser{b: line, words: words}
-	if !p.host(r) {
-		return false
-	}
-	p.ws()
-	return p.i == len(p.b)
-}
+// The bytes encoding/json writes as a backslash and a letter, and the
+// letters; the parser reads / as an escape too.
+const (
+	shortEscaped = "\"\\\b\f\n\r\t/"
+	shortEscapes = "\"\\bfnrt/"
+)
 
 // parser walks one line. Every method reports false on input outside
 // the fast path and then leaves the position undefined.
 type parser struct {
 	b     []byte
 	i     int
-	words map[string]string
+	words map[string]string // see wordCodec
 }
 
 // maxWords bounds a decoder's vocabulary: the node names, classes,
 // modes, policies and messages a campaign repeats number in the hundreds.
 const maxWords = 4096
-
-func (p *parser) host(r *HostRecord) bool {
-	return p.object(func(key []byte) (int, bool) {
-		switch string(key) {
-		case "wave":
-			return 0, p.integer(&r.Wave)
-		case "date":
-			return 1, p.time(&r.Date)
-		case "address":
-			return 2, p.str(&r.Address)
-		case "asn":
-			return 3, p.integer(&r.ASN)
-		case "via":
-			return 4, p.word(&r.Via)
-		case "reached_opcua":
-			return 5, p.boolean(&r.ReachedOPCUA)
-		case "error":
-			return 6, p.word(&r.Error)
-		case "failure_class":
-			return 7, p.word(&r.FailureClass)
-		case "app_uri":
-			return 8, p.str(&r.AppURI)
-		case "product_uri":
-			return 9, p.str(&r.ProductURI)
-		case "application_type":
-			return 10, p.word(&r.ApplicationType)
-		case "software_version":
-			return 11, p.word(&r.SoftwareVersion)
-		case "endpoints":
-			return 12, list(p, &r.Endpoints, p.endpoint)
-		case "cert":
-			r.Cert = new(CertRecord)
-			return 13, p.cert(r.Cert)
-		case "sc_attempted":
-			return 14, p.boolean(&r.SecureChannelAttempted)
-		case "sc_ok":
-			return 15, p.boolean(&r.SecureChannelOK)
-		case "sc_policy":
-			return 16, p.word(&r.SecureChannelPolicy)
-		case "cert_rejected":
-			return 17, p.boolean(&r.CertRejected)
-		case "anon_offered":
-			return 18, p.boolean(&r.AnonOffered)
-		case "anon_attempted":
-			return 19, p.boolean(&r.AnonAttempted)
-		case "anon_ok":
-			return 20, p.boolean(&r.AnonOK)
-		case "anon_error":
-			return 21, p.word(&r.AnonError)
-		case "namespaces":
-			return 22, list(p, &r.Namespaces, p.word)
-		case "nodes":
-			return 23, list(p, &r.Nodes, p.node)
-		case "variables":
-			return 24, p.integer(&r.Variables)
-		case "readable":
-			return 25, p.integer(&r.Readable)
-		case "writable":
-			return 26, p.integer(&r.Writable)
-		case "methods":
-			return 27, p.integer(&r.Methods)
-		case "executable":
-			return 28, p.integer(&r.Executable)
-		case "bytes":
-			return 29, p.integer64(&r.Bytes)
-		case "duration":
-			return 30, p.integer64((*int64)(&r.Duration))
-		}
-		return 0, false
-	})
-}
-
-func (p *parser) endpoint(e *EndpointRecord) bool {
-	return p.object(func(key []byte) (int, bool) {
-		switch string(key) {
-		case "url":
-			return 0, p.str(&e.URL)
-		case "mode":
-			return 1, p.word(&e.Mode)
-		case "policy":
-			return 2, p.word(&e.PolicyURI)
-		case "token_types":
-			// The one null the encoder writes: a nil slice.
-			return 3, p.literal("null") || list(p, &e.TokenTypes, p.word)
-		}
-		return 0, false
-	})
-}
-
-func (p *parser) cert(c *CertRecord) bool {
-	return p.object(func(key []byte) (int, bool) {
-		switch string(key) {
-		case "thumbprint":
-			return 0, p.str(&c.Thumbprint)
-		case "hash":
-			return 1, p.word(&c.Hash)
-		case "bits":
-			return 2, p.integer(&c.Bits)
-		case "not_before":
-			return 3, p.time(&c.NotBefore)
-		case "not_after":
-			return 4, p.time(&c.NotAfter)
-		case "subject_cn":
-			return 5, p.str(&c.SubjectCN)
-		case "subject_org":
-			return 6, p.word(&c.SubjectOrg)
-		case "app_uri":
-			return 7, p.str(&c.AppURI)
-		case "self_signed":
-			return 8, p.boolean(&c.SelfSigned)
-		case "modulus":
-			return 9, p.str(&c.ModulusB64)
-		}
-		return 0, false
-	})
-}
-
-func (p *parser) node(n *NodeRecord) bool {
-	return p.object(func(key []byte) (int, bool) {
-		switch string(key) {
-		case "id":
-			return 0, p.word(&n.ID)
-		case "class":
-			return 1, p.word(&n.Class)
-		case "display_name":
-			return 2, p.word(&n.DisplayName)
-		case "readable":
-			return 3, p.boolean(&n.Readable)
-		case "writable":
-			return 4, p.boolean(&n.Writable)
-		case "executable":
-			return 5, p.boolean(&n.Executable)
-		case "value_sample":
-			return 6, p.str(&n.ValueSample)
-		}
-		return 0, false
-	})
-}
 
 // ws skips JSON whitespace.
 func (p *parser) ws() {
@@ -431,64 +437,6 @@ func (p *parser) literal(lit string) bool {
 	return false
 }
 
-// object reads an object. member is handed each key, reads its value
-// and returns the key's index in its struct; an unknown key, a failed
-// value or a key seen before ends the fast path.
-func (p *parser) object(member func(key []byte) (int, bool)) bool {
-	if !p.eat('{') {
-		return false
-	}
-	if p.eat('}') {
-		return true
-	}
-	var seen uint64
-	for {
-		p.ws()
-		key, ok := p.plain()
-		if !ok || !p.eat(':') {
-			return false
-		}
-		p.ws()
-		idx, ok := member(key)
-		if !ok || seen&(1<<idx) != 0 {
-			return false
-		}
-		seen |= 1 << idx
-		if p.eat('}') {
-			return true
-		}
-		if !p.eat(',') {
-			return false
-		}
-	}
-}
-
-// list reads an array into *dst with elem; [] is an empty, non-nil
-// slice, as encoding/json decodes it.
-func list[T any](p *parser, dst *[]T, elem func(*T) bool) bool {
-	if !p.eat('[') {
-		return false
-	}
-	*dst = []T{}
-	if p.eat(']') {
-		return true
-	}
-	for {
-		p.ws()
-		var v T
-		if !elem(&v) {
-			return false
-		}
-		*dst = append(*dst, v)
-		if p.eat(']') {
-			return true
-		}
-		if !p.eat(',') {
-			return false
-		}
-	}
-}
-
 // plainByte[c] reports whether c stands for itself inside a string of
 // printable ASCII: not a quote, backslash, control or non-ASCII byte.
 var plainByte = func() (plain [256]bool) {
@@ -516,34 +464,22 @@ func (p *parser) plain() ([]byte, bool) {
 	return s, true
 }
 
-func (p *parser) str(dst *string) bool {
-	start := p.i
-	if s, ok := p.plain(); ok {
-		*dst = string(s)
-		return true
-	}
-	p.i = start
-	return p.unquote(dst)
-}
-
-// word is str for a field whose values repeat across records (node
-// names and classes, endpoint modes and policies, error messages, ...):
-// a value the decoder read before is shared instead of copied again.
-// Strings are immutable, so records sharing one are independent.
-func (p *parser) word(dst *string) bool {
+// str reads a string into dst, sharing a plain one through words when
+// words is not nil.
+func (p *parser) str(dst *string, words map[string]string) bool {
 	start := p.i
 	s, ok := p.plain()
 	if !ok {
 		p.i = start
 		return p.unquote(dst)
 	}
-	if w, ok := p.words[string(s)]; ok {
+	if w, ok := words[string(s)]; ok {
 		*dst = w
 		return true
 	}
 	*dst = string(s)
-	if p.words != nil && len(p.words) < maxWords {
-		p.words[*dst] = *dst
+	if words != nil && len(words) < maxWords {
+		words[*dst] = *dst
 	}
 	return true
 }
@@ -563,38 +499,24 @@ func (p *parser) unquote(dst *string) bool {
 			*dst = string(out)
 			p.i = i + 1
 			return true
-		case c < ' ':
+		case c < ' ' || c == '\\' && i+1 == len(p.b):
 			return false
+		case c == '\\' && p.b[i+1] == 'u':
+			if len(p.b)-i < 6 {
+				return false
+			}
+			r, err := strconv.ParseUint(string(p.b[i+2:i+6]), 16, 16)
+			if err != nil || utf16.IsSurrogate(rune(r)) {
+				return false
+			}
+			out = utf8.AppendRune(out, rune(r))
+			i += 6
 		case c == '\\':
-			if i+1 == len(p.b) {
+			k := strings.IndexByte(shortEscapes, p.b[i+1])
+			if k < 0 {
 				return false
 			}
-			switch e := p.b[i+1]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				if len(p.b)-i < 6 {
-					return false
-				}
-				r, err := strconv.ParseUint(string(p.b[i+2:i+6]), 16, 16)
-				if err != nil || utf16.IsSurrogate(rune(r)) {
-					return false
-				}
-				out = utf8.AppendRune(out, rune(r))
-				i += 4
-			default:
-				return false
-			}
+			out = append(out, shortEscaped[k])
 			i += 2
 		case c < utf8.RuneSelf:
 			out = append(out, c)
@@ -619,29 +541,6 @@ func (p *parser) time(dst *time.Time) bool {
 		return false
 	}
 	return dst.UnmarshalJSON(p.b[start:p.i]) == nil
-}
-
-func (p *parser) boolean(dst *bool) bool {
-	switch {
-	case p.literal("true"):
-		*dst = true
-	case p.literal("false"):
-	default:
-		return false
-	}
-	return true
-}
-
-func (p *parser) integer(dst *int) bool {
-	v, ok := p.number(strconv.IntSize)
-	*dst = int(v)
-	return ok
-}
-
-func (p *parser) integer64(dst *int64) bool {
-	v, ok := p.number(64)
-	*dst = v
-	return ok
 }
 
 // number reads a JSON integer that fits a signed integer of the given
