@@ -29,8 +29,8 @@ func AppendRecord(dst []byte, r *HostRecord) ([]byte, error) {
 // UTF-8, a number that is not an in-range integer, trailing bytes, a
 // syntax error — goes to json.Unmarshal, whose record and error then
 // stand. No string of the record aliases line.
-func decodeRecord(line []byte, words map[string]string) (*HostRecord, error) {
-	if r := new(HostRecord); parseRecord(line, r, words) {
+func decodeRecord(line []byte) (*HostRecord, error) {
+	if r := new(HostRecord); parseRecord(line, r) {
 		return r, nil
 	}
 	r := new(HostRecord)
@@ -42,10 +42,9 @@ func decodeRecord(line []byte, words map[string]string) (*HostRecord, error) {
 
 // parseRecord is the decoder's fast path: it reports whether line is
 // one HostRecord object it reads exactly as json.Unmarshal would,
-// leaving r partly filled when it is not. words, when not nil, collects
-// the values of repeating fields for later lines to share.
-func parseRecord(line []byte, r *HostRecord, words map[string]string) bool {
-	p := &parser{b: line, words: words}
+// leaving r partly filled when it is not.
+func parseRecord(line []byte, r *HostRecord) bool {
+	p := &parser{b: line}
 	if !hostCodec.parse(p, r) {
 		return false
 	}
@@ -61,25 +60,25 @@ var (
 		fieldOf("date", timeCodec, func(r *HostRecord) *time.Time { return &r.Date }),
 		fieldOf("address", stringCodec, func(r *HostRecord) *string { return &r.Address }),
 		fieldOf("asn", intCodec, func(r *HostRecord) *int { return &r.ASN }),
-		fieldOf("via", wordCodec, func(r *HostRecord) *string { return &r.Via }),
+		fieldOf("via", stringCodec, func(r *HostRecord) *string { return &r.Via }),
 		fieldOf("reached_opcua", boolCodec, func(r *HostRecord) *bool { return &r.ReachedOPCUA }),
-		omitEmpty("error", wordCodec, func(r *HostRecord) *string { return &r.Error }),
-		omitEmpty("failure_class", wordCodec, func(r *HostRecord) *string { return &r.FailureClass }),
+		omitEmpty("error", stringCodec, func(r *HostRecord) *string { return &r.Error }),
+		omitEmpty("failure_class", stringCodec, func(r *HostRecord) *string { return &r.FailureClass }),
 		omitEmpty("app_uri", stringCodec, func(r *HostRecord) *string { return &r.AppURI }),
 		omitEmpty("product_uri", stringCodec, func(r *HostRecord) *string { return &r.ProductURI }),
-		omitEmpty("application_type", wordCodec, func(r *HostRecord) *string { return &r.ApplicationType }),
-		omitEmpty("software_version", wordCodec, func(r *HostRecord) *string { return &r.SoftwareVersion }),
+		omitEmpty("application_type", stringCodec, func(r *HostRecord) *string { return &r.ApplicationType }),
+		omitEmpty("software_version", stringCodec, func(r *HostRecord) *string { return &r.SoftwareVersion }),
 		omitEmpty("endpoints", listOf(endpointCodec), func(r *HostRecord) *[]EndpointRecord { return &r.Endpoints }),
 		omitEmpty("cert", pointerTo(certCodec), func(r *HostRecord) **CertRecord { return &r.Cert }),
 		fieldOf("sc_attempted", boolCodec, func(r *HostRecord) *bool { return &r.SecureChannelAttempted }),
 		fieldOf("sc_ok", boolCodec, func(r *HostRecord) *bool { return &r.SecureChannelOK }),
-		omitEmpty("sc_policy", wordCodec, func(r *HostRecord) *string { return &r.SecureChannelPolicy }),
+		omitEmpty("sc_policy", stringCodec, func(r *HostRecord) *string { return &r.SecureChannelPolicy }),
 		fieldOf("cert_rejected", boolCodec, func(r *HostRecord) *bool { return &r.CertRejected }),
 		fieldOf("anon_offered", boolCodec, func(r *HostRecord) *bool { return &r.AnonOffered }),
 		fieldOf("anon_attempted", boolCodec, func(r *HostRecord) *bool { return &r.AnonAttempted }),
 		fieldOf("anon_ok", boolCodec, func(r *HostRecord) *bool { return &r.AnonOK }),
-		omitEmpty("anon_error", wordCodec, func(r *HostRecord) *string { return &r.AnonError }),
-		omitEmpty("namespaces", listOf(wordCodec), func(r *HostRecord) *[]string { return &r.Namespaces }),
+		omitEmpty("anon_error", stringCodec, func(r *HostRecord) *string { return &r.AnonError }),
+		omitEmpty("namespaces", listOf(stringCodec), func(r *HostRecord) *[]string { return &r.Namespaces }),
 		omitEmpty("nodes", listOf(nodeCodec), func(r *HostRecord) *[]NodeRecord { return &r.Nodes }),
 		fieldOf("variables", intCodec, func(r *HostRecord) *int { return &r.Variables }),
 		fieldOf("readable", intCodec, func(r *HostRecord) *int { return &r.Readable }),
@@ -91,26 +90,26 @@ var (
 	)
 	endpointCodec = objectOf(
 		fieldOf("url", stringCodec, func(e *EndpointRecord) *string { return &e.URL }),
-		fieldOf("mode", wordCodec, func(e *EndpointRecord) *string { return &e.Mode }),
-		fieldOf("policy", wordCodec, func(e *EndpointRecord) *string { return &e.PolicyURI }),
-		fieldOf("token_types", listOf(wordCodec), func(e *EndpointRecord) *[]string { return &e.TokenTypes }),
+		fieldOf("mode", stringCodec, func(e *EndpointRecord) *string { return &e.Mode }),
+		fieldOf("policy", stringCodec, func(e *EndpointRecord) *string { return &e.PolicyURI }),
+		fieldOf("token_types", listOf(stringCodec), func(e *EndpointRecord) *[]string { return &e.TokenTypes }),
 	)
 	certCodec = objectOf(
 		fieldOf("thumbprint", stringCodec, func(c *CertRecord) *string { return &c.Thumbprint }),
-		fieldOf("hash", wordCodec, func(c *CertRecord) *string { return &c.Hash }),
+		fieldOf("hash", stringCodec, func(c *CertRecord) *string { return &c.Hash }),
 		fieldOf("bits", intCodec, func(c *CertRecord) *int { return &c.Bits }),
 		fieldOf("not_before", timeCodec, func(c *CertRecord) *time.Time { return &c.NotBefore }),
 		fieldOf("not_after", timeCodec, func(c *CertRecord) *time.Time { return &c.NotAfter }),
 		fieldOf("subject_cn", stringCodec, func(c *CertRecord) *string { return &c.SubjectCN }),
-		fieldOf("subject_org", wordCodec, func(c *CertRecord) *string { return &c.SubjectOrg }),
+		fieldOf("subject_org", stringCodec, func(c *CertRecord) *string { return &c.SubjectOrg }),
 		fieldOf("app_uri", stringCodec, func(c *CertRecord) *string { return &c.AppURI }),
 		fieldOf("self_signed", boolCodec, func(c *CertRecord) *bool { return &c.SelfSigned }),
 		fieldOf("modulus", stringCodec, func(c *CertRecord) *string { return &c.ModulusB64 }),
 	)
 	nodeCodec = objectOf(
-		fieldOf("id", wordCodec, func(n *NodeRecord) *string { return &n.ID }),
-		fieldOf("class", wordCodec, func(n *NodeRecord) *string { return &n.Class }),
-		fieldOf("display_name", wordCodec, func(n *NodeRecord) *string { return &n.DisplayName }),
+		fieldOf("id", stringCodec, func(n *NodeRecord) *string { return &n.ID }),
+		fieldOf("class", stringCodec, func(n *NodeRecord) *string { return &n.Class }),
+		fieldOf("display_name", stringCodec, func(n *NodeRecord) *string { return &n.DisplayName }),
 		fieldOf("readable", boolCodec, func(n *NodeRecord) *bool { return &n.Readable }),
 		fieldOf("writable", boolCodec, func(n *NodeRecord) *bool { return &n.Writable }),
 		fieldOf("executable", boolCodec, func(n *NodeRecord) *bool { return &n.Executable }),
@@ -129,17 +128,8 @@ type codec[V any] struct {
 var (
 	stringCodec = codec[string]{
 		append: func(dst []byte, s *string) ([]byte, error) { return appendString(dst, *s), nil },
-		parse:  func(p *parser, s *string) bool { return p.str(s, nil) },
+		parse:  (*parser).str,
 		empty:  func(s *string) bool { return *s == "" },
-	}
-	// wordCodec is stringCodec for a field whose values repeat across
-	// records (node names and classes, endpoint modes and policies,
-	// messages): a decoder shares a value it read before instead of
-	// copying it again. Strings are immutable, so sharing is unseen.
-	wordCodec = codec[string]{
-		append: stringCodec.append,
-		parse:  func(p *parser, s *string) bool { return p.str(s, p.words) },
-		empty:  stringCodec.empty,
 	}
 	intCodec = codec[int]{
 		append: func(dst []byte, v *int) ([]byte, error) { return strconv.AppendInt(dst, int64(*v), 10), nil },
@@ -397,14 +387,9 @@ const (
 // parser walks one line. Every method reports false on input outside
 // the fast path and then leaves the position undefined.
 type parser struct {
-	b     []byte
-	i     int
-	words map[string]string // see wordCodec
+	b []byte
+	i int
 }
-
-// maxWords bounds a decoder's vocabulary: the node names, classes,
-// modes, policies and messages a campaign repeats number in the hundreds.
-const maxWords = 4096
 
 // ws skips JSON whitespace.
 func (p *parser) ws() {
@@ -464,24 +449,15 @@ func (p *parser) plain() ([]byte, bool) {
 	return s, true
 }
 
-// str reads a string into dst, sharing a plain one through words when
-// words is not nil.
-func (p *parser) str(dst *string, words map[string]string) bool {
+// str reads a string into dst.
+func (p *parser) str(dst *string) bool {
 	start := p.i
-	s, ok := p.plain()
-	if !ok {
-		p.i = start
-		return p.unquote(dst)
-	}
-	if w, ok := words[string(s)]; ok {
-		*dst = w
+	if s, ok := p.plain(); ok {
+		*dst = string(s)
 		return true
 	}
-	*dst = string(s)
-	if words != nil && len(words) < maxWords {
-		words[*dst] = *dst
-	}
-	return true
+	p.i = start
+	return p.unquote(dst)
 }
 
 // unquote reads a string with escapes or non-ASCII text. A \u escape of

@@ -87,18 +87,18 @@ func checkCodec(t *testing.T, r *HostRecord) {
 		t.Fatalf("AppendRecord differs from json.Marshal at byte %d:\n got …%s\nwant …%s",
 			i, got[from:min(len(got), i+40)], want[from:min(len(want), i+40)])
 	}
-	checkDecode(t, got, map[string]string{})
+	checkDecode(t, got)
 }
 
-// checkDecode decodes line on the fast path, with the vocabulary words.
-func checkDecode(t *testing.T, line []byte, words map[string]string) {
+// checkDecode decodes line on the fast path.
+func checkDecode(t *testing.T, line []byte) {
 	t.Helper()
 	ref := new(HostRecord)
 	if err := json.Unmarshal(line, ref); err != nil {
 		t.Fatal(err)
 	}
 	fast := new(HostRecord)
-	if !parseRecord(line, fast, words) {
+	if !parseRecord(line, fast) {
 		t.Fatalf("line fell back to encoding/json: %s", line)
 	}
 	if !reflect.DeepEqual(fast, ref) {
@@ -155,15 +155,11 @@ func TestCodecMatchesJSON(t *testing.T) {
 		if err := sc.Err(); err != nil {
 			t.Fatal(err)
 		}
-		// Twice through one vocabulary: the second pass shares its words.
-		words := map[string]string{}
-		for pass := 0; pass < 2; pass++ {
-			for _, line := range lines {
-				checkDecode(t, line, words)
-				r, _ := decodeRecord(line, words)
-				if got, _ := AppendRecord(nil, r); !bytes.Equal(got, line) {
-					t.Errorf("re-encoded line differs:\n got %s\nwant %s", got, line)
-				}
+		for _, line := range lines {
+			checkDecode(t, line)
+			r, _ := decodeRecord(line)
+			if got, _ := AppendRecord(nil, r); !bytes.Equal(got, line) {
+				t.Errorf("re-encoded line differs:\n got %s\nwant %s", got, line)
 			}
 		}
 	})
@@ -231,9 +227,8 @@ func decodeSeeds(f *testing.F) {
 // json.Unmarshal's.
 func FuzzDecodeRecord(f *testing.F) {
 	decodeSeeds(f)
-	words := map[string]string{}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		got, err := decodeRecord(line, words)
+		got, err := decodeRecord(line)
 		want := new(HostRecord)
 		wantErr := json.Unmarshal(line, want)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
@@ -281,6 +276,6 @@ func FuzzAppendRecord(f *testing.F) {
 		if err != nil || !bytes.Equal(got[len("kept"):], want) {
 			t.Fatalf("AppendRecord = %s, %v\nwant json.Marshal's %s", got, err, want)
 		}
-		checkDecode(t, want, nil)
+		checkDecode(t, want)
 	})
 }

@@ -331,9 +331,8 @@ func (e *Encoder) Flush() error {
 // shard merge, the incremental analyzer) never need a whole dataset in
 // memory.
 type Decoder struct {
-	br    *bufio.Reader
-	line  int
-	words map[string]string // the codec's vocabulary, this decoder's own
+	br   *bufio.Reader
+	line int
 }
 
 // ErrTruncatedStream marks a stream whose final line ends mid-record:
@@ -353,7 +352,7 @@ const maxDecodeLine = 16 << 20
 
 // NewDecoder returns a Decoder reading NDJSON from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, 1<<20), words: make(map[string]string)}
+	return &Decoder{br: bufio.NewReaderSize(r, 1<<20)}
 }
 
 // Decode returns the next record, or io.EOF after the last one. A
@@ -374,7 +373,7 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 			continue
 		}
 		d.line++
-		rec, uerr := decodeRecord(line, d.words)
+		rec, uerr := decodeRecord(line)
 		if uerr != nil {
 			if !terminated {
 				return nil, fmt.Errorf("dataset: line %d: %w (%v)", d.line, ErrTruncatedStream, uerr)

@@ -536,7 +536,7 @@ func (c *Coordinator) refill() {
 	c.mu.Unlock()
 
 	for _, op := range ops {
-		if err := op.w.fr.send(op.typ, shardPayload(op.shard, nil)); err != nil {
+		if err := op.w.fr.send(op.typ, appendShard(nil, op.shard)); err != nil {
 			c.declareDead(op.w, fmt.Sprintf("send %s: %v", op.typ, err))
 		}
 	}

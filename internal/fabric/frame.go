@@ -242,13 +242,10 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 	return typ, payload, nil
 }
 
-// shardPayload encodes a shard index, optionally followed by extra
-// bytes (record lines, error text).
-func shardPayload(shard int, rest []byte) []byte {
-	p := make([]byte, 4+len(rest))
-	binary.BigEndian.PutUint32(p[:4], uint32(shard))
-	copy(p[4:], rest)
-	return p
+// appendShard appends the tag that opens a shard payload, the shard
+// index; extra bytes (a record line, error text) follow it.
+func appendShard(dst []byte, shard int) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(shard))
 }
 
 // decodeShard splits a shard-tagged payload.

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dataset"
@@ -46,7 +45,7 @@ func newNetSink(fr *framer, shard int, faults FaultInjector, records *telemetry.
 //
 //studyvet:hotpath — once per record a worker streams; a steady-state Put allocates nothing
 func (s *NetSink) Put(rec *dataset.HostRecord) error {
-	frame, err := dataset.AppendRecord(binary.BigEndian.AppendUint32(s.frame[:0], uint32(s.shard)), rec)
+	frame, err := dataset.AppendRecord(appendShard(s.frame[:0], s.shard), rec)
 	if err != nil {
 		return fmt.Errorf("fabric: encode record: %w", err) //studyvet:alloc-ok — failure path
 	}

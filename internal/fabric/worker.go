@@ -327,7 +327,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 			continue
 		}
 
-		if err := fr.send(FrameStart, shardPayload(shard, nil)); err != nil {
+		if err := fr.send(FrameStart, appendShard(nil, shard)); err != nil {
 			return false, err
 		}
 		cfg.logf("fabric worker %s: running shard %d", cfg.Name, shard)
@@ -335,7 +335,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 		rerr = run(ctx, hello, shard, sink)
 		switch {
 		case rerr == nil:
-			if err := fr.send(FrameDone, shardPayload(shard, nil)); err != nil {
+			if err := fr.send(FrameDone, appendShard(nil, shard)); err != nil {
 				return false, err
 			}
 			m.shardsDone.Inc()
@@ -347,7 +347,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 			// A shard-level failure the connection survived: report it
 			// so the coordinator re-queues within its attempt budget.
 			m.shardsFail.Inc()
-			if err := fr.send(FrameFail, shardPayload(shard, []byte(rerr.Error()))); err != nil {
+			if err := fr.send(FrameFail, append(appendShard(nil, shard), rerr.Error()...)); err != nil {
 				return false, err
 			}
 		}
