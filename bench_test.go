@@ -262,45 +262,6 @@ func BenchmarkCampaignWave(b *testing.B) {
 	})
 }
 
-// BenchmarkCampaignConcurrentWaves quantifies the worldview speedup:
-// the same three-wave campaign with one wave at a time (WaveWorkers=1,
-// still overlapping analysis with the next scan) versus all three
-// waves scanning concurrently against their own immutable snapshots
-// (WaveWorkers=3). A small artificial RTT is injected into both
-// variants: the zero-latency simulation is purely CPU-bound, while wave
-// scans are network-shaped in the real study, and that idle dial time is
-// exactly what concurrent waves reclaim. Both variants must reproduce
-// the paper's 1114 servers.
-func BenchmarkCampaignConcurrentWaves(b *testing.B) {
-	c := benchCampaign(b)
-	c.World.Net.SetLatency(25 * time.Millisecond)
-	defer c.World.Net.SetLatency(0)
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"waveworkers-1", 1},
-		{"waveworkers-3", 3},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := c.Config
-			cfg.Waves = []int{5, 6, 7}
-			cfg.WaveWorkers = mode.workers
-			for i := 0; i < b.N; i++ {
-				run, err := RunCampaignOnWorld(context.Background(), cfg, c.World)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last := run.LastWave()
-				if len(last.Servers) != 1114 {
-					b.Fatalf("servers = %d, want 1114", len(last.Servers))
-				}
-				b.ReportMetric(float64(len(last.Servers)), "servers")
-			}
-		})
-	}
-}
-
 // BenchmarkCampaign8Waves is the PR 4 headline: the complete
 // longitudinal campaign — all eight weekly waves against the
 // full-fidelity 1,114-server world — with the memoized
@@ -318,16 +279,16 @@ func BenchmarkCampaignConcurrentWaves(b *testing.B) {
 func BenchmarkCampaign8Waves(b *testing.B) {
 	c := benchCampaign(b)
 	for _, mode := range []struct {
-		name  string
-		cache int
+		name     string
+		uncached bool
 	}{
-		{"cached", 0},
-		{"uncached", -1},
+		{"cached", false},
+		{"uncached", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := c.Config
 			cfg.Waves = nil // all eight
-			cfg.CryptoCache = mode.cache
+			cfg.uncachedCrypto = mode.uncached
 			for i := 0; i < b.N; i++ {
 				run, err := RunCampaignOnWorld(context.Background(), cfg, c.World)
 				if err != nil {

@@ -132,7 +132,6 @@ func mergeStreams(cfg opcuastudy.CampaignConfig, streams [][]byte, datasetPath s
 	}
 	reg := telemetry.New()
 	analyzer := pipeline.NewAnalyzer(pipeline.AnalyzerConfig{
-		Workers: cfg.AnalyzeWorkers,
 		Retain:  true,
 		Metrics: reg,
 		OnWave: func(w *core.WaveAnalysis) {

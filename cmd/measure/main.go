@@ -7,17 +7,16 @@
 //
 //	measure [-seed 2020] [-waves 0-7] [-dataset out.jsonl] [-anonymize]
 //	        [-testkeys] [-noise 0.002] [-csv] [-max-hosts 0]
-//	        [-grab-workers 32] [-wave-workers 1] [-analyze-workers 0]
-//	        [-crypto-cache 0] [-chaos mixed,seed=7] [-delta] [-shards 4]
+//	        [-grab-workers 32] [-chaos mixed,seed=7] [-delta] [-shards 4]
 //
-// -delta runs a delta-wave campaign (DESIGN.md §10): every wave after
-// the first fingerprints each host's spec state and skips the grab of
-// provably unchanged hosts, cloning their prior records instead. The
-// dataset stays byte-identical to the full scan; needs at least two
-// selected waves and one wave in flight (-wave-workers 0 or 1).
-// Composes with -chaos (chaos decisions are part of the fingerprint)
-// and -shards (in a fabric the flag travels in the campaign spec, so
-// every worker plans the same skips).
+// Waves scan one after another, each while the previous one is
+// analyzed. -delta runs a delta-wave campaign (DESIGN.md §10): every
+// wave after the first fingerprints each host's spec state and skips
+// the grab of provably unchanged hosts, cloning their prior records
+// instead. The dataset stays byte-identical to the full scan; needs at
+// least two selected waves. Composes with -chaos (chaos decisions are
+// part of the fingerprint) and -shards (in a fabric the flag travels in
+// the campaign spec, so every worker plans the same skips).
 //
 // -shards N splits every wave's permuted probe space into N shards that
 // scan concurrently in this process, each with its own grab pool, and
@@ -127,10 +126,9 @@ const (
 var flagModes = map[string]int{
 	"seed": single | coordinator, "waves": single | coordinator, "testkeys": single | coordinator,
 	"noise": single | coordinator, "max-hosts": single | coordinator, "chaos": single | coordinator,
-	"grab-workers": single | coordinator, "crypto-cache": single | coordinator, "delta": single | coordinator,
-	"shards": single | coordinator, "analyze-workers": single | coordinator, "dataset": single | coordinator,
-	"anonymize": single | coordinator, "csv": single | coordinator,
-	"wave-workers": single, "trace": single, "metrics-interval": single | worker,
+	"grab-workers": single | coordinator, "delta": single | coordinator, "shards": single | coordinator,
+	"dataset": single | coordinator, "anonymize": single | coordinator, "csv": single | coordinator,
+	"trace": single, "metrics-interval": single | worker,
 	"listen": coordinator, "dead-after": coordinator, "connect": worker, "name": worker,
 	"fault": coordinator | worker, "heartbeat": coordinator | worker,
 }
@@ -152,10 +150,6 @@ func main() {
 	csv := flag.Bool("csv", false, "print tables as CSV instead of text")
 	maxHosts := flag.Int("max-hosts", 0, "truncate the simulated population (0 = all; breaks paper fidelity)")
 	grabWorkers := flag.Int("grab-workers", 0, "scanner worker pool size (0 = default 32; per shard when sharded)")
-	waveWorkers := flag.Int("wave-workers", 0, "waves scanned concurrently, each against its own immutable world view (0/1 = one at a time)")
-	analyzeWorkers := flag.Int("analyze-workers", 0, "assessment worker pool size (0 = GOMAXPROCS)")
-	cryptoCache := flag.Int("crypto-cache", 0,
-		"RSA memoization engine entry budget (0 = default; negative disables memoized, deterministic handshakes)")
 	chaosSpec := flag.String("chaos", "",
 		"adversarial host model, <profile>[,seed=N] (profiles: "+strings.Join(chaos.Profiles(), ", ")+"; seed defaults to -seed)")
 	delta := flag.Bool("delta", false,
@@ -165,7 +159,7 @@ func main() {
 	connectAddr := flag.String("connect", "", "fabric worker mode: dial this coordinator and execute leased shards")
 	workerName := flag.String("name", "", "fabric worker name (default worker-<pid>)")
 	faultSpec := flag.String("fault", "", "fabric fault injection for tests: worker kill=N | stall=N | drop=N, coordinator dupgrant")
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "fabric worker heartbeat cadence (coordinator: advertised in the campaign spec)")
+	heartbeat := flag.Duration("heartbeat", 2*time.Second, "fabric worker heartbeat cadence (coordinator: recorded in the campaign spec for information; workers use their own)")
 	deadAfter := flag.Duration("dead-after", 10*time.Second, "fabric coordinator: declare a worker dead after this heartbeat gap and re-queue its shards")
 	metricsPath := flag.String("metrics", "", "stream telemetry snapshots as NDJSON to this file (\"-\" = stdout); a fabric coordinator writes the merge stage's and its own closing snapshots")
 	metricsInterval := flag.Duration("metrics-interval", 0, "periodic snapshot cadence (0 = closing snapshot only)")
@@ -192,30 +186,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *delta {
-		// Fail the composition errors at flag time with the actual
-		// values, before any world is built.
-		if waveList != nil && len(waveList) < 2 {
-			log.Fatalf("-delta diffs consecutive waves and needs at least 2 selected, got -waves %q selecting %d wave(s)", *waves, len(waveList))
-		}
-		if *waveWorkers > 1 {
-			log.Fatalf("-delta plans each wave from what the previous one observed and scans one wave at a time, got -wave-workers %d (use 0 or 1; -shards parallelizes a delta wave)", *waveWorkers)
-		}
+	// Fail the composition error at flag time with the actual values,
+	// before any world is built.
+	if *delta && waveList != nil && len(waveList) < 2 {
+		log.Fatalf("-delta diffs consecutive waves and needs at least 2 selected, got -waves %q selecting %d wave(s)", *waves, len(waveList))
 	}
 	cfg := opcuastudy.CampaignConfig{
-		Seed:           *seed,
-		Waves:          waveList,
-		TestKeySizes:   *testKeys,
-		NoiseProb:      *noise,
-		MaxHosts:       *maxHosts,
-		Anonymize:      *anonymize,
-		GrabWorkers:    *grabWorkers,
-		WaveWorkers:    *waveWorkers,
-		AnalyzeWorkers: *analyzeWorkers,
-		CryptoCache:    *cryptoCache,
-		ChaosProfile:   chaosProfile,
-		ChaosSeed:      chaosSeed,
-		Delta:          *delta,
+		Seed:         *seed,
+		Waves:        waveList,
+		TestKeySizes: *testKeys,
+		NoiseProb:    *noise,
+		MaxHosts:     *maxHosts,
+		Anonymize:    *anonymize,
+		GrabWorkers:  *grabWorkers,
+		ChaosProfile: chaosProfile,
+		ChaosSeed:    chaosSeed,
+		Delta:        *delta,
 		Progressf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -431,8 +431,7 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 	spec := &CampaignSpec{
 		Study: study.Study{Seed: 2020, Waves: []int{6, 7}, TestKeySizes: true,
 			NoiseProb: 1e-5, MaxHosts: 60, ChaosProfile: "mixed", ChaosSeed: 7},
-		GrabWorkers: 8, QueueSize: 32, CryptoCache: 128,
-		Delta: true, Shards: 5, HeartbeatMs: 2000,
+		GrabWorkers: 8, Delta: true, Shards: 5, HeartbeatMs: 2000,
 	}
 	b, err := spec.Encode()
 	if err != nil {
@@ -444,6 +443,27 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, spec) {
 		t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, spec)
+	}
+}
+
+// TestCampaignSpecRejectsUnknownKeys pins that a worker refuses a Hello
+// it cannot read in full: a key from another build (a field this one
+// dropped, or a Study field it does not have yet) would otherwise be
+// dropped silently and the worker would run another campaign than its
+// coordinator described.
+func TestCampaignSpecRejectsUnknownKeys(t *testing.T) {
+	b, err := (&CampaignSpec{Study: study.Study{Seed: 2020}, Shards: 2}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"crypto_cache", "world_image"} {
+		hello := append([]byte(`{"`+key+`":-1,`), b[1:]...)
+		if _, err := DecodeSpec(hello); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("DecodeSpec(%s): err %v, want one naming %q", hello, err, key)
+		}
+	}
+	if _, err := DecodeSpec(append(b, "{}"...)); err == nil {
+		t.Error("DecodeSpec accepted data after the spec")
 	}
 }
 

@@ -19,6 +19,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -261,21 +262,21 @@ func decodeShard(payload []byte) (int, []byte, error) {
 // the single source of truth a fleet configures itself from. The
 // embedded Study is what the campaign measures: every field that can
 // shape a record byte, so every worker must agree on it. The rest is
-// how: GrabWorkers, QueueSize, CryptoCache and Delta let a worker
-// execute like its coordinator asked (none changes a byte), and Shards
-// and HeartbeatMs are the fleet's own. Sinks, telemetry and analysis
-// knobs stay per-process.
+// how: GrabWorkers and Delta let a worker execute like its coordinator
+// asked (neither changes a byte), and Shards and HeartbeatMs are the
+// fleet's own. Sinks, telemetry and analysis stay per-process.
 type CampaignSpec struct {
 	study.Study
 	GrabWorkers int  `json:"grab_workers"`
-	QueueSize   int  `json:"queue_size"`
-	CryptoCache int  `json:"crypto_cache"`
 	Delta       bool `json:"delta,omitempty"`
 	// Shards is the campaign's total shard count — every worker must
 	// slice the probe space the same N ways for the merge to be exact.
 	Shards int `json:"shards"`
-	// HeartbeatMs is the worker heartbeat cadence the coordinator
-	// expects (its death threshold is a multiple of it).
+	// HeartbeatMs is the worker heartbeat cadence the coordinator was
+	// given, recorded for information only: no worker reads it. Each
+	// worker beats at its own WorkerConfig.HeartbeatEvery (measure
+	// -connect -heartbeat), and the coordinator declares a worker dead
+	// by its own CoordinatorConfig.DeadAfter.
 	HeartbeatMs int64 `json:"heartbeat_ms"`
 }
 
@@ -288,11 +289,18 @@ func (s *CampaignSpec) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeSpec parses a Hello payload.
+// DecodeSpec parses a Hello payload. A key this build does not know is
+// an error: a worker that dropped it would run another campaign than
+// the one its coordinator described.
 func DecodeSpec(b []byte) (*CampaignSpec, error) {
 	s := new(CampaignSpec)
-	if err := json.Unmarshal(b, s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(s); err != nil {
 		return nil, fmt.Errorf("fabric: decode spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("fabric: decode spec: data after the spec")
 	}
 	return s, nil
 }

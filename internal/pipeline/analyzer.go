@@ -10,9 +10,6 @@ import (
 
 // AnalyzerConfig tunes the streaming analyzer.
 type AnalyzerConfig struct {
-	// Workers parallelizes the per-host assessment of each finalized
-	// wave (0 = GOMAXPROCS, 1 = serial).
-	Workers int
 	// Retain keeps every finalized WaveAnalysis (and therefore the
 	// wave's records, which it references) for Results. With Retain
 	// false the analyzer holds at most one wave's records at a time —
@@ -90,7 +87,7 @@ func (a *Analyzer) Put(rec *dataset.HostRecord) error {
 // finalizeWave closes the in-flight wave and folds it.
 func (a *Analyzer) finalizeWave() {
 	foldStart := a.foldNs.StartNs()
-	w := a.acc.Finalize(a.cfg.Workers)
+	w := a.acc.Finalize(0)
 	a.acc = nil
 	a.long.AddWave(w)
 	a.foldNs.AddSince(foldStart)

@@ -70,7 +70,7 @@ func TestAnalyzerMatchesSliceAnalysis(t *testing.T) {
 	}
 	wantLong := la.Finalize()
 
-	a := NewAnalyzer(AnalyzerConfig{Workers: 1, Retain: true})
+	a := NewAnalyzer(AnalyzerConfig{Retain: true})
 	for _, r := range all {
 		if err := a.Put(r); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestAnalyzerMatchesSliceAnalysis(t *testing.T) {
 
 // TestAnalyzerRejectsUnorderedStream pins the wave-order requirement.
 func TestAnalyzerRejectsUnorderedStream(t *testing.T) {
-	a := NewAnalyzer(AnalyzerConfig{Workers: 1})
+	a := NewAnalyzer(AnalyzerConfig{})
 	if err := a.Put(synthRecord(2, 0, "portscan", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAnalyzerRejectsUnorderedStream(t *testing.T) {
 func TestAnalyzerFlatMemory(t *testing.T) {
 	const hosts, pad = 1500, 2048 // ≈3 MB of namespace padding per wave
 	onWave := 0
-	a := NewAnalyzer(AnalyzerConfig{Workers: 1, OnWave: func(*core.WaveAnalysis) { onWave++ }})
+	a := NewAnalyzer(AnalyzerConfig{OnWave: func(*core.WaveAnalysis) { onWave++ }})
 	feed := func(w int) {
 		for h := 0; h < hosts; h++ {
 			if err := a.Put(synthRecord(w, h, "portscan", pad)); err != nil {
@@ -185,7 +185,7 @@ func TestTeeAndEncoderSink(t *testing.T) {
 // against the budget recorded in BENCH_5.json.
 func BenchmarkStreamingAnalyzerWave(b *testing.B) {
 	recs := synthWave(0, 500, 0)
-	a := NewAnalyzer(AnalyzerConfig{Workers: 1})
+	a := NewAnalyzer(AnalyzerConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultMaxFollowDepth is the follow-reference depth bound a wave
-// uses when WaveConfig.MaxFollowDepth is zero. Delta campaigns replay
+// DefaultMaxFollowDepth bounds transitive reference following: a
+// reference found at this depth is not followed. Delta campaigns replay
 // the same bound when deciding which carried-over references a skipped
 // referrer still surfaces.
 const DefaultMaxFollowDepth = 2
@@ -22,17 +22,12 @@ type WaveConfig struct {
 	// FollowReferences enables scanning host/port combinations announced
 	// by other servers; the paper added this on 2020-05-04.
 	FollowReferences bool
-	// MaxFollowDepth bounds transitive reference following
-	// (0 = DefaultMaxFollowDepth).
-	MaxFollowDepth int
-	// GrabWorkers parallelizes the application-layer stage.
+	// GrabWorkers parallelizes the application-layer stage. The grab
+	// work queue's channel buffer is twice this; the pending frontier
+	// itself is unbounded (the dispatcher holds overflow), so workers
+	// never block when they discover follow-up references.
 	GrabWorkers int
-	// QueueSize caps the grab work queue's channel buffer; zero derives
-	// a default from GrabWorkers. The pending frontier itself is
-	// unbounded (the dispatcher holds overflow), so workers never block
-	// when they discover follow-up references.
-	QueueSize int
-	PortScan  PortScanConfig
+	PortScan    PortScanConfig
 	// Metrics receives the grab-stage instruments (grab_targets,
 	// grab_done, grab_opcua, grab_noise, grab_followups,
 	// grab_queue_depth high-water, grab_queue_wait_ns histogram); nil
@@ -63,8 +58,8 @@ type WaveDelta struct {
 
 // InjectTarget is one carried-over reference target. Depth is the
 // follow-up depth the reference entered the prior scan at (referrer
-// depth + 1), replayed so the MaxFollowDepth cutoff behaves exactly as
-// in a full scan.
+// depth + 1), replayed so the DefaultMaxFollowDepth cutoff behaves
+// exactly as in a full scan.
 type InjectTarget struct {
 	Addr  string
 	Depth int
@@ -168,11 +163,7 @@ type grabOutcome struct {
 // as soon as the grab that discovered them completes. No depth barrier:
 // a depth-2 target can run while depth-0 stragglers are still in flight.
 func runStreaming(ctx context.Context, sc *Scanner, initial []Target, cfg WaveConfig) []*Result {
-	queueSize := cfg.QueueSize
-	if queueSize <= 0 {
-		queueSize = 2 * cfg.GrabWorkers
-	}
-	queue := make(chan grabJob, queueSize)
+	queue := make(chan grabJob, 2*cfg.GrabWorkers)
 	outcomes := make(chan grabOutcome, cfg.GrabWorkers)
 	gm := newGrabMetrics(cfg.Metrics)
 
@@ -244,7 +235,7 @@ func runStreaming(ctx context.Context, sc *Scanner, initial []Target, cfg WaveCo
 			gm.observe(out.res)
 			// After cancellation, don't start new targets — only drain
 			// what is in flight.
-			if !cancelled && cfg.FollowReferences && out.depth < cfg.MaxFollowDepth {
+			if !cancelled && cfg.FollowReferences && out.depth < DefaultMaxFollowDepth {
 				for _, addr := range out.res.FollowUp {
 					if seen[addr] {
 						continue

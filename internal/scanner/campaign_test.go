@@ -154,16 +154,16 @@ func TestRunWaveCancellationReturnsPartialWave(t *testing.T) {
 }
 
 // TestRunWaveQueueSmallerThanFrontier forces a queue buffer far smaller
-// than the target frontier; the select-based dispatcher must not
-// deadlock when workers block on a full outcome channel.
+// than the target frontier — one grab worker derives a queue of 2
+// against a frontier of about 15 targets; the select-based dispatcher
+// must not deadlock when the worker blocks on a full outcome channel.
 func TestRunWaveQueueSmallerThanFrontier(t *testing.T) {
 	nw, _ := buildWorld(t)
 	sc := newScanner(t, nw)
 	wave, err := RunWave(context.Background(), nw, sc, WaveConfig{
 		Date:             time.Date(2020, 5, 4, 0, 0, 0, 0, time.UTC),
 		FollowReferences: true,
-		GrabWorkers:      4,
-		QueueSize:        1,
+		GrabWorkers:      1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -117,7 +117,7 @@ type Result struct {
 	// FollowDepth is the follow-up depth the target was grabbed at
 	// (0 = port scan). Delta campaigns replay it so references carried
 	// over from a skipped referrer re-enter at the depth the full scan
-	// would have used, preserving the MaxFollowDepth cutoff.
+	// would have used, preserving the DefaultMaxFollowDepth cutoff.
 	FollowDepth int
 
 	BytesTransferred int64

@@ -70,9 +70,6 @@ func runWaveRange(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConf
 	if cfg.GrabWorkers <= 0 {
 		cfg.GrabWorkers = 32
 	}
-	if cfg.MaxFollowDepth <= 0 {
-		cfg.MaxFollowDepth = DefaultMaxFollowDepth
-	}
 	if cfg.PortScan.Metrics == nil {
 		// The discovery stage reports under the same scope as the grab
 		// stage unless the caller split them deliberately.

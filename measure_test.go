@@ -286,8 +286,8 @@ func TestMeasureDeltaCoordinator(t *testing.T) {
 
 // TestMeasureFlagValidation pins what cmd/measure rejects at flag time,
 // before any world is built: wave selections the campaign would refuse
-// after the build, -delta with concurrent waves, and flags the chosen
-// mode would ignore.
+// after the build, -delta over one wave, and flags the chosen mode would
+// ignore.
 func TestMeasureFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
@@ -299,7 +299,7 @@ func TestMeasureFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-testkeys", "-waves", "9"}, "wave 9 out of range 0-7"},
 		{[]string{"-testkeys", "-waves", "5-7,6"}, "selects wave 6 more than once"},
-		{[]string{"-testkeys", "-waves", "4-7", "-delta", "-wave-workers", "2"}, "got -wave-workers 2"},
+		{[]string{"-testkeys", "-waves", "7", "-delta"}, "needs at least 2 selected"},
 		// A flag with no effect in the chosen mode, one row per mode.
 		{[]string{"-connect", "127.0.0.1:1", "-chaos", "mixed"},
 			"-chaos has no effect with -connect: a fabric worker takes its study from the coordinator"},

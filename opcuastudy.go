@@ -72,28 +72,6 @@ type CampaignConfig struct {
 	MaxHosts int
 	// GrabWorkers parallelizes the application-layer scan.
 	GrabWorkers int
-	// WaveWorkers bounds how many waves scan concurrently (0 or 1 =
-	// one wave at a time). Each wave scans its own immutable worldview
-	// snapshot, so any value is safe; the output is identical to the
-	// one-wave-at-a-time run regardless (records and analyses are folded
-	// in wave order). Ignored under Delta, which needs wave i's
-	// observations to plan wave i+1 (cmd/measure rejects the
-	// combination at flag time).
-	WaveWorkers int
-	// AnalyzeWorkers parallelizes per-host assessment inside
-	// core.WaveAccumulator.Finalize (0 = GOMAXPROCS, 1 = serial).
-	AnalyzeWorkers int
-	// QueueSize caps the scanner's grab-queue channel buffer
-	// (0 = derived from GrabWorkers).
-	QueueSize int
-	// CryptoCache bounds the campaign's memoized asymmetric-crypto
-	// engine (cached RSA sign/verify/decrypt results across all waves;
-	// 0 = uarsa.DefaultMaxEntries). A negative value disables the
-	// engine AND the deterministic handshakes that make it hit across
-	// waves — every handshake then draws fresh randomness and recomputes
-	// its RSA operations, the pre-cache behavior kept as the benchmark
-	// baseline and equivalence gate. See DESIGN.md §4.
-	CryptoCache int
 	// Delta enables delta-wave execution (DESIGN.md §10): before each
 	// wave after the first selected one, every endpoint's wave state is
 	// fingerprinted from spec state alone (internal/wavediff) and
@@ -103,10 +81,9 @@ type CampaignConfig struct {
 	// first wave — falls back to a real grab. The dataset is
 	// byte-identical to a full scan and the analyses DeepEqual it, with
 	// or without chaos, at any shard count (the byte-identity gates pin
-	// this). Requires at least two selected waves; forces one wave in
-	// flight at a time (the diff is a wave-to-wave dependency), so
-	// WaveWorkers is ignored. Telemetry: wave_delta_hits /
-	// wave_delta_misses / wave_delta_fallbacks per wave scope.
+	// this). Requires at least two selected waves. Telemetry:
+	// wave_delta_hits / wave_delta_misses / wave_delta_fallbacks per
+	// wave scope.
 	Delta bool
 	// Shards splits every wave's permuted probe space into this many
 	// deterministic shards executed concurrently in-process (0 or 1 =
@@ -137,11 +114,12 @@ type CampaignConfig struct {
 	// Anonymize applies the release anonymization to the stored records
 	// (the analysis runs before anonymization, like the paper's).
 	Anonymize bool
-	// Quiet suppresses progress output; otherwise Progressf receives
-	// status lines. The campaign runtime serializes the callback
+	// Progressf, if set, receives status lines (nil = silent). The
+	// campaign runtime serializes the callback
 	// (telemetry.SerializedProgressf) before any fan-out, so even with
-	// concurrent waves and shards the callback never runs concurrently
-	// with itself and status lines cannot tear.
+	// the scan running ahead of the fold and concurrent shards the
+	// callback never runs concurrently with itself and status lines
+	// cannot tear.
 	Progressf func(format string, args ...any)
 	// Telemetry, when non-nil, receives the campaign's operational
 	// metrics: port-scan probe counts, grab-queue depth/wait, handshake
@@ -176,6 +154,11 @@ type CampaignConfig struct {
 	// sub-second stage deadlines so tarpit campaigns finish in CI time
 	// (nil = defaultResilience when chaos is on).
 	resilienceOverride *scanner.Resilience
+	// uncachedCrypto runs the legacy handshake: no memo engine, and fresh
+	// randomness in every exchange, so every RSA operation is recomputed.
+	// It is the reference the crypto-engine equivalence tests and the
+	// cached-vs-uncached benchmark compare against (DESIGN.md §4).
+	uncachedCrypto bool
 }
 
 // Campaign is a completed (or running) measurement campaign.
@@ -197,8 +180,7 @@ type Campaign struct {
 	Scans map[int]*scanner.Wave
 
 	// CryptoStats is the final hit/miss/eviction snapshot of the
-	// campaign's RSA memoization engine (nil when CryptoCache < 0
-	// disabled it).
+	// campaign's RSA memoization engine.
 	CryptoStats *uarsa.Stats
 }
 
@@ -268,9 +250,9 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (s
 	}
 
 	var suite *uarsa.Suite
-	if cfg.CryptoCache >= 0 {
+	if !cfg.uncachedCrypto {
 		suite = &uarsa.Suite{
-			Engine:        uarsa.NewEngine(cfg.CryptoCache),
+			Engine:        uarsa.NewEngine(0),
 			Seed:          st.Seed,
 			Deterministic: true,
 		}
@@ -413,10 +395,10 @@ type campaignRun struct {
 	cfg   CampaignConfig // Progressf serialized
 	world *deploy.World
 	base  scanner.Scanner // template; each wave scans with its own copy
-	suite *uarsa.Suite    // nil when CryptoCache < 0
+	suite *uarsa.Suite    // nil under the uncachedCrypto test hook
 	study study.Study     // what the campaign measures; Waves in range, no repeats
-	// tracker is non-nil under cfg.Delta. It is single-owner: delta
-	// campaigns run one wave at a time (waveWorkers), so scanWave's
+	// tracker is non-nil under cfg.Delta. It is single-owner: both entry
+	// points call scanWave from one goroutine, wave after wave, so its
 	// plan → scan → observe sequence is serial across waves.
 	tracker *deltaTracker
 }
@@ -455,25 +437,15 @@ func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, erro
 	return r, nil
 }
 
-// waveWorkers is how many waves scan at once: cfg.WaveWorkers clamped
-// to [1, len(waves)] — and 1 under Delta, where wave i+1's plan reads
-// the state wave i's scan observed.
-func (r *campaignRun) waveWorkers() int {
-	if r.tracker != nil {
-		return 1
-	}
-	return max(1, min(r.cfg.WaveWorkers, len(r.study.Waves)))
-}
-
 // allShards as scanWave's shard argument scans every shard of the plan.
 const allShards = -1
 
 // scanWave runs wave position i — one shard of its plan, or with
 // allShards every shard concurrently, merged into the wave an unsharded
 // scan produces — and returns the scanned wave with its records in
-// dataset order. The wave scans its own immutable snapshot of the world,
-// so scanWave calls for different positions may run concurrently (not
-// under Delta, see waveWorkers).
+// dataset order. The wave scans its own immutable snapshot of the
+// world; under Delta, wave i's plan reads what wave i-1's scan
+// observed, so the calls for one campaign run in wave order.
 //
 // Error contract: scanner.RunWave's. A cancelled wave comes back Partial
 // together with ctx's error and without records; it is never observed
@@ -511,7 +483,6 @@ func (r *campaignRun) scanWave(ctx context.Context, i, shards, shard int) (*scan
 		Date:             date,
 		FollowReferences: w >= deploy.FollowReferencesFromWave,
 		GrabWorkers:      cfg.GrabWorkers,
-		QueueSize:        cfg.QueueSize,
 		Metrics:          waveScope,
 	}
 	var dw *deltaWave
@@ -570,20 +541,18 @@ func (r *campaignRun) scanWave(ctx context.Context, i, shards, shard int) (*scan
 // RunCampaignOnWorld executes waves against an existing world, allowing
 // reuse of the expensive materialization.
 //
-// Execution model: the campaign never mutates the shared network. Every
-// wave scans its own immutable worldview snapshot (scanWave) on a pool
-// of cfg.WaveWorkers goroutines — waves pull their own frozen view of
-// the Internet rather than serializing on one mutable world, so any
-// number of waves can be in flight at once. The analysis fold runs on
-// the caller's goroutine in wave order as scans complete, which keeps
-// the dataset and every analysis byte-identical whatever the worker
-// count (and, with WaveWorkers=1, still overlaps wave w's analysis with
-// wave w+1's scan).
+// Execution model: the campaign never mutates the shared network. One
+// scan goroutine walks the waves in order, each against its own
+// immutable worldview snapshot (scanWave), and hands every wave's
+// outcome to a buffer of its own; the analysis fold runs on the
+// caller's goroutine in wave order. The scan never waits for the fold,
+// so wave w+1 scans while wave w folds, and the output is the one a
+// wave-at-a-time run produces.
 //
 // Cancellation contract: if ctx is cancelled mid-campaign, the partial
 // Campaign is returned together with the first wave's error. Waves
-// finished before cancellation are fully analyzed; waves in flight
-// appear in Campaign.Scans with Wave.Partial set; waves never started
+// scanned before cancellation are fully analyzed; the wave in flight
+// appears in Campaign.Scans with Wave.Partial set; waves never started
 // are absent from Scans. Campaign.Long is only computed on full
 // success.
 func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.World) (*Campaign, error) {
@@ -614,40 +583,34 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 		c.CryptoStats = &st
 	}()
 
-	// Scan workers pull wave positions in order; each wave's outcome
-	// waits in its own one-slot channel, so a worker never blocks on the
-	// fold. After cancellation the remaining scanWave calls observe the
-	// dead context inside their port scan and return immediately, so the
-	// fold below always terminates.
+	// The scan goroutine walks the wave positions in order; each wave's
+	// outcome waits in its own one-slot channel, so the scan never blocks
+	// on the fold. After cancellation the remaining waves are answered
+	// with the context's error unscanned, so the fold below always
+	// terminates.
 	type outcome struct {
 		wave *scanner.Wave
 		recs []*dataset.HostRecord
 		err  error
 	}
 	outcomes := make([]chan outcome, len(run.study.Waves))
-	jobs := make(chan int, len(run.study.Waves))
-	for i := range run.study.Waves {
+	for i := range outcomes {
 		outcomes[i] = make(chan outcome, 1)
-		jobs <- i
 	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for k := 0; k < run.waveWorkers(); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				// A wave whose turn comes after cancellation never
-				// starts; it must not surface as a partial scan.
-				if err := ctx.Err(); err != nil {
-					outcomes[i] <- outcome{err: err}
-					continue
-				}
-				wave, recs, err := run.scanWave(ctx, i, cfg.Shards, allShards)
-				outcomes[i] <- outcome{wave, recs, err}
+	scanned := make(chan struct{})
+	go func() {
+		defer close(scanned)
+		for i := range run.study.Waves {
+			// A wave whose turn comes after cancellation never starts;
+			// it must not surface as a partial scan.
+			if err := ctx.Err(); err != nil {
+				outcomes[i] <- outcome{err: err}
+				continue
 			}
-		}()
-	}
+			wave, recs, err := run.scanWave(ctx, i, cfg.Shards, allShards)
+			outcomes[i] <- outcome{wave, recs, err}
+		}
+	}()
 
 	// The analysis side is a streaming fold in wave order: each wave's
 	// records stream through a WaveAccumulator (and into cfg.RecordSink,
@@ -689,14 +652,14 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 		if !cfg.DiscardRecords {
 			c.RecordsByWave[w] = out.recs
 		}
-		analysis := acc.Finalize(cfg.AnalyzeWorkers)
+		analysis := acc.Finalize(0)
 		c.Analyses = append(c.Analyses, analysis)
 		longAcc.AddWave(analysis)
 		cfg.progressf("wave %d: %d open ports, %d OPC UA hosts (%d servers, %d discovery), %.0f%% deficient",
 			w, out.wave.OpenPorts, acc.Len(), len(analysis.Servers), analysis.Discovery,
 			100*analysis.DeficientFrac)
 	}
-	wg.Wait()
+	<-scanned
 	if sinkErr != nil {
 		// The sink failure is the root cause; later waves' cancellation
 		// errors are its consequence.
@@ -805,7 +768,7 @@ func (c *Campaign) WriteDataset(w io.Writer) error {
 }
 
 // FabricSpec derives the networked campaign description a fabric
-// coordinator hands to every joining worker: the study, the four
+// coordinator hands to every joining worker: the study, the two
 // execution values a worker runs with, and the fleet's shard count and
 // heartbeat cadence. Workers reconstruct their configuration with
 // CampaignFromSpec, so a fleet cannot diverge on flags.
@@ -813,8 +776,6 @@ func (cfg CampaignConfig) FabricSpec(shards int, heartbeat time.Duration) fabric
 	return fabric.CampaignSpec{
 		Study:       cfg.Study(),
 		GrabWorkers: cfg.GrabWorkers,
-		QueueSize:   cfg.QueueSize,
-		CryptoCache: cfg.CryptoCache,
 		Delta:       cfg.Delta,
 		Shards:      shards,
 		HeartbeatMs: heartbeat.Milliseconds(),
@@ -826,7 +787,7 @@ func (cfg CampaignConfig) FabricSpec(shards int, heartbeat time.Duration) fabric
 // caller to fill in.
 func CampaignFromSpec(spec fabric.CampaignSpec) CampaignConfig {
 	cfg := studyConfig(spec.Study)
-	cfg.GrabWorkers, cfg.QueueSize, cfg.CryptoCache, cfg.Delta = spec.GrabWorkers, spec.QueueSize, spec.CryptoCache, spec.Delta
+	cfg.GrabWorkers, cfg.Delta = spec.GrabWorkers, spec.Delta
 	return cfg
 }
 

@@ -78,13 +78,20 @@ func datasetBytes(t *testing.T, c *Campaign) []byte {
 	return buf.Bytes()
 }
 
-// TestCampaignConcurrentWavesMatchSequential is the worldview
-// acceptance gate: scanning all waves concurrently (each against its
-// own immutable snapshot) must produce a byte-identical dataset and
-// identical WaveAnalysis/Longitudinal output to the one-wave-at-a-time
-// run (WaveWorkers 1). The world is shared, so even certificate
-// thumbprints must agree. Run under -race this also exercises the wave
-// worker pool.
+// putFunc is a RecordSink that hands every record to a function.
+type putFunc func(*dataset.HostRecord) error
+
+func (f putFunc) Put(rec *dataset.HostRecord) error { return f(rec) }
+func (f putFunc) Close() error                      { return nil }
+
+// TestCampaignConcurrentWavesMatchSequential pins the two promises of
+// the campaign's scan goroutine (DESIGN.md §2): wave w+1 scans while
+// wave w folds, and scanning ahead never changes a byte. The scan-ahead
+// run's sink holds wave 6's first record until wave 7's scanning line
+// arrives, which happens only if the scan runs ahead of the fold. Its
+// dataset and analyses must equal a lock-step run's, whose wave w+1
+// starts scanning only once the fold has taken every record of wave w.
+// The world is shared, so even certificate thumbprints must agree.
 func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence skipped in -short mode")
@@ -101,41 +108,89 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	concurrent := cfg
-	concurrent.WaveWorkers = 3
-	conc, err := RunCampaignOnWorld(context.Background(), concurrent, world)
-	if err != nil {
-		t.Fatal(err)
+	const patience = 30 * time.Second
+	scanning := func(format string, args []any, wave int) bool {
+		return strings.Contains(format, "scanning") && args[0] == wave
 	}
-	oneAtATime := cfg
-	oneAtATime.WaveWorkers = 1
-	seq, err := RunCampaignOnWorld(context.Background(), oneAtATime, world)
+
+	aheadCfg := cfg
+	wave7 := make(chan struct{})
+	aheadCfg.Progressf = func(format string, args ...any) {
+		if scanning(format, args, 7) {
+			close(wave7)
+		}
+	}
+	held := false
+	aheadCfg.RecordSink = putFunc(func(rec *dataset.HostRecord) error {
+		if rec.Wave == 6 && !held {
+			held = true
+			select {
+			case <-wave7:
+			case <-time.After(patience):
+				t.Errorf("wave 7 did not start scanning within %s while wave 6 folded", patience)
+			}
+		}
+		return nil
+	})
+	ahead, err := RunCampaignOnWorld(context.Background(), aheadCfg, world)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	normalizeWallClock(conc)
-	normalizeWallClock(seq)
-	if a, b := datasetBytes(t, conc), datasetBytes(t, seq); !bytes.Equal(a, b) {
+	stepCfg := cfg
+	want := map[int]int{}
+	folded := map[int]chan struct{}{}
+	for _, w := range cfg.Waves {
+		if want[w] = len(ahead.RecordsByWave[w]); want[w] == 0 {
+			t.Fatalf("wave %d has no records to hold", w)
+		}
+		folded[w] = make(chan struct{})
+	}
+	got := map[int]int{}
+	stepCfg.RecordSink = putFunc(func(rec *dataset.HostRecord) error {
+		if got[rec.Wave]++; got[rec.Wave] == want[rec.Wave] {
+			close(folded[rec.Wave])
+		}
+		return nil
+	})
+	stepCfg.Progressf = func(format string, args ...any) {
+		for _, w := range cfg.Waves[1:] {
+			if scanning(format, args, w) {
+				select {
+				case <-folded[w-1]:
+				case <-time.After(patience):
+					t.Errorf("wave %d's records did not reach the sink within %s", w-1, patience)
+				}
+			}
+		}
+	}
+	step, err := RunCampaignOnWorld(context.Background(), stepCfg, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	normalizeWallClock(ahead)
+	normalizeWallClock(step)
+	if a, b := datasetBytes(t, ahead), datasetBytes(t, step); !bytes.Equal(a, b) {
 		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
 	}
-	if !reflect.DeepEqual(conc.Analyses, seq.Analyses) {
-		t.Error("wave analyses differ between concurrent and one-at-a-time runs")
+	if !reflect.DeepEqual(ahead.Analyses, step.Analyses) {
+		t.Error("wave analyses differ between scan-ahead and lock-step runs")
 	}
-	if !reflect.DeepEqual(conc.Long, seq.Long) {
-		t.Error("longitudinal analysis differs between concurrent and one-at-a-time runs")
+	if !reflect.DeepEqual(ahead.Long, step.Long) {
+		t.Error("longitudinal analysis differs between scan-ahead and lock-step runs")
 	}
 	for _, w := range cfg.Waves {
-		cs, ss := conc.Scans[w], seq.Scans[w]
-		if cs == nil || ss == nil {
-			t.Fatalf("wave %d scan missing: %v / %v", w, cs != nil, ss != nil)
+		as, ss := ahead.Scans[w], step.Scans[w]
+		if as == nil || ss == nil {
+			t.Fatalf("wave %d scan missing: %v / %v", w, as != nil, ss != nil)
 		}
-		if cs.Partial || ss.Partial {
+		if as.Partial || ss.Partial {
 			t.Errorf("wave %d marked partial on an uncancelled run", w)
 		}
-		if cs.OpenPorts != ss.OpenPorts || len(cs.Results) != len(ss.Results) {
+		if as.OpenPorts != ss.OpenPorts || len(as.Results) != len(ss.Results) {
 			t.Errorf("wave %d scans differ: %d/%d open, %d/%d results",
-				w, cs.OpenPorts, ss.OpenPorts, len(cs.Results), len(ss.Results))
+				w, as.OpenPorts, ss.OpenPorts, len(as.Results), len(ss.Results))
 		}
 	}
 }
@@ -145,7 +200,7 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 // response caches (the production configuration) must produce a
 // byte-identical dataset and identical analyses to the same campaign
 // with every response encoded structurally per request. The world is
-// shared so certificates agree; concurrent waves keep the pooled
+// shared so certificates agree; two concurrent shards keep the pooled
 // codec/chunk buffers and the memoized certificate parses exercised
 // under -race (the test name matches the CI race-run pattern
 // 'TestCampaignConcurrent').
@@ -160,7 +215,7 @@ func TestCampaignConcurrentCachedMatchesUncached(t *testing.T) {
 		MaxHosts:     60,
 		NoiseProb:    1e-5,
 		GrabWorkers:  8,
-		WaveWorkers:  2,
+		Shards:       2,
 	}
 	world, err := BuildWorld(cfg)
 	if err != nil {
@@ -197,10 +252,10 @@ func TestCampaignConcurrentCachedMatchesUncached(t *testing.T) {
 // acceptance gate for the memoized asymmetric-crypto engine: a campaign
 // with the engine and deterministic handshakes on (the production
 // default) must produce a byte-identical dataset and identical
-// analyses to the same campaign with CryptoCache disabled — every
+// analyses to the same campaign under the uncachedCrypto hook — every
 // handshake drawing fresh randomness and recomputing its RSA
-// operations. Concurrent waves keep the engine's sharded maps exercised
-// under -race (the test name matches the CI race-run pattern
+// operations. Two concurrent shards keep the engine's sharded maps
+// exercised under -race (the test name matches the CI race-run pattern
 // 'TestCampaignConcurrent'). Waves 5–7 span certificate renewals, so
 // renewed hosts derive fresh exchanges while unchanged hosts replay
 // cached ones — both paths must land in the same dataset bytes.
@@ -219,7 +274,7 @@ func TestCampaignConcurrentCryptoCacheMatchesUncached(t *testing.T) {
 		MaxHosts:     320,
 		NoiseProb:    1e-5,
 		GrabWorkers:  8,
-		WaveWorkers:  2,
+		Shards:       2,
 	}
 	world, err := BuildWorld(cfg)
 	if err != nil {
@@ -236,7 +291,7 @@ func TestCampaignConcurrentCryptoCacheMatchesUncached(t *testing.T) {
 		t.Error("crypto cache never hit across three waves of an unchanged world")
 	}
 	uncachedCfg := cfg
-	uncachedCfg.CryptoCache = -1
+	uncachedCfg.uncachedCrypto = true
 	uncached, err := RunCampaignOnWorld(context.Background(), uncachedCfg, world)
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +372,8 @@ func assertPaperHeadlines(tb testing.TB, c *Campaign) {
 }
 
 // TestCampaignConcurrentTelemetryMatchesDisabled is the tentpole
-// acceptance gate for the telemetry subsystem: a concurrent-wave
-// campaign with the full observability surface live (registry, scoped
+// acceptance gate for the telemetry subsystem: a two-shard campaign
+// with the full observability surface live (registry, scoped
 // instruments, exchange tracer) must produce a byte-identical dataset
 // and identical analyses to the same campaign with telemetry disabled —
 // observers never mutate campaign state. It also pins the accounting
@@ -341,7 +396,7 @@ func TestCampaignConcurrentTelemetryMatchesDisabled(t *testing.T) {
 		MaxHosts:    400,
 		NoiseProb:   1e-5,
 		GrabWorkers: 8,
-		WaveWorkers: 2,
+		Shards:      2,
 	}
 	world, err := BuildWorld(cfg)
 	if err != nil {
@@ -426,10 +481,10 @@ func TestCampaignConcurrentTelemetryMatchesDisabled(t *testing.T) {
 }
 
 // TestCampaignConcurrentWavesCancellation pins the campaign's
-// cancellation contract under concurrent waves: cancelling mid-scan
-// returns the partial campaign with only in-flight waves marked
-// Partial, analyzes nothing that did not complete, and never
-// deadlocks (run under -race in CI).
+// cancellation contract: cancelled while wave 6 scans, the campaign
+// returns with wave 5 analyzed, wave 6 in Scans marked Partial and
+// unanalyzed, and wave 7 absent — and never deadlocks (run under -race
+// in CI).
 func TestCampaignConcurrentWavesCancellation(t *testing.T) {
 	cfg := CampaignConfig{
 		Seed:         2020,
@@ -438,32 +493,16 @@ func TestCampaignConcurrentWavesCancellation(t *testing.T) {
 		MaxHosts:     40,
 		NoiseProb:    1e-5,
 		GrabWorkers:  4,
-		WaveWorkers:  2,
 	}
 	world, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Latency makes each wave's grab phase take at least several
-	// hundred milliseconds, so a cancellation shortly after the scans
-	// start deterministically lands mid-grab: waves 5 and 6 in flight,
-	// wave 7 still queued behind the two wave workers.
-	world.Net.SetLatency(25 * time.Millisecond)
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var mu sync.Mutex
-	scanning := 0
 	cfg.Progressf = func(format string, args ...any) {
-		if !strings.Contains(format, "scanning") {
-			return
-		}
-		mu.Lock()
-		scanning++
-		n := scanning
-		mu.Unlock()
-		if n == 2 {
-			time.AfterFunc(100*time.Millisecond, cancel)
+		if strings.Contains(format, "scanning") && args[0] == 6 {
+			cancel()
 		}
 	}
 
@@ -477,31 +516,20 @@ func TestCampaignConcurrentWavesCancellation(t *testing.T) {
 	if c.Long != nil {
 		t.Error("longitudinal analysis computed for a cancelled campaign")
 	}
-	for _, w := range []int{5, 6} {
-		scan := c.Scans[w]
-		if scan == nil {
-			t.Errorf("in-flight wave %d missing from Scans", w)
-			continue
-		}
-		if !scan.Partial {
-			t.Errorf("in-flight wave %d not marked Partial", w)
-		}
+	if scan := c.Scans[5]; scan == nil || scan.Partial || c.RecordsByWave[5] == nil {
+		t.Error("wave 5, scanned before the cancellation, is not complete and analyzed")
+	}
+	if scan := c.Scans[6]; scan == nil || !scan.Partial {
+		t.Error("wave 6, in flight at the cancellation, is not in Scans marked Partial")
+	}
+	if _, analyzed := c.RecordsByWave[6]; analyzed {
+		t.Error("partial wave 6 reached the dataset")
 	}
 	if scan := c.Scans[7]; scan != nil {
 		t.Errorf("never-started wave 7 present in Scans (partial=%v)", scan.Partial)
 	}
-	// Partial waves must not leak into the analyzed dataset — and
-	// conversely, waves that did complete before cancellation must be
-	// fully analyzed even when an earlier wave errored.
-	for w, scan := range c.Scans {
-		if _, analyzed := c.RecordsByWave[w]; analyzed == scan.Partial {
-			t.Errorf("wave %d: partial=%v but analyzed=%v", w, scan.Partial, analyzed)
-		}
-	}
-	for _, a := range c.Analyses {
-		if scan := c.Scans[a.Wave]; scan == nil || scan.Partial {
-			t.Errorf("analysis exists for unfinished wave %d", a.Wave)
-		}
+	if len(c.Analyses) != 1 || c.Analyses[0].Wave != 5 {
+		t.Errorf("analyses of %d waves, want wave 5's only", len(c.Analyses))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -54,61 +53,6 @@ var execTable = []struct {
 						t.Fatalf("wave %d: two grabs in flight at once", w)
 					}
 				}
-			}
-		}
-	}},
-	{"WaveWorkers", "2", func(cfg *CampaignConfig) tookFunc {
-		cfg.WaveWorkers, cfg.Trace = 2, telemetry.NewTracer(0)
-		tr := cfg.Trace
-		return func(t *testing.T, _, _ *Campaign) {
-			// One wave worker finishes wave 6's last grab before it
-			// starts wave 7's first.
-			spans := grabSpans(tr)
-			if !slices.ContainsFunc(spans[6], func(s [2]int64) bool { return s[1] > spans[7][0][0] }) {
-				t.Error("wave 7's grabs started after wave 6's had ended")
-			}
-		}
-	}},
-	// The assessment pool and the grab queue leave no trace outside the
-	// code they size; these two rows check that the campaign ran with the
-	// value (the fixture's are GOMAXPROCS assessment workers and a queue
-	// of twice GrabWorkers).
-	{"AnalyzeWorkers", "1", func(cfg *CampaignConfig) tookFunc {
-		cfg.AnalyzeWorkers = 1
-		return func(t *testing.T, c, _ *Campaign) {
-			if c.Config.AnalyzeWorkers != 1 {
-				t.Errorf("campaign ran with AnalyzeWorkers %d", c.Config.AnalyzeWorkers)
-			}
-			if runtime.GOMAXPROCS(0) == 1 {
-				t.Log("GOMAXPROCS is 1: the fixture's assessment is serial too")
-			}
-		}
-	}},
-	{"QueueSize", "1", func(cfg *CampaignConfig) tookFunc {
-		cfg.QueueSize = 1
-		return func(t *testing.T, c, _ *Campaign) {
-			if c.Config.QueueSize != 1 {
-				t.Errorf("campaign ran with QueueSize %d", c.Config.QueueSize)
-			}
-		}
-	}},
-	{"CryptoCache", "-1", func(cfg *CampaignConfig) tookFunc {
-		cfg.CryptoCache = -1
-		return func(t *testing.T, c, base *Campaign) {
-			if c.CryptoStats != nil {
-				t.Error("CryptoCache -1 left a memo engine running")
-			}
-			if base.CryptoStats == nil || cryptoTotal(base.CryptoStats).Hits == 0 {
-				t.Error("the fixture's memo engine never hit: the world does no RSA worth caching")
-			}
-		}
-	}},
-	{"CryptoCache", "16", func(cfg *CampaignConfig) tookFunc {
-		cfg.CryptoCache = 16
-		return func(t *testing.T, c, base *Campaign) {
-			// The budget is rounded up per engine shard: bounded, not exact.
-			if c.CryptoStats == nil || c.CryptoStats.Entries >= base.CryptoStats.Entries {
-				t.Errorf("engine %+v, want fewer entries than the fixture's %d", c.CryptoStats, base.CryptoStats.Entries)
 			}
 		}
 	}},
@@ -259,11 +203,12 @@ func TestCampaignConfigFieldsClassified(t *testing.T) {
 			t.Errorf("Study.%s has no CampaignConfig twin", studyT.Field(i).Name)
 		}
 	}
-	// resilienceOverride is the one test hook. It shapes chaos bytes, yet
-	// it is in neither half: only single-process tests set it, and it is
-	// why chaos tests cannot run over the fabric.
-	if !slices.Equal(hooks, []string{"resilienceOverride"}) {
-		t.Errorf("unexported CampaignConfig fields %v, want just the resilienceOverride test hook", hooks)
+	// The two test hooks are in neither half: only single-process tests
+	// set them. resilienceOverride shapes chaos bytes, and it is why
+	// chaos tests cannot run over the fabric; uncachedCrypto is the
+	// reference the crypto engine is compared against.
+	if want := []string{"resilienceOverride", "uncachedCrypto"}; !slices.Equal(hooks, want) {
+		t.Errorf("unexported CampaignConfig fields %v, want just the test hooks %v", hooks, want)
 	}
 }
 
@@ -408,8 +353,8 @@ func TestExecInvariance(t *testing.T) {
 }
 
 // execFixture is the one study the Exec rows run: 320 hosts reach past
-// the None-only first 270, so handshakes do RSA and CryptoCache has
-// something to cache; no chaos, so no wall-clock stage deadline shapes a
+// the None-only first 270, so handshakes do RSA through the memo
+// engine; no chaos, so no wall-clock stage deadline shapes a
 // record.
 func execFixture() CampaignConfig {
 	return CampaignConfig{
