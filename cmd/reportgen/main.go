@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -19,31 +21,57 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	csv := flag.Bool("csv", false, "print tables as CSV")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: reportgen [-csv] dataset.jsonl")
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
+	case err != nil:
 		log.Fatal(err)
+	}
+}
+
+// errUsage reports command-line misuse; the flag set has already
+// printed the usage.
+var errUsage = errors.New("reportgen: bad usage")
+
+// run analyzes the dataset args name and writes every table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("reportgen", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: reportgen [-csv] dataset.jsonl")
+		fs.PrintDefaults()
+	}
+	csv := fs.Bool("csv", false, "print tables as CSV")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return errUsage
+	}
+	f, err := os.Open(fs.Arg(0))
+	if err != nil {
+		return err
 	}
 	defer f.Close()
 	// Records stream through the incremental analyzers one at a time;
 	// the dataset is never materialized as a slice.
 	analyses, long, err := opcuastudy.AnalyzeDataset(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(analyses) == 0 {
-		log.Fatal("dataset contains no analyzable waves")
+		return errors.New("dataset contains no analyzable waves")
 	}
 	for _, tbl := range report.All(analyses, long) {
 		if *csv {
-			fmt.Println(tbl.CSV())
+			fmt.Fprintln(stdout, tbl.CSV())
 		} else {
-			fmt.Println(tbl.Render())
+			fmt.Fprintln(stdout, tbl.Render())
 		}
 	}
+	return nil
 }

@@ -14,8 +14,10 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -28,21 +30,47 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	timeout := flag.Duration("timeout", 10*time.Second, "per-connection timeout")
-	walk := flag.Bool("walk", true, "traverse the address space when anonymous access works")
-	paper := uaclient.DefaultWalkOptions()
-	delay := flag.Duration("delay", paper.Delay, "inter-request delay during traversal (politeness)")
-	maxBytes := flag.Int64("maxbytes", paper.MaxBytes, "per-host traffic cap")
-	maxTime := flag.Duration("maxtime", paper.MaxDuration, "per-host traversal time cap")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: uascan [flags] host:port [host:port...]")
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	case err != nil:
+		log.Fatal(err)
+	}
+}
+
+// errUsage reports command-line misuse; the flag set has already
+// printed the usage.
+var errUsage = errors.New("uascan: bad usage")
+
+// run parses args, grabs every target and writes one JSON result per
+// target to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("uascan", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: uascan [flags] host:port [host:port...]")
+		fs.PrintDefaults()
+	}
+	timeout := fs.Duration("timeout", 10*time.Second, "per-connection timeout")
+	walk := fs.Bool("walk", true, "traverse the address space when anonymous access works")
+	paper := uaclient.DefaultWalkOptions()
+	delay := fs.Duration("delay", paper.Delay, "inter-request delay during traversal (politeness)")
+	maxBytes := fs.Int64("maxbytes", paper.MaxBytes, "per-host traffic cap")
+	maxTime := fs.Duration("maxtime", paper.MaxDuration, "per-host traversal time cap")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return errUsage
 	}
 
 	key, err := rsa.GenerateKey(rand.Reader, 2048)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cert, err := uacert.Generate(key, uacert.Options{
 		CommonName:     "uascan research scanner",
@@ -51,7 +79,7 @@ func main() {
 		SignatureHash:  uacert.HashSHA256,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	walkOpts := paper
@@ -60,26 +88,26 @@ func main() {
 		walkOpts.MaxNodes = 1
 	}
 	sc := &scanner.Scanner{
-		Dialer:         nil, // set below
+		Dialer:         netDialer{},
 		Key:            key,
 		CertDER:        cert.Raw,
 		Timeout:        *timeout,
 		Walk:           walkOpts,
 		ApplicationURI: "urn:repro:uascan",
 	}
-	sc.Dialer = &netDialer{}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	for _, target := range flag.Args() {
+	for _, target := range fs.Args() {
 		res := sc.Grab(context.Background(), scanner.Target{
 			Address: target,
 			Via:     scanner.ViaPortScan,
 		})
 		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("writing %s: %w", target, err)
 		}
 	}
+	return nil
 }
 
 // netDialer adapts net.Dialer to the scanner's Dialer interface.

@@ -39,8 +39,8 @@ type Options struct {
 	// test-scale materialization fast. Certificate key-length analysis
 	// is then meaningless; only the pipeline plumbing is exercised.
 	TestKeySizes bool
-	// MaxHosts truncates the population (0 = all); used by tests and
-	// examples that only need a small world.
+	// MaxHosts truncates the population (0 = all); used by tests that
+	// only need a small world.
 	MaxHosts int
 }
 

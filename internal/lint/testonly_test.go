@@ -212,8 +212,7 @@ func repoPackages(t *testing.T) []*lint.LoadedPackage {
 
 // TestNoTestOnlyExports fails on an exported name of the library (the
 // root package and internal/) that only tests call: code kept alive for
-// its own test. The commands, the examples and the benchmark module
-// count as callers.
+// its own test. The commands and the benchmark module count as callers.
 func TestNoTestOnlyExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

@@ -14,14 +14,14 @@ import (
 // server, so almost every parse in a measurement wave is a repeat.
 var parseCache sync.Map // [sha1.Size]byte -> *Certificate
 
-// parseCacheLimit caps the number of memoized certificates: a real
-// listener (cmd/uaserverd) parses whatever certificate a client
-// presents, and an unbounded table would let a peer with endless
-// distinct certificates grow it into a memory-exhaustion vector. The
-// cap is far above the simulated population (~1.2k distinct
-// certificates), so measurement campaigns always hit the fast path;
-// past it, new certificates are parsed uncached. A var so tests can
-// exercise the bound without minting thousands of certificates.
+// parseCacheLimit caps the number of memoized certificates: cmd/uascan's
+// handshakes parse whatever certificate a real server presents, and an
+// unbounded table would let peers with endless distinct certificates
+// grow it into a memory-exhaustion vector. The cap is far above the
+// simulated population (~1.2k distinct certificates), so measurement
+// campaigns always hit the fast path; past it, new certificates are
+// parsed uncached. A var so tests can exercise the bound without
+// minting thousands of certificates.
 var parseCacheLimit int64 = 4096
 
 var parseCacheSize atomic.Int64

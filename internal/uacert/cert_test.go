@@ -2,6 +2,7 @@ package uacert
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/rsa"
 	"crypto/x509"
 	"math/big"
@@ -225,11 +226,11 @@ func TestKeyPoolDeterministicIndexing(t *testing.T) {
 }
 
 func TestNewKeyFromPrimes(t *testing.T) {
-	p, err := GeneratePrime(256)
+	p, err := rand.Prime(rand.Reader, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := GeneratePrime(256)
+	q, err := rand.Prime(rand.Reader, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,8 +189,9 @@ func drawCandidate(r io.Reader, buf []byte, bits int) {
 
 // sieveLimit bounds the trial-division filter: a higher limit spares a few
 // more modexps and costs every survivor more divisions. 2^13 is within 4 %
-// of the fastest limit at 512, 1024 and 2048 bits (EXPERIMENTS.md "Spending
-// the ledger on cold start"); any value in (3, 2^16] yields the same primes.
+// of the fastest limit at 512, 1024 and 2048 bits (docs/history/experiments.md
+// "Spending the ledger on cold start"); any value in (3, 2^16] yields the
+// same primes.
 const sieveLimit = 1 << 13
 
 // sieveChunk is a run of consecutive odd primes whose product fits a
@@ -283,11 +284,4 @@ func NewKeyFromPrimes(p, q *big.Int) (*rsa.PrivateKey, error) {
 		return nil, fmt.Errorf("uacert: key validation: %w", err)
 	}
 	return key, nil
-}
-
-// GeneratePrime returns a random prime of the given bit size.
-//
-//studyvet:entropy-exempt — random by contract; weak-key injection on the deterministic path uses deterministicPrime instead
-func GeneratePrime(bits int) (*big.Int, error) {
-	return rand.Prime(rand.Reader, bits)
 }

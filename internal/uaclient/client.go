@@ -492,6 +492,8 @@ func (c *Client) CloseSession() error {
 }
 
 // Browse returns the forward hierarchical references of one node.
+//
+//studyvet:api — the reference walk (walk_diff_test.go's referenceWalk) browses through it
 func (c *Client) Browse(id uatypes.NodeID) ([]uamsg.ReferenceDescription, error) {
 	results, err := c.browse([]uatypes.NodeID{id}, nil)
 	if err != nil {
@@ -598,7 +600,7 @@ func (c *Client) ReadValue(id uatypes.NodeID) (uatypes.DataValue, error) {
 
 // Call invokes one method.
 //
-//studyvet:api — the Go client of the Call service uaserver serves (cmd/uaserverd); the scanner never invokes methods
+//studyvet:api — uaserver's Call-service tests pin the handler's access check through it; the scanner never invokes methods
 func (c *Client) Call(objectID, methodID uatypes.NodeID, args []uatypes.Variant) (uamsg.CallMethodResult, error) {
 	msg, err := c.request(&uamsg.CallRequest{
 		Header: c.header(),

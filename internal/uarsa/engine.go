@@ -2,11 +2,12 @@
 //
 // A full-fidelity measurement wave is ≥90 % RSA private-key work: every
 // secure-channel attempt is protocol-mandated to sign and block-decrypt
-// OPN messages on both sides (see EXPERIMENTS.md, PR 3). The paper's
-// own findings make most of that work redundant — one certificate (and
-// therefore one key) is re-served by 385 hosts across 24 ASes, and only
-// 84 certificates renew across all eight weekly waves — so the
-// simulated Internet performs the *same* RSA operations over and over.
+// OPN messages on both sides (docs/history/experiments.md, PR 3). The
+// paper's own findings make most of that work redundant — one
+// certificate (and therefore one key) is re-served by 385 hosts across
+// 24 ASes, and only 84 certificates renew across all eight weekly
+// waves — so the simulated Internet performs the *same* RSA operations
+// over and over.
 //
 // The engine memoizes those operations by (operation, scheme, key
 // fingerprint, input digest):

@@ -11,9 +11,7 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
-	"log"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -107,11 +105,6 @@ type Server struct {
 	epSuffix  []byte // GetEndpointsResponse body after the header
 	fsSuffix  []byte // FindServersResponse body after the header
 	respCache atomic.Bool
-
-	mu       sync.Mutex
-	closed   bool
-	listener net.Listener
-	wg       sync.WaitGroup
 
 	sessionCounter atomic.Uint32
 }
@@ -227,9 +220,6 @@ func (s *Server) buildEndpoints() []uamsg.EndpointDescription {
 	return eps
 }
 
-// Endpoints returns the advertised endpoint descriptions.
-func (s *Server) Endpoints() []uamsg.EndpointDescription { return s.endpoints }
-
 // Config returns the server configuration.
 //
 //studyvet:api — the certificate golden reads the discovery servers' keys through it
@@ -241,51 +231,10 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Serve accepts connections until the listener closes.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("uaserver: server closed")
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.HandleConn(conn)
-		}()
-	}
-}
-
 // HandleConn serves one client connection synchronously with the zero
-// Crypto. Exposed so in-memory network simulations can drive connections
-// directly.
+// Crypto. The caller owns the accept loop: the simulated Internet hands
+// in its in-memory connections, tests a loopback listener's.
 func (s *Server) HandleConn(conn net.Conn) { s.HandleConnCrypto(conn, Crypto{}) }
-
-// Close stops the accept loop and waits for running connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	l := s.listener
-	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
 
 // allowedModes implements the uasc policy gate from the endpoint table.
 func (s *Server) allowedModes(p *uapolicy.Policy) []uamsg.MessageSecurityMode {
@@ -706,23 +655,4 @@ func (s *Server) call(sess *session, req *uamsg.CallRequest) uamsg.Message {
 		resp.Results = append(resp.Results, uamsg.CallMethodResult{Status: uastatus.Good})
 	}
 	return resp
-}
-
-// ListenAndServe starts the server on a TCP address and returns it with
-// the bound listener (for tools and examples).
-func ListenAndServe(cfg Config, addr string) (*Server, net.Listener, error) {
-	srv, err := New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	go func() {
-		if err := srv.Serve(l); err != nil {
-			log.Printf("uaserver: serve: %v", err)
-		}
-	}()
-	return srv, l, nil
 }

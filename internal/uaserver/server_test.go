@@ -95,8 +95,29 @@ func startTestServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(func() { _ = srv.Close() })
+	// The simulated Internet hands connections to HandleConn; a real
+	// loopback listener needs its own accept loop.
+	var conns sync.WaitGroup
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conns.Done()
+				srv.HandleConn(conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = l.Close()
+		<-accepting
+		conns.Wait()
+	})
 	return srv, "opc.tcp://" + l.Addr().String()
 }
 

@@ -4,15 +4,9 @@
 // scanner, and the security-configuration assessment into a campaign
 // API that regenerates every figure and table of the paper.
 //
-// Quick start:
-//
-//	c, err := opcuastudy.RunCampaign(ctx, opcuastudy.CampaignConfig{
-//	    Seed:  2020,
-//	    Waves: []int{7}, // just the paper's final measurement
-//	})
-//	for _, tbl := range c.Report() {
-//	    fmt.Println(tbl.Render())
-//	}
+// Quick start: ExampleRunCampaign runs the paper's final measurement
+// wave and prints its headline counts; Campaign.Report renders every
+// figure and table of the waves a campaign ran.
 package opcuastudy
 
 import (
