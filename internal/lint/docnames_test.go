@@ -21,8 +21,8 @@ import (
 // against the loaded module.
 type docNames struct {
 	pkgs  map[string][]*types.Package // by package name; module packages from source
-	heads map[string][]types.Object   // every object the module defines, by name
-	names map[string]bool             // those names, the module's test declarations and package names
+	heads map[string][]types.Object   // the module's package-scope objects, by name
+	names map[string]bool             // those names, fields, methods, test declarations and package names
 }
 
 func newDocNames(t *testing.T, loaded []*lint.LoadedPackage) *docNames {
@@ -32,9 +32,15 @@ func newDocNames(t *testing.T, loaded []*lint.LoadedPackage) *docNames {
 	for _, lp := range loaded {
 		source[lp.Path] = true
 		d.pkgs[lp.Pkg.Name()] = append(d.pkgs[lp.Pkg.Name()], lp.Pkg)
+		// Info.Defs also holds every local and parameter; a stale name
+		// must not resolve because some function happens to use it.
 		for _, obj := range lp.Info.Defs {
-			if obj != nil {
+			switch {
+			case obj == nil:
+			case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
 				d.heads[obj.Name()] = append(d.heads[obj.Name()], obj)
+			case isMember(obj):
+				d.names[obj.Name()] = true
 			}
 		}
 	}
@@ -127,10 +133,22 @@ func newDocNames(t *testing.T, loaded []*lint.LoadedPackage) *docNames {
 	return d
 }
 
+// isMember reports whether obj is a struct field or a method.
+func isMember(obj types.Object) bool {
+	switch obj := obj.(type) {
+	case *types.Var:
+		return obj.IsField()
+	case *types.Func:
+		return obj.Type().(*types.Signature).Recv() != nil
+	}
+	return false
+}
+
 // resolves reports whether a dotted name denotes something: a single
-// name anything in the module declares, or a chain whose head is a
-// package, type, variable or function and whose every later element is
-// a member of what the one before it denotes.
+// package-scope name, field, method or test declaration of the module,
+// or a chain whose head is a package or a package-scope type, variable
+// or function and whose every later element is a member of what the
+// one before it denotes.
 func (d *docNames) resolves(name string) bool {
 	segs := strings.Split(name, ".")
 	if len(segs) == 1 {
@@ -241,9 +259,16 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	}
 	pkgs := repoPackages(t)
 	d := newDocNames(t, pkgs)
-	// The lint must be able to fail: a field CampaignConfig never had.
-	if d.resolves("CampaignConfig.Quiet") || !d.resolves("CampaignConfig.Study") {
-		t.Fatal("resolver accepts a stale name or rejects a live one")
+	// The lint must be able to fail: on a field CampaignConfig never
+	// had, and on names only a function's locals carry (Materialize's
+	// takeKey closure, RunCampaignShard's sink parameter).
+	for _, stale := range []string{"CampaignConfig.Quiet", "takeKey", "sink.Put"} {
+		if d.resolves(stale) {
+			t.Fatalf("resolver accepts the stale name %s", stale)
+		}
+	}
+	if !d.resolves("CampaignConfig.Study") || !d.resolves("RecordSink.Put") {
+		t.Fatal("resolver rejects a live name")
 	}
 
 	root, err := filepath.Abs(filepath.Join("..", ".."))

@@ -82,9 +82,6 @@ type Config struct {
 	// may hold undrained; a Browse result that would need one more gets
 	// BadNoContinuationPoints and no references. 0 means unlimited.
 	MaxContinuationPoints int
-
-	// Logf, if set, receives debug output.
-	Logf func(format string, args ...any)
 }
 
 // Server is a running OPC UA server.
@@ -225,12 +222,6 @@ func (s *Server) buildEndpoints() []uamsg.EndpointDescription {
 //studyvet:api — the certificate golden reads the discovery servers' keys through it
 func (s *Server) Config() Config { return s.cfg }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 // HandleConn serves one client connection synchronously with the zero
 // Crypto. The caller owns the accept loop: the simulated Internet hands
 // in its in-memory connections, tests a loopback listener's.
@@ -267,7 +258,6 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 	defer conn.Close()
 	tr, err := uasc.ServerHello(conn, uasc.DefaultLimits())
 	if err != nil {
-		s.logf("uaserver: handshake: %v", err)
 		return
 	}
 	cfg := uasc.ServerConfig{
@@ -285,7 +275,6 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 	}
 	ch, err := uasc.Accept(tr, cfg)
 	if err != nil {
-		s.logf("uaserver: accept channel: %v", err)
 		return
 	}
 	sessions := make(map[string]*session)
@@ -302,7 +291,6 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 			return
 		}
 		if err := ch.SendResponse(got.RequestID, resp); err != nil {
-			s.logf("uaserver: send response: %v", err)
 			return
 		}
 	}

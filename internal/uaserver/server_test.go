@@ -95,8 +95,13 @@ func startTestServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The simulated Internet hands connections to HandleConn; a real
-	// loopback listener needs its own accept loop.
+	return srv, "opc.tcp://" + serve(t, l, srv.HandleConn)
+}
+
+// serve accepts connections on l and hands each one to handle until
+// the test ends. The simulated Internet hands its connections to
+// HandleConn directly; a real loopback listener needs this loop.
+func serve(t *testing.T, l net.Listener, handle func(net.Conn)) string {
 	var conns sync.WaitGroup
 	accepting := make(chan struct{})
 	go func() {
@@ -109,7 +114,7 @@ func startTestServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 			conns.Add(1)
 			go func() {
 				defer conns.Done()
-				srv.HandleConn(conn)
+				handle(conn)
 			}()
 		}
 	}()
@@ -118,7 +123,7 @@ func startTestServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 		<-accepting
 		conns.Wait()
 	})
-	return srv, "opc.tcp://" + l.Addr().String()
+	return l.Addr().String()
 }
 
 func dialInsecure(t *testing.T, url string) *uaclient.Client {
