@@ -22,11 +22,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// parseFaultSpec maps the -fault flag onto a fabric fault injector.
-// Worker side: kill=N (die abruptly at the Nth record), stall=N (wedge
-// the session at the Nth record, heartbeats included), drop=N (sever
-// the connection after the Nth frame). Coordinator side: dupgrant
-// (lease every shard twice).
+// parseFaultSpec maps the worker's -fault flag onto a fabric fault
+// injector: kill=N (die abruptly at the Nth record), stall=N (wedge the
+// session at the Nth record, heartbeats included), drop=N (sever the
+// connection after the Nth frame).
 func parseFaultSpec(spec string) (fabric.FaultInjector, error) {
 	if spec == "" {
 		return nil, nil
@@ -40,44 +39,29 @@ func parseFaultSpec(spec string) (fabric.FaultInjector, error) {
 		}
 		n = v
 	}
-	switch kind {
-	case "kill", "stall", "drop":
-		if !hasVal {
-			return nil, fmt.Errorf("-fault %s requires a count, e.g. %s=3", kind, kind)
-		}
-	case "dupgrant":
-		if hasVal {
-			return nil, fmt.Errorf("-fault dupgrant takes no count")
-		}
-		return fabric.DuplicateGrants{}, nil
-	default:
-		return nil, fmt.Errorf("unknown -fault %q (worker: kill=N, stall=N, drop=N; coordinator: dupgrant)", spec)
-	}
+	var faults fabric.FaultInjector
 	switch kind {
 	case "kill":
-		return &fabric.KillAfterRecords{N: n}, nil
+		faults = &fabric.KillAfterRecords{N: n}
 	case "stall":
-		return &fabric.StallAfterRecords{N: n}, nil
+		faults = &fabric.StallAfterRecords{N: n}
+	case "drop":
+		faults = &fabric.DropAfterFrames{N: n}
 	default:
-		return &fabric.DropAfterFrames{N: n}, nil
+		return nil, fmt.Errorf("unknown -fault %q (kill=N, stall=N, drop=N)", spec)
 	}
+	if !hasVal {
+		return nil, fmt.Errorf("-fault %s requires a count, e.g. %s=3", kind, kind)
+	}
+	return faults, nil
 }
 
 // runFabricCoordinator serves the networked shard fabric: it leases
 // the campaign's shards to dialing workers, survives worker loss by
 // re-queueing uncommitted shards, and merges the committed streams.
-func runFabricCoordinator(cfg opcuastudy.CampaignConfig, addr string, shards int, deadAfter, heartbeat time.Duration, faultSpec, datasetPath string, csv bool, mopts metricsOptions) error {
+func runFabricCoordinator(cfg opcuastudy.CampaignConfig, addr string, shards int, deadAfter, heartbeat time.Duration, datasetPath string, csv bool, mopts metricsOptions) error {
 	if shards < 1 {
 		return fmt.Errorf("-listen requires -shards of at least 1, got %d", shards)
-	}
-	faults, err := parseFaultSpec(faultSpec)
-	if err != nil {
-		return err
-	}
-	if faults != nil {
-		if _, ok := faults.(fabric.DuplicateGrants); !ok {
-			return fmt.Errorf("-fault %q is worker-side; the coordinator only accepts dupgrant", faultSpec)
-		}
 	}
 	spec := cfg.FabricSpec(shards, heartbeat)
 	hello, err := spec.Encode()
@@ -100,7 +84,6 @@ func runFabricCoordinator(cfg opcuastudy.CampaignConfig, addr string, shards int
 		Hello:     hello,
 		DeadAfter: deadAfter,
 		Metrics:   reg,
-		Faults:    faults,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -185,16 +168,9 @@ func mergeStreams(cfg opcuastudy.CampaignConfig, streams [][]byte, datasetPath s
 // coordinator's hello payload — never from this process's flags — so a
 // fleet cannot diverge on record-shaping knobs; the expensive world
 // build happens once and is shared by every leased shard.
-func runFabricWorker(cfg opcuastudy.CampaignConfig, addr, name, faultSpec string, heartbeat time.Duration, mopts metricsOptions) error {
+func runFabricWorker(cfg opcuastudy.CampaignConfig, addr, name string, faults fabric.FaultInjector, heartbeat time.Duration, mopts metricsOptions) error {
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", os.Getpid())
-	}
-	faults, err := parseFaultSpec(faultSpec)
-	if err != nil {
-		return err
-	}
-	if _, ok := faults.(fabric.DuplicateGrants); ok {
-		return fmt.Errorf("-fault dupgrant is coordinator-side")
 	}
 	reg := telemetry.New()
 	if err := serveDebug(mopts.DebugAddr, reg); err != nil {

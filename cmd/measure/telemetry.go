@@ -287,7 +287,6 @@ func summaryTable(s *telemetry.Snapshot) *report.Table {
 			count("fabric_workers_joined"), count("fabric_workers_dead")))
 		add("fabric leases granted", count("fabric_leases_granted"))
 		add("fabric leases re-queued", count("fabric_leases_requeued"))
-		add("fabric leases stolen", count("fabric_leases_stolen"))
 		add("fabric duplicate streams discarded", count("fabric_duplicates_discarded"))
 		add("fabric records received", count("fabric_records_received"))
 		add("fabric max heartbeat gap", dur(uint64(s.MaxTotal("fabric_heartbeat_gap_ns"))))

@@ -23,39 +23,26 @@ type CoordinatorConfig struct {
 	Hello []byte
 	// DeadAfter is the heartbeat-gap death threshold (default 10s): a
 	// worker silent for longer is declared dead, its partial shard
-	// buffers are discarded, and its uncommitted leases re-queue. Keep
-	// it a small multiple of the workers' HeartbeatEvery.
+	// buffer is discarded, and its uncommitted lease re-queues. Keep it
+	// a small multiple of the workers' HeartbeatEvery.
 	DeadAfter time.Duration
-	// Prefetch is the lease depth per worker (default 2): one shard
-	// running plus Prefetch-1 queued behind it, so a worker never
-	// idles waiting for the next grant. Queued-but-unstarted leases
-	// are the work-stealing pool.
-	Prefetch int
-	// MaxAttempts bounds how often one shard may be leased before the
-	// campaign aborts (default 4) — a deterministically failing shard
-	// must not ping-pong across the fleet forever.
-	MaxAttempts int
-	// WriteTimeout bounds every frame write (default 30s).
-	WriteTimeout time.Duration
 	// Metrics receives the coordinator-side fabric counters and the
 	// heartbeat-gap max-gauge (nil disables).
 	Metrics *telemetry.Registry
-	// Faults injects coordinator-side failures (duplicate lease
-	// grants) for the test matrix (nil = none).
-	Faults FaultInjector
-	// Clock overrides the time source (tests; default telemetry.NowNs).
-	Clock Clock
 	// Logf receives coordinator status lines (nil = silent).
 	Logf func(format string, args ...any)
 }
+
+// maxAttempts bounds how often one shard may be leased before the
+// campaign aborts: a deterministically failing shard must not ping-pong
+// across the fleet forever.
+const maxAttempts = 4
 
 type coordMetrics struct {
 	workersJoined       *telemetry.Counter
 	workersDead         *telemetry.Counter
 	leasesGranted       *telemetry.Counter
 	leasesRequeued      *telemetry.Counter
-	leasesStolen        *telemetry.Counter
-	leasesDuplicated    *telemetry.Counter
 	shardsCommitted     *telemetry.Counter
 	duplicatesDiscarded *telemetry.Counter
 	recordsReceived     *telemetry.Counter
@@ -69,8 +56,6 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 		workersDead:         reg.Counter("fabric_workers_dead"),
 		leasesGranted:       reg.Counter("fabric_leases_granted"),
 		leasesRequeued:      reg.Counter("fabric_leases_requeued"),
-		leasesStolen:        reg.Counter("fabric_leases_stolen"),
-		leasesDuplicated:    reg.Counter("fabric_leases_duplicated"),
 		shardsCommitted:     reg.Counter("fabric_shards_committed"),
 		duplicatesDiscarded: reg.Counter("fabric_duplicates_discarded"),
 		recordsReceived:     reg.Counter("fabric_records_received"),
@@ -81,11 +66,10 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 
 // lease is one shard granted to one worker. Its buffer accumulates the
 // shard's framed record lines and is only trusted once the Done frame
-// commits it — a dead worker's lease buffers are discarded whole.
+// commits it — a dead worker's lease buffer is discarded whole.
 type lease struct {
-	shard   int
-	started bool
-	buf     bytes.Buffer
+	shard int
+	buf   bytes.Buffer
 }
 
 // workerConn is the coordinator's view of one connected worker.
@@ -93,20 +77,17 @@ type workerConn struct {
 	conn     net.Conn
 	fr       *framer
 	name     string
-	joined   int64 // join timestamp, for deterministic-ish victim order
-	lastSeen int64 // ns; guarded by the coordinator mutex
-	leases   map[int]*lease
+	lastSeen int64  // ns; guarded by the coordinator mutex
+	lease    *lease // the worker's one lease, nil while it holds none
 	dead     bool
 }
 
 // Coordinator owns a networked campaign's shard lease state machine.
 // Create with NewCoordinator, drive with Run.
 type Coordinator struct {
-	ln     net.Listener
-	cfg    CoordinatorConfig
-	clock  Clock
-	faults FaultInjector
-	m      coordMetrics
+	ln  net.Listener
+	cfg CoordinatorConfig
+	m   coordMetrics
 
 	mu        sync.Mutex
 	pending   []int // shards awaiting a lease, grant order
@@ -126,28 +107,9 @@ func NewCoordinator(ln net.Listener, cfg CoordinatorConfig) *Coordinator {
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 10 * time.Second
 	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 2
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = defaultClock
-	}
-	faults := cfg.Faults
-	if faults == nil {
-		faults = NopFaults{}
-	}
 	c := &Coordinator{
 		ln:        ln,
 		cfg:       cfg,
-		clock:     clock,
-		faults:    faults,
 		m:         newCoordMetrics(cfg.Metrics),
 		attempts:  make([]int, cfg.Shards),
 		committed: make([][]byte, cfg.Shards),
@@ -238,7 +200,7 @@ func (c *Coordinator) monitor(stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		now := c.clock()
+		now := telemetry.NowNs()
 		c.mu.Lock()
 		var expired []*workerConn
 		for _, w := range c.workers {
@@ -260,7 +222,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	// The join must arrive promptly; afterwards silence is the
 	// monitor's business, not the reader's.
-	if err := conn.SetReadDeadline(time.Unix(0, c.clock()).Add(c.cfg.WriteTimeout)); err != nil {
+	if err := conn.SetReadDeadline(ioDeadline()); err != nil {
 		conn.Close()
 		return
 	}
@@ -273,15 +235,13 @@ func (c *Coordinator) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	// Coordinator-side frames never consult the fault injector: its
-	// frame/record/heartbeat hooks model worker failures.
+	// Coordinator-side frames never consult a fault injector: its hooks
+	// model worker failures.
 	w := &workerConn{
 		conn:     conn,
-		fr:       newFramer(conn, c.cfg.WriteTimeout, c.clock, NopFaults{}),
+		fr:       newFramer(conn, nil),
 		name:     string(payload),
-		joined:   c.clock(),
-		lastSeen: c.clock(),
-		leases:   make(map[int]*lease),
+		lastSeen: telemetry.NowNs(),
 	}
 	if err := w.fr.send(FrameHello, c.cfg.Hello); err != nil {
 		conn.Close()
@@ -306,7 +266,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 			c.declareDead(w, fmt.Sprintf("stream broken: %v", err))
 			return
 		}
-		now := c.clock()
+		now := telemetry.NowNs()
 		c.mu.Lock()
 		if w.dead {
 			// Frames racing the death verdict are void: the worker's
@@ -319,26 +279,18 @@ func (c *Coordinator) serve(conn net.Conn) {
 		switch typ {
 		case FrameHeartbeat:
 			c.mu.Unlock()
-		case FrameStart:
-			shard, _, derr := decodeShard(payload)
-			if derr == nil {
-				if l := w.leases[shard]; l != nil {
-					l.started = true
-				}
-			}
-			c.mu.Unlock()
 		case FrameRecord:
 			shard, line, derr := decodeShard(payload)
 			if derr != nil {
 				c.mu.Unlock()
 				continue
 			}
-			if l := w.leases[shard]; l != nil {
+			if l := w.lease; l != nil && l.shard == shard {
 				l.buf.Write(line)
 				c.m.recordsReceived.Inc()
 			} else {
-				// A revoked or re-queued shard's stragglers: the lease
-				// is gone, the bytes are void.
+				// Records of a shard the worker holds no lease on are
+				// void.
 				c.m.recordsOrphaned.Inc()
 			}
 			c.mu.Unlock()
@@ -357,8 +309,8 @@ func (c *Coordinator) serve(conn net.Conn) {
 				c.mu.Unlock()
 				continue
 			}
-			if l := w.leases[shard]; l != nil {
-				delete(w.leases, shard)
+			if l := w.lease; l != nil && l.shard == shard {
+				w.lease = nil
 				c.logf("fabric: worker %q failed shard %d: %s", w.name, shard, msg)
 				c.requeueLocked(shard)
 			}
@@ -370,17 +322,16 @@ func (c *Coordinator) serve(conn net.Conn) {
 	}
 }
 
-// commitLocked finalizes one shard stream. First complete copy wins;
-// a duplicate lease's stream (double grant, steal race) is discarded.
+// commitLocked finalizes the worker's lease on shard. A shard is only
+// ever leased to one worker at a time, so no second stream for it
+// should arrive; the committed check guards that invariant by
+// discarding any such stream whole.
 func (c *Coordinator) commitLocked(w *workerConn, shard int) {
-	l := w.leases[shard]
-	if l == nil {
+	l := w.lease
+	if l == nil || l.shard != shard {
 		return
 	}
-	delete(w.leases, shard)
-	if shard >= len(c.committed) {
-		return
-	}
+	w.lease = nil
 	if c.committed[shard] != nil {
 		c.m.duplicatesDiscarded.Inc()
 		c.logf("fabric: shard %d duplicate stream from %q discarded", shard, w.name)
@@ -399,14 +350,11 @@ func (c *Coordinator) commitLocked(w *workerConn, shard int) {
 // requeueLocked returns a shard to the pending queue, aborting the
 // campaign when its attempt budget is exhausted.
 func (c *Coordinator) requeueLocked(shard int) {
-	if c.committed[shard] != nil {
-		return // a duplicate copy already committed it
-	}
 	c.attempts[shard]++
-	if c.attempts[shard] >= c.cfg.MaxAttempts {
+	if c.attempts[shard] >= maxAttempts {
 		select {
 		case c.fatal <- fmt.Errorf("fabric: shard %d failed %d times (attempt budget %d exhausted)",
-			shard, c.attempts[shard], c.cfg.MaxAttempts):
+			shard, c.attempts[shard], maxAttempts):
 		default:
 		}
 		return
@@ -416,8 +364,8 @@ func (c *Coordinator) requeueLocked(shard int) {
 	c.m.leasesRequeued.Inc()
 }
 
-// declareDead removes a worker: discard its partial shard buffers,
-// re-queue its uncommitted leases, close its connection, and hand the
+// declareDead removes a worker: discard its partial shard buffer,
+// re-queue its uncommitted lease, close its connection, and hand the
 // re-queued work to the survivors.
 func (c *Coordinator) declareDead(w *workerConn, cause string) {
 	c.mu.Lock()
@@ -429,115 +377,49 @@ func (c *Coordinator) declareDead(w *workerConn, cause string) {
 	if i := slices.Index(c.workers, w); i >= 0 {
 		c.workers = slices.Delete(c.workers, i, i+1)
 	}
-	var lost []int
-	for shard := range w.leases {
-		lost = append(lost, shard)
-	}
-	slices.Sort(lost)
-	for _, shard := range lost {
-		delete(w.leases, shard) // the partial buffer dies with the lease
-		c.requeueLocked(shard)
+	lost := "it held no lease"
+	if l := w.lease; l != nil {
+		w.lease = nil // the partial buffer dies with the lease
+		c.requeueLocked(l.shard)
+		lost = fmt.Sprintf("re-queued shard %d", l.shard)
 	}
 	closing := c.closing
 	c.mu.Unlock()
 	c.m.workersDead.Inc()
 	if !closing {
-		c.logf("fabric: worker %q dead (%s); re-queued shards %v", w.name, cause, lost)
+		c.logf("fabric: worker %q dead (%s); %s", w.name, cause, lost)
 	}
 	w.conn.Close()
 	c.refill()
 }
 
-// refill pushes pending shards to workers with lease capacity, steals
-// unstarted leases for idle workers when the queue runs dry, and
-// honors the duplicate-grant fault. Grants are computed under the
-// mutex but sent outside it: a worker stalled in TCP backpressure may
-// hold up its own frames for WriteTimeout, never the state machine.
+// refill grants the next pending shard to every worker that holds no
+// lease. Grants are computed under the mutex but sent outside it: a
+// worker stalled in TCP backpressure may hold up its own frames for
+// writeTimeout, never the state machine.
 func (c *Coordinator) refill() {
-	type sendOp struct {
+	type grant struct {
 		w     *workerConn
-		typ   FrameType
 		shard int
 	}
-	var ops []sendOp
-
+	var grants []grant
 	c.mu.Lock()
-	grantLocked := func(w *workerConn, shard int, dup bool) {
-		w.leases[shard] = &lease{shard: shard}
-		ops = append(ops, sendOp{w, FrameGrant, shard})
-		c.m.leasesGranted.Inc()
-		if dup {
-			c.m.leasesDuplicated.Inc()
-		}
-	}
 	// Grant order is deterministic given the same worker/queue state:
 	// workers in join order, shards in queue order.
 	for _, w := range c.workers {
-		for len(c.pending) > 0 && len(w.leases) < c.cfg.Prefetch {
+		if w.lease == nil && len(c.pending) > 0 {
 			shard := c.pending[0]
 			c.pending = c.pending[1:]
-			grantLocked(w, shard, false)
-			if c.faults.DuplicateGrant(shard) {
-				// The double-lease fault: the same shard also lands on
-				// the next worker over (if any), so two complete copies
-				// race for the commit.
-				for _, w2 := range c.workers {
-					if w2 != w && w2.leases[shard] == nil {
-						grantLocked(w2, shard, true)
-						break
-					}
-				}
-			}
-		}
-	}
-	// Work-stealing: the queue is dry, so idle workers raid the
-	// deepest backlog of granted-but-unstarted leases. The victim's
-	// lease is discarded before the revoke is sent — if its Start
-	// frame is already in flight, the duplicate-commit rule absorbs
-	// the race.
-	if len(c.pending) == 0 {
-		for _, idle := range c.workers {
-			if len(idle.leases) != 0 {
-				continue
-			}
-			var victim *workerConn
-			victimShard := -1
-			for _, v := range c.workers {
-				if v == idle || len(v.leases) < 2 {
-					continue
-				}
-				var unstarted []int
-				for shard, l := range v.leases {
-					if !l.started {
-						unstarted = append(unstarted, shard)
-					}
-				}
-				slices.Sort(unstarted)
-				if len(unstarted) == 0 {
-					continue
-				}
-				if victim == nil || len(v.leases) > len(victim.leases) {
-					victim, victimShard = v, unstarted[len(unstarted)-1]
-				}
-			}
-			if victim == nil {
-				continue
-			}
-			delete(victim.leases, victimShard)
-			idle.leases[victimShard] = &lease{shard: victimShard}
-			c.m.leasesStolen.Inc()
+			w.lease = &lease{shard: shard}
+			grants = append(grants, grant{w, shard})
 			c.m.leasesGranted.Inc()
-			ops = append(ops,
-				sendOp{victim, FrameRevoke, victimShard},
-				sendOp{idle, FrameGrant, victimShard})
-			c.logf("fabric: idle worker %q stole shard %d from %q", idle.name, victimShard, victim.name)
 		}
 	}
 	c.mu.Unlock()
 
-	for _, op := range ops {
-		if err := op.w.fr.send(op.typ, appendShard(nil, op.shard)); err != nil {
-			c.declareDead(op.w, fmt.Sprintf("send %s: %v", op.typ, err))
+	for _, g := range grants {
+		if err := g.w.fr.send(FrameGrant, appendShard(nil, g.shard)); err != nil {
+			c.declareDead(g.w, fmt.Sprintf("send grant: %v", err))
 		}
 	}
 }

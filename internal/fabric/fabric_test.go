@@ -85,10 +85,17 @@ type fleet struct {
 	wErrs    []error
 }
 
-// runFleet wires cfg/worker pairs over loopback TCP. Worker configs
-// get their Addr, Name, Metrics, and timing defaults filled in; nil
-// entries in runners fall back to run.
+// runFleet wires a coordinator and one worker per workerFaults entry
+// over loopback TCP, every worker running run. Worker configs get their
+// Addr, Name, Metrics and timing filled in.
 func runFleet(t *testing.T, ccfg CoordinatorConfig, workerFaults []FaultInjector, run ShardRunner) *fleet {
+	t.Helper()
+	return runFleetEach(t, ccfg, workerFaults, func(*telemetry.Registry) ShardRunner { return run })
+}
+
+// runFleetEach is runFleet with a runner per worker, built from the
+// worker's own metrics registry.
+func runFleetEach(t *testing.T, ccfg CoordinatorConfig, workerFaults []FaultInjector, runnerFor func(*telemetry.Registry) ShardRunner) *fleet {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -119,8 +126,6 @@ func runFleet(t *testing.T, ccfg CoordinatorConfig, workerFaults []FaultInjector
 			Addr:           ln.Addr().String(),
 			Name:           fmt.Sprintf("w%d", i),
 			HeartbeatEvery: 25 * time.Millisecond,
-			DialTimeout:    5 * time.Second,
-			WriteTimeout:   5 * time.Second,
 			RetrySeed:      int64(1000 + i),
 			RetryBase:      5 * time.Millisecond,
 			RetryCap:       50 * time.Millisecond,
@@ -130,10 +135,10 @@ func runFleet(t *testing.T, ccfg CoordinatorConfig, workerFaults []FaultInjector
 			Logf:           t.Logf,
 		}
 		wg.Add(1)
-		go func(i int, cfg WorkerConfig) {
+		go func(i int, cfg WorkerConfig, run ShardRunner) {
 			defer wg.Done()
 			fl.wErrs[i] = RunWorker(ctx, cfg, run)
-		}(i, cfg)
+		}(i, cfg, runnerFor(reg))
 	}
 
 	fl.streams, fl.runErr = coord.Run(ctx)
@@ -194,8 +199,8 @@ func TestFabricCommitsAllShards(t *testing.T) {
 	if got := counter(fl.coordReg, "fabric_shards_committed"); got != shards {
 		t.Errorf("fabric_shards_committed = %d, want %d", got, shards)
 	}
-	if got := counter(fl.coordReg, "fabric_leases_granted"); got < shards {
-		t.Errorf("fabric_leases_granted = %d, want >= %d", got, shards)
+	if got := counter(fl.coordReg, "fabric_leases_granted"); got != shards {
+		t.Errorf("fabric_leases_granted = %d, want %d", got, shards)
 	}
 	var done uint64
 	for _, reg := range fl.wRegs {
@@ -208,6 +213,36 @@ func TestFabricCommitsAllShards(t *testing.T) {
 		if err != nil {
 			t.Errorf("worker %d: %v", i, err)
 		}
+	}
+}
+
+// TestFabricOneLeasePerWorker pins lease-at-a-time: a worker is
+// granted its next shard only once its previous one committed. Each
+// shard waits a few milliseconds before it emits, time enough for any
+// grant already sent to land, and then the worker must have been
+// granted exactly the shards it has started.
+func TestFabricOneLeasePerWorker(t *testing.T) {
+	const shards, recs = 6, 3
+	emit := testRunner(recs, 0)
+	fl := runFleetEach(t,
+		CoordinatorConfig{Shards: shards, DeadAfter: 2 * time.Second},
+		make([]FaultInjector, 2),
+		func(reg *telemetry.Registry) ShardRunner {
+			var started uint64 // this worker's shards, run one after another
+			return func(ctx context.Context, hello []byte, shard int, sink pipeline.RecordSink) error {
+				started++
+				if err := sleepCtx(ctx, 5*time.Millisecond); err != nil {
+					return err
+				}
+				if got := counter(reg, "fabric_grants"); got != started {
+					t.Errorf("shard %d: worker holds %d grants after starting %d shards", shard, got, started)
+				}
+				return emit(ctx, hello, shard, sink)
+			}
+		})
+	fl.checkStreams(t, shards, recs)
+	if got := counter(fl.coordReg, "fabric_leases_granted"); got != shards {
+		t.Errorf("fabric_leases_granted = %d, want %d", got, shards)
 	}
 }
 
@@ -291,7 +326,8 @@ func TestFabricHeartbeatStallLeaseExpiry(t *testing.T) {
 
 // TestFabricReconnectAfterDrop severs the worker's only connection
 // mid-stream; the seeded backoff must reconnect it and the re-run must
-// restore byte-identity.
+// restore byte-identity. The drop follows the fifth frame (the Join
+// and four records), inside the first shard.
 func TestFabricReconnectAfterDrop(t *testing.T) {
 	const shards, recs = 3, 6
 	fl := runFleet(t,
@@ -308,41 +344,10 @@ func TestFabricReconnectAfterDrop(t *testing.T) {
 	if got := counter(fl.coordReg, "fabric_leases_requeued"); got < 1 {
 		t.Errorf("fabric_leases_requeued = %d, want >= 1", got)
 	}
-}
-
-// TestFabricDuplicateGrantDiscarded double-leases shards; exactly one
-// complete copy may commit, the rest are discarded, and the committed
-// bytes stay identical.
-func TestFabricDuplicateGrantDiscarded(t *testing.T) {
-	const shards, recs = 6, 6
-	fl := runFleet(t,
-		CoordinatorConfig{Shards: shards, DeadAfter: 2 * time.Second, Faults: DuplicateGrants{}},
-		[]FaultInjector{nil, nil},
-		testRunner(recs, 2*time.Millisecond))
-	fl.checkStreams(t, shards, recs)
-	if got := counter(fl.coordReg, "fabric_leases_duplicated"); got < 1 {
-		t.Errorf("fabric_leases_duplicated = %d, want >= 1", got)
-	}
-	if got := counter(fl.coordReg, "fabric_duplicates_discarded"); got < 1 {
-		t.Errorf("fabric_duplicates_discarded = %d, want >= 1", got)
-	}
-	if got := counter(fl.coordReg, "fabric_shards_committed"); got != shards {
-		t.Errorf("fabric_shards_committed = %d, want exactly %d", got, shards)
-	}
-}
-
-// TestFabricWorkSteal front-loads every lease onto the first worker;
-// the idle second worker must steal unstarted leases instead of
-// watching the straggler drain its backlog.
-func TestFabricWorkSteal(t *testing.T) {
-	const shards, recs = 6, 6
-	fl := runFleet(t,
-		CoordinatorConfig{Shards: shards, DeadAfter: 2 * time.Second, Prefetch: shards},
-		[]FaultInjector{nil, nil},
-		testRunner(recs, 3*time.Millisecond))
-	fl.checkStreams(t, shards, recs)
-	if got := counter(fl.coordReg, "fabric_leases_stolen"); got < 1 {
-		t.Errorf("fabric_leases_stolen = %d, want >= 1", got)
+	// Records of the severed shard reached the coordinator and were
+	// discarded with its lease: the drop landed mid-shard.
+	if got := counter(fl.coordReg, "fabric_records_received"); got <= shards*recs {
+		t.Errorf("fabric_records_received = %d, want > %d", got, shards*recs)
 	}
 }
 
@@ -372,8 +377,8 @@ func TestFabricShardFailureRequeues(t *testing.T) {
 }
 
 // TestFabricAttemptBudgetAborts pins the ping-pong bound: a shard that
-// fails deterministically must abort the campaign, not circulate
-// forever.
+// fails deterministically must abort the campaign after maxAttempts
+// leases, not circulate forever.
 func TestFabricAttemptBudgetAborts(t *testing.T) {
 	const shards, recs = 2, 3
 	inner := testRunner(recs, 0)
@@ -384,7 +389,7 @@ func TestFabricAttemptBudgetAborts(t *testing.T) {
 		return inner(ctx, hello, shard, sink)
 	}
 	fl := runFleet(t,
-		CoordinatorConfig{Shards: shards, DeadAfter: 2 * time.Second, MaxAttempts: 2},
+		CoordinatorConfig{Shards: shards, DeadAfter: 2 * time.Second},
 		[]FaultInjector{nil},
 		run)
 	if fl.runErr == nil {
@@ -485,7 +490,7 @@ func TestNetSinkPut(t *testing.T) {
 	rec.Cert = &dataset.CertRecord{Thumbprint: "ab12", SubjectOrg: "B&R", NotBefore: rec.Date, NotAfter: rec.Date.AddDate(10, 0, 0)}
 	conn := new(discardConn)
 	reg := telemetry.New()
-	sink := newNetSink(newFramer(conn, time.Second, nil, nil), 3, nil, reg.Counter("records"))
+	sink := newNetSink(newFramer(conn, nil), 3, nil, reg.Counter("records"))
 	if err := sink.Put(rec); err != nil {
 		t.Fatal(err)
 	}

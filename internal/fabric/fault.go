@@ -23,10 +23,10 @@ const (
 )
 
 // FaultInjector drives the fabric's failure test matrix by injecting
-// deterministic faults at the transport's seams. Implementations must
-// be safe for concurrent use: hooks run on the framer's send path, the
-// heartbeat goroutine, and the coordinator's grant path. NopFaults is
-// the embeddable no-op base.
+// deterministic worker-side faults at the transport's seams.
+// Implementations must be safe for concurrent use: hooks run on the
+// framer's send path and the heartbeat goroutine. NopFaults is the
+// embeddable no-op base.
 type FaultInjector interface {
 	// FrameWritten is consulted after the worker's nth frame (1-based,
 	// per connection lifetime) hits the wire.
@@ -37,10 +37,6 @@ type FaultInjector interface {
 	// HeartbeatDue is consulted before the worker's nth heartbeat;
 	// FaultWedge suppresses this and all later sends.
 	HeartbeatDue(n int) FaultAction
-	// DuplicateGrant, consulted on the coordinator when it leases a
-	// shard, grants the same shard to a second worker when true — the
-	// double-lease fault the commit-first-copy rule must absorb.
-	DuplicateGrant(shard int) bool
 }
 
 // NopFaults injects nothing; embed it to implement one hook.
@@ -54,9 +50,6 @@ func (NopFaults) RecordPut(int, int) FaultAction { return FaultNone }
 
 // HeartbeatDue proceeds normally.
 func (NopFaults) HeartbeatDue(int) FaultAction { return FaultNone }
-
-// DuplicateGrant grants once.
-func (NopFaults) DuplicateGrant(int) bool { return false }
 
 // KillAfterRecords aborts the worker run (FaultKill) once it has
 // streamed n records in total — the mid-shard worker-kill scenario.
@@ -112,11 +105,3 @@ func (d *DropAfterFrames) FrameWritten(int) FaultAction {
 	}
 	return FaultNone
 }
-
-// DuplicateGrants makes the coordinator lease every shard twice — the
-// double-grant fault; the commit-first-complete-copy rule must discard
-// the duplicate stream.
-type DuplicateGrants struct{ NopFaults }
-
-// DuplicateGrant always duplicates.
-func (DuplicateGrants) DuplicateGrant(int) bool { return true }

@@ -7,15 +7,17 @@
 //
 // The model (DESIGN.md §8): the coordinator owns the campaign's N
 // deterministic shards and leases them to connected workers over one
-// TCP connection per worker. A worker streams each leased shard's
-// records as framed NDJSON; the coordinator buffers them per (worker,
-// shard) and commits a shard only when its Done frame arrives — so a
-// worker that dies mid-shard (broken stream or missed heartbeats)
-// loses exactly its uncommitted partial buffers, and the coordinator
-// re-queues those shards to other workers. Shard execution is a pure
-// function of (seed, plan, shard index), so a re-run on any machine
-// reproduces the identical record stream and the merged campaign stays
-// byte-identical to a single-process run.
+// TCP connection per worker, one lease per worker at a time: a worker
+// is granted its next shard only once its previous one committed or
+// failed. A worker streams its leased shard's records as framed
+// NDJSON; the coordinator buffers them per worker and commits the
+// shard only when its Done frame arrives — so a worker that dies
+// mid-shard (broken stream or missed heartbeats) loses exactly its
+// uncommitted partial buffer, and the coordinator re-queues that shard
+// to another worker. Shard execution is a pure function of (seed,
+// plan, shard index), so a re-run on any machine reproduces the
+// identical record stream and the merged campaign stays byte-identical
+// to a single-process run.
 package fabric
 
 import (
@@ -37,7 +39,8 @@ import (
 type FrameType uint8
 
 // Protocol frames. Worker→coordinator frames carry the shard index in
-// the first 4 payload bytes where they concern one shard.
+// the first 4 payload bytes where they concern one shard. The values
+// are wire constants; 4 and 6 are retired and stay unused.
 const (
 	// FrameJoin (worker→coord) opens a session; payload is the worker
 	// name (informational, used in logs and lease accounting).
@@ -48,19 +51,12 @@ const (
 	// fleet cannot diverge on flags.
 	FrameHello FrameType = 2
 	// FrameGrant (coord→worker) leases one shard; payload is the shard
-	// index.
+	// index. A worker's next grant follows only its Done or Fail for
+	// the previous one.
 	FrameGrant FrameType = 3
-	// FrameRevoke (coord→worker) takes back a granted-but-unstarted
-	// lease (work-stealing); payload is the shard index. A worker that
-	// already started the shard ignores the revoke — the coordinator
-	// commits whichever complete copy arrives first.
-	FrameRevoke FrameType = 4
 	// FrameShutdown (coord→worker) ends the session: every shard is
 	// committed, the worker should exit cleanly.
 	FrameShutdown FrameType = 5
-	// FrameStart (worker→coord) marks a lease as started; payload is
-	// the shard index. Started leases are never stolen.
-	FrameStart FrameType = 6
 	// FrameRecord (worker→coord) carries one NDJSON record line of a
 	// shard's stream; payload is shard index + line bytes.
 	FrameRecord FrameType = 7
@@ -69,7 +65,7 @@ const (
 	FrameDone FrameType = 8
 	// FrameFail (worker→coord) reports a shard run error; payload is
 	// shard index + error text. The coordinator re-queues the shard
-	// (bounded by MaxAttempts).
+	// (bounded by its attempt budget, maxAttempts).
 	FrameFail FrameType = 9
 	// FrameHeartbeat (worker→coord) is the liveness beacon; any frame
 	// refreshes the worker's heartbeat clock, this one exists so idle
@@ -85,12 +81,8 @@ func (t FrameType) String() string {
 		return "hello"
 	case FrameGrant:
 		return "grant"
-	case FrameRevoke:
-		return "revoke"
 	case FrameShutdown:
 		return "shutdown"
-	case FrameStart:
-		return "start"
 	case FrameRecord:
 		return "record"
 	case FrameDone:
@@ -119,25 +111,23 @@ var (
 	ErrSessionSevered = errors.New("fabric: connection severed by fault injector")
 )
 
-// Clock is the fabric's time source in nanoseconds. The default is
-// telemetry.NowNs — the repository's one sanctioned wall-clock read —
-// and tests may inject a fake. Clock readings drive transport deadlines
-// and heartbeat-gap decisions only; they never reach record bytes.
-type Clock func() int64
+// writeTimeout bounds every frame write and the wait for the opening
+// Join/Hello exchange on both sides of a connection.
+const writeTimeout = 30 * time.Second
 
-// defaultClock is the production time source: telemetry.NowNs, the
-// repository's one sanctioned wall-clock read.
-func defaultClock() int64 { return telemetry.NowNs() }
+// ioDeadline is writeTimeout from now. The fabric reads the wall clock
+// through telemetry.NowNs, the repository's one sanctioned wall-clock
+// read; readings drive transport deadlines and heartbeat-gap decisions
+// only and never reach record bytes.
+func ioDeadline() time.Time { return time.Unix(0, telemetry.NowNs()).Add(writeTimeout) }
 
 // framer serializes frame writes on one connection: one mutex, a write
 // deadline per frame (bounded writes — a stalled peer cannot wedge the
 // writer forever), a frame counter feeding the fault injector, and a
 // wedge mode that simulates a stalled-but-connected peer.
 type framer struct {
-	conn         net.Conn
-	writeTimeout time.Duration
-	clock        Clock
-	faults       FaultInjector
+	conn   net.Conn
+	faults FaultInjector
 
 	mu     sync.Mutex
 	hdr    [frameHeaderLen]byte // the frame header being written
@@ -146,20 +136,11 @@ type framer struct {
 	dead   chan struct{}
 }
 
-func newFramer(conn net.Conn, writeTimeout time.Duration, clock Clock, faults FaultInjector) *framer {
-	if clock == nil {
-		clock = defaultClock
-	}
+func newFramer(conn net.Conn, faults FaultInjector) *framer {
 	if faults == nil {
 		faults = NopFaults{}
 	}
-	return &framer{
-		conn:         conn,
-		writeTimeout: writeTimeout,
-		clock:        clock,
-		faults:       faults,
-		dead:         make(chan struct{}),
-	}
+	return &framer{conn: conn, faults: faults, dead: make(chan struct{})}
 }
 
 // markDead unblocks wedged senders; called once by the connection's
@@ -184,12 +165,9 @@ func (f *framer) send(typ FrameType, payload []byte) error {
 		<-f.dead
 		return ErrSessionSevered
 	}
-	if f.writeTimeout > 0 {
-		deadline := time.Unix(0, f.clock()).Add(f.writeTimeout)
-		if err := f.conn.SetWriteDeadline(deadline); err != nil {
-			f.mu.Unlock()
-			return fmt.Errorf("fabric: write deadline: %w", err)
-		}
+	if err := f.conn.SetWriteDeadline(ioDeadline()); err != nil {
+		f.mu.Unlock()
+		return fmt.Errorf("fabric: write deadline: %w", err)
 	}
 	binary.BigEndian.PutUint32(f.hdr[:4], uint32(len(payload)))
 	f.hdr[4] = uint8(typ)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -26,8 +25,8 @@ var ErrWorkerKilled = errors.New("fabric: worker killed by fault injector")
 // from the coordinator's hello payload, streams every record of shard
 // `shard` into sink in wave order, and returns nil only when the
 // shard's stream is complete. The runner must honor ctx cancellation —
-// a revoked session cancels in-flight runs through the sink's write
-// errors and the context.
+// a lost session ends in-flight runs through the sink's write errors
+// and the context.
 type ShardRunner func(ctx context.Context, hello []byte, shard int, sink pipeline.RecordSink) error
 
 // WorkerConfig tunes one fabric worker.
@@ -39,11 +38,6 @@ type WorkerConfig struct {
 	// HeartbeatEvery is the liveness beacon cadence (default 2s). Keep
 	// it well under the coordinator's DeadAfter.
 	HeartbeatEvery time.Duration
-	// DialTimeout bounds one dial attempt (default 10s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds every frame write (default 30s) — a stalled
-	// coordinator cannot wedge the worker forever.
-	WriteTimeout time.Duration
 	// RetrySeed seeds the deterministic dial/reconnect backoff;
 	// derive it from (campaign seed, worker identity) so a fleet's
 	// retry schedules are reproducible yet mutually de-synchronized.
@@ -58,8 +52,6 @@ type WorkerConfig struct {
 	Metrics *telemetry.Registry
 	// Faults injects failures for the test matrix (nil = none).
 	Faults FaultInjector
-	// Clock overrides the time source (tests; default telemetry.NowNs).
-	Clock Clock
 	// Logf receives worker status lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -90,6 +82,9 @@ func newWorkerMetrics(reg *telemetry.Registry) workerMetrics {
 	}
 }
 
+// dialTimeout bounds one dial attempt.
+const dialTimeout = 10 * time.Second
+
 // RunWorker dials the coordinator and executes leased shards until the
 // coordinator sends Shutdown (returns nil), the context is cancelled,
 // the fault injector kills the run (ErrWorkerKilled), or the retry
@@ -100,17 +95,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, run ShardRunner) error {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 2 * time.Second
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	if cfg.MaxDials <= 0 {
 		cfg.MaxDials = 8
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = defaultClock
 	}
 	if cfg.Faults == nil {
 		cfg.Faults = NopFaults{}
@@ -118,7 +104,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, run ShardRunner) error {
 	m := newWorkerMetrics(cfg.Metrics)
 	bo := backoff.New(cfg.RetrySeed, cfg.RetryBase, cfg.RetryCap)
 
-	dialer := net.Dialer{Timeout: cfg.DialTimeout}
+	dialer := net.Dialer{Timeout: dialTimeout}
 	dialFails := 0
 	sessions := 0
 	for {
@@ -172,11 +158,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // session is the mutable state of one worker connection: the granted
-// lease queue and the terminal flags, guarded by mu and signalled via
-// wake.
+// lease waiting to run and the terminal flags, guarded by mu and
+// signalled via wake.
 type session struct {
 	mu       sync.Mutex
-	queue    []int // granted, not yet started, FIFO
+	queue    []int // granted, not yet started; the coordinator leases one at a time
 	shutdown bool
 	readErr  error
 	wake     chan struct{}
@@ -193,14 +179,14 @@ func (s *session) kick() {
 // coordinator sent Shutdown and the worker should exit cleanly.
 func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run ShardRunner, m workerMetrics, bo *backoff.Backoff) (done bool, err error) {
 	defer conn.Close()
-	fr := newFramer(conn, cfg.WriteTimeout, cfg.Clock, cfg.Faults)
+	fr := newFramer(conn, cfg.Faults)
 	if err := fr.send(FrameJoin, []byte(cfg.Name)); err != nil {
 		return false, err
 	}
 	br := bufio.NewReader(conn)
 	// The hello must arrive promptly; afterwards reads block until the
 	// coordinator has something to say.
-	if err := conn.SetReadDeadline(time.Unix(0, cfg.Clock()).Add(cfg.WriteTimeout)); err != nil {
+	if err := conn.SetReadDeadline(ioDeadline()); err != nil {
 		return false, err
 	}
 	typ, hello, err := readFrame(br)
@@ -220,7 +206,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 
 	st := &session{wake: make(chan struct{}, 1)}
 
-	// Reader: grants, revokes, shutdown. Any read error (including the
+	// Reader: grants and shutdown. Any read error (including the
 	// coordinator closing a dead worker's connection) collapses the
 	// session and unblocks wedged senders.
 	go func() {
@@ -247,16 +233,6 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 				st.queue = append(st.queue, shard)
 				st.mu.Unlock()
 				st.kick()
-			case FrameRevoke:
-				shard, _, derr := decodeShard(payload)
-				if derr != nil {
-					continue
-				}
-				st.mu.Lock()
-				if i := slices.Index(st.queue, shard); i >= 0 {
-					st.queue = slices.Delete(st.queue, i, i+1)
-				}
-				st.mu.Unlock()
 			case FrameShutdown:
 				st.mu.Lock()
 				st.shutdown = true
@@ -310,9 +286,8 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 		st.mu.Unlock()
 
 		if !hasShard {
-			// Shutdown outranks queued leases: the coordinator only says
-			// shutdown once every shard is committed, so leftover grants
-			// (duplicate copies, steal races) are void work.
+			// The coordinator says shutdown only once every shard is
+			// committed.
 			if down {
 				return true, nil
 			}
@@ -327,9 +302,6 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 			continue
 		}
 
-		if err := fr.send(FrameStart, appendShard(nil, shard)); err != nil {
-			return false, err
-		}
 		cfg.logf("fabric worker %s: running shard %d", cfg.Name, shard)
 		sink := newNetSink(fr, shard, cfg.Faults, m.records)
 		rerr = run(ctx, hello, shard, sink)

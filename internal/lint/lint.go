@@ -115,9 +115,9 @@ func DefaultConfig() *Config {
 			// an entropy-exempt directive, everything else must stay clean.
 			"repro/internal/telemetry",
 			// The shard fabric's retry jitter must replay from its seed
-			// and its deadlines must flow through the injected Clock, so
-			// the transport obeys the same entropy and clock rules as the
-			// record path it carries.
+			// and its deadlines and heartbeat gaps read the wall only
+			// through telemetry.NowNs, so the transport obeys the same
+			// entropy and clock rules as the record path it carries.
 			"repro/internal/fabric",
 			// Chaos behaviors are pure functions of (seed, wave, addr):
 			// any ambient entropy or clock in the decision path would

@@ -66,8 +66,8 @@ func finalSnapshots(t *testing.T, path string) map[string]*telemetry.Snapshot {
 // `-connect` subprocesses, each streaming its registry into dir. It
 // returns the workers' closing snapshots. Which worker executes which
 // shard is the fabric's business (a fast worker may take several
-// leases, an idle one may steal), so callers assert on sums and on the
-// workers that ran something.
+// leases in turn), so callers assert on sums and on the workers that
+// ran something.
 func runFabricMeasure(t *testing.T, bin, dir string, workers int, coordArgs ...string) []*telemetry.Snapshot {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -306,6 +306,9 @@ func TestMeasureFlagValidation(t *testing.T) {
 		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-testkeys", "-trace", "t.ndjson"},
 			"-trace has no effect with -listen"},
 		{[]string{"-testkeys", "-waves", "7", "-heartbeat", "1s"}, "-heartbeat has no effect without -listen or -connect"},
+		// Faults are injected on workers only.
+		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-fault", "kill=3"}, "-fault has no effect with -listen"},
+		{[]string{"-connect", "127.0.0.1:1", "-fault", "dupgrant"}, `unknown -fault "dupgrant"`},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		if err == nil || !bytes.Contains(out, []byte(tc.want)) {
