@@ -3,13 +3,9 @@ package deploy
 import (
 	"fmt"
 
+	"repro/internal/simnet"
 	"repro/internal/wavediff"
 )
-
-// scanPort is the standard OPC UA port the campaign's wave port scan
-// sweeps (scanner.PortScanConfig's default). Endpoints listening
-// elsewhere are reachable only through discovery references.
-const scanPort = 4840
 
 // WaveEndpointStates derives every spec endpoint's wave-varying state —
 // the wavediff fingerprint input — from spec state alone. No server is
@@ -41,7 +37,7 @@ func (w *World) WaveEndpointStates(wave int) ([]wavediff.EndpointState, error) {
 		st := wavediff.EndpointState{
 			Address:         fmt.Sprintf("%s:%d", hs.IP, hs.Port),
 			Present:         hs.PresentAt(wave),
-			PortScanned:     hs.Port == scanPort && universe.Contains(hs.IP),
+			PortScanned:     hs.Port == simnet.ScanPort && universe.Contains(hs.IP),
 			CertThumbprint:  wh.certAt(wave).ThumbprintHex(),
 			SoftwareVersion: wh.softwareVersionAt(wave),
 		}
@@ -58,14 +54,14 @@ func (w *World) WaveEndpointStates(wave int) ([]wavediff.EndpointState, error) {
 	for _, wd := range w.discovery {
 		ds := wd.spec
 		st := wavediff.EndpointState{
-			Address:         fmt.Sprintf("%s:%d", ds.IP, scanPort),
+			Address:         fmt.Sprintf("%s:%d", ds.IP, simnet.ScanPort),
 			Present:         wave < len(ds.Present) && ds.Present[wave],
 			PortScanned:     universe.Contains(ds.IP),
 			CertThumbprint:  wd.cert.ThumbprintHex(),
 			SoftwareVersion: "1.03",
 		}
 		if st.Present {
-			b := wm.Behavior(ds.IP.As4(), scanPort)
+			b := wm.Behavior(ds.IP.As4(), simnet.ScanPort)
 			st.ChaosKind = uint8(b.Kind)
 			st.ChaosParam = uint64(b.Param)
 		}

@@ -131,6 +131,9 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	// Every noise address, hence every dataset, depends on this seed.
 	noise := simnet.NewNoise(opts.NoiseProb, 0x9E3779B97F4A7C15)
 	w := &World{Spec: spec, Net: &worldview.Config{Universe: u, Noise: noise}, Keys: uacert.NewDeterministicKeyPool(spec.Seed)}
+	// One pass over the universe here, not one per snapshot: every wave's
+	// responsive index shares the noise list.
+	w.Net.IndexNoise()
 	var seedB [8]byte
 	binary.LittleEndian.PutUint64(seedB[:], uint64(spec.Seed))
 

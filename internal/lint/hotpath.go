@@ -8,7 +8,7 @@ import (
 
 // HotPathAnalyzer turns the AllocsPerRun budget tests' after-the-fact
 // gate into a compile-time diagnostic: functions marked
-// //studyvet:hotpath (PortScan probe helpers, codec encode, uasc seal)
+// //studyvet:hotpath (the sweep's Permutation.Index, codec encode, uasc seal)
 // reject constructs that allocate on the steady-state path:
 //
 //   - any fmt.* call (Errorf/Sprintf allocate even before formatting);

@@ -13,9 +13,9 @@ import (
 
 // fnvMix folds the eight little-endian bytes of v into an FNV-1a state
 // (parameters shared with the noise model via simnet; the Feistel round
-// below inlines the hash so the per-probe path performs zero heap
-// allocations, and TestPermutationRoundMatchesFNV pins the arithmetic
-// against the stdlib implementation byte for byte).
+// below inlines the hash so a pass performs zero heap allocations, and
+// TestPermutationRoundMatchesFNV pins the arithmetic against the stdlib
+// implementation byte for byte).
 func fnvMix(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = (h ^ (v & 0xff)) * simnet.FNVPrime64
@@ -94,7 +94,7 @@ func (p *Permutation) round(half uint64, round uint) uint64 {
 	return h & p.halfMask
 }
 
-//studyvet:hotpath — At's inner loop body
+//studyvet:hotpath — at's inner loop body
 func (p *Permutation) feistel(x uint64) uint64 {
 	l := x >> p.halfBits
 	r := x & p.halfMask
@@ -113,12 +113,29 @@ func (p *Permutation) feistel(x uint64) uint64 {
 	return l<<p.halfBits | r
 }
 
-// At maps index i to its permuted position. i must be < N. At performs
-// no heap allocations (the port-scan probe path relies on this;
-// TestPermutationAtAllocFree gates it).
+// feistelInverse undoes feistel: the same four rounds in reverse order.
 //
-//studyvet:hotpath — called once per probed address
-func (p *Permutation) At(i uint64) uint64 {
+//studyvet:hotpath — Index's inner loop body
+func (p *Permutation) feistelInverse(x uint64) uint64 {
+	l := x >> p.halfBits
+	r := x & p.halfMask
+	if p.tab[0] == nil {
+		for round := uint(4); round > 0; round-- {
+			l, r = r^p.round(l, round-1), l
+		}
+		return l<<p.halfBits | r
+	}
+	r ^= uint64(p.tab[3][l])
+	l ^= uint64(p.tab[2][r])
+	r ^= uint64(p.tab[1][l])
+	l ^= uint64(p.tab[0][r])
+	return l<<p.halfBits | r
+}
+
+// at maps scan index i to the linear universe index the sweep visits
+// i-th. i must be < N. The sweep itself runs the other way (Index); at
+// is the order it reproduces, pinned by TestPermutationGolden.
+func (p *Permutation) at(i uint64) uint64 {
 	if p.n == 0 {
 		return 0
 	}
@@ -129,4 +146,22 @@ func (p *Permutation) At(i uint64) uint64 {
 		x = p.feistel(x)
 	}
 	return x
+}
+
+// Index is at's inverse: the scan index at which the sweep visits
+// linear index x. x must be < N. Walking feistelInverse back from x
+// retraces at's cycle-walk, whose intermediate values all lie outside
+// [0, N), to the one index inside it. Index performs no heap
+// allocations (TestPermutationAtAllocFree gates it).
+//
+//studyvet:hotpath — called once per responsive address
+func (p *Permutation) Index(x uint64) uint64 {
+	if p.n == 0 {
+		return 0
+	}
+	i := p.feistelInverse(x)
+	for i >= p.n {
+		i = p.feistelInverse(i)
+	}
+	return i
 }

@@ -83,14 +83,10 @@ func runWaveRange(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConf
 	}
 	wave := &Wave{Date: cfg.Date, OpenPorts: len(open)}
 
-	port := cfg.PortScan.Port
-	if port == 0 {
-		port = 4840
-	}
 	targets := make([]Target, 0, len(open))
 	for _, addr := range open {
 		t := Target{
-			Address: fmt.Sprintf("%s:%d", addr, port),
+			Address: fmt.Sprintf("%s:%d", addr, simnet.ScanPort),
 			Via:     ViaPortScan,
 		}
 		if cfg.Delta != nil && cfg.Delta.Skip(t.Address) {

@@ -16,7 +16,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"net"
 	"net/netip"
 	"slices"
@@ -56,7 +55,8 @@ func NewPrefix(base string, bits int) (Prefix, error) {
 }
 
 // AddrToU32 returns an IPv4 address as its 32-bit big-endian value, the
-// key form of the per-probe paths (no netip hashing or comparison).
+// key form of the host tables and the noise hash (no netip hashing or
+// comparison).
 func AddrToU32(a netip.Addr) uint32 {
 	b := a.As4()
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
@@ -85,13 +85,6 @@ type Universe struct {
 	// cum[len(prefixes)] == total.
 	cum   []uint64
 	total uint64
-	// slot[i>>shift] is the prefix holding linear index i. Every prefix
-	// size, hence every cum entry, is a multiple of 1<<shift, so no slot
-	// straddles a prefix boundary. nil when the table would exceed
-	// maxLocateSlots (prefix sizes sharing no large power-of-two factor
-	// over a big universe); Locate then binary-searches cum.
-	slot  []int32
-	shift uint
 	// byBase orders prefix indexes by base address when the prefixes
 	// are pairwise disjoint, enabling a binary-search PrefixIndex (the
 	// by-address and dial path); nil when prefixes overlap, which falls
@@ -110,20 +103,6 @@ func NewUniverse(prefixes ...Prefix) *Universe {
 		u.total += uint64(p.Size)
 	}
 	u.cum[len(prefixes)] = u.total
-
-	var sizes uint64
-	for _, p := range prefixes {
-		sizes |= uint64(p.Size)
-	}
-	u.shift = uint(bits.TrailingZeros64(sizes))
-	if slots := u.total >> u.shift; slots <= maxLocateSlots {
-		u.slot = make([]int32, slots)
-		for i := range prefixes {
-			for k := u.cum[i] >> u.shift; k < u.cum[i+1]>>u.shift; k++ {
-				u.slot[k] = int32(i)
-			}
-		}
-	}
 
 	byBase := make([]int, len(prefixes))
 	for i := range byBase {
@@ -149,21 +128,12 @@ func NewUniverse(prefixes ...Prefix) *Universe {
 // Size returns the number of scannable addresses.
 func (u *Universe) Size() uint64 { return u.total }
 
-// maxLocateSlots caps the direct Locate table (256 KiB of int32). The
-// study universe of 40 x /16 needs 40 slots; any NewPrefix-built
-// universe needs total / smallest-prefix-size.
-const maxLocateSlots = 1 << 16
-
 // Locate maps a linear index to its position: the prefix holding it and
 // the offset inside that prefix. i must be < Size(). It performs no heap
 // allocations.
 //
-//studyvet:hotpath — called once per probed address
+//studyvet:hotpath — called once per responsive address a sweep reports
 func (u *Universe) Locate(i uint64) (prefix int, off uint32) {
-	if u.slot != nil {
-		prefix = int(u.slot[i>>u.shift])
-		return prefix, uint32(i - u.cum[prefix])
-	}
 	// Find the prefix whose range contains i: the last k with cum[k] <= i.
 	lo, hi := 0, len(u.prefixes)-1
 	for lo < hi {
@@ -221,28 +191,24 @@ func (u *Universe) NumPrefixes() int { return len(u.prefixes) }
 // Prefix returns the i-th prefix, in the order Locate numbers them.
 func (u *Universe) Prefix(i int) Prefix { return u.prefixes[i] }
 
-// Disjoint reports whether no two prefixes share an address. Only then
-// does a Locate position name the same prefix PrefixIndex resolves the
-// address to; views that shard state by PrefixIndex resolve positions of
-// an overlapping universe by address instead.
-func (u *Universe) Disjoint() bool { return u.byBase != nil }
-
 // View is the read-only interface over the simulated Internet that the
-// scanner consumes: address-space enumeration, SYN-probe checks, AS
-// attribution and connection establishment; DialContext additionally
-// makes every View a uaclient.Dialer. Its one implementation is
-// internal/worldview's Snapshot; the interface stays because the
-// benchmark module declares its views through it.
+// scanner consumes: address-space enumeration, the sweep's responsive
+// index, SYN-probe checks, AS attribution and connection establishment;
+// DialContext additionally makes every View a uaclient.Dialer. Its one
+// implementation is internal/worldview's Snapshot; the interface stays
+// because the benchmark module declares its views through it.
 type View interface {
 	// Universe returns the scannable address space.
 	Universe() *Universe
+	// Responsive returns, ascending, every linear universe index
+	// (Universe.Locate's domain) whose address answers on ScanPort: the
+	// whole result of a sweep, which visits them in permuted order. An
+	// address that two overlapping prefixes share appears once per
+	// index. Callers must not modify the slice.
+	Responsive() []uint64
 	// OpenPort reports whether a TCP connect would succeed, without
 	// spawning handlers.
 	OpenPort(ip netip.Addr, port int) bool
-	// OpenPortAt is OpenPort for the address at a Universe.Locate
-	// position; the sweep probes by position so that a netip.Addr exists
-	// only for responsive addresses.
-	OpenPortAt(prefix int, off uint32, port int) bool
 	// ASOf returns the autonomous system of an address.
 	ASOf(ip netip.Addr) int
 	// DialContext connects to "ip:port" like net.Dialer.
@@ -255,8 +221,12 @@ func DefaultASN(ip netip.Addr) int {
 	return 64512 + int(AddrToU32(ip)>>16)%1024
 }
 
+// ScanPort is the standard OPC UA port: the one port the campaign
+// sweeps, and the one port noise answers on.
+const ScanPort = 4840
+
 // Noise is the deterministic open-port-but-not-OPC-UA model: Prob of
-// the universe's unregistered addresses answer on TCP 4840 with some
+// the universe's unregistered addresses answer on ScanPort with some
 // other service (the paper observes 99.95% of open ports are not
 // OPC UA). The decision is a pure hash of the address, so every
 // snapshot sharing the same Noise agrees.
@@ -265,13 +235,13 @@ type Noise struct {
 	Seed uint64
 
 	// limit is noiseLimit(Prob), resolved once by NewNoise so the
-	// per-probe decision is an integer compare. A Noise literal leaves it
-	// zero — no positive Prob has a zero limit — and HitU32 then resolves
-	// it per call.
+	// per-address decision is an integer compare. A Noise literal leaves
+	// it zero — no positive Prob has a zero limit — and HitU32 then
+	// resolves it per call.
 	limit uint32
 }
 
-// NewNoise returns the noise model with its per-probe threshold resolved.
+// NewNoise returns the noise model with its per-address threshold resolved.
 func NewNoise(prob float64, seed uint64) Noise {
 	return Noise{Prob: prob, Seed: seed, limit: noiseLimit(prob)}
 }
@@ -304,7 +274,7 @@ func noiseLimit(p float64) uint32 {
 
 // FNV-1a parameters (matching hash/fnv's 64-bit variant). The noise
 // model below and the scanner's Feistel permutation both inline the
-// hash on their per-probe paths so probes allocate nothing; sharing the
+// hash so their per-address paths allocate nothing; sharing the
 // constants here keeps one canonical definition
 // (TestNoiseMatchesFNVReference and the scanner's
 // TestPermutationRoundMatchesFNV pin both inlined variants against
@@ -315,12 +285,12 @@ const (
 )
 
 // HitU32 reports whether the universe address, in its AddrToU32 form,
-// answers on the port with a non-OPC-UA service (the port-scan hot path
-// calls this once per address). It performs no heap allocations.
+// answers on the port with a non-OPC-UA service. It performs no heap
+// allocations.
 //
-//studyvet:hotpath — called once per probed address
+//studyvet:hotpath — called once per universe address by Positions
 func (z Noise) HitU32(addr uint32, port int) bool {
-	if port != 4840 || z.Prob <= 0 {
+	if port != ScanPort || z.Prob <= 0 {
 		return false
 	}
 	// FNV-1a over the address's four bytes in network order.
@@ -337,6 +307,27 @@ func (z Noise) HitU32(addr uint32, port int) bool {
 		limit = noiseLimit(z.Prob)
 	}
 	return uint32(v%noiseResidues) < limit
+}
+
+// Positions returns, ascending, the linear indexes of u whose address
+// the noise answers at on ScanPort: the noise's share of every sweep's
+// responsive index, one HitU32 per index (≈ 12 ms over the 2.6 M-index
+// study universe).
+func (z Noise) Positions(u *Universe) []uint64 {
+	var at []uint64
+	if !(z.Prob > 0) {
+		return at
+	}
+	z.limit = noiseLimit(z.Prob)
+	for k, p := range u.prefixes {
+		base := AddrToU32(p.Base)
+		for off := uint32(0); off < p.Size; off++ {
+			if z.HitU32(base+off, ScanPort) {
+				at = append(at, u.cum[k]+uint64(off))
+			}
+		}
+	}
+	return at
 }
 
 // ErrRefused mirrors a TCP RST from a closed port.

@@ -207,8 +207,9 @@ func TestNoiseModelResolvedMatchesLiteral(t *testing.T) {
 	}
 }
 
-// TestNoiseHitAllocFree gates the per-probe noise decision and position
-// lookup at zero heap allocations (both run once per scanned address).
+// TestNoiseHitAllocFree gates the noise decision (once per universe
+// address in Positions) and the position lookup (once per address a
+// sweep reports) at zero heap allocations.
 func TestNoiseHitAllocFree(t *testing.T) {
 	z := Noise{Prob: 0.5, Seed: 1}
 	ip := netip.AddrFrom4([4]byte{100, 64, 3, 9})
@@ -217,48 +218,45 @@ func TestNoiseHitAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("HitU32 allocates %.1f objects per call, want 0", allocs)
 	}
-	for _, u := range []*Universe{
-		NewUniverse(mustPrefix(t, "100.64.0.0", 16), mustPrefix(t, "100.65.0.0", 16)), // slot table
-		NewUniverse(mustPrefix(t, "100.64.0.0", 12), Prefix{Base: ip, Size: 1}),       // binary search
-	} {
-		i := uint64(0)
-		if allocs := testing.AllocsPerRun(1000, func() {
-			_, _ = u.Locate(i % u.Size())
-			i += 4099
-		}); allocs != 0 {
-			t.Errorf("Locate allocates %.1f objects per call (slot table: %v), want 0", allocs, u.slot != nil)
-		}
+	u := NewUniverse(mustPrefix(t, "100.64.0.0", 12), Prefix{Base: ip, Size: 1})
+	i := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		_, _ = u.Locate(i % u.Size())
+		i += 4099
+	}); allocs != 0 {
+		t.Errorf("Locate allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
-// TestUniverseLocate cross-checks Locate against a linear prefix walk at
-// every prefix boundary, for both of its paths.
-func TestUniverseLocate(t *testing.T) {
+// locateCases are the universe shapes Locate and Noise.Positions are
+// checked over.
+func locateCases(t *testing.T) []struct {
+	name string
+	u    *Universe
+} {
 	hundred := Prefix{Base: netip.MustParseAddr("10.1.0.0"), Size: 100}
-	cases := []struct {
-		name     string
-		u        *Universe
-		shift    uint
-		useTable bool
+	return []struct {
+		name string
+		u    *Universe
 	}{
 		{"uniform", NewUniverse(mustPrefix(t, "100.64.0.0", 16), mustPrefix(t, "100.65.0.0", 16),
-			mustPrefix(t, "100.70.0.0", 16)), 16, true},
+			mustPrefix(t, "100.70.0.0", 16))},
 		{"mixed /16 + /24", NewUniverse(mustPrefix(t, "10.0.0.0", 24), mustPrefix(t, "100.64.0.0", 16),
-			mustPrefix(t, "10.0.9.0", 24)), 8, true},
-		{"non-power-of-two", NewUniverse(hundred, mustPrefix(t, "10.2.0.0", 28), hundred), 2, true},
-		{"overlapping", NewUniverse(mustPrefix(t, "100.64.0.0", 16), mustPrefix(t, "100.64.128.0", 24)), 8, true},
+			mustPrefix(t, "10.0.9.0", 24))},
+		{"non-power-of-two", NewUniverse(hundred, mustPrefix(t, "10.2.0.0", 28), hundred)},
+		{"overlapping", NewUniverse(mustPrefix(t, "100.64.0.0", 16), mustPrefix(t, "100.64.128.0", 24))},
 		{"empty prefix", NewUniverse(mustPrefix(t, "10.0.0.0", 24), Prefix{Base: hundred.Base},
-			mustPrefix(t, "10.0.1.0", 24)), 8, true},
-		// 2^20 + 1 addresses with no common factor: 2^20 + 1 slots is
-		// past maxLocateSlots, so Locate binary-searches.
+			mustPrefix(t, "10.0.1.0", 24))},
 		{"no common factor", NewUniverse(mustPrefix(t, "100.64.0.0", 12), Prefix{Base: hundred.Base, Size: 1},
-			mustPrefix(t, "10.0.0.0", 24)), 0, false},
+			mustPrefix(t, "10.0.0.0", 24))},
 	}
-	for _, c := range cases {
+}
+
+// TestUniverseLocate cross-checks Locate's binary search against a
+// linear prefix walk at every prefix boundary.
+func TestUniverseLocate(t *testing.T) {
+	for _, c := range locateCases(t) {
 		u := c.u
-		if u.shift != c.shift || (u.slot != nil) != c.useTable {
-			t.Errorf("%s: shift %d, slot table %v; want %d, %v", c.name, u.shift, u.slot != nil, c.shift, c.useTable)
-		}
 		linear := func(i uint64) (int, uint32) {
 			for k, p := range u.prefixes {
 				if i < uint64(p.Size) {
@@ -330,5 +328,33 @@ func TestUniversePrefixIndexBinarySearch(t *testing.T) {
 	}
 	if disjoint.byBase == nil {
 		t.Error("disjoint universe should use the binary search")
+	}
+}
+
+// TestNoisePositionsMatchHitU32 checks the noise list against HitU32 at
+// every linear index of every Locate shape: the list holds exactly the
+// indexes whose address noise answers at, ascending, once per index an
+// overlapping address occupies.
+func TestNoisePositionsMatchHitU32(t *testing.T) {
+	for _, c := range locateCases(t) {
+		for _, p := range []float64{0, 0.001, 0.3, 1} {
+			z := Noise{Prob: p, Seed: 0x9E3779B97F4A7C15}
+			var want []uint64
+			for i := uint64(0); i < c.u.Size(); i++ {
+				k, off := c.u.Locate(i)
+				if z.HitU32(AddrToU32(c.u.Prefix(k).AddrAt(off)), ScanPort) {
+					want = append(want, i)
+				}
+			}
+			got := z.Positions(c.u)
+			if len(got) != len(want) {
+				t.Fatalf("%s p=%v: %d positions, HitU32 says %d", c.name, p, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s p=%v: position %d is %d, HitU32 says %d", c.name, p, k, got[k], want[k])
+				}
+			}
+		}
 	}
 }

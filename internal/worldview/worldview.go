@@ -12,6 +12,12 @@
 // scanners read them without any locking and scanners working
 // disjoint prefixes touch disjoint memory.
 //
+// Build also seals the snapshot's responsive index: every linear
+// universe index whose address answers on simnet.ScanPort, the wave's
+// own hosts merged with the noise list the world's Config evaluated
+// once (Config.IndexNoise). A sweep is a range query on it
+// (Snapshot.Responsive), not a probe of every address.
+//
 // Snapshots share the world's underlying server instances, but the
 // crypto a server handshakes with belongs to the snapshot: each
 // registered handler (deploy.World.SnapshotWaveCrypto) carries the
@@ -34,6 +40,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -48,7 +55,7 @@ type Config struct {
 	// Universe is the scannable address space (required).
 	Universe *simnet.Universe
 	// Noise is the deterministic open-port-but-not-OPC-UA model, from
-	// simnet.NewNoise so its per-probe threshold is resolved once.
+	// simnet.NewNoise so its per-address threshold is resolved once.
 	Noise simnet.Noise
 	// Latency delays every dial.
 	Latency time.Duration
@@ -57,10 +64,23 @@ type Config struct {
 	// every registered host polite. Like Noise it is pure function
 	// state, so snapshots stay immutable and shard-equivalent.
 	Chaos chaos.WaveModel
+
+	// noiseAt is Noise.Positions(Universe), set by IndexNoise;
+	// noiseIndexed tells an empty list from one never computed.
+	noiseAt      []uint64
+	noiseIndexed bool
 }
 
 // SetLatency sets the dial latency of the snapshots built from c afterwards.
 func (c *Config) SetLatency(d time.Duration) { c.Latency = d }
+
+// IndexNoise evaluates the noise model over the whole universe once, so
+// every snapshot built from c afterwards shares the list instead of
+// computing its own (NewBuilder does that for a Config never indexed).
+// Universe and Noise must not change afterwards.
+func (c *Config) IndexNoise() {
+	c.noiseAt, c.noiseIndexed = c.Noise.Positions(c.Universe), true
+}
 
 // host is one registered endpoint of the snapshot.
 type host struct {
@@ -73,27 +93,16 @@ type host struct {
 func hostKey(addr uint32, port int) uint64 { return uint64(addr)<<16 | uint64(uint16(port)) }
 
 // shard is one prefix's slice of the host table, keyed by
-// simnet.AddrToU32 addresses. Immutable after Build; maps and the
-// bitset are safe for unlimited concurrent readers.
+// simnet.AddrToU32 addresses. Immutable after Build; the maps are safe
+// for unlimited concurrent readers.
 type shard struct {
-	// base and size are the prefix's first address and address count
-	// (both 0 for the catch-all shard).
+	// base and size are the prefix's first address and address count,
+	// start the linear universe index of its first address (all 0 for
+	// the catch-all shard).
 	base, size uint32
+	start      uint64
 	hosts      map[uint64]host
 	asOfIP     map[uint32]int
-	// occupied has one bit per address of the prefix, set where any port
-	// has a host, so a sweep consults hosts only where one can exist
-	// (1,921 of 2.6 M addresses in the study world). Allocated by the
-	// first AddHost into the shard; nil on host-free prefixes and on the
-	// catch-all shard, whose addresses have no offset.
-	occupied []uint64
-}
-
-// occupiedAt reports whether any port of the prefix's off-th address
-// has a host.
-func (sh *shard) occupiedAt(off uint32) bool {
-	w := int(off >> 6)
-	return w < len(sh.occupied) && sh.occupied[w]&(1<<(off&63)) != 0
 }
 
 // Builder accumulates one wave's population and seals it into a
@@ -102,7 +111,10 @@ func (sh *shard) occupiedAt(off uint32) bool {
 type Builder struct {
 	cfg    Config
 	shards []shard
-	built  bool
+	// open collects the linear indexes of the hosts added on
+	// simnet.ScanPort, in insertion order; Build sorts it.
+	open  []uint64
+	built bool
 }
 
 // NewBuilder starts a snapshot with one shard per universe prefix plus
@@ -111,7 +123,11 @@ func NewBuilder(cfg Config) (*Builder, error) {
 	if cfg.Universe == nil {
 		return nil, fmt.Errorf("worldview: nil universe")
 	}
+	if !cfg.noiseIndexed {
+		cfg.IndexNoise()
+	}
 	shards := make([]shard, cfg.Universe.NumPrefixes()+1)
+	var start uint64
 	for i := range shards {
 		shards[i] = shard{
 			hosts:  make(map[uint64]host),
@@ -119,7 +135,8 @@ func NewBuilder(cfg Config) (*Builder, error) {
 		}
 		if i < cfg.Universe.NumPrefixes() {
 			p := cfg.Universe.Prefix(i)
-			shards[i].base, shards[i].size = simnet.AddrToU32(p.Base), p.Size
+			shards[i].base, shards[i].size, shards[i].start = simnet.AddrToU32(p.Base), p.Size, start
+			start += uint64(p.Size)
 		}
 	}
 	return &Builder{cfg: cfg, shards: shards}, nil
@@ -140,26 +157,42 @@ func resolve(u *simnet.Universe, shards []shard, ip netip.Addr) (sh *shard, inUn
 // AddHost registers one endpoint. Adding the same ip:port twice
 // replaces the previous handler.
 func (b *Builder) AddHost(ip netip.Addr, port, asn int, h simnet.ConnHandler) {
-	s, inUniverse, addr := resolve(b.cfg.Universe, b.shards, ip)
+	s, _, addr := resolve(b.cfg.Universe, b.shards, ip)
 	s.hosts[hostKey(addr, port)] = host{asn: asn, handler: h}
 	s.asOfIP[addr] = asn
-	if inUniverse {
-		if s.occupied == nil {
-			s.occupied = make([]uint64, (uint64(s.size)+63)/64)
+	if port != simnet.ScanPort {
+		return
+	}
+	// Every prefix holding the address gives it a linear index: one,
+	// unless prefixes overlap. The catch-all shard has size 0.
+	for k := range b.shards {
+		if sk := &b.shards[k]; addr-sk.base < sk.size {
+			b.open = append(b.open, sk.start+uint64(addr-sk.base))
 		}
-		off := addr - s.base
-		s.occupied[off>>6] |= 1 << (off & 63)
 	}
 }
 
-// Build seals the population into an immutable Snapshot. The builder
-// must not be used afterwards.
+// Build seals the population into an immutable Snapshot, with its
+// responsive index: the hosts' scan-port indexes merged with the
+// config's noise list, ascending and without repeats. The builder must
+// not be used afterwards.
 func (b *Builder) Build() *Snapshot {
 	if b.built {
 		panic("worldview: Build called twice")
 	}
 	b.built = true
-	return &Snapshot{cfg: b.cfg, shards: b.shards}
+	slices.Sort(b.open)
+	hosts, noise := b.open, b.cfg.noiseAt
+	open := make([]uint64, 0, len(hosts)+len(noise))
+	for len(hosts) > 0 && len(noise) > 0 {
+		if hosts[0] < noise[0] {
+			open, hosts = append(open, hosts[0]), hosts[1:]
+		} else {
+			open, noise = append(open, noise[0]), noise[1:]
+		}
+	}
+	open = slices.Compact(append(append(open, hosts...), noise...))
+	return &Snapshot{cfg: b.cfg, shards: b.shards, open: open}
 }
 
 // Snapshot is the immutable world at one wave. It satisfies
@@ -169,6 +202,8 @@ func (b *Builder) Build() *Snapshot {
 type Snapshot struct {
 	cfg    Config
 	shards []shard
+	// open is the responsive index Responsive returns.
+	open []uint64
 }
 
 // Compile-time check: snapshots satisfy the scanner's view interface.
@@ -186,16 +221,13 @@ const (
 	noise                  // some non-OPC-UA service answers
 )
 
-// lookup decides a connect to (addr, port), an address of shard sh, for
-// the probe and dial paths alike: the registered host first, then noise
-// (which only universe addresses have). It performs no heap allocations.
-//
-//studyvet:hotpath — called once per probed address
-func (s *Snapshot) lookup(sh *shard, inUniverse bool, addr uint32, port int) (host, outcome) {
-	if !inUniverse || sh.occupiedAt(addr-sh.base) {
-		if h, ok := sh.hosts[hostKey(addr, port)]; ok {
-			return h, served
-		}
+// lookup decides a connect to (ip, port) for the probe and dial paths
+// alike: the registered host first, then noise (which only universe
+// addresses have).
+func (s *Snapshot) lookup(ip netip.Addr, port int) (host, outcome) {
+	sh, inUniverse, addr := resolve(s.cfg.Universe, s.shards, ip)
+	if h, ok := sh.hosts[hostKey(addr, port)]; ok {
+		return h, served
 	}
 	if inUniverse && s.cfg.Noise.HitU32(addr, port) {
 		return host{}, noise
@@ -203,31 +235,15 @@ func (s *Snapshot) lookup(sh *shard, inUniverse bool, addr uint32, port int) (ho
 	return host{}, refused
 }
 
-// lookupAddr is lookup by address.
-func (s *Snapshot) lookupAddr(ip netip.Addr, port int) (host, outcome) {
-	sh, inUniverse, addr := resolve(s.cfg.Universe, s.shards, ip)
-	return s.lookup(sh, inUniverse, addr, port)
-}
+// Responsive returns the linear indexes whose address answers on
+// simnet.ScanPort, ascending: the index Build sealed. A sweep is a
+// range query on it.
+func (s *Snapshot) Responsive() []uint64 { return s.open }
 
 // OpenPort reports whether a TCP connect to the address would succeed,
 // without spawning handlers; the result matches DialContext exactly.
 func (s *Snapshot) OpenPort(ip netip.Addr, port int) bool {
-	_, o := s.lookupAddr(ip, port)
-	return o != refused
-}
-
-// OpenPortAt is OpenPort for the address at a Universe.Locate position.
-// In a disjoint universe the position's prefix is the address's shard;
-// where prefixes overlap an earlier prefix may own the address, so the
-// position resolves by address.
-//
-//studyvet:hotpath — called once per probed address
-func (s *Snapshot) OpenPortAt(prefix int, off uint32, port int) bool {
-	if !s.cfg.Universe.Disjoint() {
-		return s.OpenPort(s.cfg.Universe.Prefix(prefix).AddrAt(off), port)
-	}
-	sh := &s.shards[prefix]
-	_, o := s.lookup(sh, true, sh.base+off, port)
+	_, o := s.lookup(ip, port)
 	return o != refused
 }
 
@@ -262,7 +278,7 @@ func (s *Snapshot) DialContext(ctx context.Context, network, address string) (ne
 		case <-time.After(s.cfg.Latency):
 		}
 	}
-	h, o := s.lookupAddr(ip, port)
+	h, o := s.lookup(ip, port)
 	switch o {
 	case refused:
 		return nil, simnet.ErrRefused{Addr: address}

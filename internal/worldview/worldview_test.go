@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -64,9 +65,13 @@ var population = map[netip.AddrPort]int{
 
 var testNoise = simnet.NewNoise(0.25, 0x9E3779B97F4A7C15)
 
+// buildSnapshot indexes the noise once, as deploy.Materialize does;
+// the scanner's tests build from configs that leave it to NewBuilder.
 func buildSnapshot(t *testing.T, u *simnet.Universe) *Snapshot {
 	t.Helper()
-	b, err := NewBuilder(Config{Universe: u, Noise: testNoise})
+	cfg := Config{Universe: u, Noise: testNoise}
+	cfg.IndexNoise()
+	b, err := NewBuilder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +93,19 @@ func openOracle(u *simnet.Universe, ip netip.Addr, port int) bool {
 
 // TestSnapshotMatchesNetworkOpenPort sweeps the full universe plus the
 // out-of-universe host and requires OpenPort to match openOracle,
-// including the deterministic noise model — and the sweep's by-position
-// OpenPortAt to match the by-address OpenPort at every position. The
-// population covers what the indexed form could get wrong: a host on a
-// non-scan port (occupied address, no host on 4840, noise may still
+// including the deterministic noise model — and the responsive index
+// Build sealed to hold exactly the linear indexes where OpenPort answers
+// on the scan port. The population covers what the index could get
+// wrong: a host on a non-scan port (no host on 4840, noise may still
 // answer), an out-of-universe host, and a universe whose prefixes
-// overlap.
+// overlap (an address in both answers at both of its indexes).
 func TestSnapshotMatchesNetworkOpenPort(t *testing.T) {
 	for name, u := range map[string]*simnet.Universe{
 		"disjoint":    testUniverse(t),
 		"overlapping": overlappingUniverse(t),
 	} {
 		snap := buildSnapshot(t, u)
-		noise := 0
+		var responsive []uint64
 		for i := uint64(0); i < u.Size(); i++ {
 			prefix, off := u.Locate(i)
 			addr := u.Prefix(prefix).AddrAt(off)
@@ -109,15 +114,15 @@ func TestSnapshotMatchesNetworkOpenPort(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s: OpenPort(%s, %d) = %v, oracle says %v", name, addr, port, got, want)
 				}
-				if at := snap.OpenPortAt(prefix, off, port); at != want {
-					t.Fatalf("%s: OpenPortAt(%d, %d, %d) = %v, OpenPort(%s) says %v", name, prefix, off, port, at, addr, want)
-				}
-				if got && port == 4840 {
-					noise++
+				if got && port == simnet.ScanPort {
+					responsive = append(responsive, i)
 				}
 			}
 		}
-		if noise < 30 {
+		if !slices.Equal(snap.Responsive(), responsive) {
+			t.Fatalf("%s: Responsive() = %v, OpenPort answers at %v", name, snap.Responsive(), responsive)
+		}
+		if noise := len(responsive); noise < 30 {
 			t.Errorf("%s: open 4840 ports = %d, noise model not applied", name, noise)
 		}
 		out := netip.MustParseAddr("10.9.9.9")
