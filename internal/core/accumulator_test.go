@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/base64"
+	"fmt"
+	"math/big"
 	"reflect"
 	"testing"
 	"time"
@@ -94,5 +97,60 @@ func TestLongitudinalAccumulatorMatchesAnalyze(t *testing.T) {
 	got2 := *got
 	if !reflect.DeepEqual(&want, &got2) {
 		t.Errorf("non-retaining fold differs beyond Waves:\n%+v\nvs\n%+v", got2, want)
+	}
+}
+
+// TestCampaignIndexMatchesFreshAccumulators pins the campaign-scoped
+// weak-key index: waves folded through one LongitudinalAccumulator's
+// NewWave equal, field for field, the same waves folded through fresh
+// NewWaveAccumulators. The waves plant shared primes that appear within
+// a wave, across waves and in both primes of one modulus; keys leave and
+// return, and one key is served under two thumbprints.
+func TestCampaignIndexMatchesFreshAccumulators(t *testing.T) {
+	primes := []int64{1000003, 1000033, 1000037, 1000039, 1000081, 1000099}
+	mod := func(i, j int) *big.Int { return new(big.Int).Mul(big.NewInt(primes[i]), big.NewInt(primes[j])) }
+	type key struct {
+		thumb string
+		n     *big.Int
+	}
+	pq, rs, pu, qv, pr := mod(0, 1), mod(2, 3), mod(0, 4), mod(1, 5), mod(0, 2)
+	waves := [][]key{
+		{{"pq", pq}, {"rs", rs}},
+		{{"pq", pq}, {"pq-twin", pq}, {"pu", pu}},        // pu shares p with last wave's pq
+		{{"pu", pu}, {"qv", qv}},                         // both weak in the campaign, not in this wave
+		{{"pq", pq}, {"qv", qv}, {"rs", rs}, {"pr", pr}}, // pq shares p with pr and q with qv
+		{{"rs", rs}, {"disco", qv}, {"pq-twin", pq}},     // a discovery server's key counts too
+	}
+	wantFindings := []int{0, 3, 0, 4, 2}
+
+	t0 := time.Date(2020, 2, 9, 0, 0, 0, 0, time.UTC)
+	campaign := NewLongitudinalAccumulator(true)
+	for w, keys := range waves {
+		date := t0.AddDate(0, 0, 7*w)
+		var recs []*dataset.HostRecord
+		for i, k := range keys {
+			r := rec(fmt.Sprintf("100.64.0.%d:4840", i+1), 64600+i, nil)
+			r.Wave, r.Date = w, date
+			r.Cert = cert(k.thumb, "SHA-256", 2048, "Bachmann", t0)
+			r.Cert.ModulusB64 = base64.StdEncoding.EncodeToString(k.n.Bytes())
+			if k.thumb == "disco" {
+				r.ApplicationType = "DiscoveryServer"
+			}
+			recs = append(recs, r)
+		}
+		shared, fresh := campaign.NewWave(w, date), NewWaveAccumulator(w, date)
+		for _, r := range recs {
+			shared.Add(r)
+			fresh.Add(r)
+		}
+		got, want := shared.Finalize(1), fresh.Finalize(1)
+		if want.WeakKeyFindings != wantFindings[w] {
+			t.Errorf("wave %d: fresh accumulator finds %d weak keys, want %d", w, want.WeakKeyFindings, wantFindings[w])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("wave %d: campaign-indexed fold differs from a fresh one (weak keys %d vs %d):\n%+v\nvs\n%+v",
+				w, got.WeakKeyFindings, want.WeakKeyFindings, got, want)
+		}
+		campaign.AddWave(got)
 	}
 }

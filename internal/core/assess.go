@@ -210,14 +210,20 @@ func (c *AuthCell) Total() int {
 
 // WaveAccumulator folds one wave's records as they arrive from the
 // record pipeline. Add maintains every cross-host index the assessment
-// needs (certificate-reuse clusters, the distinct-modulus set for
-// batch-GCD), so Finalize only has to run the per-host assessments and
+// needs (certificate-reuse clusters, the wave's distinct certificate
+// moduli), so Finalize only has to run the per-host assessments and
 // aggregate. The accumulator necessarily retains the wave's records —
 // the WaveAnalysis references them — which is exactly the streaming
 // memory bound: one wave in flight, never the whole campaign.
 //
+// The shared-prime check (§5.3) goes through a weakkeys.Index, which a
+// campaign's accumulators share (LongitudinalAccumulator.NewWave): a
+// wave then pays a batch GCD only over the moduli no earlier wave of the
+// campaign held. Its count is the wave's own, whichever waves share it.
+//
 // Add and Finalize must be called from one goroutine (the pipeline's
-// fold side); Finalize may be called once.
+// fold side), and accumulators sharing an index finalize one at a time;
+// Finalize may be called once.
 type WaveAccumulator struct {
 	wave int
 	date time.Time
@@ -228,16 +234,23 @@ type WaveAccumulator struct {
 	thumbOrg   map[string]string
 	moduli     []*big.Int
 	seenThumb  map[string]bool
+	weak       *weakkeys.Index
 }
 
-// NewWaveAccumulator starts an empty fold for one wave.
+// NewWaveAccumulator starts an empty fold for one wave, as a campaign
+// of that wave alone: its weak-key index is its own.
 func NewWaveAccumulator(wave int, date time.Time) *WaveAccumulator {
+	return newWaveAccumulator(wave, date, weakkeys.NewIndex())
+}
+
+func newWaveAccumulator(wave int, date time.Time, weak *weakkeys.Index) *WaveAccumulator {
 	return &WaveAccumulator{
 		wave: wave, date: date,
 		thumbHosts: map[string]map[string]bool{},
 		thumbASes:  map[string]map[int]bool{},
 		thumbOrg:   map[string]string{},
 		seenThumb:  map[string]bool{},
+		weak:       weak,
 	}
 }
 
@@ -274,7 +287,9 @@ func (wa *WaveAccumulator) Len() int { return len(wa.recs) }
 // 0 = GOMAXPROCS) and aggregates the WaveAnalysis. assessHost is pure
 // given the folded reuse index, so hosts are assessed on a fixed pool
 // and merged in record order on a single goroutine — the result is
-// identical to a 1-worker run, field for field.
+// identical to a 1-worker run, field for field. The weak-key count adds
+// the wave's moduli to the accumulator's index and is the count a batch
+// GCD over the wave's moduli alone gives.
 func (wa *WaveAccumulator) Finalize(workers int) *WaveAnalysis {
 	a := &WaveAnalysis{
 		Wave: wa.wave, Date: wa.date,
@@ -317,8 +332,8 @@ func (wa *WaveAccumulator) Finalize(workers int) *WaveAnalysis {
 		return a.ReuseClusters[i].Thumbprint < a.ReuseClusters[j].Thumbprint
 	})
 
-	// Weak keys: batch-GCD across distinct moduli (§5.3).
-	a.WeakKeyFindings = len(weakkeys.BatchGCD(wa.moduli, false))
+	// Weak keys: shared primes among the wave's certificate moduli (§5.3).
+	a.WeakKeyFindings = wa.weak.Count(wa.moduli)
 
 	recs := wa.recs
 	assessments := assessAll(recs, reused, workers)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/weakkeys"
 )
 
 // RenewalEvent is a certificate change on a host with a static address
@@ -55,12 +56,14 @@ type certState struct {
 // streaming campaign can discard a wave's records as soon as its
 // analysis has been folded; pass keepWaves=false to also drop the
 // per-wave analyses from the result (Longitudinal.Waves stays nil, the
-// flat-memory configuration of the record pipeline).
+// flat-memory configuration of the record pipeline). It also owns the
+// campaign's weak-key index, which every wave it starts (NewWave) shares.
 type LongitudinalAccumulator struct {
 	keepWaves bool
 	l         *Longitudinal
 	last      map[string]certState
 	certSeen  map[string]bool
+	weak      *weakkeys.Index
 	done      bool
 }
 
@@ -71,7 +74,15 @@ func NewLongitudinalAccumulator(keepWaves bool) *LongitudinalAccumulator {
 		l:         &Longitudinal{},
 		last:      map[string]certState{},
 		certSeen:  map[string]bool{},
+		weak:      weakkeys.NewIndex(),
 	}
+}
+
+// NewWave starts an empty fold for one wave of this campaign. Its
+// analysis equals NewWaveAccumulator's; the campaign's waves share one
+// weak-key index, so each pays a batch GCD only over the moduli it adds.
+func (la *LongitudinalAccumulator) NewWave(wave int, date time.Time) *WaveAccumulator {
+	return newWaveAccumulator(wave, date, la.weak)
 }
 
 var (

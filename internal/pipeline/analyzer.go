@@ -69,11 +69,11 @@ func (a *Analyzer) Put(rec *dataset.HostRecord) error {
 	}
 	switch {
 	case a.acc == nil:
-		a.acc = core.NewWaveAccumulator(rec.Wave, rec.Date)
+		a.acc = a.long.NewWave(rec.Wave, rec.Date)
 		a.wave = rec.Wave
 	case rec.Wave > a.wave:
 		a.finalizeWave()
-		a.acc = core.NewWaveAccumulator(rec.Wave, rec.Date)
+		a.acc = a.long.NewWave(rec.Wave, rec.Date)
 		a.wave = rec.Wave
 	case rec.Wave < a.wave:
 		return fmt.Errorf("pipeline: analyzer: record stream not wave-ordered (wave %d after %d)",

@@ -3,7 +3,9 @@
 // checks all collected certificate keys for shared primes and finds none;
 // this package implements the scalable batch-GCD algorithm (product tree
 // followed by a remainder tree) so the same check runs in
-// O(n log n · M(log N)) instead of O(n²) big-number GCDs.
+// O(n log n · M(log N)) instead of O(n²) big-number GCDs, and an Index
+// that carries the check across the waves of a campaign so each wave
+// pays only for the moduli it adds.
 package weakkeys
 
 import (
@@ -11,33 +13,29 @@ import (
 	"sort"
 )
 
+var one = big.NewInt(1)
+
 // Finding reports a modulus with a recovered prime factor.
 type Finding struct {
 	// Index identifies the modulus in the input slice.
 	Index int
-	// Factor is a non-trivial factor shared with at least one other
-	// modulus.
+	// Factor is a factor greater than one shared with at least one other
+	// modulus; it is a proper factor unless the modulus divides another.
 	Factor *big.Int
 }
 
 // BatchGCD returns a Finding for every modulus that shares a prime with
-// another modulus in the input. Duplicate moduli (byte-identical) are
-// reported against each other only if reportDuplicates is true: identical
-// moduli are expected when hosts share a full certificate, which the
-// study accounts for separately.
-func BatchGCD(moduli []*big.Int, reportDuplicates bool) []Finding {
-	n := len(moduli)
-	if n < 2 {
-		return nil
-	}
-
-	// Collapse duplicates so that copies of the same certificate key do
-	// not flag each other: GCD(N, N) = N is not a factoring weakness.
+// another, distinct modulus in the input: the pairwise semantics of
+// PairwiseGCD. nil and non-positive moduli are skipped. Byte-identical
+// moduli never flag each other: hosts sharing a full certificate share
+// the modulus, a reuse problem the study accounts for separately (§5.3),
+// and GCD(N, N) = N is not a factoring weakness.
+func BatchGCD(moduli []*big.Int) []Finding {
 	type group struct {
 		value   *big.Int
 		indexes []int
 	}
-	byKey := make(map[string]*group, n)
+	byKey := make(map[string]*group, len(moduli))
 	var groups []*group
 	for i, m := range moduli {
 		if m == nil || m.Sign() <= 0 {
@@ -52,41 +50,33 @@ func BatchGCD(moduli []*big.Int, reportDuplicates bool) []Finding {
 		}
 		g.indexes = append(g.indexes, i)
 	}
+	if len(groups) < 2 {
+		return nil
+	}
 
+	values := make([]*big.Int, len(groups))
+	for i, g := range groups {
+		values[i] = g.value
+	}
+	shared, _ := sharedFactors(values)
 	var findings []Finding
-	if reportDuplicates {
-		for _, g := range groups {
-			if len(g.indexes) > 1 {
-				for _, idx := range g.indexes {
-					findings = append(findings, Finding{Index: idx, Factor: new(big.Int).Set(g.value)})
-				}
-			}
+	for gi, f := range shared {
+		if f == nil {
+			continue
+		}
+		for _, idx := range groups[gi].indexes {
+			findings = append(findings, Finding{Index: idx, Factor: f})
 		}
 	}
-
-	if len(groups) >= 2 {
-		values := make([]*big.Int, len(groups))
-		for i, g := range groups {
-			values[i] = g.value
-		}
-		shared := batchSharedFactors(values)
-		for gi, f := range shared {
-			if f == nil {
-				continue
-			}
-			for _, idx := range groups[gi].indexes {
-				findings = append(findings, Finding{Index: idx, Factor: f})
-			}
-		}
-	}
-
 	sort.Slice(findings, func(i, j int) bool { return findings[i].Index < findings[j].Index })
 	return findings
 }
 
-// batchSharedFactors returns, for each distinct modulus, a shared factor
-// with the product of all other moduli, or nil.
-func batchSharedFactors(values []*big.Int) []*big.Int {
+// sharedFactors takes distinct positive values and returns, for each, a
+// factor greater than one it shares with another value (nil if none),
+// and the product of all values, which callers must not modify (for one
+// value it is that value).
+func sharedFactors(values []*big.Int) (shared []*big.Int, product *big.Int) {
 	// Product tree: leaves are the moduli, the root is their product.
 	levels := [][]*big.Int{values}
 	for len(levels[len(levels)-1]) > 1 {
@@ -101,9 +91,10 @@ func batchSharedFactors(values []*big.Int) []*big.Int {
 		}
 		levels = append(levels, next)
 	}
+	root := levels[len(levels)-1][0]
 
 	// Remainder tree: push root mod leaf² down the tree.
-	rems := []*big.Int{levels[len(levels)-1][0]}
+	rems := []*big.Int{root}
 	for li := len(levels) - 2; li >= 0; li-- {
 		level := levels[li]
 		next := make([]*big.Int, len(level))
@@ -114,29 +105,130 @@ func batchSharedFactors(values []*big.Int) []*big.Int {
 		rems = next
 	}
 
-	out := make([]*big.Int, len(values))
+	// (root mod v²)/v = (∏ others) mod v, so g = gcd(v, ∏ others).
+	shared = make([]*big.Int, len(values))
 	for i, v := range values {
 		q := new(big.Int).Div(rems[i], v)
 		g := new(big.Int).GCD(nil, nil, q, v)
-		if g.Cmp(big.NewInt(1)) > 0 && g.Cmp(v) < 0 {
-			out[i] = g
+		if g.Cmp(one) <= 0 {
+			continue
+		}
+		if g.Cmp(v) == 0 {
+			// Every prime of v divides the others' product — both primes
+			// shared, each with a different modulus — so the batch gives
+			// v itself. Recover a factor pairwise, as Heninger et al.
+			// ("Mining Your Ps and Qs", USENIX Security 2012) do.
+			g = pairwiseFactor(values, i)
+		}
+		shared[i] = g
+	}
+	return shared, root
+}
+
+// pairwiseFactor returns the first proper factor values[i] shares with
+// another value, or values[i] itself when it shares only by dividing
+// another value.
+func pairwiseFactor(values []*big.Int, i int) *big.Int {
+	v := values[i]
+	for j, w := range values {
+		if j == i {
+			continue
+		}
+		if g := new(big.Int).GCD(nil, nil, v, w); g.Cmp(one) > 0 && g.Cmp(v) < 0 {
+			return g
 		}
 	}
-	return out
+	return new(big.Int).Set(v)
+}
+
+// Index is one campaign's weak-key index. It holds U, the distinct
+// modulus values counted so far; F ⊆ U, the values that share a prime
+// with another member of U; and P, the product of U. Memory is
+// O(distinct moduli), like the longitudinal fold's certificate set.
+//
+// An Index is not safe for concurrent use.
+type Index struct {
+	pos     map[string]int // value bytes → position in values
+	values  []*big.Int     // U, in the order first counted
+	weak    []bool         // parallel to values: membership in F
+	product *big.Int       // P
+}
+
+// NewIndex returns an empty index.
+func NewIndex() *Index {
+	return &Index{pos: map[string]int{}, product: big.NewInt(1)}
+}
+
+// Count adds the values of moduli to the index and returns
+// len(BatchGCD(moduli)). It is exact: a value outside F is coprime to
+// every other value of U, which holds all of moduli, so BatchGCD over
+// the moduli in F flags what BatchGCD over all of them flags. A call
+// whose values are all known costs map lookups, and one adding k new
+// values a k-leaf batch GCD and one gcd with P. The index keeps the
+// moduli it adds; callers must not modify them afterwards.
+func (ix *Index) Count(moduli []*big.Int) int {
+	keys := make([]string, len(moduli))
+	start := len(ix.values)
+	for i, m := range moduli {
+		if m == nil || m.Sign() <= 0 {
+			continue
+		}
+		keys[i] = string(m.Bytes())
+		if _, ok := ix.pos[keys[i]]; !ok {
+			ix.pos[keys[i]] = len(ix.values)
+			ix.values = append(ix.values, m)
+			ix.weak = append(ix.weak, false)
+		}
+	}
+	if len(ix.values) > start {
+		ix.add(start)
+	}
+
+	var inF []*big.Int
+	for i, m := range moduli {
+		if keys[i] != "" && ix.weak[ix.pos[keys[i]]] {
+			inF = append(inF, m)
+		}
+	}
+	return len(BatchGCD(inF))
+}
+
+// add folds the new values N = ix.values[start:] into F and P: the
+// batch GCD over N marks the pairs inside N, and g = gcd(P, ∏N) marks
+// every value of U ∪ N that shares a prime across the two.
+func (ix *Index) add(start int) {
+	shared, product := sharedFactors(ix.values[start:])
+	for i, f := range shared {
+		if f != nil {
+			ix.weak[start+i] = true
+		}
+	}
+	if start > 0 {
+		if g := new(big.Int).GCD(nil, nil, ix.product, product); g.Cmp(one) > 0 {
+			for i, v := range ix.values {
+				if !ix.weak[i] && new(big.Int).GCD(nil, nil, v, g).Cmp(one) > 0 {
+					ix.weak[i] = true
+				}
+			}
+		}
+	}
+	ix.product.Mul(ix.product, product)
 }
 
 // PairwiseGCD is the O(n²) reference implementation used to validate
 // BatchGCD in tests and to mirror the paper's description ("pairwise
 // checking the keys of all received certificates for shared primes").
+// Like BatchGCD it skips nil and non-positive moduli and never flags
+// identical moduli against each other.
 //
 //studyvet:api — the reference BatchGCD's tests compare against
 func PairwiseGCD(moduli []*big.Int) []Finding {
 	var findings []Finding
-	one := big.NewInt(1)
 	seen := make(map[int]*big.Int)
+	valid := func(m *big.Int) bool { return m != nil && m.Sign() > 0 }
 	for i := 0; i < len(moduli); i++ {
 		for j := i + 1; j < len(moduli); j++ {
-			if moduli[i] == nil || moduli[j] == nil {
+			if !valid(moduli[i]) || !valid(moduli[j]) {
 				continue
 			}
 			if moduli[i].Cmp(moduli[j]) == 0 {

@@ -629,7 +629,7 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 		// Waves that completed before the cancellation landed are fully
 		// analyzed even when an earlier wave in the fold order errored;
 		// only Campaign.Long requires the whole campaign.
-		acc := core.NewWaveAccumulator(w, deploy.WaveDates[w])
+		acc := longAcc.NewWave(w, deploy.WaveDates[w])
 		// campaign_records{wave=w} is the accounting counter: its total
 		// across waves must equal the dataset's record count exactly —
 		// the invariant the metrics-accounting tests pin.
@@ -807,20 +807,24 @@ func AnalyzeDataset(r io.Reader) ([]*core.WaveAnalysis, *core.Longitudinal, erro
 }
 
 // recordFold is the order-tolerant accumulator map behind
-// AnalyzeDataset.
+// AnalyzeDataset; its waves are one campaign's (long.NewWave).
 type recordFold struct {
 	accs    map[int]*core.WaveAccumulator
+	long    *core.LongitudinalAccumulator
 	maxWave int
 }
 
 func newRecordFold() *recordFold {
-	return &recordFold{accs: map[int]*core.WaveAccumulator{}}
+	return &recordFold{
+		accs: map[int]*core.WaveAccumulator{},
+		long: core.NewLongitudinalAccumulator(true),
+	}
 }
 
 func (f *recordFold) add(r *dataset.HostRecord) {
 	acc := f.accs[r.Wave]
 	if acc == nil {
-		acc = core.NewWaveAccumulator(r.Wave, r.Date)
+		acc = f.long.NewWave(r.Wave, r.Date)
 		f.accs[r.Wave] = acc
 	}
 	acc.Add(r)
@@ -830,7 +834,6 @@ func (f *recordFold) add(r *dataset.HostRecord) {
 }
 
 func (f *recordFold) finish() ([]*core.WaveAnalysis, *core.Longitudinal) {
-	long := core.NewLongitudinalAccumulator(true)
 	var analyses []*core.WaveAnalysis
 	for w := 0; w <= f.maxWave; w++ {
 		if f.accs[w] == nil {
@@ -838,7 +841,7 @@ func (f *recordFold) finish() ([]*core.WaveAnalysis, *core.Longitudinal) {
 		}
 		a := f.accs[w].Finalize(0)
 		analyses = append(analyses, a)
-		long.AddWave(a)
+		f.long.AddWave(a)
 	}
-	return analyses, long.Finalize()
+	return analyses, f.long.Finalize()
 }
