@@ -14,39 +14,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// testResilience is the armor with CI-sized stage deadlines: a tarpit
-// host costs ~500ms instead of seconds, so adversarial campaigns stay
-// fast even under -race. The deadlines still leave orders of magnitude
-// of headroom over a healthy in-memory exchange — a stage deadline
-// firing on a healthy host would change record content and break the
-// byte-identity gates. Classification and retry behavior are the
-// production defaults.
-func testResilience(seed int64) *scanner.Resilience {
-	return &scanner.Resilience{
-		Classify:       true,
-		Retries:        2,
-		Seed:           seed,
-		BackoffBase:    time.Millisecond,
-		BackoffCap:     8 * time.Millisecond,
-		ConnectTimeout: 500 * time.Millisecond,
-		HelloTimeout:   500 * time.Millisecond,
-		OpenTimeout:    2 * time.Second,
-		RequestTimeout: 2 * time.Second,
-		GrabTimeout:    60 * time.Second,
-	}
-}
-
+// chaosTestConfig is a one-wave chaos campaign under profile. It scans
+// with the armor measure ships (scanner.DefaultResilience), whose
+// deadlines run on each grab's virtual timeline: a tarpit costs no wall
+// time.
 func chaosTestConfig(profile string) CampaignConfig {
 	return CampaignConfig{
-		Seed:               2020,
-		Waves:              []int{7},
-		TestKeySizes:       true,
-		MaxHosts:           60,
-		NoiseProb:          1e-5,
-		GrabWorkers:        8,
-		ChaosProfile:       profile,
-		ChaosSeed:          7,
-		resilienceOverride: testResilience(7),
+		Seed:         2020,
+		Waves:        []int{7},
+		TestKeySizes: true,
+		MaxHosts:     60,
+		NoiseProb:    1e-5,
+		GrabWorkers:  8,
+		ChaosProfile: profile,
+		ChaosSeed:    7,
 	}
 }
 
@@ -241,7 +222,6 @@ func TestChaosOffIsPolite(t *testing.T) {
 		t.Skip("chaos campaign skipped in -short mode")
 	}
 	cfg := chaosTestConfig("")
-	cfg.resilienceOverride = nil
 	world, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -15,7 +14,7 @@ import (
 // deltaTestConfig is the delta-gate fixture: all eight waves, so every
 // spec transition the deployment schedules — renewals, churn, the
 // follow-references switch-on at wave 3 — crosses at least one delta
-// boundary. Chaos campaigns get the CI-sized resilience armor.
+// boundary. Chaos campaigns scan with the armor measure ships.
 func deltaTestConfig(profile string) CampaignConfig {
 	cfg := CampaignConfig{
 		Seed:         2020,
@@ -27,17 +26,6 @@ func deltaTestConfig(profile string) CampaignConfig {
 	if profile != "" {
 		cfg.ChaosProfile = profile
 		cfg.ChaosSeed = 7
-		// The delta gate compares runs with very different load shapes
-		// (a full wave's grabs versus a handful of misses), so the CI
-		// armor gets extra stage-deadline headroom: a deadline racing a
-		// chaos host's teardown on a starved single-core runner would
-		// flip the failure class between the runs under comparison.
-		r := testResilience(7)
-		r.ConnectTimeout = 2 * time.Second
-		r.HelloTimeout = 2 * time.Second
-		r.OpenTimeout = 4 * time.Second
-		r.RequestTimeout = 4 * time.Second
-		cfg.resilienceOverride = r
 	}
 	return cfg
 }
@@ -78,13 +66,6 @@ func TestDeltaCampaignByteIdentical(t *testing.T) {
 				delta := cfg
 				delta.Delta = true
 				delta.Shards = shards
-				// In-process sharding multiplies grab workers per shard;
-				// keep the process-wide worker count level with the
-				// baseline so scheduler contention (and therefore
-				// deadline-class outcomes on chaos hosts) is comparable.
-				if shards > 1 {
-					delta.GrabWorkers = max(1, cfg.GrabWorkers/shards)
-				}
 				reg := telemetry.New()
 				delta.Telemetry = reg
 				run, err := RunCampaignOnWorld(context.Background(), delta, world)

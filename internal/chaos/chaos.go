@@ -378,9 +378,10 @@ func serveGarbage(conn net.Conn) {
 // serveFiltered runs the real handler behind an inner pipe and relays
 // traffic, applying filter to the server→client direction. filter
 // returns when it is done damaging the stream; serveFiltered then tears
-// both connections down.
+// both connections down. The inner pipe joins conn's group, as a relay
+// blocked on one pipe is feeding the other.
 func serveFiltered(conn net.Conn, handle func(net.Conn), filter func(io.Writer, io.Reader)) {
-	inner, outer := memconn.Pipe()
+	inner, outer := memconn.Join(conn)
 	go handle(inner)
 	go func() {
 		// client→server passthrough; unblocks when either side closes.

@@ -134,14 +134,13 @@ func DefaultConfig() *Config {
 			"repro/internal/wavediff",
 			// Fingerprints and Hellos carry the study: nothing ambient may.
 			"repro/internal/study",
-			// Every record is read off a simulated connection. Its two
-			// clock reads compare an I/O deadline with the wall clock and
-			// carry entropy-exempt directives; anything else would be
-			// entropy under the whole dataset.
+			// Every record is read off a simulated connection, whose
+			// deadlines run on a virtual timeline. Its one wall-clock
+			// read is the clock of a real connection (a nil Timeline)
+			// and carries an entropy-exempt directive; anything else
+			// would be entropy under the whole dataset.
 			"repro/internal/memconn",
 			// The universe, noise and AS model every dataset depends on.
-			// Its one clock read, the noise hosts' I/O deadline, carries
-			// an entropy-exempt directive.
 			"repro/internal/simnet",
 		},
 		EpochVars: []string{"repro/internal/uarsa.Epoch"},

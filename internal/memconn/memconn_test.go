@@ -92,15 +92,44 @@ func blocked(t *testing.T, call func() (int, error), release func()) (int, error
 	}
 }
 
+// now reads c's clock: its timeline for the conn, the wall for net.Pipe.
+func now(c net.Conn) time.Time { return ClockOf(c).Now() }
+
+// park starts call, a Read or Write of the peer that blocks, on its own
+// goroutine: with the peer parked, a call of the other end that blocks
+// makes the pair quiescent, and its deadline can fire. The channel
+// yields call's error.
+func park(call func() (int, error)) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := call()
+		done <- err
+	}()
+	return done
+}
+
+// returned waits for a parked call's error.
+func returned(t *testing.T, parked <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-parked:
+		return err
+	case <-time.After(long):
+		t.Fatal("parked call never returned")
+		return nil
+	}
+}
+
 // TestConnContract runs every case where the conn and net.Pipe must
-// agree against both.
+// agree against both. A deadline fires on the conn only once the peer
+// is blocked too, so the rows that wait for one park the peer first.
 func TestConnContract(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T, im impl, a, b net.Conn, one []byte)
 	}{
 		{"deadline already past", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
-			past := time.Now().Add(-time.Second)
+			past := now(a).Add(-time.Second)
 			if err := a.SetDeadline(past); err != nil {
 				t.Fatal(err)
 			}
@@ -125,45 +154,61 @@ func TestConnContract(t *testing.T) {
 			wantTimeout(t, "write", err)
 		}},
 		{"deadline expires while blocked", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
-			start := time.Now()
+			parked := park(func() (int, error) { return b.Read(one) })
+			start := now(a)
 			_ = a.SetReadDeadline(start.Add(short))
 			_, err := a.Read(one)
 			wantTimeout(t, "read", err)
-			if d := time.Since(start); d < short {
+			if d := now(a).Sub(start); d < short {
 				t.Errorf("read timed out after %v, before its %v deadline", d, short)
 			}
+			// Release the parked read; park the peer in a write instead,
+			// which takes none of the bytes a is about to block on.
+			if _, err := a.Write(one); err != nil {
+				t.Fatal(err)
+			}
+			if err := returned(t, parked); err != nil {
+				t.Fatalf("parked read: %v", err)
+			}
 			im.saturate(t, a)
-			start = time.Now()
+			im.saturate(t, b)
+			park(func() (int, error) { return b.Write(one) })
+			start = now(a)
 			_ = a.SetWriteDeadline(start.Add(short))
 			n, err := a.Write(one)
 			wantTimeout(t, "write", err)
 			if n != 0 {
 				t.Errorf("timed-out write reports %d bytes", n)
 			}
-			if d := time.Since(start); d < short {
+			if d := now(a).Sub(start); d < short {
 				t.Errorf("write timed out after %v, before its %v deadline", d, short)
 			}
 		}},
 		{"deadline set while blocked", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
 			_, err := blocked(t, func() (int, error) { return a.Read(one) },
-				func() { _ = a.SetReadDeadline(time.Now().Add(-time.Second)) })
+				func() { _ = a.SetReadDeadline(now(a).Add(-time.Second)) })
 			wantTimeout(t, "read", err)
 			im.saturate(t, a)
 			_, err = blocked(t, func() (int, error) { return a.Write(one) },
-				func() { _ = a.SetDeadline(time.Now()) })
+				func() { _ = a.SetDeadline(now(a)) })
 			wantTimeout(t, "write", err)
 		}},
 		{"deadline shortened while blocked", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
-			_ = a.SetReadDeadline(time.Now().Add(long))
-			_, err := blocked(t, func() (int, error) { return a.Read(one) },
-				func() { _ = a.SetReadDeadline(time.Now().Add(short)) })
+			_ = a.SetReadDeadline(now(a).Add(long))
+			_, err := blocked(t, func() (int, error) { return a.Read(one) }, func() {
+				_ = a.SetReadDeadline(now(a).Add(short))
+				park(func() (int, error) { return b.Read(one) })
+			})
 			wantTimeout(t, "read", err)
 		}},
 		{"deadline cleared while blocked", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
-			_ = a.SetReadDeadline(time.Now().Add(3 * short))
+			_ = a.SetReadDeadline(now(a).Add(3 * short))
 			n, err := blocked(t, func() (int, error) { return a.Read(one) }, func() {
 				_ = a.SetReadDeadline(time.Time{})
-				time.Sleep(4 * short) // past the deadline that was cleared
+				// The peer waits out a deadline of its own, past the one
+				// that was cleared.
+				_ = b.SetReadDeadline(now(b).Add(4 * short))
+				wantTimeout(t, "read", returned(t, park(func() (int, error) { return b.Read(one) })))
 				_, _ = b.Write(one)
 			})
 			if n != 1 || err != nil {
@@ -171,10 +216,11 @@ func TestConnContract(t *testing.T) {
 			}
 		}},
 		{"deadline extended while blocked", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
-			_ = a.SetReadDeadline(time.Now().Add(3 * short))
+			_ = a.SetReadDeadline(now(a).Add(3 * short))
 			n, err := blocked(t, func() (int, error) { return a.Read(one) }, func() {
-				_ = a.SetReadDeadline(time.Now().Add(long))
-				time.Sleep(4 * short)
+				_ = a.SetReadDeadline(now(a).Add(long))
+				_ = b.SetReadDeadline(now(b).Add(4 * short))
+				wantTimeout(t, "read", returned(t, park(func() (int, error) { return b.Read(one) })))
 				_, _ = b.Write(one)
 			})
 			if n != 1 || err != nil {
@@ -196,7 +242,7 @@ func TestConnContract(t *testing.T) {
 			wantBare(t, "zero-length read", err, io.ErrClosedPipe)
 			_, err = a.Write(nil)
 			wantBare(t, "zero-length write", err, io.ErrClosedPipe)
-			wantBare(t, "SetDeadline", a.SetDeadline(time.Now().Add(long)), io.ErrClosedPipe)
+			wantBare(t, "SetDeadline", a.SetDeadline(now(a).Add(long)), io.ErrClosedPipe)
 			wantBare(t, "SetReadDeadline", a.SetReadDeadline(time.Time{}), io.ErrClosedPipe)
 			wantBare(t, "SetWriteDeadline", a.SetWriteDeadline(time.Time{}), io.ErrClosedPipe)
 		}},
@@ -210,10 +256,10 @@ func TestConnContract(t *testing.T) {
 			wantBare(t, "zero-length read", err, io.EOF)
 			_, err = a.Write(nil)
 			wantBare(t, "zero-length write", err, io.ErrClosedPipe)
-			wantBare(t, "SetDeadline", a.SetDeadline(time.Now().Add(long)), io.ErrClosedPipe)
+			wantBare(t, "SetDeadline", a.SetDeadline(now(a).Add(long)), io.ErrClosedPipe)
 		}},
 		{"remote close outranks a past deadline", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
-			_ = a.SetDeadline(time.Now().Add(-time.Second))
+			_ = a.SetDeadline(now(a).Add(-time.Second))
 			_ = b.Close()
 			_, err := a.Read(one)
 			wantBare(t, "read", err, io.EOF)
@@ -240,6 +286,31 @@ func TestConnContract(t *testing.T) {
 			im.saturate(t, a)
 			_, err := blocked(t, func() (int, error) { return a.Write(one) }, func() { _ = b.Close() })
 			wantBare(t, "write", err, io.ErrClosedPipe)
+		}},
+		{"close wakes every blocked call", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
+			// A Read and a Write blocked on one end, each under a pending
+			// deadline, are both released by either end's Close.
+			for _, local := range []bool{true, false} {
+				a, b := im.pipe()
+				_ = a.SetDeadline(now(a).Add(long))
+				im.saturate(t, a)
+				reading := park(func() (int, error) { return a.Read(one) })
+				writing := park(func() (int, error) { return a.Write(make([]byte, 1)) })
+				time.Sleep(short)
+				if local {
+					_ = a.Close()
+				} else {
+					_ = b.Close()
+				}
+				wantRead := io.EOF
+				if local {
+					wantRead = io.ErrClosedPipe
+				}
+				wantBare(t, "blocked read", returned(t, reading), wantRead)
+				wantBare(t, "blocked write", returned(t, writing), io.ErrClosedPipe)
+				_ = a.Close()
+				_ = b.Close()
+			}
 		}},
 		{"addresses", func(t *testing.T, im impl, a, b net.Conn, one []byte) {
 			for _, ad := range []net.Addr{a.LocalAddr(), a.RemoteAddr()} {
@@ -299,7 +370,7 @@ func TestConnContract(t *testing.T) {
 					}()
 					go func() {
 						defer wg.Done()
-						for c.SetDeadline(time.Now().Add(long)) == nil {
+						for c.SetDeadline(now(c).Add(long)) == nil {
 							_ = c.SetReadDeadline(time.Time{})
 						}
 					}()
@@ -392,8 +463,14 @@ func TestHighWaterMark(t *testing.T) {
 		}
 	})
 	t.Run("released by its deadline", func(t *testing.T) {
-		a, _ := Pipe()
-		_ = a.SetWriteDeadline(time.Now().Add(short))
+		// The peer is parked in a write of its own, so it takes none of
+		// a's bytes and the pair is quiescent once a blocks.
+		a, b := Pipe()
+		if _, err := b.Write(make([]byte, highWater)); err != nil {
+			t.Fatal(err)
+		}
+		park(func() (int, error) { return b.Write(big[:1]) })
+		_ = a.SetWriteDeadline(now(a).Add(short))
 		n, err := a.Write(big)
 		wantTimeout(t, "write", err)
 		if n != highWater {
@@ -430,8 +507,8 @@ func TestHighWaterMark(t *testing.T) {
 			}
 		}
 		s := a.(*conn).w
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		s.g.mu.Lock()
+		defer s.g.mu.Unlock()
 		if cap(s.buf) > 2*highWater {
 			t.Errorf("buffer capacity %d after 2 MB passed through, want ≤ %d", cap(s.buf), 2*highWater)
 		}
@@ -440,14 +517,14 @@ func TestHighWaterMark(t *testing.T) {
 
 // TestDeadlinesAllocateNothing: Set*Deadline only stores a time, and a
 // request/response exchange re-arming its deadline every time settles at
-// no allocation at all — the timer of a blocked read is reused.
+// no allocation at all.
 func TestDeadlinesAllocateNothing(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
 	if n := testing.AllocsPerRun(1000, func() {
-		_ = a.SetDeadline(time.Now().Add(long))
-		_ = a.SetReadDeadline(time.Now().Add(long))
+		_ = a.SetDeadline(now(a).Add(long))
+		_ = a.SetReadDeadline(now(a).Add(long))
 		_ = a.SetWriteDeadline(time.Time{})
 	}); n != 0 {
 		t.Errorf("Set*Deadline allocates %.1f objects per call, want 0", n)
@@ -455,38 +532,9 @@ func TestDeadlinesAllocateNothing(t *testing.T) {
 	stop := echo(b)
 	defer stop()
 	msg := make([]byte, 64)
-	roundTrip(t, a, msg) // the first blocked read creates its timer
+	roundTrip(t, a, msg) // the echo's buffers grow once
 	if n := testing.AllocsPerRun(1000, func() { roundTrip(t, a, msg) }); n != 0 {
 		t.Errorf("a round trip with its deadline re-armed allocates %.1f objects, want 0", n)
-	}
-}
-
-// TestCloseStopsTimers: a deadline timer armed by a blocked call does
-// not outlive the connection, whichever end closes.
-func TestCloseStopsTimers(t *testing.T) {
-	for _, closer := range []string{"local", "remote"} {
-		a, b := Pipe()
-		_ = a.SetReadDeadline(time.Now().Add(long))
-		_, err := blocked(t, func() (int, error) { return a.Read(make([]byte, 1)) }, func() {
-			if closer == "local" {
-				_ = a.Close()
-			} else {
-				_ = b.Close()
-			}
-		})
-		if err == nil {
-			t.Fatal("read returned no error after a close")
-		}
-		s := a.(*conn).r
-		s.mu.Lock()
-		timer := s.rd.timer
-		s.mu.Unlock()
-		if timer == nil {
-			t.Fatal("the blocked read armed no timer")
-		}
-		if timer.Stop() {
-			t.Errorf("%s close left the read deadline's timer pending", closer)
-		}
 	}
 }
 
@@ -516,7 +564,7 @@ func echo(c net.Conn) (stop func()) {
 // roundTrip sends msg and reads its echo under a fresh deadline, the way
 // the client arms one per request.
 func roundTrip(tb testing.TB, c net.Conn, msg []byte) {
-	_ = c.SetDeadline(time.Now().Add(long))
+	_ = c.SetDeadline(now(c).Add(long))
 	if _, err := c.Write(msg); err != nil {
 		tb.Fatal(err)
 	}

@@ -3,15 +3,18 @@ package scanner
 import (
 	"context"
 	"fmt"
+	"io"
 	mrand "math/rand"
 	"net"
 	"net/netip"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/memconn"
 	"repro/internal/simnet"
 	"repro/internal/uaclient"
 	"repro/internal/uamsg"
@@ -44,6 +47,14 @@ func gateSnapshot(tb testing.TB, cm chaos.WaveModel, noise simnet.Noise) *worldv
 	if err != nil {
 		tb.Fatal(err)
 	}
+	ap := netip.MustParseAddrPort(gateHost)
+	b.AddHost(ap.Addr(), int(ap.Port()), 64512, gateServer(tb))
+	return b.Build()
+}
+
+// gateServer is the None-only server at gateHost.
+func gateServer(tb testing.TB) *uaserver.Server {
+	tb.Helper()
 	srv, err := uaserver.New(uaserver.Config{
 		ApplicationURI: "urn:gate:server",
 		EndpointURL:    "opc.tcp://" + gateHost,
@@ -54,9 +65,7 @@ func gateSnapshot(tb testing.TB, cm chaos.WaveModel, noise simnet.Noise) *worldv
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ap := netip.MustParseAddrPort(gateHost)
-	b.AddHost(ap.Addr(), int(ap.Port()), 64512, srv)
-	return b.Build()
+	return srv
 }
 
 // yieldingDialer gives the processor away between connect and hello on a
@@ -234,5 +243,91 @@ func TestConnectionsLeaveNothingBehind(t *testing.T) {
 	if h1 > h0+2000 {
 		t.Errorf("heap objects after GC: %d before, %d after 10,000 connections (%.1f per connection left behind)",
 			h0, h1, float64(h1-h0)/10000)
+	}
+}
+
+// closeSpy is a server's end of a pipe that records its Close.
+type closeSpy struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (c *closeSpy) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+// TestServersCloseTheirEnd is the strand gate. On a simulated connection
+// a client's deadline fires only once the server's end is blocked or
+// closed, so a server goroutine that returned with its end open would
+// leave the client waiting for ever. Every server the simulated
+// Internet runs — the OPC UA handler, the noise service and each chaos
+// kind of every profile — must close its end when it returns, whether
+// the client sent a hello or garbage (the handler's early return), and
+// whether the server returns by itself or once the client hangs up.
+func TestServersCloseTheirEnd(t *testing.T) {
+	srv := gateServer(t)
+	type server struct {
+		name  string
+		serve func(net.Conn)
+	}
+	servers := []server{
+		{"uaserver", func(c net.Conn) { srv.HandleConnCrypto(c, uaserver.Crypto{}) }},
+		{"noise", simnet.ServeNoise},
+	}
+	ap := netip.MustParseAddrPort(gateHost)
+	seen := map[chaos.Kind]bool{}
+	for _, profile := range chaos.Profiles() {
+		m, err := chaos.ModelForProfile(profile, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range m.Kinds {
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			b := chaos.Model{Seed: 1, Prob: 1, Kinds: []chaos.Kind{k}}.ForWave(0).Behavior(ap.Addr().As4(), int(ap.Port()))
+			servers = append(servers, server{"chaos_" + k.String(), func(c net.Conn) { chaos.Serve(b, c, srv.HandleConn) }})
+		}
+	}
+	inputs := []struct {
+		name  string
+		drive func(net.Conn)
+	}{
+		{"hello", func(c net.Conn) { _, _ = uasc.ClientHello(c, "opc.tcp://"+gateHost, uasc.Limits{}) }},
+		{"garbage", func(c net.Conn) {
+			_, _ = c.Write([]byte("GET / HTTP/1.0\r\n\r\n"))
+			_, _ = io.Copy(io.Discard, c)
+		}},
+	}
+	for _, sv := range servers {
+		for _, in := range inputs {
+			t.Run(sv.name+"/"+in.name, func(t *testing.T) {
+				client, end := memconn.Pipe()
+				defer client.Close()
+				spy := &closeSpy{Conn: end}
+				returned := make(chan struct{})
+				go func() {
+					defer close(returned)
+					sv.serve(spy)
+				}()
+				_ = client.SetDeadline(memconn.ClockOf(client).Now().Add(time.Second))
+				go in.drive(client)
+				select {
+				case <-returned:
+				case <-time.After(100 * time.Millisecond):
+					_ = client.Close()
+					select {
+					case <-returned:
+					case <-time.After(10 * time.Second):
+						t.Fatal("still serving after the client closed")
+					}
+				}
+				if !spy.closed.Load() {
+					t.Error("returned with its end open")
+				}
+			})
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/memconn"
 	"repro/internal/telemetry"
 	"repro/internal/uaclient"
 	"repro/internal/uamsg"
@@ -220,6 +221,19 @@ func (s *Scanner) opts() uaclient.Options {
 	}
 }
 
+// arm puts one grab on a timeline of its own, carried by ctx to the
+// simulated network, which dials the grab's connections on it; the
+// watchdog and the retry backoff read it too. A real network's
+// connections keep the wall clock, so cmd/uascan arms neither.
+func (s *Scanner) arm(ctx context.Context, addr string) (context.Context, uaclient.Options, *retrier) {
+	tl := memconn.NewTimeline()
+	opts := s.opts()
+	if s.Resilience.GrabTimeout > 0 {
+		opts.HardDeadline = tl.Now().Add(s.Resilience.GrabTimeout)
+	}
+	return memconn.WithTimeline(ctx, tl), opts, s.newRetrier(addr, tl)
+}
+
 // Grab scans one target completely.
 func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 	//studyvet:entropy-exempt — Result.Time/Duration are operational telemetry; dataset normalization drops them before byte comparison
@@ -238,12 +252,7 @@ func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 	}
 
 	url := "opc.tcp://" + target.Address
-
-	opts := s.opts()
-	if s.Resilience.GrabTimeout > 0 {
-		opts.HardDeadline = start.Add(s.Resilience.GrabTimeout)
-	}
-	rt := s.newRetrier(target.Address)
+	ctx, opts, rt := s.arm(ctx, target.Address)
 
 	// Step 1: endpoint discovery over an insecure channel. The retry
 	// budget (when armed) wraps the whole exchange: a reset or refused

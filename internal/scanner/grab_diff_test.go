@@ -25,7 +25,8 @@ import (
 	"repro/internal/uaserver"
 )
 
-// referenceGrab is Grab as of commit 286d6b5, verbatim: one connection
+// referenceGrab is Grab as of commit 286d6b5, verbatim but for the
+// timeline every grab now runs on (Scanner.arm): one connection
 // per step — GetEndpoints, FindServers, the secure probe, the session —
 // so up to four per host. It exists only as the oracle of
 // TestGrabMatchesFourDialGrab: whatever Grab learns on fewer connections
@@ -42,12 +43,7 @@ func (s *Scanner) referenceGrab(ctx context.Context, target Target) *Result {
 	}
 
 	url := "opc.tcp://" + target.Address
-
-	opts := s.opts()
-	if s.Resilience.GrabTimeout > 0 {
-		opts.HardDeadline = start.Add(s.Resilience.GrabTimeout)
-	}
-	rt := s.newRetrier(target.Address)
+	ctx, opts, rt := s.arm(ctx, target.Address)
 
 	// Step 1: endpoint discovery over an insecure channel.
 	openStart := ex.Start()
@@ -163,7 +159,7 @@ func sameGrab(t *testing.T, what string, ref, got *Result) {
 	a.Time, a.Duration, a.BytesTransferred = time.Time{}, 0, 0
 	b.Time, b.Duration, b.BytesTransferred = time.Time{}, 0, 0
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: Grab differs from the four-dial grab\n four-dial: %+v\n      Grab: %+v", what, a, b)
+		t.Errorf("%s: the grabs differ\n reference: %+v\n      grab: %+v", what, a, b)
 	}
 }
 
@@ -427,23 +423,15 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 			if kind == chaos.KindNone {
 				world.SetChaos(chaos.Model{})
 			} else {
-				// A host that stalls the hello costs its deadline twice, and
-				// that deadline must stay far above what a polite hello
-				// takes on a loaded machine (a grab that times out on one
-				// side only is a difference): the two kinds that stall
-				// sweep a twentieth of the hosts under a 1 s deadline, the
-				// others a fifth under the scanner's 5 s.
-				step := 5
+				// A fifth of the hosts, under the retry budget. A host
+				// that stalls costs its deadline on the grab's timeline,
+				// not on the wall.
 				sc.Resilience = Resilience{
 					Classify: true, Retries: 2, Seed: 14,
 					BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
 				}
-				if kind == chaos.KindTarpit || kind == chaos.KindCorrupt {
-					step = 20
-					sc.Resilience.HelloTimeout = time.Second
-				}
 				targets = nil
-				for i := 0; i < len(all); i += step {
+				for i := 0; i < len(all); i += 5 {
 					targets = append(targets, all[i])
 				}
 				world.SetChaos(chaos.Model{Seed: 14, Prob: 0.35, Kinds: []chaos.Kind{kind}})
@@ -511,5 +499,66 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 				t.Errorf("no host failed under %v", kind)
 			}
 		})
+	}
+}
+
+// TestStageDeadlinesFireOnlyWhenStuck is the virtual-time gate: a stage
+// deadline fires only once the grab's exchange can make no other
+// progress, so its length cannot change a result. Every host of a small
+// chaos-mixed world is grabbed under the shipped armor and again with
+// every stage deadline at 1 ns; ConnectTimeout and GrabTimeout keep
+// their shipped values. On a wall-clock deadline the second sweep would
+// time out every host it reaches.
+func TestStageDeadlinesFireOnlyWhenStuck(t *testing.T) {
+	spec, err := deploy.BuildSpec(2020)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := deploy.Materialize(spec, deploy.Options{TestKeySizes: true, MaxHosts: 120, NoiseProb: 1e-5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := chaos.ModelForProfile("mixed", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world.SetChaos(model)
+	view, err := world.SnapshotWave(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := PortScan(context.Background(), view, PortScanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []Target
+	for _, ip := range open {
+		targets = append(targets, Target{Address: netip.AddrPortFrom(ip, simnet.ScanPort).String(), Via: ViaPortScan})
+	}
+	states, err := world.WaveEndpointStates(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range states {
+		if ap := netip.MustParseAddrPort(st.Address); st.Present && ap.Port() != simnet.ScanPort {
+			targets = append(targets, Target{Address: st.Address, Via: ViaReference})
+		}
+	}
+
+	shipped := newScanner(t, view)
+	shipped.Resilience = DefaultResilience(7)
+	instant := *shipped
+	instant.Resilience.HelloTimeout = time.Nanosecond
+	instant.Resilience.OpenTimeout = time.Nanosecond
+	instant.Resilience.RequestTimeout = time.Nanosecond
+	classes := map[string]int{}
+	for _, target := range targets {
+		want := shipped.Grab(context.Background(), target)
+		sameGrab(t, target.Address, want, instant.Grab(context.Background(), target))
+		classes[want.FailureClass]++
+	}
+	t.Logf("%d hosts by failure class: %v", len(targets), classes)
+	if classes[FailTimeout] == 0 || classes[""] == 0 {
+		t.Error("the sweep needs hosts that time out and hosts that answer")
 	}
 }

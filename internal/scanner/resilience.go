@@ -8,9 +8,9 @@
 // Determinism contract: with a fixed Seed, every decision here — which
 // attempt number a dial carries, whether a failure is retried, what
 // class a record gets — is a pure function of the error chain and the
-// retry budget, never of wall-clock timing. Backoff delays shape only
-// wall-clock pacing; classification never reads a clock. That is what
-// keeps chaos-on datasets byte-identical across runs and shard counts.
+// retry budget, never of scheduling: deadlines and backoffs run on the
+// grab's virtual timeline (Scanner.arm). That is what keeps chaos-on
+// datasets byte-identical across runs, shard counts and machine load.
 
 package scanner
 
@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/chaos"
+	"repro/internal/memconn"
 	"repro/internal/simnet"
 	"repro/internal/uaclient"
 )
@@ -82,6 +83,29 @@ type Resilience struct {
 	GrabTimeout time.Duration
 }
 
+// DefaultResilience is the armor a chaos campaign scans with (measure
+// -chaos, and every chaos test): stage deadlines small enough that a
+// tarpit costs seconds of its grab's timeline rather than the whole 30s
+// connection budget, two seeded retries (enough to recover every flap
+// host whose refusal count is ≤ 2; param-3 flaps exercise the
+// retries-exhausted class), and a watchdog far above any healthy grab —
+// it bounds adversarial stalls only, because a watchdog that fired
+// mid-walk on a healthy host would truncate record content.
+func DefaultResilience(seed int64) Resilience {
+	return Resilience{
+		Classify:       true,
+		Retries:        2,
+		Seed:           seed,
+		BackoffBase:    50 * time.Millisecond,
+		BackoffCap:     400 * time.Millisecond,
+		ConnectTimeout: 2 * time.Second,
+		HelloTimeout:   2 * time.Second,
+		OpenTimeout:    5 * time.Second,
+		RequestTimeout: 10 * time.Second,
+		GrabTimeout:    10 * time.Minute,
+	}
+}
+
 // ClassifyError maps an error chain to its taxonomy class. Returns ""
 // for nil errors and campaign cancellation (a cancelled grab is not a
 // host failure and must not become a dataset record — partial-wave
@@ -122,17 +146,19 @@ type retrier struct {
 	s       *Scanner
 	retries int
 	backoff *backoff.Backoff
-	known   int // attempt number that last succeeded
+	clock   *memconn.Timeline // the grab's: backoff waits move it on
+	known   int               // attempt number that last succeeded
 }
 
 // newRetrier returns nil when retries are disabled; dialRetry treats a
 // nil retrier as a single plain dial.
-func (s *Scanner) newRetrier(addr string) *retrier {
+func (s *Scanner) newRetrier(addr string, clock *memconn.Timeline) *retrier {
 	if s.Resilience.Retries <= 0 {
 		return nil
 	}
 	return &retrier{
 		s:       s,
+		clock:   clock,
 		retries: s.Resilience.Retries,
 		backoff: backoff.New(chaos.DeriveSeed(s.Resilience.Seed, addr),
 			s.Resilience.BackoffBase, s.Resilience.BackoffCap),
@@ -160,18 +186,8 @@ func (rt *retrier) run(ctx context.Context, exchange func(ctx context.Context) e
 		used++
 		attempt++
 		rt.s.Metrics.Counter("grab_retries").Inc()
-		rt.sleep(ctx)
-	}
-}
-
-// sleep waits out the next backoff delay, cancellation-aware. The
-// delay shapes pacing only; no retry decision depends on it.
-func (rt *retrier) sleep(ctx context.Context) {
-	t := time.NewTimer(rt.backoff.Next())
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
+		// The delay shapes pacing only; no retry decision depends on it.
+		rt.clock.Sleep(ctx, rt.backoff.Next())
 	}
 }
 

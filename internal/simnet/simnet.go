@@ -20,6 +20,8 @@ import (
 	"net/netip"
 	"slices"
 	"time"
+
+	"repro/internal/memconn"
 )
 
 // ConnHandler serves one accepted connection. *uaserver.Server satisfies
@@ -341,11 +343,10 @@ func (e ErrRefused) Timeout() bool { return false }
 
 // ServeNoise emulates a non-OPC-UA service on port 4840: it reads a
 // little and responds with an HTTP error, as embedded web servers do.
-//
-//studyvet:entropy-exempt — an I/O deadline against the wall clock, never a record byte (ROADMAP "One clock")
+// Its deadline is on conn's clock (memconn.ClockOf).
 func ServeNoise(conn net.Conn) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	_ = conn.SetDeadline(memconn.ClockOf(conn).Now().Add(2 * time.Second))
 	buf := make([]byte, 256)
 	_, _ = conn.Read(buf)
 	_, _ = conn.Write([]byte("HTTP/1.0 400 Bad Request\r\nConnection: close\r\n\r\n"))

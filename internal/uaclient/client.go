@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/memconn"
 	"repro/internal/telemetry"
 	"repro/internal/uamsg"
 	"repro/internal/uapolicy"
@@ -49,7 +50,8 @@ type Options struct {
 
 	// HardDeadline, when nonzero, is an absolute watchdog: no deadline
 	// extension — not even the walk's — ever arms past it, so a tarpit
-	// host cannot wedge a grab-pool worker beyond this instant.
+	// host cannot wedge a grab-pool worker beyond this instant. It is a
+	// time on the connection's clock (memconn.ClockOf).
 	HardDeadline time.Time
 
 	// Metrics, when non-nil, counts in the given scope (the scanner
@@ -112,7 +114,8 @@ func (c countingConn) Write(p []byte) (int, error) {
 
 // Client is a connection to one OPC UA server.
 type Client struct {
-	opts Options
+	opts  Options
+	clock *memconn.Timeline // the connection's (memconn.ClockOf): nil is the wall
 
 	tr *uasc.Transport
 	ch *uasc.Channel
@@ -133,8 +136,7 @@ type Client struct {
 	// ExtendDeadline re-arms only when a meaningful share of the budget
 	// has elapsed: on a kernel socket every SetDeadline modifies a
 	// runtime timer, and the walk issues thousands of requests per
-	// connection. (The simulated connection only stores the time, but a
-	// blocked read re-arms its timer once per new deadline.)
+	// connection. (The simulated connection only stores the time.)
 	deadlineAt time.Time
 
 	// requests caches the ua_requests counters this connection has
@@ -204,9 +206,9 @@ func Dial(ctx context.Context, endpointURL string, opts Options) (*Client, error
 		countDial(opts.Metrics, "refused")
 		return nil, err
 	}
-	c := &Client{opts: opts, endpointURL: endpointURL}
+	c := &Client{opts: opts, clock: memconn.ClockOf(conn), endpointURL: endpointURL}
 	cc := countingConn{Conn: conn, read: &c.bytesRead, written: &c.bytesWritten}
-	c.deadlineAt = c.clamp(time.Now().Add(c.budget(opts.HelloTimeout)))
+	c.deadlineAt = c.clamp(c.clock.Now().Add(c.budget(opts.HelloTimeout)))
 	_ = conn.SetDeadline(c.deadlineAt)
 	tr, err := uasc.ClientHello(cc, endpointURL, opts.Limits)
 	if err != nil {
@@ -261,7 +263,7 @@ func (c *Client) clamp(t time.Time) time.Time {
 
 // armStage re-arms the connection deadline for a new protocol stage.
 func (c *Client) armStage(stage time.Duration) {
-	c.deadlineAt = c.clamp(time.Now().Add(c.budget(stage)))
+	c.deadlineAt = c.clamp(c.clock.Now().Add(c.budget(stage)))
 	_ = c.tr.Conn.SetDeadline(c.deadlineAt)
 }
 
@@ -271,7 +273,7 @@ func (c *Client) armStage(stage time.Duration) {
 // request instead of being re-armed (and a timer re-allocated) on
 // every one. The hard watchdog deadline is never exceeded.
 func (c *Client) ExtendDeadline() {
-	now := time.Now()
+	now := c.clock.Now()
 	budget := c.budget(c.opts.RequestTimeout)
 	if c.deadlineAt.Sub(now) > 3*budget/4 {
 		return

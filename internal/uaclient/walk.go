@@ -101,7 +101,7 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions) (*WalkResult, error) {
 	res := &WalkResult{}
 	deadline := time.Time{}
 	if o.MaxDuration > 0 {
-		deadline = time.Now().Add(o.MaxDuration)
+		deadline = c.clock.Now().Add(o.MaxDuration)
 	}
 	limitHit := func() bool {
 		if c.broken {
@@ -112,7 +112,7 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions) (*WalkResult, error) {
 			res.Truncated, res.LimitHit = true, "context"
 			return true
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if !deadline.IsZero() && c.clock.Now().After(deadline) {
 			res.Truncated, res.LimitHit = true, "time"
 			return true
 		}
@@ -127,10 +127,7 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions) (*WalkResult, error) {
 	}
 	pause := func() {
 		if o.Delay > 0 {
-			select {
-			case <-ctx.Done():
-			case <-time.After(o.Delay):
-			}
+			c.clock.Sleep(ctx, o.Delay)
 		}
 	}
 	if ns, err := c.NamespaceArray(); err == nil {

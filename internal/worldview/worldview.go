@@ -279,27 +279,30 @@ func (s *Snapshot) DialContext(ctx context.Context, network, address string) (ne
 		}
 	}
 	h, o := s.lookup(ip, port)
-	switch o {
-	case refused:
+	if o == refused {
 		return nil, simnet.ErrRefused{Addr: address}
-	case noise:
-		client, server := memconn.Pipe()
-		go simnet.ServeNoise(server)
-		return client, nil
 	}
 	// Adversarial behavior applies to registered hosts only: noise
 	// endpoints and closed ports stay polite. The decision is a pure
 	// function of (seed, wave, ip, port) plus the dial's context-borne
 	// attempt number, so it is identical across shards and processes.
-	if b := s.cfg.Chaos.Behavior(ip.As4(), port); b.Kind != chaos.KindNone {
+	var b chaos.Behavior
+	if o == served {
+		b = s.cfg.Chaos.Behavior(ip.As4(), port)
 		if b.Refuses(chaos.AttemptFromContext(ctx)) {
 			return nil, simnet.ErrRefused{Addr: address}
 		}
-		client, server := memconn.Pipe()
-		go chaos.Serve(b, server, h.handler.HandleConn)
-		return client, nil
 	}
-	client, server := memconn.Pipe()
-	go h.handler.HandleConn(server)
+	// The pipe keeps the dial's timeline: the grab's, which its context
+	// carries, or one of its own.
+	client, server := memconn.TimelineFrom(ctx).Pipe()
+	switch {
+	case o == noise:
+		go simnet.ServeNoise(server)
+	case b.Kind != chaos.KindNone:
+		go chaos.Serve(b, server, h.handler.HandleConn)
+	default:
+		go h.handler.HandleConn(server)
+	}
 	return client, nil
 }

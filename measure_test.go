@@ -226,6 +226,40 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 	}
 }
 
+// TestMeasureChaosFabric runs a chaos campaign through the fabric
+// (-listen, two -connect workers) and in one process, unsharded: the
+// datasets must be equal. Stage deadlines run on each grab's virtual
+// timeline, so the armor's outcome on a chaos host is a function of the
+// study alone — not of which process, shard or load ran the grab.
+func TestMeasureChaosFabric(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess campaign skipped in -short mode")
+	}
+	bin := buildMeasure(t)
+	dir := t.TempDir()
+	campaign := []string{
+		"-seed", "2020", "-waves", "6,7", "-testkeys", "-chaos", "mixed",
+		"-max-hosts", "60", "-noise", "1e-5", "-grab-workers", "8",
+	}
+	merged := filepath.Join(dir, "merged.jsonl")
+	runFabricMeasure(t, bin, dir, 2, append(campaign, "-shards", "2", "-dataset", merged)...)
+	_, want := normalizedDataset(t, merged)
+	single := filepath.Join(dir, "single.jsonl")
+	if out, err := exec.Command(bin, append(campaign, "-dataset", single)...).CombinedOutput(); err != nil {
+		t.Fatalf("measure: %v\n%s", err, out)
+	}
+	if _, got := normalizedDataset(t, single); !bytes.Equal(got, want) {
+		t.Errorf("single-process chaos dataset differs from the fabric's (%d vs %d bytes)", len(got), len(want))
+	}
+	classes := map[string]int{}
+	for _, r := range decodeDataset(t, want) {
+		classes[r.FailureClass]++
+	}
+	if classes["timeout"] == 0 || classes["retries-exhausted"] == 0 {
+		t.Errorf("chaos campaign records by failure class %v: no stalls or no exhausted retries", classes)
+	}
+}
+
 // TestMeasureDeltaCoordinator runs the fabric with and without -delta
 // and pins the worker-side delta path (RunCampaignShard behind
 // -connect): the flag travels to the workers in the campaign spec, the

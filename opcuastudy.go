@@ -144,10 +144,6 @@ type CampaignConfig struct {
 	// backoff jitter (0 = derive from Seed), so chaos campaigns replay
 	// bit-identically across runs and shard layouts.
 	ChaosSeed int64
-	// resilienceOverride replaces the derived armor, letting tests use
-	// sub-second stage deadlines so tarpit campaigns finish in CI time
-	// (nil = defaultResilience when chaos is on).
-	resilienceOverride *scanner.Resilience
 	// uncachedCrypto runs the legacy handshake: no memo engine, and fresh
 	// randomness in every exchange, so every RSA operation is recomputed.
 	// It is the reference the crypto-engine equivalence tests and the
@@ -266,10 +262,7 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (s
 			return scanner.Scanner{}, nil, err
 		}
 		chaosModel = m
-		resilience = defaultResilience(st.ChaosSeed)
-		if cfg.resilienceOverride != nil {
-			resilience = *cfg.resilienceOverride
-		}
+		resilience = scanner.DefaultResilience(st.ChaosSeed)
 	}
 	world.SetChaos(chaosModel)
 
@@ -289,28 +282,6 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (s
 		ApplicationURI: "urn:repro:opcua:scanner",
 		Resilience:     resilience,
 	}, suite, nil
-}
-
-// defaultResilience is the armor a chaos campaign scans with: stage
-// deadlines small enough that a tarpit costs seconds rather than the
-// whole 30s connection budget, two seeded retries (enough to recover
-// every flap host whose refusal count is ≤ 2; param-3 flaps exercise
-// the retries-exhausted class), and a watchdog far above any healthy
-// grab — it bounds adversarial stalls only, because a watchdog that
-// fired mid-walk on a healthy host would truncate record content.
-func defaultResilience(seed int64) scanner.Resilience {
-	return scanner.Resilience{
-		Classify:       true,
-		Retries:        2,
-		Seed:           seed,
-		BackoffBase:    50 * time.Millisecond,
-		BackoffCap:     400 * time.Millisecond,
-		ConnectTimeout: 2 * time.Second,
-		HelloTimeout:   2 * time.Second,
-		OpenTimeout:    5 * time.Second,
-		RequestTimeout: 10 * time.Second,
-		GrabTimeout:    10 * time.Minute,
-	}
 }
 
 // NewScannerIdentitySeeded derives the scanner identity as a pure

@@ -1028,8 +1028,7 @@ func TestShardedCampaignShardStreams(t *testing.T) {
 	}{
 		{"full", full, []int{2, 5}},
 		{"delta", delta, []int{2, 5}},
-		// One row: chaos hosts cost wall-clock stage deadlines.
-		{"chaos_mixed", chaosTestConfig("mixed"), []int{2}},
+		{"chaos_mixed", chaosTestConfig("mixed"), []int{2, 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := tc.cfg

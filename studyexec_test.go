@@ -203,12 +203,11 @@ func TestCampaignConfigFieldsClassified(t *testing.T) {
 			t.Errorf("Study.%s has no CampaignConfig twin", studyT.Field(i).Name)
 		}
 	}
-	// The two test hooks are in neither half: only single-process tests
-	// set them. resilienceOverride shapes chaos bytes, and it is why
-	// chaos tests cannot run over the fabric; uncachedCrypto is the
-	// reference the crypto engine is compared against.
-	if want := []string{"resilienceOverride", "uncachedCrypto"}; !slices.Equal(hooks, want) {
-		t.Errorf("unexported CampaignConfig fields %v, want just the test hooks %v", hooks, want)
+	// The one test hook is in neither half: only single-process tests
+	// set it. uncachedCrypto is the reference the crypto engine is
+	// compared against, and it changes no record byte.
+	if want := []string{"uncachedCrypto"}; !slices.Equal(hooks, want) {
+		t.Errorf("unexported CampaignConfig fields %v, want just the test hook %v", hooks, want)
 	}
 }
 
@@ -354,8 +353,7 @@ func TestExecInvariance(t *testing.T) {
 
 // execFixture is the one study the Exec rows run: 320 hosts reach past
 // the None-only first 270, so handshakes do RSA through the memo
-// engine; no chaos, so no wall-clock stage deadline shapes a
-// record.
+// engine. A chaos study runs over the fabric in TestMeasureChaosFabric.
 func execFixture() CampaignConfig {
 	return CampaignConfig{
 		Seed:         2020,
