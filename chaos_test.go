@@ -69,8 +69,6 @@ func TestChaosCampaignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeWallClock(a)
-	normalizeWallClock(b)
 	if x, y := datasetBytes(t, a), datasetBytes(t, b); !bytes.Equal(x, y) {
 		t.Errorf("chaos datasets differ across identical runs (%d vs %d bytes)", len(x), len(y))
 	}
@@ -137,7 +135,6 @@ func TestChaosCampaignSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeWallClock(baseline)
 	want := datasetBytes(t, baseline)
 	if len(countFailures(baseline)) == 0 {
 		t.Fatal("chaos campaign produced no classified failures")
@@ -150,7 +147,6 @@ func TestChaosCampaignSharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		normalizeWallClock(run)
 		if got := datasetBytes(t, run); !bytes.Equal(got, want) {
 			t.Errorf("shards=%d: chaos dataset differs from unsharded (%d vs %d bytes)",
 				shards, len(got), len(want))
@@ -247,8 +243,6 @@ func TestChaosOffIsPolite(t *testing.T) {
 	if got := snap.CounterTotal("grab_retries"); got != 0 {
 		t.Errorf("chaos-off campaign ticked grab_retries = %d", got)
 	}
-	normalizeWallClock(a)
-	normalizeWallClock(b)
 	if x, y := datasetBytes(t, a), datasetBytes(t, b); !bytes.Equal(x, y) {
 		t.Errorf("chaos-off datasets differ across identical runs (%d vs %d bytes)", len(x), len(y))
 	}

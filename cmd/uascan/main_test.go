@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/scanner"
 	"repro/internal/uacert"
@@ -78,7 +79,8 @@ func scan(t *testing.T, args ...string) []scanner.Result {
 
 // TestGrabsRealServer grabs a uaserver over real TCP and checks the
 // four things the paper reads off a grab: that OPC UA answered, the
-// advertised endpoints, the server certificate and anonymous access.
+// advertised endpoints, the server certificate and anonymous access;
+// and that the grab's time is the wall's.
 func TestGrabsRealServer(t *testing.T) {
 	key, err := rsa.GenerateKey(rand.Reader, 1024)
 	if err != nil {
@@ -106,7 +108,9 @@ func TestGrabsRealServer(t *testing.T) {
 	}
 	addr := serve(t, l, srv.HandleConn)
 
+	before := time.Now()
 	results := scan(t, "-timeout", "5s", "-delay", "0", addr)
+	after := time.Now()
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want 1", len(results))
 	}
@@ -133,6 +137,11 @@ func TestGrabsRealServer(t *testing.T) {
 	}
 	if s := r.Session; !s.Offered || !s.Attempted || !s.OK {
 		t.Errorf("anonymous session = %+v, want offered, attempted and OK", s)
+	}
+	// A real network's grab runs on the wall clock.
+	if r.Time.Before(before) || r.Time.After(after) || r.Duration <= 0 {
+		t.Errorf("grab at %v for %v, want a wall time in [%v, %v] and a positive duration",
+			r.Time, r.Duration, before, after)
 	}
 }
 

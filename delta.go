@@ -17,9 +17,9 @@ import (
 // are skipped and their prior records cloned, re-stamped with the new
 // wave index and date) and which must fall back to a real grab.
 //
-// Concurrency: the tracker is single-owner. Delta campaigns serialize
-// waves (campaignRun.waveWorkers is 1; RunCampaignShard is a serial
-// wave loop), and scanWave calls planWave/observeWave in wave order.
+// Concurrency: the tracker is single-owner. A campaign scans its waves
+// one at a time on one scan goroutine, and scanWave calls
+// planWave/observeWave in wave order.
 // During a scan the installed Skip closure is called from shard
 // goroutines concurrently, but only ever reads the tracker's maps — the
 // next mutation (observeWave) starts after every shard has joined.

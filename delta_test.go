@@ -59,7 +59,6 @@ func TestDeltaCampaignByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			normalizeWallClock(baseline)
 			want := datasetBytes(t, baseline)
 
 			for _, shards := range []int{1, 4} {
@@ -72,7 +71,6 @@ func TestDeltaCampaignByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				normalizeWallClock(run)
 				if got := datasetBytes(t, run); !bytes.Equal(got, want) {
 					t.Errorf("shards=%d: delta dataset differs from full scan (%d vs %d bytes)",
 						shards, len(got), len(want))

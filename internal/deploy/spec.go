@@ -301,15 +301,6 @@ type Spec struct {
 	Seed      int64
 }
 
-// counts returns per-group host index ranges in Spec.Hosts order.
-func groupCounts() map[string]int {
-	m := make(map[string]int, len(groupTable))
-	for _, g := range groupTable {
-		m[g.name] = g.count
-	}
-	return m
-}
-
 // BuildSpec generates the complete world deterministically from a seed.
 func BuildSpec(seed int64) (*Spec, error) {
 	rng := rand.New(rand.NewSource(seed))

@@ -147,6 +147,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, run ShardRunner) error {
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
+	//studyvet:entropy-exempt — liveness: the reconnect backoff waits on the wall; its durations replay from the seed
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -249,6 +250,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	go func() {
+		//studyvet:entropy-exempt — liveness: heartbeats are wall time between processes; no record reads them
 		t := time.NewTicker(cfg.HeartbeatEvery)
 		defer t.Stop()
 		for n := 1; ; n++ {

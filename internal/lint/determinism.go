@@ -18,8 +18,9 @@ import (
 //     defeated stream replay twice already, PRs 4–5);
 //   - math/rand package-level functions (the global source; seeded
 //     *rand.Rand values via rand.New are fine);
-//   - time.Now / time.Since / time.Until — uarsa.Epoch is the only
-//     sanctioned clock (Config.EpochVars).
+//   - time.Now, Since, Until, After, AfterFunc, NewTimer, NewTicker,
+//     Tick and Sleep (functions only: t.After(u) reads no clock); times
+//     come from the connection's clock (memconn.ClockOf) or uarsa.Epoch.
 //
 // In every analyzed package it flags range loops over maps whose body
 // appends to a variable declared outside the loop or encodes into an
@@ -98,10 +99,10 @@ func checkEntropyUse(pass *Pass, sel *ast.SelectorExpr) {
 			"math/rand.%s uses the global source on the deterministic path: use rand.New(rand.NewSource(seed))",
 			obj.Name())
 	case "time":
-		switch obj.Name() {
-		case "Now", "Since", "Until":
+		switch name, _ := pass.pkgFunc(sel, "time"); name {
+		case "Now", "Since", "Until", "After", "AfterFunc", "NewTimer", "NewTicker", "Tick", "Sleep":
 			pass.Reportf(sel.Pos(),
-				"time.%s on the deterministic path: stamp uarsa.Epoch or derive times from the wave schedule (//studyvet:entropy-exempt to sanction)",
+				"time.%s on the deterministic path: read the connection's clock (memconn.ClockOf) or stamp uarsa.Epoch (//studyvet:entropy-exempt to sanction)",
 				obj.Name())
 		}
 	}

@@ -86,9 +86,6 @@ type Config struct {
 	// everything that feeds byte-identical datasets). The map-iteration
 	// order rule applies to every analyzed package regardless.
 	DeterministicPkgs []string
-	// EpochVars are fully qualified variables sanctioned as the
-	// deterministic path's only clock (e.g. "repro/internal/uarsa.Epoch").
-	EpochVars []string
 	// SinkPkg is the import path of the record-pipeline package defining
 	// RecordSink (sinkctx's subject).
 	SinkPkg string
@@ -103,6 +100,8 @@ func DefaultConfig() *Config {
 			"repro/internal/deploy",
 			"repro/internal/uarsa",
 			"repro/internal/uasc",
+			"repro/internal/uaclient",
+			"repro/internal/uaserver",
 			"repro/internal/uapolicy",
 			"repro/internal/uacert",
 			"repro/internal/uatypes",
@@ -116,14 +115,13 @@ func DefaultConfig() *Config {
 			"repro/internal/telemetry",
 			// The shard fabric's retry jitter must replay from its seed
 			// and its deadlines and heartbeat gaps read the wall only
-			// through telemetry.NowNs, so the transport obeys the same
-			// entropy and clock rules as the record path it carries.
+			// through telemetry.NowNs; its liveness timers are exempted
+			// one by one.
 			"repro/internal/fabric",
 			// Chaos behaviors are pure functions of (seed, wave, addr):
 			// any ambient entropy or clock in the decision path would
-			// break the chaos byte-identity gates. (Serve's tarpit
-			// pacing sleeps on the wire path, which is time.Sleep only —
-			// no clock reads feed decisions.)
+			// break the chaos byte-identity gates. A tarpit keeps no
+			// clock: it blocks until the peer's deadline fires.
 			"repro/internal/chaos",
 			// Retry backoff must replay from its seed alone.
 			"repro/internal/backoff",
@@ -135,16 +133,15 @@ func DefaultConfig() *Config {
 			// Fingerprints and Hellos carry the study: nothing ambient may.
 			"repro/internal/study",
 			// Every record is read off a simulated connection, whose
-			// deadlines run on a virtual timeline. Its one wall-clock
-			// read is the clock of a real connection (a nil Timeline)
-			// and carries an entropy-exempt directive; anything else
-			// would be entropy under the whole dataset.
+			// time is a virtual timeline. The wall clock of a real
+			// connection (a nil Timeline) is exempted where it is read
+			// and waited on; anything else would be entropy under the
+			// whole dataset.
 			"repro/internal/memconn",
 			// The universe, noise and AS model every dataset depends on.
 			"repro/internal/simnet",
 		},
-		EpochVars: []string{"repro/internal/uarsa.Epoch"},
-		SinkPkg:   "repro/internal/pipeline",
+		SinkPkg: "repro/internal/pipeline",
 		Pools: []PoolPair{{
 			Acquire: "repro/internal/uatypes.AcquireEncoder",
 			Release: "repro/internal/uatypes.ReleaseEncoder",

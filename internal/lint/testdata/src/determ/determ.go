@@ -17,9 +17,16 @@ func entropy() {
 	rand.Read(b[:])   // want "crypto/rand.Read on the deterministic path"
 	_ = mrand.Intn(4) // want "math/rand.Intn uses the global source"
 	r := mrand.New(mrand.NewSource(1))
-	_ = r.Intn(4)         // seeded source: sanctioned
-	_ = time.Now()        // want "time.Now on the deterministic path"
-	_ = time.Since(epoch) // want "time.Since on the deterministic path"
+	_ = r.Intn(4)                      // seeded source: sanctioned
+	_ = time.Now()                     // want "time.Now on the deterministic path"
+	_ = time.Since(epoch)              // want "time.Since on the deterministic path"
+	<-time.After(time.Second)          // want "time.After on the deterministic path"
+	time.AfterFunc(time.Hour, entropy) // want "time.AfterFunc on the deterministic path"
+	time.NewTimer(time.Hour)           // want "time.NewTimer on the deterministic path"
+	time.NewTicker(time.Hour)          // want "time.NewTicker on the deterministic path"
+	_ = time.Tick(time.Hour)           // want "time.Tick on the deterministic path"
+	time.Sleep(time.Millisecond)       // want "time.Sleep on the deterministic path"
+	_ = epoch.After(epoch)             // a method: reads no clock
 }
 
 // exempted is the golden case for declaration-level exemptions: the

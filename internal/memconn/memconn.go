@@ -99,6 +99,7 @@ func (tl *Timeline) Sleep(ctx context.Context, d time.Duration) {
 		tl.elapsed.Add(int64(d))
 		return
 	}
+	//studyvet:entropy-exempt — the wall clock's wait, for a real connection (a nil Timeline); no pipe waits on it
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -130,8 +131,12 @@ func Join(c net.Conn) (net.Conn, net.Conn) {
 }
 
 // ClockOf returns the timeline c's deadlines are set in: its pipe's for
-// an end of a pipe, nil (the wall clock) for any other connection.
+// an end of a pipe, nil (the wall clock) for any other connection. A
+// wrapper with a NetConn method (as crypto/tls has) has its conn's.
 func ClockOf(c net.Conn) *Timeline {
+	if w, ok := c.(interface{ NetConn() net.Conn }); ok {
+		return ClockOf(w.NetConn())
+	}
 	if mc, ok := c.(*conn); ok {
 		return mc.r.g.tl
 	}

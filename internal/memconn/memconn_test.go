@@ -538,6 +538,29 @@ func TestDeadlinesAllocateNothing(t *testing.T) {
 	}
 }
 
+// wrapped is a connection wrapper that names what it wraps.
+type wrapped struct{ net.Conn }
+
+func (w wrapped) NetConn() net.Conn { return w.Conn }
+
+// TestClockOfSeesThroughWrappers: a wrapper of a pipe's end keeps the
+// pipe's timeline, a wrapper of anything else the wall.
+func TestClockOfSeesThroughWrappers(t *testing.T) {
+	tl := NewTimeline()
+	a, b := tl.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if got := ClockOf(wrapped{wrapped{a}}); got != tl {
+		t.Errorf("ClockOf(wrapped pipe) = %p, want the pipe's timeline %p", got, tl)
+	}
+	p, q := net.Pipe()
+	defer p.Close()
+	defer q.Close()
+	if got := ClockOf(wrapped{p}); got != nil {
+		t.Errorf("ClockOf(wrapped net.Pipe) = %p, want nil (the wall)", got)
+	}
+}
+
 // echo answers every message read on c with the same bytes until c
 // fails; stop closes c and waits for the goroutine.
 func echo(c net.Conn) (stop func()) {

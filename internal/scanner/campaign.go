@@ -78,8 +78,7 @@ type Wave struct {
 	OpenPorts int
 	// Partial is true when the wave was cut short by context
 	// cancellation; Results then holds only the grabs that completed.
-	Partial  bool
-	Duration time.Duration
+	Partial bool
 }
 
 // RunWave executes a full measurement: port scan, grab, follow-ups.

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/uaclient"
+	"repro/internal/simnet"
 )
 
 // resultKey is the order-independent identity of one grab.
@@ -91,7 +91,7 @@ func TestRunWaveSchedulersAgree(t *testing.T) {
 // been observed, so cancellation deterministically lands mid-wave
 // (after the port scan, before the grab frontier drains).
 type cancelAfterDials struct {
-	inner  uaclient.Dialer
+	simnet.View
 	left   atomic.Int32
 	cancel context.CancelFunc
 }
@@ -100,7 +100,7 @@ func (d *cancelAfterDials) DialContext(ctx context.Context, network, address str
 	if d.left.Add(-1) == 0 {
 		d.cancel()
 	}
-	return d.inner.DialContext(ctx, network, address)
+	return d.View.DialContext(ctx, network, address)
 }
 
 // TestRunWaveCancellationReturnsPartialWave pins the documented error
@@ -122,7 +122,7 @@ func TestRunWaveCancellationReturnsPartialWave(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	wrapped := &cancelAfterDials{inner: nw, cancel: cancel}
+	wrapped := &cancelAfterDials{View: nw, cancel: cancel}
 	wrapped.left.Store(3)
 	cancelled := *sc
 	cancelled.Dialer = wrapped

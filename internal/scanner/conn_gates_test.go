@@ -88,6 +88,30 @@ func (y *yieldingDialer) DialContext(ctx context.Context, network, address strin
 	return conn, err
 }
 
+// TestGrabDurationIsTheGrabsClock pins Result.Duration to the grab's
+// timeline: on a snapshot a polite grab never waits, so it takes no
+// time at all, and a tarpit under the shipped armor takes exactly the
+// hello deadline it waits out (a timeout is not retried).
+func TestGrabDurationIsTheGrabsClock(t *testing.T) {
+	armor := DefaultResilience(1)
+	tarpit := chaos.Model{Seed: 5, Prob: 1, Kinds: []chaos.Kind{chaos.KindTarpit}}.ForWave(0)
+	for _, c := range []struct {
+		name string
+		cm   chaos.WaveModel
+		want time.Duration
+	}{
+		{"polite", chaos.WaveModel{}, 0},
+		{"tarpit", tarpit, armor.HelloTimeout},
+	} {
+		sc := newScanner(t, gateSnapshot(t, c.cm, simnet.Noise{}))
+		sc.Resilience = armor
+		res := sc.Grab(context.Background(), Target{Address: gateHost, Via: ViaPortScan})
+		if res.Duration != c.want {
+			t.Errorf("%s: Duration = %v (error %q), want %v", c.name, res.Duration, res.Error, c.want)
+		}
+	}
+}
+
 // TestChaosOutcomeIndependentOfScheduling is the scheduling gate of the
 // buffered connection: a record may never depend on whether a server's
 // Close or the client's Write runs first. Every chaos kind and the noise

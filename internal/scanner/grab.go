@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/memconn"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/uaclient"
 	"repro/internal/uamsg"
@@ -122,7 +123,8 @@ type Result struct {
 	FollowDepth int
 
 	BytesTransferred int64
-	Duration         time.Duration
+	// Duration is the grab's elapsed time on its clock (Scanner.arm).
+	Duration time.Duration
 }
 
 // Scanner grabs OPC UA metadata from targets.
@@ -221,26 +223,29 @@ func (s *Scanner) opts() uaclient.Options {
 	}
 }
 
-// arm puts one grab on a timeline of its own, carried by ctx to the
-// simulated network, which dials the grab's connections on it; the
-// watchdog and the retry backoff read it too. A real network's
-// connections keep the wall clock, so cmd/uascan arms neither.
-func (s *Scanner) arm(ctx context.Context, addr string) (context.Context, uaclient.Options, *retrier) {
-	tl := memconn.NewTimeline()
+// arm puts one grab on its clock and returns it: on the simulated
+// Internet (a simnet.View) a virtual timeline of its own, which ctx
+// carries to the dial; on any other dialer, a real network, the wall
+// (nil). The watchdog, the retry backoff, Time and Duration read it.
+func (s *Scanner) arm(ctx context.Context, addr string) (context.Context, *memconn.Timeline, uaclient.Options, *retrier) {
+	var tl *memconn.Timeline
+	if _, ok := s.Dialer.(simnet.View); ok {
+		tl = memconn.NewTimeline()
+		ctx = memconn.WithTimeline(ctx, tl)
+	}
 	opts := s.opts()
 	if s.Resilience.GrabTimeout > 0 {
 		opts.HardDeadline = tl.Now().Add(s.Resilience.GrabTimeout)
 	}
-	return memconn.WithTimeline(ctx, tl), opts, s.newRetrier(addr, tl)
+	return ctx, tl, opts, s.newRetrier(addr, tl)
 }
 
 // Grab scans one target completely.
 func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
-	//studyvet:entropy-exempt — Result.Time/Duration are operational telemetry; dataset normalization drops them before byte comparison
-	start := time.Now()
+	ctx, tl, opts, rt := s.arm(ctx, target.Address)
+	start := tl.Now()
 	res := &Result{Address: target.Address, Via: target.Via, Time: start}
-	//studyvet:entropy-exempt — see above
-	defer func() { res.Duration = time.Since(start) }()
+	defer func() { res.Duration = tl.Now().Sub(start) }()
 
 	// The exchange trace (nil when disabled; every span call below is
 	// then one pointer check) records open→handshake→session→close under
@@ -252,7 +257,6 @@ func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 	}
 
 	url := "opc.tcp://" + target.Address
-	ctx, opts, rt := s.arm(ctx, target.Address)
 
 	// Step 1: endpoint discovery over an insecure channel. The retry
 	// budget (when armed) wraps the whole exchange: a reset or refused
@@ -335,9 +339,7 @@ func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 
 // release closes a connection of the grab and adds its traffic to the
 // result. Every connection the grab dials ends here, so each is counted
-// exactly once, whether the probe on it succeeded or not. Result.Bytes
-// feeds no analysis — the equivalence gates normalize it — so only
-// consistency matters.
+// exactly once, whether the probe on it succeeded or not.
 func release(res *Result, c *uaclient.Client) {
 	r, w := c.BytesTransferred()
 	res.BytesTransferred += r + w

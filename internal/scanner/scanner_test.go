@@ -454,8 +454,12 @@ func TestGrabFullServer(t *testing.T) {
 	if addrspace.Classify(res.Namespaces) != addrspace.Production {
 		t.Errorf("namespaces = %v", res.Namespaces)
 	}
-	if res.BytesTransferred == 0 || res.Duration <= 0 {
+	if res.BytesTransferred == 0 {
 		t.Error("transfer accounting missing")
+	}
+	// Nothing stalls, so no time passes on the grab's timeline.
+	if res.Duration != 0 {
+		t.Errorf("Duration = %v, want 0", res.Duration)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/simnet"
 )
@@ -65,8 +64,6 @@ func RunWaveShard(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConf
 // index range, then grabs with follow-ups. RunWave passes the full
 // range; RunWaveShard passes its plan slice.
 func runWaveRange(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConfig, lo, hi uint64) (*Wave, error) {
-	//studyvet:entropy-exempt — Wave.Duration is operational telemetry, excluded from shard-merge equivalence
-	start := time.Now()
 	if cfg.GrabWorkers <= 0 {
 		cfg.GrabWorkers = 32
 	}
@@ -77,9 +74,8 @@ func runWaveRange(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConf
 	}
 	open, err := PortScanRange(ctx, nw, cfg.PortScan, lo, hi)
 	if err != nil {
-		return &Wave{Date: cfg.Date, OpenPorts: len(open), Partial: true,
-			//studyvet:entropy-exempt — telemetry on the failure path
-			Duration: time.Since(start)}, fmt.Errorf("scanner: port scan: %w", err)
+		return &Wave{Date: cfg.Date, OpenPorts: len(open), Partial: true},
+			fmt.Errorf("scanner: port scan: %w", err)
 	}
 	wave := &Wave{Date: cfg.Date, OpenPorts: len(open)}
 
@@ -103,7 +99,6 @@ func runWaveRange(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConf
 	sortResults(wave.Results)
 	err = ctx.Err()
 	wave.Partial = err != nil
-	wave.Duration = time.Since(start) //studyvet:entropy-exempt — telemetry
 	return wave, err
 }
 
@@ -117,8 +112,7 @@ func runWaveRange(ctx context.Context, nw simnet.View, sc *Scanner, cfg WaveConf
 //     (mirroring the unsharded dedup, where every port-scan target is
 //     enqueued before any reference); among reference-only duplicates
 //     the lowest shard index wins — the grabs are replays of the same
-//     deterministic exchange, so the choice only fixes which copy's
-//     wall-clock fields survive.
+//     deterministic exchange, so every copy is the same record.
 //   - The merged results get the standard deterministic sort, making
 //     the merge independent of shard count.
 //
@@ -137,9 +131,6 @@ func MergeWaveShards(shards ...*Wave) *Wave {
 		merged.Date = w.Date
 		merged.OpenPorts += w.OpenPorts
 		merged.Partial = merged.Partial || w.Partial
-		if w.Duration > merged.Duration {
-			merged.Duration = w.Duration
-		}
 		batches = append(batches, w.Results)
 	}
 	merged.Results = MergeShardItems(batches,

@@ -122,7 +122,7 @@ func TestMergeWaveShardsPartialCancellation(t *testing.T) {
 	// partial wave rather than a complete one.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	wrapped := &cancelAfterDials{inner: nw, cancel: cancel}
+	wrapped := &cancelAfterDials{View: nw, cancel: cancel}
 	wrapped.left.Store(1)
 	cancelledSc := *sc
 	cancelledSc.Dialer = wrapped

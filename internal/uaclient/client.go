@@ -112,6 +112,9 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// NetConn returns the counted connection, for memconn.ClockOf.
+func (c countingConn) NetConn() net.Conn { return c.Conn }
+
 // Client is a connection to one OPC UA server.
 type Client struct {
 	opts  Options
@@ -352,7 +355,7 @@ func (c *Client) nextHandle() uint32 {
 func (c *Client) header() uamsg.RequestHeader {
 	return uamsg.RequestHeader{
 		AuthenticationToken: c.sessionToken,
-		Timestamp:           time.Now(),
+		Timestamp:           c.clock.Now(),
 		RequestHandle:       c.nextHandle(),
 		TimeoutHint:         uint32(c.opts.Timeout / time.Millisecond),
 	}

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/memconn"
 	"repro/internal/telemetry"
 	"repro/internal/uacert"
 	"repro/internal/uamsg"
@@ -367,8 +367,7 @@ func openChannel(t *Transport, sec ChannelSecurity, lifetimeMS uint32) (*Channel
 	}
 
 	var clientNonce []byte
-	//studyvet:entropy-exempt — fallback for live scanning; deterministic handshakes (sec.Derive set) overwrite with uarsa.Epoch below
-	ts := time.Now()
+	ts := memconn.ClockOf(t.Conn).Now()
 	if sec.Derive != nil {
 		// Deterministic handshake: nonce from the exchange derivation,
 		// timestamp pinned, so equal channel parameters replay the
@@ -708,8 +707,7 @@ func (ch *Channel) Close() error {
 	}
 	ch.closed = true
 	req := &uamsg.CloseSecureChannelRequest{
-		//studyvet:entropy-exempt — CLO is fire-and-forget teardown; its timestamp is never parsed into a record
-		Header: uamsg.RequestHeader{Timestamp: time.Now()},
+		Header: uamsg.RequestHeader{Timestamp: memconn.ClockOf(ch.t.Conn).Now()},
 	}
 	_ = ch.sendMsg(uamsg.MsgTypeClose, ch.newRequestID(), req)
 	return ch.t.Close()
@@ -846,8 +844,7 @@ func Accept(t *Transport, cfg ServerConfig) (*Channel, error) {
 	ch.sec.Mode = req.SecurityMode
 
 	var serverNonce []byte
-	//studyvet:entropy-exempt — fallback for live serving; deterministic channels (ch.sec.Derive set) pin the OPN response timestamp below
-	now := time.Now()
+	now := memconn.ClockOf(t.Conn).Now()
 	if ch.sec.Derive != nil {
 		// Channel-id collisions across connections are harmless: each
 		// connection carries exactly one channel and peers only check

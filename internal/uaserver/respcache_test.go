@@ -60,9 +60,9 @@ func TestResponseCacheByteIdentical(t *testing.T) {
 		&uamsg.FindServersRequest{},
 	} {
 		srv.EnableResponseCache(true)
-		cached := srv.dispatch(nil, nil, req)
+		cached := srv.dispatch(nil, nil, req, time.Time{})
 		srv.EnableResponseCache(false)
-		plain := srv.dispatch(nil, nil, req)
+		plain := srv.dispatch(nil, nil, req, time.Time{})
 		srv.EnableResponseCache(true)
 
 		if _, ok := cached.(*uamsg.PreEncodedResponse); !ok {
@@ -100,7 +100,7 @@ func TestCachedGetEndpointsServeAllocBudget(t *testing.T) {
 	e := uatypes.AcquireEncoder(len(srv.epSuffix) + 128)
 	defer uatypes.ReleaseEncoder(e)
 	allocs := testing.AllocsPerRun(500, func() {
-		resp := srv.dispatch(nil, nil, req)
+		resp := srv.dispatch(nil, nil, req, time.Time{})
 		e.Reset()
 		uamsg.EncodeTo(e, resp)
 	})
@@ -125,7 +125,7 @@ func BenchmarkGetEndpointsServe(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp := srv.dispatch(nil, nil, req)
+				resp := srv.dispatch(nil, nil, req, time.Time{})
 				e.Reset()
 				uamsg.EncodeTo(e, resp)
 			}

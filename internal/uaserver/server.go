@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/addrspace"
+	"repro/internal/memconn"
 	"repro/internal/uamsg"
 	"repro/internal/uapolicy"
 	"repro/internal/uarsa"
@@ -277,6 +278,7 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 	if err != nil {
 		return
 	}
+	clock := memconn.ClockOf(conn) // responses are stamped on it
 	sessions := make(map[string]*session)
 	for {
 		got, err := ch.Recv()
@@ -286,7 +288,7 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 		if got.MsgType == uamsg.MsgTypeClose {
 			return
 		}
-		resp := s.dispatch(ch, sessions, got.Message)
+		resp := s.dispatch(ch, sessions, got.Message, clock.Now())
 		if resp == nil {
 			return
 		}
@@ -296,17 +298,17 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 	}
 }
 
-func fault(handle uint32, code uastatus.Code) *uamsg.ServiceFault {
+func fault(now time.Time, handle uint32, code uastatus.Code) *uamsg.ServiceFault {
 	return &uamsg.ServiceFault{Header: uamsg.ResponseHeader{
-		Timestamp:     time.Now(),
+		Timestamp:     now,
 		RequestHandle: handle,
 		ServiceResult: code,
 	}}
 }
 
-func okHeader(handle uint32) uamsg.ResponseHeader {
+func okHeader(now time.Time, handle uint32) uamsg.ResponseHeader {
 	return uamsg.ResponseHeader{
-		Timestamp:     time.Now(),
+		Timestamp:     now,
 		RequestHandle: handle,
 		ServiceResult: uastatus.Good,
 	}
@@ -319,79 +321,79 @@ func okHeader(handle uint32) uamsg.ResponseHeader {
 // two allocations per request.
 //
 //studyvet:hotpath — per-request on every simulated server; BenchmarkGetEndpointsServe budgets its allocs
-func (s *Server) dispatch(ch *uasc.Channel, sessions map[string]*session, msg uamsg.Message) uamsg.Message {
+func (s *Server) dispatch(ch *uasc.Channel, sessions map[string]*session, msg uamsg.Message, now time.Time) uamsg.Message {
 	switch req := msg.(type) {
 	case *uamsg.GetEndpointsRequest:
 		if s.respCache.Load() {
 			return &uamsg.PreEncodedResponse{
 				ID:     uamsg.IDGetEndpointsResponse,
-				Header: okHeader(req.Header.RequestHandle),
+				Header: okHeader(now, req.Header.RequestHandle),
 				Suffix: s.epSuffix,
 			}
 		}
 		return &uamsg.GetEndpointsResponse{
-			Header:    okHeader(req.Header.RequestHandle),
+			Header:    okHeader(now, req.Header.RequestHandle),
 			Endpoints: s.endpoints,
 		}
 	case *uamsg.FindServersRequest:
 		if s.respCache.Load() {
 			return &uamsg.PreEncodedResponse{
 				ID:     uamsg.IDFindServersResponse,
-				Header: okHeader(req.Header.RequestHandle),
+				Header: okHeader(now, req.Header.RequestHandle),
 				Suffix: s.fsSuffix,
 			}
 		}
 		return &uamsg.FindServersResponse{
-			Header:  okHeader(req.Header.RequestHandle),
+			Header:  okHeader(now, req.Header.RequestHandle),
 			Servers: s.knownServers(),
 		}
 	case *uamsg.CreateSessionRequest:
-		return s.createSession(ch, sessions, req)
+		return s.createSession(ch, sessions, req, now)
 	case *uamsg.ActivateSessionRequest:
-		return s.activateSession(ch, sessions, req)
+		return s.activateSession(ch, sessions, req, now)
 	case *uamsg.CloseSessionRequest:
 		if sess := lookupSession(sessions, req.Header.AuthenticationToken); sess != nil {
 			delete(sessions, sess.authToken.Key())
-			return &uamsg.CloseSessionResponse{Header: okHeader(req.Header.RequestHandle)}
+			return &uamsg.CloseSessionResponse{Header: okHeader(now, req.Header.RequestHandle)}
 		}
-		return fault(req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
+		return fault(now, req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
 	case *uamsg.BrowseRequest:
 		sess := activeSession(sessions, req.Header.AuthenticationToken)
 		if sess == nil {
-			return fault(req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
+			return fault(now, req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
 		}
-		return s.browse(sess, req)
+		return s.browse(sess, req, now)
 	case *uamsg.BrowseNextRequest:
 		sess := activeSession(sessions, req.Header.AuthenticationToken)
 		if sess == nil {
-			return fault(req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
+			return fault(now, req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
 		}
-		return s.browseNext(sess, req)
+		return s.browseNext(sess, req, now)
 	case *uamsg.ReadRequest:
 		sess := activeSession(sessions, req.Header.AuthenticationToken)
 		if sess == nil {
-			return fault(req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
+			return fault(now, req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
 		}
-		return s.read(sess, req)
+		return s.read(sess, req, now)
 	case *uamsg.CallRequest:
 		sess := activeSession(sessions, req.Header.AuthenticationToken)
 		if sess == nil {
-			return fault(req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
+			return fault(now, req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
 		}
-		return s.call(sess, req)
+		return s.call(sess, req, now)
 	case *uamsg.OpenSecureChannelRequest:
 		// Token renewal: reissue the same token ids (simplified).
 		return &uamsg.OpenSecureChannelResponse{
-			Header:            okHeader(req.Header.RequestHandle),
+			Header:            okHeader(now, req.Header.RequestHandle),
 			ServerProtocolVer: uamsg.ProtocolVersion,
 			SecurityToken: uamsg.ChannelSecurityToken{
 				ChannelID: ch.ChannelID, TokenID: ch.TokenID,
-				CreatedAt: time.Now(), RevisedLifetime: req.RequestedLifetime,
+				CreatedAt: now, RevisedLifetime: req.RequestedLifetime,
 			},
 		}
 	default:
 		if r, ok := msg.(uamsg.Request); ok {
-			return fault(r.RequestHeader().RequestHandle, uastatus.BadServiceUnsupported)
+			return fault(now, r.RequestHeader().RequestHandle, uastatus.BadServiceUnsupported)
 		}
 		return nil
 	}
@@ -413,18 +415,19 @@ func activeSession(sessions map[string]*session, token uatypes.NodeID) *session 
 
 func randomToken() uatypes.NodeID {
 	b := make([]byte, 16)
+	//studyvet:entropy-exempt — a fixed 16 bytes the scanner echoes and never records
 	if _, err := rand.Read(b); err != nil {
 		panic("uaserver: crypto/rand failed: " + err.Error())
 	}
 	return uatypes.NodeID{Type: uatypes.NodeIDTypeByteString, Bytes: b}
 }
 
-func (s *Server) createSession(ch *uasc.Channel, sessions map[string]*session, req *uamsg.CreateSessionRequest) uamsg.Message {
+func (s *Server) createSession(ch *uasc.Channel, sessions map[string]*session, req *uamsg.CreateSessionRequest, now time.Time) uamsg.Message {
 	if s.cfg.Discovery {
-		return fault(req.Header.RequestHandle, uastatus.BadServiceUnsupported)
+		return fault(now, req.Header.RequestHandle, uastatus.BadServiceUnsupported)
 	}
 	if s.cfg.Quirks.RejectSessions {
-		return fault(req.Header.RequestHandle, uastatus.BadInternalError)
+		return fault(now, req.Header.RequestHandle, uastatus.BadInternalError)
 	}
 	sess := &session{
 		id:        uatypes.NewNumericNodeID(1, s.sessionCounter.Add(1)),
@@ -434,7 +437,7 @@ func (s *Server) createSession(ch *uasc.Channel, sessions map[string]*session, r
 	sessions[sess.authToken.Key()] = sess
 
 	resp := &uamsg.CreateSessionResponse{
-		Header:                okHeader(req.Header.RequestHandle),
+		Header:                okHeader(now, req.Header.RequestHandle),
 		SessionID:             sess.id,
 		AuthenticationToken:   sess.authToken,
 		RevisedSessionTimeout: req.RequestedSessionTimeout,
@@ -471,10 +474,10 @@ func (s *Server) tokenTypeAdvertised(tt uamsg.UserTokenType) bool {
 	return false
 }
 
-func (s *Server) activateSession(ch *uasc.Channel, sessions map[string]*session, req *uamsg.ActivateSessionRequest) uamsg.Message {
+func (s *Server) activateSession(ch *uasc.Channel, sessions map[string]*session, req *uamsg.ActivateSessionRequest, now time.Time) uamsg.Message {
 	sess := lookupSession(sessions, req.Header.AuthenticationToken)
 	if sess == nil {
-		return fault(req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
+		return fault(now, req.Header.RequestHandle, uastatus.BadSessionIdInvalid)
 	}
 	tok := uamsg.DecodeIdentityToken(req.UserIdentityToken)
 	var identity addrspace.Identity
@@ -482,47 +485,47 @@ func (s *Server) activateSession(ch *uasc.Channel, sessions map[string]*session,
 	case *uamsg.AnonymousIdentityToken, nil:
 		// A missing token defaults to anonymous per OPC 10000-4.
 		if !s.tokenTypeAdvertised(uamsg.UserTokenAnonymous) {
-			return fault(req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
+			return fault(now, req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
 		}
 		identity = addrspace.Anonymous
 	case *uamsg.UserNameIdentityToken:
 		if !s.tokenTypeAdvertised(uamsg.UserTokenUserName) {
-			return fault(req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
+			return fault(now, req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
 		}
 		want, ok := s.cfg.Users[t.UserName]
 		if !ok || want != string(t.Password) {
-			return fault(req.Header.RequestHandle, uastatus.BadUserAccessDenied)
+			return fault(now, req.Header.RequestHandle, uastatus.BadUserAccessDenied)
 		}
 		identity = addrspace.Identity{Kind: uamsg.UserTokenUserName, UserName: t.UserName}
 	case *uamsg.X509IdentityToken:
 		if !s.tokenTypeAdvertised(uamsg.UserTokenCertificate) {
-			return fault(req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
+			return fault(now, req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
 		}
 		if len(t.CertificateData) == 0 {
-			return fault(req.Header.RequestHandle, uastatus.BadIdentityTokenInvalid)
+			return fault(now, req.Header.RequestHandle, uastatus.BadIdentityTokenInvalid)
 		}
 		identity = addrspace.Identity{Kind: uamsg.UserTokenCertificate}
 	case *uamsg.IssuedIdentityToken:
 		if !s.tokenTypeAdvertised(uamsg.UserTokenIssuedToken) {
-			return fault(req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
+			return fault(now, req.Header.RequestHandle, uastatus.BadIdentityTokenRejected)
 		}
 		identity = addrspace.Identity{Kind: uamsg.UserTokenIssuedToken}
 	default:
-		return fault(req.Header.RequestHandle, uastatus.BadIdentityTokenInvalid)
+		return fault(now, req.Header.RequestHandle, uastatus.BadIdentityTokenInvalid)
 	}
 	sess.activated = true
 	sess.identity = identity
 	return &uamsg.ActivateSessionResponse{
-		Header:      okHeader(req.Header.RequestHandle),
+		Header:      okHeader(now, req.Header.RequestHandle),
 		ServerNonce: ch.SessionNonce(),
 	}
 }
 
-func (s *Server) browse(sess *session, req *uamsg.BrowseRequest) uamsg.Message {
+func (s *Server) browse(sess *session, req *uamsg.BrowseRequest, now time.Time) uamsg.Message {
 	if s.cfg.MaxNodesPerBrowse > 0 && len(req.NodesToBrowse) > s.cfg.MaxNodesPerBrowse {
-		return fault(req.Header.RequestHandle, uastatus.BadTooManyOperations)
+		return fault(now, req.Header.RequestHandle, uastatus.BadTooManyOperations)
 	}
-	resp := &uamsg.BrowseResponse{Header: okHeader(req.Header.RequestHandle)}
+	resp := &uamsg.BrowseResponse{Header: okHeader(now, req.Header.RequestHandle)}
 	if len(req.NodesToBrowse) > 0 {
 		resp.Results = make([]uamsg.BrowseResult, 0, len(req.NodesToBrowse))
 	}
@@ -556,8 +559,8 @@ func (s *Server) page(sess *session, refs []uamsg.ReferenceDescription, max int)
 	return uamsg.BrowseResult{Status: uastatus.Good, References: refs[:max], ContinuationPoint: []byte(cp)}
 }
 
-func (s *Server) browseNext(sess *session, req *uamsg.BrowseNextRequest) uamsg.Message {
-	resp := &uamsg.BrowseNextResponse{Header: okHeader(req.Header.RequestHandle)}
+func (s *Server) browseNext(sess *session, req *uamsg.BrowseNextRequest, now time.Time) uamsg.Message {
+	resp := &uamsg.BrowseNextResponse{Header: okHeader(now, req.Header.RequestHandle)}
 	for _, cp := range req.ContinuationPoints {
 		refs, ok := sess.contPts[string(cp)]
 		if !ok {
@@ -574,18 +577,18 @@ func (s *Server) browseNext(sess *session, req *uamsg.BrowseNextRequest) uamsg.M
 	return resp
 }
 
-func (s *Server) read(sess *session, req *uamsg.ReadRequest) uamsg.Message {
-	resp := &uamsg.ReadResponse{Header: okHeader(req.Header.RequestHandle)}
+func (s *Server) read(sess *session, req *uamsg.ReadRequest, now time.Time) uamsg.Message {
+	resp := &uamsg.ReadResponse{Header: okHeader(now, req.Header.RequestHandle)}
 	if len(req.NodesToRead) > 0 {
 		resp.Results = make([]uatypes.DataValue, 0, len(req.NodesToRead))
 	}
 	for _, rv := range req.NodesToRead {
-		resp.Results = append(resp.Results, s.readAttr(sess, rv))
+		resp.Results = append(resp.Results, s.readAttr(sess, rv, now))
 	}
 	return resp
 }
 
-func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID) uatypes.DataValue {
+func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time) uatypes.DataValue {
 	node, ok := s.cfg.Space.Node(rv.NodeID)
 	if !ok {
 		return uatypes.DataValue{HasStatus: true, Status: uastatus.BadNodeIdUnknown}
@@ -593,7 +596,7 @@ func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID) uatypes.DataValue
 	good := func(v uatypes.Variant) uatypes.DataValue {
 		return uatypes.DataValue{
 			Value: &v, HasStatus: true, Status: uastatus.Good,
-			SourceTimestamp: uatypes.TimeToDateTime(time.Now()),
+			SourceTimestamp: uatypes.TimeToDateTime(now),
 		}
 	}
 	switch rv.AttributeID {
@@ -626,8 +629,8 @@ func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID) uatypes.DataValue
 	}
 }
 
-func (s *Server) call(sess *session, req *uamsg.CallRequest) uamsg.Message {
-	resp := &uamsg.CallResponse{Header: okHeader(req.Header.RequestHandle)}
+func (s *Server) call(sess *session, req *uamsg.CallRequest, now time.Time) uamsg.Message {
+	resp := &uamsg.CallResponse{Header: okHeader(now, req.Header.RequestHandle)}
 	for _, c := range req.MethodsToCall {
 		node, ok := s.cfg.Space.Node(c.MethodID)
 		if !ok {

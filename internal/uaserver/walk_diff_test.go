@@ -455,7 +455,7 @@ func TestSessionContinuationPointsBounded(t *testing.T) {
 		resp := srv.browse(sess, &uamsg.BrowseRequest{NodesToBrowse: []uamsg.BrowseDescription{{
 			NodeID:    uatypes.NewStringNodeID(2, "Application"),
 			Direction: uamsg.BrowseDirectionForward,
-		}}})
+		}}}, time.Time{})
 		return resp.(*uamsg.BrowseResponse).Results[0]
 	}
 	var last uamsg.BrowseResult
@@ -472,7 +472,7 @@ func TestSessionContinuationPointsBounded(t *testing.T) {
 	}
 	srv.browseNext(sess, &uamsg.BrowseNextRequest{
 		ReleasePoints: true, ContinuationPoints: [][]byte{last.ContinuationPoint},
-	})
+	}, time.Time{})
 	if r := browseApp(); r.Status.IsBad() {
 		t.Errorf("browse after releasing a continuation point = %v", r.Status)
 	}

@@ -275,6 +275,7 @@ func (s *Snapshot) DialContext(ctx context.Context, network, address string) (ne
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
+		//studyvet:entropy-exempt — wall pacing is what the rtt workload measures; no record reads it
 		case <-time.After(s.cfg.Latency):
 		}
 	}

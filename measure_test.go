@@ -27,16 +27,15 @@ func buildMeasure(t *testing.T) string {
 	return bin
 }
 
-// normalizedDataset reads a JSONL dataset file and returns its record
-// count and its normalizedRecords bytes.
-func normalizedDataset(t *testing.T, path string) (int, []byte) {
+// datasetFile reads a JSONL dataset file and returns its record count
+// and its bytes.
+func datasetFile(t *testing.T, path string) (int, []byte) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := decodeDataset(t, raw)
-	return len(recs), normalizedRecords(t, recs)
+	return len(decodeDataset(t, raw)), raw
 }
 
 // finalSnapshots reads a -metrics stream and returns its Final
@@ -153,7 +152,7 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 	workers := runFabricMeasure(t, bin, dir, shards,
 		append(campaign, "-dataset", merged, "-metrics", metrics)...)
 
-	n, want := normalizedDataset(t, merged)
+	n, want := datasetFile(t, merged)
 	perWave := map[int]uint64{}
 	for _, r := range decodeDataset(t, want) {
 		perWave[r.Wave]++
@@ -193,7 +192,7 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("measure -shards %d: %v\n%s", shards, err, out)
 	}
-	if _, got := normalizedDataset(t, single); !bytes.Equal(got, want) {
+	if _, got := datasetFile(t, single); !bytes.Equal(got, want) {
 		t.Errorf("in-process sharded dataset differs from the fabric's (%d vs %d bytes)", len(got), len(want))
 	}
 	snap := finalSnapshots(t, singleMetrics)[""]
@@ -243,12 +242,12 @@ func TestMeasureChaosFabric(t *testing.T) {
 	}
 	merged := filepath.Join(dir, "merged.jsonl")
 	runFabricMeasure(t, bin, dir, 2, append(campaign, "-shards", "2", "-dataset", merged)...)
-	_, want := normalizedDataset(t, merged)
+	_, want := datasetFile(t, merged)
 	single := filepath.Join(dir, "single.jsonl")
 	if out, err := exec.Command(bin, append(campaign, "-dataset", single)...).CombinedOutput(); err != nil {
 		t.Fatalf("measure: %v\n%s", err, out)
 	}
-	if _, got := normalizedDataset(t, single); !bytes.Equal(got, want) {
+	if _, got := datasetFile(t, single); !bytes.Equal(got, want) {
 		t.Errorf("single-process chaos dataset differs from the fabric's (%d vs %d bytes)", len(got), len(want))
 	}
 	classes := map[string]int{}
@@ -287,8 +286,8 @@ func TestMeasureDeltaCoordinator(t *testing.T) {
 	}
 	fullDir, fullWorkers := run()
 	deltaDir, workers := run("-delta")
-	_, want := normalizedDataset(t, filepath.Join(fullDir, "merged.jsonl"))
-	records, got := normalizedDataset(t, filepath.Join(deltaDir, "merged.jsonl"))
+	_, want := datasetFile(t, filepath.Join(fullDir, "merged.jsonl"))
+	records, got := datasetFile(t, filepath.Join(deltaDir, "merged.jsonl"))
 	if !bytes.Equal(got, want) {
 		t.Errorf("delta fabric dataset differs from full scan (%d vs %d bytes)", len(got), len(want))
 	}

@@ -53,22 +53,6 @@ func lastWaveCampaign(t *testing.T) *Campaign {
 	return e2eCamp
 }
 
-// normalizeWallClock zeroes the per-record fields that may legitimately
-// differ between otherwise identical campaign runs: Duration is wall
-// clock, and Bytes depends on the scanner certificate (seeded and
-// therefore stable for same-seed runs since PR 5, but still zeroed so
-// configurations that legitimately alter transfer sizes — e.g. a
-// CryptoCache toggle — compare on measurement content only).
-// Everything else must match exactly for the byte-identical check.
-func normalizeWallClock(c *Campaign) {
-	for _, recs := range c.RecordsByWave {
-		for _, r := range recs {
-			r.Duration = 0
-			r.Bytes = 0
-		}
-	}
-}
-
 func datasetBytes(t *testing.T, c *Campaign) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -169,8 +153,6 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	normalizeWallClock(ahead)
-	normalizeWallClock(step)
 	if a, b := datasetBytes(t, ahead), datasetBytes(t, step); !bytes.Equal(a, b) {
 		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
 	}
@@ -235,8 +217,6 @@ func TestCampaignConcurrentCachedMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	normalizeWallClock(cached)
-	normalizeWallClock(uncached)
 	if a, b := datasetBytes(t, cached), datasetBytes(t, uncached); !bytes.Equal(a, b) {
 		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
 	}
@@ -300,8 +280,6 @@ func TestCampaignConcurrentCryptoCacheMatchesUncached(t *testing.T) {
 		t.Error("uncached campaign reports crypto stats")
 	}
 
-	normalizeWallClock(cached)
-	normalizeWallClock(uncached)
 	if a, b := datasetBytes(t, cached), datasetBytes(t, uncached); !bytes.Equal(a, b) {
 		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
 	}
@@ -434,8 +412,6 @@ func TestCampaignConcurrentTelemetryMatchesDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	normalizeWallClock(plain)
-	normalizeWallClock(obs)
 	if a, b := datasetBytes(t, obs), datasetBytes(t, plain); !bytes.Equal(a, b) {
 		t.Errorf("telemetry changed the dataset: %d bytes vs %d bytes", len(a), len(b))
 	}
@@ -812,7 +788,6 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeWallClock(baseline)
 	want := datasetBytes(t, baseline)
 
 	for _, shards := range []int{1, 2, 5} {
@@ -822,7 +797,6 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		normalizeWallClock(run)
 		if got := datasetBytes(t, run); !bytes.Equal(got, want) {
 			t.Errorf("shards=%d: dataset differs from unsharded (%d vs %d bytes)",
 				shards, len(got), len(want))
@@ -932,9 +906,6 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 	if err := pipeline.MergeShardStreams(&slice, decoders...); err != nil {
 		t.Fatalf("merging fabric streams: %v", err)
 	}
-	for _, r := range slice.Records {
-		r.Duration, r.Bytes = 0, 0
-	}
 	var buf bytes.Buffer
 	if err := dataset.Write(&buf, slice.Records); err != nil {
 		t.Fatal(err)
@@ -979,13 +950,9 @@ func decodeDataset(t *testing.T, raw []byte) []*dataset.HostRecord {
 	return recs
 }
 
-// normalizedRecords zeroes the records' wall-clock fields, like
-// normalizeWallClock, and encodes them as a dataset.
-func normalizedRecords(t *testing.T, recs []*dataset.HostRecord) []byte {
+// recordBytes encodes records as a dataset.
+func recordBytes(t *testing.T, recs []*dataset.HostRecord) []byte {
 	t.Helper()
-	for _, r := range recs {
-		r.Duration, r.Bytes = 0, 0
-	}
 	var buf bytes.Buffer
 	if err := dataset.Write(&buf, recs); err != nil {
 		t.Fatal(err)
@@ -1037,7 +1004,6 @@ func TestShardedCampaignShardStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			normalizeWallClock(baseline)
 			want := datasetBytes(t, baseline)
 
 			for _, shards := range tc.shards {
@@ -1071,7 +1037,7 @@ func TestShardedCampaignShardStreams(t *testing.T) {
 				if err := pipeline.MergeShardStreams(&merged, decoders...); err != nil {
 					t.Fatalf("shards=%d: merging shard streams: %v", shards, err)
 				}
-				if got := normalizedRecords(t, merged.Records); !bytes.Equal(got, want) {
+				if got := recordBytes(t, merged.Records); !bytes.Equal(got, want) {
 					t.Errorf("shards=%d: merged shard streams differ from RunCampaignOnWorld (%d vs %d bytes)",
 						shards, len(got), len(want))
 				}
@@ -1128,7 +1094,7 @@ func TestCampaignConcurrentShardsOwnEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d alone: %v", s, err)
 		}
-		alone[s] = normalizedRecords(t, recs)
+		alone[s] = recordBytes(t, recs)
 	}
 
 	regs := make([]*telemetry.Registry, shards)
@@ -1157,7 +1123,7 @@ func TestCampaignConcurrentShardsOwnEngine(t *testing.T) {
 		if got := snap.CounterTotal("crypto_decrypt_misses"); got != 0 {
 			t.Errorf("shard %d: crypto_decrypt_misses = %d, want 0 (a server decrypted through another lease's engine)", s, got)
 		}
-		if got := normalizedRecords(t, recs[s]); !bytes.Equal(got, alone[s]) {
+		if got := recordBytes(t, recs[s]); !bytes.Equal(got, alone[s]) {
 			t.Errorf("shard %d: stream differs from the shard run alone (%d vs %d bytes)", s, len(got), len(alone[s]))
 		}
 	}
@@ -1322,28 +1288,8 @@ func TestCampaignRecordSinkStreamsDataset(t *testing.T) {
 	if len(c2.RecordsByWave) != 0 {
 		t.Errorf("DiscardRecords retained %d waves of records", len(c2.RecordsByWave))
 	}
-	normStream := func(raw []byte) []byte {
-		recs := decodeDataset(t, raw)
-		for _, r := range recs {
-			r.Duration, r.Bytes = 0, 0
-		}
-		var buf bytes.Buffer
-		if err := dataset.Write(&buf, recs); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(normStream(streamed.Bytes()), normStream(streamed2.Bytes())) {
+	if !bytes.Equal(streamed.Bytes(), streamed2.Bytes()) {
 		t.Error("DiscardRecords changed the record stream")
-	}
-	// The two runs' records differ only in wall-clock fields; zero them
-	// through the analyses (the discarded run has no RecordsByWave).
-	for _, run := range []*Campaign{c, c2} {
-		for _, a := range run.Analyses {
-			for _, r := range a.Records {
-				r.Duration, r.Bytes = 0, 0
-			}
-		}
 	}
 	if !reflect.DeepEqual(c.Analyses, c2.Analyses) {
 		t.Error("DiscardRecords changed the analyses")

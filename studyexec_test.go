@@ -313,9 +313,8 @@ func TestStudyPerturbation(t *testing.T) {
 }
 
 // TestExecInvariance runs every execTable row against the fixture's
-// baseline: each must reproduce the baseline's record stream (wall-clock
-// fields zeroed) and DeepEqual analyses, and prove its value took
-// effect.
+// baseline: each must reproduce the baseline's record stream byte for
+// byte and DeepEqual analyses, and prove its value took effect.
 func TestExecInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Exec invariance campaigns skipped in -short mode")
@@ -334,7 +333,7 @@ func TestExecInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c, normalizedRecords(t, stream.Records), took
+		return c, recordBytes(t, stream.Records), took
 	}
 	base, want, _ := run(t, nil)
 	for _, row := range execTable {
