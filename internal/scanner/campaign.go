@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
+	"repro/internal/uaclient"
 )
 
 // DefaultMaxFollowDepth bounds transitive reference following: a
@@ -171,9 +172,10 @@ func runStreaming(ctx context.Context, sc *Scanner, initial []Target, cfg WaveCo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var walker uaclient.Walker // this worker's walk scratch
 			for j := range queue {
 				gm.queueWait.ObserveSince(j.enqueuedNs)
-				res := sc.Grab(ctx, j.target)
+				res := sc.grab(ctx, j.target, &walker)
 				res.FollowDepth = j.depth
 				outcomes <- grabOutcome{res: res, depth: j.depth}
 			}

@@ -242,6 +242,11 @@ func (s *Scanner) arm(ctx context.Context, addr string) (context.Context, *memco
 
 // Grab scans one target completely.
 func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
+	return s.grab(ctx, target, new(uaclient.Walker))
+}
+
+// grab is Grab walking on w, the scratch its worker keeps across grabs.
+func (s *Scanner) grab(ctx context.Context, target Target, w *uaclient.Walker) *Result {
 	ctx, tl, opts, rt := s.arm(ctx, target.Address)
 	start := tl.Now()
 	res := &Result{Address: target.Address, Via: target.Via, Time: start}
@@ -320,11 +325,11 @@ func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
 		sessPolicy, sessMode := channelForSession(res.Endpoints)
 		switch {
 		case secure != nil && sessPolicy == policy && sessMode == mode:
-			s.runAnonymousSession(ctx, secure, res)
+			s.runAnonymousSession(ctx, secure, res, w)
 		case sessPolicy == uapolicy.None && sessMode == uamsg.SecurityModeNone && !disc.Broken():
-			s.runAnonymousSession(ctx, disc, res)
+			s.runAnonymousSession(ctx, disc, res, w)
 		default:
-			s.attemptAnonymous(ctx, rt, url, opts, res, sessPolicy, sessMode)
+			s.attemptAnonymous(ctx, rt, url, opts, res, sessPolicy, sessMode, w)
 		}
 		ex.EndSpan("session", sessStart, res.Session.Error)
 	}
@@ -492,7 +497,7 @@ func channelForSession(eps []EndpointInfo) (*uapolicy.Policy, uamsg.MessageSecur
 // attemptAnonymous dials a fresh connection for the session probe (used
 // when the session needs a channel the grab does not have open).
 func (s *Scanner) attemptAnonymous(ctx context.Context, rt *retrier, url string, opts uaclient.Options,
-	res *Result, policy *uapolicy.Policy, mode uamsg.MessageSecurityMode) {
+	res *Result, policy *uapolicy.Policy, mode uamsg.MessageSecurityMode, w *uaclient.Walker) {
 	res.Session.Attempted = true
 	c, err := s.dialRetry(ctx, rt, url, opts)
 	if err != nil {
@@ -504,14 +509,14 @@ func (s *Scanner) attemptAnonymous(ctx context.Context, rt *retrier, url string,
 		res.Session.Error = err.Error()
 		return
 	}
-	s.runAnonymousSession(ctx, c, res)
+	s.runAnonymousSession(ctx, c, res, w)
 }
 
 // runAnonymousSession performs the anonymous session and traversal on
 // an already-open channel. It does not release the client — the caller
 // owns the connection (it may be the discovery connection or the
 // secure-channel probe's).
-func (s *Scanner) runAnonymousSession(ctx context.Context, c *uaclient.Client, res *Result) {
+func (s *Scanner) runAnonymousSession(ctx context.Context, c *uaclient.Client, res *Result, w *uaclient.Walker) {
 	res.Session.Attempted = true
 	if err := c.CreateSession(uaclient.AnonymousIdentity()); err != nil {
 		res.Session.Error = err.Error()
@@ -522,38 +527,39 @@ func (s *Scanner) runAnonymousSession(ctx context.Context, c *uaclient.Client, r
 	if ver, err := c.SoftwareVersion(); err == nil {
 		res.SoftwareVersion = ver
 	}
-	walk, err := c.Walk(ctx, s.Walk)
-	if err == nil {
-		res.Namespaces = walk.Namespaces
-		for _, n := range walk.Nodes {
-			rec := NodeRecord{
-				ID:          n.ID.String(),
-				Class:       n.Class.String(),
-				DisplayName: n.DisplayName,
-			}
-			switch n.Class {
-			case uamsg.NodeClassVariable:
-				rec.Readable = n.UserAccessLevel.CanRead()
-				rec.Writable = n.UserAccessLevel.CanWrite()
-				res.NodeStats.Variables++
-				if rec.Readable {
-					res.NodeStats.Readable++
-				}
-				if rec.Writable {
-					res.NodeStats.Writable++
-				}
-			case uamsg.NodeClassMethod:
-				rec.Executable = n.UserExecutable
-				res.NodeStats.Methods++
-				if rec.Executable {
-					res.NodeStats.Executable++
-				}
-			}
-			if n.Value != nil {
-				rec.ValueSample = sampleValue(*n.Value)
-			}
-			res.Nodes = append(res.Nodes, rec)
+	walk, _ := c.Walk(ctx, s.Walk, w) // a walk reports its end in the result
+	res.Namespaces = walk.Namespaces
+	if len(walk.Nodes) > 0 {
+		res.Nodes = make([]NodeRecord, 0, len(walk.Nodes))
+	}
+	for _, n := range walk.Nodes {
+		rec := NodeRecord{
+			ID:          n.ID.String(),
+			Class:       n.Class.String(),
+			DisplayName: n.DisplayName,
 		}
+		switch n.Class {
+		case uamsg.NodeClassVariable:
+			rec.Readable = n.UserAccessLevel.CanRead()
+			rec.Writable = n.UserAccessLevel.CanWrite()
+			res.NodeStats.Variables++
+			if rec.Readable {
+				res.NodeStats.Readable++
+			}
+			if rec.Writable {
+				res.NodeStats.Writable++
+			}
+		case uamsg.NodeClassMethod:
+			rec.Executable = n.UserExecutable
+			res.NodeStats.Methods++
+			if rec.Executable {
+				res.NodeStats.Executable++
+			}
+		}
+		if n.Value != nil {
+			rec.ValueSample = sampleValue(*n.Value)
+		}
+		res.Nodes = append(res.Nodes, rec)
 	}
 	_ = c.CloseSession()
 }

@@ -92,9 +92,9 @@ func (s *Scanner) referenceGrab(ctx context.Context, target Target) *Result {
 		sessStart := ex.Start()
 		sessPolicy, sessMode := channelForSession(res.Endpoints)
 		if secure != nil && sessPolicy == policy && sessMode == mode {
-			s.runAnonymousSession(ctx, secure, res)
+			s.runAnonymousSession(ctx, secure, res, new(uaclient.Walker))
 		} else {
-			s.attemptAnonymous(ctx, rt, url, opts, res, sessPolicy, sessMode)
+			s.attemptAnonymous(ctx, rt, url, opts, res, sessPolicy, sessMode, new(uaclient.Walker))
 		}
 		ex.EndSpan("session", sessStart, res.Session.Error)
 	}

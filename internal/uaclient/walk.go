@@ -54,7 +54,7 @@ func DefaultWalkOptions() WalkOptions {
 type NodeInfo struct {
 	ID              uatypes.NodeID
 	Class           uamsg.NodeClass
-	BrowseName      string
+	BrowseName      uatypes.QualifiedName
 	DisplayName     string
 	UserAccessLevel uamsg.AccessLevel
 	UserExecutable  bool
@@ -67,6 +67,31 @@ type WalkResult struct {
 	Namespaces []string
 	Truncated  bool
 	LimitHit   string // which limit stopped the walk, if any
+}
+
+// A Walker is a walk's scratch: its result, queue, visited set and read
+// batch, which the next walk with the same Walker reuses. A grab worker
+// keeps one across its grabs, so its walks stop allocating once the
+// buffers fit the largest address space it has seen. The zero value is
+// ready to use; a Walker serves one walk at a time.
+type Walker struct {
+	res                WalkResult
+	queue              []uatypes.NodeID
+	visited            map[uatypes.NodeID]struct{}
+	variables, methods []int // indices into res.Nodes
+	browse             []uamsg.BrowseDescription
+	read               []uamsg.ReadValueID
+}
+
+// reset empties w for the next walk, keeping its storage.
+func (w *Walker) reset() {
+	clear(w.res.Nodes) // drop the previous walk's strings and values
+	w.res = WalkResult{Nodes: w.res.Nodes[:0]}
+	w.queue, w.variables, w.methods = w.queue[:0], w.variables[:0], w.methods[:0]
+	if w.visited == nil {
+		w.visited = make(map[uatypes.NodeID]struct{})
+	}
+	clear(w.visited)
 }
 
 // batchSize is how many nodes one Browse or Read request of the walk
@@ -94,11 +119,18 @@ const batchSize = 100
 // service layer (closed connection, deadline, malformed frame) ends the
 // walk with what was collected (LimitHit "transport") rather than
 // failing once more per queued node.
-func (c *Client) Walk(ctx context.Context, o WalkOptions) (*WalkResult, error) {
+//
+// The walk runs on w's scratch and returns w's result, valid until w's
+// next walk; a nil w walks on scratch of its own.
+func (c *Client) Walk(ctx context.Context, o WalkOptions, w *Walker) (*WalkResult, error) {
+	if w == nil {
+		w = new(Walker)
+	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 100000
 	}
-	res := &WalkResult{}
+	w.reset()
+	res := &w.res
 	deadline := time.Time{}
 	if o.MaxDuration > 0 {
 		deadline = c.clock.Now().Add(o.MaxDuration)
@@ -135,10 +167,11 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions) (*WalkResult, error) {
 	}
 	pause()
 
-	var keyBuf [64]byte
-	queue := []uatypes.NodeID{uatypes.NewNumericNodeID(0, uamsg.IDObjectsFolder)}
-	visited := map[string]bool{queue[0].Key(): true}
-	var variables, methods []int // indices into res.Nodes
+	// The queue is w.queue[head:]: consumed entries stay put, so the
+	// array is reused whole by the next walk.
+	queue, head := append(w.queue, uatypes.NewNumericNodeID(0, uamsg.IDObjectsFolder)), 0
+	visited := w.visited
+	visited[queue[0]] = struct{}{}
 
 	// fold appends the unvisited targets of one node's listing; false
 	// means MaxNodes was reached.
@@ -146,21 +179,20 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions) (*WalkResult, error) {
 		for i := range refs {
 			ref := &refs[i]
 			id := ref.NodeID.NodeID
-			key := id.AppendKey(keyBuf[:0])
-			if visited[string(key)] {
+			if _, seen := visited[id]; seen {
 				continue
 			}
-			visited[string(key)] = true
+			visited[id] = struct{}{}
 			switch ref.NodeClass {
 			case uamsg.NodeClassVariable:
-				variables = append(variables, len(res.Nodes))
+				w.variables = append(w.variables, len(res.Nodes))
 			case uamsg.NodeClassMethod:
-				methods = append(methods, len(res.Nodes))
+				w.methods = append(w.methods, len(res.Nodes))
 			}
 			res.Nodes = append(res.Nodes, NodeInfo{
 				ID:          id,
 				Class:       ref.NodeClass,
-				BrowseName:  ref.BrowseName.String(),
+				BrowseName:  ref.BrowseName,
 				DisplayName: ref.DisplayName.Text,
 			})
 			if ref.NodeClass == uamsg.NodeClassObject || ref.NodeClass == uamsg.NodeClassVariable {
@@ -176,9 +208,10 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions) (*WalkResult, error) {
 
 	size := batchSize
 browsing:
-	for len(queue) > 0 && len(res.Nodes) < o.MaxNodes && !limitHit() {
-		batch := queue[:min(size, len(queue))]
-		results, err := c.browse(batch, pause)
+	for head < len(queue) && len(res.Nodes) < o.MaxNodes && !limitHit() {
+		batch := queue[head:min(head+size, len(queue))]
+		w.browse = browseDescriptions(w.browse, batch)
+		results, err := c.browse(w.browse, pause)
 		if err != nil {
 			var refused ServiceError
 			if len(batch) > 1 && errors.As(err, &refused) && tooLarge(refused.Code) {
@@ -187,10 +220,10 @@ browsing:
 			}
 			// Nodes may be restricted; continue with the rest (if the
 			// connection broke, the limit check ends the loop).
-			queue = queue[len(batch):]
+			head += len(batch)
 			continue
 		}
-		queue = queue[len(batch):]
+		head += len(batch)
 		for i := range results {
 			r := results[i]
 			if r.Status == uastatus.BadNoContinuationPoints && len(batch) > 1 {
@@ -199,7 +232,7 @@ browsing:
 				if limitHit() {
 					break browsing
 				}
-				alone, err := c.browse(batch[i:i+1], pause)
+				alone, err := c.browse(w.browse[i:i+1], pause)
 				if err != nil {
 					continue
 				}
@@ -213,17 +246,18 @@ browsing:
 			}
 		}
 	}
+	clear(queue)
+	w.queue = queue[:0]
 
 	// Batch-read effective access rights.
-	ids := make([]uatypes.NodeID, 0, batchSize)
 	readRights := func(nodes []int, attr uamsg.AttributeID, set func(*NodeInfo, *uatypes.Variant)) {
 		for start := 0; start < len(nodes) && !limitHit(); start += batchSize {
 			part := nodes[start:min(start+batchSize, len(nodes))]
-			ids = ids[:0]
+			w.read = w.read[:0]
 			for _, idx := range part {
-				ids = append(ids, res.Nodes[idx].ID)
+				w.read = append(w.read, uamsg.ReadValueID{NodeID: res.Nodes[idx].ID, AttributeID: attr})
 			}
-			vals, err := c.Read(ids, attr)
+			vals, err := c.read(w.read)
 			if err != nil {
 				return
 			}
@@ -235,12 +269,14 @@ browsing:
 			}
 		}
 	}
-	readRights(variables, uamsg.AttrUserAccessLevel, func(n *NodeInfo, v *uatypes.Variant) {
+	readRights(w.variables, uamsg.AttrUserAccessLevel, func(n *NodeInfo, v *uatypes.Variant) {
 		n.UserAccessLevel = uamsg.AccessLevel(v.Uint)
 	})
-	readRights(methods, uamsg.AttrUserExecutable, func(n *NodeInfo, v *uatypes.Variant) {
+	readRights(w.methods, uamsg.AttrUserExecutable, func(n *NodeInfo, v *uatypes.Variant) {
 		n.UserExecutable = v.Bool
 	})
+	clear(w.browse[:cap(w.browse)]) // keep no identifier strings past the walk
+	clear(w.read[:cap(w.read)])
 
 	if o.ReadValues {
 		reads := 0

@@ -119,8 +119,12 @@ func EncodeServersArray(servers []ApplicationDescription) []byte {
 }
 
 // Decode parses a NodeID-prefixed message body.
-func Decode(b []byte) (Message, error) {
-	d := uatypes.NewDecoder(b)
+func Decode(b []byte) (Message, error) { return DecodeWith(new(uatypes.Decoder), b) }
+
+// DecodeWith is Decode on d, which it resets to b: a connection keeps
+// one decoder for every message it receives.
+func DecodeWith(d *uatypes.Decoder, b []byte) (Message, error) {
+	d.Reset(b)
 	id := uatypes.DecodeNodeID(d)
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -150,7 +150,7 @@ func TestSessionServicesRoundTrip(t *testing.T) {
 	resp := &CreateSessionResponse{
 		Header:                ResponseHeader{ServiceResult: uastatus.Good},
 		SessionID:             uatypes.NewNumericNodeID(1, 42),
-		AuthenticationToken:   uatypes.NodeID{Type: uatypes.NodeIDTypeByteString, Namespace: 0, Bytes: []byte{7, 7}},
+		AuthenticationToken:   uatypes.NodeID{Type: uatypes.NodeIDTypeByteString, Namespace: 0, Text: "\x07\x07"},
 		RevisedSessionTimeout: 30000,
 		ServerNonce:           []byte{1},
 		ServerSignature:       SignatureData{Algorithm: "rsa-sha256", Signature: []byte{5}},

@@ -572,17 +572,20 @@ func (k *DerivedKeys) aesBlock() (cipher.Block, error) {
 
 // pHash implements the TLS-style P_hash PRF used by OPC UA
 // (OPC 10000-6 §6.7.5).
+// One keyed HMAC serves every step (Reset returns it to the keyed
+// state), and A(i) lives in one buffer of the hash size.
 func pHash(newHash func() hash.Hash, secret, seed []byte, n int) []byte {
-	out := make([]byte, 0, n)
-	a := seed
+	mac := hmac.New(newHash, secret)
+	out := make([]byte, 0, n+mac.Size())
+	a, buf := seed, make([]byte, 0, mac.Size())
 	for len(out) < n {
-		mac := hmac.New(newHash, secret)
+		mac.Reset()
 		mac.Write(a)
-		a = mac.Sum(nil)
-		mac = hmac.New(newHash, secret)
+		a = mac.Sum(buf[:0])
+		mac.Reset()
 		mac.Write(a)
 		mac.Write(seed)
-		out = append(out, mac.Sum(nil)...)
+		out = mac.Sum(out)
 	}
 	return out[:n]
 }

@@ -81,8 +81,10 @@ type Channel struct {
 	recvKeys *uapolicy.DerivedKeys
 
 	// parts is the message-reassembly buffer reused across Recv calls
-	// (decoded messages never alias it; every decoder read copies).
+	// (decoded messages never alias it; every decoder read copies), dec
+	// the decoder every received message goes through.
 	parts []byte
+	dec   uatypes.Decoder
 
 	closed bool
 }
@@ -517,7 +519,7 @@ func (ch *Channel) openOPN(chunk rawChunk) (uamsg.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return uamsg.Decode(payload)
+	return uamsg.DecodeWith(&ch.dec, payload)
 }
 
 // maxChunkBody returns how many payload bytes fit into one MSG chunk.
@@ -646,21 +648,25 @@ func (ch *Channel) Recv() (*Received, error) {
 			return nil, err
 		}
 		id := binary.LittleEndian.Uint32(seqHdr[4:])
-		if len(parts) == 0 && chunks == 0 {
+		if chunks == 0 {
 			reqID = id
 		} else if id != reqID {
 			return nil, fmt.Errorf("uasc: interleaved request ids %d and %d", reqID, id)
 		}
-		parts = append(parts, payload...)
+		body := payload // a one-chunk message decodes where it was read
+		if chunks > 0 || chunk.chunkType != uamsg.ChunkFinal {
+			parts = append(parts, payload...)
+			body = parts
+		}
 		chunks++
 		if lim := ch.t.recv.MaxChunkCount; lim > 0 && chunks > lim {
 			return nil, ErrTooManyChunks
 		}
-		if lim := ch.t.recv.MaxMessageSize; lim > 0 && uint32(len(parts)) > lim {
+		if lim := ch.t.recv.MaxMessageSize; lim > 0 && uint32(len(body)) > lim {
 			return nil, ErrMessageTooBig
 		}
 		if chunk.chunkType == uamsg.ChunkFinal {
-			msg, err := uamsg.Decode(parts)
+			msg, err := uamsg.DecodeWith(&ch.dec, body)
 			if err != nil {
 				return nil, err
 			}
@@ -820,7 +826,7 @@ func Accept(t *Transport, cfg ServerConfig) (*Channel, error) {
 		_ = sendError(t.Conn, uastatus.BadSecurityChecksFailed, "OPN security failure")
 		return nil, err
 	}
-	msg, err := uamsg.Decode(payload)
+	msg, err := uamsg.DecodeWith(&ch.dec, payload)
 	if err != nil {
 		_ = sendError(t.Conn, uastatus.BadDecodingError, "bad OPN body")
 		return nil, err

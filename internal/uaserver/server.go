@@ -419,7 +419,7 @@ func randomToken() uatypes.NodeID {
 	if _, err := rand.Read(b); err != nil {
 		panic("uaserver: crypto/rand failed: " + err.Error())
 	}
-	return uatypes.NodeID{Type: uatypes.NodeIDTypeByteString, Bytes: b}
+	return uatypes.NodeID{Type: uatypes.NodeIDTypeByteString, Text: string(b)}
 }
 
 func (s *Server) createSession(ch *uasc.Channel, sessions map[string]*session, req *uamsg.CreateSessionRequest, now time.Time) uamsg.Message {
@@ -579,23 +579,27 @@ func (s *Server) browseNext(sess *session, req *uamsg.BrowseNextRequest, now tim
 
 func (s *Server) read(sess *session, req *uamsg.ReadRequest, now time.Time) uamsg.Message {
 	resp := &uamsg.ReadResponse{Header: okHeader(now, req.Header.RequestHandle)}
-	if len(req.NodesToRead) > 0 {
-		resp.Results = make([]uatypes.DataValue, 0, len(req.NodesToRead))
-	}
-	for _, rv := range req.NodesToRead {
-		resp.Results = append(resp.Results, s.readAttr(sess, rv, now))
+	if n := len(req.NodesToRead); n > 0 {
+		// One allocation holds every value of the response.
+		resp.Results = make([]uatypes.DataValue, n)
+		vals := make([]uatypes.Variant, n)
+		for i, rv := range req.NodesToRead {
+			resp.Results[i] = s.readAttr(sess, rv, now, &vals[i])
+		}
 	}
 	return resp
 }
 
-func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time) uatypes.DataValue {
+// readAttr reads one attribute; a value it returns is stored in *slot.
+func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time, slot *uatypes.Variant) uatypes.DataValue {
 	node, ok := s.cfg.Space.Node(rv.NodeID)
 	if !ok {
 		return uatypes.DataValue{HasStatus: true, Status: uastatus.BadNodeIdUnknown}
 	}
 	good := func(v uatypes.Variant) uatypes.DataValue {
+		*slot = v
 		return uatypes.DataValue{
-			Value: &v, HasStatus: true, Status: uastatus.Good,
+			Value: slot, HasStatus: true, Status: uastatus.Good,
 			SourceTimestamp: uatypes.TimeToDateTime(now),
 		}
 	}
@@ -617,13 +621,13 @@ func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time) ua
 	case uamsg.AttrUserExecutable:
 		return good(uatypes.BoolVariant(node.CanExecute(sess.identity)))
 	case uamsg.AttrBrowseName:
-		return good(uatypes.Variant{Type: uatypes.TypeQualifiedName, QName: node.BrowseName})
+		return good(uatypes.QualifiedNameVariant(node.BrowseName))
 	case uamsg.AttrDisplayName:
 		return good(uatypes.LocalizedTextVariant(node.DisplayName))
 	case uamsg.AttrNodeClass:
 		return good(uatypes.Int32Variant(int32(node.Class)))
 	case uamsg.AttrNodeID:
-		return good(uatypes.Variant{Type: uatypes.TypeNodeID, Node: node.ID})
+		return good(uatypes.NodeIDVariant(node.ID))
 	default:
 		return uatypes.DataValue{HasStatus: true, Status: uastatus.BadAttributeIdInvalid}
 	}

@@ -197,7 +197,7 @@ func TestAnonymousSessionBrowseReadCall(t *testing.T) {
 	}
 
 	// Walk the full space and verify exposure counts match ground truth.
-	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 1000})
+	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestWalkRespectsLimits(t *testing.T) {
 	if err := c.CreateSession(uaclient.AnonymousIdentity()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 5})
+	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestWalkRespectsLimits(t *testing.T) {
 	if err := c2.CreateSession(uaclient.AnonymousIdentity()); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c2.Walk(context.Background(), uaclient.WalkOptions{MaxBytes: 1})
+	res2, err := c2.Walk(context.Background(), uaclient.WalkOptions{MaxBytes: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestWalkBatchedAttributeReads(t *testing.T) {
 	if err := c.CreateSession(uaclient.AnonymousIdentity()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 5000})
+	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 5000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWalkReadValuesSamples(t *testing.T) {
 		MaxNodes:      1000,
 		ReadValues:    true,
 		MaxValueReads: 3,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCallUnknownAndRestrictedMethods(t *testing.T) {
 	if err := c.CreateSession(uaclient.AnonymousIdentity()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 100})
+	res, err := c.Walk(context.Background(), uaclient.WalkOptions{MaxNodes: 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

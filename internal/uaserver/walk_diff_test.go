@@ -94,7 +94,7 @@ func referenceWalk(ctx context.Context, c *uaclient.Client, o uaclient.WalkOptio
 			info := uaclient.NodeInfo{
 				ID:          ref.NodeID.NodeID,
 				Class:       ref.NodeClass,
-				BrowseName:  ref.BrowseName.String(),
+				BrowseName:  ref.BrowseName,
 				DisplayName: ref.DisplayName.Text,
 			}
 			nodeAt[key] = len(res.Nodes)
@@ -367,7 +367,7 @@ func TestWalkMatchesSingleNodeWalker(t *testing.T) {
 			}
 			for _, o := range f.opts {
 				want := referenceWalk(context.Background(), sessionOn(t, mutate, uaclient.Options{}), o)
-				got, err := sessionOn(t, mutate, uaclient.Options{}).Walk(context.Background(), o)
+				got, err := sessionOn(t, mutate, uaclient.Options{}).Walk(context.Background(), o, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -423,7 +423,7 @@ func TestWalkRequestsPerFrontier(t *testing.T) {
 			cfg.Space = space
 			cfg.MaxNodesPerBrowse = tc.cap
 		}, uaclient.Options{Metrics: reg})
-		res, err := c.Walk(context.Background(), uaclient.WalkOptions{})
+		res, err := c.Walk(context.Background(), uaclient.WalkOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +521,7 @@ func TestWalkStopsOnTransportFailure(t *testing.T) {
 	probe := &failingDialer{okWrites: 1 << 40}
 	c := sessionOn(t, mutate, uaclient.Options{Dialer: probe})
 	beforeWalk := probe.writes.Load() // hello, open channel, create and activate session
-	whole, err := c.Walk(context.Background(), uaclient.WalkOptions{})
+	whole, err := c.Walk(context.Background(), uaclient.WalkOptions{}, nil)
 	if err != nil || whole.Truncated {
 		t.Fatalf("unbroken walk: %v, %+v", err, whole)
 	}
@@ -530,7 +530,7 @@ func TestWalkStopsOnTransportFailure(t *testing.T) {
 	}
 
 	d := &failingDialer{okWrites: beforeWalk + 3} // namespace array, two frontiers
-	res, err := sessionOn(t, mutate, uaclient.Options{Dialer: d}).Walk(context.Background(), uaclient.WalkOptions{})
+	res, err := sessionOn(t, mutate, uaclient.Options{Dialer: d}).Walk(context.Background(), uaclient.WalkOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +599,7 @@ func BenchmarkWalk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Walk(context.Background(), uaclient.WalkOptions{})
+		res, err := c.Walk(context.Background(), uaclient.WalkOptions{}, nil)
 		if err != nil || res.Truncated || len(res.Nodes) != 99 {
 			b.Fatalf("walk: %v, %d nodes, truncated %v", err, len(res.Nodes), res.Truncated)
 		}

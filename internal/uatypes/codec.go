@@ -141,10 +141,18 @@ type Decoder struct {
 	b   []byte
 	off int
 	err error
+	// last is the string ReadString returned last: a browse reference
+	// spells its target's name up to three times in a row (node id,
+	// browse name, display name), and a repeat is returned as it.
+	last string
 }
 
 // NewDecoder returns a decoder reading from b. The decoder does not copy b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+
+// Reset makes d a fresh decoder reading from b, so a connection can
+// keep one decoder for all its messages.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b} }
 
 // Err returns the first error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -259,7 +267,10 @@ func (d *Decoder) ReadString() string {
 		return ""
 	}
 	b := d.take(int(n))
-	return string(b)
+	if string(b) != d.last {
+		d.last = string(b)
+	}
+	return d.last
 }
 
 // ReadByteString decodes a ByteString. Null decodes as nil.

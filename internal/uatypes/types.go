@@ -65,14 +65,15 @@ const (
 	wireByteString = 0x05
 )
 
-// NodeID identifies a node in an OPC UA address space.
+// NodeID identifies a node in an OPC UA address space. It is 40 bytes
+// and comparable: a ByteString identifier is held in Text, so equal node
+// ids are == and a NodeID is a map key as it stands.
 type NodeID struct {
 	Type      NodeIDType
 	Namespace uint16
 	Numeric   uint32
-	Text      string // String identifier
+	Text      string // String identifier, or the bytes of a ByteString one
 	GuidID    Guid
-	Bytes     []byte // ByteString identifier
 }
 
 // NewNumericNodeID returns a numeric NodeID in the given namespace.
@@ -93,7 +94,7 @@ func (n NodeID) IsNull() bool {
 	case NodeIDTypeString:
 		return n.Namespace == 0 && n.Text == ""
 	case NodeIDTypeByteString:
-		return n.Namespace == 0 && len(n.Bytes) == 0
+		return n.Namespace == 0 && n.Text == ""
 	}
 	return false
 }
@@ -114,7 +115,7 @@ func (n NodeID) AppendKey(dst []byte) []byte {
 		return append(dst, n.GuidID.String()...)
 	case NodeIDTypeByteString:
 		dst = append(dst, ";b="...)
-		return hex.AppendEncode(dst, n.Bytes)
+		return hex.AppendEncode(dst, []byte(n.Text))
 	default:
 		dst = append(dst, ";i="...)
 		return strconv.AppendUint(dst, uint64(n.Numeric), 10)
@@ -137,7 +138,7 @@ func (n NodeID) String() string {
 		case NodeIDTypeGuid:
 			return "g=" + n.GuidID.String()
 		case NodeIDTypeByteString:
-			return "b=" + hex.EncodeToString(n.Bytes)
+			return "b=" + hex.EncodeToString([]byte(n.Text))
 		default:
 			return "i=" + strconv.FormatUint(uint64(n.Numeric), 10)
 		}
@@ -173,7 +174,7 @@ func (n NodeID) Encode(e *Encoder) {
 	case NodeIDTypeByteString:
 		e.WriteUint8(wireByteString)
 		e.WriteUint16(n.Namespace)
-		e.WriteByteString(n.Bytes)
+		e.WriteString(n.Text) // a null identifier reads back as the empty one
 	}
 }
 
@@ -211,7 +212,7 @@ func DecodeNodeID(d *Decoder) NodeID {
 	case wireByteString:
 		n.Type = NodeIDTypeByteString
 		n.Namespace = d.ReadUint16()
-		n.Bytes = d.ReadByteString()
+		n.Text = d.ReadString()
 	default:
 		d.fail(fmt.Errorf("%w: node id encoding 0x%02x", ErrInvalidData, enc))
 	}

@@ -64,10 +64,10 @@ func TestNodeIDGuidRoundTrip(t *testing.T) {
 }
 
 func TestNodeIDByteStringRoundTrip(t *testing.T) {
-	n := NodeID{Type: NodeIDTypeByteString, Namespace: 1, Bytes: []byte{1, 2, 3}}
+	n := NodeID{Type: NodeIDTypeByteString, Namespace: 1, Text: "\x01\x02\x03"}
 	got := roundTripNodeID(t, n)
-	if !bytes.Equal(got.Bytes, n.Bytes) {
-		t.Errorf("bytes %x != %x", got.Bytes, n.Bytes)
+	if got.Text != n.Text {
+		t.Errorf("bytes %x != %x", got.Text, n.Text)
 	}
 }
 
@@ -182,11 +182,11 @@ func TestVariantScalarRoundTrip(t *testing.T) {
 		{Type: TypeInt64, Int: -1 << 40},
 		{Type: TypeUint64, Uint: 1 << 60},
 		{Type: TypeFloat, Float: 0.5},
-		{Type: TypeGuid, GuidVal: Guid{Data1: 0x12345678, Data2: 0x9abc, Data3: 0xdef0, Data4: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}},
-		{Type: TypeByteString, Bytes: []byte{9, 8, 7}},
-		{Type: TypeNodeID, Node: NewStringNodeID(2, "n")},
+		{Type: TypeGuid, Ext: &VariantExt{GuidVal: Guid{Data1: 0x12345678, Data2: 0x9abc, Data3: 0xdef0, Data4: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}}},
+		{Type: TypeByteString, Ext: &VariantExt{Bytes: []byte{9, 8, 7}}},
+		NodeIDVariant(NewStringNodeID(2, "n")),
 		{Type: TypeStatusCode, Status: uastatus.BadNodeIdUnknown},
-		{Type: TypeQualifiedName, QName: QualifiedName{1, "q"}},
+		QualifiedNameVariant(QualifiedName{1, "q"}),
 	}
 	for _, v := range cases {
 		e := NewEncoder(0)

@@ -48,26 +48,50 @@ const (
 
 // Variant is a polymorphic value container. Exactly one field matching
 // Type is populated; for arrays, the slice field is used instead.
+//
+// The kinds an address-space walk reads — Boolean, the integers, the
+// floats, String/XmlElement and StatusCode — live inline; every other
+// kind lives behind Ext, which is nil for the inline kinds. That keeps a
+// Variant at 80 bytes: one is inline in every address-space node and in
+// every DataValue a Read returns.
 type Variant struct {
 	Type    TypeID
 	IsArray bool
-
 	Bool    bool
+	Status  uastatus.Code
 	Int     int64  // SByte, Int16, Int32, Int64
 	Uint    uint64 // Byte, UInt16, UInt32, UInt64
 	Float   float64
-	Str     string // String, XMLElement
+	Str     string    // String, XMLElement
+	Array   []Variant // element variants for array values
+	Ext     *VariantExt
+}
+
+// VariantExt holds the value of a Variant of a kind the study rarely
+// carries. A nil Ext reads as the zero value of every field.
+type VariantExt struct {
 	Time    time.Time
 	GuidVal Guid
 	Bytes   []byte
 	Node    NodeID
 	XNode   ExpandedNodeID
-	Status  uastatus.Code
 	QName   QualifiedName
 	LText   LocalizedText
 	ExtObj  ExtensionObject
+	// Nested is the encoding of a DataValue, Variant or DiagnosticInfo
+	// value exactly as it was decoded; Encode writes it back verbatim.
+	Nested []byte
+}
 
-	Array []Variant // element variants for array values
+// noExt is what a nil Ext reads as.
+var noExt VariantExt
+
+// ext returns v's rare-kind value, the zero value when Ext is nil.
+func (v *Variant) ext() *VariantExt {
+	if v.Ext == nil {
+		return &noExt
+	}
+	return v.Ext
 }
 
 // Convenience constructors for the types the study exercises.
@@ -85,11 +109,23 @@ func DoubleVariant(v float64) Variant { return Variant{Type: TypeDouble, Float: 
 func StringVariant(v string) Variant { return Variant{Type: TypeString, Str: v} }
 
 // TimeVariant wraps a time.Time.
-func TimeVariant(v time.Time) Variant { return Variant{Type: TypeDateTime, Time: v} }
+func TimeVariant(v time.Time) Variant {
+	return Variant{Type: TypeDateTime, Ext: &VariantExt{Time: v}}
+}
 
 // LocalizedTextVariant wraps a localized text.
 func LocalizedTextVariant(v string) Variant {
-	return Variant{Type: TypeLocalizedText, LText: NewText(v)}
+	return Variant{Type: TypeLocalizedText, Ext: &VariantExt{LText: NewText(v)}}
+}
+
+// QualifiedNameVariant wraps a qualified name.
+func QualifiedNameVariant(q QualifiedName) Variant {
+	return Variant{Type: TypeQualifiedName, Ext: &VariantExt{QName: q}}
+}
+
+// NodeIDVariant wraps a node id.
+func NodeIDVariant(n NodeID) Variant {
+	return Variant{Type: TypeNodeID, Ext: &VariantExt{Node: n}}
 }
 
 // StringArrayVariant wraps a string slice.
@@ -132,19 +168,19 @@ func (v Variant) String() string {
 	case TypeString, TypeXMLElement:
 		return v.Str
 	case TypeDateTime:
-		return v.Time.Format(time.RFC3339)
+		return v.ext().Time.Format(time.RFC3339)
 	case TypeGuid:
-		return v.GuidVal.String()
+		return v.ext().GuidVal.String()
 	case TypeByteString:
-		return fmt.Sprintf("bytes[%d]", len(v.Bytes))
+		return fmt.Sprintf("bytes[%d]", len(v.ext().Bytes))
 	case TypeNodeID:
-		return v.Node.String()
+		return v.ext().Node.String()
 	case TypeStatusCode:
 		return v.Status.String()
 	case TypeQualifiedName:
-		return v.QName.String()
+		return v.ext().QName.String()
 	case TypeLocalizedText:
-		return v.LText.Text
+		return v.ext().LText.Text
 	default:
 		return fmt.Sprintf("variant<%d>", v.Type)
 	}
@@ -198,23 +234,25 @@ func (v Variant) encodeScalar(e *Encoder) {
 	case TypeString, TypeXMLElement:
 		e.WriteString(v.Str)
 	case TypeDateTime:
-		e.WriteTime(v.Time)
+		e.WriteTime(v.ext().Time)
 	case TypeGuid:
-		v.GuidVal.Encode(e)
+		v.ext().GuidVal.Encode(e)
 	case TypeByteString:
-		e.WriteByteString(v.Bytes)
+		e.WriteByteString(v.ext().Bytes)
 	case TypeNodeID:
-		v.Node.Encode(e)
+		v.ext().Node.Encode(e)
 	case TypeExpandedNodeID:
-		v.XNode.Encode(e)
+		v.ext().XNode.Encode(e)
 	case TypeStatusCode:
 		e.WriteStatus(v.Status)
 	case TypeQualifiedName:
-		v.QName.Encode(e)
+		v.ext().QName.Encode(e)
 	case TypeLocalizedText:
-		v.LText.Encode(e)
+		v.ext().LText.Encode(e)
 	case TypeExtensionObject:
-		v.ExtObj.Encode(e)
+		v.ext().ExtObj.Encode(e)
+	case TypeDataValue, TypeVariant, TypeDiagnosticInfo:
+		e.WriteRaw(v.ext().Nested)
 	}
 }
 
@@ -279,30 +317,39 @@ func (v *Variant) decodeScalar(d *Decoder) {
 		v.Float = d.ReadFloat64()
 	case TypeString, TypeXMLElement:
 		v.Str = d.ReadString()
-	case TypeDateTime:
-		v.Time = d.ReadTime()
-	case TypeGuid:
-		v.GuidVal = DecodeGuid(d)
-	case TypeByteString:
-		v.Bytes = d.ReadByteString()
-	case TypeNodeID:
-		v.Node = DecodeNodeID(d)
-	case TypeExpandedNodeID:
-		v.XNode = DecodeExpandedNodeID(d)
 	case TypeStatusCode:
 		v.Status = d.ReadStatus()
+	case TypeDateTime:
+		v.Ext = &VariantExt{Time: d.ReadTime()}
+	case TypeGuid:
+		v.Ext = &VariantExt{GuidVal: DecodeGuid(d)}
+	case TypeByteString:
+		v.Ext = &VariantExt{Bytes: d.ReadByteString()}
+	case TypeNodeID:
+		v.Ext = &VariantExt{Node: DecodeNodeID(d)}
+	case TypeExpandedNodeID:
+		v.Ext = &VariantExt{XNode: DecodeExpandedNodeID(d)}
 	case TypeQualifiedName:
-		v.QName = DecodeQualifiedName(d)
+		v.Ext = &VariantExt{QName: DecodeQualifiedName(d)}
 	case TypeLocalizedText:
-		v.LText = DecodeLocalizedText(d)
+		v.Ext = &VariantExt{LText: DecodeLocalizedText(d)}
 	case TypeExtensionObject:
-		v.ExtObj = DecodeExtensionObject(d)
-	case TypeDataValue:
-		DecodeDataValue(d)
-	case TypeVariant:
-		DecodeVariant(d)
-	case TypeDiagnosticInfo:
-		DecodeDiagnosticInfo(d)
+		v.Ext = &VariantExt{ExtObj: DecodeExtensionObject(d)}
+	case TypeDataValue, TypeVariant, TypeDiagnosticInfo:
+		// The nested value is decoded to find its end (and to fail the
+		// way it always has), then kept as the bytes it occupied.
+		start := d.off
+		switch v.Type {
+		case TypeDataValue:
+			DecodeDataValue(d)
+		case TypeVariant:
+			DecodeVariant(d)
+		default:
+			DecodeDiagnosticInfo(d)
+		}
+		if d.err == nil {
+			v.Ext = &VariantExt{Nested: append([]byte(nil), d.b[start:d.off]...)}
+		}
 	default:
 		d.fail(fmt.Errorf("%w: variant scalar type %d", ErrInvalidData, v.Type))
 	}
