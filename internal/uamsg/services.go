@@ -806,13 +806,7 @@ func (m *ReadResponse) encodeBody(e *uatypes.Encoder) {
 
 func decodeReadResponse(d *uatypes.Decoder) Message {
 	m := &ReadResponse{Header: decodeResponseHeader(d)}
-	n := d.ReadArrayLenOf(minDataValueWire)
-	if n > 0 {
-		m.Results = make([]uatypes.DataValue, 0, n)
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Results = append(m.Results, uatypes.DecodeDataValue(d))
-	}
+	m.Results = uatypes.DecodeDataValues(d, d.ReadArrayLenOf(minDataValueWire))
 	readDiagArray(d)
 	return m
 }

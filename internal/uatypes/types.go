@@ -441,11 +441,38 @@ func (v DataValue) Encode(e *Encoder) {
 
 // DecodeDataValue reads a DataValue from d.
 func DecodeDataValue(d *Decoder) DataValue {
+	var values []Variant
+	return decodeDataValue(d, &values, 1)
+}
+
+// DecodeDataValues reads n DataValues from d, n a length that
+// ReadArrayLenOf has checked. Their values share one allocation, made
+// at the first value present and sized for as many of the n left as the
+// bytes left could hold (two each at least: the mask and the Variant's
+// type), so a claim buys no more than one allocation per value would.
+func DecodeDataValues(d *Decoder, n int) []DataValue {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]DataValue, 0, n)
+	var values []Variant
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, decodeDataValue(d, &values, n-i))
+	}
+	return out
+}
+
+// decodeDataValue reads a DataValue whose value it appends to *values,
+// which it replaces by a fresh slice of room for left when full.
+func decodeDataValue(d *Decoder, values *[]Variant, left int) DataValue {
 	var v DataValue
 	flags := d.ReadUint8()
 	if flags&dataValueValue != 0 {
-		vv := DecodeVariant(d)
-		v.Value = &vv
+		if len(*values) == cap(*values) {
+			*values = make([]Variant, 0, min(left, d.Remaining()/2+1))
+		}
+		*values = append(*values, DecodeVariant(d))
+		v.Value = &(*values)[len(*values)-1]
 	}
 	if flags&dataValueStatus != 0 {
 		v.Status = d.ReadStatus()
