@@ -9,6 +9,7 @@ package addrspace
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -206,6 +207,22 @@ func (s *Space) Node(id uatypes.NodeID) (*Node, bool) {
 	defer s.mu.RUnlock()
 	n, ok := s.nodes[string(id.AppendKey(buf[:0]))]
 	return n, ok
+}
+
+// Identifier returns the identifier of the string node id (ns, id) if
+// the space holds that node: a server decodes the ids its clients send
+// back into the space's own strings (uatypes.Decoder.KnownIdentifiers).
+func (s *Space) Identifier(ns uint16, id []byte) (string, bool) {
+	var buf [64]byte
+	key := strconv.AppendUint(append(buf[:0], "ns="...), uint64(ns), 10)
+	key = append(append(key, ";s="...), id...)
+	s.mu.RLock()
+	n, ok := s.nodes[string(key)]
+	s.mu.RUnlock()
+	if !ok {
+		return "", false
+	}
+	return n.ID.Text, true
 }
 
 // ObjectsFolder returns the node id of the Objects folder, the root of

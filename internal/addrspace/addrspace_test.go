@@ -3,6 +3,7 @@ package addrspace
 import (
 	mrand "math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/uamsg"
 	"repro/internal/uatypes"
@@ -238,4 +239,26 @@ func anonymousStats(s *Space) (st struct{ Variables, AnonReadable, AnonWritable,
 		}
 	}
 	return st
+}
+
+// TestIdentifierIsTheSpacesOwn: Identifier knows exactly the string node
+// ids of the space, and returns the node's own identifier string.
+func TestIdentifierIsTheSpacesOwn(t *testing.T) {
+	s := New("urn:app", "1")
+	n := &Node{ID: uatypes.NewStringNodeID(2, "Tank_1"), Class: uamsg.NodeClassVariable}
+	if err := s.Add(n); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Identifier(2, []byte("Tank_1"))
+	if !ok || got != "Tank_1" || unsafe.StringData(got) != unsafe.StringData(n.ID.Text) {
+		t.Errorf("Identifier(2, Tank_1) = %q, %v: not the node's own string", got, ok)
+	}
+	for _, miss := range []struct {
+		ns uint16
+		id string
+	}{{1, "Tank_1"}, {2, "Tank_2"}, {0, "85"}, {2, ""}} {
+		if got, ok := s.Identifier(miss.ns, []byte(miss.id)); ok {
+			t.Errorf("Identifier(%d, %q) = %q, want unknown", miss.ns, miss.id, got)
+		}
+	}
 }

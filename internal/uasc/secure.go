@@ -89,6 +89,12 @@ type Channel struct {
 	closed bool
 }
 
+// KnownIdentifiers makes the channel decode string node ids known
+// knows into known's strings (uatypes.Decoder.KnownIdentifiers).
+func (ch *Channel) KnownIdentifiers(known func(ns uint16, id []byte) (string, bool)) {
+	ch.dec.KnownIdentifiers(known)
+}
+
 // Security returns the channel's security settings.
 func (ch *Channel) Security() ChannelSecurity { return ch.sec }
 
@@ -597,7 +603,7 @@ type Received struct {
 }
 
 // Recv reads and reassembles the next message from the peer.
-func (ch *Channel) Recv() (*Received, error) {
+func (ch *Channel) Recv() (Received, error) {
 	parts := ch.parts[:0]
 	defer func() { ch.parts = parts[:0] }()
 	var reqID uint32
@@ -605,38 +611,38 @@ func (ch *Channel) Recv() (*Received, error) {
 	for {
 		chunk, err := ch.t.readChunk()
 		if err != nil {
-			return nil, err
+			return Received{}, err
 		}
 		switch chunk.msgType {
 		case uamsg.MsgTypeError:
 			if ce, derr := uamsg.DecodeConnError(chunk.body); derr == nil {
-				return nil, ce
+				return Received{}, ce
 			}
-			return nil, errors.New("uasc: malformed ERR chunk")
+			return Received{}, errors.New("uasc: malformed ERR chunk")
 		case uamsg.MsgTypeOpen:
 			// Token renewal request mid-stream (server side).
 			msg, err := ch.openOPN(chunk)
 			if err != nil {
-				return nil, err
+				return Received{}, err
 			}
-			return &Received{MsgType: chunk.msgType, Message: msg}, nil
+			return Received{MsgType: chunk.msgType, Message: msg}, nil
 		case uamsg.MsgTypeMessage, uamsg.MsgTypeClose:
 		default:
-			return nil, fmt.Errorf("uasc: unexpected message type %q", chunk.msgType)
+			return Received{}, fmt.Errorf("uasc: unexpected message type %q", chunk.msgType)
 		}
 		if chunk.chunkType == uamsg.ChunkAbort {
-			return nil, ErrAborted
+			return Received{}, ErrAborted
 		}
 		if len(chunk.body) < symHeaderSize {
-			return nil, errors.New("uasc: chunk shorter than symmetric header")
+			return Received{}, errors.New("uasc: chunk shorter than symmetric header")
 		}
 		gotChannel := binary.LittleEndian.Uint32(chunk.body[:4])
 		gotToken := binary.LittleEndian.Uint32(chunk.body[4:8])
 		if gotChannel != ch.ChannelID {
-			return nil, fmt.Errorf("uasc: %w: channel %d", uastatus.BadSecureChannelIdInvalid, gotChannel)
+			return Received{}, fmt.Errorf("uasc: %w: channel %d", uastatus.BadSecureChannelIdInvalid, gotChannel)
 		}
 		if gotToken != ch.TokenID {
-			return nil, fmt.Errorf("uasc: %w: token %d", uastatus.BadSecureChannelTokenUnknown, gotToken)
+			return Received{}, fmt.Errorf("uasc: %w: token %d", uastatus.BadSecureChannelTokenUnknown, gotToken)
 		}
 		seqHdr, payload, err := open(chunk.msgType, chunk.chunkType, chunk.body, symHeaderSize, openOpts{
 			encrypted: ch.sec.Mode == uamsg.SecurityModeSignAndEncrypt,
@@ -645,13 +651,13 @@ func (ch *Channel) Recv() (*Received, error) {
 			policy:    ch.sec.Policy,
 		})
 		if err != nil {
-			return nil, err
+			return Received{}, err
 		}
 		id := binary.LittleEndian.Uint32(seqHdr[4:])
 		if chunks == 0 {
 			reqID = id
 		} else if id != reqID {
-			return nil, fmt.Errorf("uasc: interleaved request ids %d and %d", reqID, id)
+			return Received{}, fmt.Errorf("uasc: interleaved request ids %d and %d", reqID, id)
 		}
 		body := payload // a one-chunk message decodes where it was read
 		if chunks > 0 || chunk.chunkType != uamsg.ChunkFinal {
@@ -660,17 +666,17 @@ func (ch *Channel) Recv() (*Received, error) {
 		}
 		chunks++
 		if lim := ch.t.recv.MaxChunkCount; lim > 0 && chunks > lim {
-			return nil, ErrTooManyChunks
+			return Received{}, ErrTooManyChunks
 		}
 		if lim := ch.t.recv.MaxMessageSize; lim > 0 && uint32(len(body)) > lim {
-			return nil, ErrMessageTooBig
+			return Received{}, ErrMessageTooBig
 		}
 		if chunk.chunkType == uamsg.ChunkFinal {
 			msg, err := uamsg.DecodeWith(&ch.dec, body)
 			if err != nil {
-				return nil, err
+				return Received{}, err
 			}
-			return &Received{MsgType: chunk.msgType, RequestID: reqID, Message: msg}, nil
+			return Received{MsgType: chunk.msgType, RequestID: reqID, Message: msg}, nil
 		}
 	}
 }

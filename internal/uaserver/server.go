@@ -278,6 +278,9 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 	if err != nil {
 		return
 	}
+	if s.cfg.Space != nil {
+		ch.KnownIdentifiers(s.cfg.Space.Identifier)
+	}
 	clock := memconn.ClockOf(conn) // responses are stamped on it
 	sessions := make(map[string]*session)
 	for {

@@ -145,14 +145,40 @@ type Decoder struct {
 	// spells its target's name up to three times in a row (node id,
 	// browse name, display name), and a repeat is returned as it.
 	last string
+	// known, when set, holds strings of node id identifiers the decoder
+	// returns instead of copies (KnownIdentifiers).
+	known func(ns uint16, id []byte) (string, bool)
 }
 
 // NewDecoder returns a decoder reading from b. The decoder does not copy b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
 // Reset makes d a fresh decoder reading from b, so a connection can
-// keep one decoder for all its messages.
-func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b} }
+// keep one decoder for all its messages. It keeps KnownIdentifiers.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b, known: d.known} }
+
+// KnownIdentifiers makes d decode the identifier of a string node id
+// that known knows as known's string rather than as a copy. A server
+// knows its address space, and the node ids its clients send are the
+// ones it listed to them.
+func (d *Decoder) KnownIdentifiers(known func(ns uint16, id []byte) (string, bool)) {
+	d.known = known
+}
+
+// readIdentifier reads the identifier of a string node id in namespace
+// ns: what ReadString reads, known's string when known knows it.
+func (d *Decoder) readIdentifier(ns uint16) string {
+	if d.known != nil && d.err == nil && d.Remaining() >= 4 {
+		n := int(int32(binary.LittleEndian.Uint32(d.b[d.off:])))
+		if n > 0 && n <= MaxStringLength && n <= d.Remaining()-4 {
+			if s, ok := d.known(ns, d.b[d.off+4:d.off+4+n]); ok {
+				d.off += 4 + n
+				return s
+			}
+		}
+	}
+	return d.ReadString()
+}
 
 // Err returns the first error encountered, if any.
 func (d *Decoder) Err() error { return d.err }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestIntegerRoundTrip(t *testing.T) {
@@ -265,5 +266,53 @@ func BenchmarkDecodePrimitives(b *testing.B) {
 		_ = d.ReadUint32()
 		_ = d.ReadString()
 		_ = d.ReadInt64()
+	}
+}
+
+// TestKnownIdentifiers: a decoder told the identifiers it will see
+// returns those strings for string node ids and copies everything else,
+// reading the same bytes to the same values and failing the same way.
+func TestKnownIdentifiers(t *testing.T) {
+	own := "Tank_1"
+	known := func(ns uint16, id []byte) (string, bool) {
+		if ns == 2 && string(id) == own {
+			return own, true
+		}
+		return "", false
+	}
+	enc := func(ids ...NodeID) []byte {
+		e := NewEncoder(64)
+		for _, id := range ids {
+			id.Encode(e)
+		}
+		return e.Bytes()
+	}
+	wire := enc(NewStringNodeID(2, "Tank_1"), NewStringNodeID(3, "Tank_1"), NewNumericNodeID(2, 7), NewStringNodeID(2, "Tank_2"))
+	plain, told := NewDecoder(wire), NewDecoder(wire)
+	told.KnownIdentifiers(known)
+	for i := 0; i < 4; i++ {
+		want, got := DecodeNodeID(plain), DecodeNodeID(told)
+		if got != want {
+			t.Fatalf("node id %d: %+v, want %+v", i, got, want)
+		}
+		if isOwn := got.Type == NodeIDTypeString && unsafe.StringData(got.Text) == unsafe.StringData(own); isOwn != (i == 0) {
+			t.Errorf("node id %d (%v): the known string returned: %v", i, got, isOwn)
+		}
+	}
+	if plain.Close() != nil || told.Close() != nil {
+		t.Fatalf("trailing bytes or errors: %v, %v", plain.Close(), told.Close())
+	}
+	told.Reset(wire)
+	if got := DecodeNodeID(told); unsafe.StringData(got.Text) != unsafe.StringData(own) {
+		t.Error("Reset forgot the known identifiers")
+	}
+	// A cut identifier fails as it does without them.
+	cut := wire[:len(enc(NewStringNodeID(2, "Tank_1")))-2]
+	plain, told = NewDecoder(cut), NewDecoder(cut)
+	told.KnownIdentifiers(known)
+	DecodeNodeID(plain)
+	DecodeNodeID(told)
+	if plain.Err() == nil || told.Err() != plain.Err() || told.Offset() != plain.Offset() {
+		t.Errorf("cut identifier: error %v at %d, want %v at %d", told.Err(), told.Offset(), plain.Err(), plain.Offset())
 	}
 }

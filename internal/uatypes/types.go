@@ -204,7 +204,7 @@ func DecodeNodeID(d *Decoder) NodeID {
 	case wireString:
 		n.Type = NodeIDTypeString
 		n.Namespace = d.ReadUint16()
-		n.Text = d.ReadString()
+		n.Text = d.readIdentifier(n.Namespace)
 	case wireGuid:
 		n.Type = NodeIDTypeGuid
 		n.Namespace = d.ReadUint16()
