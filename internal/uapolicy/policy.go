@@ -571,21 +571,47 @@ func (k *DerivedKeys) aesBlock() (cipher.Block, error) {
 }
 
 // pHash implements the TLS-style P_hash PRF used by OPC UA
-// (OPC 10000-6 §6.7.5).
-// One keyed HMAC serves every step (Reset returns it to the keyed
-// state), and A(i) lives in one buffer of the hash size.
+// (OPC 10000-6 §6.7.5): A(i) = HMAC(secret, A(i-1)) with A(0) = seed,
+// output block i = HMAC(secret, A(i) + seed). Every HMAC runs on one
+// hash with the key's pads computed once (RFC 2104), so a derivation
+// allocates its hash and one buffer; TestPHashMatchesReference holds
+// the bytes to crypto/hmac's.
 func pHash(newHash func() hash.Hash, secret, seed []byte, n int) []byte {
-	mac := hmac.New(newHash, secret)
-	out := make([]byte, 0, n+mac.Size())
-	a, buf := seed, make([]byte, 0, mac.Size())
+	h := newHash()
+	block, size := h.BlockSize(), h.Size()
+	// One buffer: the inner and outer pads, A(i), the inner digest and
+	// the output (room for a whole last block).
+	buf := make([]byte, 2*block+2*size+n+size)
+	ipad, opad := buf[:block], buf[block:2*block]
+	a, inner, out := buf[2*block:2*block], buf[2*block+size:2*block+size], buf[2*block+2*size:2*block+2*size]
+	key := secret
+	if len(key) > block {
+		h.Write(key)
+		key = h.Sum(inner[:0])
+	}
+	copy(ipad, key)
+	copy(opad, key)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	// mac appends HMAC(secret, m1 + m2) to dst.
+	mac := func(dst, m1, m2 []byte) []byte {
+		h.Reset()
+		h.Write(ipad)
+		h.Write(m1)
+		h.Write(m2)
+		sum := h.Sum(inner[:0])
+		h.Reset()
+		h.Write(opad)
+		h.Write(sum)
+		return h.Sum(dst)
+	}
+	prev := seed
 	for len(out) < n {
-		mac.Reset()
-		mac.Write(a)
-		a = mac.Sum(buf[:0])
-		mac.Reset()
-		mac.Write(a)
-		mac.Write(seed)
-		out = mac.Sum(out)
+		a = mac(a[:0], prev, nil)
+		prev = a
+		out = mac(out, a, seed)
 	}
 	return out[:n]
 }

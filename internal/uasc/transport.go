@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/uamsg"
 	"repro/internal/uastatus"
+	"repro/internal/uatypes"
 )
 
 // Limits are the negotiated UACP buffer limits.
@@ -84,11 +85,13 @@ func writeRaw(w io.Writer, msgType string, chunkType byte, body []byte) error {
 	if len(msgType) != 3 {
 		return fmt.Errorf("uasc: invalid message type %q", msgType)
 	}
-	hdr := make([]byte, chunkHeaderSize, chunkHeaderSize+len(body))
-	copy(hdr, msgType)
-	hdr[3] = chunkType
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(chunkHeaderSize+len(body)))
-	_, err := w.Write(append(hdr, body...))
+	frame := uatypes.AcquireEncoder(chunkHeaderSize + len(body))
+	defer uatypes.ReleaseEncoder(frame)
+	frame.WriteRawString(msgType)
+	frame.WriteUint8(chunkType)
+	frame.WriteUint32(uint32(chunkHeaderSize + len(body)))
+	frame.WriteRaw(body)
+	_, err := w.Write(frame.Bytes())
 	return err
 }
 
@@ -122,7 +125,7 @@ func readRaw(r io.Reader, maxSize uint32) (rawChunk, error) {
 		return rawChunk{}, err
 	}
 	return rawChunk{
-		msgType:   string(hdr[:3]),
+		msgType:   internMsgType(hdr[:3]),
 		chunkType: hdr[3],
 		body:      body,
 	}, nil
