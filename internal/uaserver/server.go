@@ -582,30 +582,47 @@ func (s *Server) browseNext(sess *session, req *uamsg.BrowseNextRequest, now tim
 
 func (s *Server) read(sess *session, req *uamsg.ReadRequest, now time.Time) uamsg.Message {
 	resp := &uamsg.ReadResponse{Header: okHeader(now, req.Header.RequestHandle)}
-	if n := len(req.NodesToRead); n > 0 {
-		// One allocation holds every value of the response.
-		resp.Results = make([]uatypes.DataValue, n)
-		vals := make([]uatypes.Variant, n)
-		for i, rv := range req.NodesToRead {
-			resp.Results[i] = s.readAttr(sess, rv, now, &vals[i])
-		}
+	if len(req.NodesToRead) > 0 {
+		resp.Results = make([]uatypes.DataValue, 0, len(req.NodesToRead))
+	}
+	for _, rv := range req.NodesToRead {
+		resp.Results = append(resp.Results, s.readAttr(sess, rv, now))
 	}
 	return resp
 }
 
-// readAttr reads one attribute; a value it returns is stored in *slot.
-func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time, slot *uatypes.Variant) uatypes.DataValue {
+// accessLevels and truth are the values of the access-level and
+// executable attributes, which every read of one points at: a
+// response only encodes its values.
+var (
+	accessLevels = func() (vs [256]uatypes.Variant) {
+		for i := range vs {
+			vs[i] = uatypes.Variant{Type: uatypes.TypeByte, Uint: uint64(i)}
+		}
+		return vs
+	}()
+	truth = [2]uatypes.Variant{uatypes.BoolVariant(false), uatypes.BoolVariant(true)}
+)
+
+func boolValue(b bool) *uatypes.Variant {
+	if b {
+		return &truth[1]
+	}
+	return &truth[0]
+}
+
+func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time) uatypes.DataValue {
 	node, ok := s.cfg.Space.Node(rv.NodeID)
 	if !ok {
 		return uatypes.DataValue{HasStatus: true, Status: uastatus.BadNodeIdUnknown}
 	}
-	good := func(v uatypes.Variant) uatypes.DataValue {
-		*slot = v
+	good := func(v *uatypes.Variant) uatypes.DataValue {
 		return uatypes.DataValue{
-			Value: slot, HasStatus: true, Status: uastatus.Good,
+			Value: v, HasStatus: true, Status: uastatus.Good,
 			SourceTimestamp: uatypes.TimeToDateTime(now),
 		}
 	}
+	made := func(v uatypes.Variant) uatypes.DataValue { return good(&v) }
 	switch rv.AttributeID {
 	case uamsg.AttrValue:
 		if node.Class != uamsg.NodeClassVariable {
@@ -614,23 +631,23 @@ func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time, sl
 		if !node.Access(sess.identity).CanRead() {
 			return uatypes.DataValue{HasStatus: true, Status: uastatus.BadUserAccessDenied}
 		}
-		return good(node.Value)
+		return good(&node.Value)
 	case uamsg.AttrAccessLevel:
-		return good(uatypes.Variant{Type: uatypes.TypeByte, Uint: uint64(node.AccessLevel)})
+		return good(&accessLevels[node.AccessLevel])
 	case uamsg.AttrUserAccessLevel:
-		return good(uatypes.Variant{Type: uatypes.TypeByte, Uint: uint64(node.Access(sess.identity))})
+		return good(&accessLevels[node.Access(sess.identity)])
 	case uamsg.AttrExecutable:
-		return good(uatypes.BoolVariant(node.Executable))
+		return good(boolValue(node.Executable))
 	case uamsg.AttrUserExecutable:
-		return good(uatypes.BoolVariant(node.CanExecute(sess.identity)))
+		return good(boolValue(node.CanExecute(sess.identity)))
 	case uamsg.AttrBrowseName:
-		return good(uatypes.QualifiedNameVariant(node.BrowseName))
+		return made(uatypes.QualifiedNameVariant(node.BrowseName))
 	case uamsg.AttrDisplayName:
-		return good(uatypes.LocalizedTextVariant(node.DisplayName))
+		return made(uatypes.LocalizedTextVariant(node.DisplayName))
 	case uamsg.AttrNodeClass:
-		return good(uatypes.Int32Variant(int32(node.Class)))
+		return made(uatypes.Int32Variant(int32(node.Class)))
 	case uamsg.AttrNodeID:
-		return good(uatypes.NodeIDVariant(node.ID))
+		return made(uatypes.NodeIDVariant(node.ID))
 	default:
 		return uatypes.DataValue{HasStatus: true, Status: uastatus.BadAttributeIdInvalid}
 	}

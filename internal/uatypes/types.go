@@ -65,15 +65,23 @@ const (
 	wireByteString = 0x05
 )
 
-// NodeID identifies a node in an OPC UA address space. It is 40 bytes
-// and comparable: a ByteString identifier is held in Text, so equal node
-// ids are == and a NodeID is a map key as it stands.
+// NodeID identifies a node in an OPC UA address space. It is 24 bytes
+// and comparable: every identifier but a numeric one is held in Text,
+// so equal node ids are == and a NodeID is a map key as it stands.
 type NodeID struct {
 	Type      NodeIDType
 	Namespace uint16
 	Numeric   uint32
-	Text      string // String identifier, or the bytes of a ByteString one
-	GuidID    Guid
+	// Text is the identifier of a String node id, the bytes of a
+	// ByteString one and the 16-byte encoding of a Guid one.
+	Text string
+}
+
+// guid returns the identifier of a Guid node id.
+func (n NodeID) guid() Guid {
+	var b [16]byte
+	copy(b[:], n.Text)
+	return DecodeGuid(&Decoder{b: b[:]})
 }
 
 // NewNumericNodeID returns a numeric NodeID in the given namespace.
@@ -112,7 +120,7 @@ func (n NodeID) AppendKey(dst []byte) []byte {
 		return append(dst, n.Text...)
 	case NodeIDTypeGuid:
 		dst = append(dst, ";g="...)
-		return append(dst, n.GuidID.String()...)
+		return append(dst, n.guid().String()...)
 	case NodeIDTypeByteString:
 		dst = append(dst, ";b="...)
 		return hex.AppendEncode(dst, []byte(n.Text))
@@ -136,7 +144,7 @@ func (n NodeID) String() string {
 		case NodeIDTypeString:
 			return "s=" + n.Text
 		case NodeIDTypeGuid:
-			return "g=" + n.GuidID.String()
+			return "g=" + n.guid().String()
 		case NodeIDTypeByteString:
 			return "b=" + hex.EncodeToString([]byte(n.Text))
 		default:
@@ -170,7 +178,7 @@ func (n NodeID) Encode(e *Encoder) {
 	case NodeIDTypeGuid:
 		e.WriteUint8(wireGuid)
 		e.WriteUint16(n.Namespace)
-		n.GuidID.Encode(e)
+		n.guid().Encode(e)
 	case NodeIDTypeByteString:
 		e.WriteUint8(wireByteString)
 		e.WriteUint16(n.Namespace)
@@ -208,7 +216,7 @@ func DecodeNodeID(d *Decoder) NodeID {
 	case wireGuid:
 		n.Type = NodeIDTypeGuid
 		n.Namespace = d.ReadUint16()
-		n.GuidID = DecodeGuid(d)
+		n.Text = string(d.take(16))
 	case wireByteString:
 		n.Type = NodeIDTypeByteString
 		n.Namespace = d.ReadUint16()

@@ -56,10 +56,15 @@ func TestNodeIDStringRoundTrip(t *testing.T) {
 }
 
 func TestNodeIDGuidRoundTrip(t *testing.T) {
-	n := NodeID{Type: NodeIDTypeGuid, Namespace: 5, GuidID: Guid{Data1: 0xdeadbeef, Data2: 7, Data3: 9, Data4: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}}
+	e := NewEncoder(16)
+	Guid{Data1: 0xdeadbeef, Data2: 7, Data3: 9, Data4: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}.Encode(e)
+	n := NodeID{Type: NodeIDTypeGuid, Namespace: 5, Text: string(e.Bytes())}
 	got := roundTripNodeID(t, n)
-	if got.GuidID != n.GuidID {
-		t.Errorf("guid %v != %v", got.GuidID, n.GuidID)
+	if got != n {
+		t.Errorf("guid %v != %v", got, n)
+	}
+	if want := "ns=5;g=deadbeef-0007-0009-0102-030405060708"; got.String() != want {
+		t.Errorf("textual notation %q, want %q", got.String(), want)
 	}
 }
 
