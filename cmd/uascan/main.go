@@ -102,7 +102,7 @@ func run(args []string, stdout io.Writer) error {
 		res := sc.Grab(context.Background(), scanner.Target{
 			Address: target,
 			Via:     scanner.ViaPortScan,
-		})
+		}, nil)
 		if err := enc.Encode(res); err != nil {
 			return fmt.Errorf("writing %s: %w", target, err)
 		}

@@ -211,7 +211,7 @@ func (s *Space) Node(id uatypes.NodeID) (*Node, bool) {
 
 // Identifier returns the identifier of the string node id (ns, id) if
 // the space holds that node: a server decodes the ids its clients send
-// back into the space's own strings (uatypes.Decoder.KnownIdentifiers).
+// back into the space's own strings (uatypes.Decoder.Known).
 func (s *Space) Identifier(ns uint16, id []byte) (string, bool) {
 	var buf [64]byte
 	key := strconv.AppendUint(append(buf[:0], "ns="...), uint64(ns), 10)

@@ -175,7 +175,7 @@ func runStreaming(ctx context.Context, sc *Scanner, initial []Target, cfg WaveCo
 			var walker uaclient.Walker // this worker's walk scratch
 			for j := range queue {
 				gm.queueWait.ObserveSince(j.enqueuedNs)
-				res := sc.grab(ctx, j.target, &walker)
+				res := sc.Grab(ctx, j.target, &walker)
 				res.FollowDepth = j.depth
 				outcomes <- grabOutcome{res: res, depth: j.depth}
 			}

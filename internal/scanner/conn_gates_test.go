@@ -105,7 +105,7 @@ func TestGrabDurationIsTheGrabsClock(t *testing.T) {
 	} {
 		sc := newScanner(t, gateSnapshot(t, c.cm, simnet.Noise{}))
 		sc.Resilience = armor
-		res := sc.Grab(context.Background(), Target{Address: gateHost, Via: ViaPortScan})
+		res := sc.Grab(context.Background(), Target{Address: gateHost, Via: ViaPortScan}, nil)
 		if res.Duration != c.want {
 			t.Errorf("%s: Duration = %v (error %q), want %v", c.name, res.Duration, res.Error, c.want)
 		}

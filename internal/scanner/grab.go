@@ -240,13 +240,9 @@ func (s *Scanner) arm(ctx context.Context, addr string) (context.Context, *memco
 	return ctx, tl, opts, s.newRetrier(addr, tl)
 }
 
-// Grab scans one target completely.
-func (s *Scanner) Grab(ctx context.Context, target Target) *Result {
-	return s.grab(ctx, target, new(uaclient.Walker))
-}
-
-// grab is Grab walking on w, the scratch its worker keeps across grabs.
-func (s *Scanner) grab(ctx context.Context, target Target, w *uaclient.Walker) *Result {
+// Grab scans one target completely, walking on w, the scratch its
+// worker keeps across grabs (nil: scratch of its own).
+func (s *Scanner) Grab(ctx context.Context, target Target, w *uaclient.Walker) *Result {
 	ctx, tl, opts, rt := s.arm(ctx, target.Address)
 	start := tl.Now()
 	res := &Result{Address: target.Address, Via: target.Via, Time: start}

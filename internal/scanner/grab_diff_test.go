@@ -26,12 +26,13 @@ import (
 )
 
 // referenceGrab is Grab as of commit 286d6b5, verbatim but for the
-// timeline every grab now runs on (Scanner.arm): one connection
+// timeline every grab now runs on (Scanner.arm) and the walk scratch it
+// is handed: one connection
 // per step — GetEndpoints, FindServers, the secure probe, the session —
 // so up to four per host. It exists only as the oracle of
 // TestGrabMatchesFourDialGrab: whatever Grab learns on fewer connections
 // must be what this learns on four.
-func (s *Scanner) referenceGrab(ctx context.Context, target Target) *Result {
+func (s *Scanner) referenceGrab(ctx context.Context, target Target, w *uaclient.Walker) *Result {
 	ctx, tl, opts, rt := s.arm(ctx, target.Address)
 	start := tl.Now()
 	res := &Result{Address: target.Address, Via: target.Via, Time: start}
@@ -92,9 +93,9 @@ func (s *Scanner) referenceGrab(ctx context.Context, target Target) *Result {
 		sessStart := ex.Start()
 		sessPolicy, sessMode := channelForSession(res.Endpoints)
 		if secure != nil && sessPolicy == policy && sessMode == mode {
-			s.runAnonymousSession(ctx, secure, res, new(uaclient.Walker))
+			s.runAnonymousSession(ctx, secure, res, w)
 		} else {
-			s.attemptAnonymous(ctx, rt, url, opts, res, sessPolicy, sessMode, new(uaclient.Walker))
+			s.attemptAnonymous(ctx, rt, url, opts, res, sessPolicy, sessMode, w)
 		}
 		ex.EndSpan("session", sessStart, res.Session.Error)
 	}
@@ -350,7 +351,7 @@ func TestGrabMatchesFourDialGrab(t *testing.T) {
 			ap := netip.MustParseAddrPort(p.addr)
 			// One network per grab: a misbehaving host counts its
 			// connections.
-			grab := func(f func(*Scanner, context.Context, Target) *Result) (*Result, int64) {
+			grab := func(f func(*Scanner, context.Context, Target, *uaclient.Walker) *Result) (*Result, int64) {
 				b := newWorld(t, 28, 0)
 				var h simnet.ConnHandler = srv
 				if p.fails > 0 {
@@ -361,7 +362,7 @@ func TestGrabMatchesFourDialGrab(t *testing.T) {
 				d := &countingDialer{View: nw}
 				sc := newScanner(t, nw)
 				sc.Dialer = d
-				return f(sc, context.Background(), Target{Address: p.addr, Via: ViaPortScan}), d.dials.Load()
+				return f(sc, context.Background(), Target{Address: p.addr, Via: ViaPortScan}, nil), d.dials.Load()
 			}
 			ref, _ := grab((*Scanner).referenceGrab)
 			got, dials := grab((*Scanner).Grab)
@@ -454,8 +455,8 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 					defer wg.Done()
 					for i := range next {
 						pairs[i] = pair{
-							ref: sc.referenceGrab(context.Background(), targets[i]),
-							got: sc.Grab(context.Background(), targets[i]),
+							ref: sc.referenceGrab(context.Background(), targets[i], nil),
+							got: sc.Grab(context.Background(), targets[i], nil),
 						}
 					}
 				}()
@@ -557,8 +558,8 @@ func TestStageDeadlinesFireOnlyWhenStuck(t *testing.T) {
 	instant.Resilience.RequestTimeout = time.Nanosecond
 	classes := map[string]int{}
 	for _, target := range targets {
-		want := shipped.Grab(context.Background(), target)
-		got := instant.Grab(context.Background(), target)
+		want := shipped.Grab(context.Background(), target, nil)
+		got := instant.Grab(context.Background(), target, nil)
 		if (got.Duration == 0) != (want.Duration == 0) || got.Duration > want.Duration {
 			t.Errorf("%s: the 1 ns armor's grab took %v, the shipped one's %v",
 				target.Address, got.Duration, want.Duration)

@@ -415,7 +415,7 @@ func TestPortScanFindsServersAndNoise(t *testing.T) {
 func TestGrabFullServer(t *testing.T) {
 	nw, addrs := buildWorld(t)
 	sc := newScanner(t, nw)
-	res := sc.Grab(context.Background(), Target{Address: addrs["plc"], Via: ViaPortScan})
+	res := sc.Grab(context.Background(), Target{Address: addrs["plc"], Via: ViaPortScan}, nil)
 
 	if !res.ReachedOPCUA {
 		t.Fatalf("grab failed: %s", res.Error)
@@ -466,7 +466,7 @@ func TestGrabFullServer(t *testing.T) {
 func TestGrabNoiseHostIsNotOPCUA(t *testing.T) {
 	nw := newWorld(t, 24, 1).Build()
 	sc := newScanner(t, nw)
-	res := sc.Grab(context.Background(), Target{Address: "192.0.2.99:4840", Via: ViaPortScan})
+	res := sc.Grab(context.Background(), Target{Address: "192.0.2.99:4840", Via: ViaPortScan}, nil)
 	if res.ReachedOPCUA {
 		t.Error("noise host classified as OPC UA")
 	}
@@ -478,7 +478,7 @@ func TestGrabNoiseHostIsNotOPCUA(t *testing.T) {
 func TestGrabClosedPort(t *testing.T) {
 	nw, _ := buildWorld(t)
 	sc := newScanner(t, nw)
-	res := sc.Grab(context.Background(), Target{Address: "192.0.2.123:4840", Via: ViaPortScan})
+	res := sc.Grab(context.Background(), Target{Address: "192.0.2.123:4840", Via: ViaPortScan}, nil)
 	if res.ReachedOPCUA || res.Error == "" {
 		t.Errorf("closed port grab = %+v", res)
 	}
@@ -600,7 +600,7 @@ func TestGrabSecureOnlyAnonymousHost(t *testing.T) {
 	nw.AddHost(netip.MustParseAddr("192.0.2.1"), 4840, 65000, srv)
 
 	sc := newScanner(t, nw.Build())
-	res := sc.Grab(context.Background(), Target{Address: "192.0.2.1:4840", Via: ViaPortScan})
+	res := sc.Grab(context.Background(), Target{Address: "192.0.2.1:4840", Via: ViaPortScan}, nil)
 	if !res.ReachedOPCUA {
 		t.Fatalf("grab failed: %s", res.Error)
 	}
@@ -629,7 +629,7 @@ func TestGrabCertRejectingHost(t *testing.T) {
 	nw.AddHost(netip.MustParseAddr("192.0.2.1"), 4840, 65000, srv)
 
 	sc := newScanner(t, nw.Build())
-	res := sc.Grab(context.Background(), Target{Address: "192.0.2.1:4840", Via: ViaPortScan})
+	res := sc.Grab(context.Background(), Target{Address: "192.0.2.1:4840", Via: ViaPortScan}, nil)
 	if !res.ReachedOPCUA {
 		t.Fatalf("grab failed: %s", res.Error)
 	}

@@ -500,7 +500,7 @@ func (c *Client) CloseSession() error {
 //
 //studyvet:api — the reference walk (walk_diff_test.go's referenceWalk) browses through it
 func (c *Client) Browse(id uatypes.NodeID) ([]uamsg.ReferenceDescription, error) {
-	results, err := c.browse(browseDescriptions(nil, []uatypes.NodeID{id}), nil)
+	results, err := c.browse([]uatypes.NodeID{id}, nil, new([]uamsg.BrowseDescription))
 	if err != nil {
 		return nil, err
 	}
@@ -510,12 +510,21 @@ func (c *Client) Browse(id uatypes.NodeID) ([]uamsg.ReferenceDescription, error)
 	return results[0].References, nil
 }
 
-// browseDescriptions returns, in dst's storage, the descriptions that
-// ask for the forward hierarchical references of ids.
-func browseDescriptions(dst []uamsg.BrowseDescription, ids []uatypes.NodeID) []uamsg.BrowseDescription {
-	dst = dst[:0]
+// browse asks for the forward hierarchical references of ids in one
+// BrowseRequest, built in *nodes, and follows every result's
+// continuation points, so result i holds node i's complete listing, or
+// the bad status that makes the caller skip that node alone. An error
+// means no result is usable: a ServiceError is the server refusing the
+// request as a whole, anything else the connection failing. paced, when
+// non-nil, runs after each answered request (the walk's politeness
+// delay).
+func (c *Client) browse(ids []uatypes.NodeID, paced func(), nodes *[]uamsg.BrowseDescription) ([]uamsg.BrowseResult, error) {
+	if paced == nil {
+		paced = func() {}
+	}
+	*nodes = (*nodes)[:0]
 	for _, id := range ids {
-		dst = append(dst, uamsg.BrowseDescription{
+		*nodes = append(*nodes, uamsg.BrowseDescription{
 			NodeID:          id,
 			Direction:       uamsg.BrowseDirectionForward,
 			ReferenceTypeID: uatypes.NewNumericNodeID(0, uamsg.IDHierarchicalRefType),
@@ -523,21 +532,7 @@ func browseDescriptions(dst []uamsg.BrowseDescription, ids []uatypes.NodeID) []u
 			ResultMask:      63,
 		})
 	}
-	return dst
-}
-
-// browse sends nodes in one BrowseRequest and follows every result's
-// continuation points, so result i holds node i's complete listing, or
-// the bad status that makes the caller skip that node alone. An error
-// means no result is usable: a ServiceError is the server refusing the
-// request as a whole, anything else the connection failing. paced, when
-// non-nil, runs after each answered request (the walk's politeness
-// delay).
-func (c *Client) browse(nodes []uamsg.BrowseDescription, paced func()) ([]uamsg.BrowseResult, error) {
-	if paced == nil {
-		paced = func() {}
-	}
-	msg, err := c.request(&uamsg.BrowseRequest{Header: c.header(), NodesToBrowse: nodes})
+	msg, err := c.request(&uamsg.BrowseRequest{Header: c.header(), NodesToBrowse: *nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -545,8 +540,8 @@ func (c *Client) browse(nodes []uamsg.BrowseDescription, paced func()) ([]uamsg.
 	if !ok {
 		return nil, fmt.Errorf("uaclient: unexpected %T", msg)
 	}
-	if len(resp.Results) != len(nodes) {
-		return nil, fmt.Errorf("uaclient: browse of %d nodes returned %d results", len(nodes), len(resp.Results))
+	if len(resp.Results) != len(ids) {
+		return nil, fmt.Errorf("uaclient: browse of %d nodes returned %d results", len(ids), len(resp.Results))
 	}
 	paced()
 	for i := range resp.Results {

@@ -69,11 +69,9 @@ type WalkResult struct {
 	LimitHit   string // which limit stopped the walk, if any
 }
 
-// A Walker is a walk's scratch: its result, queue, visited set and read
-// batch, which the next walk with the same Walker reuses. A grab worker
-// keeps one across its grabs, so its walks stop allocating once the
-// buffers fit the largest address space it has seen. The zero value is
-// ready to use; a Walker serves one walk at a time.
+// A Walker is the scratch of one walk at a time, which the next walk
+// reuses: a grab worker keeps one, so its walks stop allocating once the
+// buffers fit the largest address space seen. The zero value is ready.
 type Walker struct {
 	res                WalkResult
 	queue              []uatypes.NodeID
@@ -81,17 +79,6 @@ type Walker struct {
 	variables, methods []int // indices into res.Nodes
 	browse             []uamsg.BrowseDescription
 	read               []uamsg.ReadValueID
-}
-
-// reset empties w for the next walk, keeping its storage.
-func (w *Walker) reset() {
-	clear(w.res.Nodes) // drop the previous walk's strings and values
-	w.res = WalkResult{Nodes: w.res.Nodes[:0]}
-	w.queue, w.variables, w.methods = w.queue[:0], w.variables[:0], w.methods[:0]
-	if w.visited == nil {
-		w.visited = make(map[uatypes.NodeID]struct{})
-	}
-	clear(w.visited)
 }
 
 // batchSize is how many nodes one Browse or Read request of the walk
@@ -129,7 +116,11 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions, w *Walker) (*WalkResul
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 100000
 	}
-	w.reset()
+	w.res, w.variables, w.methods = WalkResult{Nodes: w.res.Nodes[:0]}, w.variables[:0], w.methods[:0]
+	if w.visited == nil {
+		w.visited = make(map[uatypes.NodeID]struct{})
+	}
+	clear(w.visited)
 	res := &w.res
 	deadline := time.Time{}
 	if o.MaxDuration > 0 {
@@ -167,9 +158,7 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions, w *Walker) (*WalkResul
 	}
 	pause()
 
-	// The queue is w.queue[head:]: consumed entries stay put, so the
-	// array is reused whole by the next walk.
-	queue, head := append(w.queue, uatypes.NewNumericNodeID(0, uamsg.IDObjectsFolder)), 0
+	queue, head := append(w.queue[:0], uatypes.NewNumericNodeID(0, uamsg.IDObjectsFolder)), 0 // queue[head:] is due
 	visited := w.visited
 	visited[queue[0]] = struct{}{}
 
@@ -210,8 +199,7 @@ func (c *Client) Walk(ctx context.Context, o WalkOptions, w *Walker) (*WalkResul
 browsing:
 	for head < len(queue) && len(res.Nodes) < o.MaxNodes && !limitHit() {
 		batch := queue[head:min(head+size, len(queue))]
-		w.browse = browseDescriptions(w.browse, batch)
-		results, err := c.browse(w.browse, pause)
+		results, err := c.browse(batch, pause, &w.browse)
 		if err != nil {
 			var refused ServiceError
 			if len(batch) > 1 && errors.As(err, &refused) && tooLarge(refused.Code) {
@@ -232,7 +220,7 @@ browsing:
 				if limitHit() {
 					break browsing
 				}
-				alone, err := c.browse(w.browse[i:i+1], pause)
+				alone, err := c.browse(batch[i:i+1], pause, &w.browse)
 				if err != nil {
 					continue
 				}
@@ -246,8 +234,7 @@ browsing:
 			}
 		}
 	}
-	clear(queue)
-	w.queue = queue[:0]
+	w.queue = queue
 
 	// Batch-read effective access rights.
 	readRights := func(nodes []int, attr uamsg.AttributeID, set func(*NodeInfo, *uatypes.Variant)) {
@@ -275,8 +262,6 @@ browsing:
 	readRights(w.methods, uamsg.AttrUserExecutable, func(n *NodeInfo, v *uatypes.Variant) {
 		n.UserExecutable = v.Bool
 	})
-	clear(w.browse[:cap(w.browse)]) // keep no identifier strings past the walk
-	clear(w.read[:cap(w.read)])
 
 	if o.ReadValues {
 		reads := 0

@@ -571,16 +571,12 @@ func (k *DerivedKeys) aesBlock() (cipher.Block, error) {
 }
 
 // pHash implements the TLS-style P_hash PRF used by OPC UA
-// (OPC 10000-6 §6.7.5): A(i) = HMAC(secret, A(i-1)) with A(0) = seed,
-// output block i = HMAC(secret, A(i) + seed). Every HMAC runs on one
-// hash with the key's pads computed once (RFC 2104), so a derivation
-// allocates its hash and one buffer; TestPHashMatchesReference holds
-// the bytes to crypto/hmac's.
+// (OPC 10000-6 §6.7.5). Its HMACs (RFC 2104) run on one hash and one
+// buffer; TestPHashMatchesReference holds them to crypto/hmac's bytes.
 func pHash(newHash func() hash.Hash, secret, seed []byte, n int) []byte {
 	h := newHash()
 	block, size := h.BlockSize(), h.Size()
-	// One buffer: the inner and outer pads, A(i), the inner digest and
-	// the output (room for a whole last block).
+	// The pads, A(i), the inner digest and the output (and a block more).
 	buf := make([]byte, 2*block+2*size+n+size)
 	ipad, opad := buf[:block], buf[block:2*block]
 	a, inner, out := buf[2*block:2*block], buf[2*block+size:2*block+size], buf[2*block+2*size:2*block+2*size]
@@ -607,10 +603,8 @@ func pHash(newHash func() hash.Hash, secret, seed []byte, n int) []byte {
 		h.Write(sum)
 		return h.Sum(dst)
 	}
-	prev := seed
-	for len(out) < n {
+	for prev := seed; len(out) < n; prev = a {
 		a = mac(a[:0], prev, nil)
-		prev = a
 		out = mac(out, a, seed)
 	}
 	return out[:n]

@@ -39,7 +39,7 @@ func FuzzReadRaw(f *testing.F) {
 	f.Add(framed.Bytes(), uint32(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, maxSize uint32) {
-		c, err := readRaw(bytes.NewReader(data), maxSize)
+		c, err := readRaw(bytes.NewReader(data), maxSize, nil)
 		if err != nil {
 			return
 		}

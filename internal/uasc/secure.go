@@ -82,17 +82,16 @@ type Channel struct {
 
 	// parts is the message-reassembly buffer reused across Recv calls
 	// (decoded messages never alias it; every decoder read copies), dec
-	// the decoder every received message goes through.
+	// the decoder of every message.
 	parts []byte
 	dec   uatypes.Decoder
 
 	closed bool
 }
 
-// KnownIdentifiers makes the channel decode string node ids known
-// knows into known's strings (uatypes.Decoder.KnownIdentifiers).
+// KnownIdentifiers sets the Known of the channel's decoder.
 func (ch *Channel) KnownIdentifiers(known func(ns uint16, id []byte) (string, bool)) {
-	ch.dec.KnownIdentifiers(known)
+	ch.dec.Known = known
 }
 
 // Security returns the channel's security settings.

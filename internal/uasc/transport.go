@@ -102,10 +102,11 @@ type rawChunk struct {
 	body      []byte
 }
 
-// readRaw reads one framed chunk, enforcing maxSize on the total frame.
-// maxSize == 0 does not mean unlimited: absoluteMaxFrameSize always
-// applies, so a hostile size claim can never drive the allocation.
-func readRaw(r io.Reader, maxSize uint32) (rawChunk, error) {
+// readRaw reads one framed chunk, enforcing maxSize on the total frame,
+// into buf's storage when it holds the body. maxSize == 0 does not mean
+// unlimited: absoluteMaxFrameSize always applies, so a hostile size
+// claim can never drive the allocation.
+func readRaw(r io.Reader, maxSize uint32, buf []byte) (rawChunk, error) {
 	var hdr [chunkHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return rawChunk{}, err
@@ -120,7 +121,11 @@ func readRaw(r io.Reader, maxSize uint32) (rawChunk, error) {
 	if size > maxSize {
 		return rawChunk{}, fmt.Errorf("%w: %d > %d", ErrChunkTooLarge, size, maxSize)
 	}
-	body := make([]byte, size-chunkHeaderSize)
+	n := int(size - chunkHeaderSize)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return rawChunk{}, err
 	}
@@ -157,34 +162,11 @@ func internMsgType(b []byte) string {
 // chunk body aliases that buffer and is valid only until the next
 // readChunk call; callers copy what they keep.
 func (t *Transport) readChunk() (rawChunk, error) {
-	var hdr [chunkHeaderSize]byte
-	if _, err := io.ReadFull(t.Conn, hdr[:]); err != nil {
-		return rawChunk{}, err
+	c, err := readRaw(t.Conn, t.recv.ReceiveBufSize, t.readBuf)
+	if cap(c.body) > cap(t.readBuf) {
+		t.readBuf = c.body
 	}
-	size := binary.LittleEndian.Uint32(hdr[4:])
-	if size < chunkHeaderSize {
-		return rawChunk{}, fmt.Errorf("uasc: frame size %d too small", size)
-	}
-	maxSize := t.recv.ReceiveBufSize
-	if maxSize == 0 || maxSize > absoluteMaxFrameSize {
-		maxSize = absoluteMaxFrameSize
-	}
-	if size > maxSize {
-		return rawChunk{}, fmt.Errorf("%w: %d > %d", ErrChunkTooLarge, size, maxSize)
-	}
-	n := int(size - chunkHeaderSize)
-	if cap(t.readBuf) < n {
-		t.readBuf = make([]byte, n)
-	}
-	body := t.readBuf[:n]
-	if _, err := io.ReadFull(t.Conn, body); err != nil {
-		return rawChunk{}, err
-	}
-	return rawChunk{
-		msgType:   internMsgType(hdr[:3]),
-		chunkType: hdr[3],
-		body:      body,
-	}, nil
+	return c, err
 }
 
 // sendError transmits a UACP ERR message; used by servers before closing.
@@ -209,7 +191,7 @@ func ClientHello(conn net.Conn, endpointURL string, want Limits) (*Transport, er
 	if err := writeRaw(conn, uamsg.MsgTypeHello, uamsg.ChunkFinal, hello.Encode()); err != nil {
 		return nil, fmt.Errorf("uasc: sending hello: %w", err)
 	}
-	chunk, err := readRaw(conn, maxHelloBodySize)
+	chunk, err := readRaw(conn, maxHelloBodySize, nil)
 	if err != nil {
 		return nil, fmt.Errorf("uasc: reading acknowledge: %w", err)
 	}
@@ -250,7 +232,7 @@ func ServerHello(conn net.Conn, ours Limits) (*Transport, error) {
 	if ours.ReceiveBufSize < minChunkBufSize {
 		ours = DefaultLimits()
 	}
-	chunk, err := readRaw(conn, maxHelloBodySize)
+	chunk, err := readRaw(conn, maxHelloBodySize, nil)
 	if err != nil {
 		return nil, fmt.Errorf("uasc: reading hello: %w", err)
 	}

@@ -423,7 +423,7 @@ func TestServerHelloRejectsNonHello(t *testing.T) {
 	}
 	// Read the ERR frame first: net.Pipe writes are synchronous, so the
 	// server's error return only happens after we consume its ERR.
-	chunk, err := readRaw(cConn, 4096)
+	chunk, err := readRaw(cConn, 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestReadRawEnforcesLimits(t *testing.T) {
 	if err := writeRaw(&buf, uamsg.MsgTypeMessage, uamsg.ChunkFinal, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readRaw(&buf, 50); !errors.Is(err, ErrChunkTooLarge) {
+	if _, err := readRaw(&buf, 50, nil); !errors.Is(err, ErrChunkTooLarge) {
 		t.Errorf("err = %v, want ErrChunkTooLarge", err)
 	}
 }
@@ -455,7 +455,7 @@ func TestReadRawRejectsOversizedClaimWithoutLimit(t *testing.T) {
 	frame[3] = uamsg.ChunkFinal
 	binary.LittleEndian.PutUint32(frame[4:], 0xfffffff0)
 
-	if _, err := readRaw(bytes.NewReader(frame), 0); !errors.Is(err, ErrChunkTooLarge) {
+	if _, err := readRaw(bytes.NewReader(frame), 0, nil); !errors.Is(err, ErrChunkTooLarge) {
 		t.Errorf("readRaw(maxSize=0) err = %v, want ErrChunkTooLarge", err)
 	}
 

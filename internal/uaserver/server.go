@@ -601,15 +601,8 @@ var (
 		}
 		return vs
 	}()
-	truth = [2]uatypes.Variant{uatypes.BoolVariant(false), uatypes.BoolVariant(true)}
+	truth = map[bool]*uatypes.Variant{false: {Type: uatypes.TypeBoolean}, true: {Type: uatypes.TypeBoolean, Bool: true}}
 )
-
-func boolValue(b bool) *uatypes.Variant {
-	if b {
-		return &truth[1]
-	}
-	return &truth[0]
-}
 
 func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time) uatypes.DataValue {
 	node, ok := s.cfg.Space.Node(rv.NodeID)
@@ -637,17 +630,17 @@ func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time) ua
 	case uamsg.AttrUserAccessLevel:
 		return good(&accessLevels[node.Access(sess.identity)])
 	case uamsg.AttrExecutable:
-		return good(boolValue(node.Executable))
+		return good(truth[node.Executable])
 	case uamsg.AttrUserExecutable:
-		return good(boolValue(node.CanExecute(sess.identity)))
+		return good(truth[node.CanExecute(sess.identity)])
 	case uamsg.AttrBrowseName:
-		return made(uatypes.QualifiedNameVariant(node.BrowseName))
+		return made(uatypes.Variant{Type: uatypes.TypeQualifiedName, Ext: &uatypes.VariantExt{QName: node.BrowseName}})
 	case uamsg.AttrDisplayName:
 		return made(uatypes.LocalizedTextVariant(node.DisplayName))
 	case uamsg.AttrNodeClass:
 		return made(uatypes.Int32Variant(int32(node.Class)))
 	case uamsg.AttrNodeID:
-		return made(uatypes.NodeIDVariant(node.ID))
+		return made(uatypes.Variant{Type: uatypes.TypeNodeID, Ext: &uatypes.VariantExt{Node: node.ID}})
 	default:
 		return uatypes.DataValue{HasStatus: true, Status: uastatus.BadAttributeIdInvalid}
 	}

@@ -141,37 +141,29 @@ type Decoder struct {
 	b   []byte
 	off int
 	err error
-	// last is the string ReadString returned last: a browse reference
-	// spells its target's name up to three times in a row (node id,
-	// browse name, display name), and a repeat is returned as it.
+	// last is the string ReadString returned last, which a repeat is
+	// returned as: a browse reference names its target thrice in a row.
 	last string
-	// known, when set, holds strings of node id identifiers the decoder
-	// returns instead of copies (KnownIdentifiers).
-	known func(ns uint16, id []byte) (string, bool)
+	// Known, when set, gives the identifier of a string node id it knows
+	// as its own string rather than a copy: a server knows its address
+	// space, and the ids its clients send are the ones it listed.
+	Known func(ns uint16, id []byte) (string, bool)
 }
 
 // NewDecoder returns a decoder reading from b. The decoder does not copy b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
-// Reset makes d a fresh decoder reading from b, so a connection can
-// keep one decoder for all its messages. It keeps KnownIdentifiers.
-func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b, known: d.known} }
-
-// KnownIdentifiers makes d decode the identifier of a string node id
-// that known knows as known's string rather than as a copy. A server
-// knows its address space, and the node ids its clients send are the
-// ones it listed to them.
-func (d *Decoder) KnownIdentifiers(known func(ns uint16, id []byte) (string, bool)) {
-	d.known = known
-}
+// Reset makes d a fresh decoder reading from b, keeping Known, so a
+// connection can keep one decoder for all its messages.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b, Known: d.Known} }
 
 // readIdentifier reads the identifier of a string node id in namespace
-// ns: what ReadString reads, known's string when known knows it.
+// ns: what ReadString reads, Known's string when Known knows it.
 func (d *Decoder) readIdentifier(ns uint16) string {
-	if d.known != nil && d.err == nil && d.Remaining() >= 4 {
+	if d.Known != nil && d.err == nil && d.Remaining() >= 4 {
 		n := int(int32(binary.LittleEndian.Uint32(d.b[d.off:])))
 		if n > 0 && n <= MaxStringLength && n <= d.Remaining()-4 {
-			if s, ok := d.known(ns, d.b[d.off+4:d.off+4+n]); ok {
+			if s, ok := d.Known(ns, d.b[d.off+4:d.off+4+n]); ok {
 				d.off += 4 + n
 				return s
 			}
@@ -314,17 +306,6 @@ func (d *Decoder) ReadByteString() []byte {
 		return nil
 	}
 	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-// ReadRaw reads n raw bytes without a length prefix.
-func (d *Decoder) ReadRaw(n int) []byte {
-	b := d.take(n)
 	if b == nil {
 		return nil
 	}

@@ -289,7 +289,7 @@ func TestKnownIdentifiers(t *testing.T) {
 	}
 	wire := enc(NewStringNodeID(2, "Tank_1"), NewStringNodeID(3, "Tank_1"), NewNumericNodeID(2, 7), NewStringNodeID(2, "Tank_2"))
 	plain, told := NewDecoder(wire), NewDecoder(wire)
-	told.KnownIdentifiers(known)
+	told.Known = known
 	for i := 0; i < 4; i++ {
 		want, got := DecodeNodeID(plain), DecodeNodeID(told)
 		if got != want {
@@ -309,7 +309,7 @@ func TestKnownIdentifiers(t *testing.T) {
 	// A cut identifier fails as it does without them.
 	cut := wire[:len(enc(NewStringNodeID(2, "Tank_1")))-2]
 	plain, told = NewDecoder(cut), NewDecoder(cut)
-	told.KnownIdentifiers(known)
+	told.Known = known
 	DecodeNodeID(plain)
 	DecodeNodeID(told)
 	if plain.Err() == nil || told.Err() != plain.Err() || told.Offset() != plain.Offset() {

@@ -31,7 +31,7 @@ func DecodeGuid(d *Decoder) Guid {
 	g.Data1 = d.ReadUint32()
 	g.Data2 = d.ReadUint16()
 	g.Data3 = d.ReadUint16()
-	copy(g.Data4[:], d.ReadRaw(8))
+	copy(g.Data4[:], d.take(8))
 	return g
 }
 
@@ -66,23 +66,17 @@ const (
 )
 
 // NodeID identifies a node in an OPC UA address space. It is 24 bytes
-// and comparable: every identifier but a numeric one is held in Text,
-// so equal node ids are == and a NodeID is a map key as it stands.
+// and comparable (a map key as it stands): Text holds every identifier
+// but a numeric one, a Guid as its 16-byte encoding.
 type NodeID struct {
 	Type      NodeIDType
 	Namespace uint16
 	Numeric   uint32
-	// Text is the identifier of a String node id, the bytes of a
-	// ByteString one and the 16-byte encoding of a Guid one.
-	Text string
+	Text      string // String, ByteString or Guid identifier
 }
 
 // guid returns the identifier of a Guid node id.
-func (n NodeID) guid() Guid {
-	var b [16]byte
-	copy(b[:], n.Text)
-	return DecodeGuid(&Decoder{b: b[:]})
-}
+func (n NodeID) guid() Guid { return DecodeGuid(NewDecoder([]byte(n.Text))) }
 
 // NewNumericNodeID returns a numeric NodeID in the given namespace.
 func NewNumericNodeID(ns uint16, id uint32) NodeID {
@@ -453,11 +447,9 @@ func DecodeDataValue(d *Decoder) DataValue {
 	return decodeDataValue(d, &values, 1)
 }
 
-// DecodeDataValues reads n DataValues from d, n a length that
-// ReadArrayLenOf has checked. Their values share one allocation, made
-// at the first value present and sized for as many of the n left as the
-// bytes left could hold (two each at least: the mask and the Variant's
-// type), so a claim buys no more than one allocation per value would.
+// DecodeDataValues reads n DataValues, n a length ReadArrayLenOf checked.
+// Their values share one allocation, sized at the first value for what
+// the bytes left could hold (two each): no more than a box per value.
 func DecodeDataValues(d *Decoder, n int) []DataValue {
 	if n <= 0 {
 		return nil
@@ -470,8 +462,7 @@ func DecodeDataValues(d *Decoder, n int) []DataValue {
 	return out
 }
 
-// decodeDataValue reads a DataValue whose value it appends to *values,
-// which it replaces by a fresh slice of room for left when full.
+// decodeDataValue reads a DataValue, its value appended to *values.
 func decodeDataValue(d *Decoder, values *[]Variant, left int) DataValue {
 	var v DataValue
 	flags := d.ReadUint8()

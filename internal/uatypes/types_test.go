@@ -173,7 +173,7 @@ func TestVariantScalarRoundTrip(t *testing.T) {
 	now := time.Date(2020, 8, 30, 12, 0, 0, 0, time.UTC)
 	cases := []Variant{
 		{},
-		BoolVariant(true),
+		{Type: TypeBoolean, Bool: true},
 		Int32Variant(-42),
 		{Type: TypeUint32, Uint: 42},
 		DoubleVariant(1.5),
@@ -189,9 +189,9 @@ func TestVariantScalarRoundTrip(t *testing.T) {
 		{Type: TypeFloat, Float: 0.5},
 		{Type: TypeGuid, Ext: &VariantExt{GuidVal: Guid{Data1: 0x12345678, Data2: 0x9abc, Data3: 0xdef0, Data4: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}}}},
 		{Type: TypeByteString, Ext: &VariantExt{Bytes: []byte{9, 8, 7}}},
-		NodeIDVariant(NewStringNodeID(2, "n")),
+		{Type: TypeNodeID, Ext: &VariantExt{Node: NewStringNodeID(2, "n")}},
 		{Type: TypeStatusCode, Status: uastatus.BadNodeIdUnknown},
-		QualifiedNameVariant(QualifiedName{1, "q"}),
+		{Type: TypeQualifiedName, Ext: &VariantExt{QName: QualifiedName{1, "q"}}},
 	}
 	for _, v := range cases {
 		e := NewEncoder(0)

@@ -47,13 +47,9 @@ const (
 )
 
 // Variant is a polymorphic value container. Exactly one field matching
-// Type is populated; for arrays, the slice field is used instead.
-//
-// The kinds an address-space walk reads — Boolean, the integers, the
-// floats, String/XmlElement and StatusCode — live inline; every other
-// kind lives behind Ext, which is nil for the inline kinds. That keeps a
-// Variant at 80 bytes: one is inline in every address-space node and in
-// every DataValue a Read returns.
+// Type is populated; for arrays, the slice field is used instead. The
+// kinds a walk reads are inline and the rest behind Ext, so a Variant,
+// which every address-space node holds, is 80 bytes.
 type Variant struct {
 	Type    TypeID
 	IsArray bool
@@ -67,8 +63,8 @@ type Variant struct {
 	Ext     *VariantExt
 }
 
-// VariantExt holds the value of a Variant of a kind the study rarely
-// carries. A nil Ext reads as the zero value of every field.
+// VariantExt holds the value of a Variant of a rarely carried kind; a
+// nil Ext reads as the zero value.
 type VariantExt struct {
 	Time    time.Time
 	GuidVal Guid
@@ -83,21 +79,14 @@ type VariantExt struct {
 	Nested []byte
 }
 
-// noExt is what a nil Ext reads as.
-var noExt VariantExt
-
-// ext returns v's rare-kind value, the zero value when Ext is nil.
 func (v *Variant) ext() *VariantExt {
 	if v.Ext == nil {
-		return &noExt
+		return new(VariantExt)
 	}
 	return v.Ext
 }
 
 // Convenience constructors for the types the study exercises.
-
-// BoolVariant wraps a bool.
-func BoolVariant(v bool) Variant { return Variant{Type: TypeBoolean, Bool: v} }
 
 // Int32Variant wraps an int32.
 func Int32Variant(v int32) Variant { return Variant{Type: TypeInt32, Int: int64(v)} }
@@ -109,23 +98,11 @@ func DoubleVariant(v float64) Variant { return Variant{Type: TypeDouble, Float: 
 func StringVariant(v string) Variant { return Variant{Type: TypeString, Str: v} }
 
 // TimeVariant wraps a time.Time.
-func TimeVariant(v time.Time) Variant {
-	return Variant{Type: TypeDateTime, Ext: &VariantExt{Time: v}}
-}
+func TimeVariant(v time.Time) Variant { return Variant{Type: TypeDateTime, Ext: &VariantExt{Time: v}} }
 
 // LocalizedTextVariant wraps a localized text.
 func LocalizedTextVariant(v string) Variant {
 	return Variant{Type: TypeLocalizedText, Ext: &VariantExt{LText: NewText(v)}}
-}
-
-// QualifiedNameVariant wraps a qualified name.
-func QualifiedNameVariant(q QualifiedName) Variant {
-	return Variant{Type: TypeQualifiedName, Ext: &VariantExt{QName: q}}
-}
-
-// NodeIDVariant wraps a node id.
-func NodeIDVariant(n NodeID) Variant {
-	return Variant{Type: TypeNodeID, Ext: &VariantExt{Node: n}}
 }
 
 // StringArrayVariant wraps a string slice.
@@ -292,6 +269,7 @@ func DecodeVariant(d *Decoder) Variant {
 }
 
 func (v *Variant) decodeScalar(d *Decoder) {
+	start := d.off
 	switch v.Type {
 	case TypeBoolean:
 		v.Bool = d.ReadBool()
@@ -335,22 +313,16 @@ func (v *Variant) decodeScalar(d *Decoder) {
 		v.Ext = &VariantExt{LText: DecodeLocalizedText(d)}
 	case TypeExtensionObject:
 		v.Ext = &VariantExt{ExtObj: DecodeExtensionObject(d)}
-	case TypeDataValue, TypeVariant, TypeDiagnosticInfo:
-		// The nested value is decoded to find its end (and to fail the
-		// way it always has), then kept as the bytes it occupied.
-		start := d.off
-		switch v.Type {
-		case TypeDataValue:
-			DecodeDataValue(d)
-		case TypeVariant:
-			DecodeVariant(d)
-		default:
-			DecodeDiagnosticInfo(d)
-		}
-		if d.err == nil {
-			v.Ext = &VariantExt{Nested: append([]byte(nil), d.b[start:d.off]...)}
-		}
+	case TypeDataValue:
+		DecodeDataValue(d)
+	case TypeVariant:
+		DecodeVariant(d)
+	case TypeDiagnosticInfo:
+		DecodeDiagnosticInfo(d)
 	default:
 		d.fail(fmt.Errorf("%w: variant scalar type %d", ErrInvalidData, v.Type))
+	}
+	if v.Type >= TypeDataValue && d.err == nil { // a nested value is kept as its bytes
+		v.Ext = &VariantExt{Nested: append([]byte(nil), d.b[start:d.off]...)}
 	}
 }
