@@ -59,11 +59,12 @@ func parseFaultSpec(spec string) (fabric.FaultInjector, error) {
 // runFabricCoordinator serves the networked shard fabric: it leases
 // the campaign's shards to dialing workers, survives worker loss by
 // re-queueing uncommitted shards, and merges the committed streams.
-func runFabricCoordinator(cfg opcuastudy.CampaignConfig, addr string, shards int, deadAfter, heartbeat time.Duration, datasetPath string, csv bool, mopts metricsOptions) error {
+func runFabricCoordinator(cfg opcuastudy.CampaignConfig, addr string, shards int, deadAfter time.Duration, datasetPath string, csv bool, mopts metricsOptions) error {
 	if shards < 1 {
 		return fmt.Errorf("-listen requires -shards of at least 1, got %d", shards)
 	}
-	spec := cfg.FabricSpec(shards, heartbeat)
+	// No heartbeat: no worker reads the spec's, each beats at its own.
+	spec := cfg.FabricSpec(shards, 0)
 	hello, err := spec.Encode()
 	if err != nil {
 		return err

@@ -130,7 +130,7 @@ var flagModes = map[string]int{
 	"dataset": single | coordinator, "anonymize": single | coordinator, "csv": single | coordinator,
 	"trace": single, "metrics-interval": single | worker,
 	"listen": coordinator, "dead-after": coordinator, "connect": worker, "name": worker,
-	"fault": worker, "heartbeat": coordinator | worker,
+	"fault": worker, "heartbeat": worker,
 }
 
 var modeText = map[int]string{
@@ -159,7 +159,7 @@ func main() {
 	connectAddr := flag.String("connect", "", "fabric worker mode: dial this coordinator and execute leased shards")
 	workerName := flag.String("name", "", "fabric worker name (default worker-<pid>)")
 	faultSpec := flag.String("fault", "", "fabric worker fault injection for tests: kill=N (die at the Nth record) | stall=N (wedge at the Nth record) | drop=N (sever after the Nth frame)")
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "fabric worker heartbeat cadence (with -listen only recorded in the campaign spec: each worker beats at its own)")
+	heartbeat := flag.Duration("heartbeat", 2*time.Second, "fabric worker heartbeat cadence (with -connect: each worker beats at its own)")
 	deadAfter := flag.Duration("dead-after", 10*time.Second, "fabric coordinator: declare a worker dead after this heartbeat gap and re-queue its shards")
 	metricsPath := flag.String("metrics", "", "stream telemetry snapshots as NDJSON to this file (\"-\" = stdout); a fabric coordinator writes the merge stage's and its own closing snapshots")
 	metricsInterval := flag.Duration("metrics-interval", 0, "periodic snapshot cadence (0 = closing snapshot only)")
@@ -221,7 +221,7 @@ func main() {
 	case worker:
 		err = runFabricWorker(cfg, *connectAddr, *workerName, faults, *heartbeat, mopts)
 	case coordinator:
-		err = runFabricCoordinator(cfg, *listenAddr, *shards, *deadAfter, *heartbeat, *datasetPath, *csv, mopts)
+		err = runFabricCoordinator(cfg, *listenAddr, *shards, *deadAfter, *datasetPath, *csv, mopts)
 	default:
 		cfg.Shards = *shards
 		err = runSingle(cfg, *datasetPath, *csv, mopts)

@@ -72,7 +72,7 @@ func runFabricMeasure(t *testing.T, bin, dir string, workers int, coordArgs ...s
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	coord := exec.CommandContext(ctx, bin,
-		append([]string{"-listen", "127.0.0.1:0", "-heartbeat", "100ms"}, coordArgs...)...)
+		append([]string{"-listen", "127.0.0.1:0"}, coordArgs...)...)
 	stderr, err := coord.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -339,11 +339,17 @@ func TestMeasureFlagValidation(t *testing.T) {
 		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-testkeys", "-trace", "t.ndjson"},
 			"-trace has no effect with -listen"},
 		{[]string{"-testkeys", "-waves", "7", "-heartbeat", "1s"}, "-heartbeat has no effect without -listen or -connect"},
+		// No worker reads a coordinator's heartbeat: each beats at its own.
+		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-heartbeat", "1s"}, "-heartbeat has no effect with -listen"},
 		// Faults are injected on workers only.
 		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-fault", "kill=3"}, "-fault has no effect with -listen"},
 		{[]string{"-connect", "127.0.0.1:1", "-fault", "dupgrant"}, `unknown -fault "dupgrant"`},
 	} {
-		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		// A rejection comes at flag time; a coordinator that accepted
+		// its flags would wait for workers until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+		cancel()
 		if err == nil || !bytes.Contains(out, []byte(tc.want)) {
 			t.Errorf("measure %v: err %v, want %q in\n%s", tc.args, err, tc.want, out)
 		}
