@@ -266,8 +266,9 @@ func BenchmarkCampaignWave(b *testing.B) {
 // longitudinal campaign — all eight weekly waves against the
 // full-fidelity 1,114-server world — with the memoized
 // asymmetric-crypto engine and deterministic handshakes on ("cached",
-// the production default) versus the same campaign recomputing every
-// RSA operation with fresh randomness ("uncached", the PR 3 baseline).
+// the production default) versus the reference run of the same campaign
+// ("uncached": every RSA operation recomputed with fresh randomness,
+// every discovery response encoded structurally).
 // The paper's cross-wave structure is exactly what the engine exploits:
 // only 84 certificates renew across the eight waves and one key is
 // shared by 385 hosts, so nearly every OPN exchange after wave 0 is a
@@ -279,8 +280,8 @@ func BenchmarkCampaignWave(b *testing.B) {
 func BenchmarkCampaign8Waves(b *testing.B) {
 	c := benchCampaign(b)
 	for _, mode := range []struct {
-		name     string
-		uncached bool
+		name      string
+		reference bool
 	}{
 		{"cached", false},
 		{"uncached", true},
@@ -288,7 +289,7 @@ func BenchmarkCampaign8Waves(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := c.Config
 			cfg.Waves = nil // all eight
-			cfg.uncachedCrypto = mode.uncached
+			cfg.reference = mode.reference
 			for i := 0; i < b.N; i++ {
 				run, err := RunCampaignOnWorld(context.Background(), cfg, c.World)
 				if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,42 +119,81 @@ func TestChaosCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosCampaignSharded is the shard-equivalence gate under chaos:
-// the stateless behavior model must keep a 4-shard execution
-// byte-identical to the unsharded one even though retries and flap
-// attempt numbers play out independently per shard.
-func TestChaosCampaignSharded(t *testing.T) {
+// TestCampaignConcurrentStudiesOwnChaos runs two studies on one world
+// at once, a polite delta campaign and a chaos-mixed one, sequenced so
+// that the chaos campaign starts between the polite campaign's two
+// snapshots. Each must reproduce its solo run's dataset bytes: a chaos
+// model kept on the shared world would reach the polite campaign's
+// second wave.
+func TestCampaignConcurrentStudiesOwnChaos(t *testing.T) {
 	if testing.Short() {
-		t.Skip("chaos campaign skipped in -short mode")
+		t.Skip("campaign equivalence skipped in -short mode")
 	}
-	cfg := chaosTestConfig("mixed")
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := RunCampaignOnWorld(context.Background(), cfg, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := datasetBytes(t, baseline)
-	if len(countFailures(baseline)) == 0 {
-		t.Fatal("chaos campaign produced no classified failures")
-	}
-
-	for _, shards := range []int{1, 4} {
-		sharded := cfg
-		sharded.Shards = shards
-		run, err := RunCampaignOnWorld(context.Background(), sharded, world)
+	world := execWorld(t)
+	// Waves 5 and 7: the delta wave re-grabs enough hosts (renewals and
+	// churn over two weeks) that the mixed model reaches some of them.
+	polite := execFixture()
+	polite.Delta, polite.Waves = true, []int{5, 7}
+	chaotic := execFixture()
+	chaotic.ChaosProfile = "mixed"
+	solo := func(cfg CampaignConfig) []byte {
+		c, err := RunCampaignOnWorld(context.Background(), cfg, world)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if got := datasetBytes(t, run); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: chaos dataset differs from unsharded (%d vs %d bytes)",
-				shards, len(got), len(want))
+		return datasetBytes(t, c)
+	}
+	wantPolite, wantChaos := solo(polite), solo(chaotic)
+
+	// A campaign reports "wave N (date): scanning..." right after it
+	// snapshots wave N. The polite campaign holds there after its first
+	// snapshot until the chaos campaign has taken its own.
+	scanning := func(format string) bool { return strings.HasSuffix(format, "scanning...") }
+	politeSnapped, politeDone, chaosStarted := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var politeOnce, chaosOnce sync.Once
+	startChaos := func() { chaosOnce.Do(func() { close(chaosStarted) }) }
+	polite.Progressf = func(format string, _ ...any) {
+		if scanning(format) {
+			politeOnce.Do(func() {
+				close(politeSnapped)
+				<-chaosStarted
+			})
 		}
-		if !reflect.DeepEqual(run.Analyses, baseline.Analyses) {
-			t.Errorf("shards=%d: chaos analyses differ from unsharded", shards)
+	}
+	chaotic.Progressf = func(format string, _ ...any) {
+		if scanning(format) {
+			startChaos()
 		}
+	}
+	var (
+		wg              sync.WaitGroup
+		politeC, chaosC *Campaign
+		politeE, chaosE error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(politeDone)
+		politeC, politeE = RunCampaignOnWorld(context.Background(), polite, world)
+	}()
+	go func() {
+		defer wg.Done()
+		defer startChaos()
+		select {
+		case <-politeSnapped:
+		case <-politeDone:
+		}
+		chaosC, chaosE = RunCampaignOnWorld(context.Background(), chaotic, world)
+	}()
+	wg.Wait()
+	if politeE != nil || chaosE != nil {
+		t.Fatalf("polite: %v, chaos: %v", politeE, chaosE)
+	}
+	if got := datasetBytes(t, politeC); !bytes.Equal(got, wantPolite) {
+		t.Errorf("the polite campaign's dataset differs from its solo run's (%d vs %d bytes)", len(got), len(wantPolite))
+	}
+	if got := datasetBytes(t, chaosC); !bytes.Equal(got, wantChaos) {
+		t.Errorf("the chaos campaign's dataset differs from its solo run's (%d vs %d bytes)", len(got), len(wantChaos))
 	}
 }
 

@@ -82,9 +82,8 @@ func (dw *deltaWave) delta() bool { return dw != nil && dw.diff != nil }
 // newDeltaTracker fingerprints every selected wave up front — pure spec
 // state under the campaign's study, no dialing — and validates the
 // selection. Waves may be any distance apart: the diff compares absolute
-// state, not wave arithmetic. Requires the chaos model to be installed
-// on the world already (newCampaignRun orders it), so the fingerprints
-// fold the same (wave, host) chaos decisions the dial path will consult.
+// state, not wave arithmetic. The fingerprints fold the study's (wave,
+// host) chaos decisions, the ones the campaign's snapshots serve.
 func newDeltaTracker(st study.Study, world *deploy.World) (*deltaTracker, error) {
 	waves := st.Waves
 	if len(waves) < 2 {

@@ -16,8 +16,9 @@ import (
 // (presence change), the follow-references switch-on for hidden
 // hosts, or a redrawn (wave, host) chaos decision — and must stay
 // bit-stable otherwise. The check is bidirectional over every endpoint
-// and every wave pair, so WaveEndpointStates can neither miss a change
-// (unsound skip) nor invent one (lost speedup) without failing here.
+// and every wave pair, so WaveEndpointStates and the plan's chaos fold
+// can neither miss a change (unsound skip) nor invent one (lost
+// speedup) without failing here.
 func TestWaveEndpointStatesFingerprints(t *testing.T) {
 	spec := buildSpec(t)
 	// Materialize enough of the population to include at least one
@@ -75,7 +76,6 @@ func TestWaveEndpointStatesFingerprints(t *testing.T) {
 		name := "polite"
 		if chaosOn {
 			name = "chaos"
-			world.SetChaos(model)
 		}
 		t.Run(name, func(t *testing.T) {
 			ctx := wavediff.Context{Seed: spec.Seed, TestKeySizes: true,

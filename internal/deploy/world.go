@@ -64,11 +64,10 @@ type World struct {
 	// world, in the order the stages were started. Read-only.
 	Build []BuildStage
 
-	// crypto is what SnapshotWave's servers compute through (SetCrypto).
-	crypto uaserver.Crypto
-	// chaos is the campaign-installed adversarial-host model; wave
-	// binding happens in SnapshotWave. Zero value: polite.
-	chaos chaos.Model
+	// serve is how SnapshotWave's servers serve their connections:
+	// production's response caches, through the engine SetCrypto
+	// installed.
+	serve uaserver.ConnOptions
 }
 
 // BuildStage is one row of World.Build: "keys_<bits>" per key size,
@@ -130,7 +129,8 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	}
 	// Every noise address, hence every dataset, depends on this seed.
 	noise := simnet.NewNoise(opts.NoiseProb, 0x9E3779B97F4A7C15)
-	w := &World{Spec: spec, Net: &worldview.Config{Universe: u, Noise: noise}, Keys: uacert.NewDeterministicKeyPool(spec.Seed)}
+	w := &World{Spec: spec, Net: &worldview.Config{Universe: u, Noise: noise}, Keys: uacert.NewDeterministicKeyPool(spec.Seed),
+		serve: uaserver.ConnOptions{CachedResponses: true}}
 	// One pass over the universe here, not one per snapshot: every wave's
 	// responsive index shares the noise list.
 	w.Net.IndexNoise()
@@ -467,32 +467,34 @@ func (wh *worldHost) serverAt(wave int) (*uaserver.Server, error) {
 	return srv, nil
 }
 
-// SnapshotWave is SnapshotWaveCrypto with the world's default crypto,
-// the settings SetCrypto last installed.
+// SnapshotWave is SnapshotWaveFor with the world's default serving —
+// the pre-encoded response caches and the engine SetCrypto last
+// installed — and no chaos.
 func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
 	w.mu.Lock()
-	c := w.crypto
+	o := w.serve
 	w.mu.Unlock()
-	return w.SnapshotWaveCrypto(wave, c)
+	return w.SnapshotWaveFor(wave, o, chaos.Model{})
 }
 
-// SnapshotWaveCrypto builds an immutable worldview of the wave's
-// population: hosts and discovery servers present at the wave are
-// registered into a fresh sharded snapshot over World.Net, with the chaos
-// model bound to the wave, and every connection the snapshot serves
-// computes its handshake through c. Snapshots share the underlying
-// (concurrency-safe) server instances but not their crypto, so any
-// number of them — of one wave or many, for one campaign or several —
-// can be built and scanned at the same time, each campaign handshaking
-// through its own engine on both ends of the wire.
-func (w *World) SnapshotWaveCrypto(wave int, c uaserver.Crypto) (*worldview.Snapshot, error) {
+// SnapshotWaveFor builds one campaign's immutable worldview of the
+// wave's population: hosts and discovery servers present at the wave
+// are registered into a fresh sharded snapshot over World.Net, with the
+// campaign's chaos model m bound to the wave, and every connection the
+// snapshot serves runs under o. Snapshots share the underlying
+// (concurrency-safe) server instances but nothing a campaign chooses, so
+// any number of them — of one wave or many, for one campaign or
+// several — can be built and scanned at the same time, each campaign
+// seeing its own chaos and handshaking through its own engine on both
+// ends of the wire.
+func (w *World) SnapshotWaveFor(wave int, o uaserver.ConnOptions, m chaos.Model) (*worldview.Snapshot, error) {
 	if wave < 0 || wave >= len(WaveDates) {
 		return nil, fmt.Errorf("deploy: wave %d out of range", wave)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	cfg := *w.Net
-	cfg.Chaos = w.chaos.ForWave(wave)
+	cfg.Chaos = m.ForWave(wave)
 	b, err := worldview.NewBuilder(cfg)
 	if err != nil {
 		return nil, err
@@ -505,68 +507,36 @@ func (w *World) SnapshotWaveCrypto(wave int, c uaserver.Crypto) (*worldview.Snap
 		if err != nil {
 			return nil, err
 		}
-		b.AddHost(netip.Addr(wh.spec.IP), wh.spec.Port, wh.spec.ASN, &cryptoHandler{srv, c})
+		b.AddHost(netip.Addr(wh.spec.IP), wh.spec.Port, wh.spec.ASN, &connHandler{srv, o})
 	}
 	for _, wd := range w.discovery {
 		if wave < len(wd.spec.Present) && wd.spec.Present[wave] {
-			b.AddHost(wd.spec.IP, 4840, wd.spec.ASN, &cryptoHandler{wd.server, c})
+			b.AddHost(wd.spec.IP, 4840, wd.spec.ASN, &connHandler{wd.server, o})
 		}
 	}
 	return b.Build(), nil
 }
 
-// cryptoHandler is how a snapshot registers a world server: the
-// snapshot's crypto rides on the handler, never on the shared server.
-type cryptoHandler struct {
-	srv    *uaserver.Server
-	crypto uaserver.Crypto
+// connHandler is how a snapshot registers a world server: the
+// snapshot's connection options ride on the handler, never on the
+// shared server.
+type connHandler struct {
+	srv *uaserver.Server
+	o   uaserver.ConnOptions
 }
 
-func (h *cryptoHandler) HandleConn(conn net.Conn) { h.srv.HandleConnCrypto(conn, h.crypto) }
+func (h *connHandler) HandleConn(conn net.Conn) { h.srv.HandleConnWith(conn, h.o) }
 
-// SetResponseCaches toggles the pre-encoded GetEndpoints/FindServers
-// response caches on every server materialized so far (servers built
-// afterwards start with the cache on, as always). It exists for the
-// cached-vs-uncached equivalence gate; production campaigns never turn
-// the caches off.
-//
-//studyvet:api — the reference switch the response-cache equivalence gate compares against
-func (w *World) SetResponseCaches(on bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, wh := range w.hosts {
-		for _, srv := range wh.server {
-			srv.EnableResponseCache(on)
-		}
-	}
-	for _, wd := range w.discovery {
-		wd.server.EnableResponseCache(on)
-	}
-}
-
-// SetCrypto sets the world's default crypto: the memoized
-// asymmetric-crypto engine and deterministic-handshake mode that
-// snapshots taken afterwards by SnapshotWave serve through. It reaches no
-// server and no snapshot already built. Campaigns do not use it — each
-// snapshots through its own engine with SnapshotWaveCrypto — so it only
-// matters to callers that drive SnapshotWave themselves.
+// SetCrypto sets the memoized asymmetric-crypto engine and
+// deterministic-handshake mode that snapshots taken afterwards by
+// SnapshotWave serve through. It reaches no server and no snapshot
+// already built. Campaigns do not use it — each snapshots with its own
+// options through SnapshotWaveFor — so it only matters to callers that
+// drive SnapshotWave themselves.
 func (w *World) SetCrypto(engine *uarsa.Engine, deterministic bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.crypto = uaserver.Crypto{Engine: engine, Deterministic: deterministic}
-}
-
-// SetChaos installs the campaign's adversarial-host model: opcuastudy
-// installs it (or the zero model, when chaos is off) before
-// materializing wave views, so a campaign never inherits an earlier
-// one's chaos. Snapshots built afterwards carry the model bound to their
-// wave. Unlike crypto it is world state, so of two campaigns racing on
-// one world the last install wins; the leases of one fabric campaign all
-// install the same model.
-func (w *World) SetChaos(m chaos.Model) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.chaos = m
+	w.serve.Engine, w.serve.Deterministic = engine, deterministic
 }
 
 // HostCert returns the certificate a host serves at the wave; nil if the

@@ -331,7 +331,6 @@ func TestSnapshotWaveConcurrent(t *testing.T) {
 	run("snapshot", func(wave int) error { _, err := w.SnapshotWave(wave); return err })
 	run("endpoint states", func(wave int) error { _, err := w.WaveEndpointStates(wave); return err })
 	run("crypto", func(wave int) error { w.SetCrypto(uarsa.NewEngine(0), wave%2 == 0); return nil })
-	run("response caches", func(wave int) error { w.SetResponseCaches(wave%2 == 0); return nil })
 	wg.Wait()
 }
 

@@ -296,7 +296,7 @@ func TestServersCloseTheirEnd(t *testing.T) {
 		serve func(net.Conn)
 	}
 	servers := []server{
-		{"uaserver", func(c net.Conn) { srv.HandleConnCrypto(c, uaserver.Crypto{}) }},
+		{"uaserver", func(c net.Conn) { srv.HandleConnWith(c, uaserver.ConnOptions{}) }},
 		{"noise", simnet.ServeNoise},
 	}
 	ap := netip.MustParseAddrPort(gateHost)

@@ -381,8 +381,8 @@ func TestGrabMatchesFourDialGrab(t *testing.T) {
 // TestGrabMatchesFourDialGrabOnDeployWorld sweeps the study's world at
 // its last wave — every profile deploy builds, discovery servers and
 // referenced hosts included — politely, and a sample of it under each
-// chaos kind with the retry budget armed (one snapshot per kind, taken
-// after the chaos model is installed), and requires Grab ≡ the four-dial
+// chaos kind with the retry budget armed (one snapshot per kind, built
+// with that kind's chaos model), and requires Grab ≡ the four-dial
 // grab host by host.
 func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 	spec, err := deploy.BuildSpec(2020)
@@ -422,9 +422,8 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			sc := newScanner(t, nil)
 			targets := all
-			if kind == chaos.KindNone {
-				world.SetChaos(chaos.Model{})
-			} else {
+			var model chaos.Model
+			if kind != chaos.KindNone {
 				// A fifth of the hosts, under the retry budget. A host
 				// that stalls costs its deadline on the grab's timeline,
 				// not on the wall.
@@ -436,10 +435,9 @@ func TestGrabMatchesFourDialGrabOnDeployWorld(t *testing.T) {
 				for i := 0; i < len(all); i += 5 {
 					targets = append(targets, all[i])
 				}
-				world.SetChaos(chaos.Model{Seed: 14, Prob: 0.35, Kinds: []chaos.Kind{kind}})
+				model = chaos.Model{Seed: 14, Prob: 0.35, Kinds: []chaos.Kind{kind}}
 			}
-			defer world.SetChaos(chaos.Model{})
-			view, err := world.SnapshotWave(7)
+			view, err := world.SnapshotWaveFor(7, uaserver.ConnOptions{CachedResponses: true}, model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,8 +525,7 @@ func TestStageDeadlinesFireOnlyWhenStuck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world.SetChaos(model)
-	view, err := world.SnapshotWave(7)
+	view, err := world.SnapshotWaveFor(7, uaserver.ConnOptions{CachedResponses: true}, model)
 	if err != nil {
 		t.Fatal(err)
 	}

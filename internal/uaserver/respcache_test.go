@@ -59,11 +59,8 @@ func TestResponseCacheByteIdentical(t *testing.T) {
 		&uamsg.GetEndpointsRequest{},
 		&uamsg.FindServersRequest{},
 	} {
-		srv.EnableResponseCache(true)
-		cached := srv.dispatch(nil, nil, req, time.Time{})
-		srv.EnableResponseCache(false)
-		plain := srv.dispatch(nil, nil, req, time.Time{})
-		srv.EnableResponseCache(true)
+		cached := srv.dispatch(nil, nil, req, time.Time{}, ConnOptions{CachedResponses: true})
+		plain := srv.dispatch(nil, nil, req, time.Time{}, ConnOptions{})
 
 		if _, ok := cached.(*uamsg.PreEncodedResponse); !ok {
 			t.Fatalf("%T: cached dispatch returned %T", req, cached)
@@ -100,7 +97,7 @@ func TestCachedGetEndpointsServeAllocBudget(t *testing.T) {
 	e := uatypes.AcquireEncoder(len(srv.epSuffix) + 128)
 	defer uatypes.ReleaseEncoder(e)
 	allocs := testing.AllocsPerRun(500, func() {
-		resp := srv.dispatch(nil, nil, req, time.Time{})
+		resp := srv.dispatch(nil, nil, req, time.Time{}, ConnOptions{CachedResponses: true})
 		e.Reset()
 		uamsg.EncodeTo(e, resp)
 	})
@@ -113,19 +110,18 @@ func TestCachedGetEndpointsServeAllocBudget(t *testing.T) {
 func BenchmarkGetEndpointsServe(b *testing.B) {
 	srv := newCacheTestServer(b)
 	req := &uamsg.GetEndpointsRequest{}
+	// "uncached" is the reference serving, the zero ConnOptions.
 	for _, mode := range []struct {
-		name   string
-		cached bool
-	}{{"cached", true}, {"uncached", false}} {
+		name string
+		o    ConnOptions
+	}{{"cached", ConnOptions{CachedResponses: true}}, {"uncached", ConnOptions{}}} {
 		b.Run(mode.name, func(b *testing.B) {
-			srv.EnableResponseCache(mode.cached)
-			defer srv.EnableResponseCache(true)
 			e := uatypes.AcquireEncoder(len(srv.epSuffix) + 128)
 			defer uatypes.ReleaseEncoder(e)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp := srv.dispatch(nil, nil, req, time.Time{})
+				resp := srv.dispatch(nil, nil, req, time.Time{}, mode.o)
 				e.Reset()
 				uamsg.EncodeTo(e, resp)
 			}

@@ -97,12 +97,11 @@ type Server struct {
 	// encodings — including the embedded certificate chain — are
 	// produced once here and served as cached bytes. Only the response
 	// header (timestamp, request handle) is encoded per request; nonces
-	// and signatures never live in these messages. respCache gates the
-	// fast path so equivalence tests can compare against the structured
-	// encoding on the same server instance.
-	epSuffix  []byte // GetEndpointsResponse body after the header
-	fsSuffix  []byte // FindServersResponse body after the header
-	respCache atomic.Bool
+	// and signatures never live in these messages. A connection reads
+	// them only under ConnOptions.CachedResponses, so the reference
+	// serving encodes the structured response on the same instance.
+	epSuffix []byte // GetEndpointsResponse body after the header
+	fsSuffix []byte // FindServersResponse body after the header
 
 	sessionCounter atomic.Uint32
 }
@@ -153,7 +152,6 @@ func New(cfg Config) (*Server, error) {
 	s.endpoints = s.buildEndpoints()
 	s.epSuffix = uamsg.EncodeEndpointsArray(s.endpoints)
 	s.fsSuffix = uamsg.EncodeServersArray(s.knownServers())
-	s.respCache.Store(true)
 	return s, nil
 }
 
@@ -165,22 +163,19 @@ func (s *Server) knownServers() []uamsg.ApplicationDescription {
 	return append(servers, s.cfg.KnownServers...)
 }
 
-// Crypto is how one connection's handshake computes: the memoized
-// asymmetric-crypto engine (nil computes every RSA operation) and the
-// deterministic-handshake mode. It belongs to the campaign that dialed
-// the connection, never to the server, which campaigns share
-// (DESIGN.md §4). The zero value is fresh randomness and no memo.
-type Crypto struct {
-	Engine        *uarsa.Engine
-	Deterministic bool
+// ConnOptions is how one connection is served: the memoized
+// asymmetric-crypto engine (nil computes every RSA operation), the
+// deterministic-handshake mode, and whether GetEndpoints/FindServers
+// are answered from the server's pre-encoded response caches. It
+// belongs to the campaign that dialed the connection, never to the
+// server, which campaigns share (DESIGN.md §4). The zero value is the
+// reference every optimisation is compared against: fresh randomness,
+// no memo, every response encoded structurally.
+type ConnOptions struct {
+	Engine          *uarsa.Engine
+	Deterministic   bool
+	CachedResponses bool
 }
-
-// EnableResponseCache toggles serving GetEndpoints/FindServers from the
-// pre-encoded per-server byte cache. It exists for the equivalence
-// gates, which pin the cached wire encoding byte-identical to the
-// structured one on the same server instance; production servers keep
-// it on.
-func (s *Server) EnableResponseCache(on bool) { s.respCache.Store(on) }
 
 func (s *Server) buildEndpoints() []uamsg.EndpointDescription {
 	urls := append([]string{s.cfg.EndpointURL}, s.cfg.ExtraEndpointURLs...)
@@ -224,9 +219,9 @@ func (s *Server) buildEndpoints() []uamsg.EndpointDescription {
 func (s *Server) Config() Config { return s.cfg }
 
 // HandleConn serves one client connection synchronously with the zero
-// Crypto. The caller owns the accept loop: the simulated Internet hands
-// in its in-memory connections, tests a loopback listener's.
-func (s *Server) HandleConn(conn net.Conn) { s.HandleConnCrypto(conn, Crypto{}) }
+// ConnOptions. The caller owns the accept loop: the simulated Internet
+// hands in its in-memory connections, tests a loopback listener's.
+func (s *Server) HandleConn(conn net.Conn) { s.HandleConnWith(conn, ConnOptions{}) }
 
 // allowedModes implements the uasc policy gate from the endpoint table.
 func (s *Server) allowedModes(p *uapolicy.Policy) []uamsg.MessageSecurityMode {
@@ -253,9 +248,8 @@ type session struct {
 	contSeq   int
 }
 
-// HandleConnCrypto serves one client connection synchronously, its
-// secure channel computing through c.
-func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
+// HandleConnWith serves one client connection synchronously under o.
+func (s *Server) HandleConnWith(conn net.Conn, o ConnOptions) {
 	defer conn.Close()
 	tr, err := uasc.ServerHello(conn, uasc.DefaultLimits())
 	if err != nil {
@@ -266,8 +260,8 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 		CertDER:       s.cfg.CertDER,
 		AllowedModes:  s.allowedModes,
 		LifetimeMS:    3600000,
-		Engine:        c.Engine,
-		Deterministic: c.Deterministic,
+		Engine:        o.Engine,
+		Deterministic: o.Deterministic,
 	}
 	if s.cfg.Quirks.RejectClientCert {
 		cfg.ValidateClientCert = func([]byte) uastatus.Code {
@@ -291,7 +285,7 @@ func (s *Server) HandleConnCrypto(conn net.Conn, c Crypto) {
 		if got.MsgType == uamsg.MsgTypeClose {
 			return
 		}
-		resp := s.dispatch(ch, sessions, got.Message, clock.Now())
+		resp := s.dispatch(ch, sessions, got.Message, clock.Now(), o)
 		if resp == nil {
 			return
 		}
@@ -317,17 +311,17 @@ func okHeader(now time.Time, handle uint32) uamsg.ResponseHeader {
 	}
 }
 
-// dispatch routes one request. A nil return closes the connection.
-// dispatch routes one request to its service handler. The cached
-// GetEndpoints/FindServers arms are the serve-side hot path:
-// TestCachedGetEndpointsServeAllocBudget holds dispatch-plus-encode to
-// two allocations per request.
+// dispatch routes one request to its service handler; a nil return
+// closes the connection. Under o.CachedResponses GetEndpoints and
+// FindServers are answered from the pre-encoded caches. Those arms are
+// the serve-side hot path: TestCachedGetEndpointsServeAllocBudget holds
+// dispatch-plus-encode to two allocations per request.
 //
 //studyvet:hotpath — per-request on every simulated server; BenchmarkGetEndpointsServe budgets its allocs
-func (s *Server) dispatch(ch *uasc.Channel, sessions map[string]*session, msg uamsg.Message, now time.Time) uamsg.Message {
+func (s *Server) dispatch(ch *uasc.Channel, sessions map[string]*session, msg uamsg.Message, now time.Time, o ConnOptions) uamsg.Message {
 	switch req := msg.(type) {
 	case *uamsg.GetEndpointsRequest:
-		if s.respCache.Load() {
+		if o.CachedResponses {
 			return &uamsg.PreEncodedResponse{
 				ID:     uamsg.IDGetEndpointsResponse,
 				Header: okHeader(now, req.Header.RequestHandle),
@@ -339,7 +333,7 @@ func (s *Server) dispatch(ch *uasc.Channel, sessions map[string]*session, msg ua
 			Endpoints: s.endpoints,
 		}
 	case *uamsg.FindServersRequest:
-		if s.respCache.Load() {
+		if o.CachedResponses {
 			return &uamsg.PreEncodedResponse{
 				ID:     uamsg.IDFindServersResponse,
 				Header: okHeader(now, req.Header.RequestHandle),

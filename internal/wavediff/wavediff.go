@@ -27,12 +27,19 @@
 // Two waves assigning one address equal fingerprints guarantee a real
 // grab would replay the identical exchange, so the prior record can be
 // cloned and re-stamped instead. Any miss falls back to a real grab.
+//
+// The chaos decision is the study's, not the world's: NewPlan derives
+// it from the study's chaos profile and seed, the model the campaign's
+// own snapshots are built with.
 package wavediff
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"net/netip"
 
+	"repro/internal/chaos"
 	"repro/internal/study"
 )
 
@@ -43,8 +50,9 @@ import (
 type Context = study.Study
 
 // EndpointState is one endpoint's wave-varying deployment state, the
-// per-host fingerprint input. deploy.World.WaveEndpointStates derives
-// it from spec state alone — no server is built, no channel opened.
+// per-host fingerprint input besides the chaos decision.
+// deploy.World.WaveEndpointStates derives it from spec state alone — no
+// server is built, no channel opened.
 type EndpointState struct {
 	// Address is the scan target ("ip:port"), the dataset's record key.
 	Address string
@@ -62,11 +70,6 @@ type EndpointState struct {
 	// SoftwareVersion is the version the server reports at the wave
 	// (renewals may carry a software update).
 	SoftwareVersion string
-	// ChaosKind/ChaosParam are the (wave, host) chaos decision for
-	// present endpoints (zero when chaos is off or the host is absent —
-	// the dial path never consults chaos for absent hosts).
-	ChaosKind  uint8
-	ChaosParam uint64
 }
 
 // Plan assigns every spec endpoint of one wave its fingerprint.
@@ -142,12 +145,12 @@ func contextSum(s study.Study) uint64 {
 	return uint64(h)
 }
 
-// fingerprint digests one endpoint's wave state under the campaign
-// context. followRefs is folded in only for endpoints the port scan
-// cannot discover: a reference-only host's record exists exactly when
-// the wave follows references, while a port-scanned host's record
-// bytes are independent of the flag.
-func fingerprint(ctxSum uint64, st EndpointState, followRefs bool) uint64 {
+// fingerprint digests one endpoint's wave state and chaos decision b
+// under the campaign context. followRefs is folded in only for
+// endpoints the port scan cannot discover: a reference-only host's
+// record exists exactly when the wave follows references, while a
+// port-scanned host's record bytes are independent of the flag.
+func fingerprint(ctxSum uint64, st EndpointState, b chaos.Behavior, followRefs bool) uint64 {
 	h := hasher(fnvOffset)
 	h.u64(ctxSum)
 	h.str(st.Address)
@@ -155,8 +158,8 @@ func fingerprint(ctxSum uint64, st EndpointState, followRefs bool) uint64 {
 	h.bit(st.PortScanned)
 	h.str(st.CertThumbprint)
 	h.str(st.SoftwareVersion)
-	h.u64(uint64(st.ChaosKind))
-	h.u64(st.ChaosParam)
+	h.u64(uint64(b.Kind))
+	h.u64(uint64(b.Param))
 	if !st.PortScanned {
 		h.bit(followRefs)
 	}
@@ -165,9 +168,16 @@ func fingerprint(ctxSum uint64, st EndpointState, followRefs bool) uint64 {
 
 // NewPlan fingerprints every endpoint of one wave. followRefs is the
 // wave's reference-following flag (deploy.FollowReferencesFromWave).
-// Duplicate addresses (two spec endpoints sharing one target) fold
-// into a single combined fingerprint, so a collision can only make the
-// diff more conservative, never less.
+// Each present endpoint folds the (wave, host) decision of the study's
+// chaos model; the dial path consults chaos only for registered hosts
+// (worldview serves noise and closed ports first), so an absent one
+// folds the zero decision. Duplicate addresses (two spec endpoints
+// sharing one target) fold into a single combined fingerprint, so a
+// collision can only make the diff more conservative, never less.
+//
+// The study's chaos profile must be one chaos.ModelForProfile knows —
+// a campaign resolves it before it plans — and every present address
+// an "ip:port"; NewPlan panics otherwise.
 func NewPlan(s study.Study, wave int, followRefs bool, states []EndpointState) *Plan {
 	p := &Plan{
 		wave:       wave,
@@ -175,8 +185,24 @@ func NewPlan(s study.Study, wave int, followRefs bool, states []EndpointState) *
 		ctxSum:     contextSum(s),
 		fps:        make(map[string]uint64, len(states)),
 	}
+	var wm chaos.WaveModel
+	if s.ChaosProfile != "" {
+		m, err := chaos.ModelForProfile(s.ChaosProfile, s.ChaosSeed)
+		if err != nil {
+			panic("wavediff: " + err.Error())
+		}
+		wm = m.ForWave(wave)
+	}
 	for _, st := range states {
-		fp := fingerprint(p.ctxSum, st, followRefs)
+		var b chaos.Behavior
+		if st.Present && s.ChaosProfile != "" {
+			ap, err := netip.ParseAddrPort(st.Address)
+			if err != nil {
+				panic(fmt.Sprintf("wavediff: endpoint address: %v", err))
+			}
+			b = wm.Behavior(ap.Addr().As4(), int(ap.Port()))
+		}
+		fp := fingerprint(p.ctxSum, st, b, followRefs)
 		if prev, ok := p.fps[st.Address]; ok {
 			h := hasher(fnvOffset)
 			h.u64(prev)

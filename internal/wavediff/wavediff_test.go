@@ -1,6 +1,12 @@
 package wavediff
 
-import "testing"
+import (
+	"fmt"
+	"net/netip"
+	"testing"
+
+	"repro/internal/chaos"
+)
 
 func baseContext() Context {
 	return Context{
@@ -20,16 +26,21 @@ func baseState() EndpointState {
 		PortScanned:     true,
 		CertThumbprint:  "aa01",
 		SoftwareVersion: "1.03",
-		ChaosKind:       2,
-		ChaosParam:      17,
 	}
 }
 
-// fpOf fingerprints one state under one context via the public Plan
-// surface, so the tests cannot drift from the production path.
+// fpOf fingerprints one state under one context at wave 1.
 func fpOf(t *testing.T, ctx Context, followRefs bool, st EndpointState) uint64 {
 	t.Helper()
-	p := NewPlan(ctx, 1, followRefs, []EndpointState{st})
+	return fpAt(t, ctx, 1, followRefs, st)
+}
+
+// fpAt fingerprints one state under one context at a wave via the
+// public Plan surface, so the tests cannot drift from the production
+// path.
+func fpAt(t *testing.T, ctx Context, wave int, followRefs bool, st EndpointState) uint64 {
+	t.Helper()
+	p := NewPlan(ctx, wave, followRefs, []EndpointState{st})
 	fp, ok := p.Fingerprint(st.Address)
 	if !ok {
 		t.Fatalf("address %q missing from its own plan", st.Address)
@@ -45,9 +56,10 @@ func fpOf(t *testing.T, ctx Context, followRefs bool, st EndpointState) uint64 {
 func TestFingerprintSensitivity(t *testing.T) {
 	tests := []struct {
 		name string
-		ctx  func(*Context)       // nil = base context
-		st   func(*EndpointState) // nil = base state
-		flip bool                 // fingerprint must differ from base
+		ctx  func(*Context)        // nil = base context
+		st   func(*EndpointState)  // nil = base state
+		b    func(*chaos.Behavior) // non-nil: redraw the chaos decision instead
+		flip bool                  // fingerprint must differ from base
 	}{
 		{name: "unchanged host", flip: false},
 		{name: "certificate renewal",
@@ -55,9 +67,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{name: "software update riding a renewal",
 			st: func(s *EndpointState) { s.SoftwareVersion = "1.03.1" }, flip: true},
 		{name: "chaos decision redrawn (kind)",
-			st: func(s *EndpointState) { s.ChaosKind = 3 }, flip: true},
+			b: func(b *chaos.Behavior) { b.Kind = chaos.KindFlap }, flip: true},
 		{name: "chaos decision redrawn (param)",
-			st: func(s *EndpointState) { s.ChaosParam = 18 }, flip: true},
+			b: func(b *chaos.Behavior) { b.Param = 18 }, flip: true},
 		{name: "churn: host leaves",
 			st: func(s *EndpointState) { s.Present = false }, flip: true},
 		{name: "port scan no longer reaches host",
@@ -87,11 +99,63 @@ func TestFingerprintSensitivity(t *testing.T) {
 			if tc.st != nil {
 				tc.st(&st)
 			}
+			if tc.b != nil {
+				// The fold of a decision NewPlan drew; the draw itself is
+				// TestFingerprintChaosDecision's.
+				drawn := chaos.Behavior{Kind: chaos.KindReset, Param: 17}
+				redrawn := drawn
+				tc.b(&redrawn)
+				sum := contextSum(ctx)
+				if flipped := fingerprint(sum, st, drawn, true) != fingerprint(sum, st, redrawn, true); flipped != tc.flip {
+					t.Errorf("fingerprint flipped=%v, want %v", flipped, tc.flip)
+				}
+				return
+			}
 			got := fpOf(t, ctx, true, st)
 			if flipped := got != base; flipped != tc.flip {
 				t.Errorf("fingerprint flipped=%v, want %v", flipped, tc.flip)
 			}
 		})
+	}
+}
+
+// TestFingerprintChaosDecision pins the chaos fold: NewPlan draws each
+// present endpoint's (wave, host) decision from the study's model, so
+// an address whose decision is redrawn between two waves — kind or
+// parameter alone — flips its fingerprint, one whose decision repeats
+// keeps it, and an absent endpoint, which the dial path never consults
+// chaos for, folds no decision at all.
+func TestFingerprintChaosDecision(t *testing.T) {
+	ctx := baseContext()
+	m, err := chaos.ModelForProfile(ctx.ChaosProfile, ctx.ChaosSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	redrawn, paramOnly, repeated := 0, 0, 0
+	for i := 0; i < 1024; i++ {
+		st := baseState()
+		st.Address = fmt.Sprintf("100.64.%d.%d:4840", i/256, i%256)
+		ip := netip.MustParseAddrPort(st.Address).Addr().As4()
+		b1, b2 := m.ForWave(1).Behavior(ip, 4840), m.ForWave(2).Behavior(ip, 4840)
+		if flipped := fpAt(t, ctx, 1, true, st) != fpAt(t, ctx, 2, true, st); flipped != (b1 != b2) {
+			t.Fatalf("%s: fingerprint flipped=%v for decisions %+v → %+v", st.Address, flipped, b1, b2)
+		}
+		switch {
+		case b1 == b2:
+			repeated++
+		case b1.Kind == b2.Kind:
+			paramOnly++
+		default:
+			redrawn++
+		}
+		absent := st
+		absent.Present = false
+		if fpAt(t, ctx, 1, true, absent) != fpAt(t, ctx, 2, true, absent) {
+			t.Fatalf("%s: an absent endpoint folded a chaos decision", st.Address)
+		}
+	}
+	if redrawn == 0 || paramOnly == 0 || repeated == 0 {
+		t.Errorf("coverage too thin: %d redrawn, %d parameter-only, %d repeated", redrawn, paramOnly, repeated)
 	}
 }
 
@@ -117,6 +181,7 @@ func TestFingerprintFollowReferences(t *testing.T) {
 // addresses outside both plans (deterministic port noise) skip.
 func TestDeltaSkip(t *testing.T) {
 	ctx := baseContext()
+	ctx.ChaosProfile, ctx.ChaosSeed = "", 0 // no chaos redraw between the waves
 	stable := baseState()
 	renewed := baseState()
 	renewed.Address = "100.64.0.2:4840"
@@ -187,8 +252,6 @@ func benchStates(w, n int) []EndpointState {
 			PortScanned:     i%8 != 7,
 			CertThumbprint:  cert,
 			SoftwareVersion: "1.04",
-			ChaosKind:       uint8(i % 5),
-			ChaosParam:      uint64(i * 31),
 		}
 	}
 	return states

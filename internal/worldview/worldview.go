@@ -18,13 +18,14 @@
 // once (Config.IndexNoise). A sweep is a range query on it
 // (Snapshot.Responsive), not a probe of every address.
 //
-// Snapshots share the world's underlying server instances, but the
-// crypto a server handshakes with belongs to the snapshot: each
-// registered handler (deploy.World.SnapshotWaveCrypto) carries the
-// memoized RSA engine of the campaign that took the snapshot, the same
-// engine its scanner encrypts and signs through. So every wave of one
-// campaign serves through one engine, and campaigns scanning one world
-// at once never serve through each other's (DESIGN.md §4).
+// Snapshots share the world's underlying server instances, but what a
+// campaign chooses belongs to the snapshot (deploy.World.SnapshotWaveFor):
+// its chaos model rides on the Config, and each registered handler
+// carries the campaign's connection options — the memoized RSA engine
+// its scanner encrypts and signs through, and whether responses come
+// from the pre-encoded caches. So every wave of one campaign serves
+// through one engine under one chaos model, and campaigns scanning one
+// world at once never see each other's (DESIGN.md §4).
 //
 // Snapshots are also the unit the sharded campaign runtime (PR 5)
 // distributes over: scanner.RunWaveShard scans one slice of the

@@ -133,22 +133,24 @@ type CampaignConfig struct {
 	Trace *telemetry.Tracer
 	// ChaosProfile, when non-empty, names an adversarial-host profile
 	// (chaos.Profiles: tarpit, reset, flap, truncate, corrupt,
-	// oversize, garbage, mixed) installed on the world for the
-	// campaign. Chaos arms the scanner's resilience layer — per-stage
-	// deadlines, bounded seeded retries, the grab watchdog and the
-	// failure taxonomy — and classified failures enter the dataset as
-	// failure records (DESIGN.md §9). Empty disables chaos and
+	// oversize, garbage, mixed) every snapshot of the campaign is built
+	// with; the world is never changed. Chaos arms the scanner's
+	// resilience layer — per-stage deadlines, bounded seeded retries,
+	// the grab watchdog and the failure taxonomy — and classified
+	// failures enter the dataset as failure records (DESIGN.md §9). Empty disables chaos and
 	// reproduces the baseline dataset byte for byte.
 	ChaosProfile string
 	// ChaosSeed seeds the chaos behavior decisions and the retry
 	// backoff jitter (0 = derive from Seed), so chaos campaigns replay
 	// bit-identically across runs and shard layouts.
 	ChaosSeed int64
-	// uncachedCrypto runs the legacy handshake: no memo engine, and fresh
-	// randomness in every exchange, so every RSA operation is recomputed.
-	// It is the reference the crypto-engine equivalence tests and the
-	// cached-vs-uncached benchmark compare against (DESIGN.md §4).
-	uncachedCrypto bool
+	// reference runs the campaign unoptimised: no memo engine, fresh
+	// randomness in every exchange (every RSA operation recomputed), and
+	// every GetEndpoints/FindServers response encoded structurally — the
+	// zero uaserver.ConnOptions on both ends of the wire. It is what the
+	// Exec invariance table and the cached-vs-uncached benchmark compare
+	// production against (DESIGN.md §4).
+	reference bool
 }
 
 // Campaign is a completed (or running) measurement campaign.
@@ -214,8 +216,7 @@ func studyConfig(s study.Study) CampaignConfig {
 }
 
 // newScannerBase builds the scanner template of study st with its
-// campaign-scoped crypto suite, and installs the study's chaos model on
-// the world.
+// campaign-scoped crypto suite.
 //
 // Campaign-scoped crypto reuse: one memoization engine for every wave
 // and every worker, on both sides of the simulated wire — the scanner's
@@ -226,7 +227,7 @@ func studyConfig(s study.Study) CampaignConfig {
 // servers, so campaigns sharing a world, such as a fabric's concurrent
 // leases, each keep their own engine, and the engine dies with the
 // campaign.
-func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (scanner.Scanner, *uarsa.Suite, error) {
+func (cfg CampaignConfig) newScannerBase(st study.Study) (scanner.Scanner, *uarsa.Suite, error) {
 	scanBits := 2048
 	if st.TestKeySizes {
 		scanBits = 512
@@ -240,7 +241,7 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (s
 	}
 
 	var suite *uarsa.Suite
-	if !cfg.uncachedCrypto {
+	if !cfg.reference {
 		suite = &uarsa.Suite{
 			Engine:        uarsa.NewEngine(0),
 			Seed:          st.Seed,
@@ -251,20 +252,11 @@ func (cfg CampaignConfig) newScannerBase(world *deploy.World, st study.Study) (s
 	// telemetry snapshots carry crypto_* alongside everything else.
 	suite.EngineOrNil().PublishTo(cfg.Telemetry)
 
-	// Every campaign installs its chaos model — the zero model when chaos
-	// is off — so a campaign never inherits an earlier one's adversarial
-	// layer.
+	// Chaos arms the resilience layer; a polite study scans without it.
 	var resilience scanner.Resilience
-	chaosModel := chaos.Model{}
 	if st.ChaosProfile != "" {
-		m, err := chaos.ModelForProfile(st.ChaosProfile, st.ChaosSeed)
-		if err != nil {
-			return scanner.Scanner{}, nil, err
-		}
-		chaosModel = m
 		resilience = scanner.DefaultResilience(st.ChaosSeed)
 	}
-	world.SetChaos(chaosModel)
 
 	return scanner.Scanner{
 		Key:     key,
@@ -360,16 +352,21 @@ type campaignRun struct {
 	cfg   CampaignConfig // Progressf serialized
 	world *deploy.World
 	base  scanner.Scanner // template; each wave scans with its own copy
-	suite *uarsa.Suite    // nil under the uncachedCrypto test hook
+	suite *uarsa.Suite    // nil under the reference hook
 	study study.Study     // what the campaign measures; Waves in range, no repeats
+	// serve and chaos are what every snapshot the campaign takes is
+	// built with: the server end of the suite, and the study's chaos
+	// model (zero when polite).
+	serve uaserver.ConnOptions
+	chaos chaos.Model
 	// tracker is non-nil under cfg.Delta. It is single-owner: both entry
 	// points call scanWave from one goroutine, wave after wave, so its
 	// plan → scan → observe sequence is serial across waves.
 	tracker *deltaTracker
 }
 
-// newCampaignRun validates the configuration, builds the campaign's
-// crypto suite and installs its chaos model on the world.
+// newCampaignRun validates the configuration and builds the campaign's
+// crypto suite and chaos model. It changes nothing on the world.
 func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, error) {
 	// A repeated wave would scan twice, fold into the longitudinal
 	// analysis twice and reach the record sink twice.
@@ -387,14 +384,23 @@ func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, erro
 	// shards, and workers then share one mutex-guarded writer and status
 	// lines never interleave mid-line.
 	cfg.Progressf = telemetry.SerializedProgressf(cfg.Progressf)
-	base, suite, err := cfg.newScannerBase(world, st)
+	var chaosModel chaos.Model
+	if st.ChaosProfile != "" {
+		m, err := chaos.ModelForProfile(st.ChaosProfile, st.ChaosSeed)
+		if err != nil {
+			return nil, err
+		}
+		chaosModel = m
+	}
+	base, suite, err := cfg.newScannerBase(st)
 	if err != nil {
 		return nil, err
 	}
-	r := &campaignRun{cfg: cfg, world: world, base: base, suite: suite, study: st}
+	r := &campaignRun{cfg: cfg, world: world, base: base, suite: suite, study: st, chaos: chaosModel}
+	if suite != nil {
+		r.serve = uaserver.ConnOptions{Engine: suite.Engine, Deterministic: suite.Deterministic, CachedResponses: true}
+	}
 	if cfg.Delta {
-		// After newScannerBase: the fingerprints fold the chaos decisions
-		// of the model it just installed.
 		if r.tracker, err = newDeltaTracker(st, world); err != nil {
 			return nil, err
 		}
@@ -420,8 +426,9 @@ func (r *campaignRun) scanWave(ctx context.Context, i, shards, shard int) (*scan
 	cfg := r.cfg
 	w, date := r.study.Waves[i], deploy.WaveDates[r.study.Waves[i]]
 	// The snapshot's servers handshake through the engine this campaign's
-	// scanner uses, never another campaign's (DESIGN.md §4).
-	view, err := r.world.SnapshotWaveCrypto(w, uaserver.Crypto{Engine: r.suite.EngineOrNil(), Deterministic: r.suite != nil})
+	// scanner uses and its hosts behave as this campaign's chaos model
+	// says, never as another campaign's (DESIGN.md §4).
+	view, err := r.world.SnapshotWaveFor(w, r.serve, r.chaos)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -177,120 +177,6 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestCampaignConcurrentCachedMatchesUncached is the hot-path-cache
-// equivalence gate: a campaign served from the pre-encoded per-server
-// response caches (the production configuration) must produce a
-// byte-identical dataset and identical analyses to the same campaign
-// with every response encoded structurally per request. The world is
-// shared so certificates agree; two concurrent shards keep the pooled
-// codec/chunk buffers and the memoized certificate parses exercised
-// under -race (the test name matches the CI race-run pattern
-// 'TestCampaignConcurrent').
-func TestCampaignConcurrentCachedMatchesUncached(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence skipped in -short mode")
-	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{6, 7},
-		TestKeySizes: true,
-		MaxHosts:     60,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-		Shards:       2,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := RunCampaignOnWorld(context.Background(), cfg, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Servers are built lazily per wave state; after the first campaign
-	// every instance this campaign touches exists, so the toggle
-	// reaches them all.
-	world.SetResponseCaches(false)
-	uncached, err := RunCampaignOnWorld(context.Background(), cfg, world)
-	world.SetResponseCaches(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := datasetBytes(t, cached), datasetBytes(t, uncached); !bytes.Equal(a, b) {
-		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
-	}
-	if !reflect.DeepEqual(cached.Analyses, uncached.Analyses) {
-		t.Error("wave analyses differ between cached and uncached runs")
-	}
-	if !reflect.DeepEqual(cached.Long, uncached.Long) {
-		t.Error("longitudinal analysis differs between cached and uncached runs")
-	}
-}
-
-// TestCampaignConcurrentCryptoCacheMatchesUncached is the PR 4
-// acceptance gate for the memoized asymmetric-crypto engine: a campaign
-// with the engine and deterministic handshakes on (the production
-// default) must produce a byte-identical dataset and identical
-// analyses to the same campaign under the uncachedCrypto hook — every
-// handshake drawing fresh randomness and recomputing its RSA
-// operations. Two concurrent shards keep the engine's sharded maps
-// exercised under -race (the test name matches the CI race-run pattern
-// 'TestCampaignConcurrent'). Waves 5–7 span certificate renewals, so
-// renewed hosts derive fresh exchanges while unchanged hosts replay
-// cached ones — both paths must land in the same dataset bytes.
-//
-// MaxHosts must reach past index 270: the spec's first 270 hosts are
-// mode-None-only and perform no RSA at all (which is why the other
-// equivalence gates can afford 60-host worlds).
-func TestCampaignConcurrentCryptoCacheMatchesUncached(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence skipped in -short mode")
-	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{5, 6, 7},
-		TestKeySizes: true,
-		MaxHosts:     320,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-		Shards:       2,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := RunCampaignOnWorld(context.Background(), cfg, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.CryptoStats == nil {
-		t.Fatal("cached campaign reports no crypto stats")
-	}
-	if cryptoTotal(cached.CryptoStats).Hits == 0 {
-		t.Error("crypto cache never hit across three waves of an unchanged world")
-	}
-	uncachedCfg := cfg
-	uncachedCfg.uncachedCrypto = true
-	uncached, err := RunCampaignOnWorld(context.Background(), uncachedCfg, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uncached.CryptoStats != nil {
-		t.Error("uncached campaign reports crypto stats")
-	}
-
-	if a, b := datasetBytes(t, cached), datasetBytes(t, uncached); !bytes.Equal(a, b) {
-		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
-	}
-	if !reflect.DeepEqual(cached.Analyses, uncached.Analyses) {
-		t.Error("wave analyses differ between crypto-cached and uncached runs")
-	}
-	if !reflect.DeepEqual(cached.Long, uncached.Long) {
-		t.Error("longitudinal analysis differs between crypto-cached and uncached runs")
-	}
-}
-
 // TestFullFidelityPaperAssertions re-runs the complete eight-wave
 // campaign at full fidelity (real key sizes, crypto cache on — the
 // production configuration) and checks the paper's headline numbers.

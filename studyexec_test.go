@@ -29,20 +29,23 @@ import (
 // CampaignConfig.Study, the delta fingerprint and the fabric Hello, and
 // no Exec value changes a record byte.
 
-// tookFunc proves, on a finished campaign and the baseline's, that an
-// Exec row's value changed how the campaign ran: an invariance that
+// tookFunc proves, on a finished campaign and the reference run's, that
+// an Exec row's value changed how the campaign ran: an invariance that
 // holds because a setting was ignored would prove nothing.
-type tookFunc = func(t *testing.T, c, base *Campaign)
+type tookFunc = func(t *testing.T, c, ref *Campaign)
+
+// execRow is one value of an Exec field. set applies it on top of the
+// fixture — some rows add a Trace or a Progressf, themselves Exec, to
+// observe it — and returns the row's proof that the value took effect.
+type execRow struct {
+	field, value string
+	set          func(cfg *CampaignConfig) tookFunc
+}
 
 // execTable is the Exec half: every exported CampaignConfig field that
 // is not a study.Study field, with one row per value the invariance test
-// runs. set applies the value on top of the fixture — some rows add a
-// Trace or a Progressf, themselves Exec, to observe it — and returns the
-// row's proof that the value took effect.
-var execTable = []struct {
-	field, value string
-	set          func(cfg *CampaignConfig) tookFunc
-}{
+// runs.
+var execTable = []execRow{
 	{"GrabWorkers", "1", func(cfg *CampaignConfig) tookFunc {
 		cfg.GrabWorkers, cfg.Trace = 1, telemetry.NewTracer(0)
 		tr := cfg.Trace
@@ -58,8 +61,8 @@ var execTable = []struct {
 	}},
 	{"Delta", "true", func(cfg *CampaignConfig) tookFunc {
 		cfg.Delta = true
-		return func(t *testing.T, c, base *Campaign) {
-			if got, full := len(c.Scans[7].Results), len(base.Scans[7].Results); got >= full {
+		return func(t *testing.T, c, ref *Campaign) {
+			if got, full := len(c.Scans[7].Results), len(ref.Scans[7].Results); got >= full {
 				t.Errorf("delta wave 7 grabbed %d targets, the full scan %d", got, full)
 			}
 		}
@@ -109,8 +112,8 @@ var execTable = []struct {
 	// Anonymize rewrites the export only, never the measured stream.
 	{"Anonymize", "true", func(cfg *CampaignConfig) tookFunc {
 		cfg.Anonymize = true
-		return func(t *testing.T, c, base *Campaign) {
-			if bytes.Equal(datasetBytes(t, c), datasetBytes(t, base)) {
+		return func(t *testing.T, c, ref *Campaign) {
+			if bytes.Equal(datasetBytes(t, c), datasetBytes(t, ref)) {
 				t.Error("Anonymize left the exported dataset raw")
 			}
 		}
@@ -204,9 +207,9 @@ func TestCampaignConfigFieldsClassified(t *testing.T) {
 		}
 	}
 	// The one test hook is in neither half: only single-process tests
-	// set it. uncachedCrypto is the reference the crypto engine is
-	// compared against, and it changes no record byte.
-	if want := []string{"uncachedCrypto"}; !slices.Equal(hooks, want) {
+	// set it. reference is the run every optimisation is compared
+	// against, and it changes no record byte.
+	if want := []string{"reference"}; !slices.Equal(hooks, want) {
 		t.Errorf("unexported CampaignConfig fields %v, want just the test hook %v", hooks, want)
 	}
 }
@@ -312,17 +315,20 @@ func TestStudyPerturbation(t *testing.T) {
 	}
 }
 
-// TestExecInvariance runs every execTable row against the fixture's
-// baseline: each must reproduce the baseline's record stream byte for
-// byte and DeepEqual analyses, and prove its value took effect.
+// TestExecInvariance is the equivalence table. For the fixture study,
+// polite and under chaos profile mixed, it runs the reference campaign
+// (CampaignConfig.reference: no memo engine, fresh randomness, every
+// response encoded structurally) and then, in production mode, the
+// production defaults and every execTable row. Each must reproduce the
+// reference's record stream byte for byte and DeepEqual its analyses,
+// and prove its value took effect.
 func TestExecInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Exec invariance campaigns skipped in -short mode")
 	}
 	world := execWorld(t)
-	run := func(t *testing.T, set func(*CampaignConfig) tookFunc) (*Campaign, []byte, tookFunc) {
+	run := func(t *testing.T, cfg CampaignConfig, set func(*CampaignConfig) tookFunc) (*Campaign, []byte, tookFunc) {
 		t.Helper()
-		cfg := execFixture()
 		var stream pipeline.SliceSink
 		cfg.RecordSink = &stream
 		var took tookFunc
@@ -335,17 +341,48 @@ func TestExecInvariance(t *testing.T) {
 		}
 		return c, recordBytes(t, stream.Records), took
 	}
-	base, want, _ := run(t, nil)
-	for _, row := range execTable {
+	type column struct {
+		name  string
+		study CampaignConfig
+		ref   *Campaign
+		want  []byte
+	}
+	var columns []column
+	for _, profile := range []string{"", "mixed"} {
+		col := column{name: cmp.Or(profile, "polite"), study: execFixture()}
+		col.study.ChaosProfile = profile
+		refCfg := col.study
+		refCfg.reference = true
+		col.ref, col.want, _ = run(t, refCfg, nil)
+		if profile != "" && len(countFailures(col.ref)) == 0 {
+			t.Fatalf("chaos %s: the reference run has no classified failures", profile)
+		}
+		columns = append(columns, col)
+	}
+	production := execRow{"production", "defaults", func(*CampaignConfig) tookFunc {
+		return func(t *testing.T, c, ref *Campaign) {
+			if c.CryptoStats == nil || cryptoTotal(c.CryptoStats).Hits == 0 {
+				t.Errorf("the memo engine never hit across two waves: %+v", c.CryptoStats)
+			}
+			if ref.CryptoStats != nil {
+				t.Error("the reference run reports crypto stats")
+			}
+		}
+	}}
+	for _, row := range append([]execRow{production}, execTable...) {
 		t.Run(row.field+"="+row.value, func(t *testing.T) {
-			c, got, took := run(t, row.set)
-			if !bytes.Equal(got, want) {
-				t.Errorf("record stream differs from the baseline's (%d vs %d bytes)", len(got), len(want))
+			for _, col := range columns {
+				t.Run(col.name, func(t *testing.T) {
+					c, got, took := run(t, col.study, row.set)
+					if !bytes.Equal(got, col.want) {
+						t.Errorf("record stream differs from the reference's (%d vs %d bytes)", len(got), len(col.want))
+					}
+					if !reflect.DeepEqual(c.Analyses, col.ref.Analyses) || !reflect.DeepEqual(c.Long, col.ref.Long) {
+						t.Error("analyses differ from the reference's")
+					}
+					took(t, c, col.ref)
+				})
 			}
-			if !reflect.DeepEqual(c.Analyses, base.Analyses) || !reflect.DeepEqual(c.Long, base.Long) {
-				t.Error("analyses differ from the baseline's")
-			}
-			took(t, c, base)
 		})
 	}
 }
