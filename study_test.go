@@ -177,6 +177,91 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 	}
 }
 
+// TestCampaignConcurrentCachedMatchesUncached is the response-cache
+// equivalence gate in the order TestExecInvariance does not run: the
+// production campaign first, so every server this study touches is
+// built and has pre-encoded its GetEndpoints/FindServers responses,
+// then the reference run on the same world, which must still encode
+// each response structurally and land on the same dataset bytes. The
+// 60 hosts are all mode-None-only, so no RSA runs and a difference
+// points at the response cache. Two concurrent shards exercise the
+// pooled codec buffers and the memoized certificate parses under -race
+// (the name matches the CI race-run pattern 'TestCampaignConcurrent').
+func TestCampaignConcurrentCachedMatchesUncached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign equivalence skipped in -short mode")
+	}
+	productionThenReference(t, CampaignConfig{
+		Seed:         2020,
+		Waves:        []int{6, 7},
+		TestKeySizes: true,
+		MaxHosts:     60,
+		NoiseProb:    1e-5,
+		GrabWorkers:  8,
+		Shards:       2,
+	})
+}
+
+// TestCampaignConcurrentCryptoCacheMatchesUncached is the memo
+// engine's equivalence gate across certificate renewals: waves 5–7
+// renew certificates, so renewed hosts derive fresh exchanges while
+// unchanged hosts replay memoized ones, and both paths must land in
+// the reference run's dataset bytes. Two concurrent shards exercise
+// the engine's sharded maps under -race. MaxHosts must reach past
+// index 270: the spec's first 270 hosts are mode-None-only and do no
+// RSA at all.
+func TestCampaignConcurrentCryptoCacheMatchesUncached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign equivalence skipped in -short mode")
+	}
+	cached, uncached := productionThenReference(t, CampaignConfig{
+		Seed:         2020,
+		Waves:        []int{5, 6, 7},
+		TestKeySizes: true,
+		MaxHosts:     320,
+		NoiseProb:    1e-5,
+		GrabWorkers:  8,
+		Shards:       2,
+	})
+	if cached.CryptoStats == nil || cryptoTotal(cached.CryptoStats).Hits == 0 {
+		t.Errorf("the memo engine never hit across three waves: %+v", cached.CryptoStats)
+	}
+	if uncached.CryptoStats != nil {
+		t.Error("the reference run reports crypto stats")
+	}
+}
+
+// productionThenReference runs cfg in production mode and then as the
+// reference run on the same world, and requires the two to agree on
+// dataset bytes, wave analyses and the longitudinal analysis.
+func productionThenReference(t *testing.T, cfg CampaignConfig) (prod, ref *Campaign) {
+	t.Helper()
+	world, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err = RunCampaignOnWorld(context.Background(), cfg, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCfg := cfg
+	refCfg.reference = true
+	ref, err = RunCampaignOnWorld(context.Background(), refCfg, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := datasetBytes(t, prod), datasetBytes(t, ref); !bytes.Equal(a, b) {
+		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
+	}
+	if !reflect.DeepEqual(prod.Analyses, ref.Analyses) {
+		t.Error("wave analyses differ between the production and reference runs")
+	}
+	if !reflect.DeepEqual(prod.Long, ref.Long) {
+		t.Error("longitudinal analysis differs between the production and reference runs")
+	}
+	return prod, ref
+}
+
 // TestFullFidelityPaperAssertions re-runs the complete eight-wave
 // campaign at full fidelity (real key sizes, crypto cache on — the
 // production configuration) and checks the paper's headline numbers.
