@@ -154,6 +154,11 @@ func FromResult(res *scanner.Result, wave int, date time.Time, asn int) *HostRec
 	case uamsg.ApplicationClientAndServer:
 		rec.ApplicationType = "ClientAndServer"
 	}
+	// Sized from the result, and left nil when it has none, as a
+	// decoded record's are.
+	if len(res.Endpoints) > 0 {
+		rec.Endpoints = make([]EndpointRecord, 0, len(res.Endpoints))
+	}
 	for _, ep := range res.Endpoints {
 		er := EndpointRecord{
 			URL:       ep.URL,
@@ -167,8 +172,9 @@ func FromResult(res *scanner.Result, wave int, date time.Time, asn int) *HostRec
 	}
 	if len(res.ServerCertDER) > 0 {
 		// Certificates repeat across hosts (reuse clusters) and across
-		// waves; the memoized parse reuses one parsed instance per
-		// thumbprint instead of re-reading the DER per record.
+		// waves; the memoized parse returns one parsed instance per DER,
+		// whose thumbprint Parse already computed, instead of re-reading
+		// and re-hashing the DER per record.
 		if cert, err := uacert.ParseCached(res.ServerCertDER); err == nil {
 			rec.Cert = &CertRecord{
 				Thumbprint: cert.ThumbprintHex(),
@@ -183,6 +189,9 @@ func FromResult(res *scanner.Result, wave int, date time.Time, asn int) *HostRec
 				ModulusB64: base64.StdEncoding.EncodeToString(cert.PublicKey.N.Bytes()),
 			}
 		}
+	}
+	if len(res.Nodes) > 0 {
+		rec.Nodes = make([]NodeRecord, 0, len(res.Nodes))
 	}
 	for _, n := range res.Nodes {
 		rec.Nodes = append(rec.Nodes, NodeRecord{

@@ -34,7 +34,7 @@ func (w *World) WaveEndpointStates(wave int) ([]wavediff.EndpointState, error) {
 	for _, wh := range w.hosts {
 		hs := wh.spec
 		states = append(states, wavediff.EndpointState{
-			Address:         fmt.Sprintf("%s:%d", hs.IP, hs.Port),
+			Address:         wh.addr,
 			Present:         hs.PresentAt(wave),
 			PortScanned:     hs.Port == simnet.ScanPort && universe.Contains(hs.IP),
 			CertThumbprint:  wh.certAt(wave).ThumbprintHex(),
@@ -44,7 +44,7 @@ func (w *World) WaveEndpointStates(wave int) ([]wavediff.EndpointState, error) {
 	for _, wd := range w.discovery {
 		ds := wd.spec
 		states = append(states, wavediff.EndpointState{
-			Address:         fmt.Sprintf("%s:%d", ds.IP, simnet.ScanPort),
+			Address:         wd.addr,
 			Present:         wave < len(ds.Present) && ds.Present[wave],
 			PortScanned:     universe.Contains(ds.IP),
 			CertThumbprint:  wd.cert.ThumbprintHex(),

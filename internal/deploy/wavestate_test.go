@@ -1,11 +1,14 @@
 package deploy
 
 import (
+	"crypto/sha1"
+	"encoding/hex"
 	"fmt"
 	"net/netip"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/uacert"
 	"repro/internal/wavediff"
 )
 
@@ -160,6 +163,102 @@ func TestWaveEndpointStatesRange(t *testing.T) {
 	for _, w := range []int{-1, len(WaveDates)} {
 		if _, err := world.WaveEndpointStates(w); err == nil {
 			t.Errorf("wave %d: no range error", w)
+		}
+	}
+}
+
+// TestWorldIdentityDerivedOnce pins what Materialize derives once per
+// world against the values it replaced: every certificate's stored
+// thumbprint (host, prior, cluster, discovery) is the SHA-1 of its DER,
+// and in all eight waves every WaveEndpointStates address is the
+// fmt.Sprintf("%s:%d") string and every thumbprint the SHA-1 hex the
+// wavediff fingerprints were keyed by, so delta skips do not move.
+func TestWorldIdentityDerivedOnce(t *testing.T) {
+	spec := buildSpec(t)
+	world, err := Materialize(spec, Options{TestKeySizes: true, NoiseProb: 1e-5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCert := func(role string, i int, c *uacert.Certificate) {
+		t.Helper()
+		sum := sha1.Sum(c.Raw)
+		if c.Thumbprint() != sum || c.ThumbprintHex() != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s %d: stored thumbprint %s is not the SHA-1 of its DER %x", role, i, c.ThumbprintHex(), sum)
+		}
+	}
+	priors, clustered := 0, 0
+	for i, wh := range world.hosts {
+		role := "host"
+		if wh.spec.Cert.ReuseCluster >= 0 {
+			role = "cluster"
+			clustered++
+		}
+		checkCert(role, i, wh.cert)
+		if wh.prior != nil {
+			checkCert("prior", i, wh.prior)
+			priors++
+		}
+	}
+	for i, wd := range world.discovery {
+		checkCert("discovery", i, wd.cert)
+	}
+	if priors == 0 || clustered == 0 || len(world.discovery) == 0 {
+		t.Fatalf("world holds %d prior, %d cluster and %d discovery certificates; want some of each",
+			priors, clustered, len(world.discovery))
+	}
+
+	for wave := range WaveDates {
+		states, err := world.WaveEndpointStates(wave)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(states) != len(world.hosts)+len(world.discovery) {
+			t.Fatalf("wave %d: %d states for %d hosts and %d discovery servers",
+				wave, len(states), len(world.hosts), len(world.discovery))
+		}
+		for i, st := range states {
+			var want string
+			var cert *uacert.Certificate
+			if i < len(world.hosts) {
+				wh := world.hosts[i]
+				want = fmt.Sprintf("%s:%d", wh.spec.IP, wh.spec.Port)
+				cert = wh.certAt(wave)
+			} else {
+				wd := world.discovery[i-len(world.hosts)]
+				want = fmt.Sprintf("%s:%d", wd.spec.IP, 4840)
+				cert = wd.cert
+			}
+			if st.Address != want {
+				t.Errorf("wave %d endpoint %d: address %q, want %q", wave, i, st.Address, want)
+			}
+			if sum := sha1.Sum(cert.Raw); st.CertThumbprint != hex.EncodeToString(sum[:]) {
+				t.Errorf("wave %d endpoint %d: thumbprint %s, want the SHA-1 of its DER %x", wave, i, st.CertThumbprint, sum)
+			}
+		}
+	}
+}
+
+// BenchmarkWaveEndpointStates is one campaign's planning input: the
+// endpoint states of all eight waves of the whole test-key world. Its
+// allocs/op are budget-gated in BENCH_10.json: with each certificate's
+// thumbprint and each host's address derived once per world, a wave
+// allocates its state slice and nothing per endpoint.
+func BenchmarkWaveEndpointStates(b *testing.B) {
+	spec, err := BuildSpec(2020)
+	if err != nil {
+		b.Fatal(err)
+	}
+	world, err := Materialize(spec, Options{TestKeySizes: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for wave := range WaveDates {
+			if _, err := world.WaveEndpointStates(wave); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

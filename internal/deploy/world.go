@@ -81,16 +81,25 @@ type BuildStage struct {
 }
 
 type worldHost struct {
-	spec   *HostSpec
-	key    *rsa.PrivateKey
-	cert   *uacert.Certificate // final certificate
-	prior  *uacert.Certificate // pre-renewal certificate, if any
-	space  *addrspace.Space
-	server map[string]*uaserver.Server // keyed by cert thumbprint
+	spec    *HostSpec
+	addr    string // "ip:port", formatted once by Materialize
+	updated string // SoftwareVersion after a software-update renewal, likewise
+	key     *rsa.PrivateKey
+	cert    *uacert.Certificate // final certificate
+	prior   *uacert.Certificate // pre-renewal certificate, if any
+	space   *addrspace.Space
+	server  map[serverKey]*uaserver.Server
+}
+
+// serverKey is what a host's server varies by across waves.
+type serverKey struct {
+	cert    *uacert.Certificate
+	version string
 }
 
 type worldDiscovery struct {
 	spec   *DiscoverySpec
+	addr   string // "ip:4840", formatted once by Materialize
 	cert   *uacert.Certificate
 	server *uaserver.Server
 }
@@ -240,7 +249,8 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	}
 	for i := range hostSpecs {
 		hs := &hostSpecs[i]
-		wh := &worldHost{spec: hs, server: make(map[string]*uaserver.Server)}
+		wh := &worldHost{spec: hs, addr: fmt.Sprintf("%s:%d", hs.IP, hs.Port),
+			updated: hs.SoftwareVersion + ".1", server: make(map[serverKey]*uaserver.Server)}
 		w.hosts = append(w.hosts, wh)
 		if ci := hs.Cert.ReuseCluster; ci >= 0 {
 			wh.key = clusterKey[ci]
@@ -312,12 +322,13 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 				},
 			})
 		}
+		addr := fmt.Sprintf("%s:%d", ds.IP, simnet.ScanPort)
 		srv, err := uaserver.New(uaserver.Config{
 			ApplicationURI:  ds.AppURI,
 			ProductURI:      "urn:opcfoundation.org:UA:LDS",
 			ApplicationName: "UA Local Discovery Server",
 			SoftwareVersion: "1.03",
-			EndpointURL:     fmt.Sprintf("opc.tcp://%s:4840", ds.IP),
+			EndpointURL:     "opc.tcp://" + addr,
 			Endpoints: []uaserver.EndpointConfig{{
 				Policy: uapolicy.None,
 				Modes:  []uamsg.MessageSecurityMode{uamsg.SecurityModeNone},
@@ -330,7 +341,7 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 		if err != nil {
 			return nil, fmt.Errorf("deploy: discovery server %d: %w", i, err)
 		}
-		w.discovery = append(w.discovery, &worldDiscovery{spec: ds, cert: discoCert, server: srv})
+		w.discovery = append(w.discovery, &worldDiscovery{spec: ds, addr: addr, cert: discoCert, server: srv})
 	}
 	total := time.Duration(telemetry.NowNs() - buildStart)
 	w.Build = append(w.Build, BuildStage{"total", len(w.hosts), total, total})
@@ -396,18 +407,17 @@ func (wh *worldHost) certAt(wave int) *uacert.Certificate {
 }
 
 func (wh *worldHost) softwareVersionAt(wave int) string {
-	v := wh.spec.SoftwareVersion
 	if wh.spec.Cert.SoftwareUpdate && wh.spec.Cert.RenewalWave > 0 &&
 		wave >= wh.spec.Cert.RenewalWave {
-		return v + ".1"
+		return wh.updated
 	}
-	return v
+	return wh.spec.SoftwareVersion
 }
 
 // serverAt builds (or reuses) the server matching the host's wave state.
 func (wh *worldHost) serverAt(wave int) (*uaserver.Server, error) {
 	cert := wh.certAt(wave)
-	cacheKey := cert.ThumbprintHex() + wh.softwareVersionAt(wave)
+	cacheKey := serverKey{cert, wh.softwareVersionAt(wave)}
 	if srv, ok := wh.server[cacheKey]; ok {
 		return srv, nil
 	}
@@ -448,7 +458,7 @@ func (wh *worldHost) serverAt(wave int) (*uaserver.Server, error) {
 		ProductURI:      hs.AppURI,
 		ApplicationName: hs.Manufacturer,
 		SoftwareVersion: wh.softwareVersionAt(wave),
-		EndpointURL:     fmt.Sprintf("opc.tcp://%s:%d", hs.IP, hs.Port),
+		EndpointURL:     "opc.tcp://" + wh.addr,
 		Endpoints:       endpoints,
 		TokenTypes:      hs.Tokens,
 		Users:           map[string]string{"operator": fmt.Sprintf("pw-%04x", hs.Index)},

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -64,12 +63,38 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 	}
 }
 
-// lease is one shard granted to one worker. Its buffer accumulates the
-// shard's framed record lines and is only trusted once the Done frame
-// commits it — a dead worker's lease buffer is discarded whole.
+// lease is one shard granted to one worker. Its blocks accumulate the
+// shard's framed record lines and are only trusted once the Done frame
+// commits them — a dead worker's lease is discarded whole. Lines fill
+// fixed-size blocks that are joined once, at commit, so a growing
+// stream is never copied into a buffer of twice its size.
 type lease struct {
-	shard int
-	buf   bytes.Buffer
+	shard  int
+	blocks [][]byte
+	size   int
+}
+
+// leaseBlock is the capacity of one lease block; a longer line gets a
+// block of its own.
+const leaseBlock = 1 << 20
+
+func (l *lease) write(line []byte) {
+	n := len(l.blocks)
+	if n == 0 || len(l.blocks[n-1])+len(line) > cap(l.blocks[n-1]) {
+		l.blocks = append(l.blocks, make([]byte, 0, max(leaseBlock, len(line))))
+		n++
+	}
+	l.blocks[n-1] = append(l.blocks[n-1], line...)
+	l.size += len(line)
+}
+
+// stream joins the lease's blocks into the shard's one record stream.
+func (l *lease) stream() []byte {
+	out := make([]byte, 0, l.size)
+	for _, b := range l.blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // workerConn is the coordinator's view of one connected worker.
@@ -227,7 +252,8 @@ func (c *Coordinator) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	typ, payload, err := readFrame(br)
+	var buf []byte
+	typ, payload, err := readFrame(br, &buf)
 	if err != nil || typ != FrameJoin {
 		conn.Close()
 		return
@@ -262,7 +288,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 	c.refill()
 
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, &buf)
 		if err != nil {
 			c.declareDead(w, fmt.Sprintf("stream broken: %v", err))
 			return
@@ -287,7 +313,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 				continue
 			}
 			if l := w.lease; l != nil && l.shard == shard {
-				l.buf.Write(line)
+				l.write(line)
 				c.m.recordsReceived.Inc()
 			} else {
 				// Records of a shard the worker holds no lease on are
@@ -312,7 +338,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 			}
 			if l := w.lease; l != nil && l.shard == shard {
 				w.lease = nil
-				c.logf("fabric: worker %q failed shard %d: %s", w.name, shard, msg)
+				c.logf("fabric: worker %q failed shard %d: %s", w.name, shard, string(msg)) // msg aliases the read buffer
 				c.requeueLocked(shard)
 			}
 			c.mu.Unlock()
@@ -338,7 +364,7 @@ func (c *Coordinator) commitLocked(w *workerConn, shard int) {
 		c.logf("fabric: shard %d duplicate stream from %q discarded", shard, w.name)
 		return
 	}
-	c.committed[shard] = l.buf.Bytes()
+	c.committed[shard] = l.stream()
 	c.remaining--
 	c.m.shardsCommitted.Inc()
 	c.logf("fabric: shard %d committed by %q (%d bytes, %d remaining)",

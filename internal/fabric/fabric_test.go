@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -494,7 +495,7 @@ func TestNetSinkPut(t *testing.T) {
 	if err := sink.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(&conn.w)
+	typ, payload, err := readFrame(&conn.w, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,5 +512,124 @@ func TestNetSinkPut(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Put allocates %.1f times per record, want 0", allocs)
+	}
+}
+
+// TestCoordinatorCommitsConcatenatedLines drives the coordinator with
+// a raw-frame worker. On shard 0, record lines of mixed sizes (one
+// longer than a lease block, several blocks in all) interleaved with
+// heartbeats must commit as exactly their concatenation, whatever the
+// reused read buffer held before each line. On shard 1 a lease fails
+// part-way: its lines are discarded, the re-granted lease commits only
+// its own, and the logged failure message survives the reads after it.
+func TestCoordinatorCommitsConcatenatedLines(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged [][]any // arguments kept unformatted until the run is over
+	coord := NewCoordinator(ln, CoordinatorConfig{Shards: 2, Hello: []byte(helloPayload),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, append([]any{format}, args...))
+			mu.Unlock()
+		}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var streams [][]byte
+	runErr := make(chan error, 1)
+	go func() {
+		var err error
+		streams, err = coord.Run(ctx)
+		runErr <- err
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fr := newFramer(conn, nil)
+	send := func(typ FrameType, payload []byte) {
+		t.Helper()
+		if err := fr.send(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(conn)
+	var buf []byte
+	expect := func(want FrameType, shard int) {
+		t.Helper()
+		typ, payload, err := readFrame(br, &buf)
+		if err != nil || typ != want {
+			t.Fatalf("got %s (%v), want %s", typ, err, want)
+		}
+		if want == FrameGrant {
+			if got, _, err := decodeShard(payload); err != nil || got != shard {
+				t.Fatalf("granted shard %d (%v), want %d", got, err, shard)
+			}
+		}
+	}
+	// sendLines sends n lines on shard, line i of length size(i), and
+	// returns their concatenation.
+	sendLines := func(shard, n int, size func(i int) int) []byte {
+		var all []byte
+		for i := 0; i < n; i++ {
+			line := bytes.Repeat([]byte{byte('a' + (shard+i)%26)}, size(i))
+			line[len(line)-1] = '\n'
+			all = append(all, line...)
+			send(FrameRecord, append(appendShard(nil, shard), line...))
+			if i%5 == 0 {
+				send(FrameHeartbeat, nil)
+			}
+		}
+		return all
+	}
+
+	send(FrameJoin, []byte("raw"))
+	expect(FrameHello, 0)
+	expect(FrameGrant, 0)
+	want0 := sendLines(0, 600, func(i int) int {
+		if i == 300 {
+			return leaseBlock + 1
+		}
+		return 1 + i*7919%8000
+	})
+	if len(want0) < 3*leaseBlock {
+		t.Fatalf("stream of %d bytes spans fewer than three lease blocks", len(want0))
+	}
+	send(FrameDone, appendShard(nil, 0))
+
+	expect(FrameGrant, 1)
+	sendLines(1, 20, func(i int) int { return 3000 + i })
+	const failMsg = "runner failed"
+	send(FrameFail, append(appendShard(nil, 1), failMsg...))
+	expect(FrameGrant, 1)
+	want1 := sendLines(1, 40, func(i int) int { return 1 + i*31%2000 })
+	send(FrameDone, appendShard(nil, 1))
+
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
+	}
+	for shard, want := range [][]byte{want0, want1} {
+		if !bytes.Equal(streams[shard], want) {
+			t.Errorf("shard %d: committed stream (%d bytes) is not the %d bytes of its lease's lines",
+				shard, len(streams[shard]), len(want))
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	failed := 0
+	for _, args := range logged {
+		if line := fmt.Sprintf(args[0].(string), args[1:]...); strings.Contains(line, "failed shard") {
+			failed++
+			if !strings.HasSuffix(line, ": "+failMsg) {
+				t.Errorf("logged %q, want the failure message %q", line, failMsg)
+			}
+		}
+	}
+	if failed != 1 {
+		t.Errorf("logged %d shard failures, want 1", failed)
 	}
 }

@@ -200,8 +200,10 @@ func (f *framer) wedge() {
 	f.mu.Unlock()
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) (FrameType, []byte, error) {
+// readFrame reads one length-prefixed frame into *buf, which grows to
+// the largest payload read and is reused: the payload aliases it until
+// the next call, so a caller that keeps payload bytes longer copies them.
+func readFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -214,7 +216,10 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 	if n == 0 {
 		return typ, nil, nil
 	}
-	payload := make([]byte, n)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	payload := (*buf)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("fabric: truncated %s frame: %w", typ, err)
 	}

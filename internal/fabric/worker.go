@@ -190,7 +190,7 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 	if err := conn.SetReadDeadline(ioDeadline()); err != nil {
 		return false, err
 	}
-	typ, hello, err := readFrame(br)
+	typ, hello, err := readFrame(br, new([]byte)) // the runner keeps hello
 	if err != nil {
 		return false, fmt.Errorf("fabric: awaiting hello: %w", err)
 	}
@@ -211,8 +211,9 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 	// coordinator closing a dead worker's connection) collapses the
 	// session and unblocks wedged senders.
 	go func() {
+		var buf []byte
 		for {
-			typ, payload, rerr := readFrame(br)
+			typ, payload, rerr := readFrame(br, &buf)
 			if rerr != nil {
 				st.mu.Lock()
 				if st.readErr == nil {

@@ -1,7 +1,9 @@
 package uacert
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -47,6 +49,43 @@ func TestParseCachedMatchesParse(t *testing.T) {
 	}
 }
 
+// TestParseCachedConcurrentOneInstance races first parses of eight DERs,
+// each caller with its own copy of the bytes: whichever miss stores
+// first, every caller of one DER gets that one instance.
+func TestParseCachedConcurrentOneInstance(t *testing.T) {
+	var ders [8][]byte
+	for i := range ders {
+		cert, err := Generate(testKey(t, 0), Options{CommonName: fmt.Sprintf("concurrent %d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ders[i] = cert.Raw
+	}
+	var got [8][8]*Certificate
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for d := range got {
+		for i := range got[d] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				der := append([]byte(nil), ders[d]...)
+				<-start
+				got[d][i], _ = ParseCached(der)
+			}()
+		}
+	}
+	close(start)
+	wg.Wait()
+	for d := range got {
+		for i, c := range got[d] {
+			if c == nil || c != got[d][0] || string(c.Raw) != string(ders[d]) {
+				t.Fatalf("DER %d: caller %d got %p, caller 0 %p", d, i, c, got[d][0])
+			}
+		}
+	}
+}
+
 // TestParseCacheBounded pins the memoization cap: past parseCacheLimit
 // new certificates still parse correctly but are no longer retained,
 // so a peer presenting endless distinct certificates cannot grow the
@@ -63,7 +102,7 @@ func TestParseCacheBounded(t *testing.T) {
 	}
 	limit := parseCacheLimit
 	defer func() { parseCacheLimit = limit }()
-	parseCacheLimit = parseCacheSize.Load() // table is "full" right now
+	parseCacheLimit = parseCacheLen() // table is "full" right now
 
 	capped := mint("past the cap")
 	a, err := ParseCached(capped)
@@ -81,7 +120,7 @@ func TestParseCacheBounded(t *testing.T) {
 		t.Error("uncached parse returned wrong certificate")
 	}
 
-	parseCacheLimit = parseCacheSize.Load() + 1
+	parseCacheLimit = parseCacheLen() + 1
 	again := mint("under the cap again")
 	c1, err := ParseCached(again)
 	if err != nil {
@@ -94,6 +133,36 @@ func TestParseCacheBounded(t *testing.T) {
 	if c1 != c2 {
 		t.Error("certificate under the raised limit was not cached")
 	}
+}
+
+func parseCacheLen() int {
+	parseCache.Lock()
+	defer parseCache.Unlock()
+	return len(parseCache.m)
+}
+
+// TestIdentityLookupsAllocateNothing pins the hot-path cost of a
+// certificate's identity: reading its hex thumbprint and a ParseCached
+// hit allocate nothing.
+func TestIdentityLookupsAllocateNothing(t *testing.T) {
+	cert, err := Generate(testKey(t, 0), Options{CommonName: "allocs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseCached(cert.Raw); err != nil {
+		t.Fatal(err)
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = cert.ThumbprintHex() }); n != 0 {
+		t.Errorf("ThumbprintHex allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c, _ := ParseCached(cert.Raw)
+		sink = c.SubjectCN
+	}); n != 0 {
+		t.Errorf("ParseCached hit allocates %v times per call", n)
+	}
+	_ = sink
 }
 
 // TestDeterministicKeyReproducible pins the property the multi-process

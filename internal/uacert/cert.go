@@ -16,6 +16,7 @@ import (
 	"crypto/sha1"
 	"crypto/x509/pkix"
 	"encoding/asn1"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/big"
@@ -153,6 +154,9 @@ type Certificate struct {
 	rawSubject []byte
 	signature  []byte
 	rawTBS     []byte
+
+	thumbprint    [sha1.Size]byte // SHA-1 of Raw, computed once by Parse
+	thumbprintHex string
 }
 
 // Options configures certificate generation.
@@ -350,6 +354,7 @@ func Parse(der []byte) (*Certificate, error) {
 
 	c := &Certificate{
 		Raw:           append([]byte(nil), der...),
+		thumbprint:    sha1.Sum(der),
 		SerialNumber:  cert.TBS.SerialNumber,
 		NotBefore:     cert.TBS.Validity.NotBefore,
 		NotAfter:      cert.TBS.Validity.NotAfter,
@@ -360,6 +365,7 @@ func Parse(der []byte) (*Certificate, error) {
 		signature:     cert.SignatureValue.Bytes,
 		rawTBS:        cert.TBS.Raw,
 	}
+	c.thumbprintHex = hex.EncodeToString(c.thumbprint[:])
 	if c.SubjectCN, c.SubjectOrg, err = parseName(c.rawSubject); err != nil {
 		return nil, fmt.Errorf("uacert: subject: %w", err)
 	}
@@ -384,13 +390,10 @@ func (c *Certificate) SelfSigned() bool {
 
 // Thumbprint returns the SHA-1 hash of the DER encoding, the certificate
 // identity used by OPC UA security headers and by the reuse analysis.
-func (c *Certificate) Thumbprint() []byte {
-	sum := sha1.Sum(c.Raw)
-	return sum[:]
-}
+// Parse computes it once; the array is a copy, so no caller can alter
+// the identity another caller reads.
+func (c *Certificate) Thumbprint() [sha1.Size]byte { return c.thumbprint }
 
 // ThumbprintHex returns the hex thumbprint, the key used to cluster
-// certificate reuse across hosts.
-func (c *Certificate) ThumbprintHex() string {
-	return fmt.Sprintf("%x", c.Thumbprint())
-}
+// certificate reuse across hosts. It is computed once by Parse.
+func (c *Certificate) ThumbprintHex() string { return c.thumbprintHex }

@@ -1,10 +1,11 @@
 package uacert
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"crypto/sha1"
 	"crypto/x509"
+	"encoding/hex"
 	"math/big"
 	"sync"
 	"testing"
@@ -147,6 +148,9 @@ func TestCASignedCertificate(t *testing.T) {
 	}
 }
 
+// TestThumbprintStableAndUnique pins the identity Parse stores: the
+// SHA-1 of the DER and its lower-case hex, for a generated certificate
+// and for one parsed back from its bytes, distinct for distinct DER.
 func TestThumbprintStableAndUnique(t *testing.T) {
 	key := testKey(t, 0)
 	c1, err := Generate(key, Options{CommonName: "a", SerialNumber: big.NewInt(1)})
@@ -157,11 +161,14 @@ func TestThumbprintStableAndUnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(c1.Thumbprint(), c2.Thumbprint()) {
-		t.Error("thumbprint not stable across parse")
-	}
-	if len(c1.Thumbprint()) != 20 {
-		t.Errorf("thumbprint length = %d", len(c1.Thumbprint()))
+	for name, c := range map[string]*Certificate{"generated": c1, "parsed": c2} {
+		sum := sha1.Sum(c.Raw)
+		if c.Thumbprint() != sum {
+			t.Errorf("%s: Thumbprint = %x, want SHA-1 of Raw %x", name, c.Thumbprint(), sum)
+		}
+		if c.ThumbprintHex() != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: ThumbprintHex = %q, want %x", name, c.ThumbprintHex(), sum)
+		}
 	}
 	c3, err := Generate(key, Options{CommonName: "a", SerialNumber: big.NewInt(2)})
 	if err != nil {

@@ -2,7 +2,6 @@ package uasc
 
 import (
 	"crypto/rsa"
-	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,7 +67,7 @@ type Channel struct {
 	t   *Transport
 	sec ChannelSecurity
 
-	remotePub *rsa.PublicKey
+	remote *uacert.Certificate // peer certificate; nil under an insecure policy
 
 	ChannelID uint32
 	TokenID   uint32
@@ -370,7 +369,7 @@ func openChannel(t *Transport, sec ChannelSecurity, lifetimeMS uint32) (*Channel
 		if err != nil {
 			return nil, fmt.Errorf("uasc: server certificate: %w", err)
 		}
-		ch.remotePub = remote.PublicKey
+		ch.remote = remote
 	}
 
 	var clientNonce []byte
@@ -457,11 +456,13 @@ func (ch *Channel) sendOPNMsg(reqID uint32, msg uamsg.Message) error {
 func (ch *Channel) sendOPN(reqID uint32, body []byte) error {
 	var thumb []byte
 	var senderCert []byte
+	var encryptKey *rsa.PublicKey
 	secure := !ch.sec.Policy.Insecure
 	if secure {
 		senderCert = ch.sec.LocalCertDER
-		sum := sha1.Sum(ch.sec.RemoteCertDER)
+		sum := ch.remote.Thumbprint()
 		thumb = sum[:]
+		encryptKey = ch.remote.PublicKey
 	}
 	hdr := encodeAsymHeader(ch.sec.Policy.URI, senderCert, thumb)
 	prefix := make([]byte, 4, 4+len(hdr))
@@ -478,7 +479,7 @@ func (ch *Channel) sendOPN(reqID uint32, body []byte) error {
 			encrypt:    secure,
 			sign:       secure,
 			signKey:    ch.sec.LocalKey,
-			encryptKey: ch.remotePub,
+			encryptKey: encryptKey,
 			policy:     ch.sec.Policy,
 			signCC:     ch.sec.CryptoContext("opn-sign"),
 			encCC:      ch.sec.CryptoContext("opn-enc"),
@@ -816,7 +817,7 @@ func Accept(t *Transport, cfg ServerConfig) (*Channel, error) {
 		}
 		clientPub = clientCert.PublicKey
 		ch.sec.RemoteCertDER = hdr.senderCert
-		ch.remotePub = clientPub
+		ch.remote = clientCert
 	}
 
 	_, payload, err := open(chunk.msgType, chunk.chunkType, chunk.body, 4+hdr.length, openOpts{
