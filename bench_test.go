@@ -14,12 +14,10 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 	"repro/internal/uapolicy"
 )
 
@@ -29,41 +27,19 @@ var (
 	benchErr  error
 )
 
-// benchCampaign runs the full-fidelity campaign once per test binary —
-// with the telemetry registry live, so the benchmark numbers measure
-// the instrumented configuration (the one CI ships). When
-// OPCUA_METRICS_OUT names a file, the closing snapshot is written there
-// as NDJSON for the CI bench artifacts.
+// benchCampaign runs the full-fidelity campaign once per test binary;
+// the benchmarks below time the analyses that read it.
 func benchCampaign(b *testing.B) *Campaign {
 	b.Helper()
 	benchOnce.Do(func() {
-		reg := telemetry.New()
 		benchCamp, benchErr = RunCampaign(context.Background(), CampaignConfig{
 			Seed:        2020,
 			NoiseProb:   0.002,
 			GrabWorkers: 32,
-			Telemetry:   reg,
 			Progressf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "[campaign] "+format+"\n", args...)
 			},
 		})
-		if benchErr != nil {
-			return
-		}
-		if path := os.Getenv("OPCUA_METRICS_OUT"); path != "" {
-			snap := reg.Snapshot()
-			snap.Final = true
-			f, err := os.Create(path)
-			if err == nil {
-				err = telemetry.WriteSnapshot(f, snap)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "[campaign] metrics dump: %v\n", err)
-			}
-		}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -244,158 +220,6 @@ func BenchmarkSection55Longitudinal(b *testing.B) {
 	b.ReportMetric(float64(l.SHA1Post2017), "sha1_post2017")
 	b.ReportMetric(float64(l.ReuseGrowth[0]), "reuse_wave0")
 	b.ReportMetric(float64(l.ReuseGrowth[len(l.ReuseGrowth)-1]), "reuse_wave7")
-}
-
-// BenchmarkCampaignWave measures one complete measurement wave (port
-// scan, grabs, follow-ups) against the materialized world. The
-// sub-benchmark keeps the name BENCH_3/BENCH_4 recorded it under.
-func BenchmarkCampaignWave(b *testing.B) {
-	c := benchCampaign(b)
-	b.Run("streaming", func(b *testing.B) {
-		cfg := c.Config
-		cfg.Waves = []int{7}
-		for i := 0; i < b.N; i++ {
-			if _, err := RunCampaignOnWorld(context.Background(), cfg, c.World); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCampaign8Waves is the PR 4 headline: the complete
-// longitudinal campaign — all eight weekly waves against the
-// full-fidelity 1,114-server world — with the memoized
-// asymmetric-crypto engine and deterministic handshakes on ("cached",
-// the production default) versus the reference run of the same campaign
-// ("uncached": every RSA operation recomputed with fresh randomness,
-// every discovery response encoded structurally).
-// The paper's cross-wave structure is exactly what the engine exploits:
-// only 84 certificates renew across the eight waves and one key is
-// shared by 385 hosts, so nearly every OPN exchange after wave 0 is a
-// bit-identical replay served from cache. Paper assertions (1,114
-// servers, 385-host/24-AS reuse cluster, 493 accessible, 84 renewals)
-// run inside the loop for both modes, so the speedup cannot come at the
-// cost of fidelity; cache hit counters are reported as custom metrics
-// for cmd/benchjson.
-func BenchmarkCampaign8Waves(b *testing.B) {
-	c := benchCampaign(b)
-	for _, mode := range []struct {
-		name      string
-		reference bool
-	}{
-		{"cached", false},
-		{"uncached", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := c.Config
-			cfg.Waves = nil // all eight
-			cfg.reference = mode.reference
-			for i := 0; i < b.N; i++ {
-				run, err := RunCampaignOnWorld(context.Background(), cfg, c.World)
-				if err != nil {
-					b.Fatal(err)
-				}
-				assertPaperHeadlines(b, run)
-				if st := run.CryptoStats; st != nil {
-					tot := cryptoTotal(st)
-					b.ReportMetric(float64(tot.Hits), "rsa_hits")
-					b.ReportMetric(float64(tot.Misses), "rsa_misses")
-					b.ReportMetric(100*tot.HitRate(), "rsa_hit_pct")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCampaign8WavesSharded is the PR 5 headline: the complete
-// eight-wave full-fidelity campaign with every wave's permuted probe
-// space sharded N ways, each shard running its own fixed grab pool of 8
-// workers — the single-process model of one worker machine per shard
-// (the multi-process twin is cmd/measure -shards). A small artificial
-// RTT is injected into all variants: real measurement waves are
-// network-bound, and that idle dial time is exactly what additional
-// shards' worker pools reclaim — on a multi-core box the shards'
-// protocol CPU also spreads across cores. Paper assertions run inside
-// the loop for every shard count, so the speedup cannot come at the
-// cost of fidelity; the shard merge is byte-exact
-// (TestShardedCampaignByteIdentical pins it).
-func BenchmarkCampaign8WavesSharded(b *testing.B) {
-	c := benchCampaign(b)
-	c.World.Net.SetLatency(5 * time.Millisecond)
-	defer c.World.Net.SetLatency(0)
-	for _, shards := range []int{1, 4} {
-		// The underscore keeps benchjson's GOMAXPROCS-suffix stripping
-		// away from the shard count.
-		b.Run(fmt.Sprintf("shards_%d", shards), func(b *testing.B) {
-			cfg := c.Config
-			cfg.Waves = nil // all eight
-			cfg.Shards = shards
-			cfg.GrabWorkers = 8 // per shard: one machine's worth
-			for i := 0; i < b.N; i++ {
-				run, err := RunCampaignOnWorld(context.Background(), cfg, c.World)
-				if err != nil {
-					b.Fatal(err)
-				}
-				assertPaperHeadlines(b, run)
-				b.ReportMetric(float64(shards), "shards")
-				b.ReportMetric(float64(len(run.LastWave().Servers)), "servers")
-			}
-		})
-	}
-}
-
-// BenchmarkCampaign8WavesDelta is the PR 10 headline: the complete
-// eight-wave full-fidelity campaign sharded 4 ways ("full", exactly the
-// BenchmarkCampaign8WavesSharded/shards_4 configuration) versus the
-// same campaign in delta mode ("delta"), where every wave after the
-// first diffs per-host fingerprints against its predecessor and clones
-// the prior wave's records for unchanged hosts without opening a single
-// channel. The paper's longitudinal structure is what delta mode
-// exploits: only 84 certificates renew and a handful of hosts churn
-// across the eight waves, so the steady-state wave is almost entirely
-// skips. Paper assertions run inside the loop for both modes — the
-// speedup cannot come at the cost of fidelity (the byte-identity twin
-// is TestDeltaCampaignByteIdentical) — and the delta hit/miss/fallback
-// counters are reported as custom metrics for cmd/benchjson.
-func BenchmarkCampaign8WavesDelta(b *testing.B) {
-	c := benchCampaign(b)
-	c.World.Net.SetLatency(5 * time.Millisecond)
-	defer c.World.Net.SetLatency(0)
-	for _, mode := range []struct {
-		name  string
-		delta bool
-	}{
-		{"full", false},
-		{"delta", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := c.Config
-			cfg.Waves = nil // all eight
-			cfg.Shards = 4
-			cfg.GrabWorkers = 8 // per shard: one machine's worth
-			cfg.Delta = mode.delta
-			for i := 0; i < b.N; i++ {
-				reg := telemetry.New()
-				cfg.Telemetry = reg
-				run, err := RunCampaignOnWorld(context.Background(), cfg, c.World)
-				if err != nil {
-					b.Fatal(err)
-				}
-				assertPaperHeadlines(b, run)
-				if mode.delta {
-					snap := reg.Snapshot()
-					hits := float64(snap.CounterTotal("wave_delta_hits"))
-					misses := float64(snap.CounterTotal("wave_delta_misses"))
-					b.ReportMetric(hits, "delta_hits")
-					b.ReportMetric(misses, "delta_misses")
-					b.ReportMetric(float64(snap.CounterTotal("wave_delta_fallbacks")), "delta_fallbacks")
-					if hits+misses > 0 {
-						b.ReportMetric(100*hits/(hits+misses), "delta_hit_pct")
-					}
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkDatasetWrite measures dataset serialization.

@@ -1,18 +1,15 @@
 // Command benchjson converts `go test -bench` output on stdin into a
-// machine-readable JSON document, so the repository's performance
-// trajectory (ns/op, allocs/op, campaign wall clock) can be tracked as
-// BENCH_<pr>.json files across PRs and consumed by tooling instead of
-// scraped from prose.
+// machine-readable JSON document, so the repository's hot-path
+// trajectory (ns/op, allocs/op) can be tracked as BENCH_<pr>.json files
+// across PRs and consumed by tooling instead of scraped from prose.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_3.json
+//	go test -run '^$' -bench . -benchmem ./internal/... | benchjson -o bench-hotpath.json
 //
 // Lines that are not benchmark results (headers, PASS/ok, metrics the
 // parser cannot read) are ignored, so piping full `go test` output is
-// fine. Custom b.ReportMetric values are kept under "metrics", and
-// every benchmark whose name contains "Campaign" is summarized a
-// second time in "campaign_seconds" (wall clock per op).
+// fine. Custom b.ReportMetric values are kept under "metrics".
 //
 // With -budget FILE, fresh allocs/op are compared against the
 // benchmarks recorded in FILE (a previously committed BENCH_<pr>.json):
@@ -57,9 +54,8 @@ type entry struct {
 }
 
 type doc struct {
-	Schema          string             `json:"schema"`
-	Benchmarks      map[string]*entry  `json:"benchmarks"`
-	CampaignSeconds map[string]float64 `json:"campaign_seconds,omitempty"`
+	Schema     string            `json:"schema"`
+	Benchmarks map[string]*entry `json:"benchmarks"`
 }
 
 // stripProcSuffix removes the trailing -GOMAXPROCS from a benchmark
@@ -169,9 +165,8 @@ func checkBudget(fresh map[string]*entry, budgetPath string, match *regexp.Regex
 	for _, name := range names {
 		want := budget.Benchmarks[name]
 		if match != nil && !match.MatchString(name) {
-			// Out of this invocation's scope: the budget file records more
-			// benchmarks than any one CI step runs (campaign numbers
-			// alongside hot paths).
+			// Out of this invocation's scope: a budget file may record
+			// more benchmarks than one CI step runs.
 			continue
 		}
 		got, ok := fresh[name]
@@ -265,9 +260,8 @@ func main() {
 	}
 
 	d := doc{
-		Schema:          "opcua-repro-bench/v1",
-		Benchmarks:      map[string]*entry{},
-		CampaignSeconds: map[string]float64{},
+		Schema:     "opcua-repro-bench/v1",
+		Benchmarks: map[string]*entry{},
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -278,16 +272,10 @@ func main() {
 			continue
 		}
 		d.Benchmarks[name] = e
-		if strings.Contains(name, "Campaign") {
-			d.CampaignSeconds[name] = e.NsPerOp / 1e9
-		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading input: %v\n", err)
 		os.Exit(1)
-	}
-	if len(d.CampaignSeconds) == 0 {
-		d.CampaignSeconds = nil
 	}
 
 	enc, err := json.MarshalIndent(&d, "", "  ")

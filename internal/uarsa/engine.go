@@ -290,7 +290,7 @@ func (s OpStats) HitRate() float64 {
 }
 
 // Stats is a point-in-time snapshot of the engine's observability
-// counters (surfaced by cmd/measure and the campaign benchmarks).
+// counters (surfaced by cmd/measure and the canonical benchmark).
 type Stats struct {
 	Sign    OpStats
 	Verify  OpStats

@@ -61,13 +61,15 @@ func finalSnapshots(t *testing.T, path string) map[string]*telemetry.Snapshot {
 }
 
 // runFabricMeasure runs one networked campaign of the measure binary:
-// a `-listen 127.0.0.1:0` coordinator with coordArgs and `workers`
-// `-connect` subprocesses, each streaming its registry into dir. It
-// returns the workers' closing snapshots. Which worker executes which
-// shard is the fabric's business (a fast worker may take several
-// leases in turn), so callers assert on sums and on the workers that
-// ran something.
-func runFabricMeasure(t *testing.T, bin, dir string, workers int, coordArgs ...string) []*telemetry.Snapshot {
+// a `-listen 127.0.0.1:0` coordinator with coordArgs and a `-connect`
+// subprocess per entry of faults, each streaming its registry into dir
+// under its `-fault`, if any. A kill=N worker must exit nonzero; a
+// stall=N worker is killed once the campaign is over. It returns the
+// clean workers' closing snapshots. Which worker executes which shard
+// is the fabric's business (a fast worker may take several leases in
+// turn), so callers assert on sums and on the workers that ran
+// something.
+func runFabricMeasure(t *testing.T, bin, dir string, faults []string, coordArgs ...string) []*telemetry.Snapshot {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
@@ -93,13 +95,16 @@ func runFabricMeasure(t *testing.T, bin, dir string, workers int, coordArgs ...s
 			t.Fatalf("coordinator never announced its address: %v\n%s", err, log.Bytes())
 		}
 	}
-	cmds := make([]*exec.Cmd, workers)
-	outs := make([]bytes.Buffer, workers)
-	metrics := make([]string, workers)
-	for i := range cmds {
+	cmds := make([]*exec.Cmd, len(faults))
+	outs := make([]bytes.Buffer, len(faults))
+	metrics := make([]string, len(faults))
+	for i, fault := range faults {
 		metrics[i] = filepath.Join(dir, "worker-"+strconv.Itoa(i)+".metrics.ndjson")
-		cmds[i] = exec.CommandContext(ctx, bin, "-connect", addr, "-name", "w"+strconv.Itoa(i),
-			"-heartbeat", "100ms", "-metrics", metrics[i])
+		args := []string{"-connect", addr, "-name", "w" + strconv.Itoa(i), "-heartbeat", "100ms", "-metrics", metrics[i]}
+		if fault != "" {
+			args = append(args, "-fault", fault)
+		}
+		cmds[i] = exec.CommandContext(ctx, bin, args...)
 		cmds[i].Stderr = &outs[i]
 		if err := cmds[i].Start(); err != nil {
 			t.Fatalf("starting fabric worker %d: %v", i, err)
@@ -107,12 +112,22 @@ func runFabricMeasure(t *testing.T, bin, dir string, workers int, coordArgs ...s
 	}
 	io.Copy(io.Discard, lines) // drain into log until the coordinator exits
 	cerr := coord.Wait()
-	finals := make([]*telemetry.Snapshot, workers)
+	finals := make([]*telemetry.Snapshot, len(faults))
 	for i, cmd := range cmds {
+		if strings.HasPrefix(faults[i], "stall=") {
+			cmd.Process.Kill()
+		}
+		werr := cmd.Wait()
+		if strings.HasPrefix(faults[i], "kill=") && werr == nil {
+			t.Errorf("fabric worker %d (-fault %s) exited cleanly", i, faults[i])
+		}
+		if faults[i] != "" {
+			continue
+		}
 		// A worker caught between sessions when the campaign ends
 		// legitimately exhausts its dial budget against the closed
 		// listener.
-		if werr := cmd.Wait(); werr != nil && !strings.Contains(outs[i].String(), "consecutive dial failures") {
+		if werr != nil && !strings.Contains(outs[i].String(), "consecutive dial failures") {
 			t.Errorf("fabric worker %d exited: %v\n%s", i, werr, outs[i].Bytes())
 		}
 		if finals[i] = finalSnapshots(t, metrics[i])["w"+strconv.Itoa(i)]; finals[i] == nil {
@@ -149,7 +164,7 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 	}
 	merged := filepath.Join(dir, "merged.jsonl")
 	metrics := filepath.Join(dir, "metrics.ndjson")
-	workers := runFabricMeasure(t, bin, dir, shards,
+	workers := runFabricMeasure(t, bin, dir, make([]string, shards),
 		append(campaign, "-dataset", merged, "-metrics", metrics)...)
 
 	n, want := datasetFile(t, merged)
@@ -226,10 +241,14 @@ func TestMeasureMetricsAccounting(t *testing.T) {
 }
 
 // TestMeasureChaosFabric runs a chaos campaign through the fabric
-// (-listen, two -connect workers) and in one process, unsharded: the
+// (-listen, four -connect workers) and in one process, unsharded: the
 // datasets must be equal. Stage deadlines run on each grab's virtual
 // timeline, so the armor's outcome on a chaos host is a function of the
-// study alone — not of which process, shard or load ran the grab.
+// study alone — not of which process, shard or load ran the grab. One
+// worker is killed mid-shard (its partial stream discarded, its shard
+// re-queued) and another stalls with its connection held open, which
+// only the heartbeat deadline notices: both leases must expire and the
+// merged dataset stay the same.
 func TestMeasureChaosFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess campaign skipped in -short mode")
@@ -240,8 +259,13 @@ func TestMeasureChaosFabric(t *testing.T) {
 		"-seed", "2020", "-waves", "6,7", "-testkeys", "-chaos", "mixed",
 		"-max-hosts", "60", "-noise", "1e-5", "-grab-workers", "8",
 	}
-	merged := filepath.Join(dir, "merged.jsonl")
-	runFabricMeasure(t, bin, dir, 2, append(campaign, "-shards", "2", "-dataset", merged)...)
+	merged, metrics := filepath.Join(dir, "merged.jsonl"), filepath.Join(dir, "metrics.ndjson")
+	runFabricMeasure(t, bin, dir, []string{"kill=3", "stall=2", "", ""}, append(campaign,
+		"-shards", "4", "-dead-after", "500ms", "-dataset", merged, "-metrics", metrics)...)
+	if fab := finalSnapshots(t, metrics)["fabric"]; fab == nil || fab.Counters["fabric_workers_dead"] < 2 ||
+		fab.Counters["fabric_leases_requeued"] < 2 || fab.Max["fabric_heartbeat_gap_ns"] <= (500*time.Millisecond).Nanoseconds() {
+		t.Errorf("the coordinator's closing snapshot %+v: want two workers dead, two leases re-queued and a heartbeat gap past -dead-after", fab)
+	}
 	_, want := datasetFile(t, merged)
 	single := filepath.Join(dir, "single.jsonl")
 	if out, err := exec.Command(bin, append(campaign, "-dataset", single)...).CombinedOutput(); err != nil {
@@ -282,7 +306,7 @@ func TestMeasureDeltaCoordinator(t *testing.T) {
 			"-max-hosts", "60", "-noise", "1e-5", "-grab-workers", "8",
 			"-dataset", out, "-metrics", filepath.Join(dir, "metrics.ndjson"),
 		}, extra...)
-		return dir, runFabricMeasure(t, bin, dir, shards, args...)
+		return dir, runFabricMeasure(t, bin, dir, make([]string, shards), args...)
 	}
 	fullDir, fullWorkers := run()
 	deltaDir, workers := run("-delta")

@@ -148,8 +148,8 @@ type CampaignConfig struct {
 	// randomness in every exchange (every RSA operation recomputed), and
 	// every GetEndpoints/FindServers response encoded structurally — the
 	// zero uaserver.ConnOptions on both ends of the wire. It is what the
-	// Exec invariance table and the cached-vs-uncached benchmark compare
-	// production against (DESIGN.md §4).
+	// differential oracle, TestExecInvariance, compares every execution
+	// against (DESIGN.md §4).
 	reference bool
 }
 
@@ -670,9 +670,8 @@ func RunCampaignOnWorld(ctx context.Context, cfg CampaignConfig, world *deploy.W
 //
 // One semantic differs from the single-process Campaign: a scanned wave
 // that yields zero OPC UA records is simply absent from the stream —
-// the merged analysis then skips it, exactly like
-// AnalyzeRecords/AnalyzeDataset skip empty waves when reproducing
-// figures from a released dataset.
+// the merged analysis then skips it, exactly like AnalyzeDataset skips
+// empty waves when reproducing figures from a released dataset.
 func RunCampaignShard(ctx context.Context, cfg CampaignConfig, world *deploy.World, shards, shard int, sink pipeline.RecordSink) error {
 	if shard < 0 {
 		// The lease's shard index arrives from the network; a negative

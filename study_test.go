@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"os"
-	"os/exec"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/fabric"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/uarsa"
@@ -80,14 +76,8 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence skipped in -short mode")
 	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{5, 6, 7},
-		TestKeySizes: true,
-		MaxHosts:     60,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-	}
+	cfg := deltaTestConfig("")
+	cfg.Waves = []int{5, 6, 7}
 	world, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,15 +143,7 @@ func TestCampaignConcurrentWavesMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if a, b := datasetBytes(t, ahead), datasetBytes(t, step); !bytes.Equal(a, b) {
-		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
-	}
-	if !reflect.DeepEqual(ahead.Analyses, step.Analyses) {
-		t.Error("wave analyses differ between scan-ahead and lock-step runs")
-	}
-	if !reflect.DeepEqual(ahead.Long, step.Long) {
-		t.Error("longitudinal analysis differs between scan-ahead and lock-step runs")
-	}
+	requireSame(t, cfg.Seed, outcomeOf(ahead), outcomeOf(step))
 	for _, w := range cfg.Waves {
 		as, ss := ahead.Scans[w], step.Scans[w]
 		if as == nil || ss == nil {
@@ -191,15 +173,9 @@ func TestCampaignConcurrentCachedMatchesUncached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence skipped in -short mode")
 	}
-	productionThenReference(t, CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{6, 7},
-		TestKeySizes: true,
-		MaxHosts:     60,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-		Shards:       2,
-	})
+	cfg := deltaTestConfig("")
+	cfg.Waves, cfg.Shards = []int{6, 7}, 2
+	productionThenReference(t, cfg)
 }
 
 // TestCampaignConcurrentCryptoCacheMatchesUncached is the memo
@@ -214,15 +190,9 @@ func TestCampaignConcurrentCryptoCacheMatchesUncached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence skipped in -short mode")
 	}
-	cached, uncached := productionThenReference(t, CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{5, 6, 7},
-		TestKeySizes: true,
-		MaxHosts:     320,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-		Shards:       2,
-	})
+	cfg := execFixture("")
+	cfg.Waves, cfg.Shards = []int{5, 6, 7}, 2
+	cached, uncached := productionThenReference(t, cfg)
 	if cached.CryptoStats == nil || cryptoTotal(cached.CryptoStats).Hits == 0 {
 		t.Errorf("the memo engine never hit across three waves: %+v", cached.CryptoStats)
 	}
@@ -250,15 +220,7 @@ func productionThenReference(t *testing.T, cfg CampaignConfig) (prod, ref *Campa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := datasetBytes(t, prod), datasetBytes(t, ref); !bytes.Equal(a, b) {
-		t.Errorf("datasets differ: %d bytes vs %d bytes", len(a), len(b))
-	}
-	if !reflect.DeepEqual(prod.Analyses, ref.Analyses) {
-		t.Error("wave analyses differ between the production and reference runs")
-	}
-	if !reflect.DeepEqual(prod.Long, ref.Long) {
-		t.Error("longitudinal analysis differs between the production and reference runs")
-	}
+	requireSame(t, cfg.Seed, outcomeOf(prod), outcomeOf(ref))
 	return prod, ref
 }
 
@@ -300,8 +262,8 @@ func TestFullFidelityPaperAssertions(t *testing.T) {
 // completed full-fidelity campaign: 1,114 servers in the final wave,
 // the 385-host/24-AS certificate-reuse cluster (of 9 clusters ≥3
 // hosts), 493 accessible address spaces, and 84 certificate renewals
-// across the waves. Shared by the full-fidelity race gate and the
-// 8-wave campaign benchmark so the numbers live in one place.
+// across the waves. The canonical benchmark (bench/) checks the same
+// numbers on every rep of its full-fidelity workloads.
 func assertPaperHeadlines(tb testing.TB, c *Campaign) {
 	tb.Helper()
 	w := c.LastWave()
@@ -317,166 +279,6 @@ func assertPaperHeadlines(tb testing.TB, c *Campaign) {
 	}
 	if c.Long == nil || len(c.Long.Renewals) != 84 {
 		tb.Errorf("renewals missing or wrong, want 84 (long=%v)", c.Long != nil)
-	}
-}
-
-// TestCampaignConcurrentTelemetryMatchesDisabled is the tentpole
-// acceptance gate for the telemetry subsystem: a two-shard campaign
-// with the full observability surface live (registry, scoped
-// instruments, exchange tracer) must produce a byte-identical dataset
-// and identical analyses to the same campaign with telemetry disabled —
-// observers never mutate campaign state. It also pins the accounting
-// invariant (campaign_records equals the dataset record count, per wave
-// and in total) and the determinism of exchange IDs. The name matches
-// the CI race-run pattern 'TestCampaignConcurrent', so the observed run
-// races its instrument updates against the snapshotting goroutine
-// under -race.
-func TestCampaignConcurrentTelemetryMatchesDisabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence skipped in -short mode")
-	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{6, 7},
-		TestKeySizes: true,
-		// The first ~250 hosts of the population ordering offer no secure
-		// endpoints; 400 keeps the fixture small while still driving the
-		// handshake instruments (policy/mode scopes, latency histogram).
-		MaxHosts:    400,
-		NoiseProb:   1e-5,
-		GrabWorkers: 8,
-		Shards:      2,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := RunCampaignOnWorld(context.Background(), cfg, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	observed := cfg
-	observed.Telemetry = telemetry.New()
-	observed.Trace = telemetry.NewTracer(0)
-	// A concurrent snapshotter reads the registry while the campaign
-	// writes it: snapshots must never perturb the run (or trip -race).
-	stop := make(chan struct{})
-	var snapWG sync.WaitGroup
-	snapWG.Add(1)
-	go func() {
-		defer snapWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = observed.Telemetry.Snapshot()
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-	obs, err := RunCampaignOnWorld(context.Background(), observed, world)
-	close(stop)
-	snapWG.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := datasetBytes(t, obs), datasetBytes(t, plain); !bytes.Equal(a, b) {
-		t.Errorf("telemetry changed the dataset: %d bytes vs %d bytes", len(a), len(b))
-	}
-	if !reflect.DeepEqual(obs.Analyses, plain.Analyses) {
-		t.Error("wave analyses differ with telemetry enabled")
-	}
-	if !reflect.DeepEqual(obs.Long, plain.Long) {
-		t.Error("longitudinal analysis differs with telemetry enabled")
-	}
-
-	snap := observed.Telemetry.Snapshot()
-	total := 0
-	for _, w := range cfg.Waves {
-		n := len(obs.RecordsByWave[w])
-		total += n
-		key := `campaign_records{wave="` + strconv.Itoa(w) + `"}`
-		if got := snap.Counters[key]; got != uint64(n) {
-			t.Errorf("%s = %d, want %d", key, got, n)
-		}
-	}
-	if got := snap.CounterTotal("campaign_records"); got != uint64(total) {
-		t.Errorf("campaign_records total = %d, want %d (every dataset record accounted)", got, total)
-	}
-	if snap.CounterTotal("handshake_attempts") == 0 {
-		t.Error("no handshake attempts recorded")
-	}
-	if snap.CounterTotal("scan_probes") == 0 {
-		t.Error("no scan probes recorded")
-	}
-
-	exchanges := observed.Trace.Exchanges()
-	if len(exchanges) == 0 {
-		t.Fatal("tracer recorded no exchanges")
-	}
-	for _, ex := range exchanges {
-		if want := telemetry.ExchangeID(cfg.Seed, ex.Wave, ex.Address); ex.ID != want {
-			t.Errorf("exchange %s wave %d: ID %d, want deterministic %d", ex.Address, ex.Wave, ex.ID, want)
-		}
-		if len(ex.Spans) == 0 {
-			t.Errorf("exchange %s has no spans", ex.Address)
-		}
-	}
-}
-
-// TestCampaignConcurrentWavesCancellation pins the campaign's
-// cancellation contract: cancelled while wave 6 scans, the campaign
-// returns with wave 5 analyzed, wave 6 in Scans marked Partial and
-// unanalyzed, and wave 7 absent — and never deadlocks (run under -race
-// in CI).
-func TestCampaignConcurrentWavesCancellation(t *testing.T) {
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{5, 6, 7},
-		TestKeySizes: true,
-		MaxHosts:     40,
-		NoiseProb:    1e-5,
-		GrabWorkers:  4,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.Progressf = func(format string, args ...any) {
-		if strings.Contains(format, "scanning") && args[0] == 6 {
-			cancel()
-		}
-	}
-
-	c, err := RunCampaignOnWorld(ctx, cfg, world)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if c == nil {
-		t.Fatal("cancelled campaign is nil; contract promises the partial campaign")
-	}
-	if c.Long != nil {
-		t.Error("longitudinal analysis computed for a cancelled campaign")
-	}
-	if scan := c.Scans[5]; scan == nil || scan.Partial || c.RecordsByWave[5] == nil {
-		t.Error("wave 5, scanned before the cancellation, is not complete and analyzed")
-	}
-	if scan := c.Scans[6]; scan == nil || !scan.Partial {
-		t.Error("wave 6, in flight at the cancellation, is not in Scans marked Partial")
-	}
-	if _, analyzed := c.RecordsByWave[6]; analyzed {
-		t.Error("partial wave 6 reached the dataset")
-	}
-	if scan := c.Scans[7]; scan != nil {
-		t.Errorf("never-started wave 7 present in Scans (partial=%v)", scan.Partial)
-	}
-	if len(c.Analyses) != 1 || c.Analyses[0].Wave != 5 {
-		t.Errorf("analyses of %d waves, want wave 5's only", len(c.Analyses))
 	}
 }
 
@@ -657,27 +459,11 @@ func TestEndToEndDeficitsByVendor(t *testing.T) {
 
 func TestEndToEndDatasetRoundTrip(t *testing.T) {
 	c := lastWaveCampaign(t)
-	var buf bytes.Buffer
-	if err := c.WriteDataset(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := dataset.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(c.RecordsByWave[7]) {
-		t.Fatalf("dataset round trip: %d records, want %d", len(recs), len(c.RecordsByWave[7]))
-	}
-	// The analysis from the serialized dataset must match the live one.
-	analyses, _ := analyzeRecords(recs)
-	re := analyses[len(analyses)-1]
-	w := c.LastWave()
-	if re.Accessible != w.Accessible || re.NoneOnly != w.NoneOnly ||
-		re.Anonymous != w.Anonymous || len(re.Servers) != len(w.Servers) {
-		t.Errorf("re-analysis differs: %d/%d/%d/%d vs %d/%d/%d/%d",
-			re.Accessible, re.NoneOnly, re.Anonymous, len(re.Servers),
-			w.Accessible, w.NoneOnly, w.Anonymous, len(w.Servers))
-	}
+	// The serialized dataset gives back the live records and, folded,
+	// the live analyses.
+	recs := decodeDataset(t, datasetBytes(t, c))
+	waves, long := analyzeRecords(recs)
+	requireSame(t, c.Config.Seed, &reference{nil, recs, analyses{waves, long}}, outcomeOf(c))
 }
 
 func TestEndToEndAnonymizedDataset(t *testing.T) {
@@ -727,191 +513,6 @@ func TestEndToEndReportRenders(t *testing.T) {
 	}
 }
 
-// TestShardedCampaignByteIdentical is the PR 5 acceptance gate for the
-// sharded record pipeline: campaigns that shard every wave's permuted
-// probe space 1, 2 and 5 ways in-process — and 5 ways across four
-// cmd/measure fabric worker subprocesses — must produce byte-identical
-// datasets and identical WaveAnalysis/Longitudinal output versus the
-// unsharded single-process run. The in-process variants share one
-// world (thumbprints must agree by construction); the subprocess
-// workers each rebuild the world, so they additionally prove the
-// deterministic materialization. Run under -race this also exercises
-// the concurrent shard execution. (The per-shard streams of
-// RunCampaignShard are pinned in-process by
-// TestShardedCampaignShardStreams.)
-func TestShardedCampaignByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded campaign equivalence skipped in -short mode")
-	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{6, 7},
-		TestKeySizes: true,
-		MaxHosts:     60,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := RunCampaignOnWorld(context.Background(), cfg, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := datasetBytes(t, baseline)
-
-	for _, shards := range []int{1, 2, 5} {
-		sharded := cfg
-		sharded.Shards = shards
-		run, err := RunCampaignOnWorld(context.Background(), sharded, world)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got := datasetBytes(t, run); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: dataset differs from unsharded (%d vs %d bytes)",
-				shards, len(got), len(want))
-		}
-		if !reflect.DeepEqual(run.Analyses, baseline.Analyses) {
-			t.Errorf("shards=%d: wave analyses differ from unsharded", shards)
-		}
-		if !reflect.DeepEqual(run.Long, baseline.Long) {
-			t.Errorf("shards=%d: longitudinal analysis differs from unsharded", shards)
-		}
-		for _, w := range cfg.Waves {
-			scan := run.Scans[w]
-			if scan == nil || scan.Partial {
-				t.Fatalf("shards=%d wave %d: scan missing or partial", shards, w)
-			}
-			if scan.OpenPorts != baseline.Scans[w].OpenPorts {
-				t.Errorf("shards=%d wave %d: open ports %d, want %d",
-					shards, w, scan.OpenPorts, baseline.Scans[w].OpenPorts)
-			}
-		}
-	}
-
-	// Network fabric round trip (PR 8): an in-process coordinator leases
-	// 5 shards over TCP to four measure subprocess workers. One worker is
-	// killed abruptly mid-shard (its partial stream must be discarded and
-	// the shard re-queued); another stalls mid-shard with the connection
-	// held open (only the heartbeat deadline can notice — the lease must
-	// expire). The merged campaign must stay byte-identical regardless.
-	bin := buildMeasure(t)
-	const netShards = 5
-	deadAfter := 1 * time.Second
-	spec := cfg.FabricSpec(netShards, 25*time.Millisecond)
-	hello, err := spec.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	coord := fabric.NewCoordinator(ln, fabric.CoordinatorConfig{
-		Shards:    netShards,
-		Hello:     hello,
-		DeadAfter: deadAfter,
-		Metrics:   reg,
-		Logf:      t.Logf,
-	})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	workerFaults := []string{"kill=3", "stall=2", "", ""}
-	var stderrs []*bytes.Buffer
-	var cmds []*exec.Cmd
-	for i, fault := range workerFaults {
-		args := []string{
-			"-connect", ln.Addr().String(),
-			"-name", "net-w" + strconv.Itoa(i),
-			"-heartbeat", "25ms",
-		}
-		if fault != "" {
-			args = append(args, "-fault", fault)
-		}
-		cmd := exec.CommandContext(ctx, bin, args...)
-		buf := new(bytes.Buffer)
-		cmd.Stderr = buf
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting fabric worker %d: %v", i, err)
-		}
-		stderrs = append(stderrs, buf)
-		cmds = append(cmds, cmd)
-	}
-	streams, err := coord.Run(ctx)
-	// The campaign is over. The stalled worker, declared dead, is now
-	// reconnecting to a closed listener and would spend its whole dial
-	// budget — 20 s of seeded backoff — before exiting; what this gate
-	// needs from it (the heartbeat gap, the re-queued lease) is asserted
-	// on the coordinator's counters below, so it is not waited for.
-	const stalled = 1
-	cmds[stalled].Process.Kill()
-	for i, cmd := range cmds {
-		werr := cmd.Wait()
-		// The killed worker must die (nonzero exit). The clean workers
-		// exit cleanly at shutdown — except one caught between sessions
-		// when the campaign ends, which legitimately exhausts its dial
-		// budget against the closed listener.
-		if i == 0 && werr == nil {
-			t.Errorf("fabric worker %d (-fault kill) exited cleanly", i)
-		}
-		if i > stalled && werr != nil &&
-			!strings.Contains(stderrs[i].String(), "consecutive dial failures") {
-			t.Errorf("fabric worker %d exited: %v\n%s", i, werr, stderrs[i].Bytes())
-		}
-	}
-	if err != nil {
-		for i, buf := range stderrs {
-			t.Logf("fabric worker %d stderr:\n%s", i, buf.Bytes())
-		}
-		t.Fatalf("fabric coordinator: %v", err)
-	}
-
-	decoders := make([]*dataset.Decoder, len(streams))
-	for i, s := range streams {
-		decoders[i] = dataset.NewDecoder(bytes.NewReader(s))
-	}
-	var slice pipeline.SliceSink
-	if err := pipeline.MergeShardStreams(&slice, decoders...); err != nil {
-		t.Fatalf("merging fabric streams: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := dataset.Write(&buf, slice.Records); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("fabric: merged dataset differs from unsharded (%d vs %d bytes)",
-			buf.Len(), len(want))
-	}
-	analyses, long := analyzeRecords(slice.Records)
-	wantAnalyses, wantLong := analyzeRecords(decodeDataset(t, want))
-	if !reflect.DeepEqual(analyses, wantAnalyses) {
-		t.Error("fabric: re-analyses differ")
-	}
-	if !reflect.DeepEqual(long, wantLong) {
-		t.Error("fabric: longitudinal differs")
-	}
-
-	// The failure machinery must actually have fired: two workers died
-	// (broken stream + heartbeat expiry), their shards re-queued, and
-	// the stall was visible as a heartbeat gap past the threshold.
-	if got := reg.Counter("fabric_workers_dead").Load(); got < 2 {
-		t.Errorf("fabric_workers_dead = %d, want >= 2 (kill + stall)", got)
-	}
-	if got := reg.Counter("fabric_leases_requeued").Load(); got < 2 {
-		t.Errorf("fabric_leases_requeued = %d, want >= 2", got)
-	}
-	if gap := reg.MaxGauge("fabric_heartbeat_gap_ns").Load(); gap <= deadAfter.Nanoseconds() {
-		t.Errorf("fabric_heartbeat_gap_ns = %d, want > %d (stall must exceed the lease deadline)",
-			gap, deadAfter.Nanoseconds())
-	}
-	if got := reg.Counter("fabric_shards_committed").Load(); got != netShards {
-		t.Errorf("fabric_shards_committed = %d, want %d", got, netShards)
-	}
-}
-
 func decodeDataset(t *testing.T, raw []byte) []*dataset.HostRecord {
 	t.Helper()
 	recs, err := dataset.Read(bytes.NewReader(raw))
@@ -931,187 +532,13 @@ func recordBytes(t *testing.T, recs []*dataset.HostRecord) []byte {
 	return buf.Bytes()
 }
 
-// TestShardedCampaignShardStreams is the executor differential: on one
-// world, RunCampaignShard for every shard of a 2- and a 5-shard plan,
-// each into its own in-memory NDJSON stream, merged by
-// pipeline.MergeShardStreams, must equal RunCampaignOnWorld's dataset
-// byte for byte — the polite full scan, the delta campaign, and a
-// chaos-mixed wave 7 on two shards. Both entry points run the same scanWave; this pins
-// that what they do with its records agrees. Under Delta every shard
-// owns a tracker over its own stream, and the per-shard registries must
-// reconcile: one fallback wave each, clones in every shard, and at
-// least as many records emitted as survive the merge's dedup.
-func TestShardedCampaignShardStreams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded campaign equivalence skipped in -short mode")
-	}
-	full := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{4, 5, 6, 7},
-		TestKeySizes: true,
-		MaxHosts:     60,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-	}
-	world, err := BuildWorld(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := full
-	delta.Delta = true
-	for _, tc := range []struct {
-		name   string
-		cfg    CampaignConfig
-		shards []int
-	}{
-		{"full", full, []int{2, 5}},
-		{"delta", delta, []int{2, 5}},
-		{"chaos_mixed", chaosTestConfig("mixed"), []int{2, 5}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.cfg
-			ref.Delta = false
-			baseline, err := RunCampaignOnWorld(context.Background(), ref, world)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := datasetBytes(t, baseline)
-
-			for _, shards := range tc.shards {
-				streams := make([]bytes.Buffer, shards)
-				regs := make([]*telemetry.Registry, shards)
-				errs := make([]error, shards)
-				var wg sync.WaitGroup
-				for s := range streams {
-					regs[s] = telemetry.New()
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						cfg := tc.cfg
-						cfg.Telemetry = regs[s]
-						sink := pipeline.NewEncoderSink(&streams[s], false)
-						errs[s] = RunCampaignShard(context.Background(), cfg, world, shards, s, sink)
-						if errs[s] == nil {
-							errs[s] = sink.Close()
-						}
-					}()
-				}
-				wg.Wait()
-				decoders := make([]*dataset.Decoder, shards)
-				for s := range streams {
-					if errs[s] != nil {
-						t.Fatalf("shards=%d shard %d: %v", shards, s, errs[s])
-					}
-					decoders[s] = dataset.NewDecoder(&streams[s])
-				}
-				var merged pipeline.SliceSink
-				if err := pipeline.MergeShardStreams(&merged, decoders...); err != nil {
-					t.Fatalf("shards=%d: merging shard streams: %v", shards, err)
-				}
-				if got := recordBytes(t, merged.Records); !bytes.Equal(got, want) {
-					t.Errorf("shards=%d: merged shard streams differ from RunCampaignOnWorld (%d vs %d bytes)",
-						shards, len(got), len(want))
-				}
-
-				var emitted uint64
-				for s, reg := range regs {
-					snap := reg.Snapshot()
-					emitted += snap.CounterTotal("campaign_records")
-					if !tc.cfg.Delta {
-						continue
-					}
-					if got := snap.CounterTotal("wave_delta_fallbacks"); got != 1 {
-						t.Errorf("shards=%d shard %d: wave_delta_fallbacks = %d, want 1 (first wave only)", shards, s, got)
-					}
-					if snap.CounterTotal("wave_delta_hits") == 0 {
-						t.Errorf("shards=%d shard %d: no delta hits — fingerprints never matched", shards, s)
-					}
-				}
-				if emitted < uint64(len(merged.Records)) {
-					t.Errorf("shards=%d: shards emitted %d records, fewer than the %d merged",
-						shards, emitted, len(merged.Records))
-				}
-			}
-		})
-	}
-}
-
-// TestCampaignConcurrentShardsOwnEngine runs two leases of one campaign
-// on one world at once, as a fabric's in-process workers do: shards 0
-// and 1 of 2, each with its own registry, released together by a
-// barrier. Each lease must handshake through its own engine on both ends
-// of the wire — the server answering a lease's client finds the decrypt
-// entry that client's encryption seeded, so neither registry reads a
-// decrypt miss — and each stream must equal the same shard run alone.
-func TestCampaignConcurrentShardsOwnEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("concurrent shard campaigns skipped in -short mode")
-	}
-	world := execWorld(t)
-	const shards = 2
-	run := func(shard int, reg *telemetry.Registry, start <-chan struct{}) ([]*dataset.HostRecord, error) {
-		cfg := execFixture()
-		cfg.Telemetry = reg
-		var stream pipeline.SliceSink
-		<-start
-		err := RunCampaignShard(context.Background(), cfg, world, shards, shard, &stream)
-		return stream.Records, err
-	}
-	open := make(chan struct{})
-	close(open)
-	alone := make([][]byte, shards)
-	for s := range alone {
-		recs, err := run(s, nil, open)
-		if err != nil {
-			t.Fatalf("shard %d alone: %v", s, err)
-		}
-		alone[s] = recordBytes(t, recs)
-	}
-
-	regs := make([]*telemetry.Registry, shards)
-	recs := make([][]*dataset.HostRecord, shards)
-	errs := make([]error, shards)
-	barrier := make(chan struct{})
-	var wg sync.WaitGroup
-	for s := range regs {
-		regs[s] = telemetry.New()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			recs[s], errs[s] = run(s, regs[s], barrier)
-		}()
-	}
-	close(barrier)
-	wg.Wait()
-	for s, reg := range regs {
-		if errs[s] != nil {
-			t.Fatalf("shard %d: %v", s, errs[s])
-		}
-		snap := reg.Snapshot()
-		if got := snap.CounterTotal("crypto_encrypt_misses"); got == 0 {
-			t.Errorf("shard %d: no OPN ciphertext computed — the fixture does no RSA", s)
-		}
-		if got := snap.CounterTotal("crypto_decrypt_misses"); got != 0 {
-			t.Errorf("shard %d: crypto_decrypt_misses = %d, want 0 (a server decrypted through another lease's engine)", s, got)
-		}
-		if got := recordBytes(t, recs[s]); !bytes.Equal(got, alone[s]) {
-			t.Errorf("shard %d: stream differs from the shard run alone (%d vs %d bytes)", s, len(got), len(alone[s]))
-		}
-	}
-}
-
 // TestCampaignWaveSelection pins the one place the wave selection is
 // resolved (newCampaignRun), through both entry points: the selection
 // runs ascending however it is arranged, and an out-of-range or
 // repeated wave is an error before anything scans.
 func TestCampaignWaveSelection(t *testing.T) {
-	cfg := CampaignConfig{
-		Seed:         2020,
-		TestKeySizes: true,
-		MaxHosts:     20,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-	}
+	cfg := deltaTestConfig("")
+	cfg.MaxHosts = 20
 	world, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1160,125 +587,6 @@ func TestCampaignWaveSelection(t *testing.T) {
 	}
 }
 
-// TestShardedCampaignCancellation extends the cancellation contract to
-// in-process sharded waves: a cancellation mid-wave yields a partial
-// wave assembled from the shards' completed grabs (no analysis of the
-// partial wave, no deadlock, no poisoned merge).
-func TestShardedCampaignCancellation(t *testing.T) {
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{7},
-		TestKeySizes: true,
-		MaxHosts:     40,
-		NoiseProb:    1e-5,
-		GrabWorkers:  4,
-		Shards:       2,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	world.Net.SetLatency(25 * time.Millisecond)
-	defer world.Net.SetLatency(0)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.Progressf = func(format string, args ...any) {
-		if strings.Contains(format, "scanning") {
-			time.AfterFunc(150*time.Millisecond, cancel)
-		}
-	}
-	c, err := RunCampaignOnWorld(ctx, cfg, world)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	scan := c.Scans[7]
-	if scan == nil || !scan.Partial {
-		t.Fatalf("cancelled sharded wave: scan = %+v, want partial", scan)
-	}
-	if len(c.Analyses) != 0 {
-		t.Error("partial sharded wave was analyzed")
-	}
-	if c.Long != nil {
-		t.Error("longitudinal computed for a cancelled campaign")
-	}
-}
-
-// TestCampaignRecordSinkStreamsDataset pins the streaming sink contract:
-// records arrive at CampaignConfig.RecordSink in deterministic dataset
-// order (identical to WriteDataset), and DiscardRecords leaves the
-// compatibility view empty without changing the stream or the analyses.
-func TestCampaignRecordSinkStreamsDataset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign sink test skipped in -short mode")
-	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{6, 7},
-		TestKeySizes: true,
-		MaxHosts:     40,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-	}
-	world, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	sink := pipeline.NewEncoderSink(&streamed, false)
-	withSink := cfg
-	withSink.RecordSink = sink
-	c, err := RunCampaignOnWorld(context.Background(), withSink, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var written bytes.Buffer
-	if err := c.WriteDataset(&written); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed.Bytes(), written.Bytes()) {
-		t.Errorf("sink stream (%d bytes) differs from WriteDataset (%d bytes)",
-			streamed.Len(), written.Len())
-	}
-
-	discard := cfg
-	discard.DiscardRecords = true
-	var streamed2 bytes.Buffer
-	sink2 := pipeline.NewEncoderSink(&streamed2, false)
-	discard.RecordSink = sink2
-	c2, err := RunCampaignOnWorld(context.Background(), discard, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c2.RecordsByWave) != 0 {
-		t.Errorf("DiscardRecords retained %d waves of records", len(c2.RecordsByWave))
-	}
-	if !bytes.Equal(streamed.Bytes(), streamed2.Bytes()) {
-		t.Error("DiscardRecords changed the record stream")
-	}
-	if !reflect.DeepEqual(c.Analyses, c2.Analyses) {
-		t.Error("DiscardRecords changed the analyses")
-	}
-}
-
-// failingSink fails its second Put.
-type failingSink struct{ puts int }
-
-func (f *failingSink) Put(*dataset.HostRecord) error {
-	f.puts++
-	if f.puts >= 2 {
-		return errors.New("backend gone")
-	}
-	return nil
-}
-func (f *failingSink) Close() error { return nil }
-
 // TestCampaignRecordSinkErrorAborts pins the documented abort contract:
 // a failing RecordSink cancels the rest of the campaign (later waves
 // end Partial or never start) and the sink's error — not the derived
@@ -1287,20 +595,19 @@ func TestCampaignRecordSinkErrorAborts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign sink-abort test skipped in -short mode")
 	}
-	cfg := CampaignConfig{
-		Seed:         2020,
-		Waves:        []int{5, 6, 7},
-		TestKeySizes: true,
-		MaxHosts:     40,
-		NoiseProb:    1e-5,
-		GrabWorkers:  8,
-	}
+	cfg := deltaTestConfig("")
+	cfg.Waves, cfg.MaxHosts = []int{5, 6, 7}, 40
 	world, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &failingSink{}
-	cfg.RecordSink = sink
+	puts := 0
+	cfg.RecordSink = putFunc(func(*dataset.HostRecord) error {
+		if puts++; puts >= 2 {
+			return errors.New("backend gone")
+		}
+		return nil
+	})
 	c, err := RunCampaignOnWorld(context.Background(), cfg, world)
 	if err == nil || !strings.Contains(err.Error(), "backend gone") {
 		t.Fatalf("err = %v, want the sink's error", err)
