@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/scanner"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 )
 
 // countFailures tallies the dataset's failure records per class.
@@ -24,6 +26,123 @@ func countFailures(c *Campaign) map[string]int {
 		}
 	}
 	return counts
+}
+
+// chaosTestConfig is a one-wave campaign of the waves=0-7 fixture's
+// world under profile. It scans with the armor measure ships
+// (scanner.DefaultResilience), whose deadlines run on each grab's
+// virtual timeline: a tarpit costs no wall time.
+func chaosTestConfig(profile string) CampaignConfig {
+	cfg := deltaTestConfig(profile)
+	cfg.Waves = []int{7}
+	return cfg
+}
+
+// TestChaosCampaignDeterministic is the chaos determinism gate: two
+// runs of the same chaos-on campaign (same world, same seed) must
+// produce byte-identical datasets and identical analyses, and the
+// failure-taxonomy telemetry counters must reconcile exactly with the
+// failure records in the dataset.
+func TestChaosCampaignDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos campaign skipped in -short mode")
+	}
+	cfg := chaosTestConfig("mixed")
+	world := deltaFix.worldOf(t)
+	reg := telemetry.New()
+	first := cfg
+	first.Telemetry = reg
+	a, err := RunCampaignOnWorld(context.Background(), first, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunCampaignOnWorld(context.Background(), cfg, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, y := datasetBytes(t, a), datasetBytes(t, b); !bytes.Equal(x, y) {
+		t.Errorf("chaos datasets differ across identical runs (%d vs %d bytes)", len(x), len(y))
+	}
+	if !reflect.DeepEqual(a.Analyses, b.Analyses) {
+		t.Error("chaos analyses differ across identical runs")
+	}
+
+	failures := countFailures(a)
+	if len(failures) == 0 {
+		t.Fatal("mixed chaos campaign produced no classified failures")
+	}
+	for class, n := range failures {
+		found := false
+		for _, known := range scanner.FailureClasses() {
+			if class == known {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("unknown failure class %q (%d records)", class, n)
+		}
+	}
+	snap := reg.Snapshot()
+	classCount := func(class string) int {
+		needle := `class="` + class + `"`
+		total := 0
+		for k, v := range snap.Counters {
+			if strings.HasPrefix(k, "grab_failures{") && strings.Contains(k, needle) {
+				total += int(v)
+			}
+		}
+		return total
+	}
+	var total int
+	for _, class := range scanner.FailureClasses() {
+		c := classCount(class)
+		if c != failures[class] {
+			t.Errorf("class %q: telemetry counted %d, dataset has %d", class, c, failures[class])
+		}
+		total += c
+	}
+	if got := int(snap.CounterTotal("grab_failures")); got != total {
+		t.Errorf("grab_failures total %d != per-class sum %d", got, total)
+	}
+	if snap.CounterTotal("grab_retries") == 0 {
+		t.Error("mixed chaos campaign should exercise retries (flap/reset hosts)")
+	}
+}
+
+// TestChaosOffIsPolite pins the chaos-off baseline: without a profile
+// no resilience armor is armed, no record carries a failure class, no
+// taxonomy counter ticks, and two runs stay byte-identical — i.e. the
+// adversarial layer is fully inert unless asked for.
+func TestChaosOffIsPolite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos campaign skipped in -short mode")
+	}
+	cfg := chaosTestConfig("")
+	world := deltaFix.worldOf(t)
+	reg := telemetry.New()
+	first := cfg
+	first.Telemetry = reg
+	a, err := RunCampaignOnWorld(context.Background(), first, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunCampaignOnWorld(context.Background(), cfg, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countFailures(a); len(n) != 0 {
+		t.Errorf("chaos-off campaign produced failure records: %v", n)
+	}
+	snap := reg.Snapshot()
+	if got := snap.CounterTotal("grab_failures"); got != 0 {
+		t.Errorf("chaos-off campaign ticked grab_failures = %d", got)
+	}
+	if got := snap.CounterTotal("grab_retries"); got != 0 {
+		t.Errorf("chaos-off campaign ticked grab_retries = %d", got)
+	}
+	if x, y := datasetBytes(t, a), datasetBytes(t, b); !bytes.Equal(x, y) {
+		t.Errorf("chaos-off datasets differ across identical runs (%d vs %d bytes)", len(x), len(y))
+	}
 }
 
 // TestCampaignConcurrentStudiesOwnChaos runs two studies on one world
@@ -112,11 +231,7 @@ func TestChaosCampaignTarpitCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos campaign skipped in -short mode")
 	}
-	// The armor measure ships (scanner.DefaultResilience) runs its
-	// deadlines on each grab's virtual timeline: a tarpit costs no wall
-	// time.
-	cfg := deltaTestConfig("tarpit")
-	cfg.Waves = []int{7}
+	cfg := chaosTestConfig("tarpit")
 	world := deltaFix.worldOf(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -587,6 +587,60 @@ func TestCampaignWaveSelection(t *testing.T) {
 	}
 }
 
+// TestCampaignRecordSinkStreamsDataset pins the streaming sink contract:
+// records arrive at CampaignConfig.RecordSink in deterministic dataset
+// order (identical to WriteDataset), and DiscardRecords leaves the
+// compatibility view empty without changing the stream or the analyses.
+func TestCampaignRecordSinkStreamsDataset(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign sink test skipped in -short mode")
+	}
+	cfg := deltaTestConfig("")
+	cfg.Waves = []int{6, 7}
+	world := deltaFix.worldOf(t)
+	var streamed bytes.Buffer
+	sink := pipeline.NewEncoderSink(&streamed, false)
+	withSink := cfg
+	withSink.RecordSink = sink
+	c, err := RunCampaignOnWorld(context.Background(), withSink, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var written bytes.Buffer
+	if err := c.WriteDataset(&written); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), written.Bytes()) {
+		t.Errorf("sink stream (%d bytes) differs from WriteDataset (%d bytes)",
+			streamed.Len(), written.Len())
+	}
+
+	discard := cfg
+	discard.DiscardRecords = true
+	var streamed2 bytes.Buffer
+	sink2 := pipeline.NewEncoderSink(&streamed2, false)
+	discard.RecordSink = sink2
+	c2, err := RunCampaignOnWorld(context.Background(), discard, world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(c2.RecordsByWave) != 0 {
+		t.Errorf("DiscardRecords retained %d waves of records", len(c2.RecordsByWave))
+	}
+	if !bytes.Equal(streamed.Bytes(), streamed2.Bytes()) {
+		t.Error("DiscardRecords changed the record stream")
+	}
+	if !reflect.DeepEqual(c.Analyses, c2.Analyses) {
+		t.Error("DiscardRecords changed the analyses")
+	}
+}
+
 // TestCampaignRecordSinkErrorAborts pins the documented abort contract:
 // a failing RecordSink cancels the rest of the campaign (later waves
 // end Partial or never start) and the sink's error — not the derived
