@@ -126,16 +126,21 @@ func mergeStreams(cfg opcuastudy.CampaignConfig, streams [][]byte, datasetPath s
 	})
 	sinks := []pipeline.RecordSink{analyzer}
 	var out *os.File
+	var enc *pipeline.EncoderSink
 	if datasetPath != "" {
 		var err error
 		if out, err = os.Create(datasetPath); err != nil {
 			return err
 		}
 		defer out.Close()
-		sinks = append(sinks, pipeline.NewEncoderSink(out, cfg.Anonymize))
+		enc = pipeline.NewEncoderSink(out, cfg.Anonymize)
+		sinks = append(sinks, enc)
 	}
 	sink := pipeline.Tee(sinks...)
 	if err := pipeline.MergeShardStreams(sink, decoders...); err != nil {
+		if enc != nil {
+			enc.Close() // stops its goroutine; the merge error is the one to report
+		}
 		return err
 	}
 	if err := sink.Close(); err != nil {

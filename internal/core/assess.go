@@ -221,9 +221,10 @@ func (c *AuthCell) Total() int {
 // wave then pays a batch GCD only over the moduli no earlier wave of the
 // campaign held. Its count is the wave's own, whichever waves share it.
 //
-// Add and Finalize must be called from one goroutine (the pipeline's
-// fold side), and accumulators sharing an index finalize one at a time;
-// Finalize may be called once.
+// Add must be called from one goroutine (the pipeline's fold side), and
+// Finalize after the last Add, on that goroutine or on one that the
+// handoff orders after it; accumulators sharing an index finalize one
+// at a time, in wave order. Finalize may be called once.
 type WaveAccumulator struct {
 	wave int
 	date time.Time

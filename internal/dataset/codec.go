@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,21 +31,37 @@ func AppendRecord(dst []byte, r *HostRecord) ([]byte, error) {
 // syntax error — goes to json.Unmarshal, whose record and error then
 // stand. No string of the record aliases line.
 func decodeRecord(line []byte) (*HostRecord, error) {
-	if r := new(HostRecord); parseRecord(line, r) {
-		return r, nil
+	r, _, err := parseLine(line)
+	return r, err
+}
+
+// parseLine is decodeRecord, also returning the copy of line that the
+// fast path owns and whose substrings are the record's unescaped
+// strings: one allocation for them all. It is "" when the record is
+// json.Unmarshal's.
+func parseLine(line []byte) (*HostRecord, string, error) {
+	own := string(line)
+	if r := new(HostRecord); parseOwned(line, own, r) {
+		return r, own, nil
 	}
 	r := new(HostRecord)
 	if err := json.Unmarshal(line, r); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return r, nil
+	return r, "", nil
 }
 
 // parseRecord is the decoder's fast path: it reports whether line is
 // one HostRecord object it reads exactly as json.Unmarshal would,
 // leaving r partly filled when it is not.
 func parseRecord(line []byte, r *HostRecord) bool {
-	p := &parser{b: line}
+	return parseOwned(line, string(line), r)
+}
+
+// parseOwned is parseRecord reading r's plain strings out of own, which
+// holds line's bytes.
+func parseOwned(line []byte, own string, r *HostRecord) bool {
+	p := &parser{b: line, s: own}
 	if !hostCodec.parse(p, r) {
 		return false
 	}
@@ -52,10 +69,40 @@ func parseRecord(line []byte, r *HostRecord) bool {
 	return p.i == len(p.b)
 }
 
+// splitStamp reads the stamp of a line written as AppendRecord writes
+// it — the wave and the date, first and in that order, with no
+// whitespace — into r, and returns the rest of the line, from the comma
+// after the date, and the address that opens it. ok is false for any
+// other line. The rest decodes to the same fields whatever the stamp
+// before it, which is what lets a Decoder reuse a record.
+func splitStamp(line []byte, r *HostRecord) (rest, addr []byte, ok bool) {
+	p := &parser{b: line}
+	for i := range hostFields[:stampFields] {
+		if !p.literal(stampKeys[i]) || !hostFields[i].parse(p, r) {
+			return nil, nil, false
+		}
+	}
+	rest = line[p.i:]
+	if !p.literal(stampKeys[stampFields]) {
+		return nil, nil, false
+	}
+	addr, ok = p.plain()
+	return rest, addr, ok
+}
+
+// deepCopy returns a copy of r that shares no slice or pointer with it;
+// strings, being immutable, are shared.
+func (r *HostRecord) deepCopy() *HostRecord {
+	cp := *r
+	hostCodec.clone(&cp)
+	return &cp
+}
+
 // The schema: every key of the four record types in declaration order,
-// with the codec of its value. Encoder and decoder both read it.
+// with the codec of its value. Encoder, decoder and deepCopy all read
+// it.
 var (
-	hostCodec = objectOf(
+	hostFields = []field[HostRecord]{
 		fieldOf("wave", intCodec, func(r *HostRecord) *int { return &r.Wave }),
 		fieldOf("date", timeCodec, func(r *HostRecord) *time.Time { return &r.Date }),
 		fieldOf("address", stringCodec, func(r *HostRecord) *string { return &r.Address }),
@@ -87,7 +134,8 @@ var (
 		fieldOf("executable", intCodec, func(r *HostRecord) *int { return &r.Executable }),
 		fieldOf("bytes", int64Codec, func(r *HostRecord) *int64 { return &r.Bytes }),
 		fieldOf("duration", int64Codec, func(r *HostRecord) *int64 { return (*int64)(&r.Duration) }),
-	)
+	}
+	hostCodec     = objectOf(hostFields...)
 	endpointCodec = objectOf(
 		fieldOf("url", stringCodec, func(e *EndpointRecord) *string { return &e.URL }),
 		fieldOf("mode", stringCodec, func(e *EndpointRecord) *string { return &e.Mode }),
@@ -117,12 +165,31 @@ var (
 	)
 )
 
+// stampFields is how many of hostFields, from the first, stamp a
+// record with its wave: a delta clone's line differs from its address's
+// line a wave before only there.
+const stampFields = 2
+
+// stampKeys[i] is what precedes hostFields[i]'s value in a line
+// AppendRecord writes, for the stamp fields and the first after them.
+var stampKeys = func() (keys [stampFields + 1]string) {
+	sep := "{"
+	for i := range keys {
+		keys[i] = sep + `"` + hostFields[i].key + `":`
+		sep = ","
+	}
+	return keys
+}()
+
 // A codec writes a value of type V as encoding/json does and reads it
 // back on the fast path, reporting false on anything else.
 type codec[V any] struct {
 	append func(dst []byte, v *V) ([]byte, error)
 	parse  func(p *parser, v *V) bool
 	empty  func(v *V) bool // omitempty's test; nil where no field omits
+	// clone gives a copied value slices and pointers of its own, so it
+	// shares nothing mutable with the original; nil where V holds none.
+	clone func(v *V)
 }
 
 var (
@@ -163,14 +230,19 @@ type field[T any] struct {
 	omit   func(*T) bool // nil: always written
 	append func([]byte, *T) ([]byte, error)
 	parse  func(*parser, *T) bool
+	clone  func(*T) // nil where the value holds no slice or pointer
 }
 
 func fieldOf[T, V any](key string, c codec[V], get func(*T) *V) field[T] {
-	return field[T]{
+	f := field[T]{
 		key:    key,
 		append: func(dst []byte, t *T) ([]byte, error) { return c.append(dst, get(t)) },
 		parse:  func(p *parser, t *T) bool { return c.parse(p, get(t)) },
 	}
+	if c.clone != nil {
+		f.clone = func(t *T) { c.clone(get(t)) }
+	}
+	return f
 }
 
 // omitEmpty is fieldOf for a key tagged omitempty.
@@ -183,7 +255,13 @@ func omitEmpty[T, V any](key string, c codec[V], get func(*T) *V) field[T] {
 // objectOf is the codec of a struct with the given fields, in order. Its
 // parser takes the keys in any order, each at most once.
 func objectOf[T any](fields ...field[T]) codec[T] {
-	return codec[T]{
+	var deep []field[T] // the fields that clone
+	for _, f := range fields {
+		if f.clone != nil {
+			deep = append(deep, f)
+		}
+	}
+	c := codec[T]{
 		append: func(dst []byte, t *T) ([]byte, error) {
 			sep := byte('{')
 			for i := range fields {
@@ -242,6 +320,14 @@ func objectOf[T any](fields ...field[T]) codec[T] {
 			}
 		},
 	}
+	if len(deep) > 0 {
+		c.clone = func(t *T) {
+			for _, f := range deep {
+				f.clone(t)
+			}
+		}
+	}
+	return c
 }
 
 // listOf is the codec of a slice: null when nil, as encoding/json writes
@@ -291,6 +377,14 @@ func listOf[E any](elem codec[E]) codec[[]E] {
 			}
 		},
 		empty: func(s *[]E) bool { return len(*s) == 0 },
+		clone: func(s *[]E) {
+			*s = slices.Clone(*s) // nil stays nil, [] stays []
+			if elem.clone != nil {
+				for i := range *s {
+					elem.clone(&(*s)[i])
+				}
+			}
+		},
 	}
 }
 
@@ -309,6 +403,15 @@ func pointerTo[E any](elem codec[E]) codec[*E] {
 			return elem.parse(p, *v)
 		},
 		empty: func(v **E) bool { return *v == nil },
+		clone: func(v **E) {
+			if *v != nil {
+				c := **v
+				if elem.clone != nil {
+					elem.clone(&c)
+				}
+				*v = &c
+			}
+		},
 	}
 }
 
@@ -388,6 +491,7 @@ const (
 // the fast path and then leaves the position undefined.
 type parser struct {
 	b []byte
+	s string // b's bytes, owned: plain strings are read as its substrings
 	i int
 }
 
@@ -452,8 +556,8 @@ func (p *parser) plain() ([]byte, bool) {
 // str reads a string into dst.
 func (p *parser) str(dst *string) bool {
 	start := p.i
-	if s, ok := p.plain(); ok {
-		*dst = string(s)
+	if _, ok := p.plain(); ok {
+		*dst = p.s[start+1 : p.i-1]
 		return true
 	}
 	p.i = start

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -237,7 +238,71 @@ func FuzzDecodeRecord(f *testing.F) {
 		if wantErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded\n %+v\nwant json.Unmarshal's\n %+v", got, want)
 		}
+		// The line in a stream, as a delta campaign writes one: again,
+		// re-stamped, with a value changed, and so on. A Decoder, which
+		// re-stamps the record of a line it remembers, must read every
+		// line as decodeRecord does.
+		if len(line) > 0 && !bytes.ContainsAny(line, "\r\n") {
+			changed := changeLast(line)
+			checkDecoderStream(t, line, restamp(line, "9"), line, changed, restamp(changed, "1"), restamp(line, "7"))
+		}
 	})
+}
+
+// restamp returns line with its wave, if the line opens with one as
+// AppendRecord's lines do, prefixed by digit, and the first digit of a
+// date right after it replaced by digit; otherwise line itself.
+func restamp(line []byte, digit string) []byte {
+	const waveKey, dateKey = `{"wave":`, `,"date":"`
+	if !bytes.HasPrefix(line, []byte(waveKey)) {
+		return line
+	}
+	i := len(waveKey)
+	for i < len(line) && '0' <= line[i] && line[i] <= '9' {
+		i++
+	}
+	out := append([]byte(waveKey+digit), line[len(waveKey):i]...)
+	if rest := line[i:]; bytes.HasPrefix(rest, []byte(dateKey)) && len(rest) > len(dateKey) {
+		return append(append(out, dateKey+digit...), rest[len(dateKey)+1:]...)
+	}
+	return append(out, line[i:]...)
+}
+
+// changeLast returns a copy of line with its last digit changed: one
+// value of the record (the duration, in AppendRecord's lines) differs.
+func changeLast(line []byte) []byte {
+	out := bytes.Clone(line)
+	if i := bytes.LastIndexAny(out, "0123456789"); i >= 0 {
+		out[i] = '0' + (out[i]-'0'+1)%10
+	}
+	return out
+}
+
+// checkDecoderStream decodes lines, newline-terminated, through one
+// Decoder and holds each record and error to decodeRecord's.
+func checkDecoderStream(t *testing.T, lines ...[]byte) {
+	t.Helper()
+	var stream []byte
+	for _, line := range lines {
+		stream = append(append(stream, line...), '\n')
+	}
+	// A small buffer: most lines are gathered across reads, and a run
+	// does not pay for NewDecoder's megabyte.
+	dec := &Decoder{br: bufio.NewReaderSize(bytes.NewReader(stream), 64)}
+	for i, line := range lines {
+		got, err := dec.Decode()
+		want, wantErr := decodeRecord(line)
+		switch {
+		case wantErr != nil:
+			if err == nil || !strings.Contains(err.Error(), wantErr.Error()) {
+				t.Fatalf("line %d %s: Decoder error %v, want decodeRecord's %v", i, line, err, wantErr)
+			}
+		case err != nil:
+			t.Fatalf("line %d %s: Decoder error %v, decodeRecord none", i, line, err)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("line %d %s: Decoder read\n %+v\nwant decodeRecord's\n %+v", i, line, got, want)
+		}
+	}
 }
 
 // FuzzAppendRecord: for a record of fuzzed strings, integers and
@@ -277,5 +342,85 @@ func FuzzAppendRecord(f *testing.F) {
 			t.Fatalf("AppendRecord = %s, %v\nwant json.Marshal's %s", got, err, want)
 		}
 		checkDecode(t, want)
+
+		// The record in a sequence, as a delta campaign writes one:
+		// re-stamped, with one value changed (which, at any depth, by
+		// n), re-stamped again, back as it was, and beside another
+		// address. A Decoder must read each line as decodeRecord does.
+		next := func(r *HostRecord) *HostRecord {
+			cp := r.deepCopy()
+			cp.Wave++
+			cp.Date = cp.Date.Add(7 * 24 * time.Hour)
+			return cp
+		}
+		changed := next(r)
+		changeField(pick(changed, n))
+		other := next(r)
+		other.Address += "x"
+		var lines [][]byte
+		for _, rec := range []*HostRecord{r, next(r), changed, next(changed), next(next(r)), other, next(other)} {
+			if line, err := AppendRecord(nil, rec); err == nil {
+				lines = append(lines, line)
+			}
+		}
+		checkDecoderStream(t, lines...)
 	})
+}
+
+// pick returns one of the values inside r that changeField can change
+// — a field, a list element's field, a pointee's field, or a whole list
+// or pointer, at any depth — chosen by n.
+func pick(r *HostRecord, n int64) reflect.Value {
+	var vals []reflect.Value
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch {
+		case v.Kind() == reflect.Struct && v.Type() != reflect.TypeOf(time.Time{}):
+			for i := range v.NumField() {
+				walk(v.Field(i))
+			}
+			return
+		case v.Kind() == reflect.Slice:
+			for i := range v.Len() {
+				walk(v.Index(i))
+			}
+		case v.Kind() == reflect.Pointer && !v.IsNil():
+			walk(v.Elem())
+		}
+		vals = append(vals, v)
+	}
+	walk(reflect.ValueOf(r).Elem())
+	return vals[uint64(n)%uint64(len(vals))]
+}
+
+// changeField changes one field of a record to another value of its
+// type: a string, number or time moves, a bool flips, a list loses its
+// last element (a null list becomes empty, an empty one gains an
+// element), a pointer becomes nil (or a zero value).
+func changeField(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Slice:
+		switch {
+		case v.Len() > 0:
+			v.Set(v.Slice(0, v.Len()-1))
+		case v.IsNil():
+			v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+		default:
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		} else {
+			v.Set(reflect.Zero(v.Type()))
+		}
+	case reflect.Struct:
+		v.Set(reflect.ValueOf(v.Interface().(time.Time).Add(time.Second)))
+	}
 }

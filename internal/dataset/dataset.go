@@ -279,24 +279,11 @@ func splitEndpointURL(u string) (host, port string, ok bool) {
 	return h, p, true
 }
 
-// Clone returns a deep copy of the record covering every field the
-// anonymizer mutates (certificate, endpoints, nodes), so release
-// processing never touches the analysis-grade original.
-func (r *HostRecord) Clone() *HostRecord {
-	cp := *r
-	if r.Cert != nil {
-		cc := *r.Cert
-		cp.Cert = &cc
-	}
-	cp.Nodes = append([]NodeRecord(nil), r.Nodes...)
-	cp.Endpoints = append([]EndpointRecord(nil), r.Endpoints...)
-	return &cp
-}
-
-// AnonymizedCopy clones the record and applies the release rules to the
-// copy; the original stays analysis-grade.
+// AnonymizedCopy deep-copies the record and applies the release rules
+// to the copy, so release processing never touches the analysis-grade
+// original.
 func (a *Anonymizer) AnonymizedCopy(rec *HostRecord) *HostRecord {
-	cp := rec.Clone()
+	cp := rec.deepCopy()
 	a.Anonymize(cp)
 	return cp
 }
@@ -309,9 +296,11 @@ type Encoder struct {
 	line []byte // the line being written, reused
 }
 
-// NewEncoder returns an Encoder writing NDJSON to w.
+// NewEncoder returns an Encoder writing NDJSON to w, in writes of up to
+// 1 MiB: a dataset line averages several KB, so a smaller buffer would
+// make about one write per record.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{bw: bufio.NewWriter(w)}
+	return &Encoder{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
 // Encode appends one record line; a record that fails to encode writes
@@ -339,9 +328,24 @@ func (e *Encoder) Flush() error {
 // Decoder streams records from NDJSON one at a time, so consumers (the
 // shard merge, the incremental analyzer) never need a whole dataset in
 // memory.
+//
+// It remembers, per address, the last line it read in full on the fast
+// path: the bytes after the line's wave and date, and the record they
+// decoded to. A line whose bytes after its stamp are the same — a delta
+// clone, an unchanged host — decodes to a deep copy of that record
+// under the new stamp, without parsing: its slices are fresh and only
+// its immutable strings are shared, so no two records a Decoder returns
+// share mutable memory and a caller may change one freely.
 type Decoder struct {
 	br   *bufio.Reader
 	line int
+	last map[string]lastDecoded // by address
+}
+
+// lastDecoded is a Decoder's memory of one address.
+type lastDecoded struct {
+	rest string      // the line from the comma after its date
+	rec  *HostRecord // what the line decoded to; copied out, never returned
 }
 
 // ErrTruncatedStream marks a stream whose final line ends mid-record:
@@ -382,7 +386,7 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 			continue
 		}
 		d.line++
-		rec, uerr := decodeRecord(line)
+		rec, uerr := d.decode(line)
 		if uerr != nil {
 			if !terminated {
 				return nil, fmt.Errorf("dataset: line %d: %w (%v)", d.line, ErrTruncatedStream, uerr)
@@ -391,6 +395,27 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 		}
 		return rec, nil
 	}
+}
+
+// decode is decodeRecord through the Decoder's memory of each address.
+func (d *Decoder) decode(line []byte) (*HostRecord, error) {
+	var stamp HostRecord
+	rest, addr, stamped := splitStamp(line, &stamp)
+	if stamped {
+		if l, ok := d.last[string(addr)]; ok && l.rest == string(rest) {
+			rec := l.rec.deepCopy()
+			rec.Wave, rec.Date = stamp.Wave, stamp.Date
+			return rec, nil
+		}
+	}
+	rec, own, err := parseLine(line)
+	if err == nil && stamped && own != "" {
+		if d.last == nil {
+			d.last = make(map[string]lastDecoded)
+		}
+		d.last[rec.Address] = lastDecoded{rest: own[len(line)-len(rest):], rec: rec.deepCopy()}
+	}
+	return rec, err
 }
 
 // readLine returns the next line with its terminator, and whether it has

@@ -40,7 +40,9 @@ type Options struct {
 	// is then meaningless; only the pipeline plumbing is exercised.
 	TestKeySizes bool
 	// MaxHosts truncates the population (0 = all); used by tests that
-	// only need a small world.
+	// only need a small world. The discovery servers shrink with it: a
+	// small world keeps every one that announces a kept host and the
+	// same share of the others as of the hosts (keptDiscovery).
 	MaxHosts int
 }
 
@@ -150,6 +152,7 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	if opts.MaxHosts > 0 && opts.MaxHosts < len(hostSpecs) {
 		hostSpecs = hostSpecs[:opts.MaxHosts]
 	}
+	discovery := keptDiscovery(spec.Discovery, len(hostSpecs), len(spec.Hosts))
 
 	bits := func(class CertClass) int {
 		if opts.TestKeySizes {
@@ -306,8 +309,7 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	}
 	w.Build = append(w.Build, BuildStage{"address_spaces", len(spaces), spaceTime, spaceTime})
 
-	for i := range spec.Discovery {
-		ds := &spec.Discovery[i]
+	for i, ds := range discovery {
 		var known []uamsg.ApplicationDescription
 		for _, hi := range ds.Announces {
 			if hi >= len(hostSpecs) {
@@ -346,6 +348,31 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 	total := time.Duration(telemetry.NowNs() - buildStart)
 	w.Build = append(w.Build, BuildStage{"total", len(w.hosts), total, total})
 	return w, nil
+}
+
+// keptDiscovery is the discovery population of a world of the first
+// kept of total hosts: every server that announces a kept host, so
+// follow-up references still reach the kept hidden hosts, and of the
+// others an evenly spread kept/total share, so a small world's port
+// scan finds discovery servers and hosts in the paper's proportion, not
+// the full population's 782–1,038 beside a few dozen hosts. A whole
+// world keeps them all.
+func keptDiscovery(all []DiscoverySpec, kept, total int) []*DiscoverySpec {
+	var out []*DiscoverySpec
+	rest := 0
+	for i := range all {
+		ds := &all[i]
+		if kept == total || slices.ContainsFunc(ds.Announces, func(hi int) bool { return hi < kept }) {
+			out = append(out, ds)
+			continue
+		}
+		// Take the rest's j-th when ⌊(j+1)·kept/total⌋ steps past ⌊j·kept/total⌋.
+		if (rest+1)*kept/total > rest*kept/total {
+			out = append(out, ds)
+		}
+		rest++
+	}
+	return out
 }
 
 // runJobs runs job(0) … job(n-1) on up to GOMAXPROCS goroutines, each taking

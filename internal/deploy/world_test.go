@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -296,8 +297,10 @@ func TestSnapshotWaveMatchesApplyWave(t *testing.T) {
 				live = h
 			}
 		}
-		for _, d := range w.Spec.Discovery {
-			present := wave < len(d.Present) && d.Present[wave]
+		kept := keptDiscovery(w.Spec.Discovery, maxHosts, len(w.Spec.Hosts))
+		for i := range w.Spec.Discovery {
+			d := &w.Spec.Discovery[i]
+			present := wave < len(d.Present) && d.Present[wave] && slices.Contains(kept, d)
 			if open := snap.OpenPort(d.IP, 4840); open != (present || noise(d.IP, 4840)) {
 				t.Errorf("wave %d discovery %d: open = %v, present = %v", wave, d.Index, open, present)
 			}
@@ -307,6 +310,47 @@ func TestSnapshotWaveMatchesApplyWave(t *testing.T) {
 		}
 		if eps := endpointsVia(t, snap, live); len(eps) == 0 || eps[0].Server.ApplicationURI != live.AppURI {
 			t.Errorf("wave %d host %d: %d endpoints, want application URI %q", wave, live.Index, len(eps), live.AppURI)
+		}
+	}
+}
+
+// TestSmallWorldKeepsDiscoveryShare: a world of the first k hosts keeps
+// every discovery server that announces one of them and, of the rest,
+// ⌊r·k/n⌋ spread across the index range, so each wave's discovery count
+// shrinks with the hosts; a whole world keeps every server.
+func TestSmallWorldKeepsDiscoveryShare(t *testing.T) {
+	spec := buildSpec(t)
+	n := len(spec.Hosts)
+	for _, k := range []int{60, 320, n} {
+		kept := keptDiscovery(spec.Discovery, k, n)
+		var announcing, rest int
+		for i := range spec.Discovery {
+			d := &spec.Discovery[i]
+			if slices.ContainsFunc(d.Announces, func(hi int) bool { return hi < k }) {
+				announcing++
+				if !slices.Contains(kept, d) {
+					t.Errorf("k=%d: discovery server %d announces a kept host but was dropped", k, d.Index)
+				}
+			} else {
+				rest++
+			}
+		}
+		if want := announcing + rest*k/n; k == n && len(kept) != len(spec.Discovery) || k < n && len(kept) != want {
+			t.Errorf("k=%d: kept %d discovery servers, want %d announcing plus %d·%d/%d", k, len(kept), announcing, rest, k, n)
+		}
+		for wave := range WaveDates {
+			all, share := 0, 0
+			for i := range spec.Discovery {
+				if d := &spec.Discovery[i]; d.Present[wave] {
+					all++
+					if slices.Contains(kept, d) {
+						share++
+					}
+				}
+			}
+			if lo, hi := all*k/n-1, all*k/n+announcing+1; share < lo || share > hi {
+				t.Errorf("k=%d wave %d: %d of %d present discovery servers kept, want %d to %d", k, wave, share, all, lo, hi)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -71,7 +72,6 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 type lease struct {
 	shard  int
 	blocks [][]byte
-	size   int
 }
 
 // leaseBlock is the capacity of one lease block; a longer line gets a
@@ -85,16 +85,12 @@ func (l *lease) write(line []byte) {
 		n++
 	}
 	l.blocks[n-1] = append(l.blocks[n-1], line...)
-	l.size += len(line)
 }
 
-// stream joins the lease's blocks into the shard's one record stream.
+// stream joins the lease's blocks into the shard's one record stream,
+// in a buffer that is not cleared first: the blocks fill all of it.
 func (l *lease) stream() []byte {
-	out := make([]byte, 0, l.size)
-	for _, b := range l.blocks {
-		out = append(out, b...)
-	}
-	return out
+	return bytes.Join(l.blocks, nil)
 }
 
 // workerConn is the coordinator's view of one connected worker.
@@ -245,7 +241,9 @@ func (c *Coordinator) monitor(stop <-chan struct{}) {
 
 // serve owns one worker connection: handshake, then the frame loop.
 func (c *Coordinator) serve(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	// A worker streams its lines as fast as it grabs: a buffer of many
+	// frames lets one read take all that have arrived.
+	br := bufio.NewReaderSize(conn, 64<<10)
 	// The join must arrive promptly; afterwards silence is the
 	// monitor's business, not the reader's.
 	if err := conn.SetReadDeadline(ioDeadline()); err != nil {
@@ -323,13 +321,21 @@ func (c *Coordinator) serve(conn net.Conn) {
 			c.mu.Unlock()
 		case FrameDone:
 			shard, _, derr := decodeShard(payload)
-			if derr != nil {
+			l := w.lease
+			if derr != nil || l == nil || l.shard != shard {
 				c.mu.Unlock()
 				continue
 			}
-			c.commitLocked(w, shard)
+			// The worker is done with the lease: grant it the next one
+			// before joining this one's stream, so it does not wait on
+			// the copy.
+			w.lease = nil
 			c.mu.Unlock()
 			c.refill()
+			stream := l.stream()
+			c.mu.Lock()
+			c.commitLocked(w, shard, stream)
+			c.mu.Unlock()
 		case FrameFail:
 			shard, msg, derr := decodeShard(payload)
 			if derr != nil {
@@ -349,22 +355,17 @@ func (c *Coordinator) serve(conn net.Conn) {
 	}
 }
 
-// commitLocked finalizes the worker's lease on shard. A shard is only
-// ever leased to one worker at a time, so no second stream for it
-// should arrive; the committed check guards that invariant by
-// discarding any such stream whole.
-func (c *Coordinator) commitLocked(w *workerConn, shard int) {
-	l := w.lease
-	if l == nil || l.shard != shard {
-		return
-	}
-	w.lease = nil
+// commitLocked commits stream, the whole of w's finished lease on
+// shard. A shard is only ever leased to one worker at a time, so no
+// second stream for it should arrive; the committed check guards that
+// invariant by discarding any such stream whole.
+func (c *Coordinator) commitLocked(w *workerConn, shard int, stream []byte) {
 	if c.committed[shard] != nil {
 		c.m.duplicatesDiscarded.Inc()
 		c.logf("fabric: shard %d duplicate stream from %q discarded", shard, w.name)
 		return
 	}
-	c.committed[shard] = l.stream()
+	c.committed[shard] = stream
 	c.remaining--
 	c.m.shardsCommitted.Inc()
 	c.logf("fabric: shard %d committed by %q (%d bytes, %d remaining)",

@@ -130,9 +130,9 @@ type framer struct {
 	faults FaultInjector
 
 	mu     sync.Mutex
-	hdr    [frameHeaderLen]byte // the frame header being written
-	n      int                  // frames written
-	wedged bool                 // fault-injected stall: no further writes
+	frame  []byte // the frame being written, header and payload: one write; reused
+	n      int    // frames written
+	wedged bool   // fault-injected stall: no further writes
 	dead   chan struct{}
 }
 
@@ -169,13 +169,9 @@ func (f *framer) send(typ FrameType, payload []byte) error {
 		f.mu.Unlock()
 		return fmt.Errorf("fabric: write deadline: %w", err)
 	}
-	binary.BigEndian.PutUint32(f.hdr[:4], uint32(len(payload)))
-	f.hdr[4] = uint8(typ)
-	_, err := f.conn.Write(f.hdr[:])
-	if err == nil && len(payload) > 0 {
-		_, err = f.conn.Write(payload)
-	}
-	if err != nil {
+	f.frame = binary.BigEndian.AppendUint32(f.frame[:0], uint32(len(payload)))
+	f.frame = append(append(f.frame, uint8(typ)), payload...)
+	if _, err := f.conn.Write(f.frame); err != nil {
 		f.mu.Unlock()
 		return fmt.Errorf("fabric: send %s: %w", typ, err)
 	}

@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -202,5 +204,141 @@ func BenchmarkStreamingAnalyzerWave(b *testing.B) {
 	}
 	if _, long := a.Results(); len(long.DeficientSeries) != b.N {
 		b.Fatalf("folded %d waves, want %d", len(long.DeficientSeries), b.N)
+	}
+}
+
+// TestAnalyzerOnWaveInOrder: OnWave sees every wave once, in order,
+// and the analyses equal the core accumulators' fed wave slices in turn.
+func TestAnalyzerOnWaveInOrder(t *testing.T) {
+	var all []*dataset.HostRecord
+	var want []*core.WaveAnalysis
+	la := core.NewLongitudinalAccumulator(true)
+	for w := 0; w < 8; w++ {
+		recs := synthWave(w, 60, 0)
+		all = append(all, recs...)
+		acc := core.NewWaveAccumulator(w, recs[0].Date)
+		for _, r := range recs {
+			acc.Add(r)
+		}
+		want = append(want, acc.Finalize(1))
+		la.AddWave(want[w])
+	}
+	wantLong := la.Finalize()
+
+	var seen []int
+	a := NewAnalyzer(AnalyzerConfig{Retain: true, OnWave: func(w *core.WaveAnalysis) { seen = append(seen, w.Wave) }})
+	for _, r := range all {
+		if err := a.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Errorf("OnWave saw waves %v, want 0 to 7 in order", seen)
+	}
+	analyses, long := a.Results()
+	if !reflect.DeepEqual(analyses, want) || !reflect.DeepEqual(long, wantLong) {
+		t.Error("analyses differ from the accumulators fed wave by wave")
+	}
+}
+
+// TestTeeDeliversInOrder: every downstream gets every record in put
+// order, an EncoderSink (which encodes on its own goroutine) writes
+// exactly what dataset.Write does, and Close closes every downstream.
+func TestTeeDeliversInOrder(t *testing.T) {
+	var recs []*dataset.HostRecord
+	for w := 0; w < 3; w++ {
+		recs = append(recs, synthWave(w, 2*behindBatch/3+1, 16)...) // not a whole number of batches
+	}
+	var want, raw bytes.Buffer
+	if err := dataset.Write(&want, recs); err != nil {
+		t.Fatal(err)
+	}
+	first, last := &SliceSink{}, &SliceSink{}
+	tee := Tee(first, NewEncoderSink(&raw, false), last)
+	for _, r := range recs {
+		if err := tee.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tee.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*SliceSink{"first": first, "last": last} {
+		if !slices.Equal(s.Records, recs) {
+			t.Errorf("%s sink got %d records, not the %d put, in order", name, len(s.Records), len(recs))
+		}
+	}
+	if !bytes.Equal(raw.Bytes(), want.Bytes()) {
+		t.Errorf("the encoder sink wrote %d bytes, dataset.Write %d", raw.Len(), want.Len())
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errWriteFailed
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestTeeSurfacesSinkErrors: a failing sink's error returns from the
+// Put that failed it and stops the records there; an EncoderSink's,
+// found on its own goroutine, returns from a later Put or from Close,
+// and the tee's Close reports it after closing every sink.
+func TestTeeSurfacesSinkErrors(t *testing.T) {
+	recs := synthWave(0, 3*behindBatch, 4<<10) // ≈ 3 MB: several of the encoder's 1 MiB writes
+
+	capped, after := &cappedSink{limit: 10}, &SliceSink{}
+	tee := Tee(capped, after)
+	var err error
+	n := 0
+	for ; n < len(recs) && err == nil; n++ {
+		err = tee.Put(recs[n])
+	}
+	if !errors.Is(err, errSinkFull) || n != 11 || len(after.Records) != 10 {
+		t.Errorf("Put %d records, error %v, %d past the failing sink; want 11, %v, 10", n, err, len(after.Records), errSinkFull)
+	}
+
+	for _, cut := range []int{1 << 10, 5 << 19} { // inside the first write, or the third
+		slice := &SliceSink{}
+		tee := Tee(slice, NewEncoderSink(&failingWriter{n: cut}, false))
+		var putErr error
+		for _, r := range recs {
+			if putErr = tee.Put(r); putErr != nil {
+				break
+			}
+		}
+		closeErr := tee.Close()
+		if !errors.Is(closeErr, errWriteFailed) || putErr != nil && !errors.Is(putErr, errWriteFailed) {
+			t.Errorf("cut at %d: Put error %v, Close error %v; want %v from Close", cut, putErr, closeErr, errWriteFailed)
+		}
+		if putErr == nil && len(slice.Records) != len(recs) {
+			t.Errorf("cut at %d: the slice sink got %d of %d records", cut, len(slice.Records), len(recs))
+		}
+	}
+
+	// A record that cannot be encoded fails the sink, though no write
+	// failed, and nothing after it is written.
+	var buf bytes.Buffer
+	enc := NewEncoderSink(&buf, false)
+	bad := synthRecord(0, 1, "portscan", 0)
+	bad.Date = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, r := range []*dataset.HostRecord{recs[0], bad, recs[1]} {
+		if err := enc.Put(r); err != nil {
+			t.Fatalf("Put failed before Close: %v", err)
+		}
+	}
+	if err := enc.Close(); err == nil || bytes.Count(buf.Bytes(), []byte("\n")) != 1 {
+		t.Errorf("Close = %v with %d lines written; want the encoding error and 1 line", err, bytes.Count(buf.Bytes(), []byte("\n")))
 	}
 }

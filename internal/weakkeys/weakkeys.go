@@ -10,7 +10,10 @@ package weakkeys
 
 import (
 	"math/big"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 var one = big.NewInt(1)
@@ -77,41 +80,55 @@ func BatchGCD(moduli []*big.Int) []Finding {
 // and the product of all values, which callers must not modify (for one
 // value it is that value).
 func sharedFactors(values []*big.Int) (shared []*big.Int, product *big.Int) {
-	// Product tree: leaves are the moduli, the root is their product.
+	// Product tree: leaves are the values, the root is their product P.
+	// A level's nodes are independent of each other, in this tree and in
+	// the next, so each level runs across the cores.
 	levels := [][]*big.Int{values}
 	for len(levels[len(levels)-1]) > 1 {
 		prev := levels[len(levels)-1]
 		next := make([]*big.Int, (len(prev)+1)/2)
-		for i := range next {
+		forEach(len(next), func(i int) {
 			if 2*i+1 < len(prev) {
 				next[i] = new(big.Int).Mul(prev[2*i], prev[2*i+1])
 			} else {
 				next[i] = prev[2*i]
 			}
-		}
+		})
 		levels = append(levels, next)
 	}
 	root := levels[len(levels)-1][0]
 
-	// Remainder tree: push root mod leaf² down the tree.
-	rems := []*big.Int{root}
+	// Cofactor tree: node v holds (P/v) mod v. For a child c of v with
+	// sibling s, P/c = (P/v)·s, so c holds ((P/v) mod v mod c)·(s mod c)
+	// mod c; a child without a sibling is v itself. The numbers stay the
+	// size of the node, where the classic remainder tree of P mod v²
+	// works at twice that.
+	cof := []*big.Int{new(big.Int).Mod(one, root)}
 	for li := len(levels) - 2; li >= 0; li-- {
 		level := levels[li]
 		next := make([]*big.Int, len(level))
-		for i, v := range level {
-			sq := new(big.Int).Mul(v, v)
-			next[i] = new(big.Int).Mod(rems[i/2], sq)
-		}
-		rems = next
+		up := cof
+		forEach(len(level), func(i int) {
+			v := level[i]
+			if i^1 >= len(level) {
+				next[i] = up[i/2]
+				return
+			}
+			c := new(big.Int).Mod(up[i/2], v)
+			c.Mul(c, new(big.Int).Mod(level[i^1], v))
+			next[i] = c.Mod(c, v)
+		})
+		cof = next
 	}
 
-	// (root mod v²)/v = (∏ others) mod v, so g = gcd(v, ∏ others).
+	// (P/v) mod v shares with v exactly the primes v shares with the
+	// other values: g = gcd(v, (P/v) mod v).
 	shared = make([]*big.Int, len(values))
-	for i, v := range values {
-		q := new(big.Int).Div(rems[i], v)
-		g := new(big.Int).GCD(nil, nil, q, v)
+	forEach(len(values), func(i int) {
+		v := values[i]
+		g := new(big.Int).GCD(nil, nil, cof[i], v)
 		if g.Cmp(one) <= 0 {
-			continue
+			return
 		}
 		if g.Cmp(v) == 0 {
 			// Every prime of v divides the others' product — both primes
@@ -121,8 +138,32 @@ func sharedFactors(values []*big.Int) (shared []*big.Int, product *big.Int) {
 			g = pairwiseFactor(values, i)
 		}
 		shared[i] = g
-	}
+	})
 	return shared, root
+}
+
+// forEach runs f(0) … f(n-1) on up to GOMAXPROCS goroutines, each
+// taking the lowest index left, and returns when all have run.
+func forEach(n int, f func(i int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if workers <= 1 {
+		for i := range n {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // pairwiseFactor returns the first proper factor values[i] shares with

@@ -317,3 +317,17 @@ func BenchmarkPairwiseGCD128(b *testing.B) {
 		PairwiseGCD(moduli)
 	}
 }
+
+// BenchmarkBatchGCD665x512 runs the batch over a campaign's first wave
+// at test key sizes: 665 moduli of 512 bits.
+func BenchmarkBatchGCD665x512(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	moduli := make([]*big.Int, 665)
+	for i := range moduli {
+		moduli[i] = new(big.Int).Mul(prime(r, 256), prime(r, 256))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BatchGCD(moduli)
+	}
+}

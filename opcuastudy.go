@@ -731,6 +731,7 @@ func (c *Campaign) WriteDataset(w io.Writer) error {
 	for wi := 0; wi < len(deploy.WaveDates); wi++ {
 		for _, rec := range c.RecordsByWave[wi] {
 			if err := sink.Put(rec); err != nil {
+				sink.Close() // stops the encoding goroutine; the Put error is the one to report
 				return err
 			}
 		}
