@@ -9,7 +9,7 @@ import (
 	"repro/internal/uapolicy"
 )
 
-func buildSpec(t *testing.T) *Spec {
+func buildSpec(t testing.TB) *Spec {
 	t.Helper()
 	spec, err := BuildSpec(2020)
 	if err != nil {

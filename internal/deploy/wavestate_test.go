@@ -238,27 +238,39 @@ func TestWorldIdentityDerivedOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkWaveEndpointStates is one campaign's planning input: the
-// endpoint states of all eight waves of the whole test-key world. Its
-// allocs/op are budget-gated in BENCH_10.json: with each certificate's
-// thumbprint and each host's address derived once per world, a wave
-// allocates its state slice and nothing per endpoint.
+// campaignEndpointStates reads the endpoint states of all eight waves
+// of the whole test-key world, one campaign's planning input and the
+// operation BenchmarkWaveEndpointStates and
+// TestWaveEndpointStatesAllocBudget measure.
+func campaignEndpointStates(tb testing.TB) func() {
+	world, err := Materialize(buildSpec(tb), Options{TestKeySizes: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		for wave := range WaveDates {
+			if _, err := world.WaveEndpointStates(wave); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkWaveEndpointStates(b *testing.B) {
-	spec, err := BuildSpec(2020)
-	if err != nil {
-		b.Fatal(err)
-	}
-	world, err := Materialize(spec, Options{TestKeySizes: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	op := campaignEndpointStates(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for wave := range WaveDates {
-			if _, err := world.WaveEndpointStates(wave); err != nil {
-				b.Fatal(err)
-			}
-		}
+		op()
+	}
+}
+
+// TestWaveEndpointStatesAllocBudget: with each certificate's thumbprint
+// and each host's address derived once per world, a campaign's eight
+// waves of endpoint states allocate at most 8 objects (×1.25 + 2), a
+// state slice per wave and nothing per endpoint.
+func TestWaveEndpointStatesAllocBudget(t *testing.T) {
+	if allocs := testing.AllocsPerRun(5, campaignEndpointStates(t)); allocs > 8*1.25+2 {
+		t.Errorf("a campaign's endpoint states allocate %.1f objects, budget %.0f", allocs, 8*1.25+2)
 	}
 }

@@ -68,29 +68,52 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 // shard's framed record lines and are only trusted once the Done frame
 // commits them — a dead worker's lease is discarded whole. Lines fill
 // fixed-size blocks that are joined once, at commit, so a growing
-// stream is never copied into a buffer of twice its size.
+// stream is never copied into a buffer of twice its size; a joined or
+// discarded lease gives its blocks back to leaseBlocks for the next.
 type lease struct {
 	shard  int
 	blocks [][]byte
 }
 
 // leaseBlock is the capacity of one lease block; a longer line gets a
-// block of its own.
+// block of its own, which is not pooled.
 const leaseBlock = 1 << 20
+
+// leaseBlocks holds the released blocks of every coordinator's leases.
+var leaseBlocks = sync.Pool{New: func() any { return new([leaseBlock]byte) }}
 
 func (l *lease) write(line []byte) {
 	n := len(l.blocks)
 	if n == 0 || len(l.blocks[n-1])+len(line) > cap(l.blocks[n-1]) {
-		l.blocks = append(l.blocks, make([]byte, 0, max(leaseBlock, len(line))))
+		var block []byte
+		if len(line) <= leaseBlock {
+			block = leaseBlocks.Get().(*[leaseBlock]byte)[:0]
+		} else {
+			block = make([]byte, 0, len(line))
+		}
+		l.blocks = append(l.blocks, block)
 		n++
 	}
 	l.blocks[n-1] = append(l.blocks[n-1], line...)
 }
 
 // stream joins the lease's blocks into the shard's one record stream,
-// in a buffer that is not cleared first: the blocks fill all of it.
+// in a buffer that is not cleared first: the blocks fill all of it. The
+// blocks are released after.
 func (l *lease) stream() []byte {
-	return bytes.Join(l.blocks, nil)
+	joined := bytes.Join(l.blocks, nil)
+	l.release()
+	return joined
+}
+
+// release gives the lease's blocks back to leaseBlocks.
+func (l *lease) release() {
+	for _, b := range l.blocks {
+		if cap(b) == leaseBlock {
+			leaseBlocks.Put((*[leaseBlock]byte)(b[:leaseBlock]))
+		}
+	}
+	l.blocks = nil
 }
 
 // workerConn is the coordinator's view of one connected worker.
@@ -344,6 +367,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 			}
 			if l := w.lease; l != nil && l.shard == shard {
 				w.lease = nil
+				l.release()
 				c.logf("fabric: worker %q failed shard %d: %s", w.name, shard, string(msg)) // msg aliases the read buffer
 				c.requeueLocked(shard)
 			}
@@ -408,6 +432,7 @@ func (c *Coordinator) declareDead(w *workerConn, cause string) {
 	lost := "it held no lease"
 	if l := w.lease; l != nil {
 		w.lease = nil // the partial buffer dies with the lease
+		l.release()
 		c.requeueLocked(l.shard)
 		lost = fmt.Sprintf("re-queued shard %d", l.shard)
 	}

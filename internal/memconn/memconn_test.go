@@ -596,27 +596,53 @@ func roundTrip(tb testing.TB, c net.Conn, msg []byte) {
 	}
 }
 
+// roundTripSizes are the message sizes of BenchmarkConnRoundTrip and
+// TestConnRoundTripAllocBudget.
+var roundTripSizes = []struct {
+	name string
+	n    int
+}{{"64B", 64}, {"8KiB", 8 << 10}}
+
+// echoRoundTrip is a pipe whose far end echoes, and the operation
+// BenchmarkConnRoundTrip and TestConnRoundTripAllocBudget measure on
+// it: an n-byte message out and back, the deadline re-armed before
+// each, after one round trip that lets the echo's buffers grow.
+func echoRoundTrip(tb testing.TB, n int) func() {
+	client, server := Pipe()
+	stop := echo(server)
+	tb.Cleanup(func() {
+		stop()
+		client.Close()
+	})
+	msg := make([]byte, n)
+	roundTrip(tb, client, msg)
+	return func() { roundTrip(tb, client, msg) }
+}
+
 // BenchmarkConnRoundTrip is the connection's share of one request: a
 // message out, the same bytes back, the deadline re-armed before each.
-// allocs/op is budgeted in BENCH_14.json (steady state: none).
 func BenchmarkConnRoundTrip(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		n    int
-	}{{"64B", 64}, {"8KiB", 8 << 10}} {
+	for _, size := range roundTripSizes {
 		b.Run(size.name, func(b *testing.B) {
-			client, server := Pipe()
-			stop := echo(server)
-			defer stop()
-			defer client.Close()
-			msg := make([]byte, size.n)
-			roundTrip(b, client, msg)
+			op := echoRoundTrip(b, size.n)
 			b.SetBytes(int64(2 * size.n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				roundTrip(b, client, msg)
+				op()
 			}
 		})
+	}
+}
+
+// TestConnRoundTripAllocBudget: a round trip of either size allocates
+// nothing in steady state, within the rule's slack of 2: a timer, a
+// buffer or a closure per message would break it. The 64-byte round
+// trip is also held to exactly none by TestDeadlinesAllocateNothing.
+func TestConnRoundTripAllocBudget(t *testing.T) {
+	for _, size := range roundTripSizes {
+		if allocs := testing.AllocsPerRun(1000, echoRoundTrip(t, size.n)); allocs > 2 {
+			t.Errorf("%s: a round trip allocates %.1f objects, budget 2", size.name, allocs)
+		}
 	}
 }

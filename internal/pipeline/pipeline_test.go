@@ -178,25 +178,36 @@ func TestTeeAndEncoderSink(t *testing.T) {
 	}
 }
 
+// streamWave folds one 500-record wave into a, numbering waves by
+// call, the operation BenchmarkStreamingAnalyzerWave and
+// TestStreamingAnalyzerWaveAllocBudget measure.
+func streamWave(tb testing.TB, a *Analyzer) func() {
+	recs := synthWave(0, 500, 0)
+	wave := 0
+	return func() {
+		for _, r := range recs {
+			r.Wave = wave
+			if err := a.Put(r); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		wave++
+	}
+}
+
 // BenchmarkStreamingAnalyzerWave measures the per-wave cost of the
 // non-retaining streaming analyzer: each op folds one 500-record wave
-// into a single long-lived Analyzer (waves numbered by iteration, the
-// longitudinal fold running throughout). allocs/op is therefore the
-// marginal cost of one more wave — the number that must stay flat for
-// streaming analysis to scale with campaign length; CI gates it
-// against the budget recorded in BENCH_5.json.
+// into a single long-lived Analyzer (the longitudinal fold running
+// throughout). allocs/op is therefore the marginal cost of one more
+// wave — the number that must stay flat for streaming analysis to
+// scale with campaign length.
 func BenchmarkStreamingAnalyzerWave(b *testing.B) {
-	recs := synthWave(0, 500, 0)
 	a := NewAnalyzer(AnalyzerConfig{})
+	op := streamWave(b, a)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range recs {
-			r.Wave = i
-			if err := a.Put(r); err != nil {
-				b.Fatal(err)
-			}
-		}
+		op()
 	}
 	b.StopTimer()
 	if err := a.Close(); err != nil {
@@ -204,6 +215,15 @@ func BenchmarkStreamingAnalyzerWave(b *testing.B) {
 	}
 	if _, long := a.Results(); len(long.DeficientSeries) != b.N {
 		b.Fatalf("folded %d waves, want %d", len(long.DeficientSeries), b.N)
+	}
+}
+
+// TestStreamingAnalyzerWaveAllocBudget: one more 500-record wave costs
+// the non-retaining analyzer at most 5,705 allocations (×1.25 + 2),
+// however many waves came before.
+func TestStreamingAnalyzerWaveAllocBudget(t *testing.T) {
+	if allocs := testing.AllocsPerRun(20, streamWave(t, NewAnalyzer(AnalyzerConfig{}))); allocs > 5705*1.25+2 {
+		t.Errorf("a streamed wave allocates %.0f objects, budget %.0f", allocs, 5705*1.25+2)
 	}
 }
 

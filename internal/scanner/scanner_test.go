@@ -641,32 +641,56 @@ func TestGrabCertRejectingHost(t *testing.T) {
 	}
 }
 
-func BenchmarkPortScan64K(b *testing.B) {
-	nw := benchSnapshot(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PortScan(context.Background(), nw, PortScanConfig{}); err != nil {
-			b.Fatal(err)
+// portScan is one sweep of nw with telemetry into reg (nil: off), the
+// operation BenchmarkPortScan64K, BenchmarkPortScanTelemetry and
+// TestPortScanAllocBudget measure.
+func portScan(tb testing.TB, nw *worldview.Snapshot, reg *telemetry.Registry) func() {
+	return func() {
+		if _, err := PortScan(context.Background(), nw, PortScanConfig{Metrics: reg}); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
+func BenchmarkPortScan64K(b *testing.B) {
+	scan := portScan(b, benchSnapshot(b), nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan()
+	}
+}
+
 // BenchmarkPortScanTelemetry pairs disabled and enabled telemetry over
-// the same sweep; benchjson -overhead-delta gates the allocation gap
-// between the two, and the BENCH budget pins the disabled path so the
-// nil-registry fast path can never start allocating.
+// the same sweep; TestPortScanAllocBudget holds both to their budget
+// and the enabled one to the disabled one's count plus 64.
 func BenchmarkPortScanTelemetry(b *testing.B) {
 	nw := benchSnapshot(b)
 	run := func(b *testing.B, reg *telemetry.Registry) {
+		scan := portScan(b, nw, reg)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := PortScan(context.Background(), nw, PortScanConfig{Metrics: reg}); err != nil {
-				b.Fatal(err)
-			}
+			scan()
 		}
 	}
 	b.Run("telemetry=off", func(b *testing.B) { run(b, nil) })
 	b.Run("telemetry=on", func(b *testing.B) { run(b, telemetry.New()) })
+}
+
+// TestPortScanAllocBudget: a sweep of benchSnapshot's /16 allocates at
+// most 126 objects (×1.25 + 2) with telemetry off and on, and enabling
+// telemetry costs at most 64 more than leaving it off: instruments
+// resolve once per scan, never per probe, and the nil-registry path
+// never starts allocating.
+func TestPortScanAllocBudget(t *testing.T) {
+	nw := benchSnapshot(t)
+	off := testing.AllocsPerRun(10, portScan(t, nw, nil))
+	on := testing.AllocsPerRun(10, portScan(t, nw, telemetry.New()))
+	if limit := 126*1.25 + 2; off > limit || on > limit {
+		t.Errorf("a sweep allocates %.0f objects with telemetry off and %.0f with it on, budget %.1f", off, on, limit)
+	}
+	if on > off+64 {
+		t.Errorf("telemetry costs %.0f allocations per sweep (%.0f on, %.0f off), budget 64", on-off, on, off)
+	}
 }
 
 func BenchmarkPermutation(b *testing.B) {

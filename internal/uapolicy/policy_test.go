@@ -417,18 +417,31 @@ func BenchmarkDeriveKeys(b *testing.B) {
 	}
 }
 
-func BenchmarkSymEncryptSign(b *testing.B) {
+// symChunk is the chunk size of symEncryptSign.
+const symChunk = 4096
+
+// symEncryptSign encrypts and signs one chunk under a Basic256Sha256
+// channel's keys, the operation BenchmarkSymEncryptSign and
+// TestSymEncryptSignAllocBudget measure.
+func symEncryptSign(tb testing.TB) func() {
 	p := Basic256Sha256
 	keys, _ := p.DeriveKeys(p.NewNonce(), p.NewNonce())
-	msg := make([]byte, 4096)
-	b.SetBytes(int64(len(msg)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	msg := make([]byte, symChunk)
+	return func() {
 		if err := p.SymEncrypt(keys, msg); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := p.SymSign(keys, msg); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkSymEncryptSign(b *testing.B) {
+	op := symEncryptSign(b)
+	b.SetBytes(symChunk)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

@@ -172,7 +172,7 @@ type sealOpts struct {
 // sequence header (channel/token ids plus, for OPN, the asymmetric
 // security header). dst holds the full wire frame on success.
 //
-//studyvet:hotpath — per-chunk on every message both directions; BenchmarkSymEncryptSign budgets its allocs
+//studyvet:hotpath — per-chunk on every message both directions; TestSymEncryptSignAllocBudget budgets its allocs
 func seal(dst *uatypes.Encoder, msgType string, chunkFlag byte, prefix, seqHdr, body []byte, o sealOpts) error {
 	dst.Reset()
 

@@ -174,48 +174,57 @@ func TestSeededDecryptNeverMasksFailure(t *testing.T) {
 	}
 }
 
-// BenchmarkHandshake is one exchange end to end, client and server.
-// "first" meets a cold engine every iteration (creating it is part of
-// the iteration): the private keys sign and do nothing else. "replay"
-// meets the engine a first exchange filled and performs no RSA
-// operation at all. BENCH_15.json budgets the allocs/op of both.
-func BenchmarkHandshake(b *testing.B) {
-	run := func(b *testing.B, engine *uarsa.Engine) {
-		if cErr, sErr := (exchange{engine: engine}).run(b); cErr != nil || sErr != nil {
-			b.Fatalf("handshake: client %v, server %v", cErr, sErr)
+// firstHandshake is one exchange end to end, client and server, against
+// a cold engine created for it: the private keys sign and do nothing
+// else.
+func firstHandshake(tb testing.TB) {
+	engine := uarsa.NewEngine(0)
+	if cErr, sErr := (exchange{engine: engine}).run(tb); cErr != nil || sErr != nil {
+		tb.Fatalf("handshake: client %v, server %v", cErr, sErr)
+	}
+	if st := engine.Stats(); st.Decrypt.Misses != 0 || st.Sign.Misses != 2 {
+		tb.Fatalf("first exchange: %+v, want 2 signs and no private-key decrypt", st)
+	}
+}
+
+// replayHandshake returns an exchange against an engine a first exchange
+// filled; each call must compute no RSA operation at all.
+func replayHandshake(tb testing.TB) func() {
+	engine := uarsa.NewEngine(0)
+	run := func() {
+		if cErr, sErr := (exchange{engine: engine}).run(tb); cErr != nil || sErr != nil {
+			tb.Fatalf("handshake: client %v, server %v", cErr, sErr)
 		}
 	}
-	privkeyOps := func(st uarsa.Stats) uint64 { return st.Sign.Misses + st.Decrypt.Misses }
+	misses := func(s uarsa.Stats) uint64 {
+		return s.Sign.Misses + s.Verify.Misses + s.Decrypt.Misses + s.Encrypt.Misses
+	}
+	run()
+	warm := engine.Stats()
+	return func() {
+		run()
+		if st := engine.Stats(); misses(st) != misses(warm) {
+			tb.Fatalf("replayed exchange computed RSA operations: %+v after %+v", st, warm)
+		}
+	}
+}
+
+// BenchmarkHandshake is one exchange end to end, client and server:
+// "first" is firstHandshake, "replay" replayHandshake.
+// TestHandshakeAllocBudget budgets the allocations of both.
+func BenchmarkHandshake(b *testing.B) {
 	b.Run("first", func(b *testing.B) {
 		b.ReportAllocs()
-		var ops uint64
 		for i := 0; i < b.N; i++ {
-			engine := uarsa.NewEngine(0)
-			run(b, engine)
-			st := engine.Stats()
-			if st.Decrypt.Misses != 0 || st.Sign.Misses != 2 {
-				b.Fatalf("first exchange: %+v, want 2 signs and no private-key decrypt", st)
-			}
-			ops += privkeyOps(st)
+			firstHandshake(b)
 		}
-		b.ReportMetric(float64(ops)/float64(b.N), "privkey_ops/op")
 	})
 	b.Run("replay", func(b *testing.B) {
-		engine := uarsa.NewEngine(0)
-		run(b, engine)
-		warm := engine.Stats()
+		replay := replayHandshake(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			run(b, engine)
+			replay()
 		}
-		st := engine.Stats()
-		misses := func(s uarsa.Stats) uint64 {
-			return s.Sign.Misses + s.Verify.Misses + s.Decrypt.Misses + s.Encrypt.Misses
-		}
-		if misses(st) != misses(warm) {
-			b.Fatalf("replayed exchanges computed RSA operations: %+v after %+v", st, warm)
-		}
-		b.ReportMetric(float64(privkeyOps(st)-privkeyOps(warm))/float64(b.N), "privkey_ops/op")
 	})
 }

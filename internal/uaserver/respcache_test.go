@@ -93,23 +93,41 @@ func TestResponseCacheByteIdentical(t *testing.T) {
 // bytes, never re-encoded).
 func TestCachedGetEndpointsServeAllocBudget(t *testing.T) {
 	srv := newCacheTestServer(t)
-	req := &uamsg.GetEndpointsRequest{}
 	e := uatypes.AcquireEncoder(len(srv.epSuffix) + 128)
 	defer uatypes.ReleaseEncoder(e)
-	allocs := testing.AllocsPerRun(500, func() {
-		resp := srv.dispatch(nil, nil, req, time.Time{}, ConnOptions{CachedResponses: true})
-		e.Reset()
-		uamsg.EncodeTo(e, resp)
-	})
+	allocs := testing.AllocsPerRun(500, serveGetEndpoints(srv, ConnOptions{CachedResponses: true}, e))
 	// One allocation for the response value itself; the body is cached.
 	if allocs > 2 {
 		t.Errorf("cached GetEndpoints serve allocates %.1f objects, budget 2", allocs)
 	}
 }
 
+// TestUncachedGetEndpointsServeAllocBudget: the reference serving, the
+// response built and encoded structurally, allocates at most 2 objects
+// (×1.25 + 2).
+func TestUncachedGetEndpointsServeAllocBudget(t *testing.T) {
+	srv := newCacheTestServer(t)
+	e := uatypes.AcquireEncoder(len(srv.epSuffix) + 128)
+	defer uatypes.ReleaseEncoder(e)
+	if allocs := testing.AllocsPerRun(500, serveGetEndpoints(srv, ConnOptions{}, e)); allocs > 2*1.25+2 {
+		t.Errorf("uncached GetEndpoints serve allocates %.1f objects, budget %.1f", allocs, 2*1.25+2)
+	}
+}
+
+// serveGetEndpoints answers one GetEndpoints request under o and
+// encodes the response into e, the operation BenchmarkGetEndpointsServe
+// and the two serve budgets measure.
+func serveGetEndpoints(srv *Server, o ConnOptions, e *uatypes.Encoder) func() {
+	req := &uamsg.GetEndpointsRequest{}
+	return func() {
+		resp := srv.dispatch(nil, nil, req, time.Time{}, o)
+		e.Reset()
+		uamsg.EncodeTo(e, resp)
+	}
+}
+
 func BenchmarkGetEndpointsServe(b *testing.B) {
 	srv := newCacheTestServer(b)
-	req := &uamsg.GetEndpointsRequest{}
 	// "uncached" is the reference serving, the zero ConnOptions.
 	for _, mode := range []struct {
 		name string
@@ -118,12 +136,11 @@ func BenchmarkGetEndpointsServe(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			e := uatypes.AcquireEncoder(len(srv.epSuffix) + 128)
 			defer uatypes.ReleaseEncoder(e)
+			serve := serveGetEndpoints(srv, mode.o, e)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp := srv.dispatch(nil, nil, req, time.Time{}, mode.o)
-				e.Reset()
-				uamsg.EncodeTo(e, resp)
+				serve()
 			}
 		})
 	}

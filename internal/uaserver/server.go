@@ -317,7 +317,7 @@ func okHeader(now time.Time, handle uint32) uamsg.ResponseHeader {
 // the serve-side hot path: TestCachedGetEndpointsServeAllocBudget holds
 // dispatch-plus-encode to two allocations per request.
 //
-//studyvet:hotpath — per-request on every simulated server; BenchmarkGetEndpointsServe budgets its allocs
+//studyvet:hotpath — per-request on every simulated server; the GetEndpoints serve budget tests hold its allocs
 func (s *Server) dispatch(ch *uasc.Channel, sessions map[string]*session, msg uamsg.Message, now time.Time, o ConnOptions) uamsg.Message {
 	switch req := msg.(type) {
 	case *uamsg.GetEndpointsRequest:

@@ -555,21 +555,21 @@ func (d pipeDialer) DialContext(context.Context, string, string) (net.Conn, erro
 	return client, nil
 }
 
-// BenchmarkWalk is one anonymous walk of a production-profile address
-// space of the campaign's average size (80 variables, 10 methods, 99
-// nodes below Objects) over the simulated connection: client and server
+// walkSession is an anonymous session, metered into reg, on a
+// production-profile address space of the campaign's average size (80
+// variables, 10 methods, 99 nodes below Objects) over the simulated
+// connection; the returned operation walks it once, client and server
 // side of every request, which is what a grab pays for the traversal.
-// requests/op is the ua_requests count of the walk; allocs/op is
-// budgeted in BENCH_14.json.
-func BenchmarkWalk(b *testing.B) {
-	ids(b)
+// BenchmarkWalk and TestWalkAllocBudget measure that operation.
+func walkSession(tb testing.TB, reg *telemetry.Registry) (walk func()) {
+	ids(tb)
 	space := addrspace.New("urn:test:server", "2.1.0")
 	if _, err := addrspace.Populate(space, addrspace.BuildOptions{
 		Profile: addrspace.ProfileProduction, Variables: 80, Methods: 10,
 		AnonReadableFrac: 0.7, AnonWritableFrac: 0.3, AnonExecutableFrac: 0.5,
 		Rand: mrand.New(mrand.NewSource(13)),
 	}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := New(Config{
 		ApplicationURI: "urn:test:server",
@@ -580,29 +580,38 @@ func BenchmarkWalk(b *testing.B) {
 		Space: space,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	reg := telemetry.New()
 	c, err := uaclient.Dial(context.Background(), "opc.tcp://192.0.2.7:4840",
 		uaclient.Options{Dialer: pipeDialer{srv}, Timeout: time.Minute, Metrics: reg})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer c.Close()
+	tb.Cleanup(func() { c.Close() })
 	if err := c.OpenInsecureChannel(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := c.CreateSession(uaclient.AnonymousIdentity()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func() {
+		res, err := c.Walk(context.Background(), uaclient.WalkOptions{}, nil)
+		if err != nil || res.Truncated || len(res.Nodes) != 99 {
+			tb.Fatalf("walk: %v, %d nodes, truncated %v", err, len(res.Nodes), res.Truncated)
+		}
+	}
+}
+
+// BenchmarkWalk is one walkSession walk; requests/op is the ua_requests
+// count of the walk.
+func BenchmarkWalk(b *testing.B) {
+	reg := telemetry.New()
+	walk := walkSession(b, reg)
 	before := reg.Snapshot().CounterTotal("ua_requests")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Walk(context.Background(), uaclient.WalkOptions{}, nil)
-		if err != nil || res.Truncated || len(res.Nodes) != 99 {
-			b.Fatalf("walk: %v, %d nodes, truncated %v", err, len(res.Nodes), res.Truncated)
-		}
+		walk()
 	}
 	b.StopTimer()
 	sent := reg.Snapshot().CounterTotal("ua_requests") - before

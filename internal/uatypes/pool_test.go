@@ -63,11 +63,7 @@ func TestEncoderAllocBudgets(t *testing.T) {
 	// Warm the pool.
 	ReleaseEncoder(AcquireEncoder(256))
 
-	if allocs := testing.AllocsPerRun(500, func() {
-		e := AcquireEncoder(256)
-		encodeSample(e)
-		ReleaseEncoder(e)
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(500, encodeSampleOp(true)); allocs != 0 {
 		t.Errorf("pooled encode allocates %.1f objects, want 0", allocs)
 	}
 
@@ -93,21 +89,39 @@ func TestEncoderAllocBudgets(t *testing.T) {
 	}
 }
 
+// encodeSampleOp is BenchmarkEncodeSample's operation: the sample into
+// a pooled encoder, given back after, or into a new one.
+func encodeSampleOp(pooled bool) func() {
+	return func() {
+		var e *Encoder
+		if pooled {
+			e = AcquireEncoder(256)
+		} else {
+			e = NewEncoder(256)
+		}
+		encodeSample(e)
+		if pooled {
+			ReleaseEncoder(e)
+		}
+	}
+}
+
+// TestFreshEncodeAllocBudget: encoding into a new encoder allocates the
+// encoder and its buffer, at most 2 objects (×1.25 + 2). The pooled
+// encode's budget of none is TestEncoderAllocBudgets'.
+func TestFreshEncodeAllocBudget(t *testing.T) {
+	if allocs := testing.AllocsPerRun(500, encodeSampleOp(false)); allocs > 2*1.25+2 {
+		t.Errorf("a fresh encode allocates %.1f objects, budget %.1f", allocs, 2*1.25+2)
+	}
+}
+
 func BenchmarkEncodeSample(b *testing.B) {
 	for _, mode := range []string{"fresh", "pooled"} {
 		b.Run(mode, func(b *testing.B) {
+			op := encodeSampleOp(mode == "pooled")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var e *Encoder
-				if mode == "pooled" {
-					e = AcquireEncoder(256)
-				} else {
-					e = NewEncoder(256)
-				}
-				encodeSample(e)
-				if mode == "pooled" {
-					ReleaseEncoder(e)
-				}
+				op()
 			}
 		})
 	}

@@ -271,32 +271,50 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// BenchmarkWaveDiffPlan measures the full per-wave delta-planning cost
-// — fingerprinting a world-scale endpoint population, diffing against
-// the prior wave's plan, and answering Skip for every address — the
-// work a delta wave spends before deciding which grabs to elide. Its
-// allocs/op are budget-gated in BENCH_10.json: planning must stay
-// O(endpoints) map inserts, nothing per-byte.
-func BenchmarkWaveDiffPlan(b *testing.B) {
+// planWave fingerprints a world-scale population of 1,200 endpoints,
+// diffs it against the prior wave's plan and answers Skip for every
+// address: the work a delta wave spends before deciding which grabs to
+// elide, and the operation BenchmarkWaveDiffPlan and
+// TestWaveDiffPlanAllocBudget measure. skips counts the Skip answers
+// that were yes.
+func planWave() (op func(), skips *int) {
 	const n = 1200
 	ctx := baseContext()
 	prevStates, curStates := benchStates(0, n), benchStates(1, n)
 	prev := NewPlan(ctx, 0, false, prevStates)
-	b.ReportAllocs()
-	b.ResetTimer()
-	skips := 0
-	for i := 0; i < b.N; i++ {
-		cur := NewPlan(ctx, 1, false, curStates)
-		d := cur.DiffFrom(prev)
+	skips = new(int)
+	return func() {
+		d := NewPlan(ctx, 1, false, curStates).DiffFrom(prev)
 		for _, st := range curStates {
 			if d.Skip(st.Address) {
-				skips++
+				*skips++
 			}
 		}
+	}, skips
+}
+
+func BenchmarkWaveDiffPlan(b *testing.B) {
+	op, skips := planWave()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 	b.StopTimer()
-	if skips == 0 {
+	if *skips == 0 {
 		b.Fatal("no skips planned — fixture changed everything")
 	}
-	b.ReportMetric(float64(skips/b.N), "skips")
+	b.ReportMetric(float64(*skips/b.N), "skips")
+}
+
+// TestWaveDiffPlanAllocBudget: planning a wave allocates at most 7
+// objects (×1.25 + 2), O(endpoints) map inserts and nothing per byte.
+func TestWaveDiffPlanAllocBudget(t *testing.T) {
+	op, skips := planWave()
+	if allocs := testing.AllocsPerRun(20, op); allocs > 7*1.25+2 {
+		t.Errorf("planning a wave allocates %.1f objects, budget %.2f", allocs, 7*1.25+2)
+	}
+	if *skips == 0 {
+		t.Error("no skips planned — fixture changed everything")
+	}
 }
