@@ -2,6 +2,9 @@ package addrspace
 
 import (
 	mrand "math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -49,7 +52,7 @@ func TestAddNamespaceIdempotent(t *testing.T) {
 
 func TestAddAndLinkValidation(t *testing.T) {
 	s := New("urn:app", "1")
-	n := &Node{ID: uatypes.NewStringNodeID(1, "x"), Class: uamsg.NodeClassObject}
+	n := Node{ID: uatypes.NewStringNodeID(1, "x"), Class: uamsg.NodeClassObject}
 	if err := s.Add(n); err != nil {
 		t.Fatal(err)
 	}
@@ -222,18 +225,18 @@ func TestClassifyPrecedence(t *testing.T) {
 // scanner's traversal must recover (Figure 7).
 func anonymousStats(s *Space) (st struct{ Variables, AnonReadable, AnonWritable, Methods, AnonExecutable int }) {
 	for _, n := range s.nodes {
-		switch n.Class {
+		switch n.class {
 		case uamsg.NodeClassVariable:
 			st.Variables++
-			if n.AnonAccess.CanRead() {
+			if n.anonAccess.CanRead() {
 				st.AnonReadable++
 			}
-			if n.AnonAccess.CanWrite() {
+			if n.anonAccess.CanWrite() {
 				st.AnonWritable++
 			}
 		case uamsg.NodeClassMethod:
 			st.Methods++
-			if n.Executable && n.AnonExecutable {
+			if n.exec && n.anonExec {
 				st.AnonExecutable++
 			}
 		}
@@ -242,16 +245,23 @@ func anonymousStats(s *Space) (st struct{ Variables, AnonReadable, AnonWritable,
 }
 
 // TestIdentifierIsTheSpacesOwn: Identifier knows exactly the string node
-// ids of the space, and returns the node's own identifier string.
+// ids of the space, and returns the space's stored identifier string, the
+// one Node returns, without allocating.
 func TestIdentifierIsTheSpacesOwn(t *testing.T) {
 	s := New("urn:app", "1")
-	n := &Node{ID: uatypes.NewStringNodeID(2, "Tank_1"), Class: uamsg.NodeClassVariable}
-	if err := s.Add(n); err != nil {
+	id := uatypes.NewStringNodeID(2, "Tank_1")
+	if err := s.Add(Node{ID: id, Class: uamsg.NodeClassVariable}); err != nil {
 		t.Fatal(err)
 	}
+	stored, _ := s.Node(id)
 	got, ok := s.Identifier(2, []byte("Tank_1"))
-	if !ok || got != "Tank_1" || unsafe.StringData(got) != unsafe.StringData(n.ID.Text) {
-		t.Errorf("Identifier(2, Tank_1) = %q, %v: not the node's own string", got, ok)
+	if !ok || got != "Tank_1" || unsafe.StringData(got) != unsafe.StringData(stored.ID.Text) ||
+		unsafe.StringData(got) == unsafe.StringData(id.Text) {
+		t.Errorf("Identifier(2, Tank_1) = %q, %v: not the space's own string", got, ok)
+	}
+	key := []byte("Tank_1")
+	if allocs := testing.AllocsPerRun(100, func() { s.Identifier(2, key) }); allocs != 0 {
+		t.Errorf("Identifier allocates %.0f objects, want 0", allocs)
 	}
 	for _, miss := range []struct {
 		ns uint16
@@ -260,5 +270,100 @@ func TestIdentifierIsTheSpacesOwn(t *testing.T) {
 		if got, ok := s.Identifier(miss.ns, []byte(miss.id)); ok {
 			t.Errorf("Identifier(%d, %q) = %q, want unknown", miss.ns, miss.id, got)
 		}
+	}
+}
+
+// TestTablesHoldNoPointers: every table of a Space but values and the
+// namespace list has an element type without pointers, and its text is
+// one strings.Builder, so the collector never scans a space's nodes,
+// references or index. The check must see a pointer wherever a field
+// could hide one.
+func TestTablesHoldNoPointers(t *testing.T) {
+	exempt := map[string]bool{
+		"values":     true, // a Read answers with a pointer into it
+		"namespaces": true, // the URIs AddNamespace keeps, a few per space
+	}
+	st := reflect.TypeOf(Space{})
+	tables := 0
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Slice && !exempt[f.Name]:
+			tables++
+			if path := pointerPath(f.Type.Elem()); path != "" {
+				t.Errorf("Space.%s: element type %s holds a pointer at %s", f.Name, f.Type.Elem(), path)
+			}
+		case f.Name == "text" && f.Type != reflect.TypeOf(strings.Builder{}):
+			t.Errorf("Space.text is a %s, not one strings.Builder", f.Type)
+		}
+	}
+	if tables < 3 {
+		t.Errorf("found %d tables, want nodes, refs and index", tables)
+	}
+	type hidden struct {
+		a [2]struct{ s span }
+		b [1]struct{ p *int }
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Node{}), reflect.TypeOf(hidden{}), reflect.TypeOf(""), reflect.TypeOf(map[int]int{})} {
+		if pointerPath(typ) == "" {
+			t.Errorf("pointerPath misses the pointer of %s", typ)
+		}
+	}
+}
+
+// pointerPath returns where typ holds a pointer ("." for typ itself), or
+// "" if it holds none.
+func pointerPath(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Array:
+		if typ.Len() > 0 {
+			if p := pointerPath(typ.Elem()); p != "" {
+				return "[0]" + p
+			}
+		}
+		return ""
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerPath(typ.Field(i).Type); p != "" {
+				return "." + typ.Field(i).Name + strings.TrimPrefix(p, ".")
+			}
+		}
+		return ""
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return "."
+	}
+	return ""
+}
+
+// TestSpaceObjectsDoNotGrowWithNodes: a populated space is a fixed
+// number of heap objects whatever its node count — its tables, its text
+// and the skeleton's few boxed values — where a map of node pointers
+// was four or more per node.
+func TestSpaceObjectsDoNotGrowWithNodes(t *testing.T) {
+	perSpace := func(variables int) float64 {
+		const spaces = 40
+		held := make([]*Space, spaces)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range held {
+			held[i] = New("urn:app", "1")
+			if _, err := Populate(held[i], BuildOptions{
+				Profile: ProfileProduction, Variables: variables, Methods: variables / 4,
+				AnonReadableFrac: 0.5, Rand: mrand.New(mrand.NewSource(int64(i))),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(held)
+		return float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / spaces
+	}
+	small, large := perSpace(8), perSpace(800)
+	t.Logf("heap objects per space: %.1f at 10 application nodes, %.1f at 1,000", small, large)
+	if small > 24 || large > small+2 {
+		t.Errorf("a space of 10 application nodes holds %.1f heap objects and one of 1,000 holds %.1f: objects grow with nodes", small, large)
 	}
 }

@@ -3,6 +3,7 @@ package addrspace
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/uamsg"
 	"repro/internal/uatypes"
@@ -96,7 +97,10 @@ func Populate(s *Space, o BuildOptions) (uint16, error) {
 		return 0, fmt.Errorf("addrspace: unknown profile %d", o.Profile)
 	}
 
-	app := &Node{
+	s.mu.Lock()
+	s.reserve(1+o.Variables+o.Methods, o.Variables, 24*(1+o.Variables+o.Methods))
+	s.mu.Unlock()
+	app := Node{
 		ID:          uatypes.NewStringNodeID(ns, "Application"),
 		Class:       uamsg.NodeClassObject,
 		BrowseName:  uatypes.QualifiedName{NamespaceIndex: ns, Name: "Application"},
@@ -128,7 +132,7 @@ func Populate(s *Space, o BuildOptions) (uint16, error) {
 		writeSet[i] = true
 	}
 	for i := 0; i < o.Variables; i++ {
-		name := fmt.Sprintf("%s_%d", variableNames[i%len(variableNames)], i)
+		name := variableNames[i%len(variableNames)] + "_" + strconv.Itoa(i)
 		anon := uamsg.AccessLevel(0)
 		if readSet[i] {
 			anon |= uamsg.AccessLevelRead
@@ -136,7 +140,7 @@ func Populate(s *Space, o BuildOptions) (uint16, error) {
 		if writeSet[i] {
 			anon |= uamsg.AccessLevelWrite
 		}
-		n := &Node{
+		n := Node{
 			ID:          uatypes.NewStringNodeID(ns, name),
 			Class:       uamsg.NodeClassVariable,
 			BrowseName:  uatypes.QualifiedName{NamespaceIndex: ns, Name: name},
@@ -153,8 +157,8 @@ func Populate(s *Space, o BuildOptions) (uint16, error) {
 		}
 	}
 	for i := 0; i < o.Methods; i++ {
-		name := fmt.Sprintf("%s_%d", methodNames[i%len(methodNames)], i)
-		n := &Node{
+		name := methodNames[i%len(methodNames)] + "_" + strconv.Itoa(i)
+		n := Node{
 			ID:             uatypes.NewStringNodeID(ns, name),
 			Class:          uamsg.NodeClassMethod,
 			BrowseName:     uatypes.QualifiedName{NamespaceIndex: ns, Name: name},

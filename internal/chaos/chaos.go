@@ -17,6 +17,7 @@ package chaos
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -130,34 +131,43 @@ const (
 )
 
 // Behavior decides the behavior of host ip:port in this wave, purely
-// from (seed, wave, ip, port): one FNV-1a hash supplies the occurrence
-// roll (low bits, the same %1000000 mapping as simnet.Noise), the kind
-// selection (middle bits) and the kind parameter (high bits).
+// from (seed, wave, ip, port): one FNV-1a hash of behaviorKey supplies
+// the occurrence roll (low bits, the same %1000000 mapping as
+// simnet.Noise), the kind selection (middle bits) and the kind
+// parameter (high bits). Every input moves the decision
+// (TestBehaviorDependsOnEveryInput).
 func (wm WaveModel) Behavior(ip [4]byte, port int) Behavior {
 	m := wm.model
 	if !m.Enabled() {
 		return Behavior{}
 	}
+	key := behaviorKey(m.Seed, wm.wave, ip, port)
+	return m.decide(hashKey(key[:]))
+}
+
+// behaviorKey is what Behavior hashes: the seed, the wave, the address
+// and the port, each big-endian.
+func behaviorKey(seed int64, wave int, ip [4]byte, port int) [18]byte {
+	var k [18]byte
+	binary.BigEndian.PutUint64(k[0:], uint64(seed))
+	binary.BigEndian.PutUint32(k[8:], uint32(wave))
+	copy(k[12:], ip[:])
+	binary.BigEndian.PutUint16(k[16:], uint16(port))
+	return k
+}
+
+// hashKey is FNV-1a over key.
+func hashKey(key []byte) uint64 {
 	h := uint64(fnvOffset64)
-	mix := func(b byte) {
+	for _, b := range key {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
-	seed := uint64(m.Seed)
-	for shift := 56; shift >= 0; shift -= 8 {
-		mix(byte(seed >> shift))
-	}
-	w := uint32(wm.wave)
-	mix(byte(w >> 24))
-	mix(byte(w >> 16))
-	mix(byte(w >> 8))
-	mix(byte(w))
-	for _, b := range ip {
-		mix(b)
-	}
-	mix(byte(port >> 8))
-	mix(byte(port))
+	return h
+}
 
+// decide maps a behavior hash to the behavior it draws under m.
+func (m Model) decide(h uint64) Behavior {
 	if float64(h%1000000)/1000000.0 >= m.Prob {
 		return Behavior{}
 	}

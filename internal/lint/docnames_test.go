@@ -248,11 +248,25 @@ func docIdentifiers(text string) map[string]int {
 	return ids
 }
 
+// perPRSection is the heading of an EXPERIMENTS.md section that
+// narrates one change: "## The merge side keeps pace (PR 41)".
+var perPRSection = regexp.MustCompile(`(?m)^## .*\(PR \d+`)
+
+// standingPart returns EXPERIMENTS.md's standing part: everything above
+// its first per-change section. Those sections are the record of how a
+// number was obtained, and may name what has since been deleted.
+func standingPart(experiments string) string {
+	if loc := perPRSection.FindStringIndex(experiments); loc != nil {
+		return experiments[:loc[0]]
+	}
+	return experiments
+}
+
 // TestDocIdentifiersResolve fails on a backticked Go identifier in
-// DESIGN.md, the verify skill or a package doc that names nothing in the
-// module: documentation that drifted from the code. bench/README.md is
-// left out while bench/ stays frozen until the benchmark ledger change
-// rewrites it.
+// DESIGN.md, the verify skill, EXPERIMENTS.md's standing part or a
+// package doc that names nothing in the module: documentation that
+// drifted from the code. bench/README.md is left out while bench/ stays
+// frozen until the benchmark ledger change rewrites it.
 func TestDocIdentifiersResolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -276,12 +290,19 @@ func TestDocIdentifiersResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs := map[string]string{}
-	for _, name := range []string{"DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+	for _, name := range []string{"DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md"), "EXPERIMENTS.md"} {
 		b, err := os.ReadFile(filepath.Join(root, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		docs[name] = string(b)
+	}
+	docs["EXPERIMENTS.md"] = standingPart(docs["EXPERIMENTS.md"])
+	// The lint must be able to fail on EXPERIMENTS.md: on a stale name
+	// planted in its standing part, and not on one below it.
+	planted := "## Method\n\nSee `World.SetChaos`.\n\n## A change (PR 9)\n\n`normalizeWallClock`\n"
+	if ids := docIdentifiers(standingPart(planted)); len(ids) != 1 || ids["World.SetChaos"] == 0 || d.resolves("World.SetChaos") {
+		t.Fatalf("a stale name planted in EXPERIMENTS.md's standing part is not reported: read %v", ids)
 	}
 	for _, lp := range pkgs {
 		for _, f := range lp.Files {

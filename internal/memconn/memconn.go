@@ -238,6 +238,7 @@ type stream struct {
 
 	buf []byte // unread bytes are buf[off:]
 	off int
+	box *[]byte // what buf goes back to buffers in, nil until it has one
 
 	rclosed bool // the reading end closed: nothing more is accepted
 	wclosed bool // the writing end closed: EOF once drained
@@ -309,6 +310,9 @@ func (s *stream) write(p []byte) (n int, err error) {
 		}
 		if room := highWater - (len(s.buf) - s.off); room > 0 || len(p) == 0 {
 			k := min(room, len(p))
+			if s.buf == nil && k > 0 {
+				s.reuse()
+			}
 			if s.off > 0 && len(s.buf)+k > cap(s.buf) {
 				// Reclaim the read prefix before growing.
 				s.buf, s.off = s.buf[:copy(s.buf, s.buf[s.off:])], 0
@@ -326,6 +330,34 @@ func (s *stream) write(p []byte) (n int, err error) {
 		}
 		s.writers--
 	}
+}
+
+// buffers holds the buffers of directions whose reading end has closed,
+// for the directions of later pipes. A buffer has one owner at a time:
+// its stream, until the reading end's Close hands it back here under
+// the group mutex, after which no call of that pipe touches it.
+var buffers sync.Pool // of *[]byte
+
+// reuse gives s a buffer a closed direction left, if there is one;
+// g.mu is held.
+func (s *stream) reuse() {
+	if b, ok := buffers.Get().(*[]byte); ok {
+		s.buf, s.box = (*b)[:0], b
+	}
+}
+
+// recycle hands s's buffer to buffers and drops what it held unread;
+// g.mu is held and s's reading end is closed, so nothing reads or
+// writes s again.
+func (s *stream) recycle() {
+	if cap(s.buf) > 0 {
+		if s.box == nil {
+			s.box = new([]byte)
+		}
+		*s.box = s.buf[:0]
+		buffers.Put(s.box)
+	}
+	s.buf, s.off, s.box = nil, 0, nil
 }
 
 // conn is one end: it reads r and writes w.
@@ -351,13 +383,13 @@ func (c *conn) Write(p []byte) (int, error) {
 	return n, wrap("write", err)
 }
 
-// Close closes this end: it drops what it has not read and leaves what
-// it wrote for the peer. It always returns nil; closing twice is
-// harmless.
+// Close closes this end: it drops what it has not read, handing the
+// buffer it read from to a later pipe, and leaves what it wrote for the
+// peer. It always returns nil; closing twice is harmless.
 func (c *conn) Close() error {
 	c.r.g.mu.Lock()
 	c.r.rclosed = true
-	c.r.buf, c.r.off = nil, 0
+	c.r.recycle()
 	c.w.wclosed = true
 	c.r.g.mu.Unlock()
 	c.r.wake.Broadcast()

@@ -339,8 +339,12 @@ func (c *Client) OpenInsecureChannel() error {
 	})
 }
 
-// Close tears the connection down.
+// Close tears the connection down and hands its receive buffer to a
+// later connection, so it must not run while a request is in flight:
+// like every other call on a Client, it belongs to the goroutine that
+// makes the requests.
 func (c *Client) Close() error {
+	defer c.tr.Release()
 	if c.ch != nil {
 		return c.ch.Close()
 	}

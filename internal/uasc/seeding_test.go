@@ -91,6 +91,7 @@ func (x exchange) run(tb testing.TB) (clientErr, serverErr error) {
 		tr, err := ServerHello(&tamperConn{Conn: sConn, tamper: x.tamperReply}, Limits{})
 		if err == nil {
 			_, err = Accept(tr, cfg)
+			tr.Release() // as a server does once it stops reading
 		}
 		done <- err
 	}()
@@ -108,6 +109,7 @@ func (x exchange) run(tb testing.TB) (clientErr, serverErr error) {
 		Engine:        x.engine,
 		Derive:        uarsa.NewDerivation([]byte("opn"), srv.cert.Raw, []byte(policy.URI), []byte{byte(mode)}),
 	}, 60000)
+	tr.Release() // as a client's Close does
 	return clientErr, <-done
 }
 

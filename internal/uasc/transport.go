@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"repro/internal/uamsg"
 	"repro/internal/uastatus"
@@ -72,12 +73,32 @@ type Transport struct {
 	recv Limits // limits for incoming chunks (our receive capacity)
 
 	// readBuf is the chunk receive buffer reused across readChunk calls;
-	// the secure-channel layer copies everything it keeps out of it.
-	readBuf []byte
+	// the secure-channel layer copies everything it keeps out of it. It
+	// comes from readBufs on the first read and goes back on Release.
+	readBuf *[]byte
 }
 
-// Close closes the underlying connection.
+// readBufs holds the receive buffers of transports whose reading
+// goroutine is done with them, for later transports. A buffer has one
+// owner at a time: the goroutine that reads a transport, until it calls
+// Release.
+var readBufs sync.Pool // of *[]byte
+
+// Close closes the underlying connection. It may run on any goroutine:
+// it leaves the receive buffer to the reading one, which may still be
+// inside a read or decoding what it read (Release).
 func (t *Transport) Close() error { return t.Conn.Close() }
+
+// Release hands the transport's receive buffer to a later transport.
+// Only the goroutine that reads the transport may call it, after its
+// last read and once nothing it decoded aliases the buffer; a read
+// after Release takes another buffer.
+func (t *Transport) Release() {
+	if t.readBuf != nil {
+		readBufs.Put(t.readBuf)
+		t.readBuf = nil
+	}
+}
 
 // writeRaw writes one framed chunk: 3-byte type, 1-byte chunk flag,
 // 4-byte total size, body.
@@ -162,9 +183,16 @@ func internMsgType(b []byte) string {
 // chunk body aliases that buffer and is valid only until the next
 // readChunk call; callers copy what they keep.
 func (t *Transport) readChunk() (rawChunk, error) {
-	c, err := readRaw(t.Conn, t.recv.ReceiveBufSize, t.readBuf)
-	if cap(c.body) > cap(t.readBuf) {
-		t.readBuf = c.body
+	if t.readBuf == nil {
+		if b, ok := readBufs.Get().(*[]byte); ok {
+			t.readBuf = b
+		} else {
+			t.readBuf = new([]byte)
+		}
+	}
+	c, err := readRaw(t.Conn, t.recv.ReceiveBufSize, *t.readBuf)
+	if cap(c.body) > cap(*t.readBuf) {
+		*t.readBuf = c.body
 	}
 	return c, err
 }

@@ -255,6 +255,7 @@ func (s *Server) HandleConnWith(conn net.Conn, o ConnOptions) {
 	if err != nil {
 		return
 	}
+	defer tr.Release() // this goroutine is the transport's only reader
 	cfg := uasc.ServerConfig{
 		Key:           s.cfg.Key,
 		CertDER:       s.cfg.CertDER,
@@ -618,7 +619,8 @@ func (s *Server) readAttr(sess *session, rv uamsg.ReadValueID, now time.Time) ua
 		if !node.Access(sess.identity).CanRead() {
 			return uatypes.DataValue{HasStatus: true, Status: uastatus.BadUserAccessDenied}
 		}
-		return good(&node.Value)
+		v, _ := s.cfg.Space.Value(rv.NodeID)
+		return good(v)
 	case uamsg.AttrAccessLevel:
 		return good(&accessLevels[node.AccessLevel])
 	case uamsg.AttrUserAccessLevel:

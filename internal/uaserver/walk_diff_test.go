@@ -194,7 +194,7 @@ func meshed(t *testing.T) *addrspace.Space {
 	space := addrspace.New("urn:test:server", "2.1.0")
 	ns := space.AddNamespace("urn:test:mesh")
 	add := func(class uamsg.NodeClass, name string) uatypes.NodeID {
-		n := &addrspace.Node{
+		n := addrspace.Node{
 			ID: uatypes.NewStringNodeID(ns, name), Class: class,
 			BrowseName:  uatypes.QualifiedName{NamespaceIndex: ns, Name: name},
 			DisplayName: name,
