@@ -146,7 +146,7 @@ func main() {
 	datasetPath := flag.String("dataset", "", "write the dataset as JSONL to this file")
 	anonymize := flag.Bool("anonymize", false, "apply release anonymization to the dataset")
 	testKeys := flag.Bool("testkeys", false, "use 512-bit keys (fast, breaks key-length analysis)")
-	noise := flag.Float64("noise", 0.002, "open-port noise probability")
+	noise := flag.Float64("noise", 0.002, "open-port noise probability, in [0, 1] (0 = the world's default, "+strconv.FormatFloat(deploy.DefaultNoiseProb, 'g', -1, 64)+")")
 	csv := flag.Bool("csv", false, "print tables as CSV instead of text")
 	maxHosts := flag.Int("max-hosts", 0, "truncate the simulated population (0 = all; breaks paper fidelity)")
 	grabWorkers := flag.Int("grab-workers", 0, "scanner worker pool size (0 = default 32; per shard when sharded)")
@@ -190,8 +190,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Fail the composition error at flag time with the actual values,
-	// before any world is built.
+	// Fail what the campaign would reject, and the composition error, at
+	// flag time with the actual values, before any world is built.
+	if !(*noise >= 0 && *noise <= 1) {
+		log.Fatalf("-noise %v: a probability in [0, 1]", *noise)
+	}
+	if *maxHosts < 0 {
+		log.Fatalf("-max-hosts %d: a host count (0 = all)", *maxHosts)
+	}
 	if *delta && waveList != nil && len(waveList) < 2 {
 		log.Fatalf("-delta diffs consecutive waves and needs at least 2 selected, got -waves %q selecting %d wave(s)", *waves, len(waveList))
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/study"
 )
 
 // goldenWaveDigests are the SHA-256 of each wave's dataset lines of
@@ -23,13 +24,17 @@ import (
 // servers (deploy.Options.MaxHosts) since the digests 9c895a72… and
 // dd74e5aa…, which held all of them: every line here is one of those
 // files' lines, and the 717 and 701 lines are what remains of their
-// waves.
+// waves. A change that moves a record byte on purpose bumps
+// study.Build.Records and re-records both digests under the new version.
 var goldenWaveDigests = map[int]string{
 	6: "98963b0d3ab7531bc18e447fa9d9ede337663e6e32116a659d8c21f0ef0e1020",
 	7: "84e0968861e56c1983a8891311d81257ee1dd6fe08bf3e1f3b86abf1566d47a7",
 }
 
 func TestDatasetGolden(t *testing.T) {
+	if recordedUnder := 1; study.CurrentBuild.Records != recordedUnder {
+		t.Fatalf("digests recorded under Build.Records %d, this build is %d: re-record them", recordedUnder, study.CurrentBuild.Records)
+	}
 	if testing.Short() {
 		t.Skip("golden campaign skipped in -short mode")
 	}

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/study"
 )
 
 // TestFNVConstants pins the locally restated FNV-1a parameters against
@@ -27,8 +29,13 @@ func TestFNVConstants(t *testing.T) {
 }
 
 // TestBehaviorMatchesFNVReference pins the inlined behavior hash
-// against a byte-for-byte hash/fnv rebuild of its input encoding.
+// against a byte-for-byte hash/fnv rebuild of its input encoding. A
+// change to the encoding bumps study.Build.Chaos and rebuilds the
+// reference under the new version.
 func TestBehaviorMatchesFNVReference(t *testing.T) {
+	if recordedUnder := 1; study.CurrentBuild.Chaos != recordedUnder {
+		t.Fatalf("reference recorded under Build.Chaos %d, this build is %d: rebuild it", recordedUnder, study.CurrentBuild.Chaos)
+	}
 	m := Model{Seed: -12345, Prob: 1, Kinds: []Kind{
 		KindTarpit, KindReset, KindFlap, KindTruncate, KindCorrupt, KindOversize, KindGarbage,
 	}}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/study"
 )
 
 // esc spells the JSON escape backslash-u followed by four hex digits.
@@ -110,8 +112,13 @@ func checkDecode(t *testing.T, line []byte) {
 // TestCodecMatchesJSON is the schema-drift guard: every field of the four
 // record types, filled by reflection, encodes to json.Marshal's bytes and
 // decodes on the fast path to json.Unmarshal's record; so do the
-// omitempty and nil-versus-empty variants and real dataset lines.
+// omitempty and nil-versus-empty variants and real dataset lines. A
+// schema change bumps study.Build.Records and re-records the lines
+// (testdata/records.jsonl) under the new version.
 func TestCodecMatchesJSON(t *testing.T) {
+	if recordedUnder := 1; study.CurrentBuild.Records != recordedUnder {
+		t.Fatalf("dataset lines recorded under Build.Records %d, this build is %d: re-record them", recordedUnder, study.CurrentBuild.Records)
+	}
 	cases := []struct {
 		name string
 		edit func(*HostRecord)

@@ -27,13 +27,17 @@ import (
 	"repro/internal/worldview"
 )
 
+// DefaultNoiseProb is the noise probability a world is built with when
+// none is given. The paper finds only 0.5‰ of open ports speak OPC UA;
+// the simulated universe is smaller than the IPv4 space, so 0.01
+// preserves "almost all open ports are not OPC UA" at a tractable scale
+// (see DESIGN.md).
+const DefaultNoiseProb = 0.01
+
 // Options tunes world materialization.
 type Options struct {
 	// NoiseProb is the probability that an unregistered universe address
-	// has TCP 4840 open without OPC UA. The paper finds only 0.5‰ of
-	// open ports speak OPC UA; the simulated universe is smaller than
-	// the IPv4 space, so the default 0.01 preserves "almost all open
-	// ports are not OPC UA" at a tractable scale (see DESIGN.md).
+	// has TCP 4840 open without OPC UA (0 = DefaultNoiseProb).
 	NoiseProb float64
 	// TestKeySizes replaces all RSA key sizes with 512 bits to make
 	// test-scale materialization fast. Certificate key-length analysis
@@ -132,7 +136,7 @@ func BuildUniverse() (*simnet.Universe, error) {
 func Materialize(spec *Spec, opts Options) (*World, error) {
 	buildStart := telemetry.NowNs()
 	if opts.NoiseProb == 0 {
-		opts.NoiseProb = 0.01
+		opts.NoiseProb = DefaultNoiseProb
 	}
 	u, err := BuildUniverse()
 	if err != nil {

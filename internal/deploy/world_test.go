@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
+	"repro/internal/study"
 	"repro/internal/uacert"
 	"repro/internal/uaclient"
 	"repro/internal/uamsg"
@@ -534,8 +535,13 @@ func TestMaterializeDeterministicAcrossProcesses(t *testing.T) {
 // TestDatasetGolden (400 hosts, waves 6–7) never sees — the key taken by
 // every host (takeKey order), every serial, and every pre-renewal
 // certificate — so a reordered key work-list, a reserve key dropped from
-// the middle of a size, or a different accepted prime fails here.
+// the middle of a size, or a different accepted prime fails here. A
+// change that moves them on purpose bumps study.Build.World and
+// re-records them under the new version.
 func TestMaterializeCertGolden(t *testing.T) {
+	if recordedUnder := 1; study.CurrentBuild.World != recordedUnder {
+		t.Fatalf("digests recorded under Build.World %d, this build is %d: re-record them", recordedUnder, study.CurrentBuild.World)
+	}
 	for seed, want := range map[int64]string{
 		2020: "57d344f0926ca3a49b09fbe205b7b8520904c95f831c52d6fb7dd239b059287d",
 		7:    "b504ee5e892dfafee409247237f93850293d5ccc517396e084c64ade2088705c",

@@ -368,8 +368,9 @@ func (c *Coordinator) serve(conn net.Conn) {
 			if l := w.lease; l != nil && l.shard == shard {
 				w.lease = nil
 				l.release()
-				c.logf("fabric: worker %q failed shard %d: %s", w.name, shard, string(msg)) // msg aliases the read buffer
-				c.requeueLocked(shard)
+				cause := string(msg) // a copy: msg aliases the read buffer
+				c.logf("fabric: worker %q failed shard %d: %s", w.name, shard, cause)
+				c.requeueLocked(shard, cause)
 			}
 			c.mu.Unlock()
 			c.refill()
@@ -399,14 +400,17 @@ func (c *Coordinator) commitLocked(w *workerConn, shard int, stream []byte) {
 	}
 }
 
-// requeueLocked returns a shard to the pending queue, aborting the
-// campaign when its attempt budget is exhausted.
-func (c *Coordinator) requeueLocked(shard int) {
+// requeueLocked returns a shard whose lease failed for cause to the
+// pending queue, aborting the campaign when its attempt budget is
+// exhausted. The abort names the cause of the last failure: a worker's
+// own report (a refused Hello, a sink error) reaches Run's caller only
+// this way.
+func (c *Coordinator) requeueLocked(shard int, cause string) {
 	c.attempts[shard]++
 	if c.attempts[shard] >= maxAttempts {
 		select {
-		case c.fatal <- fmt.Errorf("fabric: shard %d failed %d times (attempt budget %d exhausted)",
-			shard, c.attempts[shard], maxAttempts):
+		case c.fatal <- fmt.Errorf("fabric: shard %d failed %d times (attempt budget %d exhausted), last: %s",
+			shard, c.attempts[shard], maxAttempts, cause):
 		default:
 		}
 		return
@@ -433,7 +437,7 @@ func (c *Coordinator) declareDead(w *workerConn, cause string) {
 	if l := w.lease; l != nil {
 		w.lease = nil // the partial buffer dies with the lease
 		l.release()
-		c.requeueLocked(l.shard)
+		c.requeueLocked(l.shard, fmt.Sprintf("worker %q dead (%s)", w.name, cause))
 		lost = fmt.Sprintf("re-queued shard %d", l.shard)
 	}
 	closing := c.closing

@@ -379,7 +379,8 @@ func TestFabricShardFailureRequeues(t *testing.T) {
 
 // TestFabricAttemptBudgetAborts pins the ping-pong bound: a shard that
 // fails deterministically must abort the campaign after maxAttempts
-// leases, not circulate forever.
+// leases, not circulate forever, with an error that says why the shard
+// failed.
 func TestFabricAttemptBudgetAborts(t *testing.T) {
 	const shards, recs = 2, 3
 	inner := testRunner(recs, 0)
@@ -398,6 +399,39 @@ func TestFabricAttemptBudgetAborts(t *testing.T) {
 	}
 	if !strings.Contains(fl.runErr.Error(), "attempt budget") {
 		t.Errorf("error %q does not name the attempt budget", fl.runErr)
+	}
+	if !strings.Contains(fl.runErr.Error(), "poisoned shard") {
+		t.Errorf("error %q does not carry the worker's failure", fl.runErr)
+	}
+}
+
+// TestFabricRefusesOtherBuild: a worker refuses a Hello from another
+// build, and the refusal, naming both builds, is the error the
+// coordinator's Run returns.
+func TestFabricRefusesOtherBuild(t *testing.T) {
+	spec := CampaignSpec{Study: study.Study{Seed: 2020, Waves: []int{7}, NoiseProb: 0.01}, Build: study.CurrentBuild, Shards: 2}
+	spec.Build.Records++
+	hello, err := spec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context, hello []byte, shard int, sink pipeline.RecordSink) error {
+		if _, err := DecodeSpec(hello); err != nil {
+			return err
+		}
+		return errors.New("ran a shard of another build's Hello")
+	}
+	fl := runFleet(t,
+		CoordinatorConfig{Shards: spec.Shards, Hello: hello, DeadAfter: 2 * time.Second},
+		[]FaultInjector{nil},
+		run)
+	if fl.runErr == nil {
+		t.Fatal("coordinator succeeded with a worker of another build")
+	}
+	for _, want := range []string{fmt.Sprintf("%+v", spec.Build), fmt.Sprintf("%+v", study.CurrentBuild)} {
+		if !strings.Contains(fl.runErr.Error(), want) {
+			t.Errorf("error %q does not name build %s", fl.runErr, want)
+		}
 	}
 }
 
@@ -437,6 +471,7 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 	spec := &CampaignSpec{
 		Study: study.Study{Seed: 2020, Waves: []int{6, 7}, TestKeySizes: true,
 			NoiseProb: 1e-5, MaxHosts: 60, ChaosProfile: "mixed", ChaosSeed: 7},
+		Build:       study.CurrentBuild,
 		GrabWorkers: 8, Delta: true, Shards: 5, HeartbeatMs: 2000,
 	}
 	b, err := spec.Encode()
@@ -458,7 +493,7 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 // dropped silently and the worker would run another campaign than its
 // coordinator described.
 func TestCampaignSpecRejectsUnknownKeys(t *testing.T) {
-	b, err := (&CampaignSpec{Study: study.Study{Seed: 2020}, Shards: 2}).Encode()
+	b, err := (&CampaignSpec{Study: study.Study{Seed: 2020}, Build: study.CurrentBuild, Shards: 2}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,6 +505,27 @@ func TestCampaignSpecRejectsUnknownKeys(t *testing.T) {
 	}
 	if _, err := DecodeSpec(append(b, "{}"...)); err == nil {
 		t.Error("DecodeSpec accepted data after the spec")
+	}
+}
+
+// TestCampaignSpecRefusesOtherBuild bumps each Build version in turn: the
+// worker refuses the Hello, naming both builds and the study's ID.
+func TestCampaignSpecRefusesOtherBuild(t *testing.T) {
+	st := study.Study{Seed: 2020, Waves: []int{7}, NoiseProb: 0.01}
+	for i := 0; i < reflect.TypeFor[study.Build]().NumField(); i++ {
+		spec := CampaignSpec{Study: st, Build: study.CurrentBuild, Shards: 2}
+		v := reflect.ValueOf(&spec.Build).Elem().Field(i)
+		v.SetInt(v.Int() + 1)
+		hello, err := spec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeSpec(hello)
+		for _, want := range []string{fmt.Sprintf("%+v", spec.Build), fmt.Sprintf("%+v", study.CurrentBuild), st.ID()} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Build.%s bumped: err %v, want one naming %s", reflect.TypeFor[study.Build]().Field(i).Name, err, want)
+			}
+		}
 	}
 }
 

@@ -240,14 +240,17 @@ func decodeShard(payload []byte) (int, []byte, error) {
 // campaign, delivered verbatim to every worker in the Hello frame —
 // the single source of truth a fleet configures itself from. The
 // embedded Study is what the campaign measures: every field that can
-// shape a record byte, so every worker must agree on it. The rest is
-// how: GrabWorkers and Delta let a worker execute like its coordinator
-// asked (neither changes a byte), and Shards and HeartbeatMs are the
-// fleet's own. Sinks, telemetry and analysis stay per-process.
+// shape a record byte, so every worker must agree on it. Build names
+// the code that turns it into bytes, so every worker must run the
+// coordinator's. The rest is how: GrabWorkers and Delta let a worker
+// execute like its coordinator asked (neither changes a byte), and
+// Shards and HeartbeatMs are the fleet's own. Sinks, telemetry and
+// analysis stay per-process.
 type CampaignSpec struct {
 	study.Study
-	GrabWorkers int  `json:"grab_workers"`
-	Delta       bool `json:"delta,omitempty"`
+	Build       study.Build `json:"build"`
+	GrabWorkers int         `json:"grab_workers"`
+	Delta       bool        `json:"delta,omitempty"`
 	// Shards is the campaign's total shard count — every worker must
 	// slice the probe space the same N ways for the merge to be exact.
 	Shards int `json:"shards"`
@@ -270,7 +273,9 @@ func (s *CampaignSpec) Encode() ([]byte, error) {
 
 // DecodeSpec parses a Hello payload. A key this build does not know is
 // an error: a worker that dropped it would run another campaign than
-// the one its coordinator described.
+// the one its coordinator described. So is a Build other than
+// study.CurrentBuild: the worker would stream other bytes for the same
+// study, and the merge would take them.
 func DecodeSpec(b []byte) (*CampaignSpec, error) {
 	s := new(CampaignSpec)
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -280,6 +285,10 @@ func DecodeSpec(b []byte) (*CampaignSpec, error) {
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("fabric: decode spec: data after the spec")
+	}
+	if s.Build != study.CurrentBuild {
+		return nil, fmt.Errorf("fabric: Hello for study %s is from build %+v, this worker is build %+v",
+			s.Study.ID(), s.Build, study.CurrentBuild)
 	}
 	return s, nil
 }

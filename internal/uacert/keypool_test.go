@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/study"
 	"repro/internal/uarsa"
 )
 
@@ -38,7 +39,12 @@ func fillPool(p *KeyPool, bits, n int) {
 // the prime search may make it cheaper but must leave them alone (a
 // different accepted prime anywhere changes a key, its certificate's
 // thumbprint, and with it every process's view of the reuse clusters).
+// A change that does move them bumps study.Build.Keygen and re-records
+// them under the new version.
 func TestDeterministicKeyGolden(t *testing.T) {
+	if recordedUnder := 1; study.CurrentBuild.Keygen != recordedUnder {
+		t.Fatalf("digests recorded under Build.Keygen %d, this build is %d: re-record them", recordedUnder, study.CurrentBuild.Keygen)
+	}
 	cases := []struct {
 		seed    int64
 		bits, n int

@@ -7,12 +7,11 @@
 // eight waves. A wave's record for a host is a deterministic function
 // of (campaign configuration, endpoint wave state): PR 4's
 // deterministic handshakes and PR 5's pure-seeded materialization
-// removed every other input. A fingerprint therefore covers exactly
+// removed every other input. The configuration is one study for every
+// plan of a campaign, so it cannot tell two waves of the campaign apart
+// and the fingerprint leaves it out; what a plan was made for is named
+// by study.Study.ID. A fingerprint therefore covers exactly
 //
-//   - the campaign's study (internal/study): every configuration field
-//     that can shape record bytes — seed, wave selection, key sizes,
-//     noise probability, population truncation, chaos profile/seed —
-//     the same value fabric.CampaignSpec embeds for its workers;
 //   - the endpoint's wave-varying deployment state: presence, served
 //     certificate (the renewal schedule), software version (renewal
 //     waves may carry a software update), and whether the wave's port
@@ -36,15 +35,14 @@ package wavediff
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"net/netip"
 
 	"repro/internal/chaos"
 	"repro/internal/study"
 )
 
-// Context is the study under the name the fingerprint used before it
-// was typed.
+// Context is the study under the name the fingerprint used when it
+// digested the study.
 //
 //studyvet:api — bench/replay.go builds this literal
 type Context = study.Study
@@ -76,11 +74,7 @@ type EndpointState struct {
 type Plan struct {
 	wave       int
 	followRefs bool
-	// ctxSum is the same for every plan of one campaign, so no skip
-	// within a campaign depends on it; it separates plans of different
-	// studies once plans outlive a process.
-	ctxSum uint64
-	fps    map[string]uint64
+	fps        map[string]uint64
 }
 
 // fnv64a parameters, restated locally like internal/chaos does: the
@@ -128,31 +122,13 @@ func (h *hasher) bit(v bool) {
 	}
 }
 
-// contextSum digests the study once per plan.
-func contextSum(s study.Study) uint64 {
+// fingerprint digests one endpoint's wave state and chaos decision b.
+// followRefs is folded in only for endpoints the port scan cannot
+// discover: a reference-only host's record exists exactly when the wave
+// follows references, while a port-scanned host's record bytes are
+// independent of the flag.
+func fingerprint(st EndpointState, b chaos.Behavior, followRefs bool) uint64 {
 	h := hasher(fnvOffset)
-	h.str("wavediff-context-v2")
-	h.u64(uint64(s.Seed))
-	h.u64(uint64(len(s.Waves)))
-	for _, w := range s.Waves {
-		h.u64(uint64(w))
-	}
-	h.bit(s.TestKeySizes)
-	h.u64(math.Float64bits(s.NoiseProb))
-	h.u64(uint64(s.MaxHosts))
-	h.str(s.ChaosProfile)
-	h.u64(uint64(s.ChaosSeed))
-	return uint64(h)
-}
-
-// fingerprint digests one endpoint's wave state and chaos decision b
-// under the campaign context. followRefs is folded in only for
-// endpoints the port scan cannot discover: a reference-only host's
-// record exists exactly when the wave follows references, while a
-// port-scanned host's record bytes are independent of the flag.
-func fingerprint(ctxSum uint64, st EndpointState, b chaos.Behavior, followRefs bool) uint64 {
-	h := hasher(fnvOffset)
-	h.u64(ctxSum)
 	h.str(st.Address)
 	h.bit(st.Present)
 	h.bit(st.PortScanned)
@@ -168,10 +144,10 @@ func fingerprint(ctxSum uint64, st EndpointState, b chaos.Behavior, followRefs b
 
 // NewPlan fingerprints every endpoint of one wave. followRefs is the
 // wave's reference-following flag (deploy.FollowReferencesFromWave).
-// Each present endpoint folds the (wave, host) decision of the study's
-// chaos model; the dial path consults chaos only for registered hosts
-// (worldview serves noise and closed ports first), so an absent one
-// folds the zero decision. Duplicate addresses (two spec endpoints
+// The study is read for its chaos model only: each present endpoint
+// folds the (wave, host) decision of that model; the dial path consults
+// chaos only for registered hosts (worldview serves noise and closed
+// ports first), so an absent one folds the zero decision. Duplicate addresses (two spec endpoints
 // sharing one target) fold into a single combined fingerprint, so a
 // collision can only make the diff more conservative, never less.
 //
@@ -182,7 +158,6 @@ func NewPlan(s study.Study, wave int, followRefs bool, states []EndpointState) *
 	p := &Plan{
 		wave:       wave,
 		followRefs: followRefs,
-		ctxSum:     contextSum(s),
 		fps:        make(map[string]uint64, len(states)),
 	}
 	var wm chaos.WaveModel
@@ -202,7 +177,7 @@ func NewPlan(s study.Study, wave int, followRefs bool, states []EndpointState) *
 			}
 			b = wm.Behavior(ap.Addr().As4(), int(ap.Port()))
 		}
-		fp := fingerprint(p.ctxSum, st, b, followRefs)
+		fp := fingerprint(st, b, followRefs)
 		if prev, ok := p.fps[st.Address]; ok {
 			h := hasher(fnvOffset)
 			h.u64(prev)

@@ -50,9 +50,11 @@ func fpAt(t *testing.T, ctx Context, wave int, followRefs bool, st EndpointState
 
 // TestFingerprintSensitivity pins the delta soundness contract field by
 // field: every input that can shape a host's record bytes in a wave —
-// a certificate renewal, a chaos redraw, a campaign seed change, a
-// churn event — must flip the fingerprint, while an
-// unchanged host must keep it bit-stable across waves.
+// a certificate renewal, a chaos redraw, a churn event — must flip the
+// fingerprint, while an unchanged host must keep it bit-stable across
+// waves. The study is the same for every plan of a campaign and is
+// named by Study.ID, not by the fingerprint: a study field reaches a
+// fingerprint only through the chaos decision NewPlan draws from it.
 func TestFingerprintSensitivity(t *testing.T) {
 	tests := []struct {
 		name string
@@ -75,15 +77,15 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{name: "port scan no longer reaches host",
 			st: func(s *EndpointState) { s.PortScanned = false }, flip: true},
 		{name: "campaign seed change",
-			ctx: func(c *Context) { c.Seed = 2021 }, flip: true},
+			ctx: func(c *Context) { c.Seed = 2021 }, flip: false},
 		{name: "wave selection change",
-			ctx: func(c *Context) { c.Waves = []int{7} }, flip: true},
+			ctx: func(c *Context) { c.Waves = []int{7} }, flip: false},
 		{name: "key-size probing toggled",
-			ctx: func(c *Context) { c.TestKeySizes = false }, flip: true},
+			ctx: func(c *Context) { c.TestKeySizes = false }, flip: false},
 		{name: "noise probability change",
-			ctx: func(c *Context) { c.NoiseProb = 2e-5 }, flip: true},
+			ctx: func(c *Context) { c.NoiseProb = 2e-5 }, flip: false},
 		{name: "population truncation change",
-			ctx: func(c *Context) { c.MaxHosts = 61 }, flip: true},
+			ctx: func(c *Context) { c.MaxHosts = 61 }, flip: false},
 		{name: "chaos profile change",
 			ctx: func(c *Context) { c.ChaosProfile = "tarpit" }, flip: true},
 		{name: "chaos seed change",
@@ -95,6 +97,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 			ctx, st := baseContext(), baseState()
 			if tc.ctx != nil {
 				tc.ctx(&ctx)
+				// A study row flips exactly when it redraws the decision.
+				if redrawn := decisionOf(t, ctx, st) != decisionOf(t, baseContext(), st); redrawn != tc.flip {
+					t.Fatalf("chaos decision redrawn=%v, want %v", redrawn, tc.flip)
+				}
 			}
 			if tc.st != nil {
 				tc.st(&st)
@@ -105,8 +111,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 				drawn := chaos.Behavior{Kind: chaos.KindReset, Param: 17}
 				redrawn := drawn
 				tc.b(&redrawn)
-				sum := contextSum(ctx)
-				if flipped := fingerprint(sum, st, drawn, true) != fingerprint(sum, st, redrawn, true); flipped != tc.flip {
+				if flipped := fingerprint(st, drawn, true) != fingerprint(st, redrawn, true); flipped != tc.flip {
 					t.Errorf("fingerprint flipped=%v, want %v", flipped, tc.flip)
 				}
 				return
@@ -117,6 +122,17 @@ func TestFingerprintSensitivity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// decisionOf is the wave-1 chaos decision ctx's model draws for st.
+func decisionOf(t *testing.T, ctx Context, st EndpointState) chaos.Behavior {
+	t.Helper()
+	m, err := chaos.ModelForProfile(ctx.ChaosProfile, ctx.ChaosSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := netip.MustParseAddrPort(st.Address)
+	return m.ForWave(1).Behavior(ap.Addr().As4(), int(ap.Port()))
 }
 
 // TestFingerprintChaosDecision pins the chaos fold: NewPlan draws each

@@ -342,9 +342,9 @@ func TestMeasureDeltaCoordinator(t *testing.T) {
 }
 
 // TestMeasureFlagValidation pins what cmd/measure rejects at flag time,
-// before any world is built: wave selections the campaign would refuse
-// after the build, -delta over one wave, and flags the chosen mode would
-// ignore.
+// before any world is built: wave selections, noise probabilities and
+// host counts the campaign would refuse after the build, -delta over one
+// wave, and flags the chosen mode would ignore.
 func TestMeasureFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
@@ -357,6 +357,11 @@ func TestMeasureFlagValidation(t *testing.T) {
 		{[]string{"-testkeys", "-waves", "9"}, "wave 9 out of range 0-7"},
 		{[]string{"-testkeys", "-waves", "5-7,6"}, "selects wave 6 more than once"},
 		{[]string{"-testkeys", "-waves", "7", "-delta"}, "needs at least 2 selected"},
+		// A NaN would run without noise here and fail only in the Hello
+		// under -listen.
+		{[]string{"-testkeys", "-waves", "7", "-noise", "NaN"}, "-noise NaN: a probability in [0, 1]"},
+		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-noise", "1.5"}, "-noise 1.5: a probability in [0, 1]"},
+		{[]string{"-testkeys", "-waves", "7", "-max-hosts", "-1"}, "-max-hosts -1: a host count"},
 		// A flag with no effect in the chosen mode, one row per mode.
 		{[]string{"-connect", "127.0.0.1:1", "-chaos", "mixed"},
 			"-chaos has no effect with -connect: a fabric worker takes its study from the coordinator"},

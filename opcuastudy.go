@@ -59,9 +59,11 @@ type CampaignConfig struct {
 	// becomes fast, but certificate key-length analysis (Figure 4) is
 	// then meaningless; use only in tests.
 	TestKeySizes bool
-	// NoiseProb overrides the open-port noise probability.
+	// NoiseProb overrides the open-port noise probability, a value in
+	// [0, 1] (0 = deploy.DefaultNoiseProb).
 	NoiseProb float64
-	// MaxHosts truncates the simulated population (0 = all); paper
+	// MaxHosts truncates the simulated population (0, like any count of
+	// at least deploy.NumServers, = all; negative is an error); paper
 	// fidelity needs the full world, tests can run small ones.
 	MaxHosts int
 	// GrabWorkers parallelizes the application-layer scan.
@@ -184,11 +186,13 @@ func (cfg CampaignConfig) progressf(format string, args ...any) {
 
 // Study projects the configuration onto what it measures: the fields
 // that can change a record byte (internal/study). It is the one place
-// the two equal spellings resolve — nil Waves is all eight waves and any
-// selection comes back ascending (a descending one would fold the
-// longitudinal analysis backwards and break the wave-ordered streams
-// MergeShardStreams requires), and ChaosSeed 0 is Seed under a chaos
-// profile, while without one the chaos seed is unused and zeroed.
+// equal spellings resolve, so that one study has one Study.ID — nil
+// Waves is all eight waves and any selection comes back ascending (a
+// descending one would fold the longitudinal analysis backwards and
+// break the wave-ordered streams MergeShardStreams requires), ChaosSeed
+// 0 is Seed under a chaos profile, while without one the chaos seed is
+// unused and zeroed, NoiseProb 0 is deploy.DefaultNoiseProb, and a
+// MaxHosts that keeps every host is 0.
 func (cfg CampaignConfig) Study() study.Study {
 	waves := slices.Clone(cfg.Waves)
 	if len(waves) == 0 {
@@ -204,8 +208,16 @@ func (cfg CampaignConfig) Study() study.Study {
 	} else if chaosSeed == 0 {
 		chaosSeed = cfg.Seed
 	}
-	return study.Study{Seed: cfg.Seed, Waves: waves, TestKeySizes: cfg.TestKeySizes, NoiseProb: cfg.NoiseProb,
-		MaxHosts: cfg.MaxHosts, ChaosProfile: cfg.ChaosProfile, ChaosSeed: chaosSeed}
+	noise := cfg.NoiseProb
+	if noise == 0 {
+		noise = deploy.DefaultNoiseProb
+	}
+	maxHosts := cfg.MaxHosts
+	if maxHosts >= deploy.NumServers {
+		maxHosts = 0
+	}
+	return study.Study{Seed: cfg.Seed, Waves: waves, TestKeySizes: cfg.TestKeySizes, NoiseProb: noise,
+		MaxHosts: maxHosts, ChaosProfile: cfg.ChaosProfile, ChaosSeed: chaosSeed}
 }
 
 // studyConfig is Study's one inverse: the configuration that measures s
@@ -379,6 +391,12 @@ func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, erro
 		if i > 0 && w == st.Waves[i-1] {
 			return nil, fmt.Errorf("opcuastudy: wave %d selected more than once (waves %v)", w, cfg.Waves)
 		}
+	}
+	if !(st.NoiseProb >= 0 && st.NoiseProb <= 1) {
+		return nil, fmt.Errorf("opcuastudy: noise probability %v outside [0, 1]", cfg.NoiseProb)
+	}
+	if st.MaxHosts < 0 {
+		return nil, fmt.Errorf("opcuastudy: MaxHosts %d is negative", cfg.MaxHosts)
 	}
 	// Serialize the progress callback once, before any fan-out: waves,
 	// shards, and workers then share one mutex-guarded writer and status
@@ -740,13 +758,14 @@ func (c *Campaign) WriteDataset(w io.Writer) error {
 }
 
 // FabricSpec derives the networked campaign description a fabric
-// coordinator hands to every joining worker: the study, the two
-// execution values a worker runs with, and the fleet's shard count and
-// heartbeat cadence. Workers reconstruct their configuration with
+// coordinator hands to every joining worker: the study, this build, the
+// two execution values a worker runs with, and the fleet's shard count
+// and heartbeat cadence. Workers reconstruct their configuration with
 // CampaignFromSpec, so a fleet cannot diverge on flags.
 func (cfg CampaignConfig) FabricSpec(shards int, heartbeat time.Duration) fabric.CampaignSpec {
 	return fabric.CampaignSpec{
 		Study:       cfg.Study(),
+		Build:       study.CurrentBuild,
 		GrabWorkers: cfg.GrabWorkers,
 		Delta:       cfg.Delta,
 		Shards:      shards,

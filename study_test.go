@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -583,6 +584,42 @@ func TestCampaignWaveSelection(t *testing.T) {
 		}
 		if !reflect.DeepEqual(folded, tc.want) || !reflect.DeepEqual(streamed, tc.want) {
 			t.Errorf("waves %v: folded %v, streamed %v, want %v", tc.waves, folded, streamed, tc.want)
+		}
+	}
+}
+
+// TestCampaignRejectsOutOfRangeStudy: a noise probability outside
+// [0, 1], NaN included, and a negative host count are errors through
+// both entry points before anything scans; a NaN would otherwise run
+// without noise and fail only in a fabric Hello.
+func TestCampaignRejectsOutOfRangeStudy(t *testing.T) {
+	cfg := deltaTestConfig("")
+	cfg.MaxHosts = 20
+	world, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		set  func(*CampaignConfig)
+		want string
+	}{
+		{func(c *CampaignConfig) { c.NoiseProb = math.NaN() }, "noise probability NaN outside [0, 1]"},
+		{func(c *CampaignConfig) { c.NoiseProb = -1e-5 }, "noise probability -1e-05 outside [0, 1]"},
+		{func(c *CampaignConfig) { c.NoiseProb = 1.5 }, "noise probability 1.5 outside [0, 1]"},
+		{func(c *CampaignConfig) { c.MaxHosts = -1 }, "MaxHosts -1 is negative"},
+	} {
+		bad := cfg
+		tc.set(&bad)
+		_, err := RunCampaignOnWorld(context.Background(), bad, world)
+		var sink pipeline.SliceSink
+		serr := RunCampaignShard(context.Background(), bad, world, 1, 0, &sink)
+		for _, e := range []error{err, serr} {
+			if e == nil || !strings.Contains(e.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", e, tc.want)
+			}
+		}
+		if len(sink.Records) != 0 {
+			t.Errorf("%d records streamed despite %q", len(sink.Records), tc.want)
 		}
 	}
 }

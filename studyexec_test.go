@@ -23,16 +23,15 @@ import (
 	"repro/internal/scanner"
 	"repro/internal/study"
 	"repro/internal/telemetry"
-	"repro/internal/wavediff"
 )
 
 // A campaign is two values: what it measures, study.Study, and how it
 // runs — every other exported CampaignConfig field, listed once in
 // execTable. The tests below turn that split into checked statements:
 // each field is in exactly one half, every Study field reaches
-// CampaignConfig.Study, the delta fingerprint and the fabric Hello, and
-// no Exec value, shard transport, fabric fault or cancellation point
-// changes a record byte.
+// CampaignConfig.Study, its ID and the fabric Hello, and no Exec value,
+// shard transport, fabric fault or cancellation point changes a record
+// byte.
 
 // tookFunc proves, on a finished campaign and the reference run's, that
 // an Exec row's value changed how the campaign ran: an invariance that
@@ -299,15 +298,10 @@ func TestCampaignConfigFieldsClassified(t *testing.T) {
 }
 
 // TestStudyPerturbation perturbs each Study field in turn: the change
-// must reach cfg.Study(), every endpoint fingerprint of a wave-7 plan,
-// and survive the fabric Hello round trip. Spellings the campaign treats
-// as equal must give equal studies.
+// must reach cfg.Study() and flip its ID, and survive the fabric Hello
+// round trip with its ID and this build. No Exec row moves the ID, and
+// spellings the campaign treats as equal give one study.
 func TestStudyPerturbation(t *testing.T) {
-	world := execFix.worldOf(t)
-	states, err := world.WaveEndpointStates(7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := execFixture("")
 	chaotic := execFixture("mixed")
 	rows := []struct {
@@ -341,13 +335,8 @@ func TestStudyPerturbation(t *testing.T) {
 			if reflect.DeepEqual(was, is) {
 				t.Fatalf("Study() did not change: %+v", is)
 			}
-			before := wavediff.NewPlan(was, 7, true, states)
-			after := wavediff.NewPlan(is, 7, true, states)
-			for _, st := range states {
-				fb, _ := before.Fingerprint(st.Address)
-				if fa, _ := after.Fingerprint(st.Address); fa == fb {
-					t.Fatalf("fingerprint of %s did not change", st.Address)
-				}
+			if was.ID() == is.ID() {
+				t.Fatalf("ID did not change: %s", is.ID())
 			}
 			spec := cfg.FabricSpec(4, time.Second)
 			hello, err := spec.Encode()
@@ -358,10 +347,21 @@ func TestStudyPerturbation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := CampaignFromSpec(*decoded).Study(); !reflect.DeepEqual(got, is) {
-				t.Errorf("Hello round trip: %+v, want %+v", got, is)
+			if got := CampaignFromSpec(*decoded).Study(); !reflect.DeepEqual(got, is) || got.ID() != is.ID() {
+				t.Errorf("Hello round trip: %+v (%s), want %+v (%s)", got, got.ID(), is, is.ID())
+			}
+			if decoded.Build != study.CurrentBuild {
+				t.Errorf("Hello round trip: build %+v, want %+v", decoded.Build, study.CurrentBuild)
 			}
 		})
+	}
+
+	for _, row := range execTable {
+		cfg := base
+		row.set(t, &cfg)
+		if got, want := cfg.Study().ID(), base.Study().ID(); got != want {
+			t.Errorf("%s moved the study's ID: %s, want %s", row, got, want)
+		}
 	}
 
 	all := make([]int, len(deploy.WaveDates))
@@ -388,6 +388,15 @@ func TestStudyPerturbation(t *testing.T) {
 		"ChaosSeed 5 and 0 without a profile": {
 			spell(func(c *CampaignConfig) { c.ChaosSeed = 5 }),
 			spell(func(c *CampaignConfig) { c.ChaosSeed = 0 }),
+		},
+		"NoiseProb 0 and the world's default": {
+			spell(func(c *CampaignConfig) { c.NoiseProb = 0 }),
+			spell(func(c *CampaignConfig) { c.NoiseProb = deploy.DefaultNoiseProb }),
+		},
+		"MaxHosts 0, the population and more": {
+			spell(func(c *CampaignConfig) { c.MaxHosts = 0 }),
+			spell(func(c *CampaignConfig) { c.MaxHosts = deploy.NumServers }),
+			spell(func(c *CampaignConfig) { c.MaxHosts = 5000 }),
 		},
 	} {
 		for _, s := range spellings[1:] {
