@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -52,12 +51,14 @@ import (
 	opcuastudy "repro"
 	"repro/internal/chaos"
 	"repro/internal/deploy"
+	"repro/internal/study"
 	"repro/internal/telemetry"
 )
 
-// parseWaves parses the -waves value and rejects at flag time, before
-// any world is built, what the campaign would reject after it: waves
-// outside the study's schedule and waves selected more than once.
+// parseWaves parses the -waves value. Waves outside the schedule and
+// waves selected twice are study.Study.Validate's to reject; a selection
+// longer than the schedule holds one of them, so a range stops growing
+// there instead of expanding to any length.
 func parseWaves(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
@@ -73,13 +74,7 @@ func parseWaves(s string) ([]int, error) {
 		if err1 != nil || err2 != nil || a > b {
 			return nil, fmt.Errorf("-waves %q: invalid wave or range %q", s, part)
 		}
-		for w := a; w <= b; w++ {
-			if w < 0 || w >= len(deploy.WaveDates) {
-				return nil, fmt.Errorf("-waves %q: wave %d out of range 0-%d", s, w, len(deploy.WaveDates)-1)
-			}
-			if slices.Contains(out, w) {
-				return nil, fmt.Errorf("-waves %q selects wave %d more than once", s, w)
-			}
+		for w := a; w <= b && len(out) <= study.NumWaves; w++ {
 			out = append(out, w)
 		}
 	}
@@ -190,14 +185,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Fail what the campaign would reject, and the composition error, at
-	// flag time with the actual values, before any world is built.
-	if !(*noise >= 0 && *noise <= 1) {
-		log.Fatalf("-noise %v: a probability in [0, 1]", *noise)
-	}
-	if *maxHosts < 0 {
-		log.Fatalf("-max-hosts %d: a host count (0 = all)", *maxHosts)
-	}
 	if *delta && waveList != nil && len(waveList) < 2 {
 		log.Fatalf("-delta diffs consecutive waves and needs at least 2 selected, got -waves %q selecting %d wave(s)", *waves, len(waveList))
 	}
@@ -215,6 +202,11 @@ func main() {
 		Progressf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
+	}
+	// Fail what the campaign would reject, and the composition error
+	// above, at flag time, before any world is built.
+	if err := cfg.Study().Validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	mopts := metricsOptions{

@@ -76,9 +76,11 @@ type World struct {
 	serve uaserver.ConnOptions
 }
 
-// BuildStage is one row of World.Build: "keys_<bits>" per key size,
-// "certificates", "address_spaces", and "total" for the whole call (one
-// job). Stages overlap, so their Wall times do not add up to the total's.
+// BuildStage is one row of World.Build: "image_<bits>" per key size
+// rebuilt from the seed's key image, "keys_<bits>" per key size searched
+// for, "certificates", "address_spaces", and "total" for the whole call
+// (one job). Stages overlap, so their Wall times do not add up to the
+// total's.
 type BuildStage struct {
 	Stage string
 	Count int           // keys, certificates, address spaces; hosts for "total"
@@ -133,6 +135,11 @@ func BuildUniverse() (*simnet.Universe, error) {
 // (opcuastudy.RunCampaignShard behind cmd/measure -connect) depend on
 // this — a cluster certificate observed by two workers must carry one
 // thumbprint, or the merged reuse analysis falls apart (DESIGN.md §5).
+//
+// The pool's keys persist in the seed's key image in the user cache
+// directory: a build loads the keys the image holds, searches only for
+// the rest and writes them back (keyImage). Without a cache directory,
+// or with an image that fails a check, the build searches for every key.
 func Materialize(spec *Spec, opts Options) (*World, error) {
 	buildStart := telemetry.NowNs()
 	if opts.NoiseProb == 0 {
@@ -204,11 +211,43 @@ func Materialize(spec *Spec, opts Options) (*World, error) {
 		}
 	}
 	slices.SortFunc(keyJobs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(b[0], a[0]), cmp.Compare(a[1], b[1])) })
-	keyStart, keyEnd := runJobs(len(keyJobs), func(i int) { w.Keys.Key(keyJobs[i][0], keyJobs[i][1]) })
-	for lo := 0; lo < len(keyJobs); {
-		hi := lo + need[keyJobs[lo][0]]
-		w.Build = append(w.Build, timeStage("keys_"+strconv.Itoa(keyJobs[lo][0]), keyStart[lo:hi], keyEnd[lo:hi]))
-		lo = hi
+	// The keys the seed's image holds are rebuilt from their primes. The
+	// image is used only if every one of them passes; otherwise the build
+	// is cold. Whatever was searched for goes back into the image.
+	imagePath, imageErr := keyImagePath(spec.Seed)
+	var image keyImage
+	if imageErr == nil {
+		image = readKeyImage(imagePath, spec.Seed)
+	}
+	var loaded, search [][2]int
+	for _, j := range keyJobs {
+		if image.holds(j[0], j[1]) {
+			loaded = append(loaded, j)
+		} else {
+			search = append(search, j)
+		}
+	}
+	if len(loaded) > 0 {
+		var bad atomic.Bool
+		start, end := runJobs(len(loaded), func(i int) {
+			if key := image.key(loaded[i][0], loaded[i][1]); key != nil {
+				w.Keys.Add(loaded[i][0], loaded[i][1], key)
+			} else {
+				bad.Store(true)
+			}
+		})
+		if bad.Load() {
+			w.Keys, image, search = uacert.NewDeterministicKeyPool(spec.Seed), nil, keyJobs
+		} else {
+			w.Build = append(w.Build, keyStages("image_", loaded, start, end)...)
+		}
+	}
+	if len(search) > 0 {
+		start, end := runJobs(len(search), func(i int) { w.Keys.Key(search[i][0], search[i][1]) })
+		w.Build = append(w.Build, keyStages("keys_", search, start, end)...)
+		if imageErr == nil {
+			_ = writeKeyImage(imagePath, spec.Seed, image, w.Keys, need) // without it, the next build searches again
+		}
 	}
 
 	// Certificates are listed in the order their keys have always been
@@ -398,6 +437,18 @@ func runJobs(n int, job func(i int)) (start, end []int64) {
 	}
 	wg.Wait()
 	return start, end
+}
+
+// keyStages folds the job times of a key work-list, grouped by size, into
+// one World.Build row per size, named prefix+bits.
+func keyStages(prefix string, jobs [][2]int, start, end []int64) []BuildStage {
+	var rows []BuildStage
+	for lo, hi := 0, 0; lo < len(jobs); lo = hi {
+		for hi = lo + 1; hi < len(jobs) && jobs[hi][0] == jobs[lo][0]; hi++ {
+		}
+		rows = append(rows, timeStage(prefix+strconv.Itoa(jobs[lo][0]), start[lo:hi], end[lo:hi]))
+	}
+	return rows
 }
 
 // timeStage folds the job times of one stage (at least one job) into its

@@ -511,8 +511,8 @@ func TestMaterializeDeterministicAcrossProcesses(t *testing.T) {
 		t.Fatalf("host counts differ: %d vs %d", len(a.hosts), len(b.hosts))
 	}
 	for i := range a.hosts {
-		// Equal by value, yet each build searched for its own: nothing
-		// is memoized across Materialize calls of one process.
+		// Equal by value, yet each build holds its own: nothing is
+		// memoized in memory across Materialize calls of one process.
 		if a.hosts[i].key == b.hosts[i].key || !a.hosts[i].key.Equal(b.hosts[i].key) {
 			t.Errorf("host %d: keys of two materializations must be equal but separately generated", i)
 		}
@@ -529,23 +529,41 @@ func TestMaterializeDeterministicAcrossProcesses(t *testing.T) {
 	}
 }
 
+// certGolden is TestMaterializeCertGolden's digest per seed, recorded
+// under Build.World 1.
+var certGolden = map[int64]string{
+	2020: "57d344f0926ca3a49b09fbe205b7b8520904c95f831c52d6fb7dd239b059287d",
+	7:    "b504ee5e892dfafee409247237f93850293d5ccc517396e084c64ade2088705c",
+}
+
+// certDigest is SHA-256 over HostCert(i, 0).Raw‖HostCert(i, 7).Raw for
+// every host in order, then each discovery certificate.
+func certDigest(w *World) string {
+	h := sha256.New()
+	for i := range w.hosts {
+		h.Write(w.HostCert(i, 0).Raw)
+		h.Write(w.HostCert(i, len(WaveDates)-1).Raw)
+	}
+	for _, wd := range w.discovery {
+		h.Write(wd.cert.Raw)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestMaterializeCertGolden pins every certificate of the whole test-key
-// world: SHA-256 over HostCert(i, 0).Raw‖HostCert(i, 7).Raw for all 1,114
-// hosts in order, then each discovery certificate. That covers what
-// TestDatasetGolden (400 hosts, waves 6–7) never sees — the key taken by
-// every host (takeKey order), every serial, and every pre-renewal
-// certificate — so a reordered key work-list, a reserve key dropped from
-// the middle of a size, or a different accepted prime fails here. A
-// change that moves them on purpose bumps study.Build.World and
+// world, searched for cold: certDigest over all 1,114 hosts. That covers
+// what TestDatasetGolden (400 hosts, waves 6–7) never sees — the key
+// taken by every host (takeKey order), every serial, and every
+// pre-renewal certificate — so a reordered key work-list, a reserve key
+// dropped from the middle of a size, or a different accepted prime fails
+// here. A change that moves them on purpose bumps study.Build.World and
 // re-records them under the new version.
 func TestMaterializeCertGolden(t *testing.T) {
 	if recordedUnder := 1; study.CurrentBuild.World != recordedUnder {
 		t.Fatalf("digests recorded under Build.World %d, this build is %d: re-record them", recordedUnder, study.CurrentBuild.World)
 	}
-	for seed, want := range map[int64]string{
-		2020: "57d344f0926ca3a49b09fbe205b7b8520904c95f831c52d6fb7dd239b059287d",
-		7:    "b504ee5e892dfafee409247237f93850293d5ccc517396e084c64ade2088705c",
-	} {
+	for seed, want := range certGolden {
+		emptyImageDir(t)
 		spec, err := BuildSpec(seed)
 		if err != nil {
 			t.Fatal(err)
@@ -557,15 +575,10 @@ func TestMaterializeCertGolden(t *testing.T) {
 		if len(w.hosts) != NumServers {
 			t.Fatalf("seed %d: %d hosts, want %d", seed, len(w.hosts), NumServers)
 		}
-		h := sha256.New()
-		for i := range w.hosts {
-			h.Write(w.HostCert(i, 0).Raw)
-			h.Write(w.HostCert(i, len(WaveDates)-1).Raw)
+		if got := keyStagesOf(w); got != "keys_512 665" {
+			t.Fatalf("seed %d: key stages %q, want a cold search", seed, got)
 		}
-		for _, wd := range w.discovery {
-			h.Write(wd.cert.Raw)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		if got := certDigest(w); got != want {
 			t.Errorf("seed %d: certificate digest %s, want %s", seed, got, want)
 		}
 		// The pool holds exactly the keys the world hands out: every key
@@ -583,15 +596,31 @@ func TestMaterializeCertGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkMaterialize is one cold build of the whole test-key world:
-// every key, certificate and address space, nothing carried over from the
-// previous iteration.
+// BenchmarkMaterialize builds the whole test-key world: /testkeys cold,
+// every key searched for in an empty image directory, /image with every
+// key loaded from the image. Certificates and address spaces are built
+// in both.
 func BenchmarkMaterialize(b *testing.B) {
 	spec, err := BuildSpec(2020)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("testkeys", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			emptyImageDir(b)
+			b.StartTimer()
+			if _, err := Materialize(spec, Options{TestKeySizes: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("image", func(b *testing.B) {
+		emptyImageDir(b)
+		if _, err := Materialize(spec, Options{TestKeySizes: true}); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := Materialize(spec, Options{TestKeySizes: true}); err != nil {
 				b.Fatal(err)
@@ -601,10 +630,17 @@ func BenchmarkMaterialize(b *testing.B) {
 }
 
 // TestWorldBuildStages: Materialize leaves the stage split of its own run
-// in World.Build — one row per key size, certificates, address spaces,
-// total — with counts that match what the world holds.
+// in World.Build — one row per key size searched for (keys_) or loaded
+// from the key image (image_), certificates, address spaces, total — with
+// counts that match what the world holds.
 func TestWorldBuildStages(t *testing.T) {
-	w := materializeSmall(t, 60)
+	emptyImageDir(t)
+	for _, keys := range []string{"keys_512", "image_512"} {
+		t.Run(keys, func(t *testing.T) { checkBuildStages(t, materializeSmall(t, 60), keys) })
+	}
+}
+
+func checkBuildStages(t *testing.T, w *World, keys string) {
 	var names []string
 	byName := map[string]BuildStage{}
 	for _, st := range w.Build {
@@ -617,7 +653,7 @@ func TestWorldBuildStages(t *testing.T) {
 			t.Errorf("stage %s took %v, longer than the whole build", st.Stage, st.Wall)
 		}
 	}
-	if got, want := strings.Join(names, " "), "keys_512 certificates address_spaces total"; got != want {
+	if got, want := strings.Join(names, " "), keys+" certificates address_spaces total"; got != want {
 		t.Fatalf("stages %q, want %q", got, want)
 	}
 	certs := 1 // discovery
@@ -631,7 +667,7 @@ func TestWorldBuildStages(t *testing.T) {
 		}
 	}
 	for stage, want := range map[string]int{
-		"keys_512": w.Keys.Size(512), "certificates": certs, "address_spaces": 60, "total": 60,
+		keys: w.Keys.Size(512), "certificates": certs, "address_spaces": 60, "total": 60,
 	} {
 		if got := byName[stage].Count; got != want {
 			t.Errorf("stage %s counts %d, want %d", stage, got, want)

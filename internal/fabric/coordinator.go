@@ -359,7 +359,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 			c.mu.Lock()
 			c.commitLocked(w, shard, stream)
 			c.mu.Unlock()
-		case FrameFail:
+		case FrameFail, FrameRefuse:
 			shard, msg, derr := decodeShard(payload)
 			if derr != nil {
 				c.mu.Unlock()
@@ -371,6 +371,12 @@ func (c *Coordinator) serve(conn net.Conn) {
 				cause := string(msg) // a copy: msg aliases the read buffer
 				c.logf("fabric: worker %q failed shard %d: %s", w.name, shard, cause)
 				c.requeueLocked(shard, cause)
+				if typ == FrameRefuse {
+					select {
+					case c.fatal <- fmt.Errorf("fabric: worker %q refuses the campaign: %s", w.name, cause):
+					default:
+					}
+				}
 			}
 			c.mu.Unlock()
 			c.refill()
@@ -403,8 +409,8 @@ func (c *Coordinator) commitLocked(w *workerConn, shard int, stream []byte) {
 // requeueLocked returns a shard whose lease failed for cause to the
 // pending queue, aborting the campaign when its attempt budget is
 // exhausted. The abort names the cause of the last failure: a worker's
-// own report (a refused Hello, a sink error) reaches Run's caller only
-// this way.
+// own report of a failed shard (a sink error) reaches Run's caller only
+// this way; a refused Hello (FrameRefuse) aborts at once.
 func (c *Coordinator) requeueLocked(shard int, cause string) {
 	c.attempts[shard]++
 	if c.attempts[shard] >= maxAttempts {

@@ -406,8 +406,8 @@ func TestFabricAttemptBudgetAborts(t *testing.T) {
 }
 
 // TestFabricRefusesOtherBuild: a worker refuses a Hello from another
-// build, and the refusal, naming both builds, is the error the
-// coordinator's Run returns.
+// build after one lease and returns the refusal, naming both builds, and
+// the same refusal is the error the coordinator's Run returns.
 func TestFabricRefusesOtherBuild(t *testing.T) {
 	spec := CampaignSpec{Study: study.Study{Seed: 2020, Waves: []int{7}, NoiseProb: 0.01}, Build: study.CurrentBuild, Shards: 2}
 	spec.Build.Records++
@@ -428,10 +428,18 @@ func TestFabricRefusesOtherBuild(t *testing.T) {
 	if fl.runErr == nil {
 		t.Fatal("coordinator succeeded with a worker of another build")
 	}
+	if !errors.Is(fl.wErrs[0], ErrOtherBuild) {
+		t.Errorf("worker returned %v, want ErrOtherBuild", fl.wErrs[0])
+	}
 	for _, want := range []string{fmt.Sprintf("%+v", spec.Build), fmt.Sprintf("%+v", study.CurrentBuild)} {
-		if !strings.Contains(fl.runErr.Error(), want) {
-			t.Errorf("error %q does not name build %s", fl.runErr, want)
+		for who, err := range map[string]error{"coordinator": fl.runErr, "worker": fl.wErrs[0]} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s error %v does not name build %s", who, err, want)
+			}
 		}
+	}
+	if got := counter(fl.wRegs[0], "fabric_grants"); got != 1 {
+		t.Errorf("the refusing worker took %d leases, want 1", got)
 	}
 }
 

@@ -71,6 +71,12 @@ const (
 	// refreshes the worker's heartbeat clock, this one exists so idle
 	// or long-grabbing workers stay visibly alive.
 	FrameHeartbeat FrameType = 10
+	// FrameRefuse (worker→coord) is a FrameFail whose cause holds for
+	// every shard of the campaign, a Hello from another build
+	// (ErrOtherBuild): the worker exits after sending it, and the
+	// coordinator aborts the campaign with the cause instead of leasing
+	// the shard again to a fleet that would refuse it too.
+	FrameRefuse FrameType = 11
 )
 
 func (t FrameType) String() string {
@@ -91,6 +97,8 @@ func (t FrameType) String() string {
 		return "fail"
 	case FrameHeartbeat:
 		return "heartbeat"
+	case FrameRefuse:
+		return "refuse"
 	}
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }
@@ -109,6 +117,10 @@ var (
 	// ErrSessionSevered is returned by worker I/O after a fault
 	// injector dropped the connection.
 	ErrSessionSevered = errors.New("fabric: connection severed by fault injector")
+	// ErrOtherBuild is DecodeSpec's refusal of a Hello whose Build is not
+	// study.CurrentBuild. No lease of that campaign can succeed on this
+	// worker, so RunWorker reports it (FrameRefuse) and returns it.
+	ErrOtherBuild = errors.New("fabric: Hello from another build")
 )
 
 // writeTimeout bounds every frame write and the wait for the opening
@@ -287,8 +299,8 @@ func DecodeSpec(b []byte) (*CampaignSpec, error) {
 		return nil, errors.New("fabric: decode spec: data after the spec")
 	}
 	if s.Build != study.CurrentBuild {
-		return nil, fmt.Errorf("fabric: Hello for study %s is from build %+v, this worker is build %+v",
-			s.Study.ID(), s.Build, study.CurrentBuild)
+		return nil, fmt.Errorf("%w: study %s is build %+v, this worker is build %+v",
+			ErrOtherBuild, s.Study.ID(), s.Build, study.CurrentBuild)
 	}
 	return s, nil
 }

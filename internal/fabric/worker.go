@@ -87,7 +87,8 @@ const dialTimeout = 10 * time.Second
 
 // RunWorker dials the coordinator and executes leased shards until the
 // coordinator sends Shutdown (returns nil), the context is cancelled,
-// the fault injector kills the run (ErrWorkerKilled), or the retry
+// the fault injector kills the run (ErrWorkerKilled), a shard fails with
+// ErrOtherBuild (returned after the worker reports it), or the retry
 // budget is exhausted. Connection loss mid-session follows the seeded
 // backoff and reconnects; a reconnected worker joins as a fresh
 // session and the coordinator re-leases work to it.
@@ -132,6 +133,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, run ShardRunner) error {
 		done, err := runSession(ctx, &cfg, conn, run, m, bo)
 		if done {
 			return nil
+		}
+		if errors.Is(err, ErrOtherBuild) {
+			return err
 		}
 		if errors.Is(err, ErrWorkerKilled) || ctx.Err() != nil {
 			if ctx.Err() != nil && !errors.Is(err, ErrWorkerKilled) {
@@ -320,10 +324,19 @@ func runSession(ctx context.Context, cfg *WorkerConfig, conn net.Conn, run Shard
 			return false, rerr
 		default:
 			// A shard-level failure the connection survived: report it
-			// so the coordinator re-queues within its attempt budget.
+			// so the coordinator re-queues within its attempt budget, or,
+			// when no lease of this campaign can succeed here, aborts.
 			m.shardsFail.Inc()
-			if err := fr.send(FrameFail, append(appendShard(nil, shard), rerr.Error()...)); err != nil {
+			cfg.logf("fabric worker %s: shard %d failed: %v", cfg.Name, shard, rerr)
+			typ := FrameFail
+			if errors.Is(rerr, ErrOtherBuild) {
+				typ = FrameRefuse
+			}
+			if err := fr.send(typ, append(appendShard(nil, shard), rerr.Error()...)); err != nil {
 				return false, err
+			}
+			if typ == FrameRefuse {
+				return false, rerr
 			}
 		}
 	}

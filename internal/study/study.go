@@ -15,7 +15,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 )
+
+// NumWaves is the length of the wave schedule (deploy.WaveDates): a wave
+// is an index in [0, NumWaves).
+const NumWaves = 8
 
 // Study is the record-shaping half of opcuastudy.CampaignConfig, under
 // its field names and documented there. CampaignConfig.Study is the one
@@ -51,6 +56,30 @@ func (s Study) ID() string {
 	}
 	sum := sha256.Sum256(b)
 	return idVersion + hex.EncodeToString(sum[:])
+}
+
+// Validate reports the first field no campaign can measure: a wave
+// outside [0, NumWaves) or selected twice, a noise probability outside
+// [0, 1] (NaN included), a negative host count. Every entry point checks
+// it before it builds anything, so a bad study costs no world.
+func (s Study) Validate() error {
+	var seen [NumWaves]bool
+	for _, w := range s.Waves {
+		if w < 0 || w >= NumWaves {
+			return fmt.Errorf("study: wave %d out of range 0-%d", w, NumWaves-1)
+		}
+		if seen[w] {
+			return fmt.Errorf("study: wave %d selected more than once", w)
+		}
+		seen[w] = true
+	}
+	if !(s.NoiseProb >= 0 && s.NoiseProb <= 1) {
+		return fmt.Errorf("study: noise probability %v outside [0, 1]", s.NoiseProb)
+	}
+	if s.MaxHosts < 0 {
+		return fmt.Errorf("study: MaxHosts %d is negative", s.MaxHosts)
+	}
+	return nil
 }
 
 // Build names the code that turns a study into bytes: one version per

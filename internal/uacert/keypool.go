@@ -86,7 +86,14 @@ func (p *KeyPool) Key(bits, idx int) *rsa.PrivateKey {
 	if key != nil {
 		return key
 	}
-	key = p.generate(bits, idx)
+	return p.Add(bits, idx, p.generate(bits, idx))
+}
+
+// Add stores key as the pool's (bits, idx) key unless the pool holds
+// one already, and returns the one it holds. The caller vouches that key
+// is the one Key would generate there: deploy.Materialize adds the keys
+// it rebuilds from a key image (DESIGN.md §5 rule 2).
+func (p *KeyPool) Add(bits, idx int, key *rsa.PrivateKey) *rsa.PrivateKey {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if first := p.keys[bits][idx]; first != nil {

@@ -355,13 +355,15 @@ func TestMeasureFlagValidation(t *testing.T) {
 		want string
 	}{
 		{[]string{"-testkeys", "-waves", "9"}, "wave 9 out of range 0-7"},
-		{[]string{"-testkeys", "-waves", "5-7,6"}, "selects wave 6 more than once"},
+		// A range longer than the schedule stops at its first bad wave.
+		{[]string{"-testkeys", "-waves", "0-2000000000"}, "wave 8 out of range 0-7"},
+		{[]string{"-testkeys", "-waves", "5-7,6"}, "wave 6 selected more than once"},
 		{[]string{"-testkeys", "-waves", "7", "-delta"}, "needs at least 2 selected"},
 		// A NaN would run without noise here and fail only in the Hello
 		// under -listen.
-		{[]string{"-testkeys", "-waves", "7", "-noise", "NaN"}, "-noise NaN: a probability in [0, 1]"},
-		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-noise", "1.5"}, "-noise 1.5: a probability in [0, 1]"},
-		{[]string{"-testkeys", "-waves", "7", "-max-hosts", "-1"}, "-max-hosts -1: a host count"},
+		{[]string{"-testkeys", "-waves", "7", "-noise", "NaN"}, "noise probability NaN outside [0, 1]"},
+		{[]string{"-listen", "127.0.0.1:0", "-shards", "2", "-noise", "1.5"}, "noise probability 1.5 outside [0, 1]"},
+		{[]string{"-testkeys", "-waves", "7", "-max-hosts", "-1"}, "MaxHosts -1 is negative"},
 		// A flag with no effect in the chosen mode, one row per mode.
 		{[]string{"-connect", "127.0.0.1:1", "-chaos", "mixed"},
 			"-chaos has no effect with -connect: a fabric worker takes its study from the coordinator"},

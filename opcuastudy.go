@@ -319,8 +319,12 @@ func scannerCert(key *rsa.PrivateKey) (*rsa.PrivateKey, *uacert.Certificate, err
 	return key, cert, nil
 }
 
-// BuildWorld generates and materializes the simulated Internet.
+// BuildWorld generates and materializes the simulated Internet of a
+// valid study (study.Study.Validate).
 func BuildWorld(cfg CampaignConfig) (*deploy.World, error) {
+	if err := cfg.Study().Validate(); err != nil {
+		return nil, err
+	}
 	spec, err := deploy.BuildSpec(cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -348,6 +352,9 @@ func BuildWorld(cfg CampaignConfig) (*deploy.World, error) {
 
 // RunCampaign builds the world and executes the selected waves.
 func RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaign, error) {
+	if err := cfg.Study().Validate(); err != nil {
+		return nil, err
+	}
 	cfg.progressf("building world (seed %d)...", cfg.Seed)
 	world, err := BuildWorld(cfg)
 	if err != nil {
@@ -383,20 +390,8 @@ func newCampaignRun(cfg CampaignConfig, world *deploy.World) (*campaignRun, erro
 	// A repeated wave would scan twice, fold into the longitudinal
 	// analysis twice and reach the record sink twice.
 	st := cfg.Study()
-	for i, w := range st.Waves {
-		if w < 0 || w >= len(deploy.WaveDates) {
-			return nil, fmt.Errorf("opcuastudy: wave %d out of range [0, %d) (waves %v)",
-				w, len(deploy.WaveDates), cfg.Waves)
-		}
-		if i > 0 && w == st.Waves[i-1] {
-			return nil, fmt.Errorf("opcuastudy: wave %d selected more than once (waves %v)", w, cfg.Waves)
-		}
-	}
-	if !(st.NoiseProb >= 0 && st.NoiseProb <= 1) {
-		return nil, fmt.Errorf("opcuastudy: noise probability %v outside [0, 1]", cfg.NoiseProb)
-	}
-	if st.MaxHosts < 0 {
-		return nil, fmt.Errorf("opcuastudy: MaxHosts %d is negative", cfg.MaxHosts)
+	if err := st.Validate(); err != nil {
+		return nil, err
 	}
 	// Serialize the progress callback once, before any fan-out: waves,
 	// shards, and workers then share one mutex-guarded writer and status

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -621,6 +622,41 @@ func TestCampaignRejectsOutOfRangeStudy(t *testing.T) {
 		if len(sink.Records) != 0 {
 			t.Errorf("%d records streamed despite %q", len(sink.Records), tc.want)
 		}
+	}
+}
+
+// TestBadStudyBuildsNoWorld: RunCampaign and BuildWorld refuse a study no
+// campaign can measure before they build anything — no "building world"
+// line, no key image written — and return Study.Validate's error.
+func TestBadStudyBuildsNoWorld(t *testing.T) {
+	cache := t.TempDir()
+	t.Setenv("XDG_CACHE_HOME", cache)
+	for _, tc := range []struct {
+		set  func(*CampaignConfig)
+		want string
+	}{
+		{func(c *CampaignConfig) { c.Waves = []int{9} }, "wave 9 out of range"},
+		{func(c *CampaignConfig) { c.Waves = []int{7, 7} }, "wave 7 selected more than once"},
+		{func(c *CampaignConfig) { c.NoiseProb = math.NaN() }, "noise probability NaN outside [0, 1]"},
+		{func(c *CampaignConfig) { c.MaxHosts = -1 }, "MaxHosts -1 is negative"},
+	} {
+		cfg := deltaTestConfig("")
+		tc.set(&cfg)
+		var lines []string
+		cfg.Progressf = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+		_, err := RunCampaign(context.Background(), cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunCampaign: err %v, want %q", err, tc.want)
+		}
+		if _, err := BuildWorld(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("BuildWorld: err %v, want %q", err, tc.want)
+		}
+		if len(lines) != 0 {
+			t.Errorf("%q: a refused study printed %q", tc.want, lines)
+		}
+	}
+	if entries, err := os.ReadDir(cache); err != nil || len(entries) != 0 {
+		t.Errorf("refused studies left %v in the cache directory (%v)", entries, err)
 	}
 }
 
